@@ -18,39 +18,40 @@ doc:
 	bash scripts/doccheck.sh
 
 # check is the CI gate: vet everything, then race-test the concurrent
-# campaign engine, the interpreters it drives (legacy and decoded,
-# including the engine-parity and pooled-frame hygiene suites), the
-# decoded lowering pass, and the cross-check harness that compares them
-# against the reference evaluator. The race run includes the snapshot
-# round-trip suite (internal/interp) and the differential suites
-# comparing snapshot-replay and decoded-engine campaigns against legacy
-# full re-execution (internal/fault). The decoded crosscheck tier sweeps
-# a random corpus through the three-way oracle with the decoded engine
-# driving the campaign-level checks. The fuzz smoke run gives each
+# campaign engine, the interpreter it drives (including the
+# reference-parity and pooled-frame hygiene suites), the decoded
+# lowering pass, and the cross-check harness that compares the
+# interpreter against the reference evaluator. The race run includes the
+# snapshot round-trip suite (internal/interp) and the differential
+# suites comparing snapshot-replay campaigns against full re-execution
+# and every trial against the reference evaluator (internal/fault). The
+# crosscheck sweep runs a random corpus through the two-way oracle
+# (reference evaluator × interpreter). The fuzz smoke run gives every
 # native fuzz target a bounded slice of random exploration, and the
-# fibench smoke run then proves all engines still agree end-to-end on a
-# short real campaign, that the telemetry layer stays within its ≤3%
-# overhead budget (see OBSERVABILITY.md), and that the decoded engine
-# keeps a measurable lead over the snapshot engine (the 1.1x smoke floor
-# is deliberately below the ≥1.4x geomean BENCH_fi.json records, so CI
-# jitter on one kernel does not flake the gate). The servercheck drill
-# then attacks a live fiserver: it SIGKILLs a shard worker mid-campaign,
-# SIGTERMs the server (expecting exit 143 and the job re-queued on
-# disk), restarts over the same spool, and requires the resumed merged
-# result to be byte-identical to a clean run of the same campaign. The
-# cachecheck drill closes the loop on the compositional profile cache:
-# run, edit one kernel function, re-run, and require that only the
-# edited function re-injected and the composed result byte-compares
-# with a from-scratch campaign (the cache/hashutil packages also run
-# under -race alongside the other concurrent tiers, and the bitlive
-# pass runs under -race too — its Report is shared by campaign workers).
-# The prunecheck drill closes the loop on bit-liveness pruning: pruned
-# and unpruned campaigns through the real CLI, on both engines, must
-# report identical summaries and identical per-trial transcripts
-# (DESIGN.md §5i, scripts/prunecheck.sh). The stratcheck drill does the
-# same for stratified sampling: the thinned campaign's transcript must
-# be a subset of the plain one and the reweighted estimate must land on
-# the plain campaign's SDC probability (scripts/stratcheck.sh). The
+# fibench smoke run then proves snapshot replay and full re-execution
+# still agree end-to-end on a short real campaign, that the telemetry
+# layer stays within its ≤3% overhead budget (see OBSERVABILITY.md), and
+# that snapshot replay keeps a measurable lead over full re-execution
+# (the 1.1x smoke floor is deliberately far below the ~2x pathfinder
+# speedup BENCH_fi.json records, so CI jitter does not flake the gate).
+# The servercheck drill then attacks a live fiserver: it SIGKILLs a
+# shard worker mid-campaign, SIGTERMs the server (expecting exit 143 and
+# the job re-queued on disk), restarts over the same spool, and requires
+# the resumed merged result to be byte-identical to a clean run of the
+# same campaign. The cachecheck drill closes the loop on the
+# compositional profile cache: run, edit one kernel function, re-run,
+# and require that only the edited function re-injected and the composed
+# result byte-compares with a from-scratch campaign (the cache/hashutil
+# packages also run under -race alongside the other concurrent tiers,
+# and the bitlive pass runs under -race too — its Report is shared by
+# campaign workers). The prunecheck drill closes the loop on
+# bit-liveness pruning: pruned and unpruned campaigns through the real
+# CLI, with and without snapshot replay, must report identical summaries
+# and identical per-trial transcripts (DESIGN.md §5i,
+# scripts/prunecheck.sh). The stratcheck drill does the same for
+# stratified sampling: the thinned campaign's transcript must be a
+# subset of the plain one and the reweighted estimate must land on the
+# plain campaign's SDC probability (scripts/stratcheck.sh). The
 # adaptcheck drill closes the loop on adaptive (Neyman) allocation:
 # pilot-derived plans must replay byte-identically from their own
 # checkpoints, adaptive transcripts must be fenced from plain and
@@ -61,9 +62,9 @@ doc:
 check: build doc
 	$(GO) test -race ./internal/fault/... ./internal/interp/... ./internal/decoded/... ./internal/telemetry/... ./internal/server/... ./internal/sigctx/... ./internal/cache/... ./internal/hashutil/... ./internal/bitlive/... ./internal/stats/...
 	$(GO) test -race -short ./internal/crosscheck/...
-	$(GO) run ./cmd/crosscheck -n 60 -seed 77 -kernels=false -engine decoded
+	$(GO) run ./cmd/crosscheck -n 60 -seed 77 -kernels=false
 	$(MAKE) fuzz-smoke
-	$(GO) run ./cmd/fibench -programs pathfinder -n 300 -repeats 5 -max-overhead 0.03 -min-decoded-speedup 1.1 -out /dev/null
+	$(GO) run ./cmd/fibench -programs pathfinder -n 300 -repeats 5 -max-overhead 0.03 -min-snapshot-speedup 1.1 -out /dev/null
 	$(MAKE) servercheck
 	$(MAKE) cachecheck
 	$(MAKE) prunecheck
@@ -100,28 +101,32 @@ stratcheck:
 adaptcheck:
 	bash scripts/adaptcheck.sh
 
-# fuzz-smoke runs each native fuzz target for a bounded slice (~10s):
-# long enough to mutate past the seed corpus, short enough for CI. Deep
-# fuzzing is manual: go test ./internal/crosscheck -fuzz <target>.
+# fuzz-smoke runs every native fuzz target for a bounded slice (~10s
+# each): long enough to mutate past the seed corpus, short enough for
+# CI. Targets are discovered with go test -list, so a new Fuzz* function
+# joins the smoke run without editing this file. Deep fuzzing is manual:
+# go test <package> -run '^$$' -fuzz <target>.
 fuzz-smoke:
-	$(GO) test ./internal/crosscheck -run '^$$' -fuzz FuzzInterpOracle -fuzztime 10s
-	$(GO) test ./internal/crosscheck -run '^$$' -fuzz FuzzParserRoundTrip -fuzztime 10s
-	$(GO) test ./internal/crosscheck -run '^$$' -fuzz FuzzBitliveSound -fuzztime 10s
-	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzCacheKeyCanonical -fuzztime 10s
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzWeightedTally -fuzztime 10s
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(printf '%s\n' "$$targets" | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime 10s; \
+		done; \
+	done
 
-# bench measures the snapshot-replay, decoded and pruned campaign
-# engines against the legacy path plus the telemetry layer's overhead
-# across all 11 paper kernels and the narrow-output kernels the pruning
-# pass targets (committed as BENCH_fi.json), and runs the campaign
-# benchmarks. The pruning gate requires a ≥1.2x equal-CI speedup on at
-# least 3 kernels (the narrow-output ones clear it; the paper kernels'
-# near-zero masked fractions are expected). The stratification gate
-# mirrors it: at least 3 kernels must show a ≥1.1x weighted-CI shrink
-# at equal executed trials under the default plan. The adaptive gate
-# requires a ≥1.05x shrink that also matches or beats the static plan's
-# on at least 3 kernels — pilot cost included, so the floor sits below
-# the static gate's on purpose.
+# bench measures the snapshot-replay and pruned campaigns against full
+# re-execution plus the telemetry layer's overhead across all 11 paper
+# kernels and the narrow-output kernels the pruning pass targets
+# (committed as BENCH_fi.json), and runs the campaign benchmarks. The
+# pruning gate requires a ≥1.2x equal-CI speedup on at least 3 kernels
+# (the narrow-output ones clear it; the paper kernels' near-zero masked
+# fractions are expected). The stratification gate mirrors it: at least
+# 3 kernels must show a ≥1.1x weighted-CI shrink at equal executed
+# trials under the default plan. The adaptive gate requires a ≥1.05x
+# shrink that also matches or beats the static plan's on at least 3
+# kernels — pilot cost included, so the floor sits below the static
+# gate's on purpose.
 bench:
 	$(GO) run ./cmd/fibench -programs libquantum,blackscholes,sad,bfs-parboil,hercules,lulesh,puremd,nw,pathfinder,hotspot,bfs-rodinia,rgb2gray,nibblepack,boxblur -repeats 3 -min-pruned-ci-speedup 1.2 -min-strat-ci-shrink 1.1 -min-adapt-ci-shrink 1.05 -out BENCH_fi.json
 	$(GO) test -bench='BenchmarkCampaign' -benchmem .

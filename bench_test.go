@@ -201,9 +201,9 @@ func BenchmarkModelAllInstructions(b *testing.B) {
 	}
 }
 
-// Campaign benchmarks: the legacy engine re-interprets every trial's
-// pre-fault prefix from instruction zero; the snapshot engine resumes
-// from the nearest golden-run snapshot. Same seed, same trials, same
+// Campaign benchmarks: full re-execution interprets every trial's
+// pre-fault prefix from instruction zero; snapshot replay resumes from
+// the nearest golden-run snapshot. Same seed, same trials, same
 // outcomes — the only difference is wall-clock. cmd/fibench runs the
 // same comparison standalone and records it in BENCH_fi.json.
 
@@ -226,7 +226,7 @@ func benchCampaign(b *testing.B, program string, interval uint64) {
 	}
 }
 
-func BenchmarkCampaignLegacy(b *testing.B) {
+func BenchmarkCampaignFull(b *testing.B) {
 	for _, prog := range []string{"pathfinder", "nw", "sad"} {
 		b.Run(prog, func(b *testing.B) { benchCampaign(b, prog, 0) })
 	}

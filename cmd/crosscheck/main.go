@@ -17,8 +17,7 @@
 // Usage:
 //
 //	crosscheck [-n 500] [-seed 1] [-kernels] [-invariants]
-//	           [-protect-trials 32] [-checkpoint-dir DIR]
-//	           [-engine legacy|decoded] [-v]
+//	           [-protect-trials 32] [-checkpoint-dir DIR] [-v]
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"os"
 
 	"trident/internal/crosscheck"
-	"trident/internal/interp"
 )
 
 func main() {
@@ -45,13 +43,8 @@ func run(args []string) error {
 	invariants := fs.Bool("invariants", false, "check model and protection invariants (slower)")
 	protectTrials := fs.Int("protect-trials", 0, "injection trials per program in the protection invariant (0 = default)")
 	checkpointDir := fs.String("checkpoint-dir", "", "scratch directory: enables the checkpoint-resume bit-identity check")
-	engineName := fs.String("engine", "legacy", "engine driving the campaign-level checks: legacy or decoded (the per-program oracle always sweeps every engine)")
 	verbose := fs.Bool("v", false, "print each program as it is checked")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	engine, err := interp.ParseEngine(*engineName)
-	if err != nil {
 		return err
 	}
 
@@ -62,7 +55,6 @@ func run(args []string) error {
 		Invariants:     *invariants,
 		ProtectTrials:  *protectTrials,
 		CheckpointDir:  *checkpointDir,
-		Engine:         engine,
 	}
 	if *verbose {
 		cfg.Progress = func(name string) { fmt.Fprintln(os.Stderr, "checking", name) }

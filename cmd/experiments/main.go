@@ -21,10 +21,6 @@
 //	                 FI trials resume from; 0 disables snapshot replay and
 //	                 re-executes every trial from instruction zero
 //	                 (default 2048)
-//	-engine string   interpreter engine for golden runs and FI trials:
-//	                 "legacy" (default) or "decoded" (pre-decoded
-//	                 instruction streams; bit-identical results, faster
-//	                 campaigns)
 //	-metrics-out string
 //	                 write a JSON metrics snapshot here on exit
 //	                 (see OBSERVABILITY.md)
@@ -49,7 +45,6 @@ import (
 
 	"trident/internal/experiments"
 	"trident/internal/fault"
-	"trident/internal/interp"
 	"trident/internal/sigctx"
 	"trident/internal/telemetry"
 )
@@ -86,8 +81,7 @@ func run(ctx context.Context, args []string) error {
 	format := fs.String("format", "text", "output format: text or md")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for per-campaign JSONL checkpoints; an interrupted run resumes from them")
 	cacheDir := fs.String("cache-dir", "", "content-addressed per-function campaign profile cache; re-runs re-inject only edited functions (takes precedence over -checkpoint-dir)")
-	snapInterval := fs.Int("snapshot-interval", 2048, "dynamic instructions between golden-run snapshots that FI trials resume from (0 = legacy full re-execution)")
-	engineName := fs.String("engine", "legacy", "interpreter engine for golden runs and FI trials: legacy or decoded")
+	snapInterval := fs.Int("snapshot-interval", 2048, "dynamic instructions between golden-run snapshots that FI trials resume from (0 = full re-execution)")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit (see OBSERVABILITY.md)")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (program loads, campaign spans, errored trials)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address (e.g. :6060) for the run's lifetime")
@@ -96,10 +90,6 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	md := *format == "md"
-	engine, err := interp.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
 
 	reg := telemetry.Default
 	var trace *telemetry.Trace
@@ -164,7 +154,6 @@ func run(ctx context.Context, args []string) error {
 		Metrics:          reg,
 		Trace:            trace,
 		Progress:         onProgress,
-		Engine:           engine,
 	}
 	if *snapInterval == 0 {
 		cfg.SnapshotInterval = -1

@@ -18,7 +18,7 @@
 // Usage:
 //
 //	fi -program pathfinder [-n 3000] [-seed 1] [-workers 4] [-per-instr]
-//	   [-engine legacy|decoded] [-snapshot-interval 2048] [-prune-bits]
+//	   [-snapshot-interval 2048] [-prune-bits]
 //	   [-checkpoint trials.jsonl] [-resume] [-retries 2] [-trial-timeout 30s]
 //	   [-metrics-out metrics.json] [-trace-out trace.jsonl] [-debug-addr :6060]
 //	fi -ir file.tir [...]
@@ -46,7 +46,6 @@ import (
 	"trident/internal/cache"
 	"trident/internal/fault"
 	"trident/internal/hashutil"
-	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/progs"
 	"trident/internal/server"
@@ -80,8 +79,7 @@ func run(args []string) (int, error) {
 	resume := fs.Bool("resume", false, "require an existing checkpoint (refuse to start from scratch); implies -checkpoint")
 	retries := fs.Int("retries", 1, "retry attempts for trials failing with transient engine errors")
 	trialTimeout := fs.Duration("trial-timeout", 0, "per-trial wall-clock watchdog on top of the instruction budget (0 = none)")
-	snapInterval := fs.Uint64("snapshot-interval", 2048, "dynamic instructions between golden-run snapshots that trials resume from (0 = legacy full re-execution)")
-	engineName := fs.String("engine", "legacy", "interpreter engine for the golden run and every trial: legacy or decoded")
+	snapInterval := fs.Uint64("snapshot-interval", 2048, "dynamic instructions between golden-run snapshots that trials resume from (0 = full re-execution)")
 	pruneBits := fs.Bool("prune-bits", false, "skip injections into statically provably-masked bits, recording them benign without execution; results are bit-identical to an unpruned campaign (exact reweighting, see DESIGN.md §5i)")
 	stratify := fs.Bool("stratify", false, "stratified live-bit importance sampling: thin low-influence strata (noise, masked bits) deterministically and reweight executed trials by inverse inclusion probability; the weighted estimates stay unbiased at a fraction of the executed trials (see ANALYSIS.md)")
 	stratifyAdaptive := fs.Bool("stratify-adaptive", false, "two-phase adaptive (Neyman-allocation) stratified sampling: a static-shape pilot over the first ~20% of the slot budget (provably-masked slots thinned at the rate floor) estimates per-stratum SDC rates, the remaining slots are thinned under the derived plan, and pilot trials fold into the weighted estimate at the pilot plan's 1/q — executed trials never exceed -n (see ANALYSIS.md); with -cache-dir, plans are seeded from cached per-function profiles and the pilot is skipped on hits")
@@ -131,10 +129,6 @@ func run(args []string) (int, error) {
 	if *maskedRate != bitlive.DefaultMaskedRate && !*stratify {
 		return 1, fmt.Errorf("-stratify-masked-rate requires -stratify")
 	}
-	engine, err := interp.ParseEngine(*engineName)
-	if err != nil {
-		return 1, err
-	}
 
 	// Ctrl-C / SIGTERM cancels the campaign gracefully: in-flight trials
 	// are abandoned, completed ones are reported (and checkpointed), and
@@ -170,7 +164,6 @@ func run(args []string) (int, error) {
 				Seed:             *seed,
 				Shards:           *shards,
 				Workers:          *workers,
-				Engine:           *engineName,
 				SnapshotInterval: *snapInterval,
 				MaxRetries:       *retries,
 				TrialTimeoutMS:   trialTimeout.Milliseconds(),
@@ -245,7 +238,6 @@ func run(args []string) (int, error) {
 		Metrics:          reg,
 		Trace:            trace,
 		OnProgress:       onProgress,
-		Engine:           engine,
 		PruneBits:        *pruneBits,
 		Stratify:         plan,
 		Adaptive:         adaptive,

@@ -1,10 +1,8 @@
-// Command fibench compares the three fault-injection execution paths —
-// the legacy engine that re-interprets every trial from instruction zero,
-// the snapshot-replay engine that resumes each trial from the nearest
-// golden-run snapshot, and the decoded engine that additionally executes
-// AOT-lowered instruction streams with pooled frames — on identical
-// campaigns, verifies the results are bit-identical, and records the
-// timings as JSON (BENCH_fi.json).
+// Command fibench compares the two fault-injection execution paths —
+// full re-execution of every trial from instruction zero, and snapshot
+// replay that resumes each trial from the nearest golden-run snapshot —
+// on identical campaigns, verifies the results are bit-identical, and
+// records the timings as JSON (BENCH_fi.json).
 //
 // It also measures the cost of the telemetry layer: each snapshot
 // campaign is re-run with a live metrics registry, JSONL trace, and
@@ -18,16 +16,16 @@
 //	fibench [-programs pathfinder,nw,sad,rgb2gray,nibblepack,boxblur]
 //	        [-n 400] [-seed 7] [-workers 4]
 //	        [-interval 2048] [-repeats 1] [-max-overhead 0]
-//	        [-min-decoded-speedup 0] [-min-pruned-ci-speedup 0]
+//	        [-min-snapshot-speedup 0] [-min-pruned-ci-speedup 0]
 //	        [-min-strat-ci-shrink 0] [-min-adapt-ci-shrink 0]
 //	        [-out BENCH_fi.json]
 //
 // -out "-" writes to stdout. -repeats N times every campaign N times and
 // keeps the fastest run, damping scheduler noise on loaded machines. The
 // run fails if any program's campaigns diverge between the paths, if
-// -max-overhead is positive and exceeded, or if -min-decoded-speedup is
-// positive and the geometric-mean decoded-vs-snapshot speedup falls
-// below it.
+// -max-overhead is positive and exceeded, or if -min-snapshot-speedup is
+// positive and the geometric-mean snapshot-vs-full speedup falls below
+// it.
 //
 // Each program additionally runs the campaign stratified under the
 // default bitlive plan (same slot stream, masked stratum thinned,
@@ -62,7 +60,6 @@ import (
 
 	"trident/internal/bitlive"
 	"trident/internal/fault"
-	"trident/internal/interp"
 	"trident/internal/progs"
 	"trident/internal/stats"
 	"trident/internal/telemetry"
@@ -78,9 +75,8 @@ type result struct {
 	Interval      uint64  `json:"snapshot_interval"`
 	Snapshots     int     `json:"snapshots"`
 	SnapshotSetup float64 `json:"snapshot_setup_ms"`
-	LegacyMs      float64 `json:"legacy_ms"`
+	FullMs        float64 `json:"full_ms"`
 	SnapshotMs    float64 `json:"snapshot_ms"`
-	DecodedMs     float64 `json:"decoded_ms"`
 	// OverheadBaseMs and InstrumentedMs are the single-worker pair
 	// behind the overhead measurement: the same snapshot campaign bare
 	// and with every observability sink attached. Single-threaded runs
@@ -88,20 +84,18 @@ type result struct {
 	// is larger than the signal.
 	OverheadBaseMs float64 `json:"overhead_base_ms"`
 	InstrumentedMs float64 `json:"instrumented_ms"`
-	Speedup        float64 `json:"speedup"`
-	// DecodedSpeedup is the decoded engine's gain over the snapshot
-	// engine on the same snapshot-replay campaign: snapshot_ms/decoded_ms.
-	DecodedSpeedup float64 `json:"decoded_speedup"`
+	// Speedup is snapshot replay's gain over full re-execution on the
+	// same campaign: full_ms/snapshot_ms.
+	Speedup float64 `json:"speedup"`
 	// TelemetryOverhead is the fractional slowdown with metrics,
 	// tracing, and a progress callback all attached:
 	// instrumented_ms/overhead_base_ms - 1. Negative values are
 	// measurement noise.
 	TelemetryOverhead float64 `json:"telemetry_overhead"`
 	Identical         bool    `json:"identical"`
-	TrialsPerSecL     float64 `json:"legacy_trials_per_sec"`
+	TrialsPerSecF     float64 `json:"full_trials_per_sec"`
 	TrialsPerSecS     float64 `json:"snapshot_trials_per_sec"`
-	TrialsPerSecD     float64 `json:"decoded_trials_per_sec"`
-	// PrunedMs times the decoded campaign re-run with bit-liveness
+	// PrunedMs times the snapshot campaign re-run with bit-liveness
 	// pruning (-prune-bits); its transcript participates in the identity
 	// check, so the timing is only ever published for a bit-identical
 	// result. BitsPrunedPct is the activation-weighted share of the
@@ -162,7 +156,7 @@ func run(args []string) error {
 	interval := fs.Uint64("interval", 2048, "snapshot interval in dynamic instructions")
 	repeats := fs.Int("repeats", 1, "measure each campaign this many times and keep the fastest")
 	maxOverhead := fs.Float64("max-overhead", 0, "fail if telemetry overhead exceeds this fraction (0 disables the gate)")
-	minDecoded := fs.Float64("min-decoded-speedup", 0, "fail if the geomean decoded-vs-snapshot speedup falls below this factor (0 disables the gate)")
+	minSnapshot := fs.Float64("min-snapshot-speedup", 0, "fail if the geomean snapshot-vs-full speedup falls below this factor (0 disables the gate)")
 	minPrunedCI := fs.Float64("min-pruned-ci-speedup", 0, "fail unless at least -min-pruned-kernels programs reach this pruned equal-CI speedup (0 disables the gate)")
 	minPrunedKernels := fs.Int("min-pruned-kernels", 3, "with -min-pruned-ci-speedup: how many programs must clear the floor")
 	minStratShrink := fs.Float64("min-strat-ci-shrink", 0, "fail unless at least -min-strat-kernels programs reach this stratified CI shrink at equal executed trials (0 disables the gate)")
@@ -174,7 +168,7 @@ func run(args []string) error {
 		return err
 	}
 	if *interval == 0 {
-		return fmt.Errorf("-interval must be positive (0 would benchmark the legacy path against itself)")
+		return fmt.Errorf("-interval must be positive (0 would benchmark full re-execution against itself)")
 	}
 	if *repeats < 1 {
 		return fmt.Errorf("-repeats must be at least 1")
@@ -188,9 +182,9 @@ func run(args []string) error {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Fprintf(os.Stderr,
-			"%-12s golden=%-6d snapshots=%-3d legacy=%7.1fms snapshot=%7.1fms decoded=%7.1fms pruned=%7.1fms speedup=%.2fx decoded-speedup=%.2fx pruned=%.1f%% ci-speedup=%.2fx strat=%d/%d shrink=%.3fx adapt=%d/%d shrink=%.3fx pilot=%.0f%% telemetry=%+.1f%% identical=%v\n",
-			r.Program, r.GoldenDyn, r.Snapshots, r.LegacyMs, r.SnapshotMs, r.DecodedMs, r.PrunedMs,
-			r.Speedup, r.DecodedSpeedup, r.BitsPrunedPct, r.PrunedCISpeedup,
+			"%-12s golden=%-6d snapshots=%-3d full=%7.1fms snapshot=%7.1fms pruned=%7.1fms speedup=%.2fx pruned=%.1f%% ci-speedup=%.2fx strat=%d/%d shrink=%.3fx adapt=%d/%d shrink=%.3fx pilot=%.0f%% telemetry=%+.1f%% identical=%v\n",
+			r.Program, r.GoldenDyn, r.Snapshots, r.FullMs, r.SnapshotMs, r.PrunedMs,
+			r.Speedup, r.BitsPrunedPct, r.PrunedCISpeedup,
 			r.StratExecuted, r.N, r.StratCIShrink,
 			r.AdaptExecuted, r.N, r.AdaptCIShrink, r.PilotFraction*100,
 			r.TelemetryOverhead*100, r.Identical)
@@ -200,18 +194,18 @@ func run(args []string) error {
 		results = append(results, r)
 	}
 
-	// The decoded gate uses the geometric mean so every kernel weighs
+	// The snapshot gate uses the geometric mean so every kernel weighs
 	// equally; an arithmetic mean would let one long kernel mask a
 	// regression on the short ones.
 	logSum := 0.0
 	for _, r := range results {
-		logSum += math.Log(r.DecodedSpeedup)
+		logSum += math.Log(r.Speedup)
 	}
 	geomean := math.Exp(logSum / float64(len(results)))
-	fmt.Fprintf(os.Stderr, "decoded speedup geomean: %.2fx\n", geomean)
-	if *minDecoded > 0 && geomean < *minDecoded {
-		return fmt.Errorf("decoded speedup geomean %.2fx below the %.2fx floor",
-			geomean, *minDecoded)
+	fmt.Fprintf(os.Stderr, "snapshot speedup geomean: %.2fx\n", geomean)
+	if *minSnapshot > 0 && geomean < *minSnapshot {
+		return fmt.Errorf("snapshot speedup geomean %.2fx below the %.2fx floor",
+			geomean, *minSnapshot)
 	}
 
 	// The pruning gate counts kernels, not a mean: pruning targets
@@ -363,11 +357,11 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 	}
 	m := p.Build()
 
-	legacy, err := fault.New(m, fault.Options{Seed: seed, Workers: workers})
+	full, err := fault.New(m, fault.Options{Seed: seed, Workers: workers})
 	if err != nil {
 		return result{}, err
 	}
-	lres, legacyDur, err := timeCampaign(legacy, n, repeats)
+	fres, fullDur, err := timeCampaign(full, n, repeats)
 	if err != nil {
 		return result{}, err
 	}
@@ -385,28 +379,13 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 		return result{}, err
 	}
 
-	// The decoded engine runs the same snapshot-replay campaign, so its
-	// column isolates the engine swap: AOT-lowered instruction streams
-	// and pooled frames against the tree-walking interpreter.
-	dec, err := fault.New(m, fault.Options{
-		Seed: seed, Workers: workers, SnapshotInterval: interval,
-		Engine: interp.EngineDecoded,
-	})
-	if err != nil {
-		return result{}, err
-	}
-	dres, decDur, err := timeCampaign(dec, n, repeats)
-	if err != nil {
-		return result{}, err
-	}
-
-	// The pruned column re-runs the decoded campaign with bit-liveness
+	// The pruned column re-runs the snapshot campaign with bit-liveness
 	// pruning: provably-masked bits classify Benign without executing.
 	// Exact reweighting makes the transcript bit-identical, which the
 	// identity check below re-verifies on every bench run.
 	pruned, err := fault.New(m, fault.Options{
 		Seed: seed, Workers: workers, SnapshotInterval: interval,
-		Engine: interp.EngineDecoded, PruneBits: true,
+		PruneBits: true,
 	})
 	if err != nil {
 		return result{}, err
@@ -456,7 +435,7 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 	plan := bitlive.DefaultPlan()
 	strat, err := fault.New(m, fault.Options{
 		Seed: seed, Workers: workers, SnapshotInterval: interval,
-		Engine: interp.EngineDecoded, Stratify: &plan,
+		Stratify: &plan,
 	})
 	if err != nil {
 		return result{}, err
@@ -474,7 +453,7 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 	// the executed budget, so the shrink already prices in their cost.
 	adapt, err := fault.New(m, fault.Options{
 		Seed: seed, Workers: workers, SnapshotInterval: interval,
-		Engine: interp.EngineDecoded, Adaptive: &fault.AdaptiveConfig{},
+		Adaptive: &fault.AdaptiveConfig{},
 	})
 	if err != nil {
 		return result{}, err
@@ -489,23 +468,20 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 		N:                 n,
 		Seed:              seed,
 		Workers:           workers,
-		GoldenDyn:         legacy.GoldenDynInstrs(),
+		GoldenDyn:         full.GoldenDynInstrs(),
 		Interval:          interval,
 		Snapshots:         snap.Snapshots(),
 		SnapshotSetup:     float64(setupDur.Microseconds()) / 1000,
-		LegacyMs:          float64(legacyDur.Microseconds()) / 1000,
+		FullMs:            float64(fullDur.Microseconds()) / 1000,
 		SnapshotMs:        float64(snapDur.Microseconds()) / 1000,
-		DecodedMs:         float64(decDur.Microseconds()) / 1000,
 		OverheadBaseMs:    float64(obareDur.Microseconds()) / 1000,
 		InstrumentedMs:    float64(instDur.Microseconds()) / 1000,
-		Speedup:           legacyDur.Seconds() / snapDur.Seconds(),
-		DecodedSpeedup:    snapDur.Seconds() / decDur.Seconds(),
+		Speedup:           fullDur.Seconds() / snapDur.Seconds(),
 		TelemetryOverhead: instDur.Seconds()/obareDur.Seconds() - 1,
-		Identical: identical(lres, sres) && identical(sres, dres) &&
-			identical(sres, ires) && identical(dres, pres),
-		TrialsPerSecL:        float64(n) / legacyDur.Seconds(),
+		Identical: identical(fres, sres) && identical(sres, ires) &&
+			identical(sres, pres),
+		TrialsPerSecF:        float64(n) / fullDur.Seconds(),
 		TrialsPerSecS:        float64(n) / snapDur.Seconds(),
-		TrialsPerSecD:        float64(n) / decDur.Seconds(),
 		PrunedMs:             float64(pruDur.Microseconds()) / 1000,
 		TrialsPerSecP:        float64(n) / pruDur.Seconds(),
 		BitsPrunedPct:        prunedFrac * 100,
@@ -513,17 +489,17 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 		StratExecuted:        stratRes.ExecutedN(),
 		StratWeightedSDC:     stratRes.WeightedSDC(),
 		StratCIHalf:          stratRes.WeightedErrorBar95(),
-		StratEqualExecCIHalf: stats.ProportionCI95(lres.SDCProb(), stratRes.ExecutedN()),
+		StratEqualExecCIHalf: stats.ProportionCI95(fres.SDCProb(), stratRes.ExecutedN()),
 		StratEffN:            stratRes.EffectiveN(),
 		AdaptExecuted:        adaptRes.ExecutedN(),
 		PilotExecuted:        adaptRes.PilotExecuted,
 		PilotFraction:        adaptRes.PilotFraction(),
 		AdaptWeightedSDC:     adaptRes.WeightedSDC(),
 		AdaptCIHalf:          adaptRes.WeightedErrorBar95(),
-		AdaptEqualExecCIHalf: stats.ProportionCI95(lres.SDCProb(), adaptRes.ExecutedN()),
+		AdaptEqualExecCIHalf: stats.ProportionCI95(fres.SDCProb(), adaptRes.ExecutedN()),
 		AdaptEffN:            adaptRes.EffectiveN(),
 		AdaptPlan:            adaptRes.Plan.String(),
-		OutcomeSummary:       summarize(lres),
+		OutcomeSummary:       summarize(fres),
 	}
 	if r.StratCIHalf > 0 {
 		r.StratCIShrink = r.StratEqualExecCIHalf / r.StratCIHalf

@@ -30,11 +30,9 @@ type Stamp struct {
 // FuncKey is the content address of one per-function campaign section.
 // Two campaigns that agree on every field draw the identical trial list
 // and classify it identically, so the cached profile substitutes for
-// re-execution bit for bit. The execution engine is deliberately absent:
-// engine parity (legacy and decoded engines produce bit-identical
-// campaigns, fenced by the cross-engine differential suites) makes the
-// profile engine-independent, and sharing one cache across engines is a
-// feature the differential suite exercises.
+// re-execution bit for bit. Performance knobs (snapshot interval,
+// workers) are deliberately absent: they never change a trial's outcome,
+// which the differential suites fence.
 type FuncKey struct {
 	// Kind distinguishes payload schemas sharing one store directory
 	// ("func-profile" for these).

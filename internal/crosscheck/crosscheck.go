@@ -1,7 +1,8 @@
 // Package crosscheck is the correctness harness that backs the
 // fault-injection ground truth: it drives programs through both the
 // production interpreter (internal/interp, an optimized explicit-frame
-// machine with snapshot/replay) and the deliberately naive reference
+// machine over pre-decoded streams with snapshot/replay) and the
+// deliberately naive reference
 // evaluator (internal/refinterp), asserting bit-identical observables —
 // outcome, trap kind and position, program output, dynamic instruction
 // and register-write counts, peak memory, and the full ordered
@@ -80,77 +81,52 @@ func refObservation(m *ir.Module, maxDyn uint64) (*refinterp.Result, []traceEntr
 	return res, trace, err
 }
 
-// enginePrefix namespaces check labels per production engine. The
-// legacy engine keeps the historical unprefixed labels; the decoded
-// engine's checks read "decoded/…".
-func enginePrefix(eng interp.Engine) string {
-	if eng == interp.EngineLegacy {
-		return ""
-	}
-	return string(eng) + "/"
-}
-
-// CompareModule runs m through the reference evaluator and every
-// production engine (legacy and decoded) and returns every divergence —
-// a three-way oracle. Each production engine is exercised on its plain
-// path with a streaming write-trace comparison, on truncated
-// instruction budgets bracketing the reference dynamic count
-// (hang-classification parity), and on the snapshot capture/resume
-// path, including resuming each engine's snapshots under the other.
+// CompareModule runs m through the reference evaluator and the
+// production interpreter and returns every divergence. The interpreter
+// is exercised on its plain path with a streaming write-trace
+// comparison, on truncated instruction budgets bracketing the reference
+// dynamic count (hang-classification parity), and on the snapshot
+// capture/resume path.
 func CompareModule(name string, m *ir.Module) ([]Mismatch, error) {
-	var out []Mismatch
-
 	refRes, refTrace, err := refObservation(m, 0)
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: reference run of %s: %w", name, err)
 	}
 
-	var prodRes *interp.Result
-	for _, eng := range interp.Engines() {
-		prefix := enginePrefix(eng)
-		res, ms, err := compareEngineRun(name, prefix, m, eng, refRes, refTrace)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ms...)
-		if eng == interp.EngineLegacy {
-			prodRes = res
-		}
+	prodRes, out, err := compareRun(name, m, refRes, refTrace)
+	if err != nil {
+		return nil, err
+	}
 
-		// Hang-classification parity across truncated budgets: the reference
-		// run took exactly refRes.DynInstrs dispatches, so a budget of that
-		// value must preserve the classification on both sides, and budget-1
-		// must hang on both sides. (For a run that already hung, DynInstrs is
-		// budget+1 and the bracketing is exercised by the caller's table.)
-		if refRes.Outcome != refinterp.OutcomeHang && refRes.DynInstrs > 0 {
-			for _, budget := range []uint64{refRes.DynInstrs, refRes.DynInstrs - 1} {
-				if budget == 0 {
-					continue
-				}
-				ms, err := compareAtBudget(name, prefix, m, eng, budget)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, ms...)
+	// Hang-classification parity across truncated budgets: the reference
+	// run took exactly refRes.DynInstrs dispatches, so a budget of that
+	// value must preserve the classification on both sides, and budget-1
+	// must hang on both sides. (For a run that already hung, DynInstrs is
+	// budget+1 and the bracketing is exercised by the caller's table.)
+	if refRes.Outcome != refinterp.OutcomeHang && refRes.DynInstrs > 0 {
+		for _, budget := range []uint64{refRes.DynInstrs, refRes.DynInstrs - 1} {
+			if budget == 0 {
+				continue
 			}
+			ms, err := compareAtBudget(name, m, budget)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, ms...)
 		}
 	}
 
-	// Snapshot capture/resume parity across all four (capture engine,
-	// resume engine) combinations.
 	ms, err := compareSnapshotResume(name, m, prodRes)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, ms...)
-
-	return out, nil
+	return append(out, ms...), nil
 }
 
-// compareEngineRun executes m on one production engine with a streaming
+// compareRun executes m on the production interpreter with a streaming
 // write-trace comparison against the reference trace and compares every
 // result observable.
-func compareEngineRun(name, prefix string, m *ir.Module, eng interp.Engine, refRes *refinterp.Result, refTrace []traceEntry) (*interp.Result, []Mismatch, error) {
+func compareRun(name string, m *ir.Module, refRes *refinterp.Result, refTrace []traceEntry) (*interp.Result, []Mismatch, error) {
 	var out []Mismatch
 	var (
 		cursor        int
@@ -158,7 +134,6 @@ func compareEngineRun(name, prefix string, m *ir.Module, eng interp.Engine, refR
 		extra         int
 	)
 	prodRes, err := interp.Run(m, interp.Options{
-		Engine: eng,
 		Hooks: interp.Hooks{
 			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
 				switch {
@@ -168,7 +143,7 @@ func compareEngineRun(name, prefix string, m *ir.Module, eng interp.Engine, refR
 						if e.pos != in.Pos() || e.bits != bits {
 							traceMismatch = &Mismatch{
 								Program: name,
-								Check:   fmt.Sprintf("%strace[%d]", prefix, cursor),
+								Check:   fmt.Sprintf("trace[%d]", cursor),
 								Got:     fmt.Sprintf("%s=%#x", in.Pos(), bits),
 								Want:    fmt.Sprintf("%s=%#x", e.pos, e.bits),
 							}
@@ -183,36 +158,36 @@ func compareEngineRun(name, prefix string, m *ir.Module, eng interp.Engine, refR
 		},
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("crosscheck: interp (%s) run of %s: %w", eng, name, err)
+		return nil, nil, fmt.Errorf("crosscheck: interp run of %s: %w", name, err)
 	}
 	if traceMismatch != nil {
 		out = append(out, *traceMismatch)
 	}
 	if cursor < len(refTrace) && uint64(len(refTrace)) < maxTrace {
-		out = append(out, Mismatch{Program: name, Check: prefix + "trace-length",
+		out = append(out, Mismatch{Program: name, Check: "trace-length",
 			Got: fmt.Sprint(cursor), Want: fmt.Sprint(len(refTrace))})
 	}
 	if extra > 0 {
-		out = append(out, Mismatch{Program: name, Check: prefix + "trace-length",
+		out = append(out, Mismatch{Program: name, Check: "trace-length",
 			Got: fmt.Sprint(cursor + extra), Want: fmt.Sprint(len(refTrace))})
 	}
-	out = append(out, compareResults(name, prefix, prodRes, refRes)...)
+	out = append(out, compareResults(name, "", prodRes, refRes)...)
 	return prodRes, out, nil
 }
 
-// compareAtBudget runs the reference evaluator and one production
-// engine under an explicit instruction budget and requires identical
-// classification and counters.
-func compareAtBudget(name, prefix string, m *ir.Module, eng interp.Engine, budget uint64) ([]Mismatch, error) {
+// compareAtBudget runs the reference evaluator and the production
+// interpreter under an explicit instruction budget and requires
+// identical classification and counters.
+func compareAtBudget(name string, m *ir.Module, budget uint64) ([]Mismatch, error) {
 	ref, err := refinterp.Run(m, refinterp.Options{MaxDynInstrs: budget})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: reference budget run of %s: %w", name, err)
 	}
-	prod, err := interp.Run(m, interp.Options{Engine: eng, MaxDynInstrs: budget})
+	prod, err := interp.Run(m, interp.Options{MaxDynInstrs: budget})
 	if err != nil {
-		return nil, fmt.Errorf("crosscheck: interp (%s) budget run of %s: %w", eng, name, err)
+		return nil, fmt.Errorf("crosscheck: interp budget run of %s: %w", name, err)
 	}
-	return compareResults(name, fmt.Sprintf("%sbudget[%d]/", prefix, budget), prod, ref), nil
+	return compareResults(name, fmt.Sprintf("budget[%d]/", budget), prod, ref), nil
 }
 
 // compareResults compares every observable of the two results. prefix
@@ -248,11 +223,10 @@ func refTrapString(t *refinterp.Trap) string {
 	return fmt.Sprintf("%s@%s addr=%#x", t.Kind, t.Instr.Pos(), t.Addr)
 }
 
-// compareSnapshotResume re-runs m with periodic snapshot capture under
-// each engine, resumes the last captured snapshot under every engine
-// (snapshots are engine-neutral, so all four capture/resume pairings
-// must agree), and requires each resumed execution to reproduce the
-// uninterrupted result exactly.
+// compareSnapshotResume re-runs m with periodic snapshot capture,
+// resumes the last captured snapshot, and requires both the capturing
+// run and the resumed execution to reproduce the uninterrupted result
+// exactly.
 func compareSnapshotResume(name string, m *ir.Module, base *interp.Result) ([]Mismatch, error) {
 	if base.DynInstrs < 2 {
 		return nil, nil
@@ -262,41 +236,36 @@ func compareSnapshotResume(name string, m *ir.Module, base *interp.Result) ([]Mi
 		interval = 1
 	}
 	var out []Mismatch
-	for _, capEng := range interp.Engines() {
-		capPrefix := enginePrefix(capEng)
-		var last *interp.Snapshot
-		snapRes, err := interp.Run(m, interp.Options{
-			Engine:           capEng,
-			SnapshotInterval: interval,
-			OnSnapshot:       func(s *interp.Snapshot) { last = s },
-		})
-		if err != nil {
-			return nil, fmt.Errorf("crosscheck: snapshot (%s) run of %s: %w", capEng, name, err)
-		}
-		if snapRes.Outcome != base.Outcome || snapRes.Output != base.Output ||
-			snapRes.DynInstrs != base.DynInstrs || snapRes.DynResults != base.DynResults {
-			out = append(out, Mismatch{Program: name, Check: capPrefix + "snapshot-run",
-				Got:  resultSummary(snapRes),
-				Want: resultSummary(base)})
-		}
-		if last == nil {
-			continue
-		}
-		for _, resEng := range interp.Engines() {
-			resumed, err := interp.Resume(last, interp.Options{Engine: resEng})
-			if err != nil {
-				return nil, fmt.Errorf("crosscheck: resume (%s->%s) of %s: %w", capEng, resEng, name, err)
-			}
-			if resumed.Outcome != base.Outcome || resumed.Output != base.Output ||
-				resumed.DynInstrs != base.DynInstrs || resumed.DynResults != base.DynResults {
-				out = append(out, Mismatch{Program: name,
-					Check: fmt.Sprintf("snapshot-resume[%s->%s]", capEng, resEng),
-					Got:   resultSummary(resumed),
-					Want:  resultSummary(base)})
-			}
-		}
+	var last *interp.Snapshot
+	snapRes, err := interp.Run(m, interp.Options{
+		SnapshotInterval: interval,
+		OnSnapshot:       func(s *interp.Snapshot) { last = s },
+	})
+	if err != nil {
+		return nil, fmt.Errorf("crosscheck: snapshot run of %s: %w", name, err)
+	}
+	if !sameSummary(snapRes, base) {
+		out = append(out, Mismatch{Program: name, Check: "snapshot-run",
+			Got: resultSummary(snapRes), Want: resultSummary(base)})
+	}
+	if last == nil {
+		return out, nil
+	}
+	resumed, err := interp.Resume(last, interp.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("crosscheck: resume of %s: %w", name, err)
+	}
+	if !sameSummary(resumed, base) {
+		out = append(out, Mismatch{Program: name, Check: "snapshot-resume",
+			Got: resultSummary(resumed), Want: resultSummary(base)})
 	}
 	return out, nil
+}
+
+// sameSummary compares the observables resultSummary renders.
+func sameSummary(a, b *interp.Result) bool {
+	return a.Outcome == b.Outcome && a.Output == b.Output &&
+		a.DynInstrs == b.DynInstrs && a.DynResults == b.DynResults
 }
 
 func resultSummary(r *interp.Result) string {

@@ -3,7 +3,6 @@ package crosscheck
 import (
 	"testing"
 
-	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/progs"
 )
@@ -88,7 +87,7 @@ func TestProtectionInvariants(t *testing.T) {
 		return
 	}
 	for _, p := range progs.All()[:3] {
-		ms, err := CheckProtectionInvariants(p.Name, p.Build(), 7, 8, interp.EngineDecoded)
+		ms, err := CheckProtectionInvariants(p.Name, p.Build(), 7, 8)
 		if err != nil {
 			t.Fatalf("protection invariants %s: %v", p.Name, err)
 		}

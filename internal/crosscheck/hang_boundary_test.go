@@ -10,27 +10,19 @@ import (
 )
 
 // hangBoundaryClassify runs m under an explicit instruction budget on
-// every execution path the engine has — the legacy interpreter loop
-// (SnapshotInterval=0), the decoded engine, the snapshot-capture run, a
-// resume from the last captured snapshot, a decoded resume of the same
-// snapshot, and the naive reference evaluator — and returns the outcome
-// strings keyed by path name. The paths must never disagree, at any
-// budget.
+// every execution path the engine has — a plain run, the
+// snapshot-capture run, a resume from the last captured snapshot — and
+// on the naive reference evaluator, and returns the outcome strings
+// keyed by path name. The paths must never disagree, at any budget.
 func hangBoundaryClassify(t *testing.T, m *ir.Module, budget uint64) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
 
-	legacyRes, err := interp.Run(m, interp.Options{MaxDynInstrs: budget})
+	res, err := interp.Run(m, interp.Options{MaxDynInstrs: budget})
 	if err != nil {
-		t.Fatalf("legacy run (budget %d): %v", budget, err)
+		t.Fatalf("interp run (budget %d): %v", budget, err)
 	}
-	out["legacy"] = legacyRes.Outcome.String()
-
-	decRes, err := interp.Run(m, interp.Options{Engine: interp.EngineDecoded, MaxDynInstrs: budget})
-	if err != nil {
-		t.Fatalf("decoded run (budget %d): %v", budget, err)
-	}
-	out["decoded"] = decRes.Outcome.String()
+	out["interp"] = res.Outcome.String()
 
 	var last *interp.Snapshot
 	snapRes, err := interp.Run(m, interp.Options{
@@ -45,20 +37,12 @@ func hangBoundaryClassify(t *testing.T, m *ir.Module, budget uint64) map[string]
 
 	// No snapshot captured before the budget ⇒ nothing to resume.
 	out["resume"] = out["snapshot"]
-	out["decoded-resume"] = out["snapshot"]
 	if last != nil {
 		resRes, err := interp.Resume(last, interp.Options{MaxDynInstrs: budget})
 		if err != nil {
 			t.Fatalf("resume (budget %d): %v", budget, err)
 		}
 		out["resume"] = resRes.Outcome.String()
-		decResumeRes, err := interp.Resume(last, interp.Options{
-			Engine: interp.EngineDecoded, MaxDynInstrs: budget,
-		})
-		if err != nil {
-			t.Fatalf("decoded resume (budget %d): %v", budget, err)
-		}
-		out["decoded-resume"] = decResumeRes.Outcome.String()
 	}
 
 	refRes, err := refinterp.Run(m, refinterp.Options{MaxDynInstrs: budget})
@@ -72,7 +56,7 @@ func hangBoundaryClassify(t *testing.T, m *ir.Module, budget uint64) map[string]
 // TestHangBoundary pins the hang-classification boundary: for a program
 // whose unbounded run retires exactly D instructions, a budget of D-1
 // must classify as Hang, and budgets of D and D+1 must reproduce the
-// unbounded classification — identically on the legacy path, the
+// unbounded classification — identically on the plain path, the
 // snapshot-capture path, the snapshot-resume path, and the reference
 // evaluator.
 func TestHangBoundary(t *testing.T) {
@@ -213,17 +197,12 @@ entry:
 		if err != nil {
 			t.Fatalf("interp run: %v", err)
 		}
-		dec, err := interp.Run(m, interp.Options{Engine: interp.EngineDecoded, MaxDynInstrs: budget})
-		if err != nil {
-			t.Fatalf("decoded run: %v", err)
-		}
 		for path, r := range map[string]struct {
 			outcome string
 			dyn     uint64
 		}{
 			"refinterp": {ref.Outcome.String(), ref.DynInstrs},
 			"interp":    {prod.Outcome.String(), prod.DynInstrs},
-			"decoded":   {dec.Outcome.String(), dec.DynInstrs},
 		} {
 			if r.outcome != "hang" {
 				t.Errorf("%s at budget %d: outcome %s, want hang", path, budget, r.outcome)

@@ -152,7 +152,7 @@ func ProtectEligible(m *ir.Module) []*ir.Instr {
 //
 // trials bounds the number of injection trials (spread deterministically
 // over the protected registers).
-func CheckProtectionInvariants(name string, m *ir.Module, seed uint64, trials int, engine interp.Engine) ([]Mismatch, error) {
+func CheckProtectionInvariants(name string, m *ir.Module, seed uint64, trials int) ([]Mismatch, error) {
 	sel := ProtectEligible(m)
 	if len(sel) == 0 {
 		return nil, nil
@@ -180,7 +180,7 @@ func CheckProtectionInvariants(name string, m *ir.Module, seed uint64, trials in
 
 	// The production injector supplies the hang budget and the
 	// classification we cross-validate against.
-	inj, err := fault.New(prot, fault.Options{Seed: seed, Workers: 1, Engine: engine})
+	inj, err := fault.New(prot, fault.Options{Seed: seed, Workers: 1})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: injector on protected %s: %w", name, err)
 	}
@@ -298,8 +298,8 @@ func isPrefix(p, s string) bool {
 // checkpoint — and requires bit-identical trial transcripts. dir is a
 // scratch directory for the checkpoint log; interruptAfter is the trial
 // count after which the first run cancels itself.
-func CheckCheckpointResume(name string, m *ir.Module, seed uint64, n, interruptAfter int, dir string, engine interp.Engine) ([]Mismatch, error) {
-	injFull, err := fault.New(m, fault.Options{Seed: seed, Workers: 2, Engine: engine})
+func CheckCheckpointResume(name string, m *ir.Module, seed uint64, n, interruptAfter int, dir string) ([]Mismatch, error) {
+	injFull, err := fault.New(m, fault.Options{Seed: seed, Workers: 2})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: injector on %s: %w", name, err)
 	}
@@ -311,7 +311,7 @@ func CheckCheckpointResume(name string, m *ir.Module, seed uint64, n, interruptA
 	path := dir + "/" + name + ".ckpt.jsonl"
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	injA, err := fault.New(m, fault.Options{Seed: seed, Workers: 2, Engine: engine,
+	injA, err := fault.New(m, fault.Options{Seed: seed, Workers: 2,
 		OnProgress: func(p fault.Progress) {
 			if p.Done >= interruptAfter {
 				cancel()
@@ -324,7 +324,7 @@ func CheckCheckpointResume(name string, m *ir.Module, seed uint64, n, interruptA
 		return nil, fmt.Errorf("crosscheck: interrupted campaign on %s: %w", name, err)
 	}
 
-	injB, err := fault.New(m, fault.Options{Seed: seed, Workers: 2, Engine: engine})
+	injB, err := fault.New(m, fault.Options{Seed: seed, Workers: 2})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: injector on %s: %w", name, err)
 	}

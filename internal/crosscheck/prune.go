@@ -6,14 +6,13 @@ import (
 
 	"trident/internal/bitlive"
 	"trident/internal/fault"
-	"trident/internal/interp"
 	"trident/internal/ir"
 )
 
 // This file is the BEC soundness oracle for static bit-liveness pruning
 // (internal/bitlive, DESIGN.md §5i). The pruning contract is absolute:
 // a bit the analysis classifies provably-masked must classify Benign
-// under *actual* injection, at every dynamic instance, on every engine.
+// under *actual* injection, at every dynamic instance.
 // The oracle inverts the optimization — instead of skipping pruned
 // bits, it executes exactly those — so an unsound transfer function
 // shows up as a non-Benign outcome here before it can silently bias a
@@ -22,8 +21,6 @@ import (
 
 // PruneSoundOptions bounds one soundness sweep.
 type PruneSoundOptions struct {
-	// Engine selects the interpreter engine for the injected runs.
-	Engine interp.Engine
 	// InstancesPerBit caps how many dynamic instances of each pruned
 	// (instruction, bit) pair are injected: the first, the last, and
 	// evenly spaced instances in between (all of them when the
@@ -40,20 +37,29 @@ type PruneSoundOptions struct {
 // mismatch for any outcome other than Benign. It returns the number of
 // injections performed alongside the mismatches.
 func CheckPruneSound(name string, m *ir.Module, opts PruneSoundOptions) ([]Mismatch, int, error) {
-	per := opts.InstancesPerBit
-	if per <= 0 {
-		per = 4
-	}
-	rep := bitlive.Analyze(m)
 	inj, err := fault.New(m, fault.Options{
 		Seed:             0xB17C0DE,
-		Engine:           opts.Engine,
 		SnapshotInterval: 2048,
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("crosscheck: prune-sound injector: %w", err)
 	}
 	ctx := context.Background()
+	return sweepPruned(name, m, inj, opts, func(in *ir.Instr, instance uint64, bit int) (fault.Outcome, error) {
+		return inj.Inject(ctx, in, instance, bit)
+	})
+}
+
+// sweepPruned enumerates the pruned (instruction, bit, instance) specs
+// of m — targets and execution counts taken from inj's golden run — and
+// runs each through inject, reporting every non-Benign outcome.
+func sweepPruned(name string, m *ir.Module, inj *fault.Injector, opts PruneSoundOptions,
+	inject func(in *ir.Instr, instance uint64, bit int) (fault.Outcome, error)) ([]Mismatch, int, error) {
+	per := opts.InstancesPerBit
+	if per <= 0 {
+		per = 4
+	}
+	rep := bitlive.Analyze(m)
 	var mismatches []Mismatch
 	trials := 0
 	for _, in := range inj.Targets() {
@@ -69,7 +75,7 @@ func CheckPruneSound(name string, m *ir.Module, opts PruneSoundOptions) ([]Misma
 				continue
 			}
 			for _, instance := range instances {
-				out, err := inj.Inject(ctx, in, instance, bit)
+				out, err := inject(in, instance, bit)
 				trials++
 				if err != nil {
 					return mismatches, trials, fmt.Errorf(

@@ -6,47 +6,89 @@ import (
 
 	"trident/internal/fault"
 	"trident/internal/interp"
+	"trident/internal/ir"
 	"trident/internal/irgen"
 	"trident/internal/progs"
+	"trident/internal/refinterp"
 )
 
 // TestPruneSoundKernels is the BEC soundness oracle over the full
-// kernel suite on both engines: every (instruction, bit) the liveness
-// analysis prunes is actually injected (first, last, and a middle
-// instance of each) and must classify Benign. A failure here means a
-// transfer function in internal/bitlive is unsound and pruned
+// kernel suite, on the production interpreter ("decoded") and on the
+// reference evaluator ("refinterp"): every (instruction, bit) the
+// liveness analysis prunes is actually injected (first, last, and a
+// middle instance of each) and must classify Benign. A failure here
+// means a transfer function in internal/bitlive is unsound and pruned
 // campaigns would be silently biased.
 func TestPruneSoundKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive injection sweep")
 	}
-	engines := map[string]interp.Engine{
-		"legacy":  interp.EngineLegacy,
-		"decoded": interp.EngineDecoded,
+	checks := map[string]func(string, *ir.Module, PruneSoundOptions) ([]Mismatch, int, error){
+		"decoded":   CheckPruneSound,
+		"refinterp": checkPruneSoundReference,
 	}
-	for engName, engine := range engines {
-		engName, engine := engName, engine
-		t.Run(engName, func(t *testing.T) {
+	for execName, check := range checks {
+		execName, check := execName, check
+		t.Run(execName, func(t *testing.T) {
 			t.Parallel()
 			for _, p := range progs.Extended() {
 				p := p
 				t.Run(p.Name, func(t *testing.T) {
 					t.Parallel()
-					ms, trials, err := CheckPruneSound(p.Name, p.Build(), PruneSoundOptions{
-						Engine:          engine,
-						InstancesPerBit: 3,
-					})
+					ms, trials, err := check(p.Name, p.Build(), PruneSoundOptions{InstancesPerBit: 3})
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, d := range ms {
 						t.Errorf("%s", d)
 					}
-					t.Logf("%s/%s: %d pruned-bit injections, all Benign", engName, p.Name, trials)
+					t.Logf("%s/%s: %d pruned-bit injections, all Benign", execName, p.Name, trials)
 				})
 			}
 		})
 	}
+}
+
+// checkPruneSoundReference is CheckPruneSound with every injection
+// executed on the reference evaluator, so the soundness claim is also
+// checked against an executor independent of the production
+// interpreter.
+func checkPruneSoundReference(name string, m *ir.Module, opts PruneSoundOptions) ([]Mismatch, int, error) {
+	inj, err := fault.New(m, fault.Options{Seed: 0xB17C0DE})
+	if err != nil {
+		return nil, 0, err
+	}
+	// The injector's default hang budget: 10x the golden run, at least
+	// 100k instructions.
+	budget := max(inj.GoldenDynInstrs()*10, 100_000)
+	return sweepPruned(name, m, inj, opts, func(target *ir.Instr, instance uint64, bit int) (fault.Outcome, error) {
+		seen := uint64(0)
+		res, err := refinterp.Run(m, refinterp.Options{
+			MaxDynInstrs: budget,
+			OnResult: func(in *ir.Instr, bits uint64) uint64 {
+				if in == target {
+					if seen++; seen == instance {
+						bits ^= 1 << uint(bit)
+					}
+				}
+				return bits
+			},
+		})
+		if err != nil {
+			return 0, err
+		}
+		switch {
+		case res.Outcome == refinterp.OutcomeCrash:
+			return fault.Crash, nil
+		case res.Outcome == refinterp.OutcomeHang:
+			return fault.Hang, nil
+		case res.Outcome == refinterp.OutcomeDetected:
+			return fault.Detected, nil
+		case res.Output != inj.GoldenOutput():
+			return fault.SDC, nil
+		}
+		return fault.Benign, nil
+	})
 }
 
 // TestPrunedCampaignMatchesUnpruned is the exact-reweighting
@@ -71,7 +113,6 @@ func TestPrunedCampaignMatchesUnpruned(t *testing.T) {
 					Seed:             42,
 					PruneBits:        pruneBits,
 					SnapshotInterval: 2048,
-					Engine:           interp.EngineDecoded,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/irgen"
 	"trident/internal/progs"
@@ -31,11 +30,6 @@ type Config struct {
 	// CheckpointDir, when non-empty, enables the checkpoint-resume
 	// bit-identity check using this scratch directory.
 	CheckpointDir string
-	// Engine selects the interpreter engine for the campaign-level checks
-	// (protection invariants, checkpoint resume). The per-module oracle
-	// always sweeps every engine regardless; this only chooses which
-	// engine drives the fault-injection campaigns on top. Zero = legacy.
-	Engine interp.Engine
 	// Progress, when non-nil, receives one line per checked program.
 	Progress func(string)
 }
@@ -145,7 +139,7 @@ func RunCorpus(cfg Config) (*Report, error) {
 			rep.Checks++
 			rep.Mismatches = append(rep.Mismatches, ms...)
 
-			ms, err = CheckProtectionInvariants(e.name, e.mod, cfg.Seed, cfg.ProtectTrials, cfg.Engine)
+			ms, err = CheckProtectionInvariants(e.name, e.mod, cfg.Seed, cfg.ProtectTrials)
 			if err != nil {
 				return nil, err
 			}
@@ -154,7 +148,7 @@ func RunCorpus(cfg Config) (*Report, error) {
 		}
 
 		if cfg.CheckpointDir != "" {
-			ms, err = CheckCheckpointResume(e.name, e.mod, cfg.Seed, 40, 10, cfg.CheckpointDir, cfg.Engine)
+			ms, err = CheckCheckpointResume(e.name, e.mod, cfg.Seed, 40, 10, cfg.CheckpointDir)
 			if err != nil {
 				return nil, err
 			}

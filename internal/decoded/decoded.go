@@ -1,15 +1,14 @@
 // Package decoded lowers IR modules ahead of time into flat,
-// cache-friendly instruction streams for the interpreter's decoded
-// execution engine (interp.EngineDecoded).
+// cache-friendly instruction streams for the interpreter's execution
+// engine (internal/interp).
 //
-// The production interpreter's legacy loop re-decodes every instruction
-// on every dynamic execution: each operand costs an interface
-// type-switch, every global operand costs a map lookup, phi prologues
-// re-scan incoming lists against the predecessor block, and dispatch
-// runs a nested opcode switch. A fault-injection campaign executes the
-// same static instructions millions of times, so that per-dispatch
-// decode work dominates trial time. Compile performs the decode once
-// per module instead:
+// Walking the IR directly would re-decode every instruction on every
+// dynamic execution: each operand costs an interface type-switch, phi
+// prologues re-scan incoming lists against the predecessor block, and
+// dispatch runs a nested opcode switch. A fault-injection campaign
+// executes the same static instructions millions of times, so that
+// per-dispatch decode work would dominate trial time. Compile performs
+// the decode once per module instead:
 //
 //   - Operands become (kind, index | inline constant) slots — resolving
 //     one at runtime is a four-way switch over a small struct, with
@@ -29,9 +28,9 @@
 // Compile is total: it never fails and never panics. Constructs the
 // engine cannot execute (which ir.Verify rejects, but execution must
 // tolerate) are lowered to runtime-error markers — StepInvalid
-// instructions, Edge.Bad phis, invalid-operand slots — that reproduce
-// the legacy engine's behavior when (and only when) they are actually
-// reached.
+// instructions, Edge.Bad phis, invalid-operand slots — that fail with
+// the reference evaluator's error when (and only when) they are
+// actually reached.
 //
 // A Program is immutable after Compile and safe for concurrent use by
 // any number of executions; it holds no run state. Campaign engines
@@ -57,8 +56,8 @@ const (
 	// Operand.Idx.
 	KindGlobal
 	// KindInvalid marks a value kind the engine does not know. Evaluating
-	// it reproduces the legacy engine's internal error; Operand.Idx
-	// indexes Program.BadVals for the offending value.
+	// it raises an internal error; Operand.Idx indexes Program.BadVals
+	// for the offending value.
 	KindInvalid
 )
 
@@ -83,8 +82,8 @@ type Step uint8
 
 // Dispatch steps.
 const (
-	// StepInvalid fails at execution time with the legacy engine's
-	// "cannot execute" error. Mid-block phis, unknown opcodes, and
+	// StepInvalid fails at execution time with a "cannot execute"
+	// error. Mid-block phis, unknown opcodes, and
 	// instructions with malformed operand lists lower to it.
 	StepInvalid Step = iota
 	StepBinary
@@ -145,8 +144,8 @@ type Instr struct {
 	ElemBytes int64
 	// IdxWidth is the gep index operand's width in bits.
 	IdxWidth int
-	// Callee is the called function (StepCall); nil reproduces the legacy
-	// engine's panic-into-InternalError for a call without a callee.
+	// Callee is the called function (StepCall); nil makes the call fail
+	// with an InternalError (the engine's nil dereference is recovered).
 	Callee *Func
 	// T0, T1 are decoded block indices of the branch targets (T1 is the
 	// false edge of a condbr).
@@ -155,8 +154,8 @@ type Instr struct {
 	// entry, or -1 when the target has no phi prologue.
 	E0, E1 int32
 	// Ref is the source instruction: hook identity, trap positions and
-	// diagnostics all use it, so fault-injection target pointers compare
-	// equal across engines.
+	// diagnostics all use it, so fault-injection targets are source
+	// instruction pointers.
 	Ref *ir.Instr
 }
 
@@ -180,8 +179,8 @@ type Edge struct {
 	// Moves are the phi assignments, in phi order.
 	Moves []Move
 	// Bad, when non-nil, is the first phi with no incoming value for this
-	// edge's predecessor: entering through the edge fails with the legacy
-	// engine's "phi has no incoming" error before any phi executes.
+	// edge's predecessor: entering through the edge fails with a "phi has
+	// no incoming" error before any phi executes.
 	Bad *ir.Instr
 	// BadPrev is the predecessor name for Bad's error message ("<entry>"
 	// for the function-entry pseudo-edge).
@@ -201,8 +200,7 @@ type Block struct {
 	Edges []Edge
 	// EntryEdge is the index of the function-entry pseudo-edge
 	// (predecessor nil), or -1. It is only built for entry blocks with a
-	// phi prologue, where it reproduces the legacy engine's "<entry>"
-	// error.
+	// phi prologue, where entering it fails with the "<entry>" error.
 	EntryEdge int32
 }
 
@@ -219,9 +217,6 @@ type Func struct {
 	MaxPhi int
 	// Blocks are the decoded blocks, parallel to Ref.Blocks.
 	Blocks []Block
-	// ByBlock maps source blocks to their index in Blocks (snapshot
-	// resume interop).
-	ByBlock map[*ir.Block]int32
 }
 
 // Program is a fully lowered module.
@@ -243,7 +238,7 @@ type Program struct {
 }
 
 // Compile lowers m. It never fails: malformed constructs become runtime
-// error markers with behavior matching the legacy engine's.
+// error markers.
 func Compile(m *ir.Module) *Program {
 	p := &Program{
 		Module:     m,
@@ -267,14 +262,23 @@ func (p *Program) lowerFunc(f *ir.Func) *Func {
 		NumRegs:   f.NumInstrs(),
 		NumParams: len(f.Params),
 		Blocks:    make([]Block, len(f.Blocks)),
-		ByBlock:   make(map[*ir.Block]int32, len(f.Blocks)),
 	}
 	// Register before lowering the body so recursive calls terminate.
 	p.ByFunc[f] = df
 	p.Funcs = append(p.Funcs, df)
 
+	// blockIndex maps source blocks to their index in Blocks. A branch
+	// target outside the function (malformed IR) resolves to -1; the
+	// engine's resulting index fault surfaces as an internal error.
+	byBlock := make(map[*ir.Block]int32, len(f.Blocks))
 	for i, b := range f.Blocks {
-		df.ByBlock[b] = int32(i)
+		byBlock[b] = int32(i)
+	}
+	blockIndex := func(b *ir.Block) int32 {
+		if i, ok := byBlock[b]; ok {
+			return i
+		}
+		return -1
 	}
 
 	// First pass: phi prologue shapes and entry pseudo-edges, so branch
@@ -309,8 +313,8 @@ func (p *Program) lowerFunc(f *ir.Func) *Func {
 	}
 	edgeIdx := make(map[edgeKey]int32)
 	resolveEdge := func(target, pred *ir.Block) int32 {
-		ti, ok := df.ByBlock[target]
-		if !ok {
+		ti := blockIndex(target)
+		if ti < 0 {
 			return -1
 		}
 		blk := &df.Blocks[ti]
@@ -332,17 +336,16 @@ func (p *Program) lowerFunc(f *ir.Func) *Func {
 		tail := b.Instrs[blk.NPhi:]
 		blk.Code = make([]Instr, len(tail))
 		for j, in := range tail {
-			blk.Code[j] = p.lowerInstr(in, df, b, resolveEdge)
+			blk.Code[j] = p.lowerInstr(in, b, blockIndex, resolveEdge)
 		}
 	}
 	return df
 }
 
 // buildEdge assembles the phi prologue of b for predecessor prev (nil
-// for the function-entry pseudo-edge). It mirrors the legacy engine's
-// enterBlock: phis resolve their incoming in order, taking the first
-// matching incoming block, and the first phi with none marks the edge
-// bad.
+// for the function-entry pseudo-edge). As in the reference evaluator,
+// phis resolve their incoming in order, taking the first matching
+// incoming block, and the first phi with none marks the edge bad.
 func (p *Program) buildEdge(b *ir.Block, nPhi int, prev *ir.Block, prevName string) Edge {
 	var e Edge
 	for i := 0; i < nPhi; i++ {
@@ -389,7 +392,7 @@ func (p *Program) lowerOperand(v ir.Value) Operand {
 
 // lowerInstr lowers one non-phi instruction. Malformed operand lists
 // lower to StepInvalid rather than failing the compile.
-func (p *Program) lowerInstr(in *ir.Instr, df *Func, b *ir.Block, resolveEdge func(target, pred *ir.Block) int32) Instr {
+func (p *Program) lowerInstr(in *ir.Instr, b *ir.Block, blockIndex func(*ir.Block) int32, resolveEdge func(target, pred *ir.Block) int32) Instr {
 	d := Instr{Op: in.Op, Type: in.Type, Ref: in, Dst: -1, Callee: nil, T0: -1, T1: -1, E0: -1, E1: -1}
 	if in.HasResult() {
 		d.Dst = int32(in.ID)
@@ -403,7 +406,7 @@ func (p *Program) lowerInstr(in *ir.Instr, df *Func, b *ir.Block, resolveEdge fu
 			return d
 		}
 		d.Step = StepBr
-		d.T0 = df.blockIndex(in.Targets[0])
+		d.T0 = blockIndex(in.Targets[0])
 		d.E0 = resolveEdge(in.Targets[0], b)
 	case in.Op == ir.OpCondBr:
 		if !operands(1) || len(in.Targets) < 2 {
@@ -411,9 +414,9 @@ func (p *Program) lowerInstr(in *ir.Instr, df *Func, b *ir.Block, resolveEdge fu
 		}
 		d.Step = StepCondBr
 		d.A = p.lowerOperand(in.Operands[0])
-		d.T0 = df.blockIndex(in.Targets[0])
+		d.T0 = blockIndex(in.Targets[0])
 		d.E0 = resolveEdge(in.Targets[0], b)
-		d.T1 = df.blockIndex(in.Targets[1])
+		d.T1 = blockIndex(in.Targets[1])
 		d.E1 = resolveEdge(in.Targets[1], b)
 	case in.Op == ir.OpRet:
 		d.Step = StepRet
@@ -494,8 +497,8 @@ func (p *Program) lowerInstr(in *ir.Instr, df *Func, b *ir.Block, resolveEdge fu
 			}
 		default:
 			// Over-arity intrinsics (which Verify rejects) keep the full
-			// argument list so the engine can reproduce the legacy
-			// evaluation order exactly.
+			// argument list so the engine evaluates every argument in
+			// order.
 			d.Args = make([]Operand, len(in.Operands))
 			for i, a := range in.Operands {
 				d.Args[i] = p.lowerOperand(a)
@@ -529,15 +532,4 @@ func (p *Program) lowerInstr(in *ir.Instr, df *Func, b *ir.Block, resolveEdge fu
 		// StepInvalid: mid-block phis, OpInvalid, unknown opcodes.
 	}
 	return d
-}
-
-// blockIndex resolves a branch target to its decoded block index, or -1
-// for a target outside the function (malformed IR; the engine converts
-// the resulting index fault into an internal error, as the legacy
-// engine's pointer chase would have misbehaved too).
-func (df *Func) blockIndex(b *ir.Block) int32 {
-	if i, ok := df.ByBlock[b]; ok {
-		return i
-	}
-	return -1
 }

@@ -61,15 +61,14 @@ done:
 		t.Errorf("MaxPhi = %d, want 1", df.MaxPhi)
 	}
 
-	// ByBlock must be a faithful index of Blocks.
-	for b, idx := range df.ByBlock {
-		if df.Blocks[idx].Ref != b {
-			t.Errorf("ByBlock[%s] = %d, but Blocks[%d].Ref = %s",
-				b.Name, idx, idx, df.Blocks[idx].Ref.Name)
+	// Blocks must be parallel to the source blocks.
+	for i, b := range fn.Blocks {
+		if df.Blocks[i].Ref != b {
+			t.Errorf("Blocks[%d].Ref = %s, want %s", i, df.Blocks[i].Ref.Name, b.Name)
 		}
 	}
 
-	head := &df.Blocks[df.ByBlock[fn.Blocks[1]]]
+	head := &df.Blocks[1]
 	if head.NPhi != 1 {
 		t.Fatalf("head.NPhi = %d, want 1", head.NPhi)
 	}
@@ -89,7 +88,7 @@ done:
 	if br.Step != StepBr {
 		t.Fatalf("entry terminator step = %d, want StepBr", br.Step)
 	}
-	if int(br.T0) != int(df.ByBlock[fn.Blocks[1]]) {
+	if br.T0 != 1 {
 		t.Errorf("br.T0 = %d, want head's block index", br.T0)
 	}
 	if br.E0 < 0 || int(br.E0) >= len(head.Edges) {
@@ -105,7 +104,7 @@ done:
 	}
 
 	// The body→head edge feeds it %inc, a register.
-	body := &df.Blocks[df.ByBlock[fn.Blocks[2]]]
+	body := &df.Blocks[2]
 	bbr := &body.Code[len(body.Code)-1]
 	mv = head.Edges[bbr.E0].Moves[0]
 	if mv.Src.Kind != KindReg {
@@ -122,7 +121,7 @@ done:
 	}
 
 	// gep: stride, index width, and the global base operand.
-	done := &df.Blocks[df.ByBlock[fn.Blocks[3]]]
+	done := &df.Blocks[3]
 	gep := &done.Code[0]
 	if gep.Step != StepGep {
 		t.Fatalf("done.Code[0] step = %d, want StepGep", gep.Step)
@@ -222,7 +221,7 @@ entry:
 }
 
 // TestCompileErrorMarkers pins the lowering of constructs Verify rejects
-// but execution must tolerate with the legacy engine's runtime errors:
+// but execution must tolerate as runtime errors:
 // mid-block phis become StepInvalid, entry-block phis get the "<entry>"
 // pseudo-edge, and a call without a callee keeps Callee nil.
 func TestCompileErrorMarkers(t *testing.T) {

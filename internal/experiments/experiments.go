@@ -62,9 +62,9 @@ type Config struct {
 	// state snapshots are captured roughly this many dynamic instructions
 	// apart and trials resume from the nearest one before their injection
 	// point. Zero selects the default (2048); negative disables snapshots
-	// and runs every trial from instruction zero (the legacy path, kept
-	// for differential testing). Campaign results are bit-identical either
-	// way.
+	// and runs every trial from instruction zero (full re-execution,
+	// kept for differential testing). Campaign results are bit-identical
+	// either way.
 	SnapshotInterval int
 	// Metrics, when non-nil, receives campaign and interpreter telemetry
 	// from every injector the experiments build (see OBSERVABILITY.md).
@@ -76,11 +76,6 @@ type Config struct {
 	// completions (fault.Options.OnProgress semantics); cmd/experiments
 	// feeds it into a live stderr progress line.
 	Progress func(fault.Progress)
-	// Engine selects the interpreter engine that executes the golden run
-	// and every injection trial (fault.Options.Engine semantics). The
-	// zero value is the legacy engine; results are bit-identical across
-	// engines.
-	Engine interp.Engine
 }
 
 // faultOptions builds injector options for the given sampling seed,
@@ -93,7 +88,6 @@ func (c Config) faultOptions(seed uint64) fault.Options {
 		Metrics:    c.Metrics,
 		Trace:      c.Trace,
 		OnProgress: c.Progress,
-		Engine:     c.Engine,
 	}
 	if c.SnapshotInterval > 0 {
 		opts.SnapshotInterval = uint64(c.SnapshotInterval)

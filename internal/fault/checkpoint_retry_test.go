@@ -30,7 +30,7 @@ func failingHook(pred func(bit int) bool) func(*ir.Instr, uint64, int, int) erro
 // when the campaign resumes, and must never appear twice in the result.
 // With the failure gone by session 2, the resumed campaign must be
 // byte-identical to a campaign that never failed at all. Runs on both
-// the legacy and the snapshot execution paths.
+// the full re-execution and the snapshot execution paths.
 func TestResumeReattemptsErroredTrials(t *testing.T) {
 	const n = 100
 	for _, interval := range []uint64{0, 64} {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -197,4 +198,74 @@ func mustProg(t *testing.T, name string) progs.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// FuzzCheckpointLog fuzzes the JSONL checkpoint decoder. Whatever the
+// bytes, readLog must not panic; a log it accepts must survive a
+// writeLog/readLog round trip with the identical header and records;
+// and appending a corrupt line followed by an intact record to an
+// accepted log must always fail the load (the torn-tail contract: only
+// a corrupt *final* line is crash debris).
+func FuzzCheckpointLog(f *testing.F) {
+	p, err := progs.ByName("pathfinder")
+	if err != nil {
+		f.Fatal(err)
+	}
+	inj, err := New(p.Build(), Options{Seed: 11, Workers: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "trials.jsonl")
+	if _, err := inj.CampaignRandomCheckpoint(context.Background(), 12, path); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)-7])                                           // torn tail
+	f.Add(bytes.Replace(data, []byte(`"outcome"`), []byte(`"outc`), 1)) // corrupt first record
+	f.Add([]byte(`{"version":1}` + "\n"))
+	f.Add([]byte(""))
+
+	const intact = `{"fn":"main","instr":1,"instance":1,"bit":0,"outcome":"benign"}`
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, recs, _, err := readLog("fuzz", data)
+		if err != nil {
+			return
+		}
+
+		path := filepath.Join(t.TempDir(), "log.jsonl")
+		if err := writeLog(path, meta, recs); err != nil {
+			t.Fatalf("writeLog: %v", err)
+		}
+		written, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta2, recs2, warns2, err := readLog("rewritten", written)
+		if err != nil {
+			t.Fatalf("re-reading a written log: %v\n%s", err, written)
+		}
+		if meta2 != meta {
+			t.Fatalf("header changed in round trip: %+v, want %+v", meta2, meta)
+		}
+		if !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("records changed in round trip: %d records, want %d", len(recs2), len(recs))
+		}
+		if len(warns2) != 0 {
+			t.Fatalf("a written log re-reads with warnings: %v", warns2)
+		}
+
+		// The scanner stops at a line longer than its 1 MiB buffer, so
+		// the appended lines are only read when the input fits under it.
+		if len(data) >= 1<<20 {
+			return
+		}
+		torn := append(append([]byte(nil), data...), "\n{\n"+intact+"\n"...)
+		if _, _, _, err := readLog("torn", torn); err == nil {
+			t.Fatalf("a corrupt line followed by an intact record was accepted:\n%q", torn)
+		}
+	})
 }

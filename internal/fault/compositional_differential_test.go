@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"trident/internal/cache"
-	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/progs"
 )
@@ -115,55 +114,53 @@ func TestCompositionalCacheReplayAllPrograms(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, eng := range interp.Engines() {
-				store, err := cache.Open(t.TempDir(), cache.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				inj1, err := New(p.Build(), Options{Seed: 42, Workers: 4, Engine: eng})
-				if err != nil {
-					t.Fatalf("%s: %v", eng, err)
-				}
-				res1, err := inj1.CampaignCompositional(context.Background(), n, store)
-				if err != nil {
-					t.Fatalf("%s: populate: %v", eng, err)
-				}
-				if res1.Hits != 0 || res1.Misses != len(res1.Funcs) {
-					t.Errorf("%s: fresh store: hits=%d misses=%d", eng, res1.Hits, res1.Misses)
-				}
+			store, err := cache.Open(t.TempDir(), cache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj1, err := New(p.Build(), Options{Seed: 42, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res1, err := inj1.CampaignCompositional(context.Background(), n, store)
+			if err != nil {
+				t.Fatalf("populate: %v", err)
+			}
+			if res1.Hits != 0 || res1.Misses != len(res1.Funcs) {
+				t.Errorf("fresh store: hits=%d misses=%d", res1.Hits, res1.Misses)
+			}
 
-				hookOpts, executed := countingHook()
-				hookOpts.Seed, hookOpts.Workers, hookOpts.Engine = 42, 4, eng
-				inj2, err := New(p.Build(), hookOpts)
-				if err != nil {
-					t.Fatalf("%s: %v", eng, err)
-				}
-				res2, err := inj2.CampaignCompositional(context.Background(), n, store)
-				if err != nil {
-					t.Fatalf("%s: replay: %v", eng, err)
-				}
-				if res2.Hits != len(res2.Funcs) || res2.Misses != 0 {
-					t.Errorf("%s: replay: hits=%d misses=%d over %d funcs",
-						eng, res2.Hits, res2.Misses, len(res2.Funcs))
-				}
-				if ex := executed(); len(ex) != 0 {
-					t.Errorf("%s: replay executed trials: %v", eng, ex)
-				}
-				if t1, t2 := compTranscript(res1), compTranscript(res2); t1 != t2 {
-					t.Errorf("%s: replay transcript diverges\nlive:\n%s\ncached:\n%s", eng, t1, t2)
-				}
-				// The merged flat results must agree too.
-				m1, err := res1.Merged()
-				if err != nil {
-					t.Fatal(err)
-				}
-				m2, err := res2.Merged()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if transcript(m1) != transcript(m2) {
-					t.Errorf("%s: merged transcripts diverge", eng)
-				}
+			hookOpts, executed := countingHook()
+			hookOpts.Seed, hookOpts.Workers = 42, 4
+			inj2, err := New(p.Build(), hookOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res2, err := inj2.CampaignCompositional(context.Background(), n, store)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if res2.Hits != len(res2.Funcs) || res2.Misses != 0 {
+				t.Errorf("replay: hits=%d misses=%d over %d funcs",
+					res2.Hits, res2.Misses, len(res2.Funcs))
+			}
+			if ex := executed(); len(ex) != 0 {
+				t.Errorf("replay executed trials: %v", ex)
+			}
+			if t1, t2 := compTranscript(res1), compTranscript(res2); t1 != t2 {
+				t.Errorf("replay transcript diverges\nlive:\n%s\ncached:\n%s", t1, t2)
+			}
+			// The merged flat results must agree too.
+			m1, err := res1.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2, err := res2.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if transcript(m1) != transcript(m2) {
+				t.Error("merged transcripts diverge")
 			}
 		})
 	}
@@ -173,86 +170,83 @@ func TestCompositionalCacheReplayAllPrograms(t *testing.T) {
 // edit one function (register rename — behavior-preserving, hash-
 // changing), re-run incrementally, and require that (a) only the edited
 // function re-injects, (b) the composed result is bit-identical to a
-// from-scratch campaign on the edited module. Runs on every kernel and
-// both engines.
+// from-scratch campaign on the edited module. Runs on every kernel.
 func TestCompositionalIncrementalEditAllPrograms(t *testing.T) {
 	n := compositionalN(t)
 	for _, p := range progs.All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, eng := range interp.Engines() {
-				store, err := cache.Open(t.TempDir(), cache.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Populate from the pristine module.
-				inj1, err := New(p.Build(), Options{Seed: 42, Workers: 4, Engine: eng})
-				if err != nil {
-					t.Fatalf("%s: %v", eng, err)
-				}
-				if _, err := inj1.CampaignCompositional(context.Background(), n, store); err != nil {
-					t.Fatalf("%s: populate: %v", eng, err)
-				}
+			store, err := cache.Open(t.TempDir(), cache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Populate from the pristine module.
+			inj1, err := New(p.Build(), Options{Seed: 42, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inj1.CampaignCompositional(context.Background(), n, store); err != nil {
+				t.Fatalf("populate: %v", err)
+			}
 
-				// Edit one function and re-run incrementally.
-				edited := p.Build()
-				target := editTarget(edited)
-				renameRegs(t, edited, target)
-				hookOpts, executed := countingHook()
-				hookOpts.Seed, hookOpts.Workers, hookOpts.Engine = 42, 4, eng
-				inj2, err := New(edited, hookOpts)
-				if err != nil {
-					t.Fatalf("%s: edited injector: %v", eng, err)
+			// Edit one function and re-run incrementally.
+			edited := p.Build()
+			target := editTarget(edited)
+			renameRegs(t, edited, target)
+			hookOpts, executed := countingHook()
+			hookOpts.Seed, hookOpts.Workers = 42, 4
+			inj2, err := New(edited, hookOpts)
+			if err != nil {
+				t.Fatalf("edited injector: %v", err)
+			}
+			if inj2.GoldenOutput() != inj1.GoldenOutput() || inj2.GoldenDynInstrs() != inj1.GoldenDynInstrs() {
+				t.Fatalf("register rename changed golden behavior; edit is not semantics-preserving")
+			}
+			incr, err := inj2.CampaignCompositional(context.Background(), n, store)
+			if err != nil {
+				t.Fatalf("incremental: %v", err)
+			}
+			if incr.Misses != 1 || incr.Hits != len(incr.Funcs)-1 {
+				t.Errorf("incremental after editing @%s: hits=%d misses=%d over %d funcs",
+					target, incr.Hits, incr.Misses, len(incr.Funcs))
+			}
+			for fn, cnt := range executed() {
+				if fn != target {
+					t.Errorf("incremental executed %d trials in un-edited @%s", cnt, fn)
 				}
-				if inj2.GoldenOutput() != inj1.GoldenOutput() || inj2.GoldenDynInstrs() != inj1.GoldenDynInstrs() {
-					t.Fatalf("%s: register rename changed golden behavior; edit is not semantics-preserving", eng)
+			}
+			for i := range incr.Funcs {
+				fc := &incr.Funcs[i]
+				if (fc.Name == target) == fc.Cached {
+					t.Errorf("@%s cached=%v, edited function is @%s",
+						fc.Name, fc.Cached, target)
 				}
-				incr, err := inj2.CampaignCompositional(context.Background(), n, store)
-				if err != nil {
-					t.Fatalf("%s: incremental: %v", eng, err)
-				}
-				if incr.Misses != 1 || incr.Hits != len(incr.Funcs)-1 {
-					t.Errorf("%s: incremental after editing @%s: hits=%d misses=%d over %d funcs",
-						eng, target, incr.Hits, incr.Misses, len(incr.Funcs))
-				}
-				for fn, cnt := range executed() {
-					if fn != target {
-						t.Errorf("%s: incremental executed %d trials in un-edited @%s", eng, cnt, fn)
-					}
-				}
-				for i := range incr.Funcs {
-					fc := &incr.Funcs[i]
-					if (fc.Name == target) == fc.Cached {
-						t.Errorf("%s: @%s cached=%v, edited function is @%s",
-							eng, fc.Name, fc.Cached, target)
-					}
-				}
+			}
 
-				// From-scratch on the edited module must match bit for bit.
-				editedScratch := p.Build()
-				renameRegs(t, editedScratch, target)
-				inj3, err := New(editedScratch, Options{Seed: 42, Workers: 4, Engine: eng})
-				if err != nil {
-					t.Fatalf("%s: scratch injector: %v", eng, err)
-				}
-				scratch, err := inj3.CampaignCompositional(context.Background(), n, nil)
-				if err != nil {
-					t.Fatalf("%s: scratch: %v", eng, err)
-				}
-				if ti, ts := compTranscript(incr), compTranscript(scratch); ti != ts {
-					t.Errorf("%s: incremental vs from-scratch transcripts diverge\nincremental:\n%s\nscratch:\n%s",
-						eng, ti, ts)
-				}
+			// From-scratch on the edited module must match bit for bit.
+			editedScratch := p.Build()
+			renameRegs(t, editedScratch, target)
+			inj3, err := New(editedScratch, Options{Seed: 42, Workers: 4})
+			if err != nil {
+				t.Fatalf("scratch injector: %v", err)
+			}
+			scratch, err := inj3.CampaignCompositional(context.Background(), n, nil)
+			if err != nil {
+				t.Fatalf("scratch: %v", err)
+			}
+			if ti, ts := compTranscript(incr), compTranscript(scratch); ti != ts {
+				t.Errorf("incremental vs from-scratch transcripts diverge\nincremental:\n%s\nscratch:\n%s",
+					ti, ts)
 			}
 		})
 	}
 }
 
-// TestCompositionalCrossEngineSharing: engine parity (PR 5) makes
-// profiles engine-independent, so a cache populated by the legacy engine
-// must fully serve a decoded-engine campaign, bit for bit, without
-// executing a trial.
+// TestCompositionalCrossEngineSharing: the snapshot interval is a
+// performance knob outside the cache key, so a cache populated by a
+// full re-execution campaign must fully serve a snapshot-replay
+// campaign, bit for bit, without executing a trial.
 func TestCompositionalCrossEngineSharing(t *testing.T) {
 	n := compositionalN(t)
 	for _, p := range progs.All() {
@@ -263,33 +257,33 @@ func TestCompositionalCrossEngineSharing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			injL, err := New(p.Build(), Options{Seed: 7, Workers: 4, Engine: interp.EngineLegacy})
+			injF, err := New(p.Build(), Options{Seed: 7, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			resL, err := injL.CampaignCompositional(context.Background(), n, store)
+			resF, err := injF.CampaignCompositional(context.Background(), n, store)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hookOpts, executed := countingHook()
-			hookOpts.Seed, hookOpts.Workers, hookOpts.Engine = 7, 4, interp.EngineDecoded
-			injD, err := New(p.Build(), hookOpts)
+			hookOpts.Seed, hookOpts.Workers, hookOpts.SnapshotInterval = 7, 4, 2048
+			injS, err := New(p.Build(), hookOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resD, err := injD.CampaignCompositional(context.Background(), n, store)
+			resS, err := injS.CampaignCompositional(context.Background(), n, store)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resD.Hits != len(resD.Funcs) {
-				t.Errorf("decoded engine hit %d/%d sections of a legacy-populated cache",
-					resD.Hits, len(resD.Funcs))
+			if resS.Hits != len(resS.Funcs) {
+				t.Errorf("snapshot replay hit %d/%d sections of a cache populated by full re-execution",
+					resS.Hits, len(resS.Funcs))
 			}
 			if ex := executed(); len(ex) != 0 {
-				t.Errorf("decoded replay executed trials: %v", ex)
+				t.Errorf("snapshot replay executed trials: %v", ex)
 			}
-			if tL, tD := compTranscript(resL), compTranscript(resD); tL != tD {
-				t.Errorf("cross-engine transcripts diverge\nlegacy:\n%s\ndecoded:\n%s", tL, tD)
+			if tF, tS := compTranscript(resF), compTranscript(resS); tF != tS {
+				t.Errorf("transcripts diverge\nfull:\n%s\nsnapshot:\n%s", tF, tS)
 			}
 		})
 	}

@@ -13,30 +13,30 @@ import (
 
 // The differential suite proves the central claim of the snapshot-replay
 // engine: for every benchmark program and multiple seeds, a campaign run
-// through golden-state snapshots is bit-identical to the legacy
+// through golden-state snapshots is bit-identical to the full
 // run-from-instruction-zero campaign — same per-trial outcomes, crash
 // latencies, output hashes, rates, and error sets.
 
-// diffInjectors builds a legacy injector and a snapshot injector over the
-// same module and options, and checks the snapshot one actually has
-// snapshots (a vacuous pass would just run the legacy path twice). Both
-// injectors share one module instance so trial specs (instruction
-// pointers) are interchangeable between them.
-func diffInjectors(t *testing.T, p progs.Program, opts Options) (legacy, snap *Injector) {
+// diffInjectors builds a full re-execution injector and a snapshot
+// injector over the same module and options, and checks the snapshot one
+// actually has snapshots (a vacuous pass would just re-execute in full
+// twice). Both injectors share one module instance so trial specs
+// (instruction pointers) are interchangeable between them.
+func diffInjectors(t *testing.T, p progs.Program, opts Options) (full, snap *Injector) {
 	t.Helper()
 	m := p.Build()
-	legacyOpts := opts
-	legacyOpts.SnapshotInterval = 0
+	fullOpts := opts
+	fullOpts.SnapshotInterval = 0
 	var err error
-	legacy, err = New(m, legacyOpts)
+	full, err = New(m, fullOpts)
 	if err != nil {
-		t.Fatalf("legacy injector: %v", err)
+		t.Fatalf("full injector: %v", err)
 	}
 	snapOpts := opts
 	if snapOpts.SnapshotInterval == 0 {
 		// Aim for several snapshots across the run so trials actually
 		// resume from a mix of restore points.
-		snapOpts.SnapshotInterval = legacy.GoldenDynInstrs()/7 + 1
+		snapOpts.SnapshotInterval = full.GoldenDynInstrs()/7 + 1
 	}
 	snap, err = New(m, snapOpts)
 	if err != nil {
@@ -46,7 +46,7 @@ func diffInjectors(t *testing.T, p progs.Program, opts Options) (legacy, snap *I
 		t.Fatalf("snapshot injector captured no snapshots (golden %d instrs, interval %d)",
 			snap.GoldenDynInstrs(), snapOpts.SnapshotInterval)
 	}
-	return legacy, snap
+	return full, snap
 }
 
 // TestDifferentialCampaignsAllPrograms runs a random campaign per
@@ -64,10 +64,10 @@ func TestDifferentialCampaignsAllPrograms(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
-				legacy, snap := diffInjectors(t, p, Options{Seed: seed, Workers: 4})
-				lres, err := legacy.CampaignRandom(context.Background(), n)
+				full, snap := diffInjectors(t, p, Options{Seed: seed, Workers: 4})
+				lres, err := full.CampaignRandom(context.Background(), n)
 				if err != nil {
-					t.Fatalf("seed %d: legacy campaign: %v", seed, err)
+					t.Fatalf("seed %d: full campaign: %v", seed, err)
 				}
 				sres, err := snap.CampaignRandom(context.Background(), n)
 				if err != nil {
@@ -79,11 +79,11 @@ func TestDifferentialCampaignsAllPrograms(t *testing.T) {
 				}
 				for _, o := range []Outcome{Benign, SDC, Crash, Hang, Detected, Errored} {
 					if lc, sc := lres.Counts[o], sres.Counts[o]; lc != sc {
-						t.Errorf("seed %d: %v count diverges: legacy %d, snapshot %d",
+						t.Errorf("seed %d: %v count diverges: full %d, snapshot %d",
 							seed, o, lc, sc)
 					}
 					if lr, sr := lres.Rate(o), sres.Rate(o); lr != sr {
-						t.Errorf("seed %d: %v rate diverges: legacy %v, snapshot %v",
+						t.Errorf("seed %d: %v rate diverges: full %v, snapshot %v",
 							seed, o, lr, sr)
 					}
 				}
@@ -94,8 +94,8 @@ func TestDifferentialCampaignsAllPrograms(t *testing.T) {
 
 // TestDifferentialPerTrialDetails compares individual trials at the
 // InjectDetail level: outcome, crash latency, and the full-output hash
-// must match between the snapshot path and the legacy path for every
-// sampled fault point.
+// must match between the snapshot path and the full re-execution path
+// for every sampled fault point.
 func TestDifferentialPerTrialDetails(t *testing.T) {
 	seeds := []uint64{7, 1009}
 	perProg := 40
@@ -108,14 +108,14 @@ func TestDifferentialPerTrialDetails(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
-				legacy, snap := diffInjectors(t, p, Options{Seed: seed})
+				full, snap := diffInjectors(t, p, Options{Seed: seed})
 				// Both injectors share the seed, so they sample the same
-				// specs; use the legacy injector's stream as the reference.
-				specs := legacy.sampleRandom(perProg)
+				// specs; use the full injector's stream as the reference.
+				specs := full.sampleRandom(perProg)
 				for _, spec := range specs {
-					ld, err := legacy.InjectDetail(context.Background(), spec.instr, spec.instance, spec.bit)
+					ld, err := full.InjectDetail(context.Background(), spec.instr, spec.instance, spec.bit)
 					if err != nil {
-						t.Fatalf("seed %d: legacy trial %s/%d/%d: %v",
+						t.Fatalf("seed %d: full trial %s/%d/%d: %v",
 							seed, spec.instr.Pos(), spec.instance, spec.bit, err)
 					}
 					sd, err := snap.InjectDetail(context.Background(), spec.instr, spec.instance, spec.bit)
@@ -124,7 +124,7 @@ func TestDifferentialPerTrialDetails(t *testing.T) {
 							seed, spec.instr.Pos(), spec.instance, spec.bit, err)
 					}
 					if ld != sd {
-						t.Errorf("seed %d: trial %s inst=%d bit=%d diverges: legacy %+v, snapshot %+v",
+						t.Errorf("seed %d: trial %s inst=%d bit=%d diverges: full %+v, snapshot %+v",
 							seed, spec.instr.Pos(), spec.instance, spec.bit, ld, sd)
 					}
 				}
@@ -135,19 +135,19 @@ func TestDifferentialPerTrialDetails(t *testing.T) {
 
 // TestDifferentialSnapshotIntervalSweep fixes one program and sweeps the
 // snapshot interval from very dense to sparser-than-the-run: every
-// interval must reproduce the legacy campaign exactly, including the
-// degenerate case where no trial finds a usable snapshot.
+// interval must reproduce the full re-execution campaign exactly,
+// including the degenerate case where no trial finds a usable snapshot.
 func TestDifferentialSnapshotIntervalSweep(t *testing.T) {
 	p := progs.All()[0]
-	legacy, err := New(p.Build(), Options{Seed: 5})
+	full, err := New(p.Build(), Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := legacy.CampaignRandom(context.Background(), 40)
+	want, err := full.CampaignRandom(context.Background(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := legacy.GoldenDynInstrs()
+	golden := full.GoldenDynInstrs()
 	for _, interval := range []uint64{1, 13, golden / 100, golden / 3, golden, golden * 4} {
 		if interval == 0 {
 			continue
@@ -161,7 +161,7 @@ func TestDifferentialSnapshotIntervalSweep(t *testing.T) {
 			t.Fatalf("interval %d: campaign: %v", interval, err)
 		}
 		if transcript(res) != transcript(want) {
-			t.Errorf("interval %d (%d snapshots): transcript diverges from legacy",
+			t.Errorf("interval %d (%d snapshots): transcript diverges from full re-execution",
 				interval, snap.Snapshots())
 		}
 	}
@@ -170,22 +170,23 @@ func TestDifferentialSnapshotIntervalSweep(t *testing.T) {
 // TestDifferentialCheckpointedCampaign interrupts a snapshot-path
 // campaign that is writing a checkpoint log, resumes it (still on the
 // snapshot path), and requires the final result to match an undisturbed
-// legacy campaign — the two persistence mechanisms (trial checkpoints and
-// state snapshots) must compose without changing a single trial.
+// full re-execution campaign — the two persistence mechanisms (trial
+// checkpoints and state snapshots) must compose without changing a
+// single trial.
 func TestDifferentialCheckpointedCampaign(t *testing.T) {
 	p := progs.All()[1]
 	const n = 40
-	legacy, err := New(p.Build(), Options{Seed: 11, Workers: 4})
+	full, err := New(p.Build(), Options{Seed: 11, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := legacy.CampaignRandom(context.Background(), n)
+	want, err := full.CampaignRandom(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
-	interval := legacy.GoldenDynInstrs()/5 + 1
+	interval := full.GoldenDynInstrs()/5 + 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -222,6 +223,6 @@ func TestDifferentialCheckpointedCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, wantT := transcript(resumed), transcript(want); got != wantT {
-		t.Errorf("resumed snapshot campaign differs from legacy run:\n got: %q\nwant: %q", got, wantT)
+		t.Errorf("resumed snapshot campaign differs from full re-execution run:\n got: %q\nwant: %q", got, wantT)
 	}
 }

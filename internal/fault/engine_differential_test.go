@@ -7,16 +7,80 @@ import (
 	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/progs"
+	"trident/internal/refinterp"
 )
 
-// The decoded-engine differential suite extends the snapshot-replay
-// proof to the second execution engine: a campaign run on the decoded
-// engine — with or without snapshot replay — must be bit-identical to
-// the legacy engine's, trial for trial.
+// The reference-oracle differential suite checks the injector against a
+// second, independently written executor: every trial is replayed on
+// the naive reference evaluator (internal/refinterp) with the same bit
+// flip, classified against the reference golden output, and must match
+// the injector's outcome and output hash — whether the injector
+// re-executes trials in full, resumes them from golden snapshots, or
+// runs them on a single worker.
 
-// TestDifferentialDecodedEngine runs one random campaign per program on
-// the legacy path and on three decoded configurations (cold, snapshot
-// replay, pooled workers) and requires byte-identical transcripts.
+// refOracle replays trial specs of one injector's module on the
+// reference evaluator.
+type refOracle struct {
+	inj    *Injector
+	golden string
+}
+
+// newRefOracle runs the reference golden execution and checks it agrees
+// with the injector's.
+func newRefOracle(t *testing.T, inj *Injector) *refOracle {
+	t.Helper()
+	res, err := refinterp.Run(inj.module, refinterp.Options{})
+	if err != nil {
+		t.Fatalf("reference golden run: %v", err)
+	}
+	if res.Output != inj.GoldenOutput() || res.DynInstrs != inj.GoldenDynInstrs() {
+		t.Fatalf("reference golden run diverges: %d instrs, injector %d",
+			res.DynInstrs, inj.GoldenDynInstrs())
+	}
+	return &refOracle{inj: inj, golden: res.Output}
+}
+
+// trial flips bit of the instance-th result of target on the reference
+// evaluator, under the injector's hang budget, and classifies the run.
+func (o *refOracle) trial(t *testing.T, target *ir.Instr, instance uint64, bit int) Detail {
+	t.Helper()
+	seen := uint64(0)
+	res, err := refinterp.Run(o.inj.module, refinterp.Options{
+		MaxDynInstrs: o.inj.hangBudget,
+		OnResult: func(in *ir.Instr, bits uint64) uint64 {
+			if in == target {
+				seen++
+				if seen == instance {
+					bits ^= 1 << uint(bit)
+				}
+			}
+			return bits
+		},
+	})
+	if err != nil {
+		t.Fatalf("reference trial %s/%d/%d: %v", target.Pos(), instance, bit, err)
+	}
+	d := Detail{OutputHash: hashOutput(res.Output)}
+	switch res.Outcome {
+	case refinterp.OutcomeCrash:
+		d.Outcome = Crash
+	case refinterp.OutcomeHang:
+		d.Outcome = Hang
+	case refinterp.OutcomeDetected:
+		d.Outcome = Detected
+	default:
+		d.Outcome = SDC
+		if res.Output == o.golden {
+			d.Outcome = Benign
+		}
+	}
+	return d
+}
+
+// TestDifferentialDecodedEngine runs one random campaign per program in
+// three injector configurations (full re-execution, snapshot replay,
+// serial worker), requires byte-identical transcripts, and checks every
+// trial's outcome against the reference evaluator.
 func TestDifferentialDecodedEngine(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -27,31 +91,37 @@ func TestDifferentialDecodedEngine(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			m := p.Build()
-			legacy, err := New(m, Options{Seed: 42, Workers: 4})
+			full, err := New(m, Options{Seed: 42, Workers: 4})
 			if err != nil {
-				t.Fatalf("legacy injector: %v", err)
+				t.Fatalf("full injector: %v", err)
 			}
-			want, err := legacy.CampaignRandom(context.Background(), n)
+			want, err := full.CampaignRandom(context.Background(), n)
 			if err != nil {
-				t.Fatalf("legacy campaign: %v", err)
+				t.Fatalf("full campaign: %v", err)
+			}
+			oracle := newRefOracle(t, full)
+			for i, tr := range want.Trials {
+				if ref := oracle.trial(t, tr.Instr, tr.Instance, tr.Bit); ref.Outcome != tr.Outcome {
+					t.Errorf("trial %d %s inst=%d bit=%d: outcome %v, reference %v",
+						i, tr.Instr.Pos(), tr.Instance, tr.Bit, tr.Outcome, ref.Outcome)
+				}
 			}
 			configs := map[string]Options{
-				"cold":     {Seed: 42, Workers: 4, Engine: interp.EngineDecoded},
-				"snapshot": {Seed: 42, Workers: 4, Engine: interp.EngineDecoded, SnapshotInterval: legacy.GoldenDynInstrs()/7 + 1},
-				"serial":   {Seed: 42, Workers: 1, Engine: interp.EngineDecoded},
+				"snapshot": {Seed: 42, Workers: 4, SnapshotInterval: full.GoldenDynInstrs()/7 + 1},
+				"serial":   {Seed: 42, Workers: 1},
 			}
 			for name, opts := range configs {
-				dec, err := New(m, opts)
+				inj, err := New(m, opts)
 				if err != nil {
 					t.Fatalf("%s injector: %v", name, err)
 				}
-				res, err := dec.CampaignRandom(context.Background(), n)
+				res, err := inj.CampaignRandom(context.Background(), n)
 				if err != nil {
 					t.Fatalf("%s campaign: %v", name, err)
 				}
 				if got, w := transcript(res), transcript(want); got != w {
-					t.Errorf("%s campaign transcript diverges from legacy\nlegacy:\n%s\ndecoded:\n%s",
-						name, w, got)
+					t.Errorf("%s campaign transcript diverges from full re-execution\nfull:\n%s\n%s:\n%s",
+						name, w, name, got)
 				}
 			}
 		})
@@ -59,8 +129,9 @@ func TestDifferentialDecodedEngine(t *testing.T) {
 }
 
 // TestDifferentialDecodedPerTrial compares individual InjectDetail
-// observations — outcome, crash latency, output hash — between engines
-// for the same sampled fault points.
+// observations — outcome and output hash — of a snapshot-replay
+// injector with the reference evaluator for the same sampled fault
+// points.
 func TestDifferentialDecodedPerTrial(t *testing.T) {
 	perProg := 30
 	if testing.Short() {
@@ -71,33 +142,20 @@ func TestDifferentialDecodedPerTrial(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			m := p.Build()
-			legacy, err := New(m, Options{Seed: 7})
+			inj, err := New(m, Options{Seed: 7, SnapshotInterval: 2048})
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := New(m, Options{Seed: 7, Engine: interp.EngineDecoded})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if legacy.GoldenOutput() != dec.GoldenOutput() ||
-				legacy.GoldenDynInstrs() != dec.GoldenDynInstrs() ||
-				legacy.ActivationSpace() != dec.ActivationSpace() {
-				t.Fatalf("golden observations diverge: legacy (%d instrs, %d space), decoded (%d instrs, %d space)",
-					legacy.GoldenDynInstrs(), legacy.ActivationSpace(),
-					dec.GoldenDynInstrs(), dec.ActivationSpace())
-			}
-			for _, spec := range legacy.sampleRandom(perProg) {
-				ld, err := legacy.InjectDetail(context.Background(), spec.instr, spec.instance, spec.bit)
+			oracle := newRefOracle(t, inj)
+			for _, spec := range inj.sampleRandom(perProg) {
+				d, err := inj.InjectDetail(context.Background(), spec.instr, spec.instance, spec.bit)
 				if err != nil {
-					t.Fatalf("legacy trial %s/%d/%d: %v", spec.instr.Pos(), spec.instance, spec.bit, err)
+					t.Fatalf("trial %s/%d/%d: %v", spec.instr.Pos(), spec.instance, spec.bit, err)
 				}
-				dd, err := dec.InjectDetail(context.Background(), spec.instr, spec.instance, spec.bit)
-				if err != nil {
-					t.Fatalf("decoded trial %s/%d/%d: %v", spec.instr.Pos(), spec.instance, spec.bit, err)
-				}
-				if ld != dd {
-					t.Errorf("trial %s inst=%d bit=%d diverges: legacy %+v, decoded %+v",
-						spec.instr.Pos(), spec.instance, spec.bit, ld, dd)
+				ref := oracle.trial(t, spec.instr, spec.instance, spec.bit)
+				if d.Outcome != ref.Outcome || d.OutputHash != ref.OutputHash {
+					t.Errorf("trial %s inst=%d bit=%d diverges: injector %+v, reference %+v",
+						spec.instr.Pos(), spec.instance, spec.bit, d, ref)
 				}
 			}
 		})
@@ -168,7 +226,7 @@ func TestTrialStateReset(t *testing.T) {
 // and requires identical observations every time.
 func TestTrialStateSequentialReuse(t *testing.T) {
 	p := progs.All()[0]
-	inj, err := New(p.Build(), Options{Seed: 3, Engine: interp.EngineDecoded})
+	inj, err := New(p.Build(), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,9 +137,9 @@ type Options struct {
 	// dynamic instructions, and each trial resumes from the nearest
 	// snapshot at or before its injection point instead of re-interpreting
 	// the whole pre-fault prefix from instruction 0. The interpreter is
-	// deterministic, so trial outcomes are bit-identical to the legacy
-	// full-execution path (enforced by the differential test suite).
-	// Zero keeps the legacy path.
+	// deterministic, so trial outcomes are bit-identical to full
+	// re-execution from instruction 0 (enforced by the differential test
+	// suite). Zero re-executes every trial in full.
 	SnapshotInterval uint64
 	// TrialHook, when non-nil, runs before every trial attempt with the
 	// trial spec and 1-based attempt number. A non-nil return (or a panic)
@@ -191,13 +191,6 @@ type Options struct {
 	// fields select the package defaults. See ANALYSIS.md, "Adaptive
 	// (Neyman) allocation".
 	Adaptive *AdaptiveConfig
-	// Engine selects the interpreter execution engine for the golden run,
-	// the snapshot-capture pass and every trial. The zero value is the
-	// legacy engine. With interp.EngineDecoded the injector lowers the
-	// module once (interp.CompileDecoded) and shares the immutable
-	// program across all workers and trials. Outcomes are bit-identical
-	// across engines — enforced by the differential test suite.
-	Engine interp.Engine
 	// OnProgress, when non-nil, is invoked synchronously after every
 	// completed trial of a campaign (including trials replayed from a
 	// checkpoint) with monotonically non-decreasing Done and outcome
@@ -243,9 +236,8 @@ type Injector struct {
 	// execution order (empty when SnapshotInterval is 0).
 	snaps []goldenSnap
 
-	// prog is the module lowered for the decoded engine, compiled once in
+	// prog is the module lowered for the interpreter, compiled once in
 	// New and shared (it is immutable) by every run the injector issues.
-	// Nil on the legacy engine.
 	prog *decoded.Program
 
 	// prune is the static bit-liveness report used to skip provably-
@@ -309,14 +301,11 @@ func New(m *ir.Module, opts Options) (*Injector, error) {
 		}
 		inj.influence = bitlive.ClassifyInfluence(m, rep)
 	}
-	if opts.Engine == interp.EngineDecoded {
-		inj.prog = interp.CompileDecoded(m, opts.Metrics)
-	}
+	inj.prog = interp.CompileDecoded(m, opts.Metrics)
 
 	span := opts.Trace.Start("golden-run", telemetry.Attrs{"module": m.Name})
 	goldenStart := time.Now()
 	res, err := interp.Run(m, interp.Options{
-		Engine:  opts.Engine,
 		Decoded: inj.prog,
 		Metrics: opts.Metrics,
 		Hooks: interp.Hooks{
@@ -377,7 +366,6 @@ func (inj *Injector) captureSnapshots() error {
 	setupStart := time.Now()
 	counts := make(map[*ir.Instr]uint64, len(inj.targets))
 	res, err := interp.Run(inj.module, interp.Options{
-		Engine:           inj.opts.Engine,
 		Decoded:          inj.prog,
 		Metrics:          inj.opts.Metrics,
 		SnapshotInterval: interval,
@@ -410,13 +398,13 @@ func (inj *Injector) captureSnapshots() error {
 }
 
 // Snapshots returns the number of golden-run snapshots held for
-// snapshot-replay trials (0 on the legacy path).
+// snapshot-replay trials (0 when every trial re-executes in full).
 func (inj *Injector) Snapshots() int { return len(inj.snaps) }
 
 // snapshotBefore returns the index of the latest golden snapshot captured
 // strictly before the instance-th dynamic execution of target, or -1 when
 // the injection point precedes every snapshot (the trial then runs from
-// instruction 0, exactly like the legacy path). Per-instruction counts
+// instruction 0, exactly like a full re-execution). Per-instruction counts
 // are non-decreasing across snapshots, so binary search applies. This is
 // the grouping of trial specs by fault point: every spec whose injection
 // index falls in the same inter-snapshot interval resumes from the same
@@ -469,8 +457,8 @@ type Detail struct {
 	CrashLatency uint64
 	// OutputHash is the 64-bit FNV-1a hash of the trial's complete program
 	// output (including any prefix replayed from a snapshot). The
-	// differential test suite compares it across the snapshot and legacy
-	// execution paths.
+	// differential test suite compares it across the snapshot-replay and
+	// full re-execution paths.
 	OutputHash uint64
 }
 
@@ -502,7 +490,6 @@ func (inj *Injector) InjectDetail(ctx context.Context, target *ir.Instr, instanc
 		Context:      ctx,
 		MaxDynInstrs: inj.hangBudget,
 		Metrics:      inj.opts.Metrics,
-		Engine:       inj.opts.Engine,
 		Decoded:      inj.prog,
 		Hooks:        interp.Hooks{OnResult: ts.hook},
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-
-	"trident/internal/interp"
 )
 
 // TestShardRangePartition pins the shard arithmetic: the ranges
@@ -53,64 +51,62 @@ func TestShardRangePartition(t *testing.T) {
 func TestShardSeedIndependence(t *testing.T) {
 	const n, seed = 70, 1234
 	for _, name := range []string{"pathfinder", "nw"} {
-		for _, engine := range []interp.Engine{interp.EngineLegacy, interp.EngineDecoded} {
-			t.Run(fmt.Sprintf("%s/%s", name, engine), func(t *testing.T) {
-				build := mustProg(t, name).Build
-				direct, err := New(build(), Options{Seed: seed, Workers: 3, Engine: engine})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := direct.CampaignRandom(context.Background(), n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, shards := range []int{1, 2, 3, 7} {
-					dir := t.TempDir()
-					var paths []string
-					for s := 0; s < shards; s++ {
-						inj, err := New(build(), Options{Seed: seed, Workers: 2, Engine: engine})
-						if err != nil {
-							t.Fatal(err)
-						}
-						path := filepath.Join(dir, fmt.Sprintf("shard-%02d.jsonl", s))
-						paths = append(paths, path)
-						res, err := inj.CampaignShardCheckpoint(context.Background(), n, s, shards, path)
-						if err != nil {
-							t.Fatal(err)
-						}
-						lo, hi := ShardRange(n, s, shards)
-						if res.N() != hi-lo {
-							t.Fatalf("shard %d/%d ran %d trials, want %d", s, shards, res.N(), hi-lo)
-						}
-					}
-					merged := filepath.Join(dir, "merged.jsonl")
-					if _, err := MergeCheckpoints(merged, paths...); err != nil {
-						t.Fatal(err)
-					}
-					got, missing, err := direct.CampaignFromCheckpoint(n, merged)
+		t.Run(name, func(t *testing.T) {
+			build := mustProg(t, name).Build
+			direct, err := New(build(), Options{Seed: seed, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := direct.CampaignRandom(context.Background(), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 2, 3, 7} {
+				dir := t.TempDir()
+				var paths []string
+				for s := 0; s < shards; s++ {
+					inj, err := New(build(), Options{Seed: seed, Workers: 2})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if missing != 0 {
-						t.Fatalf("%d shards: merged log missing %d trials", shards, missing)
+					path := filepath.Join(dir, fmt.Sprintf("shard-%02d.jsonl", s))
+					paths = append(paths, path)
+					res, err := inj.CampaignShardCheckpoint(context.Background(), n, s, shards, path)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if got.N() != want.N() {
-						t.Fatalf("%d shards: merged %d trials, want %d", shards, got.N(), want.N())
-					}
-					for i := range want.Trials {
-						if got.Trials[i] != want.Trials[i] {
-							t.Errorf("%d shards: trial %d diverged: got %+v want %+v",
-								shards, i, got.Trials[i], want.Trials[i])
-						}
-					}
-					for o, c := range want.Counts {
-						if got.Counts[o] != c {
-							t.Errorf("%d shards: outcome %s count %d, want %d", shards, o, got.Counts[o], c)
-						}
+					lo, hi := ShardRange(n, s, shards)
+					if res.N() != hi-lo {
+						t.Fatalf("shard %d/%d ran %d trials, want %d", s, shards, res.N(), hi-lo)
 					}
 				}
-			})
-		}
+				merged := filepath.Join(dir, "merged.jsonl")
+				if _, err := MergeCheckpoints(merged, paths...); err != nil {
+					t.Fatal(err)
+				}
+				got, missing, err := direct.CampaignFromCheckpoint(n, merged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if missing != 0 {
+					t.Fatalf("%d shards: merged log missing %d trials", shards, missing)
+				}
+				if got.N() != want.N() {
+					t.Fatalf("%d shards: merged %d trials, want %d", shards, got.N(), want.N())
+				}
+				for i := range want.Trials {
+					if got.Trials[i] != want.Trials[i] {
+						t.Errorf("%d shards: trial %d diverged: got %+v want %+v",
+							shards, i, got.Trials[i], want.Trials[i])
+					}
+				}
+				for o, c := range want.Counts {
+					if got.Counts[o] != c {
+						t.Errorf("%d shards: outcome %s count %d, want %d", shards, o, got.Counts[o], c)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,24 +1,17 @@
-// The decoded execution engine (Options.Engine = EngineDecoded).
+// The interpreter's execution engine.
 //
-// This is the second of the interpreter's two engines. It executes the
-// pre-lowered instruction streams produced by internal/decoded: operand
-// resolution is a slice index instead of an interface type-switch,
-// globals resolve through the dense slot table, phi prologues are
-// straight move lists per CFG edge, and dispatch runs one flat switch
-// over pre-classified steps. Activation frames (with their register
-// files and phi scratch) come from a process-wide pool and are zeroed
-// on reuse, so a campaign of N trials stops allocating O(N · frames).
-//
-// The engine implements the same observable contract as the legacy
-// loop, bit for bit: identical hook sequences and arguments (hooks see
-// the original *ir.Instr, so fault targets compare equal across
-// engines), identical count-before-execute hang semantics, identical
-// trap kinds and positions, identical output formatting, and identical
-// snapshot boundaries. Snapshots themselves are engine-neutral — frames
-// are captured in IR terms — so state captured under one engine resumes
-// under the other. The crosscheck suite holds all of this to zero
-// divergence against both the legacy engine and the reference
-// evaluator.
+// The machine executes the pre-lowered instruction streams produced by
+// internal/decoded: operand resolution is a slice index instead of an
+// interface type-switch, globals resolve through the dense slot table,
+// phi prologues are straight move lists per CFG edge, and dispatch runs
+// one flat switch over pre-classified steps. Activation frames (with
+// their register files and phi scratch) come from a process-wide pool
+// and are zeroed on reuse, so a campaign of N trials stops allocating
+// O(N · frames). Hooks see the original *ir.Instr, so fault targets are
+// source-instruction pointers. The crosscheck suite holds every
+// observable — results, traps, counters, output and the register-write
+// trace — to zero divergence against the reference evaluator
+// (internal/refinterp).
 
 package interp
 
@@ -32,7 +25,7 @@ import (
 	"trident/internal/telemetry"
 )
 
-// CompileDecoded lowers m for the decoded engine, recording the
+// CompileDecoded lowers m for the machine, recording the
 // lowering latency as interp.decode_us when reg is non-nil. Campaign
 // engines call it once per module and hand the program to every trial
 // via Options.Decoded; per-run lowering (a nil Options.Decoded) goes
@@ -55,103 +48,29 @@ func decodedProgram(m *ir.Module, opts Options) *decoded.Program {
 	return CompileDecoded(m, opts.Metrics)
 }
 
-// runDecoded is Run on the decoded engine.
-func runDecoded(m *ir.Module, opts Options) (*Result, error) {
-	start := metricsStart(opts.Metrics)
-	main := m.Func("main")
-	if main == nil {
-		return nil, fmt.Errorf("interp: module %q has no main", m.Name)
-	}
-	if len(main.Params) != 0 {
-		return nil, fmt.Errorf("interp: main must take no parameters")
-	}
-	applyDefaults(&opts)
-	prog := decodedProgram(m, opts)
-
-	ctx := &Context{Mem: NewMemory(), opts: opts}
-	globals, err := initGlobals(ctx, m)
-	if err != nil {
-		return nil, err
-	}
-
-	vm := newDMachine(ctx, prog, globals)
-	_, err = vm.runSafe(prog.ByFunc[main])
-	res, rerr := finishRun(ctx, err)
-	vm.flushPoolMetrics(opts.Metrics)
-	recordRun(opts.Metrics, start, 0, ctx, res, rerr)
-	return res, rerr
-}
-
-// resumeDecoded is Resume on the decoded engine. The snapshot's frames
-// are stored in IR terms, so it accepts state captured by either
-// engine.
-func resumeDecoded(s *Snapshot, opts Options) (*Result, error) {
-	applyDefaults(&opts)
-	start := metricsStart(opts.Metrics)
-	prog := decodedProgram(s.frames[0].fn.Module, opts)
-	mem, remap := s.mem.Clone()
-	ctx := &Context{
-		Mem:        mem,
-		DynCount:   s.dynCount,
-		DynResults: s.dynResults,
-		opts:       opts,
-		lines:      s.lines,
-		depth:      s.depth,
-	}
-	ctx.output.WriteString(s.output)
-	vm := newDMachine(ctx, prog, s.globals)
-	vm.frames = make([]*dframe, len(s.frames))
-	for i, fs := range s.frames {
-		df := prog.ByFunc[fs.fn]
-		if df == nil {
-			return nil, fmt.Errorf("interp: resume: function %s is not part of the decoded program", fs.fn.Name)
-		}
-		bi, ok := df.ByBlock[fs.block]
-		if !ok {
-			return nil, fmt.Errorf("interp: resume: block %s is not part of function %s", fs.block.Name, fs.fn.Name)
-		}
-		fr := vm.acquireFrame(df)
-		copy(fr.regs, fs.regs)
-		copy(fr.params, fs.params)
-		fr.blk = &df.Blocks[bi]
-		fr.prev = fs.prev
-		fr.dip = fs.ip - fr.blk.NPhi
-		for _, seg := range fs.allocas {
-			fr.allocas = append(fr.allocas, remap[seg])
-		}
-		vm.frames[i] = fr
-	}
-	recordResume(opts.Metrics, start)
-	_, err := vm.resumeSafe()
-	res, rerr := finishRun(ctx, err)
-	vm.flushPoolMetrics(opts.Metrics)
-	recordRun(opts.Metrics, start, s.dynCount, ctx, res, rerr)
-	return res, rerr
-}
-
-// dframe is one activation of the decoded engine. Unlike the legacy
-// frame it is pooled: acquireFrame recycles retired frames, re-zeroing
-// registers and parameters so reuse is observationally identical to a
-// fresh allocation.
-type dframe struct {
+// frame is one function activation. It is pooled: acquireFrame
+// recycles retired frames, re-zeroing registers and parameters so reuse
+// is observationally identical to a fresh allocation. For every frame
+// below the top of the stack, dip indexes the call instruction awaiting
+// its callee's return value.
+type frame struct {
 	fn      *decoded.Func
 	regs    []uint64
 	params  []uint64
 	scratch []uint64 // phi staging buffer, sized to fn.MaxPhi
 	allocas []*Segment
 	blk     *decoded.Block
-	prev    *ir.Block // predecessor block, for snapshot capture
-	dip     int       // next instruction index within blk.Code
-	reused  bool      // came out of the pool at least once (hit/miss stats)
+	dip     int  // next instruction index within blk.Code
+	reused  bool // came out of the pool at least once (hit/miss stats)
 }
 
-// dframePool recycles frames (with their register, parameter and
+// framePool recycles frames (with their register, parameter and
 // scratch arrays) across runs, trials and goroutines.
-var dframePool = sync.Pool{New: func() any { return new(dframe) }}
+var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 // acquireFrame takes a frame from the pool and readies it for fn.
-func (vm *dmachine) acquireFrame(fn *decoded.Func) *dframe {
-	fr := dframePool.Get().(*dframe)
+func (vm *machine) acquireFrame(fn *decoded.Func) *frame {
+	fr := framePool.Get().(*frame)
 	if fr.reused {
 		vm.poolHits++
 	} else {
@@ -166,10 +85,9 @@ func (vm *dmachine) acquireFrame(fn *decoded.Func) *dframe {
 // indistinguishable from a fresh allocation, or stale register values
 // would leak between trials. The phi scratch is sized without clearing:
 // every slot is written before it is read.
-func (fr *dframe) prepare(fn *decoded.Func) {
+func (fr *frame) prepare(fn *decoded.Func) {
 	fr.fn = fn
 	fr.blk = nil
-	fr.prev = nil
 	fr.dip = 0
 	fr.regs = resizeZeroed(fr.regs, fn.NumRegs)
 	fr.params = resizeZeroed(fr.params, fn.NumParams)
@@ -194,28 +112,32 @@ func resizeZeroed(s []uint64, n int) []uint64 {
 
 // releaseFrame returns fr to the pool, dropping object references so
 // pooled frames do not retain programs or memory segments.
-func releaseFrame(fr *dframe) {
+func releaseFrame(fr *frame) {
 	fr.fn = nil
 	fr.blk = nil
-	fr.prev = nil
 	clear(fr.allocas)
 	fr.allocas = fr.allocas[:0]
 	fr.reused = true
-	dframePool.Put(fr)
+	framePool.Put(fr)
 }
 
-// dmachine executes a decoded program against a shared context — the
-// decoded-engine counterpart of machine, with the same explicit-frame
-// structure that makes Snapshot/Resume possible.
-type dmachine struct {
+// machine executes a decoded program against a shared context.
+// Activation frames live on an explicit heap stack rather than the Go
+// call stack: the complete execution state — frames, registers, memory,
+// program position, counters — is a plain data structure, which is what
+// makes Snapshot/Resume possible.
+type machine struct {
 	ctx     *Context
 	prog    *decoded.Program
 	globals []uint64
-	frames  []*dframe
+	frames  []*frame
 
+	// cancelCtx/cancel mirror Options.Context for the cooperative
+	// cancellation checks in the instruction loop (nil = never cancelled).
 	cancelCtx context.Context
 	cancel    <-chan struct{}
 
+	// snapEvery/nextSnap drive periodic snapshot capture (0 = disabled).
 	snapEvery uint64
 	nextSnap  uint64
 
@@ -226,10 +148,10 @@ type dmachine struct {
 	poolMisses uint64
 }
 
-// newDMachine wires a decoded machine to its context, mirroring
-// newMachine.
-func newDMachine(ctx *Context, prog *decoded.Program, globals []uint64) *dmachine {
-	vm := &dmachine{ctx: ctx, prog: prog, globals: globals}
+// newMachine wires a machine to its context, including cancellation and
+// snapshot configuration from the context's options.
+func newMachine(ctx *Context, prog *decoded.Program, globals []uint64) *machine {
+	vm := &machine{ctx: ctx, prog: prog, globals: globals}
 	if c := ctx.opts.Context; c != nil {
 		vm.cancelCtx = c
 		vm.cancel = c.Done()
@@ -242,7 +164,7 @@ func newDMachine(ctx *Context, prog *decoded.Program, globals []uint64) *dmachin
 }
 
 // flushPoolMetrics records the run's frame-pool tallies.
-func (vm *dmachine) flushPoolMetrics(reg *telemetry.Registry) {
+func (vm *machine) flushPoolMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
@@ -255,36 +177,29 @@ func (vm *dmachine) flushPoolMetrics(reg *telemetry.Registry) {
 	vm.poolHits, vm.poolMisses = 0, 0
 }
 
-// runSafe pushes main and drives the loop behind the shared panic
-// barrier.
-func (vm *dmachine) runSafe(main *decoded.Func) (bits uint64, err error) {
+// run drives the dispatch loop behind a panic barrier: any panic
+// escaping the instruction loop — an explicit engine assertion or an
+// implicit runtime fault such as an out-of-range slice index — is
+// converted into a typed *InternalError so one bad trial cannot take
+// down a whole campaign process. Run passes main, which is pushed first;
+// Resume passes nil, having populated the frame stack from a snapshot.
+func (vm *machine) run(main *decoded.Func) (err error) {
 	defer recoverInternal(&err)
-	if perr := vm.push(main); perr != nil {
-		vm.unwind()
-		return 0, perr
+	if main != nil {
+		err = vm.push(main)
 	}
-	ret, lerr := vm.loop()
-	if lerr != nil {
-		vm.unwind()
-		return 0, lerr
+	if err == nil {
+		_, err = vm.loop()
 	}
-	return ret, nil
-}
-
-// resumeSafe drives the loop of an already-populated frame stack.
-func (vm *dmachine) resumeSafe() (bits uint64, err error) {
-	defer recoverInternal(&err)
-	ret, lerr := vm.loop()
-	if lerr != nil {
+	if err != nil {
 		vm.unwind()
-		return 0, lerr
 	}
-	return ret, nil
+	return err
 }
 
 // push creates and enters a new activation for fn (no arguments: calls
 // write arguments into the callee frame inline in the loop).
-func (vm *dmachine) push(fn *decoded.Func) error {
+func (vm *machine) push(fn *decoded.Func) error {
 	ctx := vm.ctx
 	if ctx.depth >= ctx.opts.MaxCallDepth {
 		return &Trap{Kind: TrapStackOverflow, Instr: fn.Ref.Entry().Instrs[0]}
@@ -301,7 +216,7 @@ func (vm *dmachine) push(fn *decoded.Func) error {
 
 // pop releases the top frame's allocas, removes it from the stack and
 // recycles it.
-func (vm *dmachine) pop() {
+func (vm *machine) pop() {
 	fr := vm.frames[len(vm.frames)-1]
 	for _, seg := range fr.allocas {
 		vm.ctx.Mem.Release(seg)
@@ -313,14 +228,14 @@ func (vm *dmachine) pop() {
 }
 
 // unwind pops every remaining frame after an error terminates the loop.
-func (vm *dmachine) unwind() {
+func (vm *machine) unwind() {
 	for len(vm.frames) > 0 {
 		vm.pop()
 	}
 }
 
 // evalOp resolves an operand slot to its bit pattern.
-func (vm *dmachine) evalOp(fr *dframe, o *decoded.Operand) uint64 {
+func (vm *machine) evalOp(fr *frame, o *decoded.Operand) uint64 {
 	switch o.Kind {
 	case decoded.KindConst:
 		return o.Bits
@@ -331,17 +246,20 @@ func (vm *dmachine) evalOp(fr *dframe, o *decoded.Operand) uint64 {
 	case decoded.KindGlobal:
 		return vm.globals[o.Idx]
 	default:
-		// Same engine-bug semantics as the legacy eval: raise a typed
-		// error through the panic barrier.
+		// A value kind the machine does not know is an engine bug, not a
+		// program behavior. evalOp has no error return (it sits on the hot
+		// path of every operand); raise a typed error through the panic
+		// barrier in run, which surfaces it as Run's error.
 		panic(&InternalError{Msg: fmt.Sprintf("interp: unknown value kind %T", vm.prog.BadVals[o.Idx])})
 	}
 }
 
 // applyEdge runs one phi prologue: all sources evaluate against the
 // predecessor's register state (into the frame's scratch), then each
-// phi counts, truncates, offers the hook and commits, in phi order —
-// exactly the legacy enterBlock/finishResult sequence.
-func (vm *dmachine) applyEdge(fr *dframe, e *decoded.Edge) error {
+// phi counts, truncates, offers the hook and commits, in phi order. Phis
+// execute as part of block entry but still count as dynamic instructions
+// and register writes (LLFI injects into them too).
+func (vm *machine) applyEdge(fr *frame, e *decoded.Edge) error {
 	if e.Bad != nil {
 		return fmt.Errorf("interp: phi %s has no incoming for block %s",
 			e.Bad.Pos(), e.BadPrev)
@@ -370,8 +288,7 @@ func (vm *dmachine) applyEdge(fr *dframe, e *decoded.Edge) error {
 
 // branchTo moves fr to decoded block t, applying phi edge e when the
 // target has a prologue.
-func (vm *dmachine) branchTo(fr *dframe, t, e int32) error {
-	fr.prev = fr.blk.Ref
+func (vm *machine) branchTo(fr *frame, t, e int32) error {
 	fr.blk = &fr.fn.Blocks[t]
 	fr.dip = 0
 	if e >= 0 {
@@ -383,7 +300,7 @@ func (vm *dmachine) branchTo(fr *dframe, t, e int32) error {
 // finish truncates, offers the result to the fault-injection hook,
 // counts it, and writes the destination register (non-phi instructions;
 // phis go through applyEdge).
-func (vm *dmachine) finish(fr *dframe, in *decoded.Instr, bits uint64) {
+func (vm *machine) finish(fr *frame, in *decoded.Instr, bits uint64) {
 	if in.Dst < 0 {
 		return
 	}
@@ -396,11 +313,13 @@ func (vm *dmachine) finish(fr *dframe, in *decoded.Instr, bits uint64) {
 	fr.regs[in.Dst] = bits
 }
 
-// loop is the decoded dispatch loop: one flat switch over pre-classified
-// steps, with the same per-instruction prologue (snapshot check before
-// the count, count before the hang check, cancellation every
-// cancelCheckInterval instructions) as the legacy loop.
-func (vm *dmachine) loop() (uint64, error) {
+// loop is the dispatch loop: one flat switch over pre-classified steps.
+// Each instruction first checks for a due snapshot, then counts itself
+// before the hang check (so completing or trapping exactly at the budget
+// keeps its classification), and every cancelCheckInterval instructions
+// polls for cancellation. Calls push frames and returns pop them, all
+// without growing the Go call stack.
+func (vm *machine) loop() (uint64, error) {
 	ctx := vm.ctx
 	fr := vm.frames[len(vm.frames)-1]
 	for {
@@ -478,8 +397,8 @@ func (vm *dmachine) loop() (uint64, error) {
 				}
 				bits = ir.FloatToBits(in.Type, evalIntrinsic(in.Intr, argbuf[:in.NArgs]))
 			} else {
-				// Over-arity intrinsic (rejected by Verify): replicate the
-				// legacy evaluation order, rawRHS tracking the last operand.
+				// Over-arity intrinsic (rejected by Verify): evaluate every
+				// argument in order, rawRHS tracking the last operand.
 				args := make([]float64, len(in.Args))
 				var rawLHS, rawRHS uint64
 				for i := range in.Args {
@@ -607,9 +526,10 @@ func (vm *dmachine) loop() (uint64, error) {
 	}
 }
 
-// takeSnapshot captures the current decoded-machine state. The snapshot
-// itself is engine-neutral.
-func (vm *dmachine) takeSnapshot() {
+// takeSnapshot captures the current machine state and hands it to the
+// OnSnapshot observer, then schedules the next capture one interval from
+// the current position.
+func (vm *machine) takeSnapshot() {
 	reg := vm.ctx.opts.Metrics
 	start := metricsStart(reg)
 	s := vm.capture()
@@ -618,13 +538,15 @@ func (vm *dmachine) takeSnapshot() {
 	vm.ctx.opts.OnSnapshot(s)
 }
 
-// capture deep-copies the machine state into an engine-neutral
-// Snapshot: frames are stored in IR terms (function, block, instruction
-// pointer), so either engine can resume them.
-func (vm *dmachine) capture() *Snapshot {
+// capture deep-copies the machine state. Frames are stored in the
+// machine's own terms — decoded function, decoded block and dip — so
+// Resume rebuilds them without any lookup. The memory clone returns a
+// segment remapping so frame-held alloca pointers follow their copies.
+func (vm *machine) capture() *Snapshot {
 	ctx := vm.ctx
 	mem, remap := ctx.Mem.Clone()
 	s := &Snapshot{
+		prog:       vm.prog,
 		dynCount:   ctx.DynCount,
 		dynResults: ctx.DynResults,
 		depth:      ctx.depth,
@@ -636,10 +558,9 @@ func (vm *dmachine) capture() *Snapshot {
 	}
 	for i, fr := range vm.frames {
 		fs := frameSnap{
-			fn:     fr.fn.Ref,
-			block:  fr.blk.Ref,
-			prev:   fr.prev,
-			ip:     fr.dip + fr.blk.NPhi,
+			fn:     fr.fn,
+			blk:    fr.blk,
+			dip:    fr.dip,
 			regs:   append([]uint64(nil), fr.regs...),
 			params: append([]uint64(nil), fr.params...),
 		}

@@ -1,8 +1,11 @@
-// Cross-engine parity tests: the decoded engine must be observationally
-// identical to the legacy engine — same results, same hook sequences
-// with the same arguments, same trap positions, same hang boundaries,
-// same snapshots — plus pooled-state hygiene (a recycled frame must be
-// indistinguishable from a fresh one).
+// Engine-vs-reference parity tests: the interpreter must be
+// observationally identical to the naive reference evaluator
+// (internal/refinterp) — same results, the same register-write trace
+// (also under an injected bit flip), the same trap positions, the same
+// hang boundaries and the same errors for broken modules — and a
+// resumed snapshot must finish exactly like the reference run. The
+// pool tests pin that a recycled frame is indistinguishable from a
+// fresh one.
 
 package interp
 
@@ -14,147 +17,106 @@ import (
 	"trident/internal/decoded"
 	"trident/internal/ir"
 	"trident/internal/progs"
+	"trident/internal/refinterp"
 )
 
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"", EngineLegacy, true},
-		{"legacy", EngineLegacy, true},
-		{"decoded", EngineDecoded, true},
-		{"turbo", "", false},
-	}
-	for _, c := range cases {
-		got, err := ParseEngine(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseEngine(%q) succeeded, want error", c.in)
-		}
-	}
-	if len(Engines()) != 2 {
-		t.Errorf("Engines() = %v, want two engines", Engines())
-	}
+// flipper corrupts one dynamic result (the fault-injection usage of
+// OnResult) and records every register write as "pos bits".
+type flipper struct {
+	flipAt   uint64 // 1-based register-write index to corrupt, 0 = never
+	flipMask uint64
+	writes   []string
 }
 
-// hookTrace records every hook invocation as a comparable string,
-// optionally flipping a bit in one dynamic result (the fault-injection
-// usage pattern).
-type hookTrace struct {
-	events     []string
-	flipAt     uint64 // 1-based DynResults index to corrupt, 0 = never
-	flipMask   uint64
-	numResults uint64
-}
-
-func (h *hookTrace) hooks() Hooks {
-	return Hooks{
-		OnResult: func(ctx *Context, in *ir.Instr, bits uint64) uint64 {
-			h.numResults++
-			if h.numResults == h.flipAt {
-				bits ^= h.flipMask
-			}
-			h.events = append(h.events, fmt.Sprintf("result %s %#x d=%d r=%d", in.Pos(), bits, ctx.DynCount, ctx.DynResults))
-			return bits
-		},
-		OnBranch: func(ctx *Context, in *ir.Instr, taken int) {
-			h.events = append(h.events, fmt.Sprintf("branch %s %d d=%d", in.Pos(), taken, ctx.DynCount))
-		},
-		OnBinary: func(ctx *Context, in *ir.Instr, lhs, rhs uint64) {
-			h.events = append(h.events, fmt.Sprintf("binary %s %#x %#x", in.Pos(), lhs, rhs))
-		},
-		OnLoad: func(ctx *Context, in *ir.Instr, addr, bits uint64) {
-			h.events = append(h.events, fmt.Sprintf("load %s %#x %#x", in.Pos(), addr, bits))
-		},
-		OnStore: func(ctx *Context, in *ir.Instr, addr, bits uint64) {
-			h.events = append(h.events, fmt.Sprintf("store %s %#x %#x", in.Pos(), addr, bits))
-		},
-		OnPrint: func(ctx *Context, in *ir.Instr, line string) {
-			h.events = append(h.events, fmt.Sprintf("print %s %q", in.Pos(), line))
-		},
+func (f *flipper) onResult(in *ir.Instr, bits uint64) uint64 {
+	if uint64(len(f.writes))+1 == f.flipAt {
+		bits ^= f.flipMask
 	}
+	f.writes = append(f.writes, fmt.Sprintf("%s %#x", in.Pos(), bits))
+	return bits
 }
 
-// runBoth executes m under both engines with identical options and
-// fails the test on any observable difference. It returns the legacy
-// result for further checks.
-func runBoth(t *testing.T, m *ir.Module, opts Options, flipAt, flipMask uint64) (*Result, error) {
+// runWithReference executes m on the interpreter and on the reference
+// evaluator with the same budget and injected flip, and fails the test
+// on any observable difference. It returns the interpreter's result.
+func runWithReference(t *testing.T, m *ir.Module, opts Options, flipAt, flipMask uint64) (*Result, error) {
 	t.Helper()
-	traces := make([]*hookTrace, 2)
-	results := make([]*Result, 2)
-	errs := make([]error, 2)
-	for i, eng := range []Engine{EngineLegacy, EngineDecoded} {
-		h := &hookTrace{flipAt: flipAt, flipMask: flipMask}
-		o := opts
-		o.Engine = eng
-		o.Hooks = h.hooks()
-		results[i], errs[i] = Run(m, o)
-		traces[i] = h
+	got := &flipper{flipAt: flipAt, flipMask: flipMask}
+	want := &flipper{flipAt: flipAt, flipMask: flipMask}
+	opts.Hooks.OnResult = func(_ *Context, in *ir.Instr, bits uint64) uint64 {
+		return got.onResult(in, bits)
 	}
-	if (errs[0] == nil) != (errs[1] == nil) {
-		t.Fatalf("error divergence: legacy=%v decoded=%v", errs[0], errs[1])
+	res, err := Run(m, opts)
+	ref, refErr := refinterp.Run(m, refinterp.Options{
+		MaxDynInstrs: opts.MaxDynInstrs,
+		MaxCallDepth: opts.MaxCallDepth,
+		OnResult:     want.onResult,
+	})
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("error divergence: interp=%v refinterp=%v", err, refErr)
 	}
-	if errs[0] != nil && errs[0].Error() != errs[1].Error() {
-		t.Fatalf("error text divergence:\n  legacy:  %v\n  decoded: %v", errs[0], errs[1])
+	if err != nil {
+		g := strings.TrimPrefix(err.Error(), "interp: ")
+		w := strings.TrimPrefix(refErr.Error(), "refinterp: ")
+		if g != w {
+			t.Fatalf("error text divergence:\n  interp:    %v\n  refinterp: %v", err, refErr)
+		}
+		return nil, err
 	}
-	if errs[0] != nil {
-		return nil, errs[0]
+	compareWithReference(t, res, ref)
+	if len(got.writes) != len(want.writes) {
+		t.Fatalf("register writes: interp=%d refinterp=%d", len(got.writes), len(want.writes))
 	}
-	compareResultsT(t, results[0], results[1])
-	if len(traces[0].events) != len(traces[1].events) {
-		t.Fatalf("hook event count: legacy=%d decoded=%d", len(traces[0].events), len(traces[1].events))
-	}
-	for i := range traces[0].events {
-		if traces[0].events[i] != traces[1].events[i] {
-			t.Fatalf("hook event %d diverges:\n  legacy:  %s\n  decoded: %s",
-				i, traces[0].events[i], traces[1].events[i])
+	for i := range got.writes {
+		if got.writes[i] != want.writes[i] {
+			t.Fatalf("register write %d diverges:\n  interp:    %s\n  refinterp: %s",
+				i, got.writes[i], want.writes[i])
 		}
 	}
-	return results[0], nil
+	return res, nil
 }
 
-func compareResultsT(t *testing.T, a, b *Result) {
+// compareWithReference fails the test unless every result observable
+// matches the reference evaluator's.
+func compareWithReference(t *testing.T, got *Result, want *refinterp.Result) {
 	t.Helper()
-	if a.Outcome != b.Outcome {
-		t.Fatalf("outcome: legacy=%v decoded=%v", a.Outcome, b.Outcome)
+	if got.Outcome.String() != want.Outcome.String() {
+		t.Fatalf("outcome: interp=%v refinterp=%v", got.Outcome, want.Outcome)
 	}
-	if a.Output != b.Output {
-		t.Fatalf("output diverges:\n  legacy:  %q\n  decoded: %q", a.Output, b.Output)
+	if got.Output != want.Output {
+		t.Fatalf("output diverges:\n  interp:    %q\n  refinterp: %q", got.Output, want.Output)
 	}
-	if a.OutputLines != b.OutputLines {
-		t.Fatalf("output lines: legacy=%d decoded=%d", a.OutputLines, b.OutputLines)
+	if got.OutputLines != want.OutputLines {
+		t.Fatalf("output lines: interp=%d refinterp=%d", got.OutputLines, want.OutputLines)
 	}
-	if a.DynInstrs != b.DynInstrs {
-		t.Fatalf("dyn instrs: legacy=%d decoded=%d", a.DynInstrs, b.DynInstrs)
+	if got.DynInstrs != want.DynInstrs {
+		t.Fatalf("dyn instrs: interp=%d refinterp=%d", got.DynInstrs, want.DynInstrs)
 	}
-	if a.DynResults != b.DynResults {
-		t.Fatalf("dyn results: legacy=%d decoded=%d", a.DynResults, b.DynResults)
+	if got.DynResults != want.DynResults {
+		t.Fatalf("dyn results: interp=%d refinterp=%d", got.DynResults, want.DynResults)
 	}
-	if a.PeakMemBytes != b.PeakMemBytes {
-		t.Fatalf("peak mem: legacy=%d decoded=%d", a.PeakMemBytes, b.PeakMemBytes)
+	if got.PeakMemBytes != want.PeakMemBytes {
+		t.Fatalf("peak mem: interp=%d refinterp=%d", got.PeakMemBytes, want.PeakMemBytes)
 	}
-	if (a.Trap == nil) != (b.Trap == nil) {
-		t.Fatalf("trap presence: legacy=%v decoded=%v", a.Trap, b.Trap)
+	if (got.Trap == nil) != (want.Trap == nil) {
+		t.Fatalf("trap presence: interp=%v refinterp=%v", got.Trap, want.Trap)
 	}
-	if a.Trap != nil {
-		if a.Trap.Kind != b.Trap.Kind || a.Trap.Instr != b.Trap.Instr || a.Trap.Addr != b.Trap.Addr {
-			t.Fatalf("trap diverges: legacy=%v decoded=%v", a.Trap, b.Trap)
+	if got.Trap != nil {
+		if got.Trap.Kind.String() != want.Trap.Kind.String() ||
+			got.Trap.Instr != want.Trap.Instr || got.Trap.Addr != want.Trap.Addr {
+			t.Fatalf("trap diverges: interp=%v refinterp=%v", got.Trap, want.Trap)
 		}
 	}
 }
 
-// TestEngineParityKernels runs every benchmark kernel under both
-// engines with full hook observation and requires bit-identical
-// behavior.
+// TestEngineParityKernels runs every benchmark kernel on the
+// interpreter and the reference evaluator and requires bit-identical
+// behavior, register-write trace included.
 func TestEngineParityKernels(t *testing.T) {
 	for _, p := range progs.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			m := p.Build()
-			if _, err := runBoth(t, m, Options{}, 0, 0); err != nil {
+			if _, err := runWithReference(t, m, Options{}, 0, 0); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 		})
@@ -162,8 +124,8 @@ func TestEngineParityKernels(t *testing.T) {
 }
 
 // TestEngineParityInjected corrupts one dynamic result mid-run (the
-// fault-injection usage of OnResult) and requires both engines to
-// propagate the corruption identically.
+// fault-injection usage of OnResult) and requires the interpreter and
+// the reference evaluator to propagate the corruption identically.
 func TestEngineParityInjected(t *testing.T) {
 	for _, p := range progs.All() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -179,7 +141,7 @@ func TestEngineParityInjected(t *testing.T) {
 				if at == 0 {
 					continue
 				}
-				runBoth(t, m, Options{}, at, 1<<7)
+				runWithReference(t, m, Options{}, at, 1<<7)
 			}
 		})
 	}
@@ -325,14 +287,15 @@ entry:
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
 			m := mustParse(t, src)
-			runBoth(t, m, Options{}, 0, 0)
+			runWithReference(t, m, Options{}, 0, 0)
 		})
 	}
 }
 
 // TestEngineParityHangBoundary sweeps the instruction budget through a
-// phi prologue and requires both engines to report the same DynInstrs
-// at every cutoff — the count-before-execute contract.
+// phi prologue and requires the interpreter to report the reference
+// evaluator's DynInstrs at every cutoff — the count-before-execute
+// contract.
 func TestEngineParityHangBoundary(t *testing.T) {
 	m := mustParse(t, `
 module "hb"
@@ -352,7 +315,7 @@ done:
 }`)
 	for budget := uint64(1); budget <= 24; budget++ {
 		opts := Options{MaxDynInstrs: budget}
-		res, err := runBoth(t, m, opts, 0, 0)
+		res, err := runWithReference(t, m, opts, 0, 0)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -362,47 +325,44 @@ done:
 	}
 }
 
-// TestEngineSnapshotCrossResume captures snapshots under each engine
-// and resumes each snapshot under both engines; all four combinations
-// must finish identically to the uninterrupted run.
+// TestEngineSnapshotCrossResume captures snapshots across a kernel run,
+// resumes each one, and cross-checks every resumed run against the
+// reference evaluator's uninterrupted run.
 func TestEngineSnapshotCrossResume(t *testing.T) {
 	p, err := progs.ByName("pathfinder")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := p.Build()
-	golden, err := Run(m, Options{})
+	ref, err := refinterp.Run(m, refinterp.Options{})
 	if err != nil {
-		t.Fatalf("golden: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
-	for _, capEng := range Engines() {
-		var snaps []*Snapshot
-		_, err := Run(m, Options{
-			Engine:           capEng,
-			SnapshotInterval: golden.DynInstrs / 4,
-			OnSnapshot:       func(s *Snapshot) { snaps = append(snaps, s) },
-		})
+	var snaps []*Snapshot
+	res, err := Run(m, Options{
+		SnapshotInterval: ref.DynInstrs / 4,
+		OnSnapshot:       func(s *Snapshot) { snaps = append(snaps, s) },
+	})
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	compareWithReference(t, res, ref)
+	if len(snaps) == 0 {
+		t.Fatal("capture: no snapshots")
+	}
+	for i, s := range snaps {
+		res, err := Resume(s, Options{})
 		if err != nil {
-			t.Fatalf("capture under %s: %v", capEng, err)
+			t.Fatalf("snap %d: %v", i, err)
 		}
-		if len(snaps) == 0 {
-			t.Fatalf("capture under %s: no snapshots", capEng)
-		}
-		for _, resEng := range Engines() {
-			for i, s := range snaps {
-				res, err := Resume(s, Options{Engine: resEng})
-				if err != nil {
-					t.Fatalf("cap=%s res=%s snap %d: %v", capEng, resEng, i, err)
-				}
-				compareResultsT(t, golden, res)
-			}
-		}
+		compareWithReference(t, res, ref)
 	}
 }
 
 // TestEngineParityBrokenModules exercises the decoded lowering's
 // runtime-error markers: constructs Verify rejects but execution must
-// tolerate, where both engines must report the same error.
+// tolerate, where the interpreter must report the reference
+// evaluator's error.
 func TestEngineParityBrokenModules(t *testing.T) {
 	// A phi in the entry block: reached via the entry pseudo-edge, it has
 	// no incoming for "<entry>".
@@ -414,14 +374,12 @@ func TestEngineParityBrokenModules(t *testing.T) {
 		&ir.Instr{Op: ir.OpRet, Block: entry})
 	fn.Renumber()
 
-	for _, eng := range Engines() {
-		_, err := Run(m, Options{Engine: eng})
-		if err == nil || !strings.Contains(err.Error(), "no incoming for block <entry>") {
-			t.Errorf("%s: err = %v, want entry-phi error", eng, err)
-		}
+	_, err := runWithReference(t, m, Options{}, 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "no incoming for block <entry>") {
+		t.Errorf("err = %v, want entry-phi error", err)
 	}
 
-	// A mid-block phi is "cannot execute" on both engines.
+	// A mid-block phi cannot execute.
 	m2 := &ir.Module{Name: "bad-mid-phi"}
 	fn2 := m2.NewFunc("main", ir.Void)
 	e2 := fn2.NewBlock("entry")
@@ -432,11 +390,9 @@ func TestEngineParityBrokenModules(t *testing.T) {
 		&ir.Instr{Op: ir.OpRet, Block: e2})
 	fn2.Renumber()
 
-	for _, eng := range Engines() {
-		_, err := Run(m2, Options{Engine: eng})
-		if err == nil || !strings.Contains(err.Error(), "cannot execute phi") {
-			t.Errorf("%s: err = %v, want cannot-execute-phi error", eng, err)
-		}
+	_, err = runWithReference(t, m2, Options{}, 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "cannot execute phi") {
+		t.Errorf("err = %v, want cannot-execute-phi error", err)
 	}
 }
 
@@ -460,13 +416,12 @@ entry:
 	prog := decoded.Compile(m)
 	df := prog.ByFunc[m.Func("f")]
 
-	fr := &dframe{
+	fr := &frame{
 		regs:    []uint64{0xdead, 0xbeef, 0xcafe},
 		params:  []uint64{7, 8, 9},
 		scratch: []uint64{1},
 		allocas: []*Segment{{Base: 1}},
 		blk:     &decoded.Block{},
-		prev:    &ir.Block{},
 		dip:     42,
 	}
 	fr.prepare(df)
@@ -474,8 +429,8 @@ entry:
 	if fr.fn != df {
 		t.Errorf("fn not set")
 	}
-	if fr.blk != nil || fr.prev != nil || fr.dip != 0 {
-		t.Errorf("position state not reset: blk=%v prev=%v dip=%d", fr.blk, fr.prev, fr.dip)
+	if fr.blk != nil || fr.dip != 0 {
+		t.Errorf("position state not reset: blk=%v dip=%d", fr.blk, fr.dip)
 	}
 	if len(fr.regs) != df.NumRegs {
 		t.Fatalf("regs len = %d, want %d", len(fr.regs), df.NumRegs)
@@ -502,8 +457,8 @@ entry:
 	fr.blk = &decoded.Block{}
 	fr.allocas = append(fr.allocas, &Segment{})
 	releaseFrame(fr)
-	if fr.fn != nil || fr.blk != nil || fr.prev != nil {
-		t.Errorf("releaseFrame retained references: fn=%v blk=%v prev=%v", fr.fn, fr.blk, fr.prev)
+	if fr.fn != nil || fr.blk != nil {
+		t.Errorf("releaseFrame retained references: fn=%v blk=%v", fr.fn, fr.blk)
 	}
 	if !fr.reused {
 		t.Errorf("releaseFrame did not mark frame as pooled")
@@ -531,7 +486,7 @@ entry:
 }`)
 	prog := decoded.Compile(m)
 	df := prog.ByFunc[m.Func("big")]
-	fr := &dframe{regs: []uint64{0xff}, params: []uint64{0xee}}
+	fr := &frame{regs: []uint64{0xff}, params: []uint64{0xee}}
 	fr.prepare(df)
 	if len(fr.regs) != df.NumRegs || len(fr.params) != df.NumParams {
 		t.Fatalf("prepare did not grow: regs=%d params=%d", len(fr.regs), len(fr.params))
@@ -553,27 +508,27 @@ func TestDecodedRepeatedRuns(t *testing.T) {
 	}
 	m := p.Build()
 	prog := decoded.Compile(m)
-	golden, err := Run(m, Options{})
+	golden, err := refinterp.Run(m, refinterp.Options{})
 	if err != nil {
-		t.Fatalf("golden: %v", err)
+		t.Fatalf("reference: %v", err)
 	}
 	for i := 0; i < 8; i++ {
-		res, err := Run(m, Options{Engine: EngineDecoded, Decoded: prog})
+		res, err := Run(m, Options{Decoded: prog})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		compareResultsT(t, golden, res)
+		compareWithReference(t, res, golden)
 	}
 	t.Run("parallel", func(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			t.Run(fmt.Sprintf("worker%d", i), func(t *testing.T) {
 				t.Parallel()
 				for j := 0; j < 4; j++ {
-					res, err := Run(m, Options{Engine: EngineDecoded, Decoded: prog})
+					res, err := Run(m, Options{Decoded: prog})
 					if err != nil {
 						t.Fatalf("run %d: %v", j, err)
 					}
-					compareResultsT(t, golden, res)
+					compareWithReference(t, res, golden)
 				}
 			})
 		}

@@ -13,43 +13,6 @@ import (
 	"trident/internal/telemetry"
 )
 
-// Engine selects the execution engine behind Run and Resume. Both
-// engines implement the identical observable contract — hooks, traps,
-// counters, snapshots, output — and the crosscheck suite holds them to
-// it bit for bit; they differ only in speed.
-type Engine string
-
-// Engines.
-const (
-	// EngineLegacy is the tree-walking explicit-frame machine that
-	// decodes operands on every dispatch. The zero Engine value selects
-	// it.
-	EngineLegacy Engine = "legacy"
-	// EngineDecoded executes pre-decoded instruction streams
-	// (internal/decoded) with pooled frames: operands are pre-resolved
-	// slots, phi prologues are pre-grouped per CFG edge, and activation
-	// frames are reused across runs. Campaign engines use it for
-	// throughput.
-	EngineDecoded Engine = "decoded"
-)
-
-// ParseEngine maps a command-line engine name to an Engine. The empty
-// string selects the legacy default.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", string(EngineLegacy):
-		return EngineLegacy, nil
-	case string(EngineDecoded):
-		return EngineDecoded, nil
-	default:
-		return "", fmt.Errorf("interp: unknown engine %q (valid: legacy, decoded)", s)
-	}
-}
-
-// Engines lists every execution engine, for harnesses that sweep all of
-// them.
-func Engines() []Engine { return []Engine{EngineLegacy, EngineDecoded} }
-
 // InternalError reports an interpreter-internal failure — an engine bug or
 // malformed IR reaching execution — as an ordinary error value instead of
 // a process-killing panic. It is distinct from program-level traps: a trap
@@ -216,14 +179,12 @@ type Options struct {
 	// execution. Nil disables all recording. See OBSERVABILITY.md for the
 	// metric reference.
 	Metrics *telemetry.Registry
-	// Engine selects the execution engine. The zero value is
-	// EngineLegacy.
-	Engine Engine
 	// Decoded, when non-nil and compiled from the module being run, is
-	// the pre-lowered program the decoded engine executes, letting
-	// campaign engines pay the lowering cost once per module instead of
-	// once per trial. When nil (or compiled from a different module) the
-	// decoded engine lowers on the fly. Ignored by the legacy engine.
+	// the pre-lowered program Run executes, letting campaign engines pay
+	// the lowering cost once per module instead of once per trial. When
+	// nil (or compiled from a different module) Run lowers on the fly.
+	// Resume ignores it: a snapshot resumes on the program it was
+	// captured from.
 	Decoded *decoded.Program
 }
 
@@ -271,9 +232,6 @@ type Result struct {
 
 // Run executes m's main function under the given options.
 func Run(m *ir.Module, opts Options) (*Result, error) {
-	if opts.Engine == EngineDecoded {
-		return runDecoded(m, opts)
-	}
 	start := metricsStart(opts.Metrics)
 	main := m.Func("main")
 	if main == nil {
@@ -283,6 +241,7 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("interp: main must take no parameters")
 	}
 	applyDefaults(&opts)
+	prog := decodedProgram(m, opts)
 
 	ctx := &Context{Mem: NewMemory(), opts: opts}
 	globals, err := initGlobals(ctx, m)
@@ -290,16 +249,16 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	vm := newMachine(ctx, globals)
-	_, err = vm.runSafe(main)
-	res, err := finishRun(ctx, err)
+	vm := newMachine(ctx, prog, globals)
+	res, err := finishRun(ctx, vm.run(prog.ByFunc[main]))
+	vm.flushPoolMetrics(opts.Metrics)
 	recordRun(opts.Metrics, start, 0, ctx, res, err)
 	return res, err
 }
 
 // initGlobals allocates and initializes the module's globals, returning
-// their base addresses as a dense table indexed by ir.Global.Slot. Both
-// engines resolve a global operand with one slice index into it, so the
+// their base addresses as a dense table indexed by ir.Global.Slot. The
+// machine resolves a global operand with one slice index into it, so the
 // table's order must match the slots AddGlobal assigned.
 func initGlobals(ctx *Context, m *ir.Module) ([]uint64, error) {
 	globals := make([]uint64, len(m.Globals))
@@ -327,21 +286,6 @@ func applyDefaults(opts *Options) {
 	if opts.MaxCallDepth == 0 {
 		opts.MaxCallDepth = defaultMaxCallDepth
 	}
-}
-
-// newMachine wires a machine to its context, including cancellation and
-// snapshot configuration from the context's options.
-func newMachine(ctx *Context, globals []uint64) *machine {
-	vm := &machine{ctx: ctx, globals: globals}
-	if c := ctx.opts.Context; c != nil {
-		vm.cancelCtx = c
-		vm.cancel = c.Done()
-	}
-	if ctx.opts.SnapshotInterval > 0 && ctx.opts.OnSnapshot != nil {
-		vm.snapEvery = ctx.opts.SnapshotInterval
-		vm.nextSnap = ctx.DynCount + vm.snapEvery
-	}
-	return vm
 }
 
 // finishRun classifies the execution error into a Result.
@@ -373,62 +317,8 @@ func finishRun(ctx *Context, err error) (*Result, error) {
 	return res, nil
 }
 
-// machine executes IR against a shared context. Unlike a conventional
-// tree-walking interpreter, activation frames live on an explicit heap
-// stack rather than the Go call stack: the complete execution state —
-// frames, registers, memory, program position, counters — is a plain data
-// structure, which is what makes Snapshot/Resume possible.
-type machine struct {
-	ctx *Context
-	// globals holds each global's base address at its ir.Global.Slot
-	// index — a dense table, so operand resolution is a slice index
-	// rather than a pointer-keyed map lookup.
-	globals []uint64
-	frames  []*frame
-
-	// cancelCtx/cancel mirror Options.Context for the cooperative
-	// cancellation checks in the instruction loop (nil = never cancelled).
-	cancelCtx context.Context
-	cancel    <-chan struct{}
-
-	// snapEvery/nextSnap drive periodic snapshot capture (0 = disabled).
-	snapEvery uint64
-	nextSnap  uint64
-}
-
-// runSafe pushes main and drives the loop behind a panic barrier: any
-// panic escaping the instruction loop — an explicit engine assertion or an
-// implicit runtime fault such as an out-of-range slice index — is
-// converted into a typed *InternalError so one bad trial cannot take down
-// a whole campaign process.
-func (vm *machine) runSafe(main *ir.Func) (bits uint64, err error) {
-	defer recoverInternal(&err)
-	if perr := vm.push(main, nil); perr != nil {
-		vm.unwind()
-		return 0, perr
-	}
-	ret, lerr := vm.loop()
-	if lerr != nil {
-		vm.unwind()
-		return 0, lerr
-	}
-	return ret, nil
-}
-
-// resumeSafe drives the loop of an already-populated frame stack (Resume)
-// behind the same panic barrier as runSafe.
-func (vm *machine) resumeSafe() (bits uint64, err error) {
-	defer recoverInternal(&err)
-	ret, lerr := vm.loop()
-	if lerr != nil {
-		vm.unwind()
-		return 0, lerr
-	}
-	return ret, nil
-}
-
 // recoverInternal converts an escaping panic into a typed
-// *InternalError. Both engines defer it around their dispatch loops.
+// *InternalError. The machine defers it around its dispatch loop.
 func recoverInternal(err *error) {
 	r := recover()
 	if r == nil {
@@ -443,335 +333,5 @@ func recoverInternal(err *error) {
 		Msg:       fmt.Sprintf("interp: internal panic: %v", r),
 		Recovered: r,
 		Stack:     string(debug.Stack()),
-	}
-}
-
-// frame is one function activation. ip indexes the next instruction to
-// dispatch within block; for every frame below the top of the stack it
-// indexes the call instruction awaiting its callee's return value.
-type frame struct {
-	fn      *ir.Func
-	regs    []uint64
-	params  []uint64
-	allocas []*Segment
-	block   *ir.Block
-	prev    *ir.Block
-	ip      int
-	// scratch is the frame-resident phi staging buffer, grown to the
-	// largest prologue entered so far — block entry reuses it instead of
-	// allocating per entry, which on phi-heavy loops is an allocation
-	// per iteration.
-	scratch []uint64
-}
-
-// push creates and enters a new activation for fn, running the entry
-// block's phi prologue (entry blocks of verified modules have none).
-func (vm *machine) push(fn *ir.Func, args []uint64) error {
-	ctx := vm.ctx
-	if ctx.depth >= ctx.opts.MaxCallDepth {
-		return &Trap{Kind: TrapStackOverflow, Instr: fn.Entry().Instrs[0]}
-	}
-	ctx.depth++
-	fr := &frame{fn: fn, regs: make([]uint64, fn.NumInstrs()), params: args, block: fn.Entry()}
-	vm.frames = append(vm.frames, fr)
-	return vm.enterBlock(fr)
-}
-
-// pop releases the top frame's allocas and removes it from the stack.
-func (vm *machine) pop() {
-	fr := vm.frames[len(vm.frames)-1]
-	for _, seg := range fr.allocas {
-		vm.ctx.Mem.Release(seg)
-	}
-	vm.frames[len(vm.frames)-1] = nil
-	vm.frames = vm.frames[:len(vm.frames)-1]
-	vm.ctx.depth--
-}
-
-// unwind pops every remaining frame after an error terminates the loop,
-// releasing their allocas.
-func (vm *machine) unwind() {
-	for len(vm.frames) > 0 {
-		vm.pop()
-	}
-}
-
-// enterBlock runs fr's current block's phi prologue and positions ip at
-// the first non-phi instruction. Phis evaluate simultaneously on block
-// entry.
-func (vm *machine) enterBlock(fr *frame) error {
-	block := fr.block
-	nPhi := 0
-	for _, in := range block.Instrs {
-		if in.Op != ir.OpPhi {
-			break
-		}
-		nPhi++
-	}
-	if nPhi > 0 {
-		prev := fr.prev
-		if cap(fr.scratch) < nPhi {
-			fr.scratch = make([]uint64, nPhi)
-		}
-		vals := fr.scratch[:nPhi]
-		for i := 0; i < nPhi; i++ {
-			in := block.Instrs[i]
-			found := false
-			for j, pb := range in.PhiBlocks {
-				if pb == prev {
-					vals[i] = vm.eval(fr, in.Operands[j])
-					found = true
-					break
-				}
-			}
-			if !found {
-				prevName := "<entry>"
-				if prev != nil {
-					prevName = prev.Name
-				}
-				return fmt.Errorf("interp: phi %s has no incoming for block %s",
-					in.Pos(), prevName)
-			}
-		}
-		for i := 0; i < nPhi; i++ {
-			in := block.Instrs[i]
-			if err := vm.finishResult(fr, in, vals[i]); err != nil {
-				return err
-			}
-		}
-	}
-	fr.ip = nPhi
-	return nil
-}
-
-// eval resolves an operand to its bit pattern in the current frame.
-func (vm *machine) eval(fr *frame, v ir.Value) uint64 {
-	switch x := v.(type) {
-	case *ir.Const:
-		return x.Bits
-	case *ir.Instr:
-		return fr.regs[x.ID]
-	case *ir.Param:
-		return fr.params[x.Index]
-	case *ir.Global:
-		return vm.globals[x.Slot]
-	default:
-		// A value kind the machine does not know is an engine bug, not a
-		// program behavior. eval has no error return (it sits on the hot
-		// path of every operand); raise a typed error through the panic
-		// barrier in runSafe, which surfaces it as Run's error.
-		panic(&InternalError{Msg: fmt.Sprintf("interp: unknown value kind %T", v)})
-	}
-}
-
-// loop is the instruction dispatch loop. It runs the top frame until the
-// program returns from main or fails; calls push frames and returns pop
-// them, all without growing the Go call stack.
-func (vm *machine) loop() (uint64, error) {
-	ctx := vm.ctx
-	fr := vm.frames[len(vm.frames)-1]
-	for {
-		if fr.ip >= len(fr.block.Instrs) {
-			return 0, fmt.Errorf("interp: fell off end of block in %s", fr.fn.Name)
-		}
-		in := fr.block.Instrs[fr.ip]
-		if vm.snapEvery != 0 && ctx.DynCount >= vm.nextSnap {
-			vm.takeSnapshot()
-		}
-		ctx.DynCount++
-		if ctx.DynCount > ctx.opts.MaxDynInstrs {
-			return 0, errHang
-		}
-		if vm.cancel != nil && ctx.DynCount&(cancelCheckInterval-1) == 0 {
-			select {
-			case <-vm.cancel:
-				return 0, fmt.Errorf("interp: run cancelled after %d instructions: %w",
-					ctx.DynCount, vm.cancelCtx.Err())
-			default:
-			}
-		}
-		if w := ctx.opts.TraceWriter; w != nil {
-			fmt.Fprintf(w, "%8d %-24s %s\n", ctx.DynCount, in.Pos(), ir.FormatInstr(in))
-		}
-		switch in.Op {
-		case ir.OpBr:
-			if h := ctx.opts.Hooks.OnBranch; h != nil {
-				h(ctx, in, 0)
-			}
-			fr.prev, fr.block = fr.block, in.Targets[0]
-			if err := vm.enterBlock(fr); err != nil {
-				return 0, err
-			}
-		case ir.OpCondBr:
-			cond := vm.eval(fr, in.Operands[0]) & 1
-			taken := 1 // false edge
-			if cond != 0 {
-				taken = 0
-			}
-			if h := ctx.opts.Hooks.OnBranch; h != nil {
-				h(ctx, in, taken)
-			}
-			fr.prev, fr.block = fr.block, in.Targets[taken]
-			if err := vm.enterBlock(fr); err != nil {
-				return 0, err
-			}
-		case ir.OpRet:
-			var ret uint64
-			if len(in.Operands) == 1 {
-				ret = vm.eval(fr, in.Operands[0])
-			}
-			vm.pop()
-			if len(vm.frames) == 0 {
-				return ret, nil
-			}
-			fr = vm.frames[len(vm.frames)-1]
-			// The caller is suspended at its call instruction; deliver the
-			// return value as that instruction's result and step past it.
-			if err := vm.finishResult(fr, fr.block.Instrs[fr.ip], ret); err != nil {
-				return 0, err
-			}
-			fr.ip++
-		case ir.OpCall:
-			args := make([]uint64, len(in.Operands))
-			for i, a := range in.Operands {
-				args[i] = vm.eval(fr, a)
-			}
-			if err := vm.push(in.Callee, args); err != nil {
-				return 0, err
-			}
-			fr = vm.frames[len(vm.frames)-1]
-		case ir.OpStore:
-			bits := vm.eval(fr, in.Operands[0])
-			addr := vm.eval(fr, in.Operands[1])
-			if !ctx.Mem.Store(in.Elem, addr, bits) {
-				return 0, &Trap{Kind: TrapOOBStore, Instr: in, Addr: addr}
-			}
-			if h := ctx.opts.Hooks.OnStore; h != nil {
-				h(ctx, in, addr, bits)
-			}
-			fr.ip++
-		case ir.OpCheck:
-			a := vm.eval(fr, in.Operands[0])
-			b := vm.eval(fr, in.Operands[1])
-			if a != b {
-				return 0, &Trap{Kind: TrapDetected, Instr: in}
-			}
-			fr.ip++
-		case ir.OpPrint:
-			bits := vm.eval(fr, in.Operands[0])
-			line := ir.FormatValue(in.Operands[0].ValueType(), bits, in.Format)
-			ctx.output.WriteString(line)
-			ctx.output.WriteByte('\n')
-			ctx.lines++
-			if h := ctx.opts.Hooks.OnPrint; h != nil {
-				h(ctx, in, line)
-			}
-			fr.ip++
-		default:
-			bits, err := vm.compute(fr, in)
-			if err != nil {
-				return 0, err
-			}
-			if err := vm.finishResult(fr, in, bits); err != nil {
-				return 0, err
-			}
-			fr.ip++
-		}
-	}
-}
-
-// finishResult truncates, offers the result to the fault-injection hook,
-// counts it, and writes the register.
-func (vm *machine) finishResult(fr *frame, in *ir.Instr, bits uint64) error {
-	ctx := vm.ctx
-	if in.Op == ir.OpPhi {
-		// Phis execute as part of block entry; they still count as dynamic
-		// register writes (LLFI injects into them too).
-		ctx.DynCount++
-		if ctx.DynCount > ctx.opts.MaxDynInstrs {
-			return errHang
-		}
-	}
-	if !in.HasResult() {
-		return nil
-	}
-	bits = ir.TruncateToWidth(bits, in.Type.Bits())
-	ctx.DynResults++
-	if h := ctx.opts.Hooks.OnResult; h != nil {
-		bits = ir.TruncateToWidth(h(ctx, in, bits), in.Type.Bits())
-	}
-	fr.regs[in.ID] = bits
-	return nil
-}
-
-// compute evaluates a non-control, non-memory-write instruction.
-func (vm *machine) compute(fr *frame, in *ir.Instr) (uint64, error) {
-	ctx := vm.ctx
-	switch in.Op {
-	case ir.OpAlloca:
-		seg := ctx.Mem.Allocate("alloca", uint64(in.Count*in.Elem.Bytes()))
-		fr.allocas = append(fr.allocas, seg)
-		return seg.Base, nil
-	case ir.OpLoad:
-		addr := vm.eval(fr, in.Operands[0])
-		bits, ok := ctx.Mem.Load(in.Elem, addr)
-		if !ok {
-			return 0, &Trap{Kind: TrapOOBLoad, Instr: in, Addr: addr}
-		}
-		if h := ctx.opts.Hooks.OnLoad; h != nil {
-			h(ctx, in, addr, bits)
-		}
-		return bits, nil
-	case ir.OpGep:
-		base := vm.eval(fr, in.Operands[0])
-		idxOp := in.Operands[1]
-		idx := ir.SignExtend(vm.eval(fr, idxOp), idxOp.ValueType().Bits())
-		return base + uint64(idx*int64(in.Elem.Bytes())), nil
-	case ir.OpSelect:
-		if vm.eval(fr, in.Operands[0])&1 != 0 {
-			return vm.eval(fr, in.Operands[1]), nil
-		}
-		return vm.eval(fr, in.Operands[2]), nil
-	case ir.OpIntrinsic:
-		args := make([]float64, len(in.Operands))
-		var rawLHS, rawRHS uint64
-		for i, a := range in.Operands {
-			raw := vm.eval(fr, a)
-			if i == 0 {
-				rawLHS = raw
-			} else {
-				rawRHS = raw
-			}
-			args[i] = ir.FloatFromBits(a.ValueType(), raw)
-		}
-		if h := ctx.opts.Hooks.OnBinary; h != nil {
-			h(ctx, in, rawLHS, rawRHS)
-		}
-		return ir.FloatToBits(in.Type, evalIntrinsic(in.Intr, args)), nil
-	default:
-		switch {
-		case in.Op.IsBinary():
-			lhs := vm.eval(fr, in.Operands[0])
-			rhs := vm.eval(fr, in.Operands[1])
-			if h := ctx.opts.Hooks.OnBinary; h != nil {
-				h(ctx, in, lhs, rhs)
-			}
-			bits, ok := evalBinary(in.Op, in.Operands[0].ValueType(), lhs, rhs)
-			if !ok {
-				return 0, &Trap{Kind: TrapDivZero, Instr: in}
-			}
-			return bits, nil
-		case in.Op.IsCmp():
-			lhs := vm.eval(fr, in.Operands[0])
-			rhs := vm.eval(fr, in.Operands[1])
-			if h := ctx.opts.Hooks.OnBinary; h != nil {
-				h(ctx, in, lhs, rhs)
-			}
-			return evalCmp(in.Pred, in.Operands[0].ValueType(), lhs, rhs), nil
-		case in.Op.IsCast():
-			src := vm.eval(fr, in.Operands[0])
-			return evalCast(in.Op, in.Operands[0].ValueType(), in.Type, src), nil
-		}
-		return 0, fmt.Errorf("interp: cannot execute %s at %s", in.Op, in.Pos())
 	}
 }

@@ -4,7 +4,7 @@
 // observation hooks. It is the execution substrate for both the profiling
 // phase of TRIDENT and the LLFI-style fault-injection campaigns.
 // DESIGN.md §5c documents the snapshot-replay machinery and §5f the
-// decoded engine that shares this package's observable contract.
+// engine, which executes modules pre-lowered by internal/decoded.
 package interp
 
 import (

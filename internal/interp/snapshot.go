@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"time"
 
-	"trident/internal/ir"
+	"trident/internal/decoded"
 	"trident/internal/telemetry"
 )
 
@@ -29,6 +29,8 @@ import (
 // during a run. It can be resumed any number of times, from any
 // goroutine.
 type Snapshot struct {
+	// prog is the decoded program the frames point into; Resume runs it.
+	prog       *decoded.Program
 	dynCount   uint64
 	dynResults uint64
 	depth      int
@@ -41,13 +43,14 @@ type Snapshot struct {
 	globals []uint64
 }
 
-// frameSnap is one suspended activation. Its alloca segments point into
-// the snapshot's private memory copy and are remapped on every Resume.
+// frameSnap is one suspended activation, positioned at instruction dip
+// of decoded block blk (the phi prologue has already run). Its alloca
+// segments point into the snapshot's private memory copy and are
+// remapped on every Resume.
 type frameSnap struct {
-	fn      *ir.Func
-	block   *ir.Block
-	prev    *ir.Block
-	ip      int
+	fn      *decoded.Func
+	blk     *decoded.Block
+	dip     int
 	regs    []uint64
 	params  []uint64
 	allocas []*Segment
@@ -68,19 +71,7 @@ func (s *Snapshot) Frames() int { return len(s.frames) }
 // private memory copy — the per-snapshot storage cost.
 func (s *Snapshot) MemBytes() uint64 { return s.mem.CurrentBytes() }
 
-// takeSnapshot captures the current machine state and hands it to the
-// OnSnapshot observer, then schedules the next capture one interval from
-// the current position.
-func (vm *machine) takeSnapshot() {
-	reg := vm.ctx.opts.Metrics
-	start := metricsStart(reg)
-	s := vm.capture()
-	recordCapture(reg, start, s)
-	vm.nextSnap = vm.ctx.DynCount + vm.snapEvery
-	vm.ctx.opts.OnSnapshot(s)
-}
-
-// recordCapture records one snapshot capture (from either engine).
+// recordCapture records one snapshot capture.
 func recordCapture(reg *telemetry.Registry, start time.Time, s *Snapshot) {
 	if reg == nil {
 		return
@@ -101,41 +92,6 @@ func recordResume(reg *telemetry.Registry, start time.Time) {
 	reg.Histogram("interp.snapshot.restore_us").Since(start)
 }
 
-// capture deep-copies the machine state. The memory clone returns a
-// segment remapping so frame-held alloca pointers can follow their copies.
-func (vm *machine) capture() *Snapshot {
-	ctx := vm.ctx
-	mem, remap := ctx.Mem.Clone()
-	s := &Snapshot{
-		dynCount:   ctx.DynCount,
-		dynResults: ctx.DynResults,
-		depth:      ctx.depth,
-		lines:      ctx.lines,
-		output:     ctx.output.String(),
-		mem:        mem,
-		globals:    vm.globals,
-		frames:     make([]frameSnap, len(vm.frames)),
-	}
-	for i, fr := range vm.frames {
-		fs := frameSnap{
-			fn:     fr.fn,
-			block:  fr.block,
-			prev:   fr.prev,
-			ip:     fr.ip,
-			regs:   append([]uint64(nil), fr.regs...),
-			params: append([]uint64(nil), fr.params...),
-		}
-		if len(fr.allocas) > 0 {
-			fs.allocas = make([]*Segment, len(fr.allocas))
-			for j, seg := range fr.allocas {
-				fs.allocas[j] = remap[seg]
-			}
-		}
-		s.frames[i] = fs
-	}
-	return s
-}
-
 // Resume restores s into a fresh machine and runs it to completion under
 // opts, returning the Result exactly as Run would have for an
 // uninterrupted execution reaching the same end state: the output,
@@ -145,12 +101,11 @@ func (vm *machine) capture() *Snapshot {
 // Hooks in opts observe only the post-snapshot suffix of the execution.
 // MaxDynInstrs retains its whole-run meaning: the budget covers prefix
 // plus suffix, so hang classification is identical to a full run's.
+// opts.Decoded is ignored: the snapshot resumes on the decoded program
+// it was captured from.
 func Resume(s *Snapshot, opts Options) (*Result, error) {
 	if len(s.frames) == 0 {
 		return nil, fmt.Errorf("interp: resume of empty snapshot")
-	}
-	if opts.Engine == EngineDecoded {
-		return resumeDecoded(s, opts)
 	}
 	applyDefaults(&opts)
 	start := metricsStart(opts.Metrics)
@@ -164,28 +119,22 @@ func Resume(s *Snapshot, opts Options) (*Result, error) {
 		depth:      s.depth,
 	}
 	ctx.output.WriteString(s.output)
-	vm := newMachine(ctx, s.globals)
+	vm := newMachine(ctx, s.prog, s.globals)
 	vm.frames = make([]*frame, len(s.frames))
 	for i, fs := range s.frames {
-		fr := &frame{
-			fn:     fs.fn,
-			block:  fs.block,
-			prev:   fs.prev,
-			ip:     fs.ip,
-			regs:   append([]uint64(nil), fs.regs...),
-			params: append([]uint64(nil), fs.params...),
-		}
-		if len(fs.allocas) > 0 {
-			fr.allocas = make([]*Segment, len(fs.allocas))
-			for j, seg := range fs.allocas {
-				fr.allocas[j] = remap[seg]
-			}
+		fr := vm.acquireFrame(fs.fn)
+		copy(fr.regs, fs.regs)
+		copy(fr.params, fs.params)
+		fr.blk = fs.blk
+		fr.dip = fs.dip
+		for _, seg := range fs.allocas {
+			fr.allocas = append(fr.allocas, remap[seg])
 		}
 		vm.frames[i] = fr
 	}
 	recordResume(opts.Metrics, start)
-	_, err := vm.resumeSafe()
-	res, err := finishRun(ctx, err)
+	res, err := finishRun(ctx, vm.run(nil))
+	vm.flushPoolMetrics(opts.Metrics)
 	recordRun(opts.Metrics, start, s.dynCount, ctx, res, err)
 	return res, err
 }

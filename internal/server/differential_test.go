@@ -9,6 +9,8 @@
 package server
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"trident/internal/progs"
@@ -52,21 +54,58 @@ func TestServerDifferentialAllKernels(t *testing.T) {
 	}
 }
 
-// TestServerDifferentialDecodedEngine repeats the differential for the
-// pre-decoded engine on one kernel, pinning engine selection through
-// the wire format.
+// TestServerDifferentialDecodedEngine is the spool-upgrade contract: a
+// job.json written before the interpreter engine became fixed still
+// names an engine in its request. The lenient spool loader must accept
+// it, and the recovered job must finish with the same result as a fresh
+// submission of the same campaign and as a direct local run.
 func TestServerDifferentialDecodedEngine(t *testing.T) {
-	s := newSupervisedServer(t, nil)
+	spool := t.TempDir()
+	dir := filepath.Join(spool, "jobs", "job-spooled")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		"job.json": `{
+  "id": "job-spooled",
+  "req": {
+    "program": "nw",
+    "n": 40,
+    "seed": 11,
+    "shards": 2,
+    "engine": "legacy"
+  }
+}
+`,
+		"state.json": `{
+  "state": "queued"
+}
+`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := newSupervisedServer(t, func(c *Config) { c.Spool = spool })
+	spooled := s.q.get("job-spooled")
+	if spooled == nil {
+		t.Fatal("server did not recover the spooled job")
+	}
 	s.Start()
-	req := &SubmitRequest{Program: "nw", N: 40, Seed: 11, Shards: 2, Engine: "decoded"}
-	j, err := s.Submit(req)
+	req := &SubmitRequest{Program: "nw", N: 40, Seed: 11, Shards: 2}
+	fresh, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitTerminal(t, j); st != JobDone {
-		t.Fatalf("state = %s (%s), want done", st, j.status().Error)
+	for _, j := range []*Job{spooled, fresh} {
+		if st := waitTerminal(t, j); st != JobDone {
+			t.Fatalf("%s: state = %s (%s), want done", j.ID, st, j.status().Error)
+		}
 	}
-	diffTrials(t, j.Result().Trials, directTrials(t, req), "nw/decoded")
+	diffTrials(t, spooled.Result().Trials, fresh.Result().Trials, "spooled vs fresh job")
+	diffTrials(t, spooled.Result().Trials, directTrials(t, req), "spooled job vs direct run")
 }
 
 // TestServerDifferentialPrunedJob pins prune_bits through the wire

@@ -8,9 +8,6 @@
 //   - Shards: the shard merge is bit-identical for any shard count
 //     (the sharding acceptance suite proves it), so a 4-shard job may
 //     serve an 8-shard submission's result.
-//   - Engine: legacy and decoded engines are bit-identical (the
-//     differential suite proves it), so results are shared across
-//     engines.
 //   - SnapshotInterval / Workers: both are performance knobs with no
 //     effect on trial outcomes.
 //

@@ -18,7 +18,6 @@ import (
 
 	"trident/internal/bitlive"
 	"trident/internal/fault"
-	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/progs"
 )
@@ -78,8 +77,6 @@ type SubmitRequest struct {
 	Shards int `json:"shards,omitempty"`
 	// Workers is the per-shard trial worker count (0 = fault default).
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the interpreter engine ("", "legacy", "decoded").
-	Engine string `json:"engine,omitempty"`
 	// SnapshotInterval enables snapshot-replay trials (see fault.Options).
 	SnapshotInterval uint64 `json:"snapshot_interval,omitempty"`
 	// MaxRetries bounds per-trial retries of transient engine failures.
@@ -219,9 +216,6 @@ func (req *SubmitRequest) Validate(lim Limits) error {
 	if req.Workers < 0 || req.Workers > lim.MaxWorkers {
 		return reqErr("workers", "must be in [0, %d]", lim.MaxWorkers)
 	}
-	if _, err := interp.ParseEngine(req.Engine); err != nil {
-		return reqErr("engine", "%v", err)
-	}
 	if req.MaxRetries < 0 || req.MaxRetries > 16 {
 		return reqErr("max_retries", "must be in [0, 16]")
 	}
@@ -277,14 +271,12 @@ func (req *SubmitRequest) WallBudget(lim Limits) time.Duration {
 // faultOptions maps the request onto fault.Options. The caller supplies
 // process-local concerns (telemetry, progress callback, trial hook).
 func (req *SubmitRequest) faultOptions() fault.Options {
-	engine, _ := interp.ParseEngine(req.Engine) // validated at admission
 	opts := fault.Options{
 		Seed:             req.Seed,
 		Workers:          req.Workers,
 		MaxRetries:       req.MaxRetries,
 		TrialTimeout:     time.Duration(req.TrialTimeoutMS) * time.Millisecond,
 		SnapshotInterval: req.SnapshotInterval,
-		Engine:           engine,
 		PruneBits:        req.PruneBits,
 	}
 	if req.Stratify {

@@ -14,8 +14,11 @@ func TestDecodeSubmitStrict(t *testing.T) {
 		ok   bool
 	}{
 		{"minimal", `{"program":"pathfinder","n":10}`, 0, true},
-		{"full", `{"program":"nw","n":5,"seed":7,"shards":2,"workers":3,"engine":"decoded"}`, 0, true},
+		{"full", `{"program":"nw","n":5,"seed":7,"shards":2,"workers":3,"snapshot_interval":512}`, 0, true},
 		{"unknown field", `{"program":"nw","n":5,"bogus":1}`, 0, false},
+		// The interpreter engine is no longer selectable: a request that
+		// still names one is refused, not silently run.
+		{"engine field", `{"program":"nw","n":5,"engine":"legacy"}`, 0, false},
 		{"trailing data", `{"program":"nw","n":5} {"x":1}`, 0, false},
 		{"not json", `hello`, 0, false},
 		{"empty", ``, 0, false},
@@ -56,7 +59,6 @@ func TestValidate(t *testing.T) {
 		{"shards negative", func(r *SubmitRequest) { r.Shards = -1 }, "shards"},
 		{"shards over cap", func(r *SubmitRequest) { r.Shards = 9 }, "shards"},
 		{"workers over cap", func(r *SubmitRequest) { r.Workers = 9 }, "workers"},
-		{"bad engine", func(r *SubmitRequest) { r.Engine = "quantum" }, "engine"},
 		{"retries over cap", func(r *SubmitRequest) { r.MaxRetries = 17 }, "max_retries"},
 		{"negative trial timeout", func(r *SubmitRequest) { r.TrialTimeoutMS = -1 }, "trial_timeout_ms"},
 		{"wall over budget", func(r *SubmitRequest) { r.MaxWallMS = time.Hour.Milliseconds() }, "max_wall_ms"},
@@ -118,6 +120,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add([]byte(`{"program":"pathfinder","n":10}`))
 	f.Add([]byte(`{"ir":"func @main() {\n}","n":1,"seed":18446744073709551615}`))
 	f.Add([]byte(`{"n":-1}`))
+	f.Add([]byte(`{"program":"nw","n":5,"engine":"legacy"}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"program":"x","n":1}{"program":"y","n":2}`))

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # doccheck.sh — the documentation lint, run by `make doc`.
 #
-# Three checks:
+# Four checks:
 #
 #   1. Every Go package directory must contain at least one file opening
 #      with a "// Package <name> ..." comment (or "// Command <name> ..."
@@ -13,6 +13,11 @@
 #   3. README.md's cmd/fi flag table must list exactly the flags the
 #      binary actually defines (diffed against -h output), so the table
 #      can never go stale against the CLI.
+#   4. Every metric name passed as a string literal to .Counter(,
+#      .Gauge( or .Histogram( in non-test Go code must appear in
+#      OBSERVABILITY.md as a backticked name (or, for a literal prefix
+#      completed at runtime such as "fi.outcome.", as `prefix<...>`),
+#      so no registered metric ships undocumented.
 #
 # Run from the repo root; exits non-zero listing every violation.
 
@@ -56,5 +61,20 @@ if ! cmp -s "$TMP/cli.flags" "$TMP/readme.flags"; then
     echo "doccheck: (< only in README, > only in fi -h)" >&2
     fail=1
 fi
+
+# 4: every registered metric name is documented in OBSERVABILITY.md.
+names=$(find . -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -hoE '\.(Counter|Gauge|Histogram)\("[^"]+"' |
+    sed -E 's/.*\("([^"]+)"/\1/' | sort -u)
+for name in $names; do
+    case "$name" in
+    *.) want="\`$name<" ;;
+    *) want="\`$name\`" ;;
+    esac
+    if ! grep -qF "$want" OBSERVABILITY.md; then
+        echo "doccheck: metric $name is registered in code but not documented in OBSERVABILITY.md" >&2
+        fail=1
+    fi
+done
 
 exit $fail

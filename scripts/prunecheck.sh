@@ -6,7 +6,8 @@
 #
 #   1. run an unpruned campaign on rgb2gray (the narrow-output kernel
 #      where the pass bites), checkpointing every trial
-#   2. run the identical campaign with -prune-bits, on both engines
+#   2. run the identical campaign with -prune-bits, once with snapshot
+#      replay and once re-executing every trial in full
 #   3. the pruned runs must actually prune (the summary reports a
 #      nonzero masked fraction and a nonzero pruned-trial count)
 #   4. the pruned summaries — tallies, rates, SDC CI — must be
@@ -47,21 +48,23 @@ run() { # log checkpoint extra-flags...
 echo "prunecheck: unpruned baseline"
 run "$TMP/plain.log" "$TMP/plain.jsonl"
 
-echo "prunecheck: pruned campaign (legacy engine)"
+echo "prunecheck: pruned campaign (snapshot replay)"
 run "$TMP/pruned.log" "$TMP/pruned.jsonl" -prune-bits
 
-echo "prunecheck: pruned campaign (decoded engine)"
-run "$TMP/pruned-dec.log" "$TMP/pruned-dec.jsonl" -prune-bits -engine decoded
+echo "prunecheck: pruned campaign (full re-execution)"
+run "$TMP/pruned-full.log" "$TMP/pruned-full.jsonl" -prune-bits -snapshot-interval 0
 
 check_pruned() { # log checkpoint label
     grep '^bit-liveness pruning:' "$1" | grep -qv ' 0\.0% ' \
         || fail "$3: summary reports no masked fraction: $(grep '^bit-liveness pruning:' "$1" || echo missing)"
     grep -q 'pruned statically (no execution)$' "$1" \
         || fail "$3: no trials were pruned (expected a nonzero pruned count)"
-    # Everything but the two pruning-status lines must match the
-    # unpruned summary exactly: same tallies, same rates, same CI.
-    grep -v 'bit-liveness pruning:\|pruned statically' "$1" >"$TMP/stripped.log"
-    cmp "$TMP/stripped.log" "$TMP/plain.log" \
+    # Everything but the two pruning-status lines and the snapshot-replay
+    # line must match the unpruned summary exactly: same tallies, same
+    # rates, same CI.
+    grep -v 'bit-liveness pruning:\|pruned statically\|^snapshot replay:' "$1" >"$TMP/stripped.log"
+    grep -v '^snapshot replay:' "$TMP/plain.log" >"$TMP/plain-stripped.log"
+    cmp "$TMP/stripped.log" "$TMP/plain-stripped.log" \
         || fail "$3: summary differs from the unpruned campaign"
     # Same per-trial transcript, worker completion order aside. The
     # header line legitimately differs (it records the pruning and
@@ -73,7 +76,7 @@ check_pruned() { # log checkpoint label
         || fail "$3: checkpoint transcript differs from the unpruned campaign"
 }
 
-check_pruned "$TMP/pruned.log" "$TMP/pruned.jsonl" "legacy"
-check_pruned "$TMP/pruned-dec.log" "$TMP/pruned-dec.jsonl" "decoded"
+check_pruned "$TMP/pruned.log" "$TMP/pruned.jsonl" "snapshot replay"
+check_pruned "$TMP/pruned-full.log" "$TMP/pruned-full.jsonl" "full re-execution"
 
 echo "prunecheck: PASS"

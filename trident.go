@@ -119,7 +119,7 @@ type Options struct {
 	// instructions apart and each trial resumes from the nearest snapshot
 	// before its injection point. Zero selects the default (2048);
 	// negative disables snapshots so every trial re-executes from
-	// instruction zero (the legacy path). Campaign results are
+	// instruction zero (full re-execution). Campaign results are
 	// bit-identical either way.
 	SnapshotInterval int
 }
