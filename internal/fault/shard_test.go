@@ -47,11 +47,12 @@ func TestShardRangePartition(t *testing.T) {
 // unsharded run, for every shard count in {1, 2, 3, 7} — shard identity
 // must never leak into sampling. Each shard runs under its own Injector
 // (a fresh golden run), exactly as independent shard worker processes
-// do, so the test also covers cross-injector determinism.
+// do, so the test also covers cross-injector determinism. Subtests run
+// on the production interpreter ("decoded").
 func TestShardSeedIndependence(t *testing.T) {
 	const n, seed = 70, 1234
 	for _, name := range []string{"pathfinder", "nw"} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(name+"/decoded", func(t *testing.T) {
 			build := mustProg(t, name).Build
 			direct, err := New(build(), Options{Seed: seed, Workers: 3})
 			if err != nil {
