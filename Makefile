@@ -58,10 +58,14 @@ doc:
 # stratified ones, and cache-seeded plans must skip the pilot while
 # composing byte-identically to a cold run (scripts/adaptcheck.sh). The
 # stats package races alongside the other tiers — its weighted tallies
-# are accumulated by concurrent campaign code.
+# are accumulated by concurrent campaign code. The model package races in
+# short mode: its concurrency test runs several models over one shared
+# profile from separate goroutines, while the whole-kernel golden and
+# determinism sweeps leave out their two slowest kernels (the full sweeps
+# run in `make test`).
 check: build doc
 	$(GO) test -race ./internal/fault/... ./internal/interp/... ./internal/decoded/... ./internal/telemetry/... ./internal/server/... ./internal/sigctx/... ./internal/cache/... ./internal/hashutil/... ./internal/bitlive/... ./internal/stats/...
-	$(GO) test -race -short ./internal/crosscheck/...
+	$(GO) test -race -short ./internal/crosscheck/... ./internal/core/...
 	$(GO) run ./cmd/crosscheck -n 60 -seed 77 -kernels=false
 	$(MAKE) fuzz-smoke
 	$(GO) run ./cmd/fibench -programs pathfinder -n 300 -repeats 5 -max-overhead 0.03 -min-snapshot-speedup 1.1 -out /dev/null

@@ -183,21 +183,26 @@ func BenchmarkProfilingPhase(b *testing.B) {
 }
 
 // BenchmarkModelAllInstructions measures TRIDENT's inference phase: per-
-// instruction SDC predictions for every executed instruction.
+// instruction SDC predictions for every executed instruction, on the two
+// kernels that take most of the model's time (sad, bfs-parboil) and on
+// pathfinder. Allocations are reported to expose per-walk garbage.
 func BenchmarkModelAllInstructions(b *testing.B) {
-	p, err := progs.ByName("pathfinder")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := p.Build()
-	prof, err := profile.Collect(m, profile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		model := core.New(prof, core.TridentConfig())
-		model.OverallSDC(0, 1)
+	for _, name := range []string{"sad", "bfs-parboil", "pathfinder"} {
+		b.Run(name, func(b *testing.B) {
+			p, err := progs.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof, err := profile.Collect(p.Build(), profile.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core.New(prof, core.TridentConfig()).OverallSDC(0, 1)
+			}
+		})
 	}
 }
 

@@ -64,11 +64,12 @@ func (m *Model) Explain(in *ir.Instr) *Explanation {
 	ex.Direct = e.output
 	ex.Crash = e.crash
 
-	for s, ps := range e.stores {
-		sc := StoreContribution{Store: s, CorruptProb: ps.total()}
+	for _, se := range e.stores {
+		s := m.g.instrs[se.node]
+		sc := StoreContribution{Store: s, CorruptProb: se.p.total()}
 		if m.cfg.EnableFM {
 			for band := 0; band < nClasses; band++ {
-				sc.Contribution += ps[band] * m.memOut(s, band)
+				sc.Contribution += se.p[band] * m.memOut(s, band)
 			}
 			if sc.CorruptProb > 0 {
 				sc.MemToOutput = sc.Contribution / sc.CorruptProb
@@ -84,7 +85,8 @@ func (m *Model) Explain(in *ir.Instr) *Explanation {
 	})
 
 	if m.cfg.EnableFC {
-		for br, pb := range e.branches {
+		for _, be := range e.branches {
+			br, pb := m.g.instrs[be.node], be.p
 			eff := m.fcEffectsOf(br)
 			bc := BranchContribution{
 				Branch:   br,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"trident/internal/ir"
 )
 
@@ -25,23 +27,25 @@ import (
 // monotone and bounded by 1.
 func (m *Model) memOut(store *ir.Instr, band int) float64 {
 	m.solveMemory()
-	return m.fmOut[fmKey{store, band}]
+	id, ok := m.g.id[store]
+	if !ok {
+		return 0
+	}
+	return m.fmOut[fmIndex(id, band)]
 }
 
-// fmKey indexes the fm unknowns: one per (store, corruption band).
-type fmKey struct {
-	store *ir.Instr
-	band  int
-}
+// fmIndex is the dense index of the fm unknown for (store node, band).
+func fmIndex(store int32, band int) int32 { return store*nClasses + int32(band) }
 
-// fmTerm is one linear term of a store's fm equation.
+// fmTerm is one linear term of a store's fm equation: coeff·out(key).
 type fmTerm struct {
 	coeff float64
-	key   fmKey
+	key   int32
 }
 
-// fmEquation is out(k) = min(1, constant + Σ coeff·out(term.key)).
+// fmEquation is out(key) = min(1, constant + Σ coeff·out(term.key)).
 type fmEquation struct {
+	key      int32
 	constant float64
 	terms    []fmTerm
 }
@@ -55,10 +59,10 @@ type fmEquation struct {
 func (m *Model) regTerms(def *ir.Instr) (float64, []fmTerm) {
 	e := m.walkFrom(def, walkBand(classReplaced))
 	terms := make([]fmTerm, 0, len(e.stores))
-	for s, p := range e.stores {
+	for _, se := range e.stores {
 		for band := 0; band < nClasses; band++ {
-			if p[band] > 0 {
-				terms = append(terms, fmTerm{coeff: p[band], key: fmKey{s, band}})
+			if se.p[band] > 0 {
+				terms = append(terms, fmTerm{coeff: se.p[band], key: fmIndex(se.node, band)})
 			}
 		}
 	}
@@ -86,16 +90,27 @@ func (m *Model) regSDC(def *ir.Instr) float64 {
 }
 
 // solveMemory builds and solves the fm equation system once per model.
+// Equations are ordered by store (instruction order), then band.
 func (m *Model) solveMemory() {
 	if m.fmOut != nil {
 		return
 	}
-	m.fmOut = make(map[fmKey]float64)
+	g := m.compiled()
+	m.fmOut = make([]float64, len(g.instrs)*nClasses)
 
-	eqs := make(map[fmKey]*fmEquation)
-	for store, edges := range m.prof.MemGraph {
+	stores := make([]int32, 0, len(m.prof.MemGraph))
+	for store := range m.prof.MemGraph {
+		if id, ok := g.id[store]; ok {
+			stores = append(stores, id)
+		}
+	}
+	slices.Sort(stores)
+
+	eqs := make([]fmEquation, 0, len(stores)*nClasses)
+	for _, store := range stores {
+		edges := m.prof.MemGraph[g.instrs[store]]
 		for band := 0; band < nClasses; band++ {
-			eq := &fmEquation{}
+			eq := fmEquation{key: fmIndex(store, band)}
 			for _, e := range edges {
 				w := m.prof.StoreReadProb(e)
 				if w == 0 {
@@ -111,10 +126,10 @@ func (m *Model) solveMemory() {
 				}
 				wr := w / float64(replicas)
 				for r := 0; r < replicas; r++ {
-					m.addEdgeTerms(eq, e.Load, band, wr)
+					m.addEdgeTerms(&eq, e.Load, band, wr)
 				}
 			}
-			eqs[fmKey{store, band}] = eq
+			eqs = append(eqs, eq)
 		}
 	}
 	m.runFixedPoint(eqs)
@@ -126,46 +141,50 @@ func (m *Model) solveMemory() {
 func (m *Model) addEdgeTerms(eq *fmEquation, load *ir.Instr, band int, w float64) {
 	loadEnds := m.walkFrom(load, walkBand(band))
 	eq.constant += w * loadEnds.output
-	for s, p := range loadEnds.stores {
+	for _, se := range loadEnds.stores {
 		for b := 0; b < nClasses; b++ {
-			if p[b] > 0 {
-				eq.terms = append(eq.terms, fmTerm{coeff: w * p[b], key: fmKey{s, b}})
+			if se.p[b] > 0 {
+				eq.terms = append(eq.terms, fmTerm{coeff: w * se.p[b], key: fmIndex(se.node, b)})
 			}
 		}
 	}
 	if !m.cfg.EnableFC {
 		return
 	}
-	for br, p := range loadEnds.branches {
-		eff := m.fcEffectsOf(br)
+	for _, be := range loadEnds.branches {
+		eff := m.fcEffectsOf(m.g.instrs[be.node])
 		for _, sc := range eff.stores {
 			// Divergence-corrupted stores are high band.
 			eq.terms = append(eq.terms,
-				fmTerm{coeff: w * p * sc.Prob, key: fmKey{sc.Store, classReplaced}})
+				fmTerm{coeff: w * be.p * sc.Prob, key: fmIndex(m.g.id[sc.Store], classReplaced)})
 		}
 		for _, rc := range eff.regs {
 			c, terms := m.regTerms(rc.Def)
-			eq.constant += w * p * rc.Prob * c
+			eq.constant += w * be.p * rc.Prob * c
 			for _, t := range terms {
 				eq.terms = append(eq.terms,
-					fmTerm{coeff: w * p * rc.Prob * t.coeff, key: t.key})
+					fmTerm{coeff: w * be.p * rc.Prob * t.coeff, key: t.key})
 			}
 		}
 	}
 }
 
 // runFixedPoint iterates the equation system to its least fixed point by
-// monotone (Jacobi) sweeps from zero.
-func (m *Model) runFixedPoint(eqs map[fmKey]*fmEquation) {
+// monotone Gauss-Seidel sweeps from zero: each sweep updates the unknowns
+// in place, in equation order, so later equations already see the values
+// earlier ones produced in the same sweep. It records the number of sweeps
+// run, which is the cap when the system has not converged by then.
+func (m *Model) runFixedPoint(eqs []fmEquation) {
 	maxIters := m.cfg.FMMaxIters
 	if maxIters <= 0 {
 		maxIters = 200
 	}
 	const eps = 1e-10
-	iters := 0
-	for ; iters < maxIters; iters++ {
+	sweeps := 0
+	for sweeps < maxIters {
+		sweeps++
 		maxDelta := 0.0
-		for key, eq := range eqs {
+		for _, eq := range eqs {
 			v := eq.constant
 			for _, t := range eq.terms {
 				v += t.coeff * m.fmOut[t.key]
@@ -173,14 +192,14 @@ func (m *Model) runFixedPoint(eqs map[fmKey]*fmEquation) {
 			if v > 1 {
 				v = 1
 			}
-			if d := v - m.fmOut[key]; d > maxDelta {
+			if d := v - m.fmOut[eq.key]; d > maxDelta {
 				maxDelta = d
 			}
-			m.fmOut[key] = v
+			m.fmOut[eq.key] = v
 		}
 		if maxDelta < eps {
 			break
 		}
 	}
-	m.fmIterations = iters + 1
+	m.fmIterations = sweeps
 }

@@ -109,10 +109,9 @@ entry:
 	}
 }
 
-func TestFMCyclicDependence(t *testing.T) {
-	// A memory accumulator: load, add, store back, every iteration; the
-	// final value prints. Corruption persists: fm(store) should be 1.
-	model := profiledModel(t, `
+// memAcc is a memory accumulator: load, add, store back, every
+// iteration; the final value prints. Its fm system is cyclic.
+const memAcc = `
 module "memacc"
 global @acc i64 x 1
 func @main() void {
@@ -131,7 +130,11 @@ done:
   print %f
   ret
 }
-`, TridentConfig())
+`
+
+func TestFMCyclicDependence(t *testing.T) {
+	// Corruption persists through the accumulator: fm(store) should be 1.
+	model := profiledModel(t, memAcc, TridentConfig())
 	store := instrByOp(t, model.prof.Module, "loop", ir.OpStore)
 	got := model.memOut(store, bandTop)
 	if math.Abs(got-1) > 0.01 {
@@ -139,6 +142,33 @@ done:
 	}
 	if model.FMIterations() < 2 {
 		t.Errorf("cyclic system should need >1 sweep, got %d", model.FMIterations())
+	}
+}
+
+// TestFMIterationsCountsSweepsRun pins FMIterations to the number of
+// sweeps actually run. The accumulator's cyclic system creeps toward 1
+// and does not converge within any small cap, so a capped solve must
+// report the cap itself; the acyclic Fig. 4 system converges, and its
+// count must not move when the cap is raised past it.
+func TestFMIterationsCountsSweepsRun(t *testing.T) {
+	for _, cap := range []int{1, 2, 5} {
+		cfg := TridentConfig()
+		cfg.FMMaxIters = cap
+		if got := profiledModel(t, memAcc, cfg).FMIterations(); got != cap {
+			t.Errorf("memacc, FMMaxIters %d: FMIterations() = %d, want %d", cap, got, cap)
+		}
+	}
+
+	converged := profiledModel(t, fig4Fixed, TridentConfig()).FMIterations()
+	if converged < 2 || converged > 10 {
+		t.Fatalf("fig4: FMIterations() = %d, want a small converged count", converged)
+	}
+	for _, cap := range []int{converged, converged + 3} {
+		cfg := TridentConfig()
+		cfg.FMMaxIters = cap
+		if got := profiledModel(t, fig4Fixed, cfg).FMIterations(); got != converged {
+			t.Errorf("fig4, FMMaxIters %d: FMIterations() = %d, want %d", cap, got, converged)
+		}
 	}
 }
 

@@ -1,0 +1,120 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"trident/internal/ir"
+	"trident/internal/profile"
+	"trident/internal/progs"
+)
+
+// goldenProfileSeed is the profile seed the golden predictions were
+// recorded at.
+const goldenProfileSeed = 7
+
+// goldenSDC pins the exact OverallSDC(0, _) of every paper kernel under
+// each model variant, recorded before the fs walker was compiled into a
+// dense graph. Any refactor of the walker, fc or fm must reproduce these
+// to goldenTol.
+//
+// The recording walker summed in map order, so the TRIDENT column jittered
+// between fresh models (by up to 1.04e-9 on pathfinder, ~1e-11 elsewhere);
+// those entries are the midpoint of the range seen over 20 fresh models.
+var goldenSDC = []struct {
+	name                 string
+	trident, fsfc, fsOnl float64
+}{
+	{"libquantum", 0.49373197341220088, 0.49373197341220088, 0.21741497409228522},
+	{"blackscholes", 0.64944302603811599, 0.8483028490130583, 0.795821792062401},
+	{"sad", 0.1084490081886661, 0.1084490081886661, 0.060611166692449085},
+	{"bfs-parboil", 0.54742374574669017, 0.5479786322882888, 0.19452642930479533},
+	{"hercules", 0.39671189734016565, 0.5149820306553321, 0.39339831898913025},
+	{"lulesh", 0.40720232289072988, 0.44015378611412964, 0.3101785717668531},
+	{"puremd", 0.44168944758715267, 0.71063550248833907, 0.4736763174058119},
+	{"nw", 0.32369010018264371, 0.32369010018264371, 0.25088236020664006},
+	{"pathfinder", 0.2815667814000361, 0.46881643307324244, 0.26547700735522611},
+	{"hotspot", 0.42238721545709301, 0.42238721545709301, 0.35753838444163971},
+	{"bfs-rodinia", 0.39446986767212011, 0.41353277229377378, 0.027506967985717608},
+}
+
+const goldenTol = 1e-9
+
+// heavyKernel reports whether a kernel's model is too slow for -short
+// runs (the race-detector tier): sad and bfs-parboil take most of the
+// model's time.
+func heavyKernel(name string) bool {
+	return testing.Short() && (name == "sad" || name == "bfs-parboil")
+}
+
+// kernelProfile profiles one paper kernel at the golden seed.
+func kernelProfile(t testing.TB, name string) *profile.Profile {
+	t.Helper()
+	p, err := progs.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := profile.Collect(p.Build(), profile.Options{Seed: goldenProfileSeed})
+	if err != nil {
+		t.Fatalf("%s: profile: %v", name, err)
+	}
+	return prof
+}
+
+// variants names the three model variants in goldenSDC column order.
+var variants = []struct {
+	name string
+	cfg  Config
+}{
+	{"trident", TridentConfig()},
+	{"fsfc", FSFCConfig()},
+	{"fs", FSOnlyConfig()},
+}
+
+func TestGoldenOverallSDC(t *testing.T) {
+	if len(goldenSDC) != len(progs.All()) {
+		t.Fatalf("golden table has %d kernels, progs.All has %d", len(goldenSDC), len(progs.All()))
+	}
+	for _, g := range goldenSDC {
+		if heavyKernel(g.name) {
+			continue
+		}
+		prof := kernelProfile(t, g.name)
+		for i, want := range []float64{g.trident, g.fsfc, g.fsOnl} {
+			got := New(prof, variants[i].cfg).OverallSDC(0, 1).SDC
+			if math.Abs(got-want) > goldenTol {
+				t.Errorf("%s/%s: OverallSDC = %.17g, golden %.17g (diff %.2e)",
+					g.name, variants[i].name, got, want, got-want)
+			}
+		}
+	}
+}
+
+// TestFreshModelsBitIdentical requires two fresh models over one profile
+// to agree bit for bit, overall and per instruction: every sum the model
+// forms runs in instruction order, never in map order.
+func TestFreshModelsBitIdentical(t *testing.T) {
+	for _, p := range progs.All() {
+		if heavyKernel(p.Name) {
+			continue
+		}
+		prof := kernelProfile(t, p.Name)
+		var targets []*ir.Instr
+		prof.Module.Instrs(func(in *ir.Instr) {
+			if in.HasResult() && prof.ExecCount[in] > 0 {
+				targets = append(targets, in)
+			}
+		})
+		for _, v := range variants {
+			a, b := New(prof, v.cfg), New(prof, v.cfg)
+			if x, y := a.OverallSDC(0, 1).SDC, b.OverallSDC(0, 1).SDC; x != y {
+				t.Errorf("%s/%s: OverallSDC %.17g vs %.17g", p.Name, v.name, x, y)
+			}
+			for _, in := range targets {
+				if x, y := a.InstrSDC(in), b.InstrSDC(in); x != y {
+					t.Errorf("%s/%s: InstrSDC(%s) %.17g vs %.17g", p.Name, v.name, in.Pos(), x, y)
+				}
+			}
+		}
+	}
+}

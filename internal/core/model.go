@@ -45,18 +45,23 @@ func FSFCConfig() Config { return Config{EnableFC: true, EnableFM: false} }
 func FSOnlyConfig() Config { return Config{EnableFC: false, EnableFM: false} }
 
 // Model predicts SDC probabilities from a profile, without fault
-// injection. Create with New; a Model is not safe for concurrent use.
+// injection. Create with New; a Model is not safe for concurrent use, but
+// any number of Models may share one read-only Profile.
 type Model struct {
 	prof *profile.Profile
 	cfg  Config
 
-	edges      map[*ir.Instr][]edge
-	cfgs       map[*ir.Func]*analysis.CFG
-	walkCache  map[walkKey]*ends
-	fcCache    map[*ir.Instr]*fcEffects
-	fmOut      map[fmKey]float64
-	sdcCache   map[*ir.Instr]float64
-	transCache map[tupleKey]transEntry
+	// g is the compiled def-use graph and scratch the walk state over it,
+	// both built on first use (see compiled).
+	g       *graph
+	scratch scratch
+	// walks caches walk results by node and walk mode.
+	walks []*ends
+
+	cfgs     map[*ir.Func]*analysis.CFG
+	fcCache  map[*ir.Instr]*fcEffects
+	fmOut    []float64
+	sdcCache map[*ir.Instr]float64
 
 	fmIterations int
 }
@@ -64,14 +69,11 @@ type Model struct {
 // New builds a model over a collected profile.
 func New(prof *profile.Profile, cfg Config) *Model {
 	return &Model{
-		prof:       prof,
-		cfg:        cfg,
-		edges:      buildEdges(prof.Module),
-		cfgs:       make(map[*ir.Func]*analysis.CFG),
-		walkCache:  make(map[walkKey]*ends),
-		fcCache:    make(map[*ir.Instr]*fcEffects),
-		sdcCache:   make(map[*ir.Instr]float64),
-		transCache: make(map[tupleKey]transEntry),
+		prof:     prof,
+		cfg:      cfg,
+		cfgs:     make(map[*ir.Func]*analysis.CFG),
+		fcCache:  make(map[*ir.Instr]*fcEffects),
+		sdcCache: make(map[*ir.Instr]float64),
 	}
 }
 
@@ -117,14 +119,14 @@ func (m *Model) instrSDC(in *ir.Instr) float64 {
 	p := e.output
 
 	// Chains ending at stores (Algorithm 1 line 9).
-	for s, ps := range e.stores {
+	for _, se := range e.stores {
 		if m.cfg.EnableFM {
 			for band := 0; band < nClasses; band++ {
-				p += ps[band] * m.memOut(s, band)
+				p += se.p[band] * m.memOut(m.g.instrs[se.node], band)
 			}
 		} else {
 			// Without fm, a corrupted store is assumed to be an SDC.
-			p += ps.total()
+			p += se.p.total()
 		}
 	}
 
@@ -133,8 +135,9 @@ func (m *Model) instrSDC(in *ir.Instr) float64 {
 	// effects overlap heavily, so the per-branch effect probability is
 	// capped at 1 before weighting by the flip probability.
 	if m.cfg.EnableFC {
-		for br, pb := range e.branches {
-			eff := m.fcEffectsOf(br)
+		for _, be := range e.branches {
+			pb := be.p
+			eff := m.fcEffectsOf(m.g.instrs[be.node])
 			effectP := 0.0
 			for _, sc := range eff.stores {
 				if m.cfg.EnableFM {
@@ -190,11 +193,11 @@ func (m *Model) TerminalMass(in *ir.Instr) TerminalMass {
 	}
 	e := m.walkFrom(in, walkUniform)
 	tm := TerminalMass{Output: e.output, Crash: e.crash}
-	for _, p := range e.stores {
-		tm.Stores += p.total()
+	for _, se := range e.stores {
+		tm.Stores += se.p.total()
 	}
-	for _, p := range e.branches {
-		tm.Branches += p
+	for _, be := range e.branches {
+		tm.Branches += be.p
 	}
 	return tm
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"trident/internal/fault"
@@ -218,5 +219,35 @@ func TestInstrSDCCached(t *testing.T) {
 	b := model.InstrSDC(in)
 	if a != b {
 		t.Error("cached InstrSDC differs")
+	}
+}
+
+// TestModelsShareProfileConcurrently runs several models over one shared
+// profile from separate goroutines: each model keeps its compiled graph
+// and walk scratch to itself and only reads the profile, so the race
+// detector must stay quiet and every model must agree with a serial one.
+func TestModelsShareProfileConcurrently(t *testing.T) {
+	prof := kernelProfile(t, "pathfinder")
+	cfgs := []Config{TridentConfig(), TridentConfig(), FSFCConfig(), FSOnlyConfig()}
+	got := make([]float64, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = New(prof, cfg).OverallSDC(0, 1).SDC
+		}()
+	}
+	wg.Wait()
+	want := New(prof, TridentConfig()).OverallSDC(0, 1).SDC
+	for i := range cfgs[:2] {
+		if got[i] != want {
+			t.Errorf("concurrent trident model %d: OverallSDC %.17g, serial %.17g", i, got[i], want)
+		}
+	}
+	for i, p := range got {
+		if p <= 0 || p > 1 {
+			t.Errorf("model %d: OverallSDC %v out of (0, 1]", i, p)
+		}
 	}
 }

@@ -13,19 +13,6 @@ import (
 	"trident/internal/ir"
 )
 
-// tupleKey caches derived per-edge behaviour per (instruction, corrupted
-// operand).
-type tupleKey struct {
-	in    *ir.Instr
-	opIdx int
-}
-
-// transEntry is a cached banded transition plus its crash share.
-type transEntry struct {
-	tr    transition
-	crash float64
-}
-
 // empiricalFlipProb measures, over the profiled operand samples of `in`,
 // the probability that flipping one uniformly random bit of operand opIdx
 // changes the instruction's result — the scalar (band-blind) version of

@@ -1,52 +1,118 @@
 package core
 
 import (
+	"slices"
+
 	"trident/internal/ir"
 )
 
-// edge is one interprocedural def-use edge: the result of `from` feeds
-// operand opIdx of `to`. Call-argument edges are folded through formal
-// parameters (the argument's def connects directly to the parameter's
-// users), and return edges connect a ret operand's def to every call site
-// of the function with opIdx -1 (identity propagation).
-type edge struct {
-	from  *ir.Instr
-	to    *ir.Instr
-	opIdx int
-	// phiIncoming is, for edges into a phi, the index of the phi arm this
-	// edge feeds; -1 otherwise. The consumption weight of a phi arm is the
-	// profiled traversal frequency of its CFG edge.
-	phiIncoming int
-}
-
-// identityEdge marks an edge whose transition is always band-preserving
-// full propagation.
+// identityEdge is the operand index of an edge whose transition is always
+// band-preserving full propagation (a return value flowing to its call
+// sites).
 const identityEdge = -1
 
-// buildEdges constructs the module-wide def-use edge list, folding
-// parameters and returns so the walker is context-insensitive but
-// interprocedural.
-func buildEdges(m *ir.Module) map[*ir.Instr][]edge {
-	out := make(map[*ir.Instr][]edge)
-	add := func(from, to *ir.Instr, opIdx, phiIncoming int) {
-		out[from] = append(out[from], edge{from: from, to: to, opIdx: opIdx, phiIncoming: phiIncoming})
+// edgeKind classifies what the target of an edge does with a corrupted
+// operand when the walk's terminal probabilities are extracted.
+type edgeKind uint8
+
+const (
+	// kindNone: a register-only consumer; nothing is extracted.
+	kindNone edgeKind = iota
+	// kindStoreValue: the stored value of a store.
+	kindStoreValue
+	// kindAddress: the address of a load or store (crash share).
+	kindAddress
+	// kindBranch: the condition of a conditional branch.
+	kindBranch
+	// kindGuard: the condition of a loop-terminating conditional branch,
+	// which phase 2 of the walk treats as a bound check.
+	kindGuard
+	// kindOutput: a print that counts as program output.
+	kindOutput
+	// kindOutputG2: a reduced-precision float print, which only passes
+	// top-band and replaced corruption.
+	kindOutputG2
+)
+
+// cedge is one compiled interprocedural def-use edge: the result of its
+// source node feeds operand opIdx of node `to`. Call-argument edges are
+// folded through formal parameters (the argument's def connects directly
+// to the parameter's users), and return edges connect a ret operand's def
+// to every call site of the function with opIdx identityEdge.
+type cedge struct {
+	to    int32
+	opIdx int32
+	// slot is the edge whose fixpoint contribution this edge shares: the
+	// first edge with the same (source, target, operand). A def passed
+	// as the same argument at two call sites yields duplicate edges; the
+	// fixpoint counts their contribution once.
+	slot int32
+	// guard is the loop-guarding conditional branch on the back edge a
+	// phi-arm edge crosses, or -1.
+	guard    int32
+	kind     edgeKind
+	terminal bool
+	trReady  bool
+	// weight is the static consumption weight (consumptionWeight).
+	weight float64
+	// tr and crash are the banded transition and crash share of the
+	// target with operand opIdx corrupted, computed on first use.
+	tr    transition
+	crash float64
+}
+
+// graph is the module's def-use graph compiled into dense form: node IDs
+// follow module instruction order, and the out-edges of node n are
+// edges[start[n]:start[n+1]] in the order the consumers appear in the
+// module.
+type graph struct {
+	instrs []*ir.Instr
+	id     map[*ir.Instr]int32
+	// count is the profiled execution count of each node.
+	count []float64
+	start []int32
+	edges []cedge
+}
+
+// compiled returns the model's compiled graph, building it on first use.
+func (m *Model) compiled() *graph {
+	if m.g == nil {
+		m.g = m.compile()
+		m.scratch.init(len(m.g.instrs), len(m.g.edges))
+		m.walks = make([]*ends, len(m.g.instrs)*(nClasses+1))
+	}
+	return m.g
+}
+
+// compile builds the interprocedural def-use graph, folding parameters and
+// returns so the walker is context-insensitive but interprocedural.
+func (m *Model) compile() *graph {
+	mod := m.prof.Module
+	g := &graph{id: make(map[*ir.Instr]int32)}
+	mod.Instrs(func(in *ir.Instr) {
+		g.id[in] = int32(len(g.instrs))
+		g.instrs = append(g.instrs, in)
+		g.count = append(g.count, float64(m.prof.ExecCount[in]))
+	})
+
+	adj := make([][]cedge, len(g.instrs))
+	add := func(from, to *ir.Instr, opIdx int) {
+		f := g.id[from]
+		adj[f] = append(adj[f], m.compileEdge(g, from, to, opIdx))
 	}
 
 	// callSites maps a function to the call instructions targeting it.
 	callSites := make(map[*ir.Func][]*ir.Instr)
-	m.Instrs(func(in *ir.Instr) {
-		if in.Op == ir.OpCall {
-			callSites[in.Callee] = append(callSites[in.Callee], in)
-		}
-	})
-
 	// paramUsers maps each formal parameter to its (instr, opIdx) users.
 	type use struct {
 		in    *ir.Instr
 		opIdx int
 	}
 	paramUsers := make(map[*ir.Param][]use)
-	m.Instrs(func(in *ir.Instr) {
+	mod.Instrs(func(in *ir.Instr) {
+		if in.Op == ir.OpCall {
+			callSites[in.Callee] = append(callSites[in.Callee], in)
+		}
 		for k, op := range in.Operands {
 			if p, ok := op.(*ir.Param); ok {
 				paramUsers[p] = append(paramUsers[p], use{in, k})
@@ -54,7 +120,7 @@ func buildEdges(m *ir.Module) map[*ir.Instr][]edge {
 		}
 	})
 
-	m.Instrs(func(in *ir.Instr) {
+	mod.Instrs(func(in *ir.Instr) {
 		for k, op := range in.Operands {
 			def, ok := op.(*ir.Instr)
 			if !ok {
@@ -65,41 +131,201 @@ func buildEdges(m *ir.Module) map[*ir.Instr][]edge {
 				// A corrupted argument flows to the callee parameter's
 				// users rather than to the call's own result.
 				for _, u := range paramUsers[in.Callee.Params[k]] {
-					phiArm := -1
-					if u.in.Op == ir.OpPhi {
-						phiArm = u.opIdx
-					}
-					add(def, u.in, u.opIdx, phiArm)
+					add(def, u.in, u.opIdx)
 				}
 			case ir.OpRet:
 				// A corrupted return value flows to every call site's
 				// result.
 				for _, site := range callSites[in.Block.Fn] {
-					add(def, site, identityEdge, -1)
+					add(def, site, identityEdge)
 				}
-			case ir.OpPhi:
-				add(def, in, k, k)
 			default:
-				add(def, in, k, -1)
+				add(def, in, k)
 			}
 		}
 	})
-	return out
+
+	g.start = make([]int32, len(adj)+1)
+	type edgeKey struct{ from, to, opIdx int32 }
+	slots := make(map[edgeKey]int32)
+	for n, es := range adj {
+		for _, e := range es {
+			eid := int32(len(g.edges))
+			key := edgeKey{int32(n), e.to, e.opIdx}
+			if s, dup := slots[key]; dup {
+				e.slot = s
+			} else {
+				e.slot = eid
+				slots[key] = eid
+			}
+			g.edges = append(g.edges, e)
+		}
+		g.start[n+1] = int32(len(g.edges))
+	}
+	return g
+}
+
+// compileEdge derives the static attributes of one def-use edge.
+func (m *Model) compileEdge(g *graph, from, to *ir.Instr, opIdx int) cedge {
+	e := cedge{
+		to:       g.id[to],
+		opIdx:    int32(opIdx),
+		guard:    -1,
+		terminal: isTerminal(to),
+		weight:   m.consumptionWeight(from, to, opIdx),
+	}
+	if guard := m.backEdgeGuard(to, opIdx); guard != nil {
+		e.guard = g.id[guard]
+	}
+	if opIdx == identityEdge {
+		e.tr, e.trReady = diagonal(1), true
+	}
+	switch {
+	case to.Op == ir.OpStore && opIdx == 0:
+		e.kind = kindStoreValue
+	case to.Op == ir.OpStore && opIdx == 1, to.Op == ir.OpLoad:
+		e.kind = kindAddress
+	case to.Op == ir.OpCondBr:
+		// Only loop-terminating branches act as guards: both latch-style
+		// (a target is the back edge) and header-style (one target exits
+		// the loop) checks qualify.
+		e.kind = kindBranch
+		if lt, _ := m.cfgOf(to.Block.Fn).IsLoopTerminating(to.Block); lt {
+			e.kind = kindGuard
+		}
+	case to.Op == ir.OpPrint && m.isOutput(to):
+		e.kind = kindOutput
+		if to.Format == ir.FormatG2 && to.Operands[0].ValueType().IsFloat() {
+			e.kind = kindOutputG2
+		}
+	}
+	return e
+}
+
+// edgeTransition returns the banded transition and crash share of an
+// edge, computing them on first use.
+func (m *Model) edgeTransition(ed *cedge) (*transition, float64) {
+	if !ed.trReady {
+		ed.tr, ed.crash = m.transitionFor(m.g.instrs[ed.to], int(ed.opIdx))
+		ed.trReady = true
+	}
+	return &ed.tr, ed.crash
+}
+
+// scratch is the reusable per-model walk state, indexed by node or edge
+// ID. An entry belongs to the current walk only when its mark equals
+// stamp; touched lists the nodes the current walk has written, in
+// first-touch order.
+type scratch struct {
+	stamp uint32
+
+	nodeMark                    []uint32
+	reach, once, inSum, onceSum []bandPair
+	touched                     []int32
+	worklist                    []int32
+
+	edgeMark             []uint32
+	contrib, onceContrib []bandPair
+
+	// scaleMark/scale memoize guardScale per edge for one phase-2 walk.
+	scaleMark []uint32
+	scale     []float64
+
+	// termMark/storeAcc/branchAcc accumulate the extracted store and
+	// branch terminals; terms lists the targets written.
+	termMark  []uint32
+	storeAcc  []bandPair
+	branchAcc []float64
+	terms     []int32
+}
+
+func (s *scratch) init(nodes, edges int) {
+	*s = scratch{
+		nodeMark:    make([]uint32, nodes),
+		reach:       make([]bandPair, nodes),
+		once:        make([]bandPair, nodes),
+		inSum:       make([]bandPair, nodes),
+		onceSum:     make([]bandPair, nodes),
+		edgeMark:    make([]uint32, edges),
+		contrib:     make([]bandPair, edges),
+		onceContrib: make([]bandPair, edges),
+		scaleMark:   make([]uint32, edges),
+		scale:       make([]float64, edges),
+		termMark:    make([]uint32, nodes),
+		storeAcc:    make([]bandPair, nodes),
+		branchAcc:   make([]float64, nodes),
+	}
+}
+
+// reset starts a new walk: every entry becomes stale.
+func (s *scratch) reset() {
+	s.stamp++
+	if s.stamp == 0 { // wrapped: stale marks could alias the new stamp
+		clear(s.nodeMark)
+		clear(s.edgeMark)
+		clear(s.scaleMark)
+		clear(s.termMark)
+		s.stamp = 1
+	}
+	s.touched = s.touched[:0]
+	s.terms = s.terms[:0]
+}
+
+// touch makes node n part of the current walk, zeroing its stale entries.
+func (s *scratch) touch(n int32) {
+	if s.nodeMark[n] == s.stamp {
+		return
+	}
+	s.nodeMark[n] = s.stamp
+	s.reach[n], s.once[n], s.inSum[n], s.onceSum[n] = bandPair{}, bandPair{}, bandPair{}, bandPair{}
+	s.touched = append(s.touched, n)
+}
+
+// touchEdge makes the contribution slot e part of the current walk.
+func (s *scratch) touchEdge(e int32) {
+	if s.edgeMark[e] == s.stamp {
+		return
+	}
+	s.edgeMark[e] = s.stamp
+	s.contrib[e], s.onceContrib[e] = bandPair{}, bandPair{}
+}
+
+// touchTerm makes terminal n part of the current extraction.
+func (s *scratch) touchTerm(n int32) {
+	if s.termMark[n] == s.stamp {
+		return
+	}
+	s.termMark[n] = s.stamp
+	s.storeAcc[n], s.branchAcc[n] = bandPair{}, 0
+	s.terms = append(s.terms, n)
+}
+
+// storeEnd is a store whose stored value the walk corrupts, per class.
+type storeEnd struct {
+	node int32
+	p    bandPair
+}
+
+// branchEnd is a conditional branch the walk flips with probability p.
+type branchEnd struct {
+	node int32
+	p    float64
 }
 
 // ends aggregates where the corruption from one start instruction can go
 // (the terminals of the paper's static data-dependent instruction
-// sequences).
+// sequences). stores and branches are in node-ID (instruction) order, so
+// every sum over them is deterministic.
 type ends struct {
 	// output is the probability of reaching program output visibly:
 	// reduced-precision prints only pass high-band corruption.
 	output float64
-	// stores maps store instructions to the banded probability that their
-	// stored value is corrupted.
-	stores map[*ir.Instr]bandPair
-	// branches maps conditional branches to the probability their
-	// direction is flipped.
-	branches map[*ir.Instr]float64
+	// stores holds the banded probability that each reached store's value
+	// is corrupted.
+	stores []storeEnd
+	// branches holds the probability that each reached conditional branch
+	// flips.
+	branches []branchEnd
 	// crash is the estimated probability of a trap along the way.
 	crash float64
 }
@@ -116,14 +342,9 @@ const walkUniform walkMode = -1
 // walkBand returns the walk mode pinned to one band.
 func walkBand(band int) walkMode { return walkMode(band) }
 
-// walkKey caches walks per (start, mode).
-type walkKey struct {
-	in   *ir.Instr
-	mode walkMode
-}
-
 // consumptionWeight is the expected number of times `to` consumes one
-// corrupted result of `from`, per execution of `from`:
+// corrupted result of `from` through operand opIdx, per execution of
+// `from`:
 //
 //   - for phi arms, the profiled traversal frequency of the incoming CFG
 //     edge relative to the def's executions — this makes loop-carried
@@ -135,16 +356,15 @@ type walkKey struct {
 //     generalization of the paper's path-probability weighting (the
 //     NULL-node masking of §IV-E): a consumer guarded by a 60%-taken
 //     branch yields 0.6.
-func (m *Model) consumptionWeight(ed edge) float64 {
-	fromCount := m.prof.ExecCount[ed.from]
+func (m *Model) consumptionWeight(from, to *ir.Instr, opIdx int) float64 {
+	fromCount := m.prof.ExecCount[from]
 	if fromCount == 0 {
 		return 0
 	}
-	if ed.phiIncoming >= 0 && ed.to.Op == ir.OpPhi {
-		from := ed.to.PhiBlocks[ed.phiIncoming]
-		return m.edgeTraversals(from, ed.to.Block) / float64(fromCount)
+	if to.Op == ir.OpPhi {
+		return m.edgeTraversals(to.PhiBlocks[opIdx], to.Block) / float64(fromCount)
 	}
-	return float64(m.prof.ExecCount[ed.to]) / float64(fromCount)
+	return float64(m.prof.ExecCount[to]) / float64(fromCount)
 }
 
 // edgeTraversals returns the profiled number of times control flowed along
@@ -172,35 +392,21 @@ func (m *Model) edgeTraversals(from, to *ir.Block) float64 {
 	return 0
 }
 
-// edgeTransition returns the cached banded transition and crash share of
-// an edge.
-func (m *Model) edgeTransition(ed edge) (transition, float64) {
-	if ed.opIdx == identityEdge {
-		return diagonal(1), 0
-	}
-	key := tupleKey{ed.to, ed.opIdx}
-	if entry, ok := m.transCache[key]; ok {
-		return entry.tr, entry.crash
-	}
-	tr, crash := m.transitionFor(ed.to, ed.opIdx)
-	m.transCache[key] = transEntry{tr: tr, crash: crash}
-	return tr, crash
-}
-
 // walkFrom runs the fs sub-model from `start`, whose result register is
 // assumed corrupted per `mode`, and returns the terminal probabilities.
 func (m *Model) walkFrom(start *ir.Instr, mode walkMode) *ends {
-	key := walkKey{start, mode}
-	if cached, ok := m.walkCache[key]; ok {
+	g := m.compiled()
+	id, ok := g.id[start]
+	if !ok {
+		return &ends{}
+	}
+	slot := int(id)*(nClasses+1) + int(mode) + 1
+	if cached := m.walks[slot]; cached != nil {
 		return cached
 	}
-	e := &ends{
-		stores:   make(map[*ir.Instr]bandPair),
-		branches: make(map[*ir.Instr]float64),
-	}
-	m.walkCache[key] = e
-
-	if m.prof.ExecCount[start] == 0 {
+	e := &ends{}
+	m.walks[slot] = e
+	if g.count[id] == 0 {
 		return e // never activated
 	}
 
@@ -217,85 +423,88 @@ func (m *Model) walkFrom(start *ir.Instr, mode walkMode) *ends {
 	// value is bound-checked before it is reused, so bit flips that would
 	// have left the loop's index range mostly exit the loop instead of
 	// surviving into the next iteration's address computation.
-	reach, once := m.fixpoint(start, seed, nil)
-	guardFlip := m.guardFlips(once)
-	if len(guardFlip) > 0 {
-		reach, once = m.fixpoint(start, seed, guardFlip)
+	m.fixpoint(id, seed, nil)
+	guards := m.guardFlips()
+	if len(guards) > 0 {
+		m.fixpoint(id, seed, guards)
 	}
+	m.extract(e, guards)
+	return e
+}
 
-	// Extraction: classify every out-edge of a reached node. The terminal
-	// contribution is the expected corrupted consumptions, capped at 1 to
-	// become a probability.
-	addCrash := func(p float64) {
-		e.crash += p
-		if e.crash > 1 {
-			e.crash = 1
-		}
-	}
-	capped := func(v float64) float64 {
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
-
-	for node, r := range reach {
+// extract classifies every out-edge of each node the last fixpoint
+// reached, in node-ID order, into e. The terminal contribution is the
+// expected corrupted consumptions, capped at 1 to become a probability.
+func (m *Model) extract(e *ends, guards []guardFlip) {
+	g, s := m.g, &m.scratch
+	slices.Sort(s.touched)
+	for _, node := range s.touched {
+		r := s.reach[node]
 		if r.total() <= 0 {
 			continue
 		}
-		for _, ed := range m.edges[node] {
-			to := ed.to
-			w := m.consumptionWeight(ed) * m.guardScale(ed, guardFlip)
+		for eid := g.start[node]; eid < g.start[node+1]; eid++ {
+			ed := &g.edges[eid]
+			if ed.kind == kindNone {
+				continue
+			}
+			w := ed.weight
+			if guards != nil {
+				w *= m.guardScale(node, eid, guards)
+			}
 			if w == 0 {
 				continue
 			}
-			w1 := w
-			if w1 > 1 {
-				w1 = 1
-			}
+			w1 := min(w, 1)
 			tr, crashProb := m.edgeTransition(ed)
-			switch {
-			case to.Op == ir.OpStore && ed.opIdx == 0:
-				sp := e.stores[to]
+			switch ed.kind {
+			case kindStoreValue:
+				s.touchTerm(ed.to)
+				sp := &s.storeAcc[ed.to]
 				for from := 0; from < nClasses; from++ {
 					for band := 0; band < nClasses; band++ {
-						sp[band] = capped(sp[band] + r[from]*w*tr[from][band])
+						sp[band] = min(sp[band]+r[from]*w*tr[from][band], 1)
 					}
 				}
-				e.stores[to] = sp
-			case to.Op == ir.OpStore && ed.opIdx == 1:
-				addCrash(capped(once[node].total()) * w1 * crashProb)
-			case to.Op == ir.OpLoad:
-				// The load's surviving share continued through the
+			case kindAddress:
+				// A load's surviving share continued through the
 				// fixpoint; its crash share is accounted here with
 				// at-least-once semantics (correlated retries).
-				addCrash(capped(once[node].total()) * w1 * crashProb)
-			case to.Op == ir.OpCondBr:
+				e.crash = min(e.crash+min(s.once[node].total(), 1)*w1*crashProb, 1)
+			case kindBranch, kindGuard:
 				flip := 0.0
 				for from := 0; from < nClasses; from++ {
 					flip += r[from] * w * tr.propTotal(from)
 				}
-				e.branches[to] = capped(e.branches[to] + flip)
-			case to.Op == ir.OpPrint && m.isOutput(to):
+				s.touchTerm(ed.to)
+				s.branchAcc[ed.to] = min(s.branchAcc[ed.to]+flip, 1)
+			case kindOutput, kindOutputG2:
 				contribution := 0.0
-				g2 := to.Format == ir.FormatG2 && to.Operands[0].ValueType().IsFloat()
 				for from := 0; from < nClasses; from++ {
 					for band := 0; band < nClasses; band++ {
-						if g2 && band != bandTop && band != classReplaced {
+						if ed.kind == kindOutputG2 && band != bandTop && band != classReplaced {
 							continue // below the printed precision
 						}
 						contribution += r[from] * w * tr[from][band]
 					}
 				}
-				e.output = capped(e.output + contribution)
+				e.output = min(e.output+contribution, 1)
 			}
 		}
 	}
-	return e
+
+	slices.Sort(s.terms)
+	for _, n := range s.terms {
+		if g.instrs[n].Op == ir.OpStore {
+			e.stores = append(e.stores, storeEnd{node: n, p: s.storeAcc[n]})
+		} else {
+			e.branches = append(e.branches, branchEnd{node: n, p: s.branchAcc[n]})
+		}
+	}
 }
 
-// fixpoint computes the banded reach quantities from start, both least
-// fixed points over the def-use graph:
+// fixpoint computes the banded reach quantities from start into the
+// scratch, both least fixed points over the def-use graph:
 //
 // reach — expected corrupted executions per band (total bounded by
 // ExecCount): value corruption compounds through loop-carried phis, so an
@@ -308,39 +517,38 @@ func (m *Model) walkFrom(start *ir.Instr, mode walkMode) *ends {
 // address every iteration — the trials are perfectly correlated, and the
 // first access decides.
 //
-// guardFlip, when non-nil, maps loop-guarding conditional branches to the
+// guards, when non-nil, lists loop-guarding conditional branches with the
 // probability the corruption flips them; phi arms crossing a back edge
 // guarded by such a branch have their consumption scaled by the
 // complement (the corruption survives into the next iteration only when
 // the guard still passes).
-func (m *Model) fixpoint(start *ir.Instr, seed bandPair, guardFlip map[*ir.Instr]float64) (reach, once map[*ir.Instr]bandPair) {
+func (m *Model) fixpoint(start int32, seed bandPair, guards []guardFlip) {
 	const eps = 1e-9
-	reach = map[*ir.Instr]bandPair{start: seed}
-	once = map[*ir.Instr]bandPair{start: seed}
-	inSum := map[*ir.Instr]bandPair{start: seed}
-	onceSum := map[*ir.Instr]bandPair{start: seed}
-	contrib := make(map[edge]bandPair)
-	onceContrib := make(map[edge]bandPair)
+	g, s := m.g, &m.scratch
+	s.reset()
+	s.touch(start)
+	s.reach[start], s.once[start], s.inSum[start], s.onceSum[start] = seed, seed, seed, seed
 
-	worklist := []*ir.Instr{start}
+	worklist := append(s.worklist[:0], start)
 	for len(worklist) > 0 {
 		node := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
-		r := reach[node]
-		o := once[node]
-		for _, ed := range m.edges[node] {
-			if isTerminal(ed.to) {
+		r := s.reach[node]
+		o := s.once[node]
+		for eid := g.start[node]; eid < g.start[node+1]; eid++ {
+			ed := &g.edges[eid]
+			if ed.terminal {
 				continue // sinks; handled during extraction from reach
 			}
-			tr, _ := m.edgeTransition(ed)
-			w := m.consumptionWeight(ed) * m.guardScale(ed, guardFlip)
+			w := ed.weight
+			if guards != nil {
+				w *= m.guardScale(node, eid, guards)
+			}
 			if w <= 0 {
 				continue
 			}
-			w1 := w
-			if w1 > 1 {
-				w1 = 1
-			}
+			w1 := min(w, 1)
+			tr, _ := m.edgeTransition(ed)
 
 			var newContrib, newOnce bandPair
 			for from := 0; from < nClasses; from++ {
@@ -350,41 +558,45 @@ func (m *Model) fixpoint(start *ir.Instr, seed bandPair, guardFlip map[*ir.Instr
 				}
 			}
 
+			to, slot := ed.to, ed.slot
+			s.touchEdge(slot)
 			changed := false
 
-			if old := contrib[ed]; grew(newContrib, old, eps) {
-				sum := inSum[ed.to]
+			if old := s.contrib[slot]; grew(newContrib, old, eps) {
+				s.touch(to)
+				sum := s.inSum[to]
 				for band := 0; band < nClasses; band++ {
 					if newContrib[band] > old[band] {
 						sum[band] += newContrib[band] - old[band]
 						old[band] = newContrib[band]
 					}
 				}
-				contrib[ed] = old
-				inSum[ed.to] = sum
+				s.contrib[slot] = old
+				s.inSum[to] = sum
 				target := sum
-				if bound := float64(m.prof.ExecCount[ed.to]); target.total() > bound {
+				if bound := g.count[to]; target.total() > bound {
 					f := bound / target.total()
 					for band := range target {
 						target[band] *= f
 					}
 				}
-				if grew(target, reach[ed.to], eps) {
-					reach[ed.to] = target
+				if grew(target, s.reach[to], eps) {
+					s.reach[to] = target
 					changed = true
 				}
 			}
 
-			if oldOnce := onceContrib[ed]; grew(newOnce, oldOnce, eps) {
-				sum := onceSum[ed.to]
+			if oldOnce := s.onceContrib[slot]; grew(newOnce, oldOnce, eps) {
+				s.touch(to)
+				sum := s.onceSum[to]
 				for band := 0; band < nClasses; band++ {
 					if newOnce[band] > oldOnce[band] {
 						sum[band] += newOnce[band] - oldOnce[band]
 						oldOnce[band] = newOnce[band]
 					}
 				}
-				onceContrib[ed] = oldOnce
-				onceSum[ed.to] = sum
+				s.onceContrib[slot] = oldOnce
+				s.onceSum[to] = sum
 				target := sum
 				// "At least once" is a probability of a single event: cap
 				// the total, preserving the band mix.
@@ -393,24 +605,31 @@ func (m *Model) fixpoint(start *ir.Instr, seed bandPair, guardFlip map[*ir.Instr
 						target[band] /= t
 					}
 				}
-				if grew(target, once[ed.to], eps) {
-					once[ed.to] = target
+				if grew(target, s.once[to], eps) {
+					s.once[to] = target
 					changed = true
 				}
 			}
 
 			if changed {
-				worklist = append(worklist, ed.to)
+				worklist = append(worklist, to)
 			}
 		}
 	}
-	return reach, once
+	s.worklist = worklist
 }
 
-// guardScale returns the survival factor of an edge under the phase-2
-// guard refinement: corruption that flips a bound check is consumed by the
-// divergence (handled through fc), not by the uses behind the check. Two
-// cases compose:
+// guardFlip is one loop-guarding conditional branch and the probability
+// the corruption flips it.
+type guardFlip struct {
+	node int32
+	p    float64
+}
+
+// guardScale returns the survival factor of edge eid out of node `from`
+// under the phase-2 guard refinement: corruption that flips a bound check
+// is consumed by the divergence (handled through fc), not by the uses
+// behind the check. Two cases compose:
 //
 //   - a phi arm crossing a back edge whose latch ends in a flip-influenced
 //     conditional branch survives into the next iteration only when the
@@ -419,45 +638,54 @@ func (m *Model) fixpoint(start *ir.Instr, seed bandPair, guardFlip map[*ir.Instr
 //     between the def and the use (header-checked loops: the def is the
 //     header phi or earlier, the check ends the header, the use sits in
 //     the body) sees the corruption only when the check still passes.
-func (m *Model) guardScale(ed edge, guardFlip map[*ir.Instr]float64) float64 {
-	if len(guardFlip) == 0 {
-		return 1
+//
+// The factor depends only on the edge and the guards, so it is memoized
+// per edge for the current walk.
+func (m *Model) guardScale(from, eid int32, guards []guardFlip) float64 {
+	s := &m.scratch
+	if s.scaleMark[eid] == s.stamp {
+		return s.scale[eid]
 	}
-	s := 1.0
-	if g := m.backEdgeGuard(ed); g != nil {
-		s *= 1 - guardFlip[g]
-	}
-	fromBlk, toBlk := ed.from.Block, ed.to.Block
-	if fromBlk.Fn != toBlk.Fn {
-		return s
-	}
-	cfg := m.cfgOf(toBlk.Fn)
-	for g, flip := range guardFlip {
-		gBlk := g.Block
-		if gBlk.Fn != toBlk.Fn || gBlk == toBlk {
-			continue
+	g := m.g
+	ed := &g.edges[eid]
+	v := 1.0
+	if ed.guard >= 0 {
+		for _, gf := range guards {
+			if gf.node == ed.guard {
+				v *= 1 - gf.p
+			}
 		}
-		if !cfg.Dominates(gBlk, toBlk) {
-			continue
-		}
-		if fromBlk != gBlk && !cfg.Dominates(fromBlk, gBlk) {
-			continue
-		}
-		s *= 1 - flip
 	}
-	return s
+	fromBlk, toBlk := g.instrs[from].Block, g.instrs[ed.to].Block
+	if fromBlk.Fn == toBlk.Fn {
+		cfg := m.cfgOf(toBlk.Fn)
+		for _, gf := range guards {
+			gBlk := g.instrs[gf.node].Block
+			if gBlk.Fn != toBlk.Fn || gBlk == toBlk {
+				continue
+			}
+			if !cfg.Dominates(gBlk, toBlk) {
+				continue
+			}
+			if fromBlk != gBlk && !cfg.Dominates(fromBlk, gBlk) {
+				continue
+			}
+			v *= 1 - gf.p
+		}
+	}
+	s.scaleMark[eid], s.scale[eid] = s.stamp, v
+	return v
 }
 
-// backEdgeGuard returns, for a phi-arm edge whose incoming CFG edge is a
-// loop back edge terminated by a conditional branch, that branch; nil
-// otherwise.
-func (m *Model) backEdgeGuard(ed edge) *ir.Instr {
-	if ed.phiIncoming < 0 || ed.to.Op != ir.OpPhi {
+// backEdgeGuard returns, for a phi-arm edge into `to` whose incoming CFG
+// edge is a loop back edge terminated by a conditional branch, that
+// branch; nil otherwise.
+func (m *Model) backEdgeGuard(to *ir.Instr, opIdx int) *ir.Instr {
+	if to.Op != ir.OpPhi {
 		return nil
 	}
-	from := ed.to.PhiBlocks[ed.phiIncoming]
-	cfg := m.cfgOf(ed.to.Block.Fn)
-	if !cfg.IsBackEdge(from, ed.to.Block) {
+	from := to.PhiBlocks[opIdx]
+	if !m.cfgOf(to.Block.Fn).IsBackEdge(from, to.Block) {
 		return nil
 	}
 	term := from.Terminator()
@@ -467,52 +695,43 @@ func (m *Model) backEdgeGuard(ed edge) *ir.Instr {
 	return term
 }
 
-// guardFlips estimates, from the phase-1 at-least-once map, the
-// probability that the corruption flips each back-edge-guarding branch
-// (at-least-once semantics: the same flipped bit either trips the bound
-// check on its first evaluation or never). Only guards actually influenced
-// by the corruption are returned.
-func (m *Model) guardFlips(once map[*ir.Instr]bandPair) map[*ir.Instr]float64 {
-	var flips map[*ir.Instr]float64
-	for node, o := range once {
+// guardFlips estimates, from the phase-1 at-least-once reach in the
+// scratch, the probability that the corruption flips each
+// loop-terminating branch (at-least-once semantics: the same flipped bit
+// either trips the bound check on its first evaluation or never). Only
+// guards actually influenced by the corruption are returned, in node-ID
+// order.
+func (m *Model) guardFlips() []guardFlip {
+	g, s := m.g, &m.scratch
+	var flips []guardFlip
+	for _, node := range s.touched {
+		o := s.once[node]
 		if o.total() <= 0 {
 			continue
 		}
-		for _, ed := range m.edges[node] {
-			if ed.to.Op != ir.OpCondBr {
+		for eid := g.start[node]; eid < g.start[node+1]; eid++ {
+			ed := &g.edges[eid]
+			if ed.kind != kindGuard {
 				continue
 			}
-			blk := ed.to.Block
-			cfg := m.cfgOf(blk.Fn)
-			// Only loop-terminating branches act as guards: both
-			// latch-style (a target is the back edge) and header-style
-			// (one target exits the loop) checks qualify.
-			if lt, _ := cfg.IsLoopTerminating(blk); !lt {
-				continue
-			}
-			w := m.consumptionWeight(ed)
-			if w > 1 {
-				w = 1
-			}
+			w := min(ed.weight, 1)
 			tr, _ := m.edgeTransition(ed)
 			p := 0.0
 			for from := 0; from < nClasses; from++ {
 				p += o[from] * w * tr.propTotal(from)
 			}
-			if p > 1 {
-				p = 1
-			}
-			if p <= 1e-9 {
+			if p = min(p, 1); p <= 1e-9 {
 				continue
 			}
-			if flips == nil {
-				flips = make(map[*ir.Instr]float64)
-			}
-			if p > flips[ed.to] {
-				flips[ed.to] = p
+			i := slices.IndexFunc(flips, func(gf guardFlip) bool { return gf.node == ed.to })
+			if i < 0 {
+				flips = append(flips, guardFlip{node: ed.to, p: p})
+			} else if p > flips[i].p {
+				flips[i].p = p
 			}
 		}
 	}
+	slices.SortFunc(flips, func(a, b guardFlip) int { return int(a.node - b.node) })
 	return flips
 }
 

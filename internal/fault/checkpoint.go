@@ -431,6 +431,11 @@ func (ck *Checkpoint) record(spec trialSpec, tr Injection, terr *TrialError) {
 		}
 		return
 	}
+	// Two workers can run duplicate draws of one trial concurrently, both
+	// missing replay; the second identical result is already logged.
+	if old, ok := ck.cache[key]; ok && old == rec {
+		return
+	}
 	ck.cache[key] = rec
 	if _, err := ck.f.Write(append(line, '\n')); err != nil && ck.writeErr == nil {
 		ck.writeErr = err

@@ -269,3 +269,32 @@ func FuzzCheckpointLog(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckpointRecordLogsDuplicateOnce records one trial twice, as two
+// workers do when they run duplicate draws of it concurrently: the log
+// must hold one record, so a transcript never repeats a trial.
+func TestCheckpointRecordLogsDuplicateOnce(t *testing.T) {
+	inj, err := New(mustProg(t, "pathfinder").Build(), Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trials.jsonl")
+	ck, err := openCheckpoint(path, inj.metaRandom(4), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := trialSpec{instr: inj.Targets()[0], instance: 3, bit: 5}
+	tr := Injection{Instr: spec.instr, Instance: 3, Bit: 5, Outcome: SDC}
+	ck.record(spec, tr, nil)
+	ck.record(spec, tr, nil)
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"outcome"`); n != 1 {
+		t.Errorf("log holds %d trial records, want 1:\n%s", n, data)
+	}
+}
