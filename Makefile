@@ -1,12 +1,19 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-all doc fuzz-smoke servercheck cachecheck prunecheck stratcheck adaptcheck
+.PHONY: build test check race bench bench-all doc loc fuzz-smoke servercheck cachecheck prunecheck stratcheck adaptcheck
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# loc prints non-test Go lines per package (excluding testdata and
+# perfbench) and the net change against BASE, the figure every change
+# reports next to its benchmark numbers: make loc BASE=<parent-rev>.
+BASE ?= HEAD
+loc:
+	bash scripts/loc.sh $(BASE)
 
 # doc is the documentation lint: formatting must be canonical, vet must
 # be clean, and every package (internal, cmd, examples, root) must carry

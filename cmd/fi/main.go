@@ -265,51 +265,9 @@ func run(args []string) (int, error) {
 	}
 
 	start := time.Now()
-	var res *fault.CampaignResult
-	var sres *fault.StratifiedResult
-	var ares *fault.AdaptiveResult
-	switch {
-	case *stratifyAdaptive:
-		if *resume {
-			// Adaptive checkpoints resume transparently (mid-pilot or
-			// mid-main); -resume just adds the "refuse to start from
-			// scratch" contract.
-			if _, serr := os.Stat(*checkpoint); serr != nil {
-				return 1, fmt.Errorf("-resume: %w", serr)
-			}
-		}
-		if *checkpoint != "" {
-			ares, err = inj.CampaignAdaptiveCheckpoint(ctx, *n, *checkpoint)
-		} else {
-			ares, err = inj.CampaignAdaptive(ctx, *n)
-		}
-		if ares != nil {
-			sres = ares.StratifiedResult
-			res = sres.CampaignResult
-		}
-	case *stratify:
-		if *resume {
-			// Stratified checkpoints resume transparently; -resume just
-			// adds the "refuse to start from scratch" contract.
-			if _, serr := os.Stat(*checkpoint); serr != nil {
-				return 1, fmt.Errorf("-resume: %w", serr)
-			}
-		}
-		if *checkpoint != "" {
-			sres, err = inj.CampaignStratifiedCheckpoint(ctx, *n, *checkpoint)
-		} else {
-			sres, err = inj.CampaignStratified(ctx, *n)
-		}
-		if sres != nil {
-			res = sres.CampaignResult
-		}
-	case *resume:
-		res, err = inj.ResumeCampaign(ctx, *n, *checkpoint)
-	case *checkpoint != "":
-		res, err = inj.CampaignRandomCheckpoint(ctx, *n, *checkpoint)
-	default:
-		res, err = inj.CampaignRandom(ctx, *n)
-	}
+	// One call serves every sampling mode the options select; -resume
+	// adds the "refuse to start from scratch" contract to the checkpoint.
+	ares, err := inj.Campaign(ctx, *n, fault.Run{Checkpoint: *checkpoint, Resume: *resume})
 	meter.Final(lastProgress)
 	cancelled := errors.Is(err, context.Canceled)
 	if err != nil && !cancelled {
@@ -326,6 +284,7 @@ func run(args []string) (int, error) {
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
 	}
 
+	res := ares.CampaignResult
 	if cancelled {
 		fmt.Printf("\ncampaign cancelled after %.1fs: reporting the %d completed trials (of %d requested)\n",
 			time.Since(start).Seconds(), res.N(), *n)
@@ -345,21 +304,21 @@ func run(args []string) (int, error) {
 	}
 	fmt.Printf("SDC probability: %.2f%% ± %.2f%% (95%% CI)\n",
 		res.SDCProb()*100, stats.ProportionCI95(res.SDCProb(), res.ClassifiedN())*100)
-	if sres != nil {
-		if ares != nil {
+	if *stratify || *stratifyAdaptive {
+		if *stratifyAdaptive {
 			fmt.Printf("\nadaptive stratified sampling (pilot %d of %d slots, derived plan %s):\n",
-				ares.PilotExecuted, ares.PilotSlots, sres.Plan)
+				ares.PilotExecuted, ares.PilotSlots, ares.Plan)
 		} else {
-			fmt.Printf("\nstratified sampling (plan %s):\n", sres.Plan)
+			fmt.Printf("\nstratified sampling (plan %s):\n", ares.Plan)
 		}
-		printStratumTable(sres)
-		fmt.Printf("  %d of %d drawn slots executed\n", sres.ExecutedN(), *n)
-		if ares != nil && ares.ExecutedN() > 0 {
+		printStratumTable(ares.StratifiedResult)
+		fmt.Printf("  %d of %d drawn slots executed\n", ares.ExecutedN(), *n)
+		if *stratifyAdaptive && ares.ExecutedN() > 0 {
 			fmt.Printf("  pilot spent %.0f%% of the executed budget buying the plan\n",
 				ares.PilotFraction()*100)
 		}
 		fmt.Printf("weighted SDC probability: %.2f%% ± %.2f%% (95%% CI, effective n %.0f)\n",
-			sres.WeightedSDC()*100, sres.WeightedErrorBar95()*100, sres.EffectiveN())
+			ares.WeightedSDC()*100, ares.WeightedErrorBar95()*100, ares.EffectiveN())
 	}
 	if len(res.Errs) > 0 {
 		fmt.Printf("\n%d trial(s) errored (engine failures, excluded from rates); first few:\n", len(res.Errs))
@@ -449,16 +408,7 @@ func runCompositional(ctx context.Context, fired func() os.Signal, o composition
 		return 1, err
 	}
 	start := time.Now()
-	var res *fault.CompositionalResult
-	var ares *fault.AdaptiveCompositionalResult
-	if o.adaptive {
-		ares, err = o.inj.CampaignAdaptiveCompositional(ctx, o.n, store)
-		if ares != nil {
-			res = ares.CompositionalResult
-		}
-	} else {
-		res, err = o.inj.CampaignCompositional(ctx, o.n, store)
-	}
+	res, err := o.inj.CampaignCompositional(ctx, o.n, store)
 	o.meter.Final(o.lastProgress)
 	cancelled := errors.Is(err, context.Canceled)
 	if err != nil && !cancelled {
@@ -501,7 +451,7 @@ func runCompositional(ctx context.Context, fired func() os.Signal, o composition
 	}
 	if o.adaptive {
 		fmt.Printf("cache: %d hit(s), %d miss(es); %d plan(s) seeded from plain profiles, %d pilot trials executed\n",
-			res.Hits, res.Misses, ares.SeededFuncs, ares.PilotExecuted)
+			res.Hits, res.Misses, res.SeededFuncs, res.PilotExecuted)
 	} else {
 		fmt.Printf("cache: %d hit(s), %d miss(es)\n", res.Hits, res.Misses)
 	}

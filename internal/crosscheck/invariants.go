@@ -320,7 +320,7 @@ func CheckCheckpointResume(name string, m *ir.Module, seed uint64, n, interruptA
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: injector on %s: %w", name, err)
 	}
-	if _, err := injA.CampaignRandomCheckpoint(cctx, n, path); err != nil && cctx.Err() == nil {
+	if _, err := injA.Campaign(cctx, n, fault.Run{Checkpoint: path}); err != nil && cctx.Err() == nil {
 		return nil, fmt.Errorf("crosscheck: interrupted campaign on %s: %w", name, err)
 	}
 
@@ -328,7 +328,7 @@ func CheckCheckpointResume(name string, m *ir.Module, seed uint64, n, interruptA
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: injector on %s: %w", name, err)
 	}
-	resumed, err := injB.ResumeCampaign(context.Background(), n, path)
+	resumed, err := injB.Campaign(context.Background(), n, fault.Run{Checkpoint: path, Resume: true})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: resumed campaign on %s: %w", name, err)
 	}

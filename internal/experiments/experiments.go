@@ -118,7 +118,10 @@ func (c Config) campaignRandom(inj *fault.Injector, label string, n int) (*fault
 	} else {
 		path := filepath.Join(c.CheckpointDir,
 			fmt.Sprintf("%s-seed%d-n%d.jsonl", label, c.Seed, n))
-		res, err = inj.CampaignRandomCheckpoint(c.ctx(), n, path)
+		var ar *fault.AdaptiveResult
+		if ar, err = inj.Campaign(c.ctx(), n, fault.Run{Checkpoint: path}); ar != nil {
+			res = ar.CampaignResult
+		}
 	}
 	if res != nil {
 		span.EndWith(telemetry.Attrs{"done": res.N(), "sdc": res.Counts[fault.SDC]})

@@ -1,8 +1,9 @@
-// This file implements adaptive (Neyman-allocation) stratified campaigns
-// — the plan-choosing loop on top of the stratified estimator stack
-// (stratify.go; ANALYSIS.md, "Adaptive (Neyman) allocation"). A campaign
-// budget of n slots is split into a pilot prefix and a thinned main
-// phase:
+// This file holds the configuration, hashes and result of adaptive
+// (Neyman-allocation) stratified campaigns — the plan-choosing loop on
+// top of the stratified estimator stack (stratify.go; ANALYSIS.md,
+// "Adaptive (Neyman) allocation"); the campaign driver (driver.go) runs
+// the phases. A campaign budget of n slots is split into a pilot prefix
+// and a thinned main phase:
 //
 //	slots [0, pn)  — the pilot: thinned under the static default shape
 //	                 (live strata at rate 1, the provably-masked stratum
@@ -28,7 +29,6 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -95,14 +95,6 @@ func pilotLen(n int, frac float64) int {
 	return pn
 }
 
-// requireAdaptive validates the adaptive-campaign configuration.
-func (inj *Injector) requireAdaptive() error {
-	if inj.opts.Adaptive == nil {
-		return fmt.Errorf("fault: adaptive campaign requires Options.Adaptive")
-	}
-	return nil
-}
-
 // AdaptiveHash returns the content address of the adaptive configuration
 // in effect — influence table, pilot fraction and rate floor — or ""
 // when Options.Adaptive is nil. The derived main-phase plan is a pure
@@ -112,10 +104,7 @@ func (inj *Injector) AdaptiveHash() string {
 	if inj.opts.Adaptive == nil {
 		return ""
 	}
-	c := inj.opts.Adaptive.withDefaults()
-	return hashutil.Hex(hashutil.String(fmt.Sprintf("adaptive|%x|%x|%x",
-		inj.influence.ModuleHash(inj.module),
-		math.Float64bits(c.PilotFraction), math.Float64bits(c.RateFloor))))
+	return adaptiveHash(inj.influence.ModuleHash(inj.module), *inj.opts.Adaptive)
 }
 
 // AdaptiveHashFor computes the adaptive content address of m under cfg
@@ -123,137 +112,50 @@ func (inj *Injector) AdaptiveHash() string {
 // keys. It agrees with Injector.AdaptiveHash for the same module and
 // configuration.
 func AdaptiveHashFor(m *ir.Module, cfg AdaptiveConfig) string {
-	c := cfg.withDefaults()
 	inf := bitlive.ClassifyInfluence(m, bitlive.Analyze(m))
+	return adaptiveHash(inf.ModuleHash(m), cfg)
+}
+
+// adaptiveHash folds an influence-table hash (a module's, or one
+// function's for compositional cache keys) with the resolved pilot
+// fraction and rate floor.
+func adaptiveHash(influence uint64, cfg AdaptiveConfig) string {
+	c := cfg.withDefaults()
 	return hashutil.Hex(hashutil.String(fmt.Sprintf("adaptive|%x|%x|%x",
-		inf.ModuleHash(m),
-		math.Float64bits(c.PilotFraction), math.Float64bits(c.RateFloor))))
+		influence, math.Float64bits(c.PilotFraction), math.Float64bits(c.RateFloor))))
 }
 
-// classifySpecs maps each spec to its influence stratum.
-func (inj *Injector) classifySpecs(specs []trialSpec) []bitlive.Stratum {
-	strata := make([]bitlive.Stratum, len(specs))
-	for i, spec := range specs {
-		strata[i] = inj.stratumOf(spec)
-	}
-	return strata
-}
-
-// pilotEvidence tallies per-stratum pilot outcomes: drawn pilot slots
-// (drawn — before pilot thinning, so the shares estimate the stream's
-// stratum shares), executed classified trials and their SDC counts,
-// with stratum bit counts from st. keptStrata aligns with trials — the
-// thinned subset that executed. Errored trials carry no
-// program-behavior signal and are excluded, exactly as the weighted
-// estimators exclude them.
-func pilotEvidence(st bitlive.StratumStats, drawn, keptStrata []bitlive.Stratum, trials []Injection) [bitlive.NumStrata]bitlive.StratumPilot {
-	var out [bitlive.NumStrata]bitlive.StratumPilot
-	for s := 0; s < bitlive.NumStrata; s++ {
-		out[s].Bits = st.Bits[s]
-	}
-	for _, s := range drawn {
-		out[int(s)].Slots++
-	}
-	for i, tr := range trials {
-		if tr.Outcome == Errored {
-			continue
-		}
-		s := int(keptStrata[i])
-		out[s].Trials++
-		if tr.Outcome == SDC {
-			out[s].SDC++
-		}
-	}
-	return out
-}
-
-// thinSlots thins slots [lo, hi) of the drawn stream under plan with the
-// random-access inclusion hash keyed by absolute slot index — the same
-// scheme stratifiedSpecs uses, so shard boundaries and resume never
-// shift the executed subset.
-func thinSlots(seed uint64, plan bitlive.Plan, specs []trialSpec, strata []bitlive.Stratum, lo, hi int) (kept []trialSpec, keptStrata []bitlive.Stratum) {
-	for i := lo; i < hi; i++ {
-		q := plan.Rate(strata[i])
-		if q >= 1 || slotU(seed, i) < q {
-			kept = append(kept, specs[i])
-			keptStrata = append(keptStrata, strata[i])
-		}
-	}
-	return kept, keptStrata
-}
-
-// AdaptiveResult is a two-phase adaptive campaign's outcome: the
-// combined pilot + main transcript with its Horvitz-Thompson weighting
-// (pilot trials at 1/q of the pilot plan, main-phase trials at 1/q of
-// the derived plan), plus the pilot bookkeeping behind the plan.
+// AdaptiveResult is the campaign driver's result under any sampling
+// design: the executed transcript with its Horvitz-Thompson weighting,
+// plus the pilot bookkeeping of an adaptive campaign. For an adaptive
+// campaign, pilot trials weigh 1/q of the pilot plan and main-phase
+// trials 1/q of the derived plan; a stratified campaign weighs every
+// trial under Options.Stratify; a plain one at 1, with no strata and
+// zero pilot fields.
 type AdaptiveResult struct {
 	// StratifiedResult holds the combined executed trials over all SlotN
-	// slots; Plan is the derived main-phase plan (the pilot plan when
-	// the campaign was cancelled before the pilot completed).
+	// slots; Plan is the plan of the last phase that ran — for an
+	// adaptive campaign the derived main-phase plan, or the pilot plan
+	// when the campaign stopped before the pilot completed.
 	*StratifiedResult
 	// PilotSlots is the pilot prefix length pn; PilotExecuted is how many
 	// of those slots actually executed — below PilotSlots even on a
 	// completed pilot, since the pilot thins provably-masked slots at
-	// the rate floor, and 0 when the plan was seeded from cached
-	// profiles and the pilot skipped entirely.
+	// the rate floor.
 	PilotSlots    int
 	PilotExecuted int
 	// Pilot is the per-stratum evidence NeymanPlan derived the plan from
 	// (zero when the pilot did not complete).
 	Pilot [bitlive.NumStrata]bitlive.StratumPilot
-	// Seeded reports that the plan came from cached per-function profiles
-	// rather than a pilot phase.
-	Seeded bool
 }
 
 // PilotFraction returns the pilot's share of the executed trials — the
-// overhead the adaptive machinery spent buying its plan (0 when the plan
-// was seeded from cache).
+// overhead the adaptive machinery spent buying its plan.
 func (ar *AdaptiveResult) PilotFraction() float64 {
 	if e := ar.ExecutedN(); e > 0 {
 		return float64(ar.PilotExecuted) / float64(e)
 	}
 	return 0
-}
-
-// assembleAdaptive stitches the pilot and main transcripts into one
-// weighted result: pilot trials at 1/q of pplan (the pilot plan), main
-// trials at 1/q of plan. A cancelled campaign passes the completed
-// prefix of either phase; weights align with whatever ran.
-func assembleAdaptive(plan, pplan bitlive.Plan, n, pn int, slotCounts [bitlive.NumStrata]int,
-	pilotRes *CampaignResult, pilotStrata []bitlive.Stratum,
-	mainRes *CampaignResult, mainStrata []bitlive.Stratum,
-	pilot [bitlive.NumStrata]bitlive.StratumPilot) *AdaptiveResult {
-	comb := &CampaignResult{}
-	comb.Trials = append(append([]Injection{}, pilotRes.Trials...), mainRes.Trials...)
-	comb.Errs = append(comb.Errs, pilotRes.Errs...)
-	for _, te := range mainRes.Errs {
-		te.Index += len(pilotRes.Trials)
-		comb.Errs = append(comb.Errs, te)
-	}
-	comb.tally()
-	sr := &StratifiedResult{
-		CampaignResult: comb,
-		SlotN:          n,
-		Plan:           plan,
-		SlotCounts:     slotCounts,
-	}
-	sr.Strata = append(append([]bitlive.Stratum{}, pilotStrata[:len(pilotRes.Trials)]...),
-		mainStrata[:len(mainRes.Trials)]...)
-	sr.Weights = make([]float64, len(comb.Trials))
-	for i, s := range sr.Strata {
-		if i < len(pilotRes.Trials) {
-			sr.Weights[i] = 1 / pplan.Rate(s)
-		} else {
-			sr.Weights[i] = 1 / plan.Rate(s)
-		}
-	}
-	return &AdaptiveResult{
-		StratifiedResult: sr,
-		PilotSlots:       pn,
-		PilotExecuted:    len(pilotRes.Trials),
-		Pilot:            pilot,
-	}
 }
 
 // pilotPlan is the plan the pilot prefix runs under: the static default
@@ -265,308 +167,4 @@ func assembleAdaptive(plan, pplan bitlive.Plan, n, pn int, slotCounts [bitlive.N
 // instead of burning pilot budget at rate 1.
 func pilotPlan(cfg AdaptiveConfig) bitlive.Plan {
 	return bitlive.MaskedRatePlan(cfg.RateFloor)
-}
-
-// CampaignAdaptive performs a two-phase adaptive campaign over n slots:
-// a static-shape pilot over the first pilotLen slots (live strata at
-// rate 1, provably-masked slots at the floor), Neyman-rate derivation
-// from the pilot's per-stratum tallies, then the main phase over the
-// remaining slots thinned under the derived plan. Pilot trials count
-// against n and fold into the weighted estimate, so
-// ExecutedN <= n always. Cancelling ctx returns the completed prefix
-// along with ctx.Err(), exactly like CampaignStratified.
-func (inj *Injector) CampaignAdaptive(ctx context.Context, n int) (*AdaptiveResult, error) {
-	if err := inj.requireAdaptive(); err != nil {
-		return nil, err
-	}
-	return inj.campaignAdaptive(ctx, n, nil)
-}
-
-// campaignAdaptive is the shared two-phase engine behind CampaignAdaptive
-// and its checkpointed variant.
-func (inj *Injector) campaignAdaptive(ctx context.Context, n int, ck *Checkpoint) (*AdaptiveResult, error) {
-	cfg := inj.opts.Adaptive.withDefaults()
-	specs := inj.sampleRandom(n)
-	strata := inj.classifySpecs(specs)
-	var slotCounts [bitlive.NumStrata]int
-	for _, s := range strata {
-		slotCounts[int(s)]++
-	}
-	pn := pilotLen(n, cfg.PilotFraction)
-	pplan := pilotPlan(cfg)
-
-	empty := &CampaignResult{Counts: map[Outcome]int{}}
-	pilotKept, pilotKeptStrata := thinSlots(inj.opts.Seed, pplan, specs, strata, 0, pn)
-	pilotRes, runErr := inj.runTrials(ctx, pilotKept, ck)
-	if pilotRes == nil {
-		return nil, runErr
-	}
-	if runErr != nil || len(pilotRes.Trials) < len(pilotKept) {
-		// Cancelled mid-pilot: no plan exists yet. Return the executed
-		// prefix under the pilot plan so partial results stay usable.
-		ar := assembleAdaptive(pplan, pplan, n, pn, slotCounts,
-			pilotRes, pilotKeptStrata, empty, nil, [bitlive.NumStrata]bitlive.StratumPilot{})
-		return ar, runErr
-	}
-	evidence := pilotEvidence(inj.influence.ModuleStats(inj.module), strata[:pn], pilotKeptStrata, pilotRes.Trials)
-	plan, err := bitlive.NeymanPlan(evidence, cfg.RateFloor)
-	if err != nil {
-		return nil, err
-	}
-	kept, keptStrata := thinSlots(inj.opts.Seed, plan, specs, strata, pn, n)
-	mainRes, runErr := inj.runTrials(ctx, kept, ck)
-	if mainRes == nil {
-		return nil, runErr
-	}
-	ar := assembleAdaptive(plan, pplan, n, pn, slotCounts, pilotRes, pilotKeptStrata, mainRes, keptStrata, evidence)
-	return ar, runErr
-}
-
-// metaAdaptive describes an adaptive run for checkpoint validation: its
-// own kind (a log holding a pilot prefix plus a thinned main phase can
-// never masquerade as a plain or statically-stratified log) plus the
-// adaptive configuration hash in the Stratify slot.
-func (inj *Injector) metaAdaptive(n int) checkpointMeta {
-	meta := inj.metaRandom(n)
-	meta.Kind = "adaptive"
-	meta.Stratify = inj.AdaptiveHash()
-	return meta
-}
-
-// CampaignAdaptiveCheckpoint is CampaignAdaptive persisted to (and
-// resumed from) a JSONL log at path. Both phases append to the same log;
-// resume replays whatever prefix completed — mid-pilot or mid-main — and
-// re-derives the plan from the replayed pilot outcomes, reproducing the
-// uninterrupted result byte for byte.
-func (inj *Injector) CampaignAdaptiveCheckpoint(ctx context.Context, n int, path string) (*AdaptiveResult, error) {
-	if err := inj.requireAdaptive(); err != nil {
-		return nil, err
-	}
-	ck, err := openCheckpoint(path, inj.metaAdaptive(n), false)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := inj.campaignAdaptive(ctx, n, ck)
-	if cerr := ck.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	return res, runErr
-}
-
-// checkShard validates a (shard, shards) pair.
-func checkShard(shard, shards int) error {
-	if shards <= 0 {
-		return fmt.Errorf("fault: shard count must be positive, got %d", shards)
-	}
-	if shard < 0 || shard >= shards {
-		return fmt.Errorf("fault: shard %d out of range [0, %d)", shard, shards)
-	}
-	return nil
-}
-
-// CampaignAdaptivePilotShardCheckpoint runs one shard's slice of the
-// pilot phase: the slots of ShardRange(n, shard, shards) that fall in
-// the pilot prefix, thinned under the pilot plan (live strata at rate
-// 1, provably-masked slots at the floor), checkpointed at path. A shard
-// whose range lies entirely in the main phase runs nothing and returns
-// an empty result. Once every shard's pilot slice is complete, merge
-// the logs and run the main wave with
-// CampaignAdaptiveMainShardCheckpoint.
-func (inj *Injector) CampaignAdaptivePilotShardCheckpoint(ctx context.Context, n, shard, shards int, path string) (*CampaignResult, error) {
-	if err := inj.requireAdaptive(); err != nil {
-		return nil, err
-	}
-	if err := checkShard(shard, shards); err != nil {
-		return nil, err
-	}
-	cfg := inj.opts.Adaptive.withDefaults()
-	pn := pilotLen(n, cfg.PilotFraction)
-	lo, hi := ShardRange(n, shard, shards)
-	if hi > pn {
-		hi = pn
-	}
-	var slice []trialSpec
-	if lo < hi {
-		specs := inj.sampleRandom(hi)
-		slice, _ = thinSlots(inj.opts.Seed, pilotPlan(cfg), specs, inj.classifySpecs(specs), lo, hi)
-	}
-	ck, err := openCheckpoint(path, inj.metaAdaptive(n), false)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := inj.runTrials(ctx, slice, ck)
-	if cerr := ck.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	return res, runErr
-}
-
-// AdaptivePlanFromCheckpoint re-derives the main-phase plan (and the
-// pilot evidence behind it) by replaying the pilot prefix from the log
-// at path — typically the merge of every shard's pilot log. No trial
-// executes; every pilot-kept record (the prefix slots the pilot plan's
-// thinning keeps) must be present, since a plan derived from partial
-// evidence would differ from the one the complete pilot yields.
-func (inj *Injector) AdaptivePlanFromCheckpoint(n int, path string) (bitlive.Plan, [bitlive.NumStrata]bitlive.StratumPilot, error) {
-	var none [bitlive.NumStrata]bitlive.StratumPilot
-	if err := inj.requireAdaptive(); err != nil {
-		return bitlive.Plan{}, none, err
-	}
-	_, recs, err := loadLogFor(path, inj.metaAdaptive(n))
-	if err != nil {
-		return bitlive.Plan{}, none, err
-	}
-	cfg := inj.opts.Adaptive.withDefaults()
-	pn := pilotLen(n, cfg.PilotFraction)
-	specs := inj.sampleRandom(pn)
-	strata := inj.classifySpecs(specs)
-	kept, keptStrata := thinSlots(inj.opts.Seed, pilotPlan(cfg), specs, strata, 0, pn)
-	trials := make([]Injection, 0, len(kept))
-	missing := 0
-	for _, spec := range kept {
-		rec, ok := recs[spec.key()]
-		if !ok {
-			missing++
-			continue
-		}
-		tr, _ := rec.injection(spec)
-		trials = append(trials, tr)
-	}
-	if missing > 0 {
-		return bitlive.Plan{}, none, fmt.Errorf(
-			"fault: adaptive plan derivation: %s is missing %d of %d pilot records", path, missing, len(kept))
-	}
-	evidence := pilotEvidence(inj.influence.ModuleStats(inj.module), strata, keptStrata, trials)
-	plan, err := bitlive.NeymanPlan(evidence, cfg.RateFloor)
-	if err != nil {
-		return bitlive.Plan{}, none, err
-	}
-	return plan, evidence, nil
-}
-
-// CampaignAdaptiveMainShardCheckpoint runs one shard's slice of the main
-// phase: the plan is re-derived from the completed pilot records at
-// pilotPath (deterministically — every shard lands on the identical
-// plan), then the shard's main-phase slots are thinned under it and the
-// kept specs execute, checkpointed at path. The union of all shards'
-// pilot and main logs replays to the unsharded adaptive campaign bit for
-// bit (AdaptiveFromCheckpoint).
-func (inj *Injector) CampaignAdaptiveMainShardCheckpoint(ctx context.Context, n, shard, shards int, pilotPath, path string) (*CampaignResult, error) {
-	if err := inj.requireAdaptive(); err != nil {
-		return nil, err
-	}
-	if err := checkShard(shard, shards); err != nil {
-		return nil, err
-	}
-	plan, _, err := inj.AdaptivePlanFromCheckpoint(n, pilotPath)
-	if err != nil {
-		return nil, err
-	}
-	cfg := inj.opts.Adaptive.withDefaults()
-	pn := pilotLen(n, cfg.PilotFraction)
-	specs := inj.sampleRandom(n)
-	strata := inj.classifySpecs(specs)
-	lo, hi := ShardRange(n, shard, shards)
-	if lo < pn {
-		lo = pn
-	}
-	var kept []trialSpec
-	if lo < hi {
-		kept, _ = thinSlots(inj.opts.Seed, plan, specs, strata, lo, hi)
-	}
-	ck, err := openCheckpoint(path, inj.metaAdaptive(n), false)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := inj.runTrials(ctx, kept, ck)
-	if cerr := ck.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	return res, runErr
-}
-
-// AdaptiveFromCheckpoint reconstructs an adaptive campaign result purely
-// from the checkpoint log at path (typically the merge of pilot and main
-// shard logs) — no trial executes. A complete pilot prefix re-derives
-// the plan and replays the main phase, counting missing main-phase
-// records like StratifiedFromCheckpoint. An incomplete pilot leaves the
-// plan underivable, so the result mirrors a mid-pilot cancellation: the
-// recorded pilot trials under the pilot plan, with the absent
-// pilot-kept slots counted missing — main-phase slots carry no
-// inclusion status yet, so they are not.
-func (inj *Injector) AdaptiveFromCheckpoint(n int, path string) (*AdaptiveResult, int, error) {
-	if err := inj.requireAdaptive(); err != nil {
-		return nil, 0, err
-	}
-	_, recs, err := loadLogFor(path, inj.metaAdaptive(n))
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg := inj.opts.Adaptive.withDefaults()
-	specs := inj.sampleRandom(n)
-	strata := inj.classifySpecs(specs)
-	var slotCounts [bitlive.NumStrata]int
-	for _, s := range strata {
-		slotCounts[int(s)]++
-	}
-	pn := pilotLen(n, cfg.PilotFraction)
-	pplan := pilotPlan(cfg)
-
-	// Replay the pilot-kept slots (the prefix thinned under the pilot
-	// plan), keeping strata aligned with the replayed subset (records
-	// may be missing anywhere in the prefix, not just at its tail).
-	pilotKept, pilotKeptStrata := thinSlots(inj.opts.Seed, pplan, specs, strata, 0, pn)
-	pilotRes := &CampaignResult{}
-	var pilotStrata []bitlive.Stratum
-	pilotMissing := 0
-	for i, spec := range pilotKept {
-		rec, ok := recs[spec.key()]
-		if !ok {
-			pilotMissing++
-			continue
-		}
-		tr, terr := rec.injection(spec)
-		if terr != nil {
-			terr.Index = len(pilotRes.Trials)
-			pilotRes.Errs = append(pilotRes.Errs, *terr)
-		}
-		pilotRes.Trials = append(pilotRes.Trials, tr)
-		pilotStrata = append(pilotStrata, pilotKeptStrata[i])
-	}
-	pilotRes.tally()
-	if pilotMissing > 0 {
-		empty := &CampaignResult{Counts: map[Outcome]int{}}
-		ar := assembleAdaptive(pplan, pplan, n, pn, slotCounts,
-			pilotRes, pilotStrata, empty, nil, [bitlive.NumStrata]bitlive.StratumPilot{})
-		return ar, pilotMissing, nil
-	}
-	evidence := pilotEvidence(inj.influence.ModuleStats(inj.module), strata[:pn], pilotStrata, pilotRes.Trials)
-	plan, err := bitlive.NeymanPlan(evidence, cfg.RateFloor)
-	if err != nil {
-		return nil, 0, err
-	}
-	kept, keptStrata := thinSlots(inj.opts.Seed, plan, specs, strata, pn, n)
-	// Replay the kept main-phase specs in slot order, dropping (and
-	// counting) records the log is missing; strata stay aligned with the
-	// replayed subset.
-	mainRes := &CampaignResult{}
-	var gotStrata []bitlive.Stratum
-	missing := 0
-	for i, spec := range kept {
-		rec, ok := recs[spec.key()]
-		if !ok {
-			missing++
-			continue
-		}
-		tr, terr := rec.injection(spec)
-		if terr != nil {
-			terr.Index = len(mainRes.Trials)
-			mainRes.Errs = append(mainRes.Errs, *terr)
-		}
-		mainRes.Trials = append(mainRes.Trials, tr)
-		gotStrata = append(gotStrata, keptStrata[i])
-	}
-	mainRes.tally()
-	ar := assembleAdaptive(plan, pplan, n, pn, slotCounts, pilotRes, pilotStrata, mainRes, gotStrata, evidence)
-	return ar, missing, nil
 }

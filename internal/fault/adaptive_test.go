@@ -17,6 +17,17 @@ func adaptInjector(t *testing.T, name string, opts Options) *Injector {
 	return stratInjector(t, name, opts)
 }
 
+// designOf lays out inj's sampling design of mode m over the n slots
+// of its campaign stream.
+func designOf(t *testing.T, inj *Injector, m mode, n int) *design {
+	t.Helper()
+	d, err := inj.newDesign(m, inj.opts.Seed, inj.sampleRandom(n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func sameTrial(a, b Injection) bool {
 	return a.Instr.Pos() == b.Instr.Pos() && a.Instance == b.Instance &&
 		a.Bit == b.Bit && a.Outcome == b.Outcome
@@ -39,8 +50,7 @@ func TestAdaptiveBudgetContract(t *testing.T) {
 				}
 				pn := pilotLen(n, DefaultPilotFraction)
 				pplan := pilotPlan(cfg.withDefaults())
-				specs := inj.sampleRandom(n)
-				pilotKept, _ := thinSlots(inj.opts.Seed, pplan, specs, inj.classifySpecs(specs), 0, pn)
+				pilotKept := designOf(t, inj, modeAdaptive, n).thin(pplan, 0, pn)
 				if ar.PilotSlots != pn || ar.PilotExecuted != len(pilotKept) {
 					t.Fatalf("pilot ran %d of %d prefix slots, want the %d pilot-plan-kept",
 						ar.PilotExecuted, ar.PilotSlots, len(pilotKept))
@@ -104,8 +114,7 @@ func TestAdaptiveSubsetBitIdentity(t *testing.T) {
 	}
 	pn := pilotLen(n, DefaultPilotFraction)
 	pplan := pilotPlan(cfg.withDefaults())
-	specs := adapt.sampleRandom(n)
-	strata := adapt.classifySpecs(specs)
+	strata := designOf(t, adapt, modeAdaptive, n).strata
 	want := make([]int, 0, n)
 	for i := 0; i < pn; i++ {
 		q := pplan.Rate(strata[i])
@@ -192,12 +201,12 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 						cancel()
 					}
 				}
-				if _, err := inj.CampaignAdaptiveCheckpoint(ctx, n, path); err == nil {
+				if _, err := inj.Campaign(ctx, n, Run{Checkpoint: path}); err == nil {
 					t.Fatal("cancelled campaign returned no error")
 				}
 			}()
 			resumed := adaptInjector(t, "boxblur", opts)
-			got, err := resumed.CampaignAdaptiveCheckpoint(context.Background(), n, path)
+			got, err := resumed.Campaign(context.Background(), n, Run{Checkpoint: path})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +226,7 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 			}
 
 			// Replay-only reconstruction agrees too.
-			rec, missing, err := resumed.AdaptiveFromCheckpoint(n, path)
+			rec, missing, err := resumed.FromCheckpoint(n, path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +263,7 @@ func TestAdaptiveShardMerge(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		inj := adaptInjector(t, "rgb2gray", opts)
 		path := filepath.Join(dir, fmt.Sprintf("pilot-%d.ckpt", s))
-		res, err := inj.CampaignAdaptivePilotShardCheckpoint(context.Background(), n, s, shards, path)
+		res, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards, Wave: WavePilot})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,11 +279,11 @@ func TestAdaptiveShardMerge(t *testing.T) {
 	}
 
 	// Every shard derives the identical plan from the merged pilot.
-	plan, _, err := whole.AdaptivePlanFromCheckpoint(n, pilotMerged)
+	derived, _, err := whole.FromCheckpoint(n, pilotMerged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan != want.Plan {
+	if plan := derived.Plan; plan != want.Plan {
 		t.Fatalf("re-derived plan %v != campaign plan %v", plan, want.Plan)
 	}
 
@@ -283,7 +292,7 @@ func TestAdaptiveShardMerge(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		inj := adaptInjector(t, "rgb2gray", opts)
 		path := filepath.Join(dir, fmt.Sprintf("main-%d.ckpt", s))
-		res, err := inj.CampaignAdaptiveMainShardCheckpoint(context.Background(), n, s, shards, pilotMerged, path)
+		res, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards, Wave: WaveMain, PilotLog: pilotMerged})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +307,7 @@ func TestAdaptiveShardMerge(t *testing.T) {
 	if _, err := MergeCheckpoints(merged, paths...); err != nil {
 		t.Fatal(err)
 	}
-	got, missing, err := whole.AdaptiveFromCheckpoint(n, merged)
+	got, missing, err := whole.FromCheckpoint(n, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,34 +335,34 @@ func TestAdaptiveCheckpointFencing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "adapt.ckpt")
 	cfg := AdaptiveConfig{}
 	a := adaptInjector(t, "nibblepack", Options{Seed: seed, Adaptive: &cfg})
-	if _, err := a.CampaignAdaptiveCheckpoint(context.Background(), n, path); err != nil {
+	if _, err := a.Campaign(context.Background(), n, Run{Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Different pilot fraction → different stream split → refused.
 	other := AdaptiveConfig{PilotFraction: 0.4}
 	b := adaptInjector(t, "nibblepack", Options{Seed: seed, Adaptive: &other})
-	if _, err := b.CampaignAdaptiveCheckpoint(context.Background(), n, path); err == nil ||
+	if _, err := b.Campaign(context.Background(), n, Run{Checkpoint: path}); err == nil ||
 		!strings.Contains(err.Error(), "stratification") {
 		t.Fatalf("cross-config resume: want stratification mismatch, got %v", err)
 	}
 
 	// Plain resume of an adaptive log refused (kind mismatch).
 	plain := adaptInjector(t, "nibblepack", Options{Seed: seed})
-	if _, err := plain.ResumeCampaign(context.Background(), n, path); err == nil {
+	if _, err := plain.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true}); err == nil {
 		t.Fatal("plain resume of adaptive checkpoint succeeded")
 	}
 
 	// Stratified resume of an adaptive log refused.
 	plan := bitlive.DefaultPlan()
 	strat := adaptInjector(t, "nibblepack", Options{Seed: seed, Stratify: &plan})
-	if _, err := strat.CampaignStratifiedCheckpoint(context.Background(), n, path); err == nil {
+	if _, err := strat.Campaign(context.Background(), n, Run{Checkpoint: path}); err == nil {
 		t.Fatal("stratified resume of adaptive checkpoint succeeded")
 	}
 
 	// Matched resume still replays cleanly.
 	c := adaptInjector(t, "nibblepack", Options{Seed: seed, Adaptive: &cfg})
-	if _, err := c.CampaignAdaptiveCheckpoint(context.Background(), n, path); err != nil {
+	if _, err := c.Campaign(context.Background(), n, Run{Checkpoint: path}); err != nil {
 		t.Fatalf("matched adaptive resume failed: %v", err)
 	}
 }
@@ -370,22 +379,22 @@ func TestAdaptiveFromCheckpointRequiresPilot(t *testing.T) {
 	// Only shard 1's pilot slice: the prefix has holes.
 	inj := adaptInjector(t, "rgb2gray", Options{Seed: seed, Adaptive: &cfg})
 	path := filepath.Join(dir, "pilot-1.ckpt")
-	shardRes, err := inj.CampaignAdaptivePilotShardCheckpoint(context.Background(), n, 1, shards, path)
+	shardRes, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: 1, Shards: shards, Wave: WavePilot})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := inj.AdaptivePlanFromCheckpoint(n, path); err == nil ||
+	mainRun := Run{Checkpoint: filepath.Join(dir, "main-0.ckpt"), Shard: 0, Shards: shards, Wave: WaveMain, PilotLog: path}
+	if _, err := inj.Campaign(context.Background(), n, mainRun); err == nil ||
 		!strings.Contains(err.Error(), "pilot") {
 		t.Fatalf("incomplete pilot plan derivation: want pilot error, got %v", err)
 	}
-	ar, missing, err := inj.AdaptiveFromCheckpoint(n, path)
+	ar, missing, err := inj.FromCheckpoint(n, path)
 	if err != nil {
 		t.Fatalf("incomplete pilot replay: want pilot-plan salvage, got error %v", err)
 	}
 	pn := ar.PilotSlots
 	pplan := pilotPlan(cfg.withDefaults())
-	specs := inj.sampleRandom(n)
-	pilotKept, _ := thinSlots(inj.opts.Seed, pplan, specs, inj.classifySpecs(specs), 0, pn)
+	pilotKept := designOf(t, inj, modeAdaptive, n).thin(pplan, 0, pn)
 	if got := len(shardRes.Trials); ar.PilotExecuted != got || len(ar.Trials) != got {
 		t.Fatalf("salvage replayed %d trials (pilot %d), shard recorded %d",
 			len(ar.Trials), ar.PilotExecuted, got)
@@ -452,7 +461,7 @@ func TestAdaptiveCompositionalSeedsFromPlainProfiles(t *testing.T) {
 
 	cfg := AdaptiveConfig{}
 	cold := adaptInjector(t, "rgb2gray", Options{Seed: seed, Adaptive: &cfg})
-	coldRes, err := cold.CampaignAdaptiveCompositional(context.Background(), n, store)
+	coldRes, err := cold.CampaignCompositional(context.Background(), n, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +482,7 @@ func TestAdaptiveCompositionalSeedsFromPlainProfiles(t *testing.T) {
 	}
 
 	warm := adaptInjector(t, "rgb2gray", Options{Seed: seed, Adaptive: &cfg})
-	warmRes, err := warm.CampaignAdaptiveCompositional(context.Background(), n, store)
+	warmRes, err := warm.CampaignCompositional(context.Background(), n, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +522,7 @@ func TestAdaptiveCompositionalColdThenCached(t *testing.T) {
 	}
 	cfg := AdaptiveConfig{}
 	first := adaptInjector(t, "nibblepack", Options{Seed: seed, Adaptive: &cfg})
-	res1, err := first.CampaignAdaptiveCompositional(context.Background(), n, store)
+	res1, err := first.CampaignCompositional(context.Background(), n, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +534,7 @@ func TestAdaptiveCompositionalColdThenCached(t *testing.T) {
 	}
 
 	second := adaptInjector(t, "nibblepack", Options{Seed: seed, Adaptive: &cfg})
-	res2, err := second.CampaignAdaptiveCompositional(context.Background(), n, store)
+	res2, err := second.CampaignCompositional(context.Background(), n, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +558,7 @@ func TestAdaptiveCompositionalBudget(t *testing.T) {
 	const n, seed = 180, 3
 	cfg := AdaptiveConfig{}
 	inj := adaptInjector(t, "boxblur", Options{Seed: seed, Adaptive: &cfg})
-	res, err := inj.CampaignAdaptiveCompositional(context.Background(), n, nil)
+	res, err := inj.CampaignCompositional(context.Background(), n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

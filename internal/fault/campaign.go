@@ -393,14 +393,6 @@ func (inj *Injector) sampleRandom(n int) []trialSpec {
 	return specs
 }
 
-// CampaignRandom performs n statistical injections sampled uniformly over
-// the activation space (dynamic register writes), the paper's overall-SDC
-// measurement (§V-B1). Cancelling ctx returns the completed prefix of the
-// campaign along with ctx.Err().
-func (inj *Injector) CampaignRandom(ctx context.Context, n int) (*CampaignResult, error) {
-	return inj.runTrials(ctx, inj.sampleRandom(n), nil)
-}
-
 // perInstrSeed derives an independent RNG stream for one static target.
 // Instruction IDs are function-local, so the function name must be part
 // of the mix: the earlier `Seed ^ ID*const` scheme aliased targets with

@@ -329,7 +329,7 @@ func TestCheckpointResumeBitForBit(t *testing.T) {
 			return nil
 		},
 	})
-	partial, err := interrupted.CampaignRandomCheckpoint(ctx, n, path)
+	partial, err := interrupted.Campaign(ctx, n, Run{Checkpoint: path})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -348,11 +348,11 @@ func TestCheckpointResumeBitForBit(t *testing.T) {
 	f.Close()
 
 	resumed, err := newInjectorOpts(t, vulnerable, Options{Seed: 11, Workers: 4}).
-		ResumeCampaign(context.Background(), n, path)
+		Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := transcript(resumed), transcript(full); got != want {
+	if got, want := transcript(resumed.CampaignResult), transcript(full); got != want {
 		t.Errorf("resumed campaign differs from uninterrupted run:\n got: %q\nwant: %q", got, want)
 	}
 }
@@ -364,7 +364,7 @@ func TestCheckpointReplayShortCircuitsExecution(t *testing.T) {
 	const n = 60
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
 	clean := newInjectorOpts(t, vulnerable, Options{Seed: 13, Workers: 4})
-	want, err := clean.CampaignRandomCheckpoint(context.Background(), n, path)
+	want, err := clean.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,14 +374,14 @@ func TestCheckpointReplayShortCircuitsExecution(t *testing.T) {
 			panic("trial executed despite full checkpoint")
 		},
 	})
-	got, err := poisoned.ResumeCampaign(context.Background(), n, path)
+	got, err := poisoned.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Counts[Errored] != 0 {
 		t.Fatalf("%d trials re-executed (and panicked) on resume", got.Counts[Errored])
 	}
-	if transcript(got) != transcript(want) {
+	if transcript(got.CampaignResult) != transcript(want.CampaignResult) {
 		t.Error("replayed campaign differs from original")
 	}
 }
@@ -391,11 +391,11 @@ func TestCheckpointRejectsForeignCampaign(t *testing.T) {
 	// different campaign's results.
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
 	if _, err := newInjectorOpts(t, vulnerable, Options{Seed: 1}).
-		CampaignRandomCheckpoint(context.Background(), 20, path); err != nil {
+		Campaign(context.Background(), 20, Run{Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := newInjectorOpts(t, vulnerable, Options{Seed: 2}).
-		CampaignRandomCheckpoint(context.Background(), 20, path)
+		Campaign(context.Background(), 20, Run{Checkpoint: path})
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Errorf("seed mismatch err = %v, want 'different campaign'", err)
 	}
@@ -403,7 +403,7 @@ func TestCheckpointRejectsForeignCampaign(t *testing.T) {
 
 func TestResumeRequiresExistingCheckpoint(t *testing.T) {
 	inj := newInjectorOpts(t, vulnerable, Options{Seed: 1})
-	_, err := inj.ResumeCampaign(context.Background(), 20, filepath.Join(t.TempDir(), "missing.jsonl"))
+	_, err := inj.Campaign(context.Background(), 20, Run{Checkpoint: filepath.Join(t.TempDir(), "missing.jsonl"), Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "no checkpoint") {
 		t.Errorf("err = %v, want 'no checkpoint'", err)
 	}

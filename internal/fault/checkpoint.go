@@ -10,15 +10,12 @@ package fault
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
-
-	"trident/internal/hashutil"
 )
 
 // warnf logs non-fatal checkpoint anomalies — torn tails skipped on
@@ -140,14 +137,18 @@ func (r trialRecord) injection(spec trialSpec) (Injection, *TrialError) {
 	}
 }
 
-// readCheckpointFile reads a checkpoint log's raw bytes with the
-// package's error wrapping.
-func readCheckpointFile(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fault: checkpoint: %w", err)
-	}
-	return data, nil
+// CheckpointError reports a checkpoint log that cannot be decoded,
+// positioned at the offending line: 1 for a missing or malformed header,
+// otherwise the corrupt record's own line.
+type CheckpointError struct {
+	Path string
+	Line int
+	Msg  string
+}
+
+// Error implements error.
+func (e *CheckpointError) Error() string {
+	return fmt.Sprintf("fault: checkpoint %s: line %d: %s", e.Path, e.Line, e.Msg)
 }
 
 // Checkpoint is an append-only JSONL log of completed campaign trials.
@@ -168,19 +169,18 @@ type Checkpoint struct {
 // must be there) from create-or-resume.
 func openCheckpoint(path string, meta checkpointMeta, requireExisting bool) (*Checkpoint, error) {
 	ck := &Checkpoint{path: path, cache: make(map[TrialKey]trialRecord)}
-	data, err := os.ReadFile(path)
+	recs, warns, err := loadLogFor(path, meta)
 	switch {
-	case errors.Is(err, os.ErrNotExist) || (err == nil && len(data) == 0):
+	case errors.Is(err, os.ErrNotExist) || errors.Is(err, errEmptyLog):
 		if requireExisting {
 			return nil, fmt.Errorf("fault: resume: no checkpoint at %s", path)
 		}
 		return ck, ck.create(meta)
 	case err != nil:
-		return nil, fmt.Errorf("fault: checkpoint: %w", err)
-	}
-	if err := ck.load(data, meta); err != nil {
 		return nil, err
 	}
+	ck.cache = recs
+	ck.warnings = warns
 	// Compact: rewrite the log with only the header and intact records in
 	// deterministic (key-sorted) shard order. This drops any truncated
 	// final line left by a kill mid-write, so appends land on valid JSONL.
@@ -209,23 +209,38 @@ func (ck *Checkpoint) create(meta checkpointMeta) error {
 	return nil
 }
 
-// load parses an existing log, validating the header against want and
-// tolerating (with a logged warning) a torn tail left by a crash
-// mid-append.
-func (ck *Checkpoint) load(data []byte, want checkpointMeta) error {
-	meta, recs, warns, err := readLog(ck.path, data)
+// errEmptyLog marks a zero-byte log: a file created but never written,
+// which resume treats like a missing one.
+var errEmptyLog = errors.New("empty checkpoint log")
+
+// loadLog reads and parses the checkpoint log at path — the one place a
+// log is read from disk — logging any torn-tail warnings.
+func loadLog(path string) (checkpointMeta, map[TrialKey]trialRecord, []string, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return checkpointMeta{}, nil, nil, fmt.Errorf("fault: checkpoint: %w", err)
 	}
-	if err := meta.matches(ck.path, want); err != nil {
-		return err
+	if len(data) == 0 {
+		return checkpointMeta{}, nil, nil, fmt.Errorf("fault: checkpoint %s: %w", path, errEmptyLog)
 	}
-	ck.cache = recs
-	ck.warnings = append(ck.warnings, warns...)
+	meta, recs, warns, err := readLog(path, data)
 	for _, w := range warns {
 		warnf("%s", w)
 	}
-	return nil
+	return meta, recs, warns, err
+}
+
+// loadLogFor loads the log at path and validates its header against
+// want, so a log is never replayed against a different campaign.
+func loadLogFor(path string, want checkpointMeta) (map[TrialKey]trialRecord, []string, error) {
+	meta, recs, warns, err := loadLog(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := meta.matches(path, want); err != nil {
+		return nil, nil, err
+	}
+	return recs, warns, nil
 }
 
 // readLog parses one checkpoint log into its header and record map.
@@ -242,10 +257,10 @@ func readLog(path string, data []byte) (checkpointMeta, map[TrialKey]trialRecord
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	if !sc.Scan() {
-		return meta, nil, nil, fmt.Errorf("fault: checkpoint %s: missing header", path)
+		return meta, nil, nil, &CheckpointError{Path: path, Line: 1, Msg: "missing header"}
 	}
 	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
-		return meta, nil, nil, fmt.Errorf("fault: checkpoint %s: bad header: %w", path, err)
+		return meta, nil, nil, &CheckpointError{Path: path, Line: 1, Msg: "bad header: " + err.Error()}
 	}
 	recs := make(map[TrialKey]trialRecord)
 	line := 1
@@ -268,9 +283,8 @@ func readLog(path string, data []byte) (checkpointMeta, map[TrialKey]trialRecord
 			continue
 		}
 		if tornLine != 0 {
-			return meta, nil, nil, fmt.Errorf(
-				"fault: checkpoint %s: corrupt record at line %d followed by intact records (not a torn tail)",
-				path, tornLine)
+			return meta, nil, nil, &CheckpointError{Path: path, Line: tornLine,
+				Msg: "corrupt record followed by intact records (not a torn tail)"}
 		}
 		recs[rec.key()] = rec
 	}
@@ -466,59 +480,4 @@ func (ck *Checkpoint) Close() error {
 		return fmt.Errorf("fault: checkpoint close: %w", err)
 	}
 	return nil
-}
-
-// metaRandom describes a CampaignRandom run for checkpoint validation.
-// Prune and Stratify always carry an explicit value ("none" when off),
-// so two fresh logs that differ in either setting can never validate
-// against each other; only pre-existing logs from older versions (empty
-// fields) are grandfathered in.
-func (inj *Injector) metaRandom(n int) checkpointMeta {
-	meta := checkpointMeta{
-		Version:    checkpointVersion,
-		Module:     inj.module.Name,
-		Kind:       "random",
-		Seed:       inj.opts.Seed,
-		Space:      inj.total,
-		N:          n,
-		ModuleHash: hashutil.Hex(inj.moduleHash),
-		Prune:      "none",
-		Stratify:   "none",
-	}
-	if h := inj.pruneHash(); h != "" {
-		meta.Prune = h
-	}
-	// Stratify stays "none" here: a plain random campaign's trial list
-	// and records do not depend on Options.Stratify. metaStratified
-	// overrides it (and Kind) for stratified runs.
-	return meta
-}
-
-// CampaignRandomCheckpoint is CampaignRandom persisted to a JSONL log at
-// path: every completed trial is appended as it finishes, and an existing
-// log is resumed — cached trials replay instantly, only the remainder
-// executes. Cancelling ctx still flushes completed trials to the log, so
-// a killed campaign loses at most its in-flight trials.
-func (inj *Injector) CampaignRandomCheckpoint(ctx context.Context, n int, path string) (*CampaignResult, error) {
-	return inj.checkpointedRandom(ctx, n, path, false)
-}
-
-// ResumeCampaign continues an interrupted CampaignRandomCheckpoint run
-// from its log. Unlike CampaignRandomCheckpoint it refuses to start from
-// scratch: a missing log is an error, guarding against typoed paths
-// silently re-running a multi-hour campaign.
-func (inj *Injector) ResumeCampaign(ctx context.Context, n int, path string) (*CampaignResult, error) {
-	return inj.checkpointedRandom(ctx, n, path, true)
-}
-
-func (inj *Injector) checkpointedRandom(ctx context.Context, n int, path string, requireExisting bool) (*CampaignResult, error) {
-	ck, err := openCheckpoint(path, inj.metaRandom(n), requireExisting)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := inj.runTrials(ctx, inj.sampleRandom(n), ck)
-	if cerr := ck.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	return res, runErr
 }

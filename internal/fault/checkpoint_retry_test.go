@@ -51,7 +51,7 @@ func TestResumeReattemptsErroredTrials(t *testing.T) {
 			opts1 := base
 			opts1.TrialHook = failingHook(func(bit int) bool { return bit%7 == 2 })
 			session1, err := newInjectorOpts(t, vulnerable, opts1).
-				CampaignRandomCheckpoint(context.Background(), n, path)
+				Campaign(context.Background(), n, Run{Checkpoint: path})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +71,7 @@ func TestResumeReattemptsErroredTrials(t *testing.T) {
 			// Session 2: the transient condition is gone. Resume must
 			// re-attempt exactly the errored trials and heal them.
 			resumed, err := newInjectorOpts(t, vulnerable, base).
-				ResumeCampaign(context.Background(), n, path)
+				Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestResumeReattemptsErroredTrials(t *testing.T) {
 				t.Fatalf("resume kept %d errored trials (%d Errs); want all healed",
 					resumed.Counts[Errored], len(resumed.Errs))
 			}
-			if got, want := transcript(resumed), transcript(clean); got != want {
+			if got, want := transcript(resumed.CampaignResult), transcript(clean); got != want {
 				t.Errorf("healed campaign differs from never-failed campaign:\n got: %q\nwant: %q",
 					got, want)
 			}
@@ -100,7 +100,7 @@ func TestResumePersistentFailureCountsOnce(t *testing.T) {
 	opts := base
 	opts.TrialHook = hook
 	session1, err := newInjectorOpts(t, vulnerable, opts).
-		CampaignRandomCheckpoint(context.Background(), n, path)
+		Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestResumePersistentFailureCountsOnce(t *testing.T) {
 	}
 
 	session2, err := newInjectorOpts(t, vulnerable, opts).
-		ResumeCampaign(context.Background(), n, path)
+		Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestResumePersistentFailureCountsOnce(t *testing.T) {
 		}
 		seen[te.Index] = true
 	}
-	if got, want := transcript(session2), transcript(session1); got != want {
+	if got, want := transcript(session2.CampaignResult), transcript(session1.CampaignResult); got != want {
 		t.Errorf("persistent-failure resume is not idempotent:\n got: %q\nwant: %q", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,8 +40,15 @@ func TestCheckpointTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trials.jsonl")
 	const n = 12
-	want, err := inj.CampaignRandomCheckpoint(context.Background(), n, path)
+	want, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Workers append records in completion order, so which record ends
+	// the fresh log varies from run to run. Resuming the complete log
+	// compacts it into key order, making the final record — and so the
+	// set of subtests below — the same on every run.
+	if _, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -53,11 +61,13 @@ func TestCheckpointTornTailEveryOffset(t *testing.T) {
 	if lastStart <= 0 {
 		t.Fatalf("checkpoint has no records:\n%s", data)
 	}
-	meta := inj.metaRandom(n)
+	meta := inj.header(modePlain, n)
 
+	// Subtests are named by offset from the start of the final record,
+	// not by absolute byte offset.
 	for cut := lastStart; cut <= len(data); cut++ {
 		cut := cut
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+		t.Run(fmt.Sprintf("tail+%d", cut-lastStart), func(t *testing.T) {
 			warned := captureWarnings(t)
 			torn := filepath.Join(dir, fmt.Sprintf("torn-%d.jsonl", cut))
 			if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
@@ -126,7 +136,7 @@ func TestCheckpointTornTailResume(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trials.jsonl")
 	const n = 15
-	want, err := inj.CampaignRandomCheckpoint(context.Background(), n, path)
+	want, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestCheckpointTornTailResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	captureWarnings(t)
-	got, err := inj.ResumeCampaign(context.Background(), n, path)
+	got, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +177,7 @@ func TestCheckpointMidFileCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
-	if _, err := inj.CampaignRandomCheckpoint(context.Background(), 8, path); err != nil {
+	if _, err := inj.Campaign(context.Background(), 8, Run{Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -185,8 +195,28 @@ func TestCheckpointMidFileCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	captureWarnings(t)
-	if _, err := openCheckpoint(path, inj.metaRandom(8), true); err == nil {
+	_, err = openCheckpoint(path, inj.header(modePlain, 8), true)
+	if err == nil {
 		t.Fatal("mid-file corruption followed by intact records was silently accepted")
+	}
+	var ce *CheckpointError
+	if !errors.As(err, &ce) || ce.Line != mid+1 {
+		t.Fatalf("err = %v, want a *CheckpointError at line %d", err, mid+1)
+	}
+}
+
+// TestCheckpointErrorLines: a log whose header is missing or malformed
+// fails with a *CheckpointError at line 1.
+func TestCheckpointErrorLines(t *testing.T) {
+	for name, data := range map[string]string{
+		"missing": "",
+		"garbled": "{\"version\": nope\n" + `{"fn":"main","instr":1,"instance":1,"bit":0,"outcome":"benign"}` + "\n",
+	} {
+		_, _, _, err := readLog(name, []byte(data))
+		var ce *CheckpointError
+		if !errors.As(err, &ce) || ce.Line != 1 || ce.Path != name {
+			t.Errorf("%s header: err = %v, want a *CheckpointError for %s at line 1", name, err, name)
+		}
 	}
 }
 
@@ -201,7 +231,8 @@ func mustProg(t *testing.T, name string) progs.Program {
 }
 
 // FuzzCheckpointLog fuzzes the JSONL checkpoint decoder. Whatever the
-// bytes, readLog must not panic; a log it accepts must survive a
+// bytes, readLog must not panic, and a log it rejects must fail with a
+// *CheckpointError positioned on one of its lines; a log it accepts must survive a
 // writeLog/readLog round trip with the identical header and records;
 // and appending a corrupt line followed by an intact record to an
 // accepted log must always fail the load (the torn-tail contract: only
@@ -216,7 +247,7 @@ func FuzzCheckpointLog(f *testing.F) {
 		f.Fatal(err)
 	}
 	path := filepath.Join(f.TempDir(), "trials.jsonl")
-	if _, err := inj.CampaignRandomCheckpoint(context.Background(), 12, path); err != nil {
+	if _, err := inj.Campaign(context.Background(), 12, Run{Checkpoint: path}); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -230,9 +261,22 @@ func FuzzCheckpointLog(f *testing.F) {
 	f.Add([]byte(""))
 
 	const intact = `{"fn":"main","instr":1,"instance":1,"bit":0,"outcome":"benign"}`
+	// checkLine asserts a rejection is a *CheckpointError positioned on
+	// one of the input's lines (a final line without a newline counts).
+	checkLine := func(t *testing.T, err error, data []byte) {
+		t.Helper()
+		var ce *CheckpointError
+		if !errors.As(err, &ce) {
+			t.Fatalf("rejection is not a *CheckpointError: %v", err)
+		}
+		if lines := bytes.Count(data, []byte("\n")) + 1; ce.Line < 1 || ce.Line > lines {
+			t.Fatalf("rejection at line %d of a %d-line log: %v", ce.Line, lines, err)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, recs, _, err := readLog("fuzz", data)
 		if err != nil {
+			checkLine(t, err, data)
 			return
 		}
 
@@ -264,9 +308,11 @@ func FuzzCheckpointLog(f *testing.F) {
 			return
 		}
 		torn := append(append([]byte(nil), data...), "\n{\n"+intact+"\n"...)
-		if _, _, _, err := readLog("torn", torn); err == nil {
+		_, _, _, err = readLog("torn", torn)
+		if err == nil {
 			t.Fatalf("a corrupt line followed by an intact record was accepted:\n%q", torn)
 		}
+		checkLine(t, err, torn)
 	})
 }
 
@@ -279,7 +325,7 @@ func TestCheckpointRecordLogsDuplicateOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
-	ck, err := openCheckpoint(path, inj.metaRandom(4), false)
+	ck, err := openCheckpoint(path, inj.header(modePlain, 4), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"trident/internal/bitlive"
 	"trident/internal/cache"
 	"trident/internal/hashutil"
 	"trident/internal/ir"
@@ -170,16 +171,14 @@ func (inj *Injector) sampleSection(sec *funcSection, n int) []trialSpec {
 	return specs
 }
 
-// funcKey builds the content address of one function's campaign section.
+// funcKey builds the content address of one function's plain campaign
+// section. A thinned section's key fills the stratify slot with the
+// identity of the design that thinned it (adaptiveKey, seededKey), so
+// differently-thinned transcripts never collide.
 func (inj *Injector) funcKey(sec *funcSection, n int) cache.FuncKey {
 	prune := ""
 	if inj.prune != nil {
 		prune = hashutil.Hex(inj.prune.FuncHash(sec.fn))
-	}
-	stratify := ""
-	if inj.opts.Stratify != nil {
-		stratify = hashutil.Hex(hashutil.String(fmt.Sprintf("%x|%x",
-			inj.influence.FuncHash(sec.fn), inj.opts.Stratify.Hash())))
 	}
 	return cache.FuncKey{
 		Kind:       cache.FuncProfileKind,
@@ -190,13 +189,28 @@ func (inj *Injector) funcKey(sec *funcSection, n int) cache.FuncKey {
 		Seed:       inj.opts.Seed,
 		N:          n,
 		Prune:      prune,
-		Stratify:   stratify,
 		Stamp: cache.Stamp{
 			GoldenOutput: hashutil.Hex(hashutil.Output(inj.goldenOutput)),
 			GoldenDyn:    inj.goldenDyn,
 			Activations:  sec.weight,
 		},
 	}
+}
+
+// adaptiveKey is the stratify slot of a section sampled under the
+// adaptive two-phase design: the function's influence classification
+// plus the pilot configuration.
+func (inj *Injector) adaptiveKey(sec *funcSection) string {
+	return adaptiveHash(inj.influence.FuncHash(sec.fn), *inj.opts.Adaptive)
+}
+
+// seededKey is the stratify slot of a section whose plan was seeded
+// from a cached plain profile: the influence classification and the
+// derived plan itself (the seeding evidence is pinned by the rest of the
+// key, so the plan is reproducible from the same plain entry).
+func (inj *Injector) seededKey(sec *funcSection, plan bitlive.Plan) string {
+	return hashutil.Hex(hashutil.String(fmt.Sprintf("seeded|%x|%x",
+		inj.influence.FuncHash(sec.fn), plan.Hash())))
 }
 
 // FuncCampaign is one function's section of a compositional campaign:
@@ -214,9 +228,9 @@ type FuncCampaign struct {
 	// cached sections — profiles with errored trials are never stored).
 	Errs []TrialError
 	// Adaptive-campaign bookkeeping, zero for plain sections: Plan is the
-	// derived main-phase plan (String form), PilotN counts executed pilot
-	// trials, and Seeded marks a plan derived from a cached plain profile
-	// instead of a pilot phase.
+	// derived main-phase plan (String form), PilotN counts the pilot
+	// trials the transcript holds, and Seeded marks a plan derived from a
+	// cached plain profile instead of a pilot phase.
 	Plan   string
 	PilotN int
 	Seeded bool
@@ -229,6 +243,10 @@ type CompositionalResult struct {
 	Funcs []FuncCampaign
 	// Hits and Misses count cache outcomes over the sections.
 	Hits, Misses int
+	// PilotExecuted is the total pilot trials executed across all
+	// sections this run, and SeededFuncs the sections whose plan was
+	// seeded from a cached plain profile (adaptive campaigns only).
+	PilotExecuted, SeededFuncs int
 	// Composed is the whole-program estimate recomposed from the
 	// sections' tallies, weighted by activation counts.
 	Composed cache.Composed
@@ -329,22 +347,102 @@ func validProfile(key cache.FuncKey, p *cache.FuncProfile) bool {
 	return true
 }
 
+// profileRecs indexes a cached section transcript by trial key, the
+// form the log replayer reads. It reports false when a record names an
+// unknown outcome.
+func profileRecs(fn string, trials []cache.TrialRec) (map[TrialKey]trialRecord, bool) {
+	recs := make(map[TrialKey]trialRecord, len(trials))
+	for _, t := range trials {
+		if _, ok := outcomeFromName(t.Outcome); !ok {
+			return nil, false
+		}
+		rec := trialRecord{Func: fn, Instr: t.Instr, Instance: t.Instance, Bit: t.Bit, Outcome: t.Outcome, Latency: t.Latency}
+		recs[rec.key()] = rec
+	}
+	return recs, true
+}
+
+// trialRecs converts executed trials to their cache-record form.
+func trialRecs(trials []Injection) []cache.TrialRec {
+	recs := make([]cache.TrialRec, len(trials))
+	for i, tr := range trials {
+		recs[i] = cache.TrialRec{
+			Instr:    tr.Instr.ID,
+			Instance: tr.Instance,
+			Bit:      tr.Bit,
+			Outcome:  tr.Outcome.String(),
+			Latency:  tr.CrashLatency,
+		}
+	}
+	return recs
+}
+
+// weightedFuncTally folds one adaptive section's executed transcript
+// into its composition contribution. slots is the section's drawn slot
+// budget; partial (a cancelled section) falls back to the executed
+// prefix's weight mass — the drawn slots that prefix stands for — as the
+// denominator, since the untested remainder of the budget carries no
+// estimate.
+func weightedFuncTally(fc *FuncCampaign, weights []float64, slots int, partial bool) cache.WeightedFuncTally {
+	t := cache.WeightedFuncTally{
+		Func:   fc.Name,
+		Weight: fc.Weight,
+		Counts: outcomeCounts(fc.Counts),
+		Sums:   make(map[string]float64),
+	}
+	erroredW := 0.0
+	errName := Errored.String()
+	for i, rec := range fc.Records {
+		w := weights[i]
+		if rec.Outcome == errName {
+			erroredW += w
+			continue
+		}
+		t.Sums[rec.Outcome] += w
+		t.SDC.Add(w, rec.Outcome == cache.SDCName)
+	}
+	denom := float64(slots)
+	if partial {
+		denom = 0
+		for _, w := range weights {
+			denom += w
+		}
+	}
+	if t.Slots = denom - erroredW; t.Slots < 0 {
+		t.Slots = 0
+	}
+	return t
+}
+
 // CampaignCompositional performs n statistical injections apportioned
-// across functions proportionally to their activation counts, consulting
-// store (may be nil: run everything) for cached per-function profiles.
-// Sections whose key hits replay from cache without executing a single
-// trial; sections that miss run live and, when clean (complete, no
-// Errored trials), are stored for the next campaign.
+// across functions proportionally to their activation counts, each
+// function's section drawn from its own funcSeed stream and sampled
+// under the design Options select, consulting store (may be nil: run
+// everything) for cached per-function profiles:
 //
-// Cancelling ctx returns the sections completed so far plus ctx.Err();
-// partially-executed sections are never cached.
+//   - plain: a section whose key hits replays from its cached profile
+//     without executing a trial; a miss runs live.
+//   - adaptive: each section derives its own Neyman plan from the
+//     cheapest sufficient evidence — a cached plain profile of the same
+//     section (the plan is seeded from its per-stratum tallies and the
+//     thinned transcript replays from it: no pilot), a cached adaptive
+//     profile (replayed, the plan re-derived from its pilot records), or
+//     a live pilot + main run. Every executed trial weighs 1/q of the
+//     plan its phase ran under, composed by cache.ComposeWeighted; the
+//     thinning hash is independent of outcomes, so the estimate stays
+//     unbiased even when the plan was derived from the very outcomes
+//     being thinned (ANALYSIS.md, "Adaptive (Neyman) allocation").
+//
+// Live sections that finish clean (complete, no Errored trials) are
+// stored for the next campaign. Cancelling ctx returns the sections
+// completed so far plus ctx.Err(); partially-executed sections are
+// never cached.
 func (inj *Injector) CampaignCompositional(ctx context.Context, n int, store *cache.Store) (*CompositionalResult, error) {
-	if inj.opts.Stratify != nil {
-		// Per-function stratified sections would need weighted profiles
-		// and a weighted composition path; until that lands, refusing is
-		// more honest than silently running the plan-less campaign. The
-		// cache key already reserves the stratify field (funcKey), so
-		// stratified entries can never collide with plain ones.
+	m := inj.mode()
+	if m == modeStratified {
+		// Per-function statically stratified sections would need their
+		// own weighted profiles; refusing is more honest than silently
+		// running the plan-less campaign.
 		return nil, fmt.Errorf("fault: stratified compositional campaigns are not supported; drop Options.Stratify or run CampaignStratified")
 	}
 	if ctx == nil {
@@ -366,77 +464,157 @@ func (inj *Injector) CampaignCompositional(ctx context.Context, n int, store *ca
 	})
 
 	var tallies []cache.FuncTally
+	var wtallies []cache.WeightedFuncTally
 	var runErr error
 	for i, sec := range secs {
 		if err := ctx.Err(); err != nil {
 			runErr = err
 			break
 		}
-		fc := FuncCampaign{
-			Name:     sec.fn.Name,
-			BodyHash: sec.hash,
-			Weight:   sec.weight,
-			N:        shares[i],
+		fc, trialWeights, partial, err := inj.section(ctx, m, sec, shares[i], store, res)
+		if fc == nil {
+			return nil, err
 		}
-		key := inj.funcKey(sec, fc.N)
-		var profile cache.FuncProfile
-		if store != nil && store.Get(key, &profile) && validProfile(key, &profile) {
-			fc.Cached = true
-			fc.Records = profile.Trials
-			fc.Counts = make(map[Outcome]int, len(profile.Counts))
-			for name, cnt := range profile.Counts {
-				o, _ := outcomeFromName(name)
-				fc.Counts[o] = cnt
-			}
-			res.Hits++
+		res.Funcs = append(res.Funcs, *fc)
+		if m == modeAdaptive {
+			wtallies = append(wtallies, weightedFuncTally(fc, trialWeights, fc.N, partial))
 		} else {
-			res.Misses++
-			specs := inj.sampleSection(sec, fc.N)
-			secRes, err := inj.runTrials(ctx, specs, nil)
-			fc.Counts = secRes.Counts
-			fc.Errs = secRes.Errs
-			fc.Records = make([]cache.TrialRec, len(secRes.Trials))
-			for j, tr := range secRes.Trials {
-				fc.Records[j] = cache.TrialRec{
-					Instr:    tr.Instr.ID,
-					Instance: tr.Instance,
-					Bit:      tr.Bit,
-					Outcome:  tr.Outcome.String(),
-					Latency:  tr.CrashLatency,
-				}
-			}
-			if err != nil {
-				// Keep the completed prefix of this section, skip the rest.
-				res.Funcs = append(res.Funcs, fc)
-				tallies = append(tallies, cache.FuncTally{
-					Func: fc.Name, Weight: fc.Weight, Counts: outcomeCounts(fc.Counts),
-				})
-				runErr = err
-				break
-			}
-			if store != nil && len(secRes.Trials) == fc.N && secRes.Counts[Errored] == 0 {
-				if perr := store.Put(key, cache.FuncProfile{
-					Counts: outcomeCounts(fc.Counts),
-					Trials: fc.Records,
-				}); perr != nil {
-					warnf("cache: storing profile for @%s: %v", fc.Name, perr)
-				}
-			}
+			tallies = append(tallies, cache.FuncTally{
+				Func: fc.Name, Weight: fc.Weight, Counts: outcomeCounts(fc.Counts),
+			})
 		}
-		res.Funcs = append(res.Funcs, fc)
-		tallies = append(tallies, cache.FuncTally{
-			Func: fc.Name, Weight: fc.Weight, Counts: outcomeCounts(fc.Counts),
-		})
+		if err != nil {
+			runErr = err
+			break
+		}
 	}
 
 	composeStart := time.Now()
-	res.Composed = cache.Compose(tallies)
+	if m == modeAdaptive {
+		res.Composed = cache.ComposeWeighted(wtallies)
+	} else {
+		res.Composed = cache.Compose(tallies)
+	}
 	if reg := inj.opts.Metrics; reg != nil {
 		reg.Histogram("cache.compose_us").Since(composeStart)
 	}
 	span.EndWith(telemetry.Attrs{
-		"hits": res.Hits, "misses": res.Misses,
-		"sdc": res.Composed.SDC, "trials": res.N(),
+		"hits": res.Hits, "misses": res.Misses, "seeded": res.SeededFuncs,
+		"pilot": res.PilotExecuted, "sdc": res.Composed.SDC, "trials": res.N(),
 	})
 	return res, runErr
+}
+
+// section runs one function's share of a compositional campaign: nf
+// slots drawn from the section's own stream, replayed from the cheapest
+// sufficient cached profile or executed live (and then cached when
+// clean). It returns the section with its per-trial weights and whether
+// it stopped short of its full transcript; a nil section is a hard
+// error.
+func (inj *Injector) section(ctx context.Context, m mode, sec *funcSection, nf int, store *cache.Store, res *CompositionalResult) (*FuncCampaign, []float64, bool, error) {
+	fc := &FuncCampaign{Name: sec.fn.Name, BodyHash: sec.hash, Weight: sec.weight, N: nf}
+	seed := funcSeed(inj.opts.Seed, sec.fn.Name, sec.hash)
+	specs := inj.sampleSection(sec, nf)
+	newDesign := func() *design {
+		d, _ := inj.newDesign(m, seed, specs, sec.fn) // m is plain or adaptive, both configured
+		return d
+	}
+	fill := func(d *design, ar *AdaptiveResult) {
+		fc.Records = trialRecs(ar.Trials)
+		fc.Counts, fc.Errs, fc.PilotN = ar.Counts, ar.Errs, ar.PilotExecuted
+		if d.derived {
+			fc.Plan = ar.Plan.String()
+		}
+	}
+	// replay drives d over a cached profile's records; ok reports a
+	// complete, clean replay.
+	replay := func(d *design, prof *cache.FuncProfile) (ar *AdaptiveResult, ok bool, err error) {
+		recs, ok := profileRecs(sec.fn.Name, prof.Trials)
+		if !ok {
+			return nil, false, nil
+		}
+		ar, err = d.drive(0, nf, func(_ *phase, kept []trialSpec) (*CampaignResult, error) {
+			return inj.replayLog(kept, recs), nil
+		})
+		return ar, err == nil && !d.partial && ar.Counts[Errored] == 0, err
+	}
+
+	// A clean live run is cached under liveKey: the plain key, or for an
+	// adaptive section the key of its pilot + main transcript.
+	plainKey := inj.funcKey(sec, nf)
+	liveKey := plainKey
+	if m == modeAdaptive {
+		liveKey.Stratify = inj.adaptiveKey(sec)
+	}
+	var prof cache.FuncProfile
+	if store != nil && (m == modePlain || nf > 0) &&
+		store.Get(plainKey, &prof) && validProfile(plainKey, &prof) {
+		d := newDesign()
+		if m == modeAdaptive {
+			d.seedFromProfile()
+		}
+		ar, ok, err := replay(d, &prof)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if ok {
+			fill(d, ar)
+			fc.Cached = true
+			res.Hits++
+			if m == modeAdaptive {
+				fc.Seeded = true
+				res.SeededFuncs++
+				skey := plainKey
+				skey.Stratify = inj.seededKey(sec, ar.Plan)
+				var have cache.FuncProfile
+				if !store.Get(skey, &have) {
+					if perr := store.Put(skey, cache.FuncProfile{
+						Counts: outcomeCounts(fc.Counts), Trials: fc.Records,
+					}); perr != nil {
+						warnf("cache: storing seeded profile for @%s: %v", fc.Name, perr)
+					}
+				}
+			}
+			return fc, ar.Weights, false, nil
+		}
+		if m == modePlain {
+			warnf("cache: profile for @%s does not replay (treating as miss)", fc.Name)
+		}
+	}
+	if m == modeAdaptive && store != nil && nf > 0 {
+		prof = cache.FuncProfile{}
+		if store.Get(liveKey, &prof) {
+			d := newDesign()
+			ar, ok, err := replay(d, &prof)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			if ok && ar.N() == len(prof.Trials) {
+				fill(d, ar)
+				fc.Cached = true
+				res.Hits++
+				return fc, ar.Weights, false, nil
+			}
+			warnf("cache: adaptive profile for @%s does not replay (treating as miss)", fc.Name)
+		}
+	}
+
+	res.Misses++
+	d := newDesign()
+	ar, err := d.drive(0, nf, func(_ *phase, kept []trialSpec) (*CampaignResult, error) {
+		return inj.runTrials(ctx, kept, nil)
+	})
+	if ar == nil {
+		return nil, nil, false, err
+	}
+	fill(d, ar)
+	res.PilotExecuted += fc.PilotN
+	if err == nil && store != nil && fc.Counts[Errored] == 0 {
+		if perr := store.Put(liveKey, cache.FuncProfile{
+			Counts: outcomeCounts(fc.Counts), Trials: fc.Records,
+		}); perr != nil {
+			warnf("cache: storing profile for @%s: %v", fc.Name, perr)
+		}
+	}
+	return fc, ar.Weights, d.partial, err
 }

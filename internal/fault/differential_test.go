@@ -203,7 +203,7 @@ func TestDifferentialCheckpointedCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := interrupted.CampaignRandomCheckpoint(ctx, n, path)
+	partial, err := interrupted.Campaign(ctx, n, Run{Checkpoint: path})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -218,11 +218,11 @@ func TestDifferentialCheckpointedCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := resumer.ResumeCampaign(context.Background(), n, path)
+	resumed, err := resumer.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, wantT := transcript(resumed), transcript(want); got != wantT {
+	if got, wantT := transcript(resumed.CampaignResult), transcript(want); got != wantT {
 		t.Errorf("resumed snapshot campaign differs from full re-execution run:\n got: %q\nwant: %q", got, wantT)
 	}
 }

@@ -9,7 +9,8 @@
 //
 // DESIGN.md §5–§5c cover the fault model, campaign lifecycle and the
 // snapshot-replay engine; §5h the compositional cache; §5i the
-// bit-liveness pruning behind Options.PruneBits.
+// bit-liveness pruning behind Options.PruneBits; §5j the one campaign
+// driver every sampling mode runs through.
 package fault
 
 import (
@@ -172,7 +173,8 @@ type Options struct {
 	// oracle — always execute.
 	PruneBits bool
 	// Stratify, when non-nil, enables stratified campaigns
-	// (CampaignStratified and friends): the injector classifies every
+	// (CampaignStratified, and Campaign and FromCheckpoint, which run
+	// the design Options select): the injector classifies every
 	// injectable bit into an influence stratum
 	// (bitlive.ClassifyInfluence) and thins the sampled slots by the
 	// plan's per-stratum rates with inverse-probability reweighting.
@@ -182,14 +184,15 @@ type Options struct {
 	// "Stratified sampling over live bits".
 	Stratify *bitlive.Plan
 	// Adaptive, when non-nil, enables adaptive two-phase campaigns
-	// (CampaignAdaptive and friends): a static-shape pilot phase (live
-	// strata at rate 1, provably-masked slots at the rate floor)
-	// estimates per-stratum SDC variance, NeymanPlan derives the
+	// (CampaignAdaptive, and the adaptive mode of Campaign,
+	// FromCheckpoint and CampaignCompositional): a static-shape pilot
+	// phase (live strata at rate 1, provably-masked slots at the rate
+	// floor) estimates per-stratum SDC variance, NeymanPlan derives the
 	// main-phase inclusion rates, and the pilot trials fold into the
-	// final weighted estimate at the pilot plan's 1/q. Mutually exclusive with Stratify — an
-	// adaptive campaign derives its own plan. The zero-value config
-	// fields select the package defaults. See ANALYSIS.md, "Adaptive
-	// (Neyman) allocation".
+	// final weighted estimate at the pilot plan's 1/q. Mutually exclusive
+	// with Stratify — an adaptive campaign derives its own plan. The
+	// zero-value config fields select the package defaults. See
+	// ANALYSIS.md, "Adaptive (Neyman) allocation".
 	Adaptive *AdaptiveConfig
 	// OnProgress, when non-nil, is invoked synchronously after every
 	// completed trial of a campaign (including trials replayed from a

@@ -1,60 +1,26 @@
-// This file implements sharded campaigns and checkpoint stitching —
-// the fault-layer half of the campaign server (internal/server).
+// This file implements checkpoint stitching for sharded campaigns — the
+// fault-layer half of the campaign server (internal/server).
 //
 // Sharding is transparent by construction: a campaign's trial list is
 // a pure function of (module, seed, n), sampled sequentially from the
-// campaign seed, and a shard simply owns a contiguous index range of
-// that list. Shard identity never feeds the sampler, so the union of
-// the shards' trials is bit-identical to the unsharded campaign — the
-// property the shard differential suite and internal/server's
-// acceptance tests pin down. Each shard checkpoints independently;
-// MergeCheckpoints stitches the shard logs back into one log, and
-// CampaignFromCheckpoint reconstructs the campaign result from it
-// without executing anything.
+// campaign seed, and a shard (a Campaign run with Run.Shard/Shards)
+// simply owns a contiguous slot range of that list. Shard identity never
+// feeds the sampler or the thinning hash, so the union of the shards'
+// trials is bit-identical to the unsharded campaign — the property the
+// shard differential suite and internal/server's acceptance tests pin
+// down. Each shard checkpoints independently; MergeCheckpoints stitches
+// the shard logs back into one log, and FromCheckpoint reconstructs the
+// campaign result from it without executing anything.
 
 package fault
 
-import (
-	"context"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // ShardRange returns the contiguous trial-index range [lo, hi) owned by
 // shard (0-based) of shards. The ranges partition [0, n) exactly, with
 // sizes differing by at most one.
 func ShardRange(n, shard, shards int) (lo, hi int) {
 	return n * shard / shards, n * (shard + 1) / shards
-}
-
-// CampaignShardCheckpoint runs one shard of an n-trial CampaignRandom:
-// only the trials in ShardRange(n, shard, shards) execute, checkpointed
-// to the JSONL log at path (created, or resumed if present — a shard
-// worker retried after a crash replays its completed trials and
-// re-executes only the remainder). Trial sampling uses the campaign
-// seed exactly as the unsharded campaign does, so merging every shard's
-// log reproduces the unsharded run bit for bit.
-//
-// The returned result covers only this shard's trials, in sampling
-// order; TrialError.Index values are relative to the shard's slice.
-func (inj *Injector) CampaignShardCheckpoint(ctx context.Context, n, shard, shards int, path string) (*CampaignResult, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("fault: shard count must be positive, got %d", shards)
-	}
-	if shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("fault: shard %d out of range [0, %d)", shard, shards)
-	}
-	specs := inj.sampleRandom(n)
-	lo, hi := ShardRange(n, shard, shards)
-	ck, err := openCheckpoint(path, inj.metaRandom(n), false)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := inj.runTrials(ctx, specs[lo:hi], ck)
-	if cerr := ck.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	return res, runErr
 }
 
 // MergeCheckpoints stitches shard checkpoint logs into a single log at
@@ -66,9 +32,9 @@ func (inj *Injector) CampaignShardCheckpoint(ctx context.Context, n, shard, shar
 // key appears in several sources (shards can overlap after operator
 // error, and a campaign can sample the same spec twice), a classified
 // record wins over an Errored one; classified duplicates agree by
-// determinism. The merged log is a valid checkpoint: ResumeCampaign
-// executes any missing trials from it, and CampaignFromCheckpoint
-// reconstructs the result from it without executing at all.
+// determinism. The merged log is a valid checkpoint: Campaign resumes
+// it, executing any missing trials, and FromCheckpoint reconstructs the
+// result from it without executing at all.
 func MergeCheckpoints(dst string, srcs ...string) (int, error) {
 	if len(srcs) == 0 {
 		return 0, fmt.Errorf("fault: merge: no source checkpoints")
@@ -76,16 +42,9 @@ func MergeCheckpoints(dst string, srcs ...string) (int, error) {
 	var meta checkpointMeta
 	merged := make(map[TrialKey]trialRecord)
 	for i, src := range srcs {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			return 0, fmt.Errorf("fault: merge: %w", err)
-		}
-		m, recs, warns, err := readLog(src, data)
+		m, recs, _, err := loadLog(src)
 		if err != nil {
 			return 0, err
-		}
-		for _, w := range warns {
-			warnf("%s", w)
 		}
 		if i == 0 {
 			meta = m
@@ -105,39 +64,4 @@ func MergeCheckpoints(dst string, srcs ...string) (int, error) {
 		return 0, err
 	}
 	return len(merged), nil
-}
-
-// CampaignFromCheckpoint reconstructs a campaign result purely by
-// replaying the checkpoint log at path — no trial executes. It returns
-// the result over the trials present in the log, in sampling order, and
-// the number of sampled trials the log is missing. A complete log
-// (missing == 0) reproduces CampaignRandom's result bit for bit; an
-// incomplete one — a degraded job whose shard exhausted its retry
-// budget, a cancelled run — yields the usable partial result, with
-// Errored records kept as Errored trials (unlike ResumeCampaign, which
-// re-executes them). This is how internal/server turns merged shard
-// logs into a job's final result without paying for a redundant pass
-// over the trial list.
-func (inj *Injector) CampaignFromCheckpoint(n int, path string) (*CampaignResult, int, error) {
-	_, recs, err := loadLogFor(path, inj.metaRandom(n))
-	if err != nil {
-		return nil, 0, err
-	}
-	res := &CampaignResult{}
-	missing := 0
-	for _, spec := range inj.sampleRandom(n) {
-		rec, ok := recs[spec.key()]
-		if !ok {
-			missing++
-			continue
-		}
-		tr, terr := rec.injection(spec)
-		if terr != nil {
-			terr.Index = len(res.Trials)
-			res.Errs = append(res.Errs, *terr)
-		}
-		res.Trials = append(res.Trials, tr)
-	}
-	res.tally()
-	return res, missing, nil
 }

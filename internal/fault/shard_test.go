@@ -72,7 +72,7 @@ func TestShardSeedIndependence(t *testing.T) {
 					}
 					path := filepath.Join(dir, fmt.Sprintf("shard-%02d.jsonl", s))
 					paths = append(paths, path)
-					res, err := inj.CampaignShardCheckpoint(context.Background(), n, s, shards, path)
+					res, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -85,7 +85,7 @@ func TestShardSeedIndependence(t *testing.T) {
 				if _, err := MergeCheckpoints(merged, paths...); err != nil {
 					t.Fatal(err)
 				}
-				got, missing, err := direct.CampaignFromCheckpoint(n, merged)
+				got, missing, err := direct.FromCheckpoint(n, merged)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,10 +126,10 @@ func TestMergeCheckpointsRejectsForeignLogs(t *testing.T) {
 	}
 	pa := filepath.Join(dir, "a.jsonl")
 	pb := filepath.Join(dir, "b.jsonl")
-	if _, err := a.CampaignShardCheckpoint(context.Background(), 10, 0, 2, pa); err != nil {
+	if _, err := a.Campaign(context.Background(), 10, Run{Checkpoint: pa, Shard: 0, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.CampaignShardCheckpoint(context.Background(), 10, 1, 2, pb); err != nil {
+	if _, err := b.Campaign(context.Background(), 10, Run{Checkpoint: pb, Shard: 1, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MergeCheckpoints(filepath.Join(dir, "m.jsonl"), pa, pb); err == nil {
@@ -171,7 +171,7 @@ func TestShardResumeAfterInterrupt(t *testing.T) {
 				}
 			}
 			defer cancel()
-			if _, err := inj.CampaignShardCheckpoint(ctx, n, s, shards, path); err == nil && seen >= 5 {
+			if _, err := inj.Campaign(ctx, n, Run{Checkpoint: path, Shard: s, Shards: shards}); err == nil && seen >= 5 {
 				t.Fatal("cancelled shard returned no error")
 			}
 		}()
@@ -180,7 +180,7 @@ func TestShardResumeAfterInterrupt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inj.CampaignShardCheckpoint(context.Background(), n, s, shards, path); err != nil {
+		if _, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestShardResumeAfterInterrupt(t *testing.T) {
 	if _, err := MergeCheckpoints(merged, paths...); err != nil {
 		t.Fatal(err)
 	}
-	got, missing, err := direct.CampaignFromCheckpoint(n, merged)
+	got, missing, err := direct.FromCheckpoint(n, merged)
 	if err != nil {
 		t.Fatal(err)
 	}

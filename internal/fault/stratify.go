@@ -1,7 +1,9 @@
-// This file implements stratified (importance-sampled) campaigns over
-// the live-bit space — the dynamic half of the BEC idea (ANALYSIS.md,
-// "Stratified sampling over live bits"; DESIGN.md §5i for the pruning
-// half). The bit-influence classifier (bitlive.ClassifyInfluence)
+// This file holds the estimator side of stratified (importance-sampled)
+// campaigns over the live-bit space — the weighted result, the slot
+// hash and the plan hashes; the campaign driver (driver.go) does the
+// thinning. Stratification is the dynamic half of the BEC idea
+// (ANALYSIS.md, "Stratified sampling over live bits"; DESIGN.md §5i for
+// the pruning half). The bit-influence classifier (bitlive.ClassifyInfluence)
 // assigns every injectable bit a stratum; a Plan assigns each stratum an
 // inclusion probability. A stratified campaign draws the SAME n slots
 // the unstratified campaign would (same seed, same sequential stream),
@@ -20,7 +22,6 @@
 package fault
 
 import (
-	"context"
 	"fmt"
 
 	"trident/internal/bitlive"
@@ -46,12 +47,6 @@ func slotU(seed uint64, slot int) float64 {
 	return float64(h>>11) * (1.0 / (1 << 53))
 }
 
-// stratumOf classifies one spec's target bit. Callers must have
-// configured Options.Stratify (which builds the influence table).
-func (inj *Injector) stratumOf(spec trialSpec) bitlive.Stratum {
-	return inj.influence.Stratum(spec.instr, spec.bit)
-}
-
 // StratifyHash returns the content address of the stratification in
 // effect — the influence table's module hash folded with the plan hash
 // (hashutil.Hex form) — or "" when Options.Stratify is nil. Checkpoint
@@ -61,9 +56,7 @@ func (inj *Injector) StratifyHash() string {
 	if inj.opts.Stratify == nil {
 		return ""
 	}
-	h := hashutil.String(fmt.Sprintf("%x|%x",
-		inj.influence.ModuleHash(inj.module), inj.opts.Stratify.Hash()))
-	return hashutil.Hex(h)
+	return stratifyHash(inj.influence.ModuleHash(inj.module), *inj.opts.Stratify)
 }
 
 // StratifyHashFor computes the stratification content address of m
@@ -72,7 +65,13 @@ func (inj *Injector) StratifyHash() string {
 // Injector.StratifyHash for the same module and plan.
 func StratifyHashFor(m *ir.Module, plan bitlive.Plan) string {
 	inf := bitlive.ClassifyInfluence(m, bitlive.Analyze(m))
-	return hashutil.Hex(hashutil.String(fmt.Sprintf("%x|%x", inf.ModuleHash(m), plan.Hash())))
+	return stratifyHash(inf.ModuleHash(m), plan)
+}
+
+// stratifyHash folds an influence-table hash (a module's, or one
+// function's for compositional cache keys) with a plan hash.
+func stratifyHash(influence uint64, plan bitlive.Plan) string {
+	return hashutil.Hex(hashutil.String(fmt.Sprintf("%x|%x", influence, plan.Hash())))
 }
 
 // pruneHash returns the content address of the bit-liveness report a
@@ -93,8 +92,8 @@ type StratifiedResult struct {
 	// rates describe the executed subset, not the population — use the
 	// Weighted variants for campaign-level estimates.
 	*CampaignResult
-	// SlotN is the number of slots drawn before thinning (the n the
-	// campaign was asked for).
+	// SlotN is the number of slots drawn before thinning: the n the
+	// campaign was asked for, or only the slots a shard or wave owns.
 	SlotN int
 	// Plan is the stratification plan the campaign ran under.
 	Plan bitlive.Plan
@@ -197,196 +196,4 @@ func (sr *StratifiedResult) Summary() []StratumSummary {
 		})
 	}
 	return out
-}
-
-// stratifiedSpecs draws the campaign's n slots and thins them by the
-// plan: the returned specs are the executed subset, with per-spec
-// strata and the per-stratum slot counts of the full draw.
-func (inj *Injector) stratifiedSpecs(n int) (kept []trialSpec, strata []bitlive.Stratum, slotCounts [bitlive.NumStrata]int) {
-	specs := inj.sampleRandom(n)
-	plan := *inj.opts.Stratify
-	for i, spec := range specs {
-		s := inj.stratumOf(spec)
-		slotCounts[int(s)]++
-		q := plan.Rate(s)
-		if q >= 1 || slotU(inj.opts.Seed, i) < q {
-			kept = append(kept, spec)
-			strata = append(strata, s)
-		}
-	}
-	return kept, strata, slotCounts
-}
-
-// finishStratified wraps the executed trials into a StratifiedResult,
-// recomputing weights from the plan. A cancelled campaign returns a
-// prefix of the kept specs; weights align with whatever prefix ran.
-func (inj *Injector) finishStratified(res *CampaignResult, strata []bitlive.Stratum, slotCounts [bitlive.NumStrata]int, n int) *StratifiedResult {
-	plan := *inj.opts.Stratify
-	sr := &StratifiedResult{
-		CampaignResult: res,
-		SlotN:          n,
-		Plan:           plan,
-		SlotCounts:     slotCounts,
-	}
-	sr.Strata = strata[:len(res.Trials)]
-	sr.Weights = make([]float64, len(res.Trials))
-	for i, s := range sr.Strata {
-		sr.Weights[i] = 1 / plan.Rate(s)
-	}
-	return sr
-}
-
-// requireStratify validates the stratified-campaign configuration.
-func (inj *Injector) requireStratify() error {
-	if inj.opts.Stratify == nil {
-		return fmt.Errorf("fault: stratified campaign requires Options.Stratify")
-	}
-	return nil
-}
-
-// CampaignStratified performs a stratified campaign over n slots: the
-// same n uniform draws CampaignRandom(n) would make, thinned per
-// stratum by Options.Stratify, with Horvitz-Thompson reweighting in the
-// result. Cancelling ctx returns the completed prefix along with
-// ctx.Err(), exactly like CampaignRandom.
-func (inj *Injector) CampaignStratified(ctx context.Context, n int) (*StratifiedResult, error) {
-	if err := inj.requireStratify(); err != nil {
-		return nil, err
-	}
-	kept, strata, slotCounts := inj.stratifiedSpecs(n)
-	res, err := inj.runTrials(ctx, kept, nil)
-	if res == nil {
-		return nil, err
-	}
-	return inj.finishStratified(res, strata, slotCounts, n), err
-}
-
-// metaStratified describes a stratified run for checkpoint validation:
-// same identity as the unstratified campaign plus the stratification
-// hash, under its own kind so a stratified log (which holds only the
-// thinned subset) can never masquerade as a complete random log.
-func (inj *Injector) metaStratified(n int) checkpointMeta {
-	meta := inj.metaRandom(n)
-	meta.Kind = "stratified"
-	meta.Stratify = inj.StratifyHash()
-	return meta
-}
-
-// CampaignStratifiedCheckpoint is CampaignStratified persisted to (and
-// resumed from) a JSONL log at path, with the same contract as
-// CampaignRandomCheckpoint.
-func (inj *Injector) CampaignStratifiedCheckpoint(ctx context.Context, n int, path string) (*StratifiedResult, error) {
-	if err := inj.requireStratify(); err != nil {
-		return nil, err
-	}
-	ck, err := openCheckpoint(path, inj.metaStratified(n), false)
-	if err != nil {
-		return nil, err
-	}
-	kept, strata, slotCounts := inj.stratifiedSpecs(n)
-	res, runErr := inj.runTrials(ctx, kept, ck)
-	if cerr := ck.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	if res == nil {
-		return nil, runErr
-	}
-	return inj.finishStratified(res, strata, slotCounts, n), runErr
-}
-
-// CampaignStratifiedShardCheckpoint runs one shard of an n-slot
-// stratified campaign: the executed subset is computed over the full
-// slot range (inclusion is a random-access hash, so shard identity
-// never shifts it) and the shard runs the kept specs whose slot falls
-// in ShardRange(n, shard, shards), checkpointed at path. The returned
-// result covers only this shard's executed trials; merge the shard logs
-// and reconstruct with StratifiedFromCheckpoint for the weighted
-// campaign result.
-func (inj *Injector) CampaignStratifiedShardCheckpoint(ctx context.Context, n, shard, shards int, path string) (*CampaignResult, error) {
-	if err := inj.requireStratify(); err != nil {
-		return nil, err
-	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("fault: shard count must be positive, got %d", shards)
-	}
-	if shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("fault: shard %d out of range [0, %d)", shard, shards)
-	}
-	specs := inj.sampleRandom(n)
-	plan := *inj.opts.Stratify
-	lo, hi := ShardRange(n, shard, shards)
-	var kept []trialSpec
-	for i := lo; i < hi; i++ {
-		spec := specs[i]
-		q := plan.Rate(inj.stratumOf(spec))
-		if q >= 1 || slotU(inj.opts.Seed, i) < q {
-			kept = append(kept, spec)
-		}
-	}
-	ck, err := openCheckpoint(path, inj.metaStratified(n), false)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := inj.runTrials(ctx, kept, ck)
-	if cerr := ck.Close(); cerr != nil && runErr == nil {
-		runErr = cerr
-	}
-	return res, runErr
-}
-
-// StratifiedFromCheckpoint reconstructs a stratified campaign result
-// purely from the checkpoint log at path (typically the merge of shard
-// logs) — no trial executes. It returns the result over the executed
-// specs present in the log plus the number of expected specs the log is
-// missing, mirroring CampaignFromCheckpoint. Weights are recomputed
-// from the plan, never persisted: the header's stratification hash
-// guarantees the log was thinned under the same plan.
-func (inj *Injector) StratifiedFromCheckpoint(n int, path string) (*StratifiedResult, int, error) {
-	if err := inj.requireStratify(); err != nil {
-		return nil, 0, err
-	}
-	_, recs, err := loadLogFor(path, inj.metaStratified(n))
-	if err != nil {
-		return nil, 0, err
-	}
-	kept, strata, slotCounts := inj.stratifiedSpecs(n)
-	res := &CampaignResult{}
-	var gotStrata []bitlive.Stratum
-	missing := 0
-	for i, spec := range kept {
-		rec, ok := recs[spec.key()]
-		if !ok {
-			missing++
-			continue
-		}
-		tr, terr := rec.injection(spec)
-		if terr != nil {
-			terr.Index = len(res.Trials)
-			res.Errs = append(res.Errs, *terr)
-		}
-		res.Trials = append(res.Trials, tr)
-		gotStrata = append(gotStrata, strata[i])
-	}
-	res.tally()
-	return inj.finishStratified(res, gotStrata, slotCounts, n), missing, nil
-}
-
-// loadLogFor reads and validates a checkpoint log against want,
-// surfacing torn-tail warnings like every other loader.
-func loadLogFor(path string, want checkpointMeta) (checkpointMeta, map[TrialKey]trialRecord, error) {
-	data, err := readCheckpointFile(path)
-	if err != nil {
-		return checkpointMeta{}, nil, err
-	}
-	meta, recs, warns, err := readLog(path, data)
-	if err != nil {
-		return checkpointMeta{}, nil, err
-	}
-	for _, w := range warns {
-		warnf("%s", w)
-	}
-	if err := meta.matches(path, want); err != nil {
-		return checkpointMeta{}, nil, err
-	}
-	return meta, recs, nil
 }

@@ -62,7 +62,7 @@ func TestStratifiedSubsetBitIdentity(t *testing.T) {
 	specs := strat.sampleRandom(n)
 	want := make([]int, 0, n)
 	for i := range specs {
-		q := plan.Rate(strat.stratumOf(specs[i]))
+		q := plan.Rate(strat.influence.Stratum(specs[i].instr, specs[i].bit))
 		if q >= 1 || slotU(99, i) < q {
 			want = append(want, i)
 		}
@@ -130,7 +130,7 @@ func TestStratifiedUniformPlanEqualsRandom(t *testing.T) {
 }
 
 // TestStratifiedCheckpointRoundTrip: a stratified checkpoint resumes to
-// an identical result, and StratifiedFromCheckpoint reconstructs the
+// an identical result, and FromCheckpoint reconstructs the
 // weighted campaign without executing.
 func TestStratifiedCheckpointRoundTrip(t *testing.T) {
 	const n = 150
@@ -139,13 +139,13 @@ func TestStratifiedCheckpointRoundTrip(t *testing.T) {
 	opts := Options{Seed: 5, Stratify: &plan}
 
 	first := stratInjector(t, "boxblur", opts)
-	sr1, err := first.CampaignStratifiedCheckpoint(context.Background(), n, path)
+	sr1, err := first.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	second := stratInjector(t, "boxblur", opts)
-	sr2, err := second.CampaignStratifiedCheckpoint(context.Background(), n, path)
+	sr2, err := second.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestStratifiedCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	sr3, missing, err := second.StratifiedFromCheckpoint(n, path)
+	sr3, missing, err := second.FromCheckpoint(n, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestStratifiedShardMerge(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		inj := stratInjector(t, "rgb2gray", opts)
 		path := filepath.Join(dir, "shard"+string(rune('0'+s))+".ckpt")
-		res, err := inj.CampaignStratifiedShardCheckpoint(context.Background(), n, s, shards, path)
+		res, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestStratifiedShardMerge(t *testing.T) {
 	if _, err := MergeCheckpoints(merged, srcs...); err != nil {
 		t.Fatal(err)
 	}
-	got, missing, err := whole.StratifiedFromCheckpoint(n, merged)
+	got, missing, err := whole.FromCheckpoint(n, merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,31 +239,31 @@ func TestCheckpointPruneMismatchRefused(t *testing.T) {
 	const n = 40
 	path := filepath.Join(t.TempDir(), "prune.ckpt")
 	pruned := stratInjector(t, "rgb2gray", Options{Seed: 3, PruneBits: true})
-	if _, err := pruned.CampaignRandomCheckpoint(context.Background(), n, path); err != nil {
+	if _, err := pruned.Campaign(context.Background(), n, Run{Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 
 	plain := stratInjector(t, "rgb2gray", Options{Seed: 3})
-	_, err := plain.ResumeCampaign(context.Background(), n, path)
+	_, err := plain.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "pruning") {
 		t.Fatalf("unpruned resume of pruned checkpoint: err = %v, want pruning mismatch", err)
 	}
 
 	// Reverse direction: a plain log must refuse a pruned resume.
 	path2 := filepath.Join(t.TempDir(), "plain.ckpt")
-	if _, err := plain.CampaignRandomCheckpoint(context.Background(), n, path2); err != nil {
+	if _, err := plain.Campaign(context.Background(), n, Run{Checkpoint: path2}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = pruned.ResumeCampaign(context.Background(), n, path2)
+	_, err = pruned.Campaign(context.Background(), n, Run{Checkpoint: path2, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "pruning") {
 		t.Fatalf("pruned resume of unpruned checkpoint: err = %v, want pruning mismatch", err)
 	}
 
 	// Matched resumes still work.
-	if _, err := pruned.ResumeCampaign(context.Background(), n, path); err != nil {
+	if _, err := pruned.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true}); err != nil {
 		t.Fatalf("matched pruned resume failed: %v", err)
 	}
-	if _, err := plain.ResumeCampaign(context.Background(), n, path2); err != nil {
+	if _, err := plain.Campaign(context.Background(), n, Run{Checkpoint: path2, Resume: true}); err != nil {
 		t.Fatalf("matched plain resume failed: %v", err)
 	}
 }
@@ -276,20 +276,20 @@ func TestCheckpointStratifyMismatchRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "strat.ckpt")
 	plan := bitlive.DefaultPlan()
 	a := stratInjector(t, "nibblepack", Options{Seed: 9, Stratify: &plan})
-	if _, err := a.CampaignStratifiedCheckpoint(context.Background(), n, path); err != nil {
+	if _, err := a.Campaign(context.Background(), n, Run{Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 
 	other := bitlive.DefaultPlan()
 	other.Rates[bitlive.StratumNoise] = 0.5
 	b := stratInjector(t, "nibblepack", Options{Seed: 9, Stratify: &other})
-	_, err := b.CampaignStratifiedCheckpoint(context.Background(), n, path)
+	_, err := b.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err == nil || !strings.Contains(err.Error(), "stratification") {
 		t.Fatalf("cross-plan resume: err = %v, want stratification mismatch", err)
 	}
 
 	plain := stratInjector(t, "nibblepack", Options{Seed: 9})
-	_, err = plain.ResumeCampaign(context.Background(), n, path)
+	_, err = plain.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err == nil {
 		t.Fatal("plain resume of stratified checkpoint succeeded")
 	}

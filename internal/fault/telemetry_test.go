@@ -108,18 +108,18 @@ func TestMetricsReconcileAcrossCheckpointResume(t *testing.T) {
 	const n = 80
 
 	first := newInjectorOpts(t, vulnerable, Options{Seed: 5, Workers: 4})
-	fres, err := first.CampaignRandomCheckpoint(context.Background(), n, path)
+	fres, err := first.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
 		t.Fatalf("first campaign: %v", err)
 	}
 
 	reg := telemetry.NewRegistry()
 	second := newInjectorOpts(t, vulnerable, Options{Seed: 5, Workers: 4, Metrics: reg})
-	sres, err := second.ResumeCampaign(context.Background(), n, path)
+	sres, err := second.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if transcript(fres) != transcript(sres) {
+	if transcript(fres.CampaignResult) != transcript(sres.CampaignResult) {
 		t.Fatal("resumed campaign differs from original")
 	}
 

@@ -174,14 +174,20 @@ func readJSONFile(path string, v any) error {
 // loadJob reconstructs a job from its spool directory. Jobs found
 // queued or running were interrupted — they re-enter the queue and
 // resume from their shard checkpoints; terminal jobs keep serving their
-// persisted state and result.
-func loadJob(dir string) (*Job, bool, error) {
+// persisted state and result. The submission is re-validated against
+// lim, the limits of the server loading it: a spool written under
+// looser limits (or edited by hand) must not re-queue a job this server
+// would refuse at admission.
+func loadJob(dir string, lim Limits) (*Job, bool, error) {
 	var meta jobMeta
 	if err := readJSONFile(filepath.Join(dir, "job.json"), &meta); err != nil {
 		return nil, false, err
 	}
-	if meta.ID == "" || meta.Req == nil || meta.Req.Shards < 1 || meta.Req.N < 1 {
+	if meta.ID == "" || meta.Req == nil || meta.Req.Shards < 1 {
 		return nil, false, fmt.Errorf("server: %s: malformed job.json", dir)
+	}
+	if err := meta.Req.Validate(lim); err != nil {
+		return nil, false, fmt.Errorf("server: %s: job.json: %w", dir, err)
 	}
 	j := newJob(meta.ID, dir, meta.Req)
 	var sf jobStateFile

@@ -196,7 +196,7 @@ func (s *Server) recover() error {
 			continue
 		}
 		dir := filepath.Join(jobsDir, e.Name())
-		j, resume, err := loadJob(dir)
+		j, resume, err := loadJob(dir, s.limits)
 		if err != nil {
 			// A torn job dir (crash mid-admission) must not stop the
 			// server from coming back up; skip it with a warning.

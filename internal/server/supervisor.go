@@ -300,39 +300,20 @@ func (s *Server) buildResult(j *Job, state JobState) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if j.req.StratifyAdaptive {
-		ares, missing, aerr := inj.AdaptiveFromCheckpoint(j.req.N, merged)
-		if aerr != nil {
-			return nil, aerr
-		}
-		out := resultToWire(j, ares.CampaignResult, missing)
-		out.Stratified = true
-		out.Adaptive = true
-		out.PilotExecuted = ares.PilotExecuted
-		out.ExecutedN = ares.ExecutedN()
-		out.WeightedSDC = ares.WeightedSDC()
-		out.WeightedErrorBar95 = ares.WeightedErrorBar95()
-		out.EffectiveN = ares.EffectiveN()
-		return out, nil
-	}
-	if j.req.Stratify {
-		sres, missing, serr := inj.StratifiedFromCheckpoint(j.req.N, merged)
-		if serr != nil {
-			return nil, serr
-		}
-		out := resultToWire(j, sres.CampaignResult, missing)
-		out.Stratified = true
-		out.ExecutedN = sres.ExecutedN()
-		out.WeightedSDC = sres.WeightedSDC()
-		out.WeightedErrorBar95 = sres.WeightedErrorBar95()
-		out.EffectiveN = sres.EffectiveN()
-		return out, nil
-	}
-	res, missing, err := inj.CampaignFromCheckpoint(j.req.N, merged)
+	res, missing, err := inj.FromCheckpoint(j.req.N, merged)
 	if err != nil {
 		return nil, err
 	}
-	out := resultToWire(j, res, missing)
+	out := resultToWire(j, res.CampaignResult, missing)
+	if j.req.Stratify || j.req.StratifyAdaptive {
+		out.Stratified = true
+		out.Adaptive = j.req.StratifyAdaptive
+		out.PilotExecuted = res.PilotExecuted
+		out.ExecutedN = res.ExecutedN()
+		out.WeightedSDC = res.WeightedSDC()
+		out.WeightedErrorBar95 = res.WeightedErrorBar95()
+		out.EffectiveN = res.EffectiveN()
+	}
 	return out, nil
 }
 

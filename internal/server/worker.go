@@ -39,15 +39,15 @@ type shardProgress struct {
 }
 
 // shardPhase selects which slice of a job's campaign a shard attempt
-// runs. Plain and statically-stratified jobs have a single phase
-// (phaseWhole); adaptive jobs run a pilot wave, a cross-shard merge,
-// then a main wave (see Server.runAdaptiveWaves).
-type shardPhase string
+// runs — a fault.Wave. Plain and statically-stratified jobs have a
+// single phase (phaseWhole); adaptive jobs run a pilot wave, a
+// cross-shard merge, then a main wave (see Server.runAdaptiveWaves).
+type shardPhase = fault.Wave
 
 const (
-	phaseWhole shardPhase = ""      // the shard's entire slot range
-	phasePilot shardPhase = "pilot" // the static-shape pilot-prefix slice (adaptive wave 1)
-	phaseMain  shardPhase = "main"  // the plan-thinned main-phase slice (adaptive wave 2)
+	phaseWhole = fault.WaveAll   // the shard's entire slot range
+	phasePilot = fault.WavePilot // the static-shape pilot-prefix slice (adaptive wave 1)
+	phaseMain  = fault.WaveMain  // the plan-thinned main-phase slice (adaptive wave 2)
 )
 
 // shardRunner executes one attempt of one phase of one shard of a job.
@@ -80,24 +80,20 @@ func mergedCheckpointPath(dir string) string {
 }
 
 // runShardCampaign runs one phase of one shard of req's campaign against
-// the job dir's checkpoints, dispatching on phase and sampling mode:
-// adaptive waves run their pilot or plan-thinned slice, stratified jobs
-// execute only the deterministically thinned subset of their slot range
-// (fault.CampaignStratifiedShardCheckpoint), plain jobs the whole range.
+// the job dir's checkpoints, under the sampling design the job's options
+// select: adaptive waves run their pilot slice or the plan-thinned main
+// slice (the plan re-derived from the merged pilot log), stratified jobs
+// execute only the deterministically thinned subset of their slot range,
+// plain jobs the whole range.
 func runShardCampaign(ctx context.Context, inj *fault.Injector, req *SubmitRequest, shard int, phase shardPhase, dir string) error {
+	run := fault.Run{Checkpoint: shardCheckpointPath(dir, shard), Shard: shard, Shards: req.Shards, Wave: phase}
 	switch phase {
 	case phasePilot:
-		_, err := inj.CampaignAdaptivePilotShardCheckpoint(ctx, req.N, shard, req.Shards, pilotShardCheckpointPath(dir, shard))
-		return err
+		run.Checkpoint = pilotShardCheckpointPath(dir, shard)
 	case phaseMain:
-		_, err := inj.CampaignAdaptiveMainShardCheckpoint(ctx, req.N, shard, req.Shards, pilotMergedPath(dir), shardCheckpointPath(dir, shard))
-		return err
+		run.PilotLog = pilotMergedPath(dir)
 	}
-	if req.Stratify {
-		_, err := inj.CampaignStratifiedShardCheckpoint(ctx, req.N, shard, req.Shards, shardCheckpointPath(dir, shard))
-		return err
-	}
-	_, err := inj.CampaignShardCheckpoint(ctx, req.N, shard, req.Shards, shardCheckpointPath(dir, shard))
+	_, err := inj.Campaign(ctx, req.N, run)
 	return err
 }
 

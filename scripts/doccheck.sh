@@ -17,7 +17,8 @@
 #      .Gauge( or .Histogram( in non-test Go code must appear in
 #      OBSERVABILITY.md as a backticked name (or, for a literal prefix
 #      completed at runtime such as "fi.outcome.", as `prefix<...>`),
-#      so no registered metric ships undocumented.
+#      and so must every span name passed as a literal to .Start(, so
+#      no registered metric or emitted span ships undocumented.
 #
 # Run from the repo root; exits non-zero listing every violation.
 
@@ -73,6 +74,17 @@ for name in $names; do
     esac
     if ! grep -qF "$want" OBSERVABILITY.md; then
         echo "doccheck: metric $name is registered in code but not documented in OBSERVABILITY.md" >&2
+        fail=1
+    fi
+done
+
+# 4 (spans): every span name started in non-test code is documented.
+spans=$(find . -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -hoE '\.Start\("[^"]+"' |
+    sed -E 's/.*\("([^"]+)"/\1/' | sort -u)
+for name in $spans; do
+    if ! grep -qF "\`$name\`" OBSERVABILITY.md; then
+        echo "doccheck: span $name is started in code but not documented in OBSERVABILITY.md" >&2
         fail=1
     fi
 done
