@@ -6,8 +6,10 @@
 //
 // It also measures the cost of the telemetry layer: each snapshot
 // campaign is re-run with a live metrics registry, JSONL trace, and
-// progress callback attached, and the instrumented-vs-bare ratio is
-// reported as telemetry_overhead. -max-overhead turns that measurement
+// progress callback attached, in interleaved single-worker pairs with the
+// bare campaign, and the median per-pair ratio of process CPU times is
+// reported as telemetry_overhead_cpu (telemetry_overhead keeps the older
+// fastest-wall-time ratio). -max-overhead turns the CPU-time measurement
 // into a gate (make check uses 0.03, the ≤3% budget OBSERVABILITY.md
 // promises).
 //
@@ -21,7 +23,8 @@
 //	        [-out BENCH_fi.json]
 //
 // -out "-" writes to stdout. -repeats N times every campaign N times and
-// keeps the fastest run, damping scheduler noise on loaded machines. The
+// keeps the fastest run, damping scheduler noise on loaded machines; the
+// overhead measurement runs N bare/instrumented pairs. The
 // run fails if any program's campaigns diverge between the paths, if
 // -max-overhead is positive and exceeded, or if -min-snapshot-speedup is
 // positive and the geometric-mean snapshot-vs-full speedup falls below
@@ -55,7 +58,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"trident/internal/bitlive"
@@ -138,6 +144,18 @@ type result struct {
 	AdaptEffN            float64 `json:"adapt_eff_n"`
 	AdaptPlan            string  `json:"adapt_plan"`
 	OutcomeSummary       string  `json:"outcomes"`
+	// OverheadBaseCPUMs and InstrumentedCPUMs are the same pair's median
+	// process CPU times (user plus system), and TelemetryOverheadCPU the
+	// median of the per-pair instrumented/bare CPU-time ratios, minus 1.
+	// CPU time leaves out steal, so these are what the overhead gate
+	// reads; the wall-time overhead fields stay for comparison with older
+	// results.
+	OverheadBaseCPUMs    float64 `json:"overhead_base_cpu_ms"`
+	InstrumentedCPUMs    float64 `json:"instrumented_cpu_ms"`
+	TelemetryOverheadCPU float64 `json:"telemetry_overhead_cpu"`
+	// overheadRatios holds the per-pair CPU-time ratios, pooled across
+	// programs by the gate.
+	overheadRatios []float64
 }
 
 func main() {
@@ -154,7 +172,7 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 7, "deterministic seed (same for both paths)")
 	workers := fs.Int("workers", 4, "parallel injection workers")
 	interval := fs.Uint64("interval", 2048, "snapshot interval in dynamic instructions")
-	repeats := fs.Int("repeats", 1, "measure each campaign this many times and keep the fastest")
+	repeats := fs.Int("repeats", 1, "measure each campaign this many times and keep the fastest (the overhead pair: run this many interleaved pairs)")
 	maxOverhead := fs.Float64("max-overhead", 0, "fail if telemetry overhead exceeds this fraction (0 disables the gate)")
 	minSnapshot := fs.Float64("min-snapshot-speedup", 0, "fail if the geomean snapshot-vs-full speedup falls below this factor (0 disables the gate)")
 	minPrunedCI := fs.Float64("min-pruned-ci-speedup", 0, "fail unless at least -min-pruned-kernels programs reach this pruned equal-CI speedup (0 disables the gate)")
@@ -187,7 +205,7 @@ func run(args []string) error {
 			r.Speedup, r.BitsPrunedPct, r.PrunedCISpeedup,
 			r.StratExecuted, r.N, r.StratCIShrink,
 			r.AdaptExecuted, r.N, r.AdaptCIShrink, r.PilotFraction*100,
-			r.TelemetryOverhead*100, r.Identical)
+			r.TelemetryOverheadCPU*100, r.Identical)
 		if !r.Identical {
 			return fmt.Errorf("%s: campaigns diverged between execution paths", name)
 		}
@@ -268,17 +286,15 @@ func run(args []string) error {
 		}
 	}
 
-	// Gate on the aggregate across programs — total fastest instrumented
-	// time over total fastest bare time. Individual campaigns are short
-	// enough that residual jitter blurs a percent-level signal; pooling
-	// across programs damps what fastest-of-N didn't discard.
-	var bareTotal, instTotal float64
+	// Gate on the median per-pair CPU-time ratio, pooled across programs:
+	// a real overhead slows the instrumented side of every pair, while a
+	// noisy pair moves only its own ratio, which the median discards.
+	var ratios []float64
 	for _, r := range results {
-		bareTotal += r.OverheadBaseMs
-		instTotal += r.InstrumentedMs
+		ratios = append(ratios, r.overheadRatios...)
 	}
-	overall := instTotal/bareTotal - 1
-	fmt.Fprintf(os.Stderr, "telemetry overhead overall: %+.1f%%\n", overall*100)
+	overall := median(ratios) - 1
+	fmt.Fprintf(os.Stderr, "telemetry overhead overall (median of %d CPU-time pairs): %+.1f%%\n", len(ratios), overall*100)
 	if *maxOverhead > 0 && overall > *maxOverhead {
 		return fmt.Errorf("telemetry overhead %.1f%% exceeds the %.1f%% budget",
 			overall*100, *maxOverhead*100)
@@ -316,38 +332,91 @@ func timeCampaign(inj *fault.Injector, n, repeats int) (*fault.CampaignResult, t
 	return res, best, nil
 }
 
-// compareCampaigns times the bare and instrumented snapshot engines
-// interleaved — bare, instrumented, bare, instrumented, … — after one
-// untimed warmup of each, and keeps each side's fastest run. The
-// fastest-of-N time is each engine's cleanest scheduling window, so
-// their ratio isolates systematic overhead (which slows every
-// instrumented run) from one-off noise spikes (which min discards);
-// interleaving keeps heap growth and GC pacing from penalizing
-// whichever side runs last. Returns the (identical) campaign results
-// and the fastest wall time per side.
-func compareCampaigns(bare, inst *fault.Injector, n, repeats int) (bres, ires *fault.CampaignResult, bareDur, instDur time.Duration, err error) {
+// pairTiming is the overhead measurement of one program: the bare and
+// instrumented campaigns timed in interleaved pairs.
+type pairTiming struct {
+	// bareWall and instWall are each side's fastest wall time.
+	bareWall, instWall time.Duration
+	// bareCPU and instCPU are each side's median process CPU time.
+	bareCPU, instCPU time.Duration
+	// ratios holds each pair's instrumented/bare CPU-time ratio.
+	ratios []float64
+}
+
+// compareCampaigns times the bare and instrumented snapshot engines in
+// repeats interleaved pairs, after one untimed warmup of each, and
+// alternates which side of a pair runs first so neither always inherits
+// the other's heap and GC state. Every run is timed twice: in wall time,
+// and in process CPU time (user plus system, over all threads). On a
+// shared VM, steal moves wall time by 10–35% from run to run; CPU time
+// leaves it out, so the overhead gate reads the median per-pair CPU-time
+// ratio. Returns the (identical) campaign results and the timings.
+func compareCampaigns(bare, inst *fault.Injector, n, repeats int) (bres, ires *fault.CampaignResult, pt pairTiming, err error) {
 	if _, err = bare.CampaignRandom(context.Background(), n); err != nil {
 		return
 	}
 	if _, err = inst.CampaignRandom(context.Background(), n); err != nil {
 		return
 	}
+	var bareCPU, instCPU []float64
 	for i := 0; i < repeats; i++ {
-		var db, di time.Duration
-		if bres, db, err = timeCampaign(bare, n, 1); err != nil {
+		var bw, iw, bc, ic time.Duration
+		if i%2 == 0 {
+			if bres, bw, bc, err = timeRun(bare, n); err == nil {
+				ires, iw, ic, err = timeRun(inst, n)
+			}
+		} else {
+			if ires, iw, ic, err = timeRun(inst, n); err == nil {
+				bres, bw, bc, err = timeRun(bare, n)
+			}
+		}
+		if err != nil {
 			return
 		}
-		if ires, di, err = timeCampaign(inst, n, 1); err != nil {
-			return
+		if i == 0 || bw < pt.bareWall {
+			pt.bareWall = bw
 		}
-		if i == 0 || db < bareDur {
-			bareDur = db
+		if i == 0 || iw < pt.instWall {
+			pt.instWall = iw
 		}
-		if i == 0 || di < instDur {
-			instDur = di
-		}
+		bareCPU = append(bareCPU, bc.Seconds())
+		instCPU = append(instCPU, ic.Seconds())
+		pt.ratios = append(pt.ratios, ic.Seconds()/bc.Seconds())
 	}
+	pt.bareCPU = time.Duration(median(bareCPU) * float64(time.Second))
+	pt.instCPU = time.Duration(median(instCPU) * float64(time.Second))
 	return
+}
+
+// timeRun runs inj's n-trial campaign once, from a freshly collected
+// heap so no run pays for an earlier run's garbage, and returns its wall
+// time and the process CPU time it used.
+func timeRun(inj *fault.Injector, n int) (*fault.CampaignResult, time.Duration, time.Duration, error) {
+	runtime.GC()
+	cpu0, start := cpuTime(), time.Now()
+	r, err := inj.CampaignRandom(context.Background(), n)
+	return r, time.Since(start), cpuTime() - cpu0, err
+}
+
+// cpuTime is the CPU time the process has used, user and system, over
+// all its threads.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err) // RUSAGE_SELF with a valid pointer cannot fail
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// median returns the median of xs (the mean of the middle pair for an
+// even count), sorting xs in place.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	k := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[k]
+	}
+	return (xs[k-1] + xs[k]) / 2
 }
 
 func benchProgram(name string, n int, seed uint64, workers int, interval uint64, repeats int) (result, error) {
@@ -419,7 +488,7 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 	if err != nil {
 		return result{}, err
 	}
-	_, ires, obareDur, instDur, err := compareCampaigns(obare, inst, n, repeats)
+	_, ires, pt, err := compareCampaigns(obare, inst, n, repeats)
 	if err != nil {
 		return result{}, err
 	}
@@ -464,20 +533,24 @@ func benchProgram(name string, n int, seed uint64, workers int, interval uint64,
 	}
 
 	r := result{
-		Program:           name,
-		N:                 n,
-		Seed:              seed,
-		Workers:           workers,
-		GoldenDyn:         full.GoldenDynInstrs(),
-		Interval:          interval,
-		Snapshots:         snap.Snapshots(),
-		SnapshotSetup:     float64(setupDur.Microseconds()) / 1000,
-		FullMs:            float64(fullDur.Microseconds()) / 1000,
-		SnapshotMs:        float64(snapDur.Microseconds()) / 1000,
-		OverheadBaseMs:    float64(obareDur.Microseconds()) / 1000,
-		InstrumentedMs:    float64(instDur.Microseconds()) / 1000,
-		Speedup:           fullDur.Seconds() / snapDur.Seconds(),
-		TelemetryOverhead: instDur.Seconds()/obareDur.Seconds() - 1,
+		Program:              name,
+		N:                    n,
+		Seed:                 seed,
+		Workers:              workers,
+		GoldenDyn:            full.GoldenDynInstrs(),
+		Interval:             interval,
+		Snapshots:            snap.Snapshots(),
+		SnapshotSetup:        float64(setupDur.Microseconds()) / 1000,
+		FullMs:               float64(fullDur.Microseconds()) / 1000,
+		SnapshotMs:           float64(snapDur.Microseconds()) / 1000,
+		OverheadBaseMs:       float64(pt.bareWall.Microseconds()) / 1000,
+		InstrumentedMs:       float64(pt.instWall.Microseconds()) / 1000,
+		Speedup:              fullDur.Seconds() / snapDur.Seconds(),
+		TelemetryOverhead:    pt.instWall.Seconds()/pt.bareWall.Seconds() - 1,
+		OverheadBaseCPUMs:    float64(pt.bareCPU.Microseconds()) / 1000,
+		InstrumentedCPUMs:    float64(pt.instCPU.Microseconds()) / 1000,
+		TelemetryOverheadCPU: median(slices.Clone(pt.ratios)) - 1,
+		overheadRatios:       pt.ratios,
 		Identical: identical(fres, sres) && identical(sres, ires) &&
 			identical(sres, pres),
 		TrialsPerSecF:        float64(n) / fullDur.Seconds(),

@@ -64,6 +64,15 @@ type Model struct {
 	sdcCache map[*ir.Instr]float64
 
 	fmIterations int
+	// work counts the fs fixpoint's effort over the model's lifetime.
+	work fixpointWork
+}
+
+// fixpointWork counts the effort of the fs fixpoints: nodes reached,
+// direct solves of cyclic components, and worklist pops of the
+// components that fell back to iterating.
+type fixpointWork struct {
+	reached, rounds, pops int
 }
 
 // New builds a model over a collected profile.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"trident/internal/ir"
@@ -72,6 +73,14 @@ type graph struct {
 	count []float64
 	start []int32
 	edges []cedge
+
+	// comp maps each node to its strongly connected component of the
+	// non-terminal edges, numbered in topological order: every such edge
+	// runs from a node's component to the same or a later one. cyclic
+	// marks the components that hold a cycle: more than one node, or a
+	// self-loop.
+	comp   []int32
+	cyclic []bool
 }
 
 // compiled returns the model's compiled graph, building it on first use.
@@ -162,7 +171,90 @@ func (m *Model) compile() *graph {
 		}
 		g.start[n+1] = int32(len(g.edges))
 	}
+	g.condense()
 	return g
+}
+
+// condense finds the strongly connected components of the non-terminal
+// edges with Tarjan's algorithm (iteratively, so deep def-use chains
+// cannot overflow the stack) and numbers them in topological order.
+func (g *graph) condense() {
+	n := int32(len(g.instrs))
+	const unseen = -1
+	index := make([]int32, n)
+	for i := range index {
+		index[i] = unseen
+	}
+	low := make([]int32, n)
+	onStack := make([]bool, n)
+	g.comp = make([]int32, n)
+	var stack []int32
+	type frame struct{ node, edge int32 }
+	var dfs []frame
+	next, comps := int32(0), int32(0)
+	visit := func(v int32) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		dfs = append(dfs, frame{v, g.start[v]})
+	}
+	for root := int32(0); root < n; root++ {
+		if index[root] != unseen {
+			continue
+		}
+		visit(root)
+		for len(dfs) > 0 {
+			f := &dfs[len(dfs)-1]
+			if f.edge < g.start[f.node+1] {
+				ed := &g.edges[f.edge]
+				f.edge++
+				switch {
+				case ed.terminal:
+				case index[ed.to] == unseen:
+					visit(ed.to)
+				case onStack[ed.to]:
+					low[f.node] = min(low[f.node], index[ed.to])
+				}
+				continue
+			}
+			v := f.node
+			dfs = dfs[:len(dfs)-1]
+			if len(dfs) > 0 {
+				p := dfs[len(dfs)-1].node
+				low[p] = min(low[p], low[v])
+			}
+			if low[v] != index[v] {
+				continue
+			}
+			i := len(stack) - 1
+			for stack[i] != v {
+				i--
+			}
+			for _, w := range stack[i:] {
+				onStack[w] = false
+				g.comp[w] = comps
+			}
+			g.cyclic = append(g.cyclic, len(stack)-i > 1 || g.selfLoop(v))
+			comps++
+			stack = stack[:i]
+		}
+	}
+	// Tarjan completes the components sinks first; flip the numbering.
+	for v := range g.comp {
+		g.comp[v] = comps - 1 - g.comp[v]
+	}
+	slices.Reverse(g.cyclic)
+}
+
+// selfLoop reports whether node v has a non-terminal edge to itself.
+func (g *graph) selfLoop(v int32) bool {
+	for eid := g.start[v]; eid < g.start[v+1]; eid++ {
+		if ed := &g.edges[eid]; !ed.terminal && ed.to == v {
+			return true
+		}
+	}
+	return false
 }
 
 // compileEdge derives the static attributes of one def-use edge.
@@ -214,8 +306,7 @@ func (m *Model) edgeTransition(ed *cedge) (*transition, float64) {
 
 // scratch is the reusable per-model walk state, indexed by node or edge
 // ID. An entry belongs to the current walk only when its mark equals
-// stamp; touched lists the nodes the current walk has written, in
-// first-touch order.
+// stamp; touched lists the nodes the current walk reached.
 type scratch struct {
 	stamp uint32
 
@@ -226,6 +317,9 @@ type scratch struct {
 
 	edgeMark             []uint32
 	contrib, onceContrib []bandPair
+
+	// dense solves one cyclic component at a time.
+	dense dense
 
 	// scaleMark/scale memoize guardScale per edge for one phase-2 walk.
 	scaleMark []uint32
@@ -522,48 +616,175 @@ func (m *Model) extract(e *ends, guards []guardFlip) {
 // guarded by such a branch have their consumption scaled by the
 // complement (the corruption survives into the next iteration only when
 // the guard still passes).
+//
+// The fixed points are solved one strongly connected component at a time,
+// in topological order, over the components reachable from start: when a
+// component is solved every input from outside it is final, so nothing
+// downstream of a loop is revisited while the loop settles. An acyclic
+// node is computed once from its inputs; a cyclic component is solved
+// directly (solveComponent).
 func (m *Model) fixpoint(start int32, seed bandPair, guards []guardFlip) {
-	const eps = 1e-9
 	g, s := m.g, &m.scratch
 	s.reset()
 	s.touch(start)
-	s.reach[start], s.once[start], s.inSum[start], s.onceSum[start] = seed, seed, seed, seed
+	s.inSum[start], s.onceSum[start] = seed, seed
 
-	worklist := append(s.worklist[:0], start)
+	// Reach every node the corruption can flow to.
+	stack := append(s.worklist[:0], start)
+	for len(stack) > 0 {
+		node := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for eid := g.start[node]; eid < g.start[node+1]; eid++ {
+			ed := &g.edges[eid]
+			if ed.terminal || s.nodeMark[ed.to] == s.stamp || m.liveWeight(node, eid, guards) <= 0 {
+				continue
+			}
+			s.touch(ed.to)
+			stack = append(stack, ed.to)
+		}
+	}
+	s.worklist = stack
+	m.work.reached += len(s.touched)
+
+	// Solve them component by component, members in node-ID order.
+	slices.SortFunc(s.touched, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(g.comp[a], g.comp[b]), cmp.Compare(a, b))
+	})
+	for rest := s.touched; len(rest) > 0; {
+		k := 1
+		for k < len(rest) && g.comp[rest[k]] == g.comp[rest[0]] {
+			k++
+		}
+		members := rest[:k]
+		rest = rest[k:]
+		if g.cyclic[g.comp[members[0]]] {
+			m.solveComponent(members, guards)
+		} else {
+			n := members[0]
+			s.reach[n] = capTotal(s.inSum[n], g.count[n])
+			s.once[n] = capTotal(s.onceSum[n], 1)
+		}
+		for _, n := range members {
+			m.push(n, guards)
+		}
+	}
+}
+
+// push adds the final reach and once of node n to the input sums of its
+// consumers in later components.
+func (m *Model) push(n int32, guards []guardFlip) {
+	g, s := m.g, &m.scratch
+	for eid := g.start[n]; eid < g.start[n+1]; eid++ {
+		ed := &g.edges[eid]
+		if ed.terminal || ed.slot != eid || g.comp[ed.to] == g.comp[n] {
+			continue
+		}
+		w := m.liveWeight(n, eid, guards)
+		if w <= 0 {
+			continue
+		}
+		tr, _ := m.edgeTransition(ed)
+		f, fo := flow(s.reach[n], w, tr), flow(s.once[n], min(w, 1), tr)
+		for band := range nClasses {
+			s.inSum[ed.to][band] += f[band]
+			s.onceSum[ed.to][band] += fo[band]
+		}
+	}
+}
+
+// solveComponent computes reach and once for the reached members of one
+// cyclic component from their final outside inputs (inSum and onceSum):
+// reach with weights w capped at ExecCount, once with weights min(w, 1)
+// capped at 1, each by a direct solve (dense.settle). A component that
+// does not settle, or whose reach drifts (dense.drifts), finishes with
+// the worklist update instead (iterate), whose limit then defines its
+// values. once is kept from the direct solve even when it drifts: a
+// drifting once only moves the band mix of a probability held at 1, and
+// crash shares read only its total.
+func (m *Model) solveComponent(members []int32, guards []guardFlip) {
+	g, s := m.g, &m.scratch
+	d := &s.dense
+	d.size(len(members))
+	d.inner = d.inner[:0]
+	for i, u := range members {
+		for eid := g.start[u]; eid < g.start[u+1]; eid++ {
+			ed := &g.edges[eid]
+			if ed.terminal || ed.slot != eid || g.comp[ed.to] != g.comp[u] {
+				continue
+			}
+			if w := m.liveWeight(u, eid, guards); w > 0 {
+				tr, _ := m.edgeTransition(ed)
+				to, _ := slices.BinarySearch(members, ed.to)
+				d.inner = append(d.inner, innerEdge{from: int32(i), to: int32(to), w: w, tr: tr})
+			}
+		}
+	}
+
+	for i, n := range members {
+		d.ext[i], d.caps[i] = s.inSum[n], g.count[n]
+	}
+	rounds, ok := d.settle()
+	if ok = ok && !d.drifts(); ok {
+		for i, n := range members {
+			s.reach[n] = d.x[i]
+			d.ext[i], d.caps[i] = s.onceSum[n], 1
+		}
+		for i := range d.inner {
+			d.inner[i].w = min(d.inner[i].w, 1)
+		}
+		var r int
+		r, ok = d.settle()
+		rounds += r
+	}
+	m.work.rounds += rounds
+	if !ok {
+		m.iterate(members, guards)
+		return
+	}
+	for i, n := range members {
+		s.once[n] = d.x[i]
+	}
+}
+
+// iterate is the fallback for a component whose direct solve does not
+// settle or drifts: the worklist update of the least fixed points,
+// restricted to the component's members and started from their outside
+// inputs.
+// Contributions only grow, one edge slot at a time, until no band grows
+// by more than eps.
+func (m *Model) iterate(members []int32, guards []guardFlip) {
+	const eps = 1e-9
+	g, s := m.g, &m.scratch
+	c := g.comp[members[0]]
+	worklist := s.worklist[:0]
+	for _, n := range members {
+		s.reach[n] = capTotal(s.inSum[n], g.count[n])
+		s.once[n] = capTotal(s.onceSum[n], 1)
+		worklist = append(worklist, n)
+	}
 	for len(worklist) > 0 {
 		node := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
+		m.work.pops++
 		r := s.reach[node]
 		o := s.once[node]
 		for eid := g.start[node]; eid < g.start[node+1]; eid++ {
 			ed := &g.edges[eid]
-			if ed.terminal {
-				continue // sinks; handled during extraction from reach
+			if ed.terminal || g.comp[ed.to] != c {
+				continue
 			}
-			w := ed.weight
-			if guards != nil {
-				w *= m.guardScale(node, eid, guards)
-			}
+			w := m.liveWeight(node, eid, guards)
 			if w <= 0 {
 				continue
 			}
-			w1 := min(w, 1)
 			tr, _ := m.edgeTransition(ed)
-
-			var newContrib, newOnce bandPair
-			for from := 0; from < nClasses; from++ {
-				for band := 0; band < nClasses; band++ {
-					newContrib[band] += r[from] * w * tr[from][band]
-					newOnce[band] += o[from] * w1 * tr[from][band]
-				}
-			}
+			newContrib, newOnce := flow(r, w, tr), flow(o, min(w, 1), tr)
 
 			to, slot := ed.to, ed.slot
 			s.touchEdge(slot)
 			changed := false
 
 			if old := s.contrib[slot]; grew(newContrib, old, eps) {
-				s.touch(to)
 				sum := s.inSum[to]
 				for band := 0; band < nClasses; band++ {
 					if newContrib[band] > old[band] {
@@ -573,21 +794,13 @@ func (m *Model) fixpoint(start int32, seed bandPair, guards []guardFlip) {
 				}
 				s.contrib[slot] = old
 				s.inSum[to] = sum
-				target := sum
-				if bound := g.count[to]; target.total() > bound {
-					f := bound / target.total()
-					for band := range target {
-						target[band] *= f
-					}
-				}
-				if grew(target, s.reach[to], eps) {
+				if target := capTotal(sum, g.count[to]); grew(target, s.reach[to], eps) {
 					s.reach[to] = target
 					changed = true
 				}
 			}
 
 			if oldOnce := s.onceContrib[slot]; grew(newOnce, oldOnce, eps) {
-				s.touch(to)
 				sum := s.onceSum[to]
 				for band := 0; band < nClasses; band++ {
 					if newOnce[band] > oldOnce[band] {
@@ -597,15 +810,9 @@ func (m *Model) fixpoint(start int32, seed bandPair, guards []guardFlip) {
 				}
 				s.onceContrib[slot] = oldOnce
 				s.onceSum[to] = sum
-				target := sum
 				// "At least once" is a probability of a single event: cap
 				// the total, preserving the band mix.
-				if t := target.total(); t > 1 {
-					for band := range target {
-						target[band] /= t
-					}
-				}
-				if grew(target, s.once[to], eps) {
+				if target := capTotal(sum, 1); grew(target, s.once[to], eps) {
 					s.once[to] = target
 					changed = true
 				}
@@ -617,6 +824,29 @@ func (m *Model) fixpoint(start int32, seed bandPair, guards []guardFlip) {
 		}
 	}
 	s.worklist = worklist
+}
+
+// liveWeight returns the consumption weight of edge eid out of node from
+// in the current walk: its static weight, scaled by the phase-2 guards
+// when there are any.
+func (m *Model) liveWeight(from, eid int32, guards []guardFlip) float64 {
+	w := m.g.edges[eid].weight
+	if guards != nil {
+		w *= m.guardScale(from, eid, guards)
+	}
+	return w
+}
+
+// capTotal scales p down, preserving its band mix, so that its total does
+// not exceed bound.
+func capTotal(p bandPair, bound float64) bandPair {
+	if t := p.total(); t > bound {
+		f := bound / t
+		for band := range p {
+			p[band] *= f
+		}
+	}
+	return p
 }
 
 // guardFlip is one loop-guarding conditional branch and the probability

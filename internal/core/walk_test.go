@@ -462,3 +462,218 @@ func TestFPOutputMask(t *testing.T) {
 		t.Errorf("f64 g2 mask = %v, want in (0, 1)", f64mask)
 	}
 }
+
+// handEdge is one edge of a hand-built def-use graph. Edges with the same
+// (from, to, op) share a contribution slot, as duplicate call-argument
+// edges do in a compiled graph.
+type handEdge struct {
+	from, to, op int32
+	w            float64
+	tr           transition
+}
+
+// handModel builds a model over a hand-built graph of non-terminal edges
+// with the given node execution counts, ready for fixpoint.
+func handModel(counts []float64, edges []handEdge) *Model {
+	g := &graph{instrs: make([]*ir.Instr, len(counts)), count: counts}
+	g.start = make([]int32, len(counts)+1)
+	type key struct{ from, to, op int32 }
+	slots := make(map[key]int32)
+	for n := range counts {
+		for _, he := range edges {
+			if int(he.from) != n {
+				continue
+			}
+			eid := int32(len(g.edges))
+			slot, dup := slots[key{he.from, he.to, he.op}]
+			if !dup {
+				slot = eid
+				slots[key{he.from, he.to, he.op}] = eid
+			}
+			g.edges = append(g.edges, cedge{to: he.to, opIdx: he.op, slot: slot, guard: -1, weight: he.w, tr: he.tr, trReady: true})
+		}
+		g.start[n+1] = int32(len(g.edges))
+	}
+	g.condense()
+	m := &Model{g: g}
+	m.scratch.init(len(counts), len(g.edges))
+	return m
+}
+
+// checkValue compares a fixpoint value against its closed form, relative
+// to the expected total.
+func checkValue(t *testing.T, what string, got, want bandPair) {
+	t.Helper()
+	tol := 1e-12 * max(1, want.total())
+	for band := range got {
+		if math.Abs(got[band]-want[band]) > tol {
+			t.Errorf("%s = %v, want %v", what, got, want)
+			return
+		}
+	}
+}
+
+// scaled returns p·f.
+func scaled(p bandPair, f float64) bandPair {
+	for band := range p {
+		p[band] *= f
+	}
+	return p
+}
+
+// TestFixpointTwoNodeLoop: a loop a→b→a of gain ρ = 0.9·0.5 seeded at a
+// reaches s/(1−ρ) at a; the at-least-once reach is held at 1 there.
+func TestFixpointTwoNodeLoop(t *testing.T) {
+	m := handModel([]float64{100, 100}, []handEdge{
+		{from: 0, to: 1, w: 0.9, tr: diagonal(1)},
+		{from: 1, to: 0, w: 0.5, tr: diagonal(1)},
+	})
+	if len(m.g.cyclic) != 1 || !m.g.cyclic[0] {
+		t.Fatalf("components %v, want one cyclic component", m.g.cyclic)
+	}
+	seed := bandPair{0.25, 0.75, 0}
+	m.fixpoint(0, seed, nil)
+	s := &m.scratch
+	a := 1 / (1 - 0.9*0.5)
+	checkValue(t, "reach[a]", s.reach[0], scaled(seed, a))
+	checkValue(t, "reach[b]", s.reach[1], scaled(seed, 0.9*a))
+	checkValue(t, "once[a]", s.once[0], seed)
+	checkValue(t, "once[b]", s.once[1], scaled(seed, 0.9))
+	if m.work.pops != 0 {
+		t.Errorf("fallback pops = %d, want a direct solve", m.work.pops)
+	}
+}
+
+// TestFixpointSelfLoop: a singleton with a self-loop is a cyclic
+// component; its geometric series is summed exactly, and its consumers
+// see the limit.
+func TestFixpointSelfLoop(t *testing.T) {
+	m := handModel([]float64{10, 10}, []handEdge{
+		{from: 0, to: 0, w: 0.75, tr: diagonal(1)},
+		{from: 0, to: 1, w: 1, tr: diagonal(0.5)},
+	})
+	if !m.g.cyclic[m.g.comp[0]] || m.g.cyclic[m.g.comp[1]] {
+		t.Fatalf("cyclic = %v, want only the self-loop cyclic", m.g.cyclic)
+	}
+	if m.g.comp[0] >= m.g.comp[1] {
+		t.Errorf("components not in topological order: %v", m.g.comp)
+	}
+	m.fixpoint(0, bandPair{1, 0, 0}, nil)
+	checkValue(t, "reach[a]", m.scratch.reach[0], bandPair{4, 0, 0})
+	checkValue(t, "reach[c]", m.scratch.reach[1], bandPair{2, 0, 0})
+}
+
+// TestFixpointNestedLoopAtExecCount builds bfs-parboil's nested-loop
+// shape: outer phi p (65 executions) and latch o (64), inner phi r (240)
+// and body t (176), with profiled consumption weights. The flow is
+// conserved, so every limit equals ExecCount exactly and the capped set
+// flips on rounding alone. The solve must settle at once, without the
+// fallback.
+func TestFixpointNestedLoopAtExecCount(t *testing.T) {
+	const p, r, tb, o = 0, 1, 2, 3
+	counts := []float64{65, 240, 176, 64}
+	m := handModel(counts, []handEdge{
+		{from: p, to: r, w: 64.0 / 65, tr: diagonal(1)},
+		{from: r, to: tb, w: 176.0 / 240, tr: diagonal(1)},
+		{from: tb, to: r, w: 1, tr: diagonal(1)},
+		{from: r, to: o, w: 64.0 / 240, tr: diagonal(1)},
+		{from: o, to: p, w: 1, tr: diagonal(1)},
+	})
+	seed := bandPair{0.5, 0.5, 0}
+	m.fixpoint(p, seed, nil)
+	for n, c := range counts {
+		checkValue(t, "reach", m.scratch.reach[n], scaled(seed, c))
+	}
+	if m.work.pops != 0 || m.work.rounds > 4 {
+		t.Errorf("work %+v, want at most two rounds per quantity and no fallback", m.work)
+	}
+}
+
+// TestFixpointOnceCappedThroughIdentity: a loop whose at-least-once reach
+// would exceed 1 holds at 1 with the seed's band mix, while reach sums the
+// series and a consumer of weight 2 takes min(w, 1) for once.
+func TestFixpointOnceCappedThroughIdentity(t *testing.T) {
+	m := handModel([]float64{100, 100, 100}, []handEdge{
+		{from: 0, to: 1, w: 1, tr: diagonal(1)},
+		{from: 1, to: 0, w: 0.9, tr: diagonal(1)},
+		{from: 0, to: 2, w: 2, tr: diagonal(1)},
+	})
+	seed := bandPair{0.25, 0.75, 0}
+	m.fixpoint(0, seed, nil)
+	s := &m.scratch
+	checkValue(t, "reach[a]", s.reach[0], scaled(seed, 10))
+	checkValue(t, "reach[b]", s.reach[1], scaled(seed, 10))
+	checkValue(t, "reach[c]", s.reach[2], scaled(seed, 20))
+	for n := range 3 {
+		checkValue(t, "once", s.once[n], seed)
+	}
+}
+
+// TestFixpointBandMixingCapTakesFallback builds puremd's shape: a 2-node
+// loop held at ExecCount whose transition mixes bands. Its exact fixed
+// point differs from the limit of the worklist update, which never takes
+// back a contribution, so the component falls back to that update and
+// must agree with the iterative oracle.
+func TestFixpointBandMixingCapTakesFallback(t *testing.T) {
+	mix := transition{{0.9455555555555556, 0.0011111111111111111, 0}, {0.010526315789473684, 0.9421052631578948, 0}, {0, 0, 0.975}}
+	build := func() *Model {
+		return handModel([]float64{100, 21, 20}, []handEdge{
+			{from: 0, to: 2, w: 20, tr: diagonal(1)},
+			{from: 1, to: 2, w: 20.0 / 21, tr: mix},
+			{from: 2, to: 1, w: 1, tr: diagonal(1)},
+		})
+	}
+	seed := bandPair{0.3, 0.7, 0}
+	m := build()
+	m.fixpoint(0, seed, nil)
+	if m.work.pops == 0 {
+		t.Fatal("band-mixing capped loop was solved directly, want the fallback")
+	}
+	oracle := build()
+	oracle.iterativeFixpoint(0, seed, nil, 1e-12)
+	for n := range 3 {
+		got, want := m.scratch.reach[n], oracle.scratch.reach[n]
+		for band := range got {
+			if math.Abs(got[band]-want[band]) > 1e-7 {
+				t.Errorf("reach[%d] = %v, iterative limit %v", n, got, want)
+				break
+			}
+		}
+	}
+}
+
+// TestFixpointDuplicateSlotInCycle: two edges sharing one contribution
+// slot inside a loop count once, as in the compiled graph.
+func TestFixpointDuplicateSlotInCycle(t *testing.T) {
+	loop := []handEdge{
+		{from: 0, to: 1, op: 0, w: 0.8, tr: diagonal(1)},
+		{from: 1, to: 0, op: 0, w: 0.5, tr: diagonal(0.75)},
+	}
+	single := handModel([]float64{100, 100}, loop)
+	double := handModel([]float64{100, 100}, append(loop, handEdge{from: 0, to: 1, op: 0, w: 0.8, tr: diagonal(1)}))
+	seed := bandPair{1, 0, 0}
+	single.fixpoint(0, seed, nil)
+	double.fixpoint(0, seed, nil)
+	a := 1 / (1 - 0.8*0.5*0.75)
+	for n, want := range []bandPair{{a, 0, 0}, {0.8 * a, 0, 0}} {
+		checkValue(t, "reach", single.scratch.reach[n], want)
+		checkValue(t, "reach with duplicate edge", double.scratch.reach[n], want)
+	}
+}
+
+// TestFixpointGainAboveOneBoundByCap: a self-loop of weight 2 has no
+// finite uncapped limit, so only ExecCount bounds reach (and 1 bounds
+// once, whose weight min(2, 1) makes the loop singular).
+func TestFixpointGainAboveOneBoundByCap(t *testing.T) {
+	m := handModel([]float64{50, 1000}, []handEdge{
+		{from: 0, to: 0, w: 2, tr: diagonal(1)},
+		{from: 0, to: 1, w: 1, tr: diagonal(1)},
+	})
+	seed := bandPair{0.5, 0.5, 0}
+	m.fixpoint(0, seed, nil)
+	s := &m.scratch
+	checkValue(t, "reach[a]", s.reach[0], scaled(seed, 50))
+	checkValue(t, "reach[c]", s.reach[1], scaled(seed, 50))
+	checkValue(t, "once[a]", s.once[0], seed)
+	checkValue(t, "once[c]", s.once[1], seed)
+}
