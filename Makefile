@@ -38,10 +38,11 @@ doc:
 # fibench smoke run then proves snapshot replay and full re-execution
 # still agree end-to-end on a short real campaign, that the telemetry
 # layer stays within its ≤3% overhead budget (the median instrumented/bare
-# process-CPU-time ratio over 9 interleaved pairs; see OBSERVABILITY.md), and
-# that snapshot replay keeps a measurable lead over full re-execution
-# (the 1.1x smoke floor is deliberately far below the ~2x pathfinder
-# speedup BENCH_fi.json records, so CI jitter does not flake the gate).
+# process-CPU-time ratio over 27 interleaved pairs; see OBSERVABILITY.md),
+# and that snapshot replay keeps its lead over full re-execution: each
+# measured kernel's speedup may fall at most 25% below its committed
+# BENCH_fi.json value (-baseline; the margin is sized in cmd/fibench),
+# above the 1.1x geomean floor.
 # The servercheck drill then attacks a live fiserver: it SIGKILLs a
 # shard worker mid-campaign, SIGTERMs the server (expecting exit 143 and
 # the job re-queued on disk), restarts over the same spool, and requires
@@ -77,7 +78,7 @@ check: build doc
 	$(GO) test -race -short ./internal/crosscheck/... ./internal/core/...
 	$(GO) run ./cmd/crosscheck -n 60 -seed 77 -kernels=false
 	$(MAKE) fuzz-smoke
-	$(GO) run ./cmd/fibench -programs pathfinder -n 300 -repeats 9 -max-overhead 0.03 -min-snapshot-speedup 1.1 -out /dev/null
+	$(GO) run ./cmd/fibench -programs pathfinder -n 300 -repeats 27 -max-overhead 0.03 -min-snapshot-speedup 1.1 -baseline BENCH_fi.json -out /dev/null
 	$(MAKE) servercheck
 	$(MAKE) cachecheck
 	$(MAKE) prunecheck

@@ -3,7 +3,11 @@
 // program runs on both the production interpreter and the naive
 // reference evaluator, which must agree on every observable (outcome,
 // trap, output, dynamic counts, peak memory, full register-write trace);
-// every program must survive the parser round trip; and, with
+// every program must survive the parser round trip; every random
+// program, generated again with irgen's Frames shapes (recursion,
+// allocas and prints in loops), must give identical per-trial Details
+// in a snapshot-replay campaign, where trials stop once they rejoin the
+// golden run, and in full re-execution; and, with
 // -invariants, the TRIDENT model stack must satisfy its probability
 // ranges, sub-model ordering, and protection-pass guarantees, with
 // checkpointed campaigns resuming bit-identically.

@@ -251,14 +251,9 @@ func run(args []string) (int, error) {
 		fmt.Printf("bit-liveness pruning: %.1f%% of activation-weighted bits provably masked\n",
 			inj.PrunedFraction()*100)
 	}
-	if *snapInterval > 0 {
-		fmt.Printf("snapshot replay: %d golden snapshots (interval %d)\n",
-			inj.Snapshots(), *snapInterval)
-	}
-
 	if *cacheDir != "" {
 		return runCompositional(ctx, fired, compositionalOpts{
-			inj: inj, module: m, n: *n, adaptive: *stratifyAdaptive,
+			inj: inj, module: m, n: *n, adaptive: *stratifyAdaptive, snapInterval: *snapInterval,
 			cacheDir: *cacheDir, composeOut: *composeOut, metricsOut: *metricsOut,
 			reg: reg, trace: trace, meter: meter, lastProgress: lastProgress,
 		})
@@ -284,6 +279,7 @@ func run(args []string) (int, error) {
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
 	}
 
+	printReplay(inj, *snapInterval, reg)
 	res := ares.CampaignResult
 	if cancelled {
 		fmt.Printf("\ncampaign cancelled after %.1fs: reporting the %d completed trials (of %d requested)\n",
@@ -386,6 +382,7 @@ type compositionalOpts struct {
 	module       *ir.Module
 	n            int
 	adaptive     bool
+	snapInterval uint64
 	cacheDir     string
 	composeOut   string
 	metricsOut   string
@@ -393,6 +390,17 @@ type compositionalOpts struct {
 	trace        *telemetry.Trace
 	meter        *telemetry.ProgressMeter
 	lastProgress func() string
+}
+
+// printReplay prints the snapshot-replay summary line after a campaign:
+// the golden snapshots trials resumed from, and how many of the trials
+// this process executed stopped early on rejoining the golden run.
+func printReplay(inj *fault.Injector, interval uint64, reg *telemetry.Registry) {
+	if interval == 0 {
+		return
+	}
+	fmt.Printf("snapshot replay: %d golden snapshots (interval %d); %d of %d executed trials rejoined the golden run\n",
+		inj.Snapshots(), interval, reg.Counter("fi.trials.rejoined").Load(), reg.Counter("fi.trials.executed").Load())
 }
 
 // runCompositional executes the incremental campaign mode behind
@@ -425,6 +433,7 @@ func runCompositional(ctx context.Context, fired func() os.Signal, o composition
 			time.Since(start).Seconds(), res.N(), o.n)
 	}
 
+	printReplay(o.inj, o.snapInterval, o.reg)
 	mode := "compositional"
 	if o.adaptive {
 		mode = "adaptive compositional"

@@ -42,6 +42,9 @@ type Report struct {
 	Checks int
 	// Mismatches collects every divergence and invariant violation.
 	Mismatches []Mismatch
+	// RejoinTrials is the number of snapshot-replay trials the rejoin
+	// check ran, and Rejoined how many of them rejoined the golden run.
+	RejoinTrials, Rejoined uint64
 }
 
 // Clean reports whether the sweep found nothing.
@@ -53,6 +56,10 @@ func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "crosscheck: %d programs, %d check groups, %d mismatches\n",
 		r.Programs, r.Checks, len(r.Mismatches))
+	if r.RejoinTrials > 0 {
+		fmt.Fprintf(&sb, "rejoin: %d of %d snapshot-replay trials rejoined the golden run\n",
+			r.Rejoined, r.RejoinTrials)
+	}
 	if len(r.Mismatches) == 0 {
 		return sb.String()
 	}
@@ -80,10 +87,13 @@ func (r *Report) String() string {
 	return sb.String()
 }
 
-// corpusEntry is one module plus its display name.
+// corpusEntry is one module plus its display name. Random programs
+// also carry frames, the same seed generated with irgen's Frames
+// shapes, for the rejoin check.
 type corpusEntry struct {
-	name string
-	mod  *ir.Module
+	name   string
+	mod    *ir.Module
+	frames *ir.Module
 }
 
 // buildCorpus materializes the sweep's modules.
@@ -92,8 +102,9 @@ func buildCorpus(cfg Config) []corpusEntry {
 	for i := 0; i < cfg.RandomPrograms; i++ {
 		seed := cfg.Seed + uint64(i)
 		entries = append(entries, corpusEntry{
-			name: fmt.Sprintf("rand-%d", seed),
-			mod:  irgen.Generate(irgen.Config{Seed: seed}),
+			name:   fmt.Sprintf("rand-%d", seed),
+			mod:    irgen.Generate(irgen.Config{Seed: seed}),
+			frames: irgen.Generate(irgen.Config{Seed: seed, Frames: true}),
 		})
 	}
 	if cfg.Kernels {
@@ -130,6 +141,17 @@ func RunCorpus(cfg Config) (*Report, error) {
 		}
 		rep.Checks++
 		rep.Mismatches = append(rep.Mismatches, ms...)
+
+		if e.frames != nil {
+			ms, rejoined, err := CheckRejoin(e.name+"/frames", e.frames, cfg.Seed, rejoinTrials)
+			if err != nil {
+				return nil, err
+			}
+			rep.Checks++
+			rep.Mismatches = append(rep.Mismatches, ms...)
+			rep.RejoinTrials += rejoinTrials
+			rep.Rejoined += rejoined
+		}
 
 		if cfg.Invariants {
 			ms, err = CheckModelInvariants(e.name, e.mod, cfg.Seed)

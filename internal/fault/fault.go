@@ -137,10 +137,13 @@ type Options struct {
 	// captures golden-run state snapshots roughly every SnapshotInterval
 	// dynamic instructions, and each trial resumes from the nearest
 	// snapshot at or before its injection point instead of re-interpreting
-	// the whole pre-fault prefix from instruction 0. The interpreter is
+	// the whole pre-fault prefix from instruction 0. The same snapshots
+	// end trials early: a trial whose machine state equals the golden
+	// run's at a later snapshot is classified Benign there, since its
+	// suffix is the golden suffix (DESIGN.md §5c). The interpreter is
 	// deterministic, so trial outcomes are bit-identical to full
 	// re-execution from instruction 0 (enforced by the differential test
-	// suite). Zero re-executes every trial in full.
+	// suite). Zero re-executes every trial in full, to its end.
 	SnapshotInterval uint64
 	// TrialHook, when non-nil, runs before every trial attempt with the
 	// trial spec and 1-based attempt number. A non-nil return (or a panic)
@@ -218,6 +221,7 @@ type Injector struct {
 	opts   Options
 
 	goldenOutput string
+	goldenHash   uint64
 	goldenDyn    uint64
 	hangBudget   uint64
 
@@ -236,8 +240,13 @@ type Injector struct {
 	total   uint64
 
 	// snaps are the golden-run snapshots for snapshot-replay trials, in
-	// execution order (empty when SnapshotInterval is 0).
-	snaps []goldenSnap
+	// execution order (empty when SnapshotInterval is 0). counts[i] maps
+	// each instruction to how many of its dynamic executions completed
+	// strictly before snaps[i] (non-decreasing across snapshots), which
+	// is what maps a trial's (instruction, instance) fault point to the
+	// snapshots preceding it.
+	snaps  []*interp.Snapshot
+	counts []map[*ir.Instr]uint64
 
 	// prog is the module lowered for the interpreter, compiled once in
 	// New and shared (it is immutable) by every run the injector issues.
@@ -254,17 +263,6 @@ type Injector struct {
 	// met is the pre-resolved metric set (nil when Options.Metrics is
 	// nil), so trial workers record through atomics only.
 	met *campaignMetrics
-}
-
-// goldenSnap pairs one golden-run state snapshot with the per-instruction
-// dynamic execution counts at its capture point, which is what maps a
-// trial's (instruction, instance) fault point to the snapshots preceding
-// it.
-type goldenSnap struct {
-	state *interp.Snapshot
-	// counts[in] is how many dynamic executions of in completed strictly
-	// before the snapshot point; non-decreasing across snapshots.
-	counts map[*ir.Instr]uint64
 }
 
 // New creates an injector, performing the golden run.
@@ -329,6 +327,7 @@ func New(m *ir.Module, opts Options) (*Injector, error) {
 		return nil, fmt.Errorf("fault: golden run ended in %s", res.Outcome)
 	}
 	inj.goldenOutput = res.Output
+	inj.goldenHash = hashOutput(res.Output)
 	inj.goldenDyn = res.DynInstrs
 	inj.hangBudget = res.DynInstrs * opts.HangFactor
 	if inj.hangBudget < 100_000 {
@@ -377,7 +376,8 @@ func (inj *Injector) captureSnapshots() error {
 			for in, n := range counts {
 				c[in] = n
 			}
-			inj.snaps = append(inj.snaps, goldenSnap{state: s, counts: c})
+			inj.snaps = append(inj.snaps, s)
+			inj.counts = append(inj.counts, c)
 		},
 		Hooks: interp.Hooks{
 			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
@@ -414,7 +414,7 @@ func (inj *Injector) Snapshots() int { return len(inj.snaps) }
 // snapshot.
 func (inj *Injector) snapshotBefore(target *ir.Instr, instance uint64) int {
 	return sort.Search(len(inj.snaps), func(i int) bool {
-		return inj.snaps[i].counts[target] >= instance
+		return inj.counts[i][target] >= instance
 	}) - 1
 }
 
@@ -459,9 +459,11 @@ type Detail struct {
 	// the injection and the trap, for Crash outcomes.
 	CrashLatency uint64
 	// OutputHash is the 64-bit FNV-1a hash of the trial's complete program
-	// output (including any prefix replayed from a snapshot). The
-	// differential test suite compares it across the snapshot-replay and
-	// full re-execution paths.
+	// output (including any prefix replayed from a snapshot). A trial
+	// that rejoined the golden run stopped before its end; its output is
+	// by construction the golden output, so it carries the golden hash.
+	// The differential test suite compares it across the snapshot-replay
+	// and full re-execution paths.
 	OutputHash uint64
 }
 
@@ -500,16 +502,19 @@ func (inj *Injector) InjectDetail(ctx context.Context, target *ir.Instr, instanc
 	// the golden run, so resume from the latest golden snapshot preceding
 	// the injection point and count occurrences from the snapshot's tally
 	// onward. With no usable snapshot the trial runs from instruction 0.
+	// Every later snapshot lies past the injection point, so the trial
+	// stops early, Benign, if its state rejoins the golden run at one.
 	var res *interp.Result
 	var err error
-	if si := inj.snapshotBefore(target, instance); si >= 0 {
-		gs := inj.snaps[si]
-		ts.seen = gs.counts[target]
+	si := inj.snapshotBefore(target, instance)
+	iopts.Rejoin = inj.snaps[si+1:]
+	if si >= 0 {
+		ts.seen = inj.counts[si][target]
 		if mt := inj.met; mt != nil {
 			mt.replaySnap.Inc()
-			mt.savedInstrs.Add(gs.state.DynInstrs())
+			mt.savedInstrs.Add(inj.snaps[si].DynInstrs())
 		}
-		res, err = interp.Resume(gs.state, iopts)
+		res, err = interp.Resume(inj.snaps[si], iopts)
 	} else {
 		if mt := inj.met; mt != nil {
 			mt.replayCold.Inc()
@@ -537,6 +542,13 @@ func (inj *Injector) InjectDetail(ctx context.Context, target *ir.Instr, instanc
 	}
 	if !ts.injected {
 		return Detail{}, fmt.Errorf("fault: instance %d of %s never executed", instance, target.Pos())
+	}
+	if res.Rejoined {
+		if mt := inj.met; mt != nil {
+			mt.rejoined.Inc()
+			mt.rejoinSaved.Add(inj.goldenDyn - res.DynInstrs)
+		}
+		return Detail{Outcome: Benign, OutputHash: inj.goldenHash}, nil
 	}
 	d := Detail{Outcome: inj.classify(res), OutputHash: hashOutput(res.Output)}
 	if d.Outcome == Crash && res.DynInstrs >= ts.injectedAt {

@@ -110,6 +110,8 @@ type campaignMetrics struct {
 	replaySnap  *telemetry.Counter // trials resumed from a golden snapshot
 	replayCold  *telemetry.Counter // trials interpreted from instruction 0
 	savedInstrs *telemetry.Counter // dynamic instructions skipped via snapshot resume
+	rejoined    *telemetry.Counter // trials stopped on rejoining the golden run
+	rejoinSaved *telemetry.Counter // golden-suffix instructions skipped by rejoins
 
 	busyUS   *telemetry.Counter // summed wall-time spent executing trials
 	inflight *telemetry.Gauge   // trials currently executing
@@ -138,6 +140,8 @@ func newCampaignMetrics(reg *telemetry.Registry) *campaignMetrics {
 		replaySnap:  reg.Counter("fi.replay.snapshot"),
 		replayCold:  reg.Counter("fi.replay.cold"),
 		savedInstrs: reg.Counter("fi.replay.saved_instrs"),
+		rejoined:    reg.Counter("fi.trials.rejoined"),
+		rejoinSaved: reg.Counter("fi.rejoin.saved_instrs"),
 		busyUS:      reg.Counter("fi.workers.busy_us"),
 		inflight:    reg.Gauge("fi.workers.inflight"),
 	}

@@ -18,6 +18,7 @@ package interp
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"trident/internal/decoded"
@@ -137,9 +138,22 @@ type machine struct {
 	cancelCtx context.Context
 	cancel    <-chan struct{}
 
+	// nextEvent is the DynCount at which the loop next stops for
+	// event: the earlier of the next snapshot capture and the next
+	// rejoin check (MaxUint64 when neither is pending), so the dispatch
+	// loop pays one compare per instruction for both.
+	nextEvent uint64
+
 	// snapEvery/nextSnap drive periodic snapshot capture (0 = disabled).
 	snapEvery uint64
 	nextSnap  uint64
+
+	// rejoin holds the Options.Rejoin snapshots not yet passed, and
+	// outStart the output length the run started with: the output
+	// before it is the reference run's, so a rejoin check compares only
+	// the bytes after it.
+	rejoin   []*Snapshot
+	outStart int
 
 	// poolHits/poolMisses tally frame-pool reuse for this execution,
 	// flushed to the metrics registry at run end (never touched on the
@@ -160,7 +174,43 @@ func newMachine(ctx *Context, prog *decoded.Program, globals []uint64) *machine 
 		vm.snapEvery = ctx.opts.SnapshotInterval
 		vm.nextSnap = ctx.DynCount + vm.snapEvery
 	}
+	vm.rejoin = ctx.opts.Rejoin
+	vm.outStart = ctx.output.Len()
+	vm.schedule()
 	return vm
+}
+
+// schedule sets nextEvent to the earliest pending snapshot capture or
+// rejoin check.
+func (vm *machine) schedule() {
+	vm.nextEvent = math.MaxUint64
+	if vm.snapEvery != 0 {
+		vm.nextEvent = vm.nextSnap
+	}
+	if len(vm.rejoin) > 0 && vm.rejoin[0].dynCount < vm.nextEvent {
+		vm.nextEvent = vm.rejoin[0].dynCount
+	}
+}
+
+// event runs at the instruction boundary where DynCount reaches
+// nextEvent: it captures a due snapshot, and compares the state with a
+// rejoin snapshot taken at exactly this DynCount. Rejoin snapshots the
+// run has stepped past (its boundaries fell elsewhere, as when a phi
+// prologue spans the count) can no longer match and are dropped. It
+// reports whether the run rejoined.
+func (vm *machine) event() bool {
+	now := vm.ctx.DynCount
+	if vm.snapEvery != 0 && now >= vm.nextSnap {
+		vm.takeSnapshot()
+	}
+	for len(vm.rejoin) > 0 && vm.rejoin[0].dynCount <= now {
+		if vm.rejoin[0].dynCount == now && vm.matches(vm.rejoin[0]) {
+			return true
+		}
+		vm.rejoin = vm.rejoin[1:]
+	}
+	vm.schedule()
+	return false
 }
 
 // flushPoolMetrics records the run's frame-pool tallies.
@@ -314,11 +364,11 @@ func (vm *machine) finish(fr *frame, in *decoded.Instr, bits uint64) {
 }
 
 // loop is the dispatch loop: one flat switch over pre-classified steps.
-// Each instruction first checks for a due snapshot, then counts itself
-// before the hang check (so completing or trapping exactly at the budget
-// keeps its classification), and every cancelCheckInterval instructions
-// polls for cancellation. Calls push frames and returns pop them, all
-// without growing the Go call stack.
+// Each instruction first checks for a due snapshot capture or rejoin
+// check, then counts itself before the hang check (so completing or
+// trapping exactly at the budget keeps its classification), and every
+// cancelCheckInterval instructions polls for cancellation. Calls push
+// frames and returns pop them, all without growing the Go call stack.
 func (vm *machine) loop() (uint64, error) {
 	ctx := vm.ctx
 	fr := vm.frames[len(vm.frames)-1]
@@ -327,8 +377,8 @@ func (vm *machine) loop() (uint64, error) {
 			return 0, fmt.Errorf("interp: fell off end of block in %s", fr.fn.Ref.Name)
 		}
 		in := &fr.blk.Code[fr.dip]
-		if vm.snapEvery != 0 && ctx.DynCount >= vm.nextSnap {
-			vm.takeSnapshot()
+		if ctx.DynCount >= vm.nextEvent && vm.event() {
+			return 0, errRejoined
 		}
 		ctx.DynCount++
 		if ctx.DynCount > ctx.opts.MaxDynInstrs {
@@ -527,7 +577,7 @@ func (vm *machine) loop() (uint64, error) {
 }
 
 // takeSnapshot captures the current machine state and hands it to the
-// OnSnapshot observer, then schedules the next capture one interval from
+// OnSnapshot observer, then sets the next capture one interval from
 // the current position.
 func (vm *machine) takeSnapshot() {
 	reg := vm.ctx.opts.Metrics

@@ -88,6 +88,10 @@ func (t *Trap) Error() string {
 // errHang signals instruction-budget exhaustion internally.
 var errHang = errors.New("interp: instruction budget exhausted")
 
+// errRejoined signals internally that the run's state matched an
+// Options.Rejoin snapshot.
+var errRejoined = errors.New("interp: rejoined the reference run")
+
 // Outcome classifies a completed execution.
 type Outcome uint8
 
@@ -186,6 +190,18 @@ type Options struct {
 	// Resume ignores it: a snapshot resumes on the program it was
 	// captured from.
 	Decoded *decoded.Program
+	// Rejoin lists snapshots of a reference (golden) run of the same
+	// decoded program, in capture order. When this run reaches an
+	// instruction boundary at a snapshot's dynamic-instruction count
+	// with machine state identical to the snapshot's, it stops there
+	// and its Result is marked Rejoined: execution is deterministic, so
+	// the rest of the run would repeat the reference run's suffix. The
+	// caller guarantees that the run starts on the reference run (at
+	// instruction 0, or resumed from one of its snapshots) and that its
+	// hooks alter no value from the first listed snapshot on. Fault
+	// injection sets it to the golden snapshots captured after the
+	// injection point (DESIGN.md §5c).
+	Rejoin []*Snapshot
 }
 
 const (
@@ -228,6 +244,11 @@ type Result struct {
 	DynResults uint64
 	// PeakMemBytes is the peak allocated footprint.
 	PeakMemBytes uint64
+	// Rejoined marks a run stopped at one of Options.Rejoin's snapshots
+	// because its state matched it exactly. Outcome is then OutcomeOK,
+	// and Output and the counters describe the run up to that point
+	// only: the rest is the reference run's suffix.
+	Rejoined bool
 }
 
 // Run executes m's main function under the given options.
@@ -300,6 +321,9 @@ func finishRun(ctx *Context, err error) (*Result, error) {
 	switch {
 	case err == nil:
 		res.Outcome = OutcomeOK
+	case err == errRejoined:
+		res.Outcome = OutcomeOK
+		res.Rejoined = true
 	case errors.Is(err, errHang):
 		res.Outcome = OutcomeHang
 	default:

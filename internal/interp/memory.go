@@ -8,6 +8,7 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -151,6 +152,26 @@ func (m *Memory) Clone() (*Memory, map[*Segment]*Segment) {
 		remap[s] = c
 	}
 	return nm, remap
+}
+
+// sameContents reports whether m and o have the same allocation cursor
+// and the same live segments — bases, sizes and bytes. Segment layouts
+// are compared before any bytes.
+func (m *Memory) sameContents(o *Memory) bool {
+	if m.next != o.next || len(m.segments) != len(o.segments) {
+		return false
+	}
+	for i, s := range m.segments {
+		if s.Base != o.segments[i].Base || s.Size != o.segments[i].Size {
+			return false
+		}
+	}
+	for i, s := range m.segments {
+		if !bytes.Equal(s.data, o.segments[i].data) {
+			return false
+		}
+	}
+	return true
 }
 
 // PeakBytes returns the peak total allocated bytes, the quantity the paper

@@ -18,6 +18,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"trident/internal/decoded"
@@ -109,6 +110,18 @@ func Resume(s *Snapshot, opts Options) (*Result, error) {
 	}
 	applyDefaults(&opts)
 	start := metricsStart(opts.Metrics)
+	vm := restore(s, opts)
+	recordResume(opts.Metrics, start)
+	res, err := finishRun(vm.ctx, vm.run(nil))
+	vm.flushPoolMetrics(opts.Metrics)
+	recordRun(opts.Metrics, start, s.dynCount, vm.ctx, res, err)
+	return res, err
+}
+
+// restore rebuilds s's state in a fresh machine configured by opts,
+// cloning the memory and remapping frame-held alloca pointers to the
+// clone's segments.
+func restore(s *Snapshot, opts Options) *machine {
 	mem, remap := s.mem.Clone()
 	ctx := &Context{
 		Mem:        mem,
@@ -132,9 +145,39 @@ func Resume(s *Snapshot, opts Options) (*Result, error) {
 		}
 		vm.frames[i] = fr
 	}
-	recordResume(opts.Metrics, start)
-	res, err := finishRun(ctx, vm.run(nil))
-	vm.flushPoolMetrics(opts.Metrics)
-	recordRun(opts.Metrics, start, s.dynCount, ctx, res, err)
-	return res, err
+	return vm
+}
+
+// matches reports whether the machine's state is identical to s's, in
+// every component that can influence the rest of the run or its
+// result: counters, position and registers of every frame, alloca
+// placement, the address space and the output. The caller has already
+// checked that DynCount equals s's. Cheap scalar checks run first and
+// the memory bytes last, so a diverged run is usually rejected in a
+// few compares.
+func (vm *machine) matches(s *Snapshot) bool {
+	ctx := vm.ctx
+	if ctx.DynResults != s.dynResults || ctx.lines != s.lines ||
+		ctx.output.Len() != len(s.output) || ctx.depth != s.depth ||
+		len(vm.frames) != len(s.frames) {
+		return false
+	}
+	for i, fr := range vm.frames {
+		fs := &s.frames[i]
+		if fr.fn != fs.fn || fr.blk != fs.blk || fr.dip != fs.dip ||
+			!slices.Equal(fr.regs, fs.regs) || !slices.Equal(fr.params, fs.params) ||
+			len(fr.allocas) != len(fs.allocas) {
+			return false
+		}
+		for j, seg := range fr.allocas {
+			if seg.Base != fs.allocas[j].Base || seg.Size != fs.allocas[j].Size {
+				return false
+			}
+		}
+	}
+	if !ctx.Mem.sameContents(s.mem) {
+		return false
+	}
+	// Output before outStart is the reference run's by construction.
+	return ctx.output.String()[vm.outStart:] == s.output[vm.outStart:]
 }

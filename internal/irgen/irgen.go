@@ -23,6 +23,12 @@ type Config struct {
 	MaxExprDepth int
 	// MaxGlobals bounds the number of global arrays (default 3).
 	MaxGlobals int
+	// Frames adds call-stack and output shapes: a recursive helper that
+	// allocates a stack buffer in every activation, called from each
+	// loop body, whose result is stored to an alloca made in that loop
+	// body and printed there. Off, a seed generates the same program as
+	// without the field.
+	Frames bool
 }
 
 func (c Config) withDefaults() Config {
@@ -63,6 +69,8 @@ type generator struct {
 	intVals []ir.Value
 	// floatVals are in-scope f64 values.
 	floatVals []ir.Value
+	// rec is the recursive helper (Config.Frames only).
+	rec *ir.Func
 }
 
 // Generate builds a random verified module. The generated program is a
@@ -99,6 +107,9 @@ func Generate(cfg Config) *ir.Module {
 			g.m.AddGlobal(fmt.Sprintf("g%d", i), elem, size, init))
 	}
 
+	if cfg.Frames {
+		g.emitRec()
+	}
 	f := g.m.NewFunc("main", ir.Void)
 	g.b = ir.NewBuilder(f)
 	g.b.SetBlock(g.b.NewBlock("entry"))
@@ -209,6 +220,16 @@ func (g *generator) emitLoop(id int) {
 		}
 	}
 
+	if g.rec != nil {
+		// Recursion depth i&3 keeps the stack shallow on the golden run.
+		r := b.Call(g.rec, b.And(i, ir.ConstInt(ir.I64, 3)), g.intOperand())
+		buf := b.Alloca(ir.I64, 1)
+		b.Store(r, buf)
+		v := b.Load(ir.I64, buf)
+		b.Print(v)
+		g.intVals = append(g.intVals, v)
+	}
+
 	latch := b.Block()
 	inc := b.Add(i, ir.ConstInt(ir.I64, 1))
 	b.Br(head)
@@ -228,6 +249,30 @@ func (g *generator) emitLoop(id int) {
 		b.Print(acc)
 		g.intVals = append(g.intVals, acc)
 	}
+}
+
+// emitRec emits @rec(n, x): it stores x into a fresh two-cell stack
+// buffer, recurses on n-1 with a mixed x while n > 0, and returns the
+// callee's result plus the cell it stored, read back after the call.
+func (g *generator) emitRec() {
+	n, x := ir.NewParam("n", ir.I64), ir.NewParam("x", ir.I64)
+	f := g.m.NewFunc("rec", ir.I64, n, x)
+	b := ir.NewBuilder(f)
+	b.SetBlock(b.NewBlock("entry"))
+	recur := b.NewBlock("recur")
+	base := b.NewBlock("base")
+	cell := b.Gep(ir.I64, b.Alloca(ir.I64, 2), ir.ConstInt(ir.I64, int64(g.rnd.intn(2))))
+	b.Store(x, cell)
+	b.CondBr(b.ICmp(ir.PredSGT, n, ir.ConstInt(ir.I64, 0)), recur, base)
+
+	b.SetBlock(recur)
+	mixed := b.Xor(x, ir.ConstInt(ir.I64, int64(1+g.rnd.intn(255))))
+	r := b.Call(f, b.Sub(n, ir.ConstInt(ir.I64, 1)), mixed)
+	b.Ret(b.Add(r, b.Load(ir.I64, cell)))
+
+	b.SetBlock(base)
+	b.Ret(b.Load(ir.I64, cell))
+	g.rec = f
 }
 
 // emitOutput prints a few global cells so every program has observable

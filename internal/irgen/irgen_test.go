@@ -196,3 +196,45 @@ func TestProtectionProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestFramesPrograms checks the Config.Frames shapes: every program
+// verifies, terminates, defines the recursive helper, and prints inside
+// its loops, with a stack buffer in every helper activation.
+func TestFramesPrograms(t *testing.T) {
+	for seed := uint64(1); seed <= propertySeeds; seed++ {
+		m := Generate(Config{Seed: seed, Frames: true})
+		if err := ir.Verify(m); err != nil {
+			t.Fatalf("seed %d: verify: %v", seed, err)
+		}
+		if m.Func("rec") == nil {
+			t.Fatalf("seed %d: no @rec", seed)
+		}
+		calls, allocas := 0, 0
+		res, err := interp.Run(m, interp.Options{
+			MaxDynInstrs: 5_000_000,
+			Hooks: interp.Hooks{OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+				switch in.Op {
+				case ir.OpCall:
+					calls++
+				case ir.OpAlloca:
+					allocas++
+				}
+				return bits
+			}},
+		})
+		if err != nil {
+			t.Fatalf("seed %d: run: %v", seed, err)
+		}
+		if res.Outcome != interp.OutcomeOK {
+			t.Fatalf("seed %d: outcome %s (%v)", seed, res.Outcome, res.Trap)
+		}
+		plain, err := interp.Run(Generate(Config{Seed: seed}), interp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls == 0 || allocas <= calls || res.OutputLines <= plain.OutputLines {
+			t.Errorf("seed %d: %d calls, %d allocas, %d output lines (%d without frames)",
+				seed, calls, allocas, res.OutputLines, plain.OutputLines)
+		}
+	}
+}

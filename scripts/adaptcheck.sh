@@ -67,7 +67,14 @@ grep -q '^  pilot spent [0-9]*% of the executed budget' "$TMP/adapt.log" \
 
 echo "adaptcheck: checkpoint replay"
 run "$TMP/adapt2.log" "$TMP/adapt.jsonl" -stratify-adaptive -resume
-cmp "$TMP/adapt.log" "$TMP/adapt2.log" \
+# The snapshot-replay line counts trials this process executed, and a
+# replay executes none: it must say so, and every other line must be
+# byte-identical.
+grep -q '^snapshot replay: .*; 0 of 0 executed trials rejoined' "$TMP/adapt2.log" \
+    || fail "replay executed trials, or its snapshot-replay line is missing"
+grep -v '^snapshot replay:' "$TMP/adapt.log" >"$TMP/adapt.summary"
+grep -v '^snapshot replay:' "$TMP/adapt2.log" >"$TMP/adapt2.summary"
+cmp "$TMP/adapt.summary" "$TMP/adapt2.summary" \
     || fail "replayed adaptive summary differs from the original run"
 
 echo "adaptcheck: mismatched-resume refusals"

@@ -89,7 +89,14 @@ strat_n=$(wc -l <"$TMP/strat.sorted")
 
 echo "stratcheck: checkpoint replay"
 run "$TMP/strat2.log" "$TMP/strat.jsonl" -stratify -resume
-cmp "$TMP/strat.log" "$TMP/strat2.log" \
+# The snapshot-replay line counts trials this process executed, and a
+# replay executes none: it must say so, and every other line must be
+# byte-identical.
+grep -q '^snapshot replay: .*; 0 of 0 executed trials rejoined' "$TMP/strat2.log" \
+    || fail "replay executed trials, or its snapshot-replay line is missing"
+grep -v '^snapshot replay:' "$TMP/strat.log" >"$TMP/strat.summary"
+grep -v '^snapshot replay:' "$TMP/strat2.log" >"$TMP/strat2.summary"
+cmp "$TMP/strat.summary" "$TMP/strat2.summary" \
     || fail "replayed stratified summary differs from the original run"
 
 echo "stratcheck: mismatched-resume refusal"
