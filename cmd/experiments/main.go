@@ -4,10 +4,9 @@
 //
 //	experiments [flags]
 //
-//	-run string      comma-separated experiments to run:
-//	                 table1,fig5,table2,fig6a,fig6b,fig7,fig8,fig9,inputs,
-//	                 ablations,pruning,stratify,adaptive or "all"
-//	                 (default "all")
+//	-run string      comma-separated experiments to run, or "all"
+//	                 (default "all"); -h lists the registered names,
+//	                 which come from internal/experiments' Registry
 //	-samples int     FI samples for overall SDC probabilities (default 3000)
 //	-perinstr int    FI samples per static instruction (default 100)
 //	-seed uint       deterministic seed (default 2018)
@@ -16,6 +15,9 @@
 //	-format string   "text" (default) or "md" (markdown tables)
 //	-checkpoint-dir  directory for per-campaign JSONL checkpoints; an
 //	                 interrupted run (Ctrl-C, crash) resumes from them
+//	-cache-dir       content-addressed per-function campaign profile
+//	                 cache; re-runs re-inject only edited functions
+//	                 (takes precedence over -checkpoint-dir)
 //	-snapshot-interval int
 //	                 dynamic instructions between golden-run snapshots that
 //	                 FI trials resume from; 0 disables snapshot replay and
@@ -32,6 +34,8 @@
 //	                 run's lifetime (e.g. :6060)
 //	-progress        render a live campaign progress line on stderr
 //	                 (default true)
+//
+// An unknown -run name or -format value is a usage error (exit 2).
 package main
 
 import (
@@ -39,7 +43,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -55,8 +61,11 @@ func main() {
 	// The exit code distinguishes "cancelled with partial results"
 	// (130/143, per signal) from "errored" (1).
 	ctx, stop, fired := sigctx.WithSignals(context.Background())
-	err := run(ctx, os.Args[1:])
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
 	if err != nil {
 		if sig := fired(); sig != nil && errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "experiments: cancelled; completed campaigns were reported (and checkpointed with -checkpoint-dir)")
@@ -70,9 +79,23 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+// errUsage reports a bad command line, already explained on stderr.
+var errUsage = errors.New("usage error")
+
+// formats maps each -format value to its table renderer.
+var formats = map[string]func(*experiments.Table) string{
+	"text": (*experiments.Table).Text,
+	"md":   (*experiments.Table).Markdown,
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	var known []string
+	for _, e := range experiments.Registry {
+		known = append(known, e.Name)
+	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	runList := fs.String("run", "all", "experiments to run (comma separated, or 'all')")
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "all", "experiments to run (comma separated, or 'all'): "+strings.Join(known, ","))
 	samples := fs.Int("samples", 3000, "FI samples for overall SDC")
 	perInstr := fs.Int("perinstr", 100, "FI samples per instruction")
 	seed := fs.Uint64("seed", 2018, "deterministic seed")
@@ -87,9 +110,30 @@ func run(ctx context.Context, args []string) error {
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address (e.g. :6060) for the run's lifetime")
 	progress := fs.Bool("progress", true, "render a live campaign progress line on stderr")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
 	}
-	md := *format == "md"
+	usage := func(msg string) error {
+		fmt.Fprintln(stderr, "experiments:", msg)
+		fs.Usage()
+		return errUsage
+	}
+	render, ok := formats[*format]
+	if !ok {
+		return usage(fmt.Sprintf("unknown -format %q (want text or md)", *format))
+	}
+	var names []string
+	if *runList != "all" {
+		names = strings.Split(*runList, ",")
+		for i, n := range names {
+			names[i] = strings.TrimSpace(n)
+			if !slices.Contains(known, names[i]) {
+				return usage(fmt.Sprintf("unknown experiment %q (want all or one of %s)", names[i], strings.Join(known, ",")))
+			}
+		}
+	}
 
 	reg := telemetry.Default
 	var trace *telemetry.Trace
@@ -108,7 +152,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		// Graceful: an in-flight pprof scrape gets a second to finish.
 		defer dbg.Shutdown(time.Second)
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars\n", dbg.Addr())
+		fmt.Fprintf(stderr, "debug server on http://%s/debug/vars\n", dbg.Addr())
 	}
 	// Metrics accumulate across every selected experiment; the snapshot
 	// is written even when a run fails midway, so a cancelled run still
@@ -116,9 +160,9 @@ func run(ctx context.Context, args []string) error {
 	if *metricsOut != "" {
 		defer func() {
 			if werr := writeMetrics(reg, *metricsOut); werr != nil {
-				fmt.Fprintln(os.Stderr, "experiments: writing metrics:", werr)
+				fmt.Fprintln(stderr, "experiments: writing metrics:", werr)
 			} else {
-				fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
+				fmt.Fprintf(stderr, "metrics written to %s\n", *metricsOut)
 			}
 		}()
 	}
@@ -127,7 +171,7 @@ func run(ctx context.Context, args []string) error {
 	var meter *telemetry.ProgressMeter
 	var onProgress func(fault.Progress)
 	if *progress {
-		meter = telemetry.NewProgressMeter(os.Stderr, 0)
+		meter = telemetry.NewProgressMeter(stderr, 0)
 		onProgress = func(p fault.Progress) {
 			meter.Update(p.String)
 			if p.Done == p.Total {
@@ -162,192 +206,30 @@ func run(ctx context.Context, args []string) error {
 		cfg.Programs = strings.Split(*programs, ",")
 	}
 
-	selected := map[string]bool{}
-	if *runList == "all" {
-		for _, n := range []string{"table1", "fig5", "table2", "fig6a", "fig6b",
-			"fig7", "fig8", "fig9", "inputs", "ablations", "pruning", "stratify", "adaptive"} {
-			selected[n] = true
+	for _, e := range experiments.Registry {
+		if *runList != "all" && !slices.Contains(names, e.Name) {
+			continue
 		}
-	} else {
-		for _, n := range strings.Split(*runList, ",") {
-			selected[strings.TrimSpace(n)] = true
-		}
-	}
-
-	w := os.Stdout
-	stamp := func(name string, start time.Time) {
-		fmt.Fprintf(w, "[%s completed in %.1fs]\n", name, time.Since(start).Seconds())
-		experiments.RenderSeparator(w)
-	}
-
-	if selected["table1"] {
 		start := time.Now()
-		rows, err := experiments.Table1(cfg)
+		tables, err := e.Run(cfg)
 		if err != nil {
 			return err
 		}
-		if md {
-			experiments.MarkdownTable1(w, rows)
+		var out strings.Builder
+		for _, t := range tables {
+			out.WriteString(render(t))
+		}
+		// The markdown stamp is a paragraph and the break a thematic
+		// rule, so the ### table titles stay the only headings.
+		stamp := fmt.Sprintf("[%s completed in %.1fs]", e.Name, time.Since(start).Seconds())
+		if *format == "md" {
+			fmt.Fprintf(&out, "%s\n\n---\n\n", stamp)
 		} else {
-			experiments.RenderTable1(w, rows)
+			fmt.Fprintf(&out, "%s\n%s\n", stamp, strings.Repeat("-", 100))
 		}
-		stamp("table1", start)
-	}
-	if selected["fig5"] {
-		start := time.Now()
-		res, err := experiments.Fig5(cfg)
-		if err != nil {
+		if _, err := io.WriteString(stdout, out.String()); err != nil {
 			return err
 		}
-		if md {
-			experiments.MarkdownFig5(w, res)
-		} else {
-			experiments.RenderFig5(w, res)
-		}
-		stamp("fig5", start)
-	}
-	if selected["table2"] {
-		start := time.Now()
-		res, err := experiments.Table2(cfg)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownTable2(w, res)
-		} else {
-			experiments.RenderTable2(w, res)
-		}
-		stamp("table2", start)
-	}
-	if selected["fig6a"] && selected["fig6b"] && md {
-		start := time.Now()
-		a, err := experiments.Fig6a(cfg, nil)
-		if err != nil {
-			return err
-		}
-		b, err := experiments.Fig6b(cfg, nil)
-		if err != nil {
-			return err
-		}
-		experiments.MarkdownFig6(w, a, b)
-		stamp("fig6", start)
-	} else {
-		if selected["fig6a"] {
-			start := time.Now()
-			points, err := experiments.Fig6a(cfg, nil)
-			if err != nil {
-				return err
-			}
-			experiments.RenderFig6a(w, points)
-			stamp("fig6a", start)
-		}
-		if selected["fig6b"] {
-			start := time.Now()
-			points, err := experiments.Fig6b(cfg, nil)
-			if err != nil {
-				return err
-			}
-			experiments.RenderFig6b(w, points)
-			stamp("fig6b", start)
-		}
-	}
-	if selected["fig7"] {
-		start := time.Now()
-		rows, err := experiments.Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownFig7(w, rows)
-		} else {
-			experiments.RenderFig7(w, rows)
-		}
-		stamp("fig7", start)
-	}
-	if selected["fig8"] {
-		start := time.Now()
-		res, err := experiments.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownFig8(w, res)
-		} else {
-			experiments.RenderFig8(w, res)
-		}
-		stamp("fig8", start)
-	}
-	if selected["fig9"] {
-		start := time.Now()
-		res, err := experiments.Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownFig9(w, res)
-		} else {
-			experiments.RenderFig9(w, res)
-		}
-		stamp("fig9", start)
-	}
-	if selected["inputs"] {
-		start := time.Now()
-		rows, err := experiments.InputSensitivity(cfg, 3)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownInputs(w, rows)
-		} else {
-			experiments.RenderInputs(w, rows)
-		}
-		stamp("inputs", start)
-	}
-	if selected["ablations"] {
-		start := time.Now()
-		if err := runAblations(cfg); err != nil {
-			return err
-		}
-		stamp("ablations", start)
-	}
-	if selected["pruning"] {
-		start := time.Now()
-		rows, err := experiments.Pruning(cfg)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownPruning(w, rows)
-		} else {
-			experiments.RenderPruning(w, rows)
-		}
-		stamp("pruning", start)
-	}
-	if selected["stratify"] {
-		start := time.Now()
-		rows, err := experiments.Stratify(cfg)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownStratify(w, rows)
-		} else {
-			experiments.RenderStratify(w, rows)
-		}
-		stamp("stratify", start)
-	}
-	if selected["adaptive"] {
-		start := time.Now()
-		rows, err := experiments.Adaptive(cfg)
-		if err != nil {
-			return err
-		}
-		if md {
-			experiments.MarkdownAdaptive(w, rows)
-		} else {
-			experiments.RenderAdaptive(w, rows)
-		}
-		stamp("adaptive", start)
 	}
 	return nil
 }
@@ -363,42 +245,4 @@ func writeMetrics(reg *telemetry.Registry, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func runAblations(cfg experiments.Config) error {
-	w := os.Stdout
-	vp, err := experiments.AblationValueProfile(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Ablation (fs value profile): MAE with %.2f%%, without %.2f%%\n",
-		vp.MAEWith*100, vp.MAEWithout*100)
-
-	pr, err := experiments.AblationPruning(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Ablation (fm pruning): pruned %.3fs vs expanded %.3fs (%d dyn deps -> %d static edges, max divergence %.2e)\n",
-		pr.PrunedSeconds, pr.ExpandedSeconds, pr.DynDeps, pr.StaticEdges, pr.MaxDivergence)
-
-	fp, err := experiments.AblationFixpoint(cfg, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, "Ablation (fm fixpoint cap): ")
-	for i, p := range fp {
-		if i > 0 {
-			fmt.Fprint(w, ", ")
-		}
-		fmt.Fprintf(w, "%d sweeps -> %.2f%%", p.MaxIters, p.MeanSDC*100)
-	}
-	fmt.Fprintln(w)
-
-	kn, err := experiments.AblationKnapsack(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Ablation (selection policy at 1/3 bound): knapsack %.2f%% SDC vs top-k %.2f%% SDC\n",
-		kn.MeanSDCKnapsack*100, kn.MeanSDCTopK*100)
-	return nil
 }

@@ -4,11 +4,14 @@
 // scalability (Fig. 6a/6b, Fig. 7), selective-protection effectiveness
 // (Fig. 8), and the PVF/ePVF comparison (Fig. 9).
 //
-// Each experiment returns structured rows; the cmd/experiments binary and
-// the repository benchmarks render them. Per-program state (profile,
-// injector, models) is cached so experiment suites do not redo work.
-// DESIGN.md §4 maps every table and figure to its driver here; the
-// pruning experiment is specified in DESIGN.md §5i.
+// Each experiment returns structured rows, which the repository
+// benchmarks and tests use directly. Registry pairs every experiment with
+// a layout of its result as Tables, the one report model that
+// cmd/experiments renders as text or markdown. Per-program state
+// (profile, injector, models) is cached so experiment suites do not redo
+// work. DESIGN.md §4 maps every table and figure to its driver here and
+// describes the registry; the pruning experiment is specified in
+// DESIGN.md §5i.
 package experiments
 
 import (

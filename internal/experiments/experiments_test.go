@@ -27,9 +27,7 @@ func TestTable1(t *testing.T) {
 			t.Errorf("%s: empty characteristics %+v", r.Name, r)
 		}
 	}
-	var sb strings.Builder
-	RenderTable1(&sb, rows)
-	if !strings.Contains(sb.String(), "pathfinder") {
+	if !strings.Contains(renderText(table1Tables(rows)), "pathfinder") {
 		t.Error("render missing benchmark")
 	}
 }
@@ -57,9 +55,7 @@ func TestFig5Quick(t *testing.T) {
 		t.Errorf("TRIDENT MAE %v worse than both simpler models (%v, %v)",
 			res.MAETrident, res.MAEFSFC, res.MAEFS)
 	}
-	var sb strings.Builder
-	RenderFig5(&sb, res)
-	if !strings.Contains(sb.String(), "MAE vs FI") {
+	if !strings.Contains(renderText(fig5Tables(res)), "MAE vs FI") {
 		t.Error("render incomplete")
 	}
 }
@@ -79,9 +75,7 @@ func TestTable2Quick(t *testing.T) {
 			}
 		}
 	}
-	var sb strings.Builder
-	RenderTable2(&sb, res)
-	if !strings.Contains(sb.String(), "rejections") {
+	if !strings.Contains(renderText(table2Tables(res)), "rejections") {
 		t.Error("render incomplete")
 	}
 }
@@ -104,10 +98,7 @@ func TestFig6Quick(t *testing.T) {
 	if b[1].FISeconds[1000] <= b[1].FISeconds[100] {
 		t.Error("FI-1000 must cost more than FI-100")
 	}
-	var sb strings.Builder
-	RenderFig6a(&sb, a)
-	RenderFig6b(&sb, b)
-	if !strings.Contains(sb.String(), "Figure 6b") {
+	if !strings.Contains(renderText(append(fig6aTables(a), fig6bTables(b)...)), "Figure 6b") {
 		t.Error("render incomplete")
 	}
 }
@@ -129,9 +120,7 @@ func TestFig7Quick(t *testing.T) {
 				r.Name, r.FISeconds100, r.ModelSeconds)
 		}
 	}
-	var sb strings.Builder
-	RenderFig7(&sb, rows)
-	if !strings.Contains(sb.String(), "Pruning") {
+	if !strings.Contains(renderText(fig7Tables(rows)), "Pruning") {
 		t.Error("render incomplete")
 	}
 }
@@ -171,9 +160,7 @@ func TestFig8Quick(t *testing.T) {
 	if sdc := r.ByBound["2/3"]["trident"].SDC; sdc > r.BaselineSDC {
 		t.Errorf("2/3 TRIDENT protection made SDC worse: %v > %v", sdc, r.BaselineSDC)
 	}
-	var sb strings.Builder
-	RenderFig8(&sb, res)
-	if !strings.Contains(sb.String(), "mean SDC reduction") {
+	if !strings.Contains(renderText(fig8Tables(res)), "mean SDC reduction") {
 		t.Error("render incomplete")
 	}
 }
@@ -193,9 +180,7 @@ func TestFig9Quick(t *testing.T) {
 	if res.MAETrident > res.MAEPVF {
 		t.Errorf("TRIDENT MAE (%v) should beat PVF (%v)", res.MAETrident, res.MAEPVF)
 	}
-	var sb strings.Builder
-	RenderFig9(&sb, res)
-	if !strings.Contains(sb.String(), "PVF") {
+	if !strings.Contains(renderText(fig9Tables(res)), "PVF") {
 		t.Error("render incomplete")
 	}
 }
@@ -276,9 +261,7 @@ func TestInputSensitivityQuick(t *testing.T) {
 			t.Errorf("%s: negative spread", r.Name)
 		}
 	}
-	var sb strings.Builder
-	RenderInputs(&sb, rows)
-	if !strings.Contains(sb.String(), "Input sensitivity") {
+	if !strings.Contains(renderText(inputsTables(rows)), "Input sensitivity") {
 		t.Error("render incomplete")
 	}
 }
@@ -314,84 +297,101 @@ func TestAdaptiveQuick(t *testing.T) {
 	}
 }
 
-func TestMarkdownRenderers(t *testing.T) {
+// renderText concatenates the text renders of tables.
+func renderText(tables []*Table) string {
+	var sb strings.Builder
+	for _, t := range tables {
+		sb.WriteString(t.Text())
+	}
+	return sb.String()
+}
+
+// TestTableRenderGolden pins both renderers byte for byte on one fixed
+// table: left and right alignment, a cell wider than its header, a dash
+// cell, a trailing left column whose padding is trimmed, and notes.
+func TestTableRenderGolden(t *testing.T) {
+	tbl := &Table{
+		Title:   "Demo: synthetic",
+		Columns: []Column{{"Name", Left}, {"Value", Right}, {"±", Right}, {"Note", Left}},
+		Rows: [][]string{
+			{"alpha", "1.00%", "-", "first"},
+			{"a-much-longer-name", "12.50%", "0.25%", "x"},
+		},
+		Notes: []string{"note one", "note two"},
+	}
+	wantText := "Demo: synthetic\n" +
+		"Name                 Value      ±  Note\n" +
+		"alpha                1.00%      -  first\n" +
+		"a-much-longer-name  12.50%  0.25%  x\n" +
+		"note one\n" +
+		"note two\n"
+	if got := tbl.Text(); got != wantText {
+		t.Errorf("text render:\n%s\nwant:\n%s", got, wantText)
+	}
+	wantMD := "### Demo: synthetic\n\n" +
+		"| Name | Value | ± | Note |\n" +
+		"|---|---:|---:|---|\n" +
+		"| alpha | 1.00% | - | first |\n" +
+		"| a-much-longer-name | 12.50% | 0.25% | x |\n\n" +
+		"note one\n\n" +
+		"note two\n\n"
+	if got := tbl.Markdown(); got != wantMD {
+		t.Errorf("markdown render:\n%s\nwant:\n%s", got, wantMD)
+	}
+}
+
+// TestRegistryRenders runs every registered experiment on the quick
+// config and renders each of its tables in both formats: every markdown
+// row must have as many cells as its header, and every text render must
+// carry each row's label.
+func TestRegistryRenders(t *testing.T) {
 	cfg := quickCfg
 	cfg.Programs = []string{"pathfinder"}
-
-	var sb strings.Builder
-	rows, err := Table1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownTable1(&sb, rows)
-
-	fig5, err := Fig5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownFig5(&sb, fig5)
-
-	t2, err := Table2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownTable2(&sb, t2)
-
-	a, err := Fig6a(cfg, []int{30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig6b(cfg, []int{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownFig6(&sb, a, b)
-
-	f7, err := Fig7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownFig7(&sb, f7)
-
-	f9, err := Fig9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownFig9(&sb, f9)
-
-	inputs, err := InputSensitivity(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownInputs(&sb, inputs)
-
-	srows, err := Stratify(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownStratify(&sb, srows)
-
-	arows, err := Adaptive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	MarkdownAdaptive(&sb, arows)
-
-	out := sb.String()
-	for _, want := range []string{
-		"### Table I", "### Figure 5", "### Table II", "### Figure 6a",
-		"### Figure 7", "### Figure 9", "### Input sensitivity",
-		"### Stratified live-bit sampling (ANALYSIS.md)",
-		"### Adaptive (Neyman) allocation (ANALYSIS.md)", "| pathfinder |",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown output missing %q", want)
+	seen := map[string]bool{}
+	for _, e := range Registry {
+		if seen[e.Name] {
+			t.Errorf("experiment %q registered twice", e.Name)
 		}
-	}
-	// Markdown tables must have balanced header/separator columns.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "|---") && !strings.HasSuffix(line, "|") {
-			t.Errorf("unterminated separator row: %q", line)
+		seen[e.Name] = true
+		tables, err := e.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if len(tables) == 0 {
+			t.Errorf("%s: no tables", e.Name)
+		}
+		for _, tbl := range tables {
+			if len(tbl.Rows) == 0 {
+				t.Errorf("%s / %s: no rows", e.Name, tbl.Title)
+			}
+			text := tbl.Text()
+			for _, row := range tbl.Rows {
+				if len(row) != len(tbl.Columns) {
+					t.Errorf("%s / %s: row %q has %d cells for %d columns", e.Name, tbl.Title, row, len(row), len(tbl.Columns))
+				}
+				if !strings.Contains(text, row[0]) {
+					t.Errorf("%s / %s: text render lacks row %q", e.Name, tbl.Title, row[0])
+				}
+			}
+			md := tbl.Markdown()
+			if !strings.HasPrefix(md, "### "+tbl.Title+"\n") {
+				t.Errorf("%s: markdown does not open with its ### title", e.Name)
+			}
+			header := -1
+			for _, line := range strings.Split(md, "\n") {
+				if !strings.HasPrefix(line, "|") {
+					continue
+				}
+				cells := strings.Count(line, "|") - 1
+				if header < 0 {
+					header = cells
+				} else if cells != header {
+					t.Errorf("%s / %s: markdown row has %d cells, header %d: %q", e.Name, tbl.Title, cells, header, line)
+				}
+			}
+			if header != len(tbl.Columns) {
+				t.Errorf("%s / %s: markdown header has %d cells for %d columns", e.Name, tbl.Title, header, len(tbl.Columns))
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"trident/internal/core"
 	"trident/internal/fault"
@@ -101,23 +100,4 @@ func sameOrder(points []InputPoint) bool {
 		}
 	}
 	return true
-}
-
-// RenderInputs writes the input-sensitivity table.
-func RenderInputs(w io.Writer, rows []InputRow) {
-	fmt.Fprintln(w, "Input sensitivity (paper §IX future work): overall SDC per input variant")
-	fmt.Fprintf(w, "%-14s", "Benchmark")
-	if len(rows) > 0 {
-		for _, pt := range rows[0].Points {
-			fmt.Fprintf(w, "  FI[v%d] TRI[v%d]", pt.Variant, pt.Variant)
-		}
-	}
-	fmt.Fprintf(w, " %9s %9s %7s\n", "FI-spread", "TRI-sprd", "tracks")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s", r.Name)
-		for _, pt := range r.Points {
-			fmt.Fprintf(w, " %6.1f%% %7.1f%%", pt.FI*100, pt.Trident*100)
-		}
-		fmt.Fprintf(w, " %8.1f%% %8.1f%% %7v\n", r.SpreadFI*100, r.SpreadModel*100, r.Tracks)
-	}
 }

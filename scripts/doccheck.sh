@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # doccheck.sh — the documentation lint, run by `make doc`.
 #
-# Four checks:
+# Five checks:
 #
 #   1. Every Go package directory must contain at least one file opening
 #      with a "// Package <name> ..." comment (or "// Command <name> ..."
@@ -19,6 +19,11 @@
 #      completed at runtime such as "fi.outcome.", as `prefix<...>`),
 #      and so must every span name passed as a literal to .Start(, so
 #      no registered metric or emitted span ships undocumented.
+#   5. Every `cmd/experiments -run <names>` mention in README.md,
+#      DESIGN.md, EXPERIMENTS.md and the verify skill notes must name
+#      only experiments the binary registers (read from its -h output)
+#      or "all", so no documented command runs a misspelt or retired
+#      experiment.
 #
 # Run from the repo root; exits non-zero listing every violation.
 
@@ -87,6 +92,28 @@ for name in $spans; do
         echo "doccheck: span $name is started in code but not documented in OBSERVABILITY.md" >&2
         fail=1
     fi
+done
+
+# 5: documented cmd/experiments -run names vs. the binary's registry.
+$GO build -o "$TMP/experiments" ./cmd/experiments
+registered=$({ "$TMP/experiments" -h 2>&1 || true; } |
+    sed -n "s/.*or 'all'): \([a-z0-9,]*\).*/\1/p" | tr ',' ' ')
+if [ -z "$registered" ]; then
+    echo "doccheck: could not read the experiment names from experiments -h" >&2
+    fail=1
+fi
+for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
+    [ -f "$doc" ] || continue
+    for name in $(grep -oE 'cmd/experiments -run [A-Za-z0-9_,-]+' "$doc" |
+        sed 's/.* -run //' | tr ',' '\n' | sort -u); do
+        case " all $registered " in
+        *" $name "*) ;;
+        *)
+            echo "doccheck: $doc runs cmd/experiments -run $name, which is not a registered experiment" >&2
+            fail=1
+            ;;
+        esac
+    done
 done
 
 exit $fail
