@@ -1,5 +1,7 @@
 // Command diag compares TRIDENT per-instruction predictions against
-// per-instruction fault injection, for model debugging.
+// per-instruction fault injection, for model debugging. Its model column
+// comes from trident.Load, so it equals trident.Analyze's per-instruction
+// SDC probabilities.
 package main
 
 import (
@@ -11,10 +13,8 @@ import (
 	"sort"
 	"syscall"
 
-	"trident/internal/core"
+	"trident"
 	"trident/internal/fault"
-	"trident/internal/profile"
-	"trident/internal/progs"
 )
 
 func main() {
@@ -25,19 +25,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	p, err := progs.ByName(*program)
+	a, err := trident.Load(*program, "", trident.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m := p.Build()
-	prof, err := profile.Collect(m, profile.Options{})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	model := core.New(prof, core.TridentConfig())
-	inj, err := fault.New(m, fault.Options{Seed: 5, Workers: 8})
+	model := a.Model
+	inj, err := fault.New(a.Module, fault.Options{Seed: 5, Workers: 8})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -97,8 +97,16 @@ func run(args []string) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return 2, nil
 	}
+	var irText string
+	if *irFile != "" {
+		src, err := os.ReadFile(*irFile)
+		if err != nil {
+			return 1, err
+		}
+		irText = string(src)
+	}
 	if *dumpIR {
-		m, err := loadModule(*program, *irFile)
+		m, err := progs.Load(*program, irText)
 		if err != nil {
 			return 1, err
 		}
@@ -143,14 +151,6 @@ func run(args []string) (int, error) {
 		if *maskedRate != bitlive.DefaultMaskedRate {
 			return 1, fmt.Errorf("-stratify-masked-rate is not supported with -remote (the server runs the default plan)")
 		}
-		var irText string
-		if *irFile != "" {
-			src, rerr := os.ReadFile(*irFile)
-			if rerr != nil {
-				return 1, rerr
-			}
-			irText = string(src)
-		}
 		return runRemote(ctx, fired, remoteOpts{
 			base:      *remote,
 			jobID:     *jobID,
@@ -194,7 +194,7 @@ func run(args []string) (int, error) {
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars\n", dbg.Addr())
 	}
 
-	m, err := loadModule(*program, *irFile)
+	m, err := progs.Load(*program, irText)
 	if err != nil {
 		return 1, err
 	}
@@ -562,25 +562,4 @@ func writeMetrics(reg *telemetry.Registry, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadModule(program, irFile string) (*ir.Module, error) {
-	switch {
-	case program != "" && irFile != "":
-		return nil, fmt.Errorf("use either -program or -ir, not both")
-	case program != "":
-		p, err := progs.ByName(program)
-		if err != nil {
-			return nil, err
-		}
-		return p.Build(), nil
-	case irFile != "":
-		src, err := os.ReadFile(irFile)
-		if err != nil {
-			return nil, err
-		}
-		return ir.Parse(string(src))
-	default:
-		return nil, fmt.Errorf("one of -program or -ir is required")
-	}
 }

@@ -1,135 +1,111 @@
 // Command trident analyzes a program with the TRIDENT model: it profiles
 // one execution and prints the predicted overall SDC probability and the
 // most SDC-prone instructions, without any fault injection — the paper's
-// Figure 1b workflow.
+// Figure 1b workflow. Its predictions come from trident.Load, so they are
+// the ones trident.Analyze and trident.ExplainTop report.
 //
 // Usage:
 //
 //	trident -program pathfinder [-top 15] [-model trident|fs+fc|fs] [-samples N]
+//	trident -program nw -top 5 -explain    # propagation paths of each listed row
+//	trident -program nw -instr 42          # explain instruction #42 of main
 //	trident -ir file.tir [...]
 //
 // Programs come from the built-in benchmark registry (-program) or from a
-// textual IR file (-ir).
+// textual IR file (-ir). -explain and -instr decompose a prediction into
+// its propagation paths: direct register flow to output, corrupted stores
+// chased through memory, and flipped branches with their divergence
+// effects.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"strings"
 
-	"trident/internal/core"
+	"trident"
 	"trident/internal/ir"
-	"trident/internal/profile"
-	"trident/internal/progs"
 )
 
+// errUsage reports a command line the flag set rejected; it has already
+// printed the usage.
+var errUsage = errors.New("usage")
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "trident:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("trident", flag.ContinueOnError)
-	program := fs.String("program", "", "built-in benchmark name ("+listNames()+")")
+	fs.SetOutput(stderr)
+	program := fs.String("program", "", "built-in benchmark name ("+strings.Join(trident.Benchmarks(), ", ")+")")
 	irFile := fs.String("ir", "", "textual IR file to analyze instead of a benchmark")
 	top := fs.Int("top", 15, "number of most SDC-prone instructions to list")
-	modelName := fs.String("model", "trident", "model variant: trident, fs+fc, fs")
+	modelName := fs.String("model", string(trident.ModelTrident), "model variant: trident, fs+fc, fs")
 	samples := fs.Int("samples", 0, "sampled dynamic instructions for the overall estimate (0 = exact)")
+	explain := fs.Bool("explain", false, "print the propagation paths of each listed instruction")
+	instrID := fs.Int("instr", -1, "explain only the instruction with this ID in main")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
 	}
 
-	m, err := loadModule(*program, *irFile)
+	var src []byte
+	if *irFile != "" {
+		var err error
+		if src, err = os.ReadFile(*irFile); err != nil {
+			return err
+		}
+	}
+	a, err := trident.Load(*program, string(src), trident.Options{Model: trident.ModelKind(*modelName)})
 	if err != nil {
 		return err
 	}
+	m, prof, model := a.Module, a.Profile, a.Model
 
-	var cfg core.Config
-	switch *modelName {
-	case "trident":
-		cfg = core.TridentConfig()
-	case "fs+fc":
-		cfg = core.FSFCConfig()
-	case "fs":
-		cfg = core.FSOnlyConfig()
-	default:
-		return fmt.Errorf("unknown model %q", *modelName)
+	if *instrID >= 0 {
+		in := m.Func("main").InstrByID(*instrID)
+		if in == nil {
+			return fmt.Errorf("no instruction #%d in main", *instrID)
+		}
+		fmt.Fprint(stdout, model.Explain(in).String())
+		return nil
 	}
 
-	fmt.Printf("profiling %s...\n", m.Name)
-	prof, err := profile.Collect(m, profile.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  %d static instructions, %d dynamic, %d bytes peak memory\n",
+	fmt.Fprintf(stdout, "profiled %s:\n", m.Name)
+	fmt.Fprintf(stdout, "  %d static instructions, %d dynamic, %d bytes peak memory\n",
 		m.NumInstrs(), prof.Golden.DynInstrs, prof.PeakMemBytes)
-	fmt.Printf("  memory dependence: %d dynamic deps pruned to %d static edges (%.2f%%)\n",
+	fmt.Fprintf(stdout, "  memory dependence: %d dynamic deps pruned to %d static edges (%.2f%%)\n",
 		prof.DynMemDeps, prof.NumStaticMemEdges(), prof.PruningRatio()*100)
 
-	model := core.New(prof, cfg)
-	overall := model.OverallSDC(*samples, 1)
-	fmt.Printf("\noverall SDC probability (%s): %.2f%%\n", model, overall.SDC*100)
+	overall := model.OverallSDC(*samples, a.Seed)
+	fmt.Fprintf(stdout, "\noverall SDC probability (%s): %.2f%%\n", model, overall.SDC*100)
 
-	type ranked struct {
-		in  *ir.Instr
-		sdc float64
+	rows := a.Ranked()
+	rows = rows[:min(max(*top, 0), len(rows))]
+	fmt.Fprintf(stdout, "\ntop %d SDC-prone instructions:\n", len(rows))
+	fmt.Fprintf(stdout, "%-32s %-24s %10s %10s\n", "instruction", "location", "SDC", "execs")
+	for _, in := range rows {
+		fmt.Fprintf(stdout, "%-32s %-24s %9.2f%% %10d\n",
+			ir.FormatInstr(in), in.Pos(), model.InstrSDC(in)*100, prof.ExecCount[in])
 	}
-	var rows []ranked
-	m.Instrs(func(in *ir.Instr) {
-		if in.HasResult() && prof.ExecCount[in] > 0 {
-			rows = append(rows, ranked{in, model.InstrSDC(in)})
+	if *explain {
+		fmt.Fprintf(stdout, "\npropagation paths:\n\n")
+		for _, in := range rows {
+			fmt.Fprintln(stdout, model.Explain(in).String())
 		}
-	})
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].sdc != rows[j].sdc {
-			return rows[i].sdc > rows[j].sdc
-		}
-		return rows[i].in.ID < rows[j].in.ID
-	})
-	if *top > len(rows) {
-		*top = len(rows)
-	}
-	fmt.Printf("\ntop %d SDC-prone instructions:\n", *top)
-	fmt.Printf("%-32s %-24s %10s %10s\n", "instruction", "location", "SDC", "execs")
-	for _, r := range rows[:*top] {
-		fmt.Printf("%-32s %-24s %9.2f%% %10d\n",
-			ir.FormatInstr(r.in), r.in.Pos(), r.sdc*100, prof.ExecCount[r.in])
 	}
 	return nil
-}
-
-func loadModule(program, irFile string) (*ir.Module, error) {
-	switch {
-	case program != "" && irFile != "":
-		return nil, fmt.Errorf("use either -program or -ir, not both")
-	case program != "":
-		p, err := progs.ByName(program)
-		if err != nil {
-			return nil, err
-		}
-		return p.Build(), nil
-	case irFile != "":
-		src, err := os.ReadFile(irFile)
-		if err != nil {
-			return nil, err
-		}
-		return ir.Parse(string(src))
-	default:
-		return nil, fmt.Errorf("one of -program or -ir is required")
-	}
-}
-
-func listNames() string {
-	names := progs.Names()
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
 }

@@ -107,6 +107,27 @@ func ByName(name string) (Program, error) {
 	return p, nil
 }
 
+// Load resolves a program under test: the built-in benchmark called
+// name, or the module parsed from irText. Exactly one of the two must be
+// non-empty. Every call builds a fresh module, so callers never share
+// mutable IR.
+func Load(name, irText string) (*ir.Module, error) {
+	switch {
+	case name != "" && irText != "":
+		return nil, fmt.Errorf("progs: give a program name or IR text, not both")
+	case name != "":
+		p, err := ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		return p.Build(), nil
+	case irText != "":
+		return ir.Parse(irText)
+	default:
+		return nil, fmt.Errorf("progs: a program name or IR text is required")
+	}
+}
+
 // mustBuild verifies and renumbers a finished module; builders call it
 // last. Construction errors are programming bugs, so it panics.
 func mustBuild(m *ir.Module) *ir.Module {

@@ -46,6 +46,27 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestLoad checks that Load resolves exactly one of a benchmark name
+// and IR text, and that both resolve to the same program.
+func TestLoad(t *testing.T) {
+	byName, err := Load("nw", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byText, err := Load("", ir.Print(byName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := ir.Print(byName), ir.Print(byText); a != b {
+		t.Error("IR text loads a different module than the benchmark it prints")
+	}
+	for _, bad := range [][2]string{{"", ""}, {"nw", ir.Print(byName)}, {"no-such-kernel", ""}, {"", "not IR"}} {
+		if _, err := Load(bad[0], bad[1]); err == nil {
+			t.Errorf("Load(%q, %.20q) succeeded", bad[0], bad[1])
+		}
+	}
+}
+
 func TestAllProgramsBuildVerifyAndRun(t *testing.T) {
 	for _, p := range Extended() {
 		p := p

@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -150,7 +151,7 @@ func DecodeSubmit(r io.Reader, maxBytes int64) (*SubmitRequest, error) {
 	if int64(len(data)) > maxBytes {
 		return nil, reqErr("", "body exceeds %d bytes", maxBytes)
 	}
-	dec := json.NewDecoder(bytesReader(data))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
@@ -160,23 +161,6 @@ func DecodeSubmit(r io.Reader, maxBytes int64) (*SubmitRequest, error) {
 		return nil, reqErr("", "trailing data after JSON object")
 	}
 	return &req, nil
-}
-
-// bytesReader avoids importing bytes just for NewReader at the call
-// site above while keeping DecodeSubmit testable with short writes.
-func bytesReader(b []byte) io.Reader {
-	return &byteSliceReader{b: b}
-}
-
-type byteSliceReader struct{ b []byte }
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // Validate checks the request against the server's limits, returning a
@@ -237,14 +221,7 @@ func (req *SubmitRequest) Validate(lim Limits) error {
 // BuildModule constructs the module under test — fresh each call, so
 // concurrent shard workers never share mutable IR.
 func (req *SubmitRequest) BuildModule() (*ir.Module, error) {
-	if req.Program != "" {
-		p, err := progs.ByName(req.Program)
-		if err != nil {
-			return nil, err
-		}
-		return p.Build(), nil
-	}
-	return ir.Parse(req.IR)
+	return progs.Load(req.Program, req.IR)
 }
 
 // ModuleName returns the human-readable name of the program under test.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # doccheck.sh — the documentation lint, run by `make doc`.
 #
-# Five checks:
+# Six checks:
 #
 #   1. Every Go package directory must contain at least one file opening
 #      with a "// Package <name> ..." comment (or "// Command <name> ..."
@@ -24,6 +24,12 @@
 #      only experiments the binary registers (read from its -h output)
 #      or "all", so no documented command runs a misspelt or retired
 #      experiment.
+#   6. Every `go run ./cmd/<name>` or `go run ./examples/<name>` command
+#      in README.md, DESIGN.md, EXPERIMENTS.md, ROADMAP.md and the verify
+#      skill notes must name an existing directory, and every -flag that
+#      follows it on the same line (up to a closing backtick or a #
+#      comment) must be one the binary's -h output lists, so no
+#      documented command runs a deleted binary or a misspelt flag.
 #
 # Run from the repo root; exits non-zero listing every violation.
 
@@ -114,6 +120,33 @@ for doc in README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; do
             ;;
         esac
     done
+done
+
+# 6: documented go run commands vs. the directories and their -h flags.
+for doc in README.md DESIGN.md EXPERIMENTS.md ROADMAP.md .claude/skills/verify/SKILL.md; do
+    [ -f "$doc" ] || continue
+    while IFS= read -r cmd; do
+        path=$(printf '%s\n' "$cmd" | sed -E 's|^go run \./([a-z]+/[A-Za-z0-9_-]+).*|\1|')
+        if [ ! -d "$path" ]; then
+            echo "doccheck: $doc runs ./$path, which does not exist" >&2
+            fail=1
+            continue
+        fi
+        flags=$(printf '%s\n' "$cmd" | { grep -oE '[[:space:]]-[a-z][a-z0-9-]*' || true; } | sed 's/^[[:space:]]-//' | sort -u)
+        [ -n "$flags" ] || continue
+        bin="$TMP/bin/$path"
+        if [ ! -f "$bin.flags" ]; then
+            mkdir -p "$(dirname "$bin")"
+            $GO build -o "$bin" "./$path"
+            { "$bin" -h 2>&1 || true; } | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' >"$bin.flags"
+        fi
+        for flag in $flags; do
+            if ! grep -qx -- "$flag" "$bin.flags"; then
+                echo "doccheck: $doc runs ./$path with -$flag, which its -h does not list" >&2
+                fail=1
+            fi
+        done
+    done < <(grep -oE 'go run \./(cmd|examples)/[A-Za-z0-9_-]+[^`#]*' "$doc")
 done
 
 exit $fail

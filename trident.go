@@ -12,6 +12,8 @@
 //
 // This package is the high-level façade. It exposes:
 //
+//   - Load: profile a program once and build a model over the profile,
+//     the one pipeline every prediction below is read from;
 //   - Analyze: profile a program and predict SDC probabilities;
 //   - Campaign: run an LLFI-style fault-injection campaign (the ground
 //     truth TRIDENT is validated against);
@@ -155,42 +157,32 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// loadProgram resolves a benchmark name or parses IR text when src is
-// non-empty.
-func loadProgram(name, src string) (*ir.Module, error) {
-	if src != "" {
-		return ir.Parse(src)
-	}
-	p, err := progs.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return p.Build(), nil
+// Analysis is one program profiled once and the selected TRIDENT model
+// built over that profile — the paper's Figure 1b pipeline, no fault
+// injection involved. Load is the one way to build it; Analyze, Protect,
+// ExplainTop and the model CLIs all read their predictions from it.
+type Analysis struct {
+	// Module is the program under test.
+	Module *ir.Module
+	// Profile is the profiled golden execution the model is built on.
+	Profile *profile.Profile
+	// Model is the selected model variant over Profile.
+	Model *core.Model
+	// Seed is the resolved seed the profile was collected with; pass it
+	// to Model.OverallSDC for a sampled estimate.
+	Seed uint64
 }
 
-// Analyze profiles the named built-in benchmark and predicts its SDC
-// probabilities with the selected model — the paper's Figure 1b workflow,
-// no fault injection involved.
-func Analyze(program string, opts Options) (*Report, error) {
-	m, err := loadProgram(program, "")
-	if err != nil {
-		return nil, err
-	}
-	return analyzeModule(program, m, opts)
-}
-
-// AnalyzeIR is Analyze for a program in textual IR form.
-func AnalyzeIR(src string, opts Options) (*Report, error) {
-	m, err := loadProgram("", src)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeModule(m.Name, m, opts)
-}
-
-func analyzeModule(name string, m *ir.Module, opts Options) (*Report, error) {
+// Load resolves program (a built-in benchmark name) or src (a program in
+// textual IR form) — exactly one must be non-empty — profiles one
+// execution with opts.Seed and builds the opts.Model variant over it.
+func Load(program, src string, opts Options) (*Analysis, error) {
 	opts = opts.withDefaults()
 	cfg, err := opts.Model.config()
+	if err != nil {
+		return nil, err
+	}
+	m, err := progs.Load(program, src)
 	if err != nil {
 		return nil, err
 	}
@@ -198,33 +190,58 @@ func analyzeModule(name string, m *ir.Module, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := core.New(prof, cfg)
+	return &Analysis{Module: m, Profile: prof, Model: core.New(prof, cfg), Seed: opts.Seed}, nil
+}
 
-	rep := &Report{
-		Program:      name,
-		OverallSDC:   model.OverallSDC(0, opts.Seed).SDC,
-		StaticInstrs: m.NumInstrs(),
-		DynInstrs:    prof.Golden.DynInstrs,
-		PruningRatio: prof.PruningRatio(),
-	}
-	m.Instrs(func(in *ir.Instr) {
-		if !in.HasResult() || prof.ExecCount[in] == 0 {
-			return
+// Ranked returns the executed instructions that produce a value, most
+// SDC-prone first; instructions with equal predicted SDC probability
+// keep module order (function order, then instruction ID).
+func (a *Analysis) Ranked() []*ir.Instr {
+	var ranked []*ir.Instr
+	a.Module.Instrs(func(in *ir.Instr) {
+		if in.HasResult() && a.Profile.ExecCount[in] > 0 {
+			ranked = append(ranked, in)
 		}
+	})
+	sort.SliceStable(ranked, func(i, j int) bool {
+		return a.Model.InstrSDC(ranked[i]) > a.Model.InstrSDC(ranked[j])
+	})
+	return ranked
+}
+
+// Analyze profiles the named built-in benchmark and predicts its SDC
+// probabilities with the selected model — the paper's Figure 1b workflow,
+// no fault injection involved.
+func Analyze(program string, opts Options) (*Report, error) {
+	return analyze(program, "", opts)
+}
+
+// AnalyzeIR is Analyze for a program in textual IR form.
+func AnalyzeIR(src string, opts Options) (*Report, error) {
+	return analyze("", src, opts)
+}
+
+func analyze(program, src string, opts Options) (*Report, error) {
+	a, err := Load(program, src, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{
+		Program:      a.Module.Name,
+		OverallSDC:   a.Model.OverallSDC(0, a.Seed).SDC,
+		StaticInstrs: a.Module.NumInstrs(),
+		DynInstrs:    a.Profile.Golden.DynInstrs,
+		PruningRatio: a.Profile.PruningRatio(),
+	}
+	for _, in := range a.Ranked() {
 		rep.Instrs = append(rep.Instrs, InstrPrediction{
 			Instruction: ir.FormatInstr(in),
 			Location:    in.Pos(),
-			SDC:         model.InstrSDC(in),
-			Crash:       model.InstrCrash(in),
-			ExecCount:   prof.ExecCount[in],
+			SDC:         a.Model.InstrSDC(in),
+			Crash:       a.Model.InstrCrash(in),
+			ExecCount:   a.Profile.ExecCount[in],
 		})
-	})
-	sort.Slice(rep.Instrs, func(i, j int) bool {
-		if rep.Instrs[i].SDC != rep.Instrs[j].SDC {
-			return rep.Instrs[i].SDC > rep.Instrs[j].SDC
-		}
-		return rep.Instrs[i].Location < rep.Instrs[j].Location
-	})
+	}
 	return rep, nil
 }
 
@@ -244,7 +261,7 @@ type FIReport struct {
 // named benchmark: opts.Samples single-bit flips into destination
 // registers of uniformly sampled dynamic instructions, one per run.
 func Campaign(program string, opts Options) (*FIReport, error) {
-	m, err := loadProgram(program, "")
+	m, err := progs.Load(program, "")
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +270,7 @@ func Campaign(program string, opts Options) (*FIReport, error) {
 
 // CampaignIR is Campaign for a program in textual IR form.
 func CampaignIR(src string, opts Options) (*FIReport, error) {
-	m, err := loadProgram("", src)
+	m, err := progs.Load("", src)
 	if err != nil {
 		return nil, err
 	}
@@ -312,28 +329,19 @@ func Protect(program string, budgetFraction float64, opts Options) (*ProtectRepo
 		return nil, fmt.Errorf("trident: budget fraction %v outside [0, 1]", budgetFraction)
 	}
 	opts = opts.withDefaults()
-	cfg, err := opts.Model.config()
+	a, err := Load(program, "", opts)
 	if err != nil {
 		return nil, err
 	}
-	m, err := loadProgram(program, "")
-	if err != nil {
-		return nil, err
-	}
-
-	prof, err := profile.Collect(m, profile.Options{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	model := core.New(prof, cfg)
+	m := a.Module
 	sdc := make(map[*ir.Instr]float64)
 	m.Instrs(func(in *ir.Instr) {
 		if in.HasResult() {
-			sdc[in] = model.InstrSDC(in)
+			sdc[in] = a.Model.InstrSDC(in)
 		}
 	})
 
-	cands := protect.Candidates(prof, sdc)
+	cands := protect.Candidates(a.Profile, sdc)
 	fullCost := protect.FullCost(cands)
 	fullMod, err := protect.Apply(m, protect.SelectKnapsack(cands, fullCost).Selected)
 	if err != nil {
@@ -390,40 +398,17 @@ func Protect(program string, budgetFraction float64, opts Options) (*ProtectRepo
 // through corrupted stores chased by the memory sub-model, and through
 // flipped branches.
 func ExplainTop(program string, k int, opts Options) ([]string, error) {
-	opts = opts.withDefaults()
-	cfg, err := opts.Model.config()
+	a, err := Load(program, "", opts)
 	if err != nil {
 		return nil, err
 	}
-	m, err := loadProgram(program, "")
-	if err != nil {
-		return nil, err
-	}
-	prof, err := profile.Collect(m, profile.Options{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	model := core.New(prof, cfg)
-
-	var ranked []*ir.Instr
-	m.Instrs(func(in *ir.Instr) {
-		if in.HasResult() && prof.ExecCount[in] > 0 {
-			ranked = append(ranked, in)
-		}
-	})
-	sort.Slice(ranked, func(i, j int) bool {
-		a, b := model.InstrSDC(ranked[i]), model.InstrSDC(ranked[j])
-		if a != b {
-			return a > b
-		}
-		return ranked[i].ID < ranked[j].ID
-	})
+	ranked := a.Ranked()
 	if k > len(ranked) {
 		k = len(ranked)
 	}
 	out := make([]string, 0, k)
 	for _, in := range ranked[:k] {
-		out = append(out, model.Explain(in).String())
+		out = append(out, a.Model.Explain(in).String())
 	}
 	return out, nil
 }

@@ -3,6 +3,8 @@ package trident
 import (
 	"math"
 	"testing"
+
+	"trident/internal/ir"
 )
 
 const tinyIR = `
@@ -188,5 +190,49 @@ func TestExplainTop(t *testing.T) {
 	}
 	if _, err := ExplainTop("nope", 3, Options{}); err == nil {
 		t.Error("unknown program should error")
+	}
+}
+
+// TestLoadIsTheOnePipeline checks that Analyze and ExplainTop report
+// what Load's model predicts, in Ranked order, and that Ranked breaks
+// SDC ties by module order.
+func TestLoadIsTheOnePipeline(t *testing.T) {
+	a, err := Load("nw", "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Analyze("nw", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := a.Model.OverallSDC(0, a.Seed).SDC; rep.OverallSDC != want {
+		t.Errorf("Analyze overall %v, Load's model %v", rep.OverallSDC, want)
+	}
+	ranked := a.Ranked()
+	if len(rep.Instrs) != len(ranked) {
+		t.Fatalf("Analyze lists %d instructions, Ranked %d", len(rep.Instrs), len(ranked))
+	}
+	order := make(map[string]int)
+	i := 0
+	a.Module.Instrs(func(in *ir.Instr) { order[in.Pos()] = i; i++ })
+	for i, in := range ranked {
+		if rep.Instrs[i].Location != in.Pos() || rep.Instrs[i].SDC != a.Model.InstrSDC(in) {
+			t.Fatalf("row %d: Analyze has %s, Ranked %s", i, rep.Instrs[i].Location, in.Pos())
+		}
+		if i > 0 && rep.Instrs[i].SDC == rep.Instrs[i-1].SDC && order[in.Pos()] < order[ranked[i-1].Pos()] {
+			t.Errorf("rows %d and %d tie but leave module order", i-1, i)
+		}
+	}
+	lines, err := ExplainTop("nw", 5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range lines {
+		if want := a.Model.Explain(ranked[i]).String(); l != want {
+			t.Errorf("explanation %d is\n%s\nwant\n%s", i, l, want)
+		}
+	}
+	if _, err := Load("nw", tinyIR, Options{}); err == nil {
+		t.Error("Load with both a name and IR text succeeded")
 	}
 }
