@@ -212,7 +212,7 @@ func BenchmarkModelAllInstructions(b *testing.B) {
 // outcomes — the only difference is wall-clock. cmd/fibench runs the
 // same comparison standalone and records it in BENCH_fi.json.
 
-func benchCampaign(b *testing.B, program string, interval uint64) {
+func benchCampaign(b *testing.B, program string, interval int) {
 	p, err := progs.ByName(program)
 	if err != nil {
 		b.Fatal(err)
@@ -222,6 +222,9 @@ func benchCampaign(b *testing.B, program string, interval uint64) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+	if interval < 0 && inj.Snapshots() != 0 {
+		b.Fatalf("full re-execution baseline holds %d snapshots", inj.Snapshots())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -233,13 +236,13 @@ func benchCampaign(b *testing.B, program string, interval uint64) {
 
 func BenchmarkCampaignFull(b *testing.B) {
 	for _, prog := range []string{"pathfinder", "nw", "sad"} {
-		b.Run(prog, func(b *testing.B) { benchCampaign(b, prog, 0) })
+		b.Run(prog, func(b *testing.B) { benchCampaign(b, prog, -1) })
 	}
 }
 
 func BenchmarkCampaignSnapshot(b *testing.B) {
 	for _, prog := range []string{"pathfinder", "nw", "sad"} {
-		b.Run(prog, func(b *testing.B) { benchCampaign(b, prog, 2048) })
+		b.Run(prog, func(b *testing.B) { benchCampaign(b, prog, 0) })
 	}
 }
 

@@ -20,9 +20,10 @@
 //	                 (takes precedence over -checkpoint-dir)
 //	-snapshot-interval int
 //	                 dynamic instructions between golden-run snapshots that
-//	                 FI trials resume from; 0 disables snapshot replay and
-//	                 re-executes every trial from instruction zero
-//	                 (default 2048)
+//	                 FI trials resume from; 0 selects the default
+//	                 (fault.DefaultSnapshotInterval), -1 disables snapshot
+//	                 replay and re-executes every trial from instruction
+//	                 zero
 //	-metrics-out string
 //	                 write a JSON metrics snapshot here on exit
 //	                 (see OBSERVABILITY.md)
@@ -104,7 +105,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	format := fs.String("format", "text", "output format: text or md")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for per-campaign JSONL checkpoints; an interrupted run resumes from them")
 	cacheDir := fs.String("cache-dir", "", "content-addressed per-function campaign profile cache; re-runs re-inject only edited functions (takes precedence over -checkpoint-dir)")
-	snapInterval := fs.Int("snapshot-interval", 2048, "dynamic instructions between golden-run snapshots that FI trials resume from (0 = full re-execution)")
+	snapInterval := fs.Int("snapshot-interval", 0, fmt.Sprintf("dynamic instructions between golden-run snapshots that FI trials resume from (0 = default %d, -1 = full re-execution)", fault.DefaultSnapshotInterval))
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit (see OBSERVABILITY.md)")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (program loads, campaign spans, errored trials)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address (e.g. :6060) for the run's lifetime")
@@ -186,21 +187,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	cfg := experiments.Config{
-		Samples:       *samples,
-		PerInstr:      *perInstr,
-		Seed:          *seed,
-		Workers:       *workers,
-		Context:       ctx,
-		CheckpointDir: *checkpointDir,
-		CacheDir:      *cacheDir,
-		// Config's convention: negative disables the snapshot engine.
+		Samples:          *samples,
+		PerInstr:         *perInstr,
+		Seed:             *seed,
+		Workers:          *workers,
+		Context:          ctx,
+		CheckpointDir:    *checkpointDir,
+		CacheDir:         *cacheDir,
 		SnapshotInterval: *snapInterval,
 		Metrics:          reg,
 		Trace:            trace,
 		Progress:         onProgress,
-	}
-	if *snapInterval == 0 {
-		cfg.SnapshotInterval = -1
 	}
 	if *programs != "" {
 		cfg.Programs = strings.Split(*programs, ",")

@@ -18,12 +18,17 @@
 // Usage:
 //
 //	fi -program pathfinder [-n 3000] [-seed 1] [-workers 4] [-per-instr]
-//	   [-snapshot-interval 2048] [-prune-bits]
+//	   [-snapshot-interval 0] [-prune-bits]
 //	   [-checkpoint trials.jsonl] [-resume] [-retries 2] [-trial-timeout 30s]
 //	   [-metrics-out metrics.json] [-trace-out trace.jsonl] [-debug-addr :6060]
 //	fi -ir file.tir [...]
 //	fi -remote http://localhost:8344 -program pathfinder [-shards 4]
 //	   [-detach | -job job-xxxx] [-trials-out trials.jsonl]
+//
+// Trials resume from golden-run snapshots taken every -snapshot-interval
+// dynamic instructions: 0 selects the default
+// (fault.DefaultSnapshotInterval) and -1 re-executes every trial in full
+// from instruction 0. Results are bit-identical either way.
 //
 // Exit codes follow the shell convention: 0 for a completed campaign,
 // 1 for errors, and 128+signum (130 for SIGINT, 143 for SIGTERM) when
@@ -79,7 +84,7 @@ func run(args []string) (int, error) {
 	resume := fs.Bool("resume", false, "require an existing checkpoint (refuse to start from scratch); implies -checkpoint")
 	retries := fs.Int("retries", 1, "retry attempts for trials failing with transient engine errors")
 	trialTimeout := fs.Duration("trial-timeout", 0, "per-trial wall-clock watchdog on top of the instruction budget (0 = none)")
-	snapInterval := fs.Uint64("snapshot-interval", 2048, "dynamic instructions between golden-run snapshots that trials resume from (0 = full re-execution)")
+	snapInterval := fs.Int("snapshot-interval", 0, fmt.Sprintf("dynamic instructions between golden-run snapshots that trials resume from (0 = default %d, -1 = full re-execution)", fault.DefaultSnapshotInterval))
 	pruneBits := fs.Bool("prune-bits", false, "skip injections into statically provably-masked bits, recording them benign without execution; results are bit-identical to an unpruned campaign (exact reweighting, see DESIGN.md §5i)")
 	stratify := fs.Bool("stratify", false, "stratified live-bit importance sampling: thin low-influence strata (noise, masked bits) deterministically and reweight executed trials by inverse inclusion probability; the weighted estimates stay unbiased at a fraction of the executed trials (see ANALYSIS.md)")
 	stratifyAdaptive := fs.Bool("stratify-adaptive", false, "two-phase adaptive (Neyman-allocation) stratified sampling: a static-shape pilot over the first ~20% of the slot budget (provably-masked slots thinned at the rate floor) estimates per-stratum SDC rates, the remaining slots are thinned under the derived plan, and pilot trials fold into the weighted estimate at the pilot plan's 1/q — executed trials never exceed -n (see ANALYSIS.md); with -cache-dir, plans are seeded from cached per-function profiles and the pilot is skipped on hits")
@@ -253,7 +258,7 @@ func run(args []string) (int, error) {
 	}
 	if *cacheDir != "" {
 		return runCompositional(ctx, fired, compositionalOpts{
-			inj: inj, module: m, n: *n, adaptive: *stratifyAdaptive, snapInterval: *snapInterval,
+			inj: inj, module: m, n: *n, adaptive: *stratifyAdaptive,
 			cacheDir: *cacheDir, composeOut: *composeOut, metricsOut: *metricsOut,
 			reg: reg, trace: trace, meter: meter, lastProgress: lastProgress,
 		})
@@ -279,7 +284,7 @@ func run(args []string) (int, error) {
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
 	}
 
-	printReplay(inj, *snapInterval, reg)
+	printReplay(inj, reg)
 	res := ares.CampaignResult
 	if cancelled {
 		fmt.Printf("\ncampaign cancelled after %.1fs: reporting the %d completed trials (of %d requested)\n",
@@ -382,7 +387,6 @@ type compositionalOpts struct {
 	module       *ir.Module
 	n            int
 	adaptive     bool
-	snapInterval uint64
 	cacheDir     string
 	composeOut   string
 	metricsOut   string
@@ -395,12 +399,12 @@ type compositionalOpts struct {
 // printReplay prints the snapshot-replay summary line after a campaign:
 // the golden snapshots trials resumed from, and how many of the trials
 // this process executed stopped early on rejoining the golden run.
-func printReplay(inj *fault.Injector, interval uint64, reg *telemetry.Registry) {
-	if interval == 0 {
+func printReplay(inj *fault.Injector, reg *telemetry.Registry) {
+	if inj.SnapshotInterval() < 0 {
 		return
 	}
 	fmt.Printf("snapshot replay: %d golden snapshots (interval %d); %d of %d executed trials rejoined the golden run\n",
-		inj.Snapshots(), interval, reg.Counter("fi.trials.rejoined").Load(), reg.Counter("fi.trials.executed").Load())
+		inj.Snapshots(), inj.SnapshotInterval(), reg.Counter("fi.trials.rejoined").Load(), reg.Counter("fi.trials.executed").Load())
 }
 
 // runCompositional executes the incremental campaign mode behind
@@ -433,7 +437,7 @@ func runCompositional(ctx context.Context, fired func() os.Signal, o composition
 			time.Since(start).Seconds(), res.N(), o.n)
 	}
 
-	printReplay(o.inj, o.snapInterval, o.reg)
+	printReplay(o.inj, o.reg)
 	mode := "compositional"
 	if o.adaptive {
 		mode = "adaptive compositional"

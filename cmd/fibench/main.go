@@ -17,7 +17,7 @@
 //
 //	fibench [-programs pathfinder,nw,sad,rgb2gray,nibblepack,boxblur]
 //	        [-n 400] [-seed 7] [-workers 4]
-//	        [-interval 2048] [-repeats 1] [-max-overhead 0]
+//	        [-interval N] [-repeats 1] [-max-overhead 0]
 //	        [-min-snapshot-speedup 0] [-min-pruned-ci-speedup 0]
 //	        [-min-strat-ci-shrink 0] [-min-adapt-ci-shrink 0]
 //	        [-baseline BENCH_fi.json]
@@ -80,7 +80,7 @@ type result struct {
 	Seed          uint64  `json:"seed"`
 	Workers       int     `json:"workers"`
 	GoldenDyn     uint64  `json:"golden_dyn_instrs"`
-	Interval      uint64  `json:"snapshot_interval"`
+	Interval      int     `json:"snapshot_interval"`
 	Snapshots     int     `json:"snapshots"`
 	SnapshotSetup float64 `json:"snapshot_setup_ms"`
 	FullMs        float64 `json:"full_ms"`
@@ -173,7 +173,7 @@ func run(args []string) error {
 	n := fs.Int("n", 400, "injections per campaign")
 	seed := fs.Uint64("seed", 7, "deterministic seed (same for both paths)")
 	workers := fs.Int("workers", 4, "parallel injection workers")
-	interval := fs.Uint64("interval", 2048, "snapshot interval in dynamic instructions")
+	interval := fs.Int("interval", fault.DefaultSnapshotInterval, "snapshot interval in dynamic instructions")
 	repeats := fs.Int("repeats", 1, "measure each campaign this many times and keep the fastest (the overhead pair: run this many interleaved pairs)")
 	maxOverhead := fs.Float64("max-overhead", 0, "fail if telemetry overhead exceeds this fraction (0 disables the gate)")
 	minSnapshot := fs.Float64("min-snapshot-speedup", 0, "fail if the geomean snapshot-vs-full speedup falls below this factor (0 disables the gate)")
@@ -188,8 +188,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *interval == 0 {
-		return fmt.Errorf("-interval must be positive (0 would benchmark full re-execution against itself)")
+	if *interval <= 0 {
+		return fmt.Errorf("-interval must be positive (the full re-execution baseline always runs)")
 	}
 	if *repeats < 1 {
 		return fmt.Errorf("-repeats must be at least 1")
@@ -474,16 +474,19 @@ func median(xs []float64) float64 {
 	return (xs[k-1] + xs[k]) / 2
 }
 
-func benchProgram(name string, n int, seed uint64, workers int, interval uint64, repeats int) (result, error) {
+func benchProgram(name string, n int, seed uint64, workers int, interval int, repeats int) (result, error) {
 	p, err := progs.ByName(name)
 	if err != nil {
 		return result{}, err
 	}
 	m := p.Build()
 
-	full, err := fault.New(m, fault.Options{Seed: seed, Workers: workers})
+	full, err := fault.New(m, fault.Options{Seed: seed, Workers: workers, SnapshotInterval: -1})
 	if err != nil {
 		return result{}, err
+	}
+	if k := full.Snapshots(); k != 0 {
+		return result{}, fmt.Errorf("full re-execution baseline holds %d snapshots", k)
 	}
 	fres, fullDur, err := timeCampaign(full, n, repeats)
 	if err != nil {

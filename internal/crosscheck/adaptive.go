@@ -33,7 +33,7 @@ import (
 // plan its pilot derived, so callers can sweep the static stratified
 // oracle over pilot-derived plans.
 func DerivePilotPlan(build func() *ir.Module, cfg fault.AdaptiveConfig, seed uint64, n int) (bitlive.Plan, error) {
-	inj, err := fault.New(build(), fault.Options{Seed: seed, SnapshotInterval: 2048, Adaptive: &cfg})
+	inj, err := fault.New(build(), fault.Options{Seed: seed, Adaptive: &cfg})
 	if err != nil {
 		return bitlive.Plan{}, fmt.Errorf("crosscheck: adaptive injector: %w", err)
 	}
@@ -79,7 +79,7 @@ func CheckAdaptiveUnbiased(name string, build func() *ir.Module, opts AdaptiveUn
 	if minCov <= 0 {
 		minCov = 0.85
 	}
-	truthInj, err := fault.New(build(), fault.Options{Seed: 0xB17C0DE, SnapshotInterval: 2048})
+	truthInj, err := fault.New(build(), fault.Options{Seed: 0xB17C0DE})
 	if err != nil {
 		return nil, 0, fmt.Errorf("crosscheck: ground-truth injector: %w", err)
 	}
@@ -93,7 +93,7 @@ func CheckAdaptiveUnbiased(name string, build func() *ir.Module, opts AdaptiveUn
 	covered := 0
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		cfg := opts.Config
-		inj, err := fault.New(build(), fault.Options{Seed: seed, SnapshotInterval: 2048, Adaptive: &cfg})
+		inj, err := fault.New(build(), fault.Options{Seed: seed, Adaptive: &cfg})
 		if err != nil {
 			return nil, truth, err
 		}

@@ -294,14 +294,18 @@ func isPrefix(p, s string) bool {
 }
 
 // CheckCheckpointResume runs a random campaign twice — once
-// uninterrupted, once interrupted partway and resumed from its JSONL
-// checkpoint — and requires bit-identical trial transcripts. dir is a
+// uninterrupted with full re-execution, once with snapshot replay,
+// interrupted partway and resumed from its JSONL checkpoint — and
+// requires bit-identical trial transcripts. dir is a
 // scratch directory for the checkpoint log; interruptAfter is the trial
 // count after which the first run cancels itself.
 func CheckCheckpointResume(name string, m *ir.Module, seed uint64, n, interruptAfter int, dir string) ([]Mismatch, error) {
-	injFull, err := fault.New(m, fault.Options{Seed: seed, Workers: 2})
+	injFull, err := fault.New(m, fault.Options{Seed: seed, Workers: 2, SnapshotInterval: -1})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: injector on %s: %w", name, err)
+	}
+	if k := injFull.Snapshots(); k != 0 {
+		return nil, fmt.Errorf("crosscheck: full re-execution injector on %s holds %d snapshots", name, k)
 	}
 	full, err := injFull.CampaignRandom(context.Background(), n)
 	if err != nil {

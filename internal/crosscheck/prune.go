@@ -37,10 +37,7 @@ type PruneSoundOptions struct {
 // mismatch for any outcome other than Benign. It returns the number of
 // injections performed alongside the mismatches.
 func CheckPruneSound(name string, m *ir.Module, opts PruneSoundOptions) ([]Mismatch, int, error) {
-	inj, err := fault.New(m, fault.Options{
-		Seed:             0xB17C0DE,
-		SnapshotInterval: 2048,
-	})
+	inj, err := fault.New(m, fault.Options{Seed: 0xB17C0DE})
 	if err != nil {
 		return nil, 0, fmt.Errorf("crosscheck: prune-sound injector: %w", err)
 	}

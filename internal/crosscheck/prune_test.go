@@ -109,11 +109,7 @@ func TestPrunedCampaignMatchesUnpruned(t *testing.T) {
 			}
 			const n = 400
 			run := func(pruneBits bool) *fault.CampaignResult {
-				inj, err := fault.New(p.Build(), fault.Options{
-					Seed:             42,
-					PruneBits:        pruneBits,
-					SnapshotInterval: 2048,
-				})
+				inj, err := fault.New(p.Build(), fault.Options{Seed: 42, PruneBits: pruneBits})
 				if err != nil {
 					t.Fatal(err)
 				}

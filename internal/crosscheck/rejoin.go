@@ -21,14 +21,17 @@ const rejoinTrials = 30
 // the mismatches and the number of snapshot-replay trials that
 // rejoined.
 func CheckRejoin(name string, m *ir.Module, seed uint64, n int) ([]Mismatch, uint64, error) {
-	full, err := fault.New(m, fault.Options{Seed: seed, Workers: 2})
+	full, err := fault.New(m, fault.Options{Seed: seed, Workers: 2, SnapshotInterval: -1})
 	if err != nil {
 		return nil, 0, fmt.Errorf("crosscheck: rejoin injector on %s: %w", name, err)
+	}
+	if k := full.Snapshots(); k != 0 {
+		return nil, 0, fmt.Errorf("crosscheck: full re-execution injector on %s holds %d snapshots", name, k)
 	}
 	reg := telemetry.NewRegistry()
 	snap, err := fault.New(m, fault.Options{
 		Seed: seed, Workers: 2, Metrics: reg,
-		SnapshotInterval: full.GoldenDynInstrs()/7 + 1,
+		SnapshotInterval: int(full.GoldenDynInstrs()/7) + 1,
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("crosscheck: rejoin snapshot injector on %s: %w", name, err)

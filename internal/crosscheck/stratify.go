@@ -33,7 +33,7 @@ import (
 // separate module instances, so trials are matched by stable identity
 // (position, instance, bit) like the pruning differential does.
 func CheckStratifySubset(name string, build func() *ir.Module, plan bitlive.Plan, seed uint64, n int) ([]Mismatch, error) {
-	plainInj, err := fault.New(build(), fault.Options{Seed: seed, SnapshotInterval: 2048})
+	plainInj, err := fault.New(build(), fault.Options{Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: stratify plain injector: %w", err)
 	}
@@ -41,7 +41,7 @@ func CheckStratifySubset(name string, build func() *ir.Module, plan bitlive.Plan
 	if err != nil {
 		return nil, err
 	}
-	stratInj, err := fault.New(build(), fault.Options{Seed: seed, SnapshotInterval: 2048, Stratify: &plan})
+	stratInj, err := fault.New(build(), fault.Options{Seed: seed, Stratify: &plan})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: stratify injector: %w", err)
 	}
@@ -168,7 +168,7 @@ func CheckStratifyUnbiased(name string, build func() *ir.Module, opts StratifyUn
 	if minCov <= 0 {
 		minCov = 0.85
 	}
-	truthInj, err := fault.New(build(), fault.Options{Seed: 0xB17C0DE, SnapshotInterval: 2048})
+	truthInj, err := fault.New(build(), fault.Options{Seed: 0xB17C0DE})
 	if err != nil {
 		return nil, 0, fmt.Errorf("crosscheck: ground-truth injector: %w", err)
 	}
@@ -181,7 +181,7 @@ func CheckStratifyUnbiased(name string, build func() *ir.Module, opts StratifyUn
 	covered := 0
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		plan := opts.Plan
-		inj, err := fault.New(build(), fault.Options{Seed: seed, SnapshotInterval: 2048, Stratify: &plan})
+		inj, err := fault.New(build(), fault.Options{Seed: seed, Stratify: &plan})
 		if err != nil {
 			return nil, truth, err
 		}

@@ -64,8 +64,8 @@ type Config struct {
 	// SnapshotInterval tunes the injectors' snapshot-replay engine: golden
 	// state snapshots are captured roughly this many dynamic instructions
 	// apart and trials resume from the nearest one before their injection
-	// point. Zero selects the default (2048); negative disables snapshots
-	// and runs every trial from instruction zero (full re-execution,
+	// point. Zero selects fault.DefaultSnapshotInterval; negative disables
+	// snapshots and runs every trial from instruction zero (full re-execution,
 	// kept for differential testing). Campaign results are bit-identical
 	// either way.
 	SnapshotInterval int
@@ -82,20 +82,16 @@ type Config struct {
 }
 
 // faultOptions builds injector options for the given sampling seed,
-// resolving the snapshot-interval convention above and threading the
-// config's observability sinks into the campaign engine.
+// threading the config's observability sinks into the campaign engine.
 func (c Config) faultOptions(seed uint64) fault.Options {
-	opts := fault.Options{
-		Seed:       seed,
-		Workers:    c.Workers,
-		Metrics:    c.Metrics,
-		Trace:      c.Trace,
-		OnProgress: c.Progress,
+	return fault.Options{
+		Seed:             seed,
+		Workers:          c.Workers,
+		SnapshotInterval: c.SnapshotInterval,
+		Metrics:          c.Metrics,
+		Trace:            c.Trace,
+		OnProgress:       c.Progress,
 	}
-	if c.SnapshotInterval > 0 {
-		opts.SnapshotInterval = uint64(c.SnapshotInterval)
-	}
-	return opts
 }
 
 // ctx resolves the configured cancellation context.
@@ -160,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 2018 // DSN'18
-	}
-	if c.SnapshotInterval == 0 {
-		c.SnapshotInterval = 2048
 	}
 	if len(c.Programs) == 0 {
 		for _, p := range progs.All() {

@@ -220,7 +220,9 @@ func TestTrialWatchdogIsTransient(t *testing.T) {
 	// A trial that cannot finish inside TrialTimeout fails with a transient
 	// EngineError (retryable), while campaign-level cancellation of the
 	// parent context propagates as the plain context error instead.
-	inj := newInjectorOpts(t, slowLoop, Options{Seed: 3, TrialTimeout: time.Millisecond})
+	// Full re-execution keeps the trial long: snapshot replay would
+	// resume it just before the injection point and finish in time.
+	inj := newInjectorOpts(t, slowLoop, Options{Seed: 3, TrialTimeout: time.Millisecond, SnapshotInterval: -1})
 	var sum *ir.Instr
 	for _, in := range inj.module.Func("main").Block("loop").Instrs {
 		if in.Name == "sum" {

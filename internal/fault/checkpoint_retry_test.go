@@ -29,11 +29,12 @@ func failingHook(pred func(bit int) bool) func(*ir.Instr, uint64, int, int) erro
 // and was checkpointed as Errored must be re-attempted — not replayed —
 // when the campaign resumes, and must never appear twice in the result.
 // With the failure gone by session 2, the resumed campaign must be
-// byte-identical to a campaign that never failed at all. Runs on both
-// the full re-execution and the snapshot execution paths.
+// byte-identical to a campaign that never failed at all. Runs on the
+// full re-execution path (-1) and on the snapshot path at the default
+// (0) and a dense interval.
 func TestResumeReattemptsErroredTrials(t *testing.T) {
 	const n = 100
-	for _, interval := range []uint64{0, 64} {
+	for _, interval := range []int{-1, 0, 64} {
 		interval := interval
 		t.Run(fmt.Sprintf("interval=%d", interval), func(t *testing.T) {
 			base := Options{Seed: 23, Workers: 4, MaxRetries: 2, SnapshotInterval: interval}

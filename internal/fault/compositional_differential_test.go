@@ -257,16 +257,13 @@ func TestCompositionalCrossEngineSharing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			injF, err := New(p.Build(), Options{Seed: 7, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			injF := newFull(t, p.Build(), Options{Seed: 7, Workers: 4})
 			resF, err := injF.CampaignCompositional(context.Background(), n, store)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hookOpts, executed := countingHook()
-			hookOpts.Seed, hookOpts.Workers, hookOpts.SnapshotInterval = 7, 4, 2048
+			hookOpts.Seed, hookOpts.Workers = 7, 4
 			injS, err := New(p.Build(), hookOpts)
 			if err != nil {
 				t.Fatal(err)

@@ -17,6 +17,44 @@ import (
 // run-from-instruction-zero campaign — same per-trial outcomes, crash
 // latencies, output hashes, rates, and error sets.
 
+// newFull builds a full re-execution injector (SnapshotInterval -1) and
+// checks it holds no snapshots, so a comparison against it can never
+// silently compare snapshot replay with itself.
+func newFull(t testing.TB, m *ir.Module, opts Options) *Injector {
+	t.Helper()
+	opts.SnapshotInterval = -1
+	inj, err := New(m, opts)
+	if err != nil {
+		t.Fatalf("full injector: %v", err)
+	}
+	if k := inj.Snapshots(); k != 0 {
+		t.Fatalf("full re-execution injector holds %d snapshots", k)
+	}
+	return inj
+}
+
+// TestSnapshotIntervalConvention pins Options.SnapshotInterval's
+// convention: the zero value selects DefaultSnapshotInterval and holds
+// golden snapshots, and a negative value holds none.
+func TestSnapshotIntervalConvention(t *testing.T) {
+	m := mustProg(t, "pathfinder").Build()
+	def, err := New(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := def.SnapshotInterval(); got != DefaultSnapshotInterval {
+		t.Errorf("Options{} resolves SnapshotInterval to %d, want %d", got, DefaultSnapshotInterval)
+	}
+	if def.GoldenDynInstrs() < 2*DefaultSnapshotInterval || def.Snapshots() == 0 {
+		t.Errorf("Options{} holds %d snapshots over %d golden instructions, want some",
+			def.Snapshots(), def.GoldenDynInstrs())
+	}
+	full := newFull(t, m, Options{})
+	if got := full.SnapshotInterval(); got != -1 {
+		t.Errorf("SnapshotInterval -1 resolves to %d", got)
+	}
+}
+
 // diffInjectors builds a full re-execution injector and a snapshot
 // injector over the same module and options, and checks the snapshot one
 // actually has snapshots (a vacuous pass would just re-execute in full
@@ -25,20 +63,14 @@ import (
 func diffInjectors(t *testing.T, p progs.Program, opts Options) (full, snap *Injector) {
 	t.Helper()
 	m := p.Build()
-	fullOpts := opts
-	fullOpts.SnapshotInterval = 0
-	var err error
-	full, err = New(m, fullOpts)
-	if err != nil {
-		t.Fatalf("full injector: %v", err)
-	}
+	full = newFull(t, m, opts)
 	snapOpts := opts
 	if snapOpts.SnapshotInterval == 0 {
 		// Aim for several snapshots across the run so trials actually
 		// resume from a mix of restore points.
-		snapOpts.SnapshotInterval = full.GoldenDynInstrs()/7 + 1
+		snapOpts.SnapshotInterval = int(full.GoldenDynInstrs()/7) + 1
 	}
-	snap, err = New(m, snapOpts)
+	snap, err := New(m, snapOpts)
 	if err != nil {
 		t.Fatalf("snapshot injector: %v", err)
 	}
@@ -139,16 +171,13 @@ func TestDifferentialPerTrialDetails(t *testing.T) {
 // including the degenerate case where no trial finds a usable snapshot.
 func TestDifferentialSnapshotIntervalSweep(t *testing.T) {
 	p := progs.All()[0]
-	full, err := New(p.Build(), Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := newFull(t, p.Build(), Options{Seed: 5})
 	want, err := full.CampaignRandom(context.Background(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := full.GoldenDynInstrs()
-	for _, interval := range []uint64{1, 13, golden / 100, golden / 3, golden, golden * 4} {
+	golden := int(full.GoldenDynInstrs())
+	for _, interval := range []int{1, 13, golden / 100, golden / 3, golden, golden * 4} {
 		if interval == 0 {
 			continue
 		}
@@ -176,17 +205,14 @@ func TestDifferentialSnapshotIntervalSweep(t *testing.T) {
 func TestDifferentialCheckpointedCampaign(t *testing.T) {
 	p := progs.All()[1]
 	const n = 40
-	full, err := New(p.Build(), Options{Seed: 11, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := newFull(t, p.Build(), Options{Seed: 11, Workers: 4})
 	want, err := full.CampaignRandom(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
-	interval := full.GoldenDynInstrs()/5 + 1
+	interval := int(full.GoldenDynInstrs()/5) + 1
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -91,10 +91,7 @@ func TestDifferentialDecodedEngine(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			m := p.Build()
-			full, err := New(m, Options{Seed: 42, Workers: 4})
-			if err != nil {
-				t.Fatalf("full injector: %v", err)
-			}
+			full := newFull(t, m, Options{Seed: 42, Workers: 4})
 			want, err := full.CampaignRandom(context.Background(), n)
 			if err != nil {
 				t.Fatalf("full campaign: %v", err)
@@ -107,7 +104,7 @@ func TestDifferentialDecodedEngine(t *testing.T) {
 				}
 			}
 			configs := map[string]Options{
-				"snapshot": {Seed: 42, Workers: 4, SnapshotInterval: full.GoldenDynInstrs()/7 + 1},
+				"snapshot": {Seed: 42, Workers: 4, SnapshotInterval: int(full.GoldenDynInstrs()/7) + 1},
 				"serial":   {Seed: 42, Workers: 1},
 			}
 			for name, opts := range configs {
@@ -142,7 +139,7 @@ func TestDifferentialDecodedPerTrial(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			m := p.Build()
-			inj, err := New(m, Options{Seed: 7, SnapshotInterval: 2048})
+			inj, err := New(m, Options{Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -143,8 +143,10 @@ type Options struct {
 	// suffix is the golden suffix (DESIGN.md §5c). The interpreter is
 	// deterministic, so trial outcomes are bit-identical to full
 	// re-execution from instruction 0 (enforced by the differential test
-	// suite). Zero re-executes every trial in full, to its end.
-	SnapshotInterval uint64
+	// suite). Zero selects DefaultSnapshotInterval; a negative value
+	// re-executes every trial in full, to its end (full re-execution,
+	// kept as the differential and benchmark baseline).
+	SnapshotInterval int
 	// TrialHook, when non-nil, runs before every trial attempt with the
 	// trial spec and 1-based attempt number. A non-nil return (or a panic)
 	// fails the attempt. It exists to inject faults into the fault
@@ -206,6 +208,10 @@ type Options struct {
 	OnProgress func(Progress)
 }
 
+// DefaultSnapshotInterval is the golden-snapshot spacing, in dynamic
+// instructions, that Options.SnapshotInterval's zero value selects.
+const DefaultSnapshotInterval = 2048
+
 const (
 	defaultHangFactor = 10
 	defaultWorkers    = 4
@@ -240,7 +246,7 @@ type Injector struct {
 	total   uint64
 
 	// snaps are the golden-run snapshots for snapshot-replay trials, in
-	// execution order (empty when SnapshotInterval is 0). counts[i] maps
+	// execution order (empty under full re-execution). counts[i] maps
 	// each instruction to how many of its dynamic executions completed
 	// strictly before snaps[i] (non-decreasing across snapshots), which
 	// is what maps a trial's (instruction, instance) fault point to the
@@ -272,6 +278,9 @@ func New(m *ir.Module, opts Options) (*Injector, error) {
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = defaultWorkers
+	}
+	if opts.SnapshotInterval == 0 {
+		opts.SnapshotInterval = DefaultSnapshotInterval
 	}
 	inj := &Injector{module: m, opts: opts, execCount: make(map[*ir.Instr]uint64)}
 	inj.moduleHash = hashutil.Module(m)
@@ -358,7 +367,7 @@ func New(m *ir.Module, opts Options) (*Injector, error) {
 // it reproduced the golden run exactly, so a nondeterminism bug in the
 // engine surfaces here instead of silently corrupting trial outcomes.
 func (inj *Injector) captureSnapshots() error {
-	interval := inj.opts.SnapshotInterval
+	interval := uint64(inj.opts.SnapshotInterval)
 	if min := inj.goldenDyn / maxSnapshots; interval < min {
 		interval = min
 	}
@@ -403,6 +412,11 @@ func (inj *Injector) captureSnapshots() error {
 // Snapshots returns the number of golden-run snapshots held for
 // snapshot-replay trials (0 when every trial re-executes in full).
 func (inj *Injector) Snapshots() int { return len(inj.snaps) }
+
+// SnapshotInterval returns the resolved Options.SnapshotInterval: the
+// requested golden-snapshot spacing, or a negative value under full
+// re-execution.
+func (inj *Injector) SnapshotInterval() int { return inj.opts.SnapshotInterval }
 
 // snapshotBefore returns the index of the latest golden snapshot captured
 // strictly before the instance-th dynamic execution of target, or -1 when

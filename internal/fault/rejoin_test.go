@@ -81,11 +81,8 @@ func TestRejoinFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(m, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	interval := full.GoldenDynInstrs()/10 + 1
+	full := newFull(t, m, Options{Seed: 1})
+	interval := int(full.GoldenDynInstrs()/10) + 1
 	cases := []struct {
 		name     string
 		instr    string

@@ -9,11 +9,13 @@
 package server
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"trident/internal/progs"
+	"trident/internal/telemetry"
 )
 
 func TestServerDifferentialAllKernels(t *testing.T) {
@@ -106,6 +108,34 @@ func TestServerDifferentialDecodedEngine(t *testing.T) {
 	}
 	diffTrials(t, spooled.Result().Trials, fresh.Result().Trials, "spooled vs fresh job")
 	diffTrials(t, spooled.Result().Trials, directTrials(t, req), "spooled job vs direct run")
+}
+
+// TestServerSnapshotInterval pins the wire convention of
+// snapshot_interval: a job that leaves it unset runs its shards by
+// snapshot replay (the server's registry counts snapshot resumes), -1
+// re-executes every trial from instruction 0, and both are
+// trial-for-trial identical to a local full re-execution campaign.
+func TestServerSnapshotInterval(t *testing.T) {
+	for _, interval := range []int{0, -1} {
+		t.Run(fmt.Sprintf("interval=%d", interval), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			s := newSupervisedServer(t, func(c *Config) { c.Metrics = reg })
+			s.Start()
+			req := &SubmitRequest{Program: "nw", N: 40, Seed: 11, Shards: 2, SnapshotInterval: interval}
+			j, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitTerminal(t, j); st != JobDone {
+				t.Fatalf("state = %s (%s), want done", st, j.status().Error)
+			}
+			resumes := reg.Counter("interp.snapshot.resumes").Load()
+			if (resumes > 0) != (interval == 0) {
+				t.Errorf("interp.snapshot.resumes = %d, want snapshot replay %v", resumes, interval == 0)
+			}
+			diffTrials(t, j.Result().Trials, directTrials(t, req), "job vs full re-execution")
+		})
+	}
 }
 
 // TestServerDifferentialPrunedJob pins prune_bits through the wire

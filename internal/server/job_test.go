@@ -28,8 +28,8 @@ func spoolJob(t testing.TB, spool, id, jobJSON string) string {
 // TestLoadJobRevalidates: a restarted server re-checks every spooled
 // submission against its own limits. Jobs over a lowered trial, shard or
 // wall-clock budget, and a job.json setting both stratify and
-// stratify_adaptive, are skipped instead of re-queued; a job within the
-// limits still loads.
+// stratify_adaptive, are skipped instead of re-queued; jobs within the
+// limits still load, a positive or negative snapshot_interval included.
 func TestLoadJobRevalidates(t *testing.T) {
 	spool := t.TempDir()
 	spoolJob(t, spool, "job-trials", `{"id": "job-trials", "req": {"program": "nw", "n": 500, "shards": 1}}`)
@@ -37,6 +37,8 @@ func TestLoadJobRevalidates(t *testing.T) {
 	spoolJob(t, spool, "job-wall", `{"id": "job-wall", "req": {"program": "nw", "n": 40, "shards": 1, "max_wall_ms": 600000}}`)
 	spoolJob(t, spool, "job-both", `{"id": "job-both", "req": {"program": "rgb2gray", "n": 40, "shards": 1, "stratify": true, "stratify_adaptive": true}}`)
 	spoolJob(t, spool, "job-ok", `{"id": "job-ok", "req": {"program": "nw", "n": 40, "shards": 2}}`)
+	spoolJob(t, spool, "job-snap", `{"id": "job-snap", "req": {"program": "nw", "n": 40, "shards": 2, "snapshot_interval": 512}}`)
+	spoolJob(t, spool, "job-full", `{"id": "job-full", "req": {"program": "nw", "n": 40, "shards": 2, "snapshot_interval": -1}}`)
 
 	s := newSupervisedServer(t, func(c *Config) {
 		c.Spool = spool
@@ -49,6 +51,15 @@ func TestLoadJobRevalidates(t *testing.T) {
 	}
 	if s.q.get("job-ok") == nil {
 		t.Fatal("a valid spooled job was not recovered")
+	}
+	for id, want := range map[string]int{"job-snap": 512, "job-full": -1} {
+		j := s.q.get(id)
+		if j == nil {
+			t.Fatalf("%s: a valid spooled job was not recovered", id)
+		}
+		if got := j.req.SnapshotInterval; got != want {
+			t.Errorf("%s: snapshot_interval = %d, want %d", id, got, want)
+		}
 	}
 	for _, id := range []string{"job-trials", "job-both"} {
 		if _, _, err := loadJob(filepath.Join(spool, "jobs", id), s.limits); err == nil {

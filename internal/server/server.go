@@ -160,7 +160,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	switch cfg.WorkerMode {
 	case "inproc":
-		s.runner = &inprocRunner{chaos: cfg.ChaosTrialDelay}
+		s.runner = &inprocRunner{chaos: cfg.ChaosTrialDelay, metrics: cfg.Metrics}
 	case "exec":
 		path := cfg.ExecPath
 		if path == "" {

@@ -296,7 +296,11 @@ func (s *Server) buildResult(j *Job, state JobState) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	inj, err := fault.New(mod, j.req.faultOptions())
+	// The merge only replays the log and runs no trial, so it skips the
+	// snapshot-capture pass each shard already paid for.
+	opts := j.req.faultOptions()
+	opts.SnapshotInterval = -1
+	inj, err := fault.New(mod, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -95,17 +95,24 @@ func waitTerminal(t *testing.T, j *Job) JobState {
 	}
 }
 
-// directTrials runs the same campaign through a bare Injector — the
-// reference half of every bit-identity comparison.
+// directTrials runs the same campaign through a bare full re-execution
+// Injector — the reference half of every bit-identity comparison, so
+// the service's snapshot-replay shards are checked against trials run
+// from instruction 0.
 func directTrials(t *testing.T, req *SubmitRequest) []TrialRecord {
 	t.Helper()
 	mod, err := req.BuildModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := fault.New(mod, req.faultOptions())
+	opts := req.faultOptions()
+	opts.SnapshotInterval = -1
+	inj, err := fault.New(mod, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if k := inj.Snapshots(); k != 0 {
+		t.Fatalf("full re-execution injector holds %d snapshots", k)
 	}
 	res, err := inj.CampaignRandom(context.Background(), req.N)
 	if err != nil {

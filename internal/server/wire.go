@@ -78,8 +78,10 @@ type SubmitRequest struct {
 	Shards int `json:"shards,omitempty"`
 	// Workers is the per-shard trial worker count (0 = fault default).
 	Workers int `json:"workers,omitempty"`
-	// SnapshotInterval enables snapshot-replay trials (see fault.Options).
-	SnapshotInterval uint64 `json:"snapshot_interval,omitempty"`
+	// SnapshotInterval is the golden-snapshot spacing that trials resume
+	// from (see fault.Options): 0 selects fault.DefaultSnapshotInterval,
+	// -1 (any negative value) re-executes every trial in full.
+	SnapshotInterval int `json:"snapshot_interval,omitempty"`
 	// MaxRetries bounds per-trial retries of transient engine failures.
 	MaxRetries int `json:"max_retries,omitempty"`
 	// TrialTimeoutMS is the per-trial wall-clock watchdog in ms (0 = none).

@@ -15,6 +15,7 @@ func TestDecodeSubmitStrict(t *testing.T) {
 	}{
 		{"minimal", `{"program":"pathfinder","n":10}`, 0, true},
 		{"full", `{"program":"nw","n":5,"seed":7,"shards":2,"workers":3,"snapshot_interval":512}`, 0, true},
+		{"full re-execution", `{"program":"nw","n":5,"snapshot_interval":-1}`, 0, true},
 		{"unknown field", `{"program":"nw","n":5,"bogus":1}`, 0, false},
 		// The interpreter engine is no longer selectable: a request that
 		// still names one is refused, not silently run.
@@ -121,6 +122,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add([]byte(`{"ir":"func @main() {\n}","n":1,"seed":18446744073709551615}`))
 	f.Add([]byte(`{"n":-1}`))
 	f.Add([]byte(`{"program":"nw","n":5,"engine":"legacy"}`))
+	f.Add([]byte(`{"program":"nw","n":5,"snapshot_interval":-1}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"program":"x","n":1}{"program":"y","n":2}`))

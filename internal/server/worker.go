@@ -30,6 +30,7 @@ import (
 	"trident/internal/fault"
 	"trident/internal/ir"
 	"trident/internal/sigctx"
+	"trident/internal/telemetry"
 )
 
 // shardProgress carries a shard's live progress to the supervisor.
@@ -109,9 +110,11 @@ func chaosHook(d time.Duration) func(*ir.Instr, uint64, int, int) error {
 // inprocRunner runs shards inside the server process. Every attempt
 // builds a fresh module and injector, so concurrent shards of the same
 // job never share mutable interpreter state, and a retried attempt
-// starts from a clean engine plus the shard's checkpoint.
+// starts from a clean engine plus the shard's checkpoint. Campaign and
+// interpreter telemetry of every shard goes to the server's registry.
 type inprocRunner struct {
-	chaos time.Duration // per-trial delay for crash drills (0 = none)
+	chaos   time.Duration // per-trial delay for crash drills (0 = none)
+	metrics *telemetry.Registry
 }
 
 func (r *inprocRunner) runShard(ctx context.Context, j *Job, shard int, phase shardPhase, progress func(shardProgress)) error {
@@ -120,6 +123,7 @@ func (r *inprocRunner) runShard(ctx context.Context, j *Job, shard int, phase sh
 		return err
 	}
 	opts := j.req.faultOptions()
+	opts.Metrics = r.metrics
 	opts.OnProgress = func(p fault.Progress) {
 		var sp shardProgress
 		sp.done = p.Done

@@ -52,7 +52,10 @@ echo "prunecheck: pruned campaign (snapshot replay)"
 run "$TMP/pruned.log" "$TMP/pruned.jsonl" -prune-bits
 
 echo "prunecheck: pruned campaign (full re-execution)"
-run "$TMP/pruned-full.log" "$TMP/pruned-full.jsonl" -prune-bits -snapshot-interval 0
+run "$TMP/pruned-full.log" "$TMP/pruned-full.jsonl" -prune-bits -snapshot-interval -1
+# fi prints its snapshot-replay line only when trials resume from snapshots.
+! grep -q '^snapshot replay:' "$TMP/pruned-full.log" \
+    || fail "full re-execution run used snapshot replay: $(grep '^snapshot replay:' "$TMP/pruned-full.log")"
 
 check_pruned() { # log checkpoint label
     grep '^bit-liveness pruning:' "$1" | grep -qv ' 0\.0% ' \

@@ -119,21 +119,16 @@ type Options struct {
 	// SnapshotInterval tunes the snapshot-replay fault-injection engine:
 	// golden-run state snapshots are captured roughly this many dynamic
 	// instructions apart and each trial resumes from the nearest snapshot
-	// before its injection point. Zero selects the default (2048);
-	// negative disables snapshots so every trial re-executes from
-	// instruction zero (full re-execution). Campaign results are
-	// bit-identical either way.
+	// before its injection point. Zero selects
+	// fault.DefaultSnapshotInterval; negative disables snapshots so every
+	// trial re-executes from instruction zero (full re-execution).
+	// Campaign results are bit-identical either way.
 	SnapshotInterval int
 }
 
-// faultOptions builds injector options from o, resolving the
-// snapshot-interval convention above.
+// faultOptions builds injector options from o.
 func (o Options) faultOptions() fault.Options {
-	fo := fault.Options{Seed: o.Seed, Workers: o.Workers}
-	if o.SnapshotInterval > 0 {
-		fo.SnapshotInterval = uint64(o.SnapshotInterval)
-	}
-	return fo
+	return fault.Options{Seed: o.Seed, Workers: o.Workers, SnapshotInterval: o.SnapshotInterval}
 }
 
 // ctx resolves the configured context.
@@ -150,9 +145,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Samples == 0 {
 		o.Samples = 3000
-	}
-	if o.SnapshotInterval == 0 {
-		o.SnapshotInterval = 2048
 	}
 	return o
 }
