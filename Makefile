@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-all doc loc fuzz-smoke servercheck cachecheck prunecheck stratcheck adaptcheck
+.PHONY: build test check race bench bench-all doc loc fuzz-smoke servercheck prunecheck stratcheck adaptcheck
 
 build:
 	$(GO) build ./...
@@ -47,13 +47,10 @@ doc:
 # shard worker mid-campaign, SIGTERMs the server (expecting exit 143 and
 # the job re-queued on disk), restarts over the same spool, and requires
 # the resumed merged result to be byte-identical to a clean run of the
-# same campaign. The cachecheck drill closes the loop on the
-# compositional profile cache: run, edit one kernel function, re-run,
-# and require that only the edited function re-injected and the composed
-# result byte-compares with a from-scratch campaign (the cache/hashutil
-# packages also run under -race alongside the other concurrent tiers,
-# and the bitlive pass runs under -race too — its Report is shared by
-# campaign workers). The prunecheck drill closes the loop on
+# same campaign. The cache/hashutil packages behind the server's result
+# cache also run under -race alongside the other concurrent tiers, and
+# the bitlive pass runs under -race too — its Report is shared by
+# campaign workers. The prunecheck drill closes the loop on
 # bit-liveness pruning: pruned and unpruned campaigns through the real
 # CLI, with and without snapshot replay, must report identical summaries
 # and identical per-trial transcripts (DESIGN.md §5i,
@@ -63,9 +60,8 @@ doc:
 # plain campaign's SDC probability (scripts/stratcheck.sh). The
 # adaptcheck drill closes the loop on adaptive (Neyman) allocation:
 # pilot-derived plans must replay byte-identically from their own
-# checkpoints, adaptive transcripts must be fenced from plain and
-# stratified ones, and cache-seeded plans must skip the pilot while
-# composing byte-identically to a cold run (scripts/adaptcheck.sh). The
+# checkpoints, and adaptive transcripts must be fenced from plain and
+# stratified ones (scripts/adaptcheck.sh). The
 # stats package races alongside the other tiers — its weighted tallies
 # are accumulated by concurrent campaign code. The model package races in
 # short mode: its concurrency test runs several models over one shared
@@ -80,7 +76,6 @@ check: build doc
 	$(MAKE) fuzz-smoke
 	$(GO) run ./cmd/fibench -programs pathfinder -n 300 -repeats 27 -max-overhead 0.03 -min-snapshot-speedup 1.1 -baseline BENCH_fi.json -out /dev/null
 	$(MAKE) servercheck
-	$(MAKE) cachecheck
 	$(MAKE) prunecheck
 	$(MAKE) stratcheck
 	$(MAKE) adaptcheck
@@ -89,11 +84,6 @@ check: build doc
 # scripts/servercheck.sh for the exact choreography.
 servercheck:
 	bash scripts/servercheck.sh
-
-# cachecheck is the compositional cache's edit-and-rerun drill; see
-# scripts/cachecheck.sh for the exact choreography.
-cachecheck:
-	bash scripts/cachecheck.sh
 
 # prunecheck is the bit-liveness pruning drill: pruned vs unpruned
 # campaigns through the real CLI must be bit-identical; see
@@ -109,9 +99,8 @@ stratcheck:
 	bash scripts/stratcheck.sh
 
 # adaptcheck is the adaptive-stratification drill: pilot-derived plans
-# must replay deterministically, and cached profiles must buy back the
-# pilot without changing a byte of the composed result; see
-# scripts/adaptcheck.sh for the exact choreography.
+# must replay deterministically, and mismatched resumes must be refused;
+# see scripts/adaptcheck.sh for the exact choreography.
 adaptcheck:
 	bash scripts/adaptcheck.sh
 

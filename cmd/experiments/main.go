@@ -14,10 +14,9 @@
 //	-workers int     parallel FI workers (default 4)
 //	-format string   "text" (default) or "md" (markdown tables)
 //	-checkpoint-dir  directory for per-campaign JSONL checkpoints; an
-//	                 interrupted run (Ctrl-C, crash) resumes from them
-//	-cache-dir       content-addressed per-function campaign profile
-//	                 cache; re-runs re-inject only edited functions
-//	                 (takes precedence over -checkpoint-dir)
+//	                 interrupted run (Ctrl-C, crash) resumes from them,
+//	                 and a re-run of a finished campaign replays it from
+//	                 its log without executing a trial
 //	-snapshot-interval int
 //	                 dynamic instructions between golden-run snapshots that
 //	                 FI trials resume from; 0 selects the default
@@ -104,7 +103,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 4, "parallel FI workers")
 	format := fs.String("format", "text", "output format: text or md")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for per-campaign JSONL checkpoints; an interrupted run resumes from them")
-	cacheDir := fs.String("cache-dir", "", "content-addressed per-function campaign profile cache; re-runs re-inject only edited functions (takes precedence over -checkpoint-dir)")
 	snapInterval := fs.Int("snapshot-interval", 0, fmt.Sprintf("dynamic instructions between golden-run snapshots that FI trials resume from (0 = default %d, -1 = full re-execution)", fault.DefaultSnapshotInterval))
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit (see OBSERVABILITY.md)")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (program loads, campaign spans, errored trials)")
@@ -193,7 +191,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Workers:          *workers,
 		Context:          ctx,
 		CheckpointDir:    *checkpointDir,
-		CacheDir:         *cacheDir,
 		SnapshotInterval: *snapInterval,
 		Metrics:          reg,
 		Trace:            trace,

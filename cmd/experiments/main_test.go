@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"trident/internal/experiments"
+	"trident/internal/telemetry"
 )
 
 // TestRejectsUnknownNames checks that a misspelt experiment or format is
@@ -67,5 +68,45 @@ func TestMarkdownHeadings(t *testing.T) {
 		if !strings.Contains(out, "["+name+" completed in ") {
 			t.Errorf("no completion stamp for %s:\n%s", name, out)
 		}
+	}
+}
+
+// TestCheckpointDirReRunReplays is the re-run path for an unchanged
+// campaign: a second run over the same -checkpoint-dir replays every
+// trial from its log, executes none, and prints the same report as the
+// first run and as a run without checkpoints.
+func TestCheckpointDirReRunReplays(t *testing.T) {
+	base := []string{"-run", "fig5", "-programs", "pathfinder,blackscholes", "-progress=false"}
+	ckArgs := append([]string{"-checkpoint-dir", t.TempDir()}, base...)
+	executed := telemetry.Default.Counter("fi.trials.executed")
+	stamp := regexp.MustCompile(`(?m)^\[\w+ completed in [0-9.]+s\]$`)
+	report := func(args []string) string {
+		t.Helper()
+		var stdout, stderr strings.Builder
+		if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		return stamp.ReplaceAllString(stdout.String(), "[stamp]")
+	}
+
+	plain := report(base)
+	if !strings.Contains(plain, "[stamp]") {
+		t.Fatalf("no completion stamp in the report:\n%s", plain)
+	}
+	before := executed.Load()
+	first := report(ckArgs)
+	if executed.Load() == before {
+		t.Fatal("the first -checkpoint-dir run executed no trial")
+	}
+	before = executed.Load()
+	second := report(ckArgs)
+	if got := executed.Load() - before; got != 0 {
+		t.Errorf("the re-run executed %d trials, want 0", got)
+	}
+	if second != first {
+		t.Errorf("re-run report differs from the first run:\n%s\nvs\n%s", second, first)
+	}
+	if first != plain {
+		t.Errorf("-checkpoint-dir report differs from a run without it:\n%s\nvs\n%s", first, plain)
 	}
 }

@@ -38,7 +38,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,9 +47,7 @@ import (
 	"time"
 
 	"trident/internal/bitlive"
-	"trident/internal/cache"
 	"trident/internal/fault"
-	"trident/internal/hashutil"
 	"trident/internal/ir"
 	"trident/internal/progs"
 	"trident/internal/server"
@@ -79,15 +76,13 @@ func run(args []string) (int, error) {
 	workers := fs.Int("workers", 4, "parallel injection workers")
 	perInstr := fs.Bool("per-instr", false, "also report per-instruction SDC probabilities (uses -n per instruction / 10)")
 	checkpoint := fs.String("checkpoint", "", "JSONL trial log: completed trials are persisted here and replayed on restart")
-	cacheDir := fs.String("cache-dir", "", "run an incremental compositional campaign against a content-addressed per-function profile cache rooted here; only functions whose body hash changed since the cached run re-inject")
-	composeOut := fs.String("compose-out", "", "with -cache-dir: write the composed per-function result as deterministic JSON here (cache-state independent, so runs can be byte-compared)")
 	resume := fs.Bool("resume", false, "require an existing checkpoint (refuse to start from scratch); implies -checkpoint")
 	retries := fs.Int("retries", 1, "retry attempts for trials failing with transient engine errors")
 	trialTimeout := fs.Duration("trial-timeout", 0, "per-trial wall-clock watchdog on top of the instruction budget (0 = none)")
 	snapInterval := fs.Int("snapshot-interval", 0, fmt.Sprintf("dynamic instructions between golden-run snapshots that trials resume from (0 = default %d, -1 = full re-execution)", fault.DefaultSnapshotInterval))
 	pruneBits := fs.Bool("prune-bits", false, "skip injections into statically provably-masked bits, recording them benign without execution; results are bit-identical to an unpruned campaign (exact reweighting, see DESIGN.md §5i)")
 	stratify := fs.Bool("stratify", false, "stratified live-bit importance sampling: thin low-influence strata (noise, masked bits) deterministically and reweight executed trials by inverse inclusion probability; the weighted estimates stay unbiased at a fraction of the executed trials (see ANALYSIS.md)")
-	stratifyAdaptive := fs.Bool("stratify-adaptive", false, "two-phase adaptive (Neyman-allocation) stratified sampling: a static-shape pilot over the first ~20% of the slot budget (provably-masked slots thinned at the rate floor) estimates per-stratum SDC rates, the remaining slots are thinned under the derived plan, and pilot trials fold into the weighted estimate at the pilot plan's 1/q — executed trials never exceed -n (see ANALYSIS.md); with -cache-dir, plans are seeded from cached per-function profiles and the pilot is skipped on hits")
+	stratifyAdaptive := fs.Bool("stratify-adaptive", false, "two-phase adaptive (Neyman-allocation) stratified sampling: a static-shape pilot over the first ~20% of the slot budget (provably-masked slots thinned at the rate floor) estimates per-stratum SDC rates, the remaining slots are thinned under the derived plan, and pilot trials fold into the weighted estimate at the pilot plan's 1/q — executed trials never exceed -n (see ANALYSIS.md)")
 	maskedRate := fs.Float64("stratify-masked-rate", bitlive.DefaultMaskedRate, "with -stratify: inclusion rate of the provably-masked stratum in the static plan, in (0, 1]")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit (see OBSERVABILITY.md)")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (campaign spans, errored trials)")
@@ -98,7 +93,7 @@ func run(args []string) (int, error) {
 	detach := fs.Bool("detach", false, "with -remote: submit, print the job id, and exit without watching")
 	shards := fs.Int("shards", 0, "with -remote: shard count for the server-side campaign (0 = server default)")
 	trialsOut := fs.String("trials-out", "", "with -remote: write the result's per-trial records as JSONL here")
-	dumpIR := fs.Bool("dump-ir", false, "print the selected module's canonical IR to stdout and exit (for scripted edit-and-rerun drills)")
+	dumpIR := fs.Bool("dump-ir", false, "print the selected module's canonical IR to stdout and exit (for scripted edits fed back through -ir)")
 	if err := fs.Parse(args); err != nil {
 		return 2, nil
 	}
@@ -121,14 +116,8 @@ func run(args []string) (int, error) {
 	if *resume && *checkpoint == "" {
 		return 1, fmt.Errorf("-resume requires -checkpoint")
 	}
-	if *composeOut != "" && *cacheDir == "" {
-		return 1, fmt.Errorf("-compose-out requires -cache-dir")
-	}
-	if *cacheDir != "" && (*checkpoint != "" || *perInstr || *remote != "") {
-		return 1, fmt.Errorf("-cache-dir is incompatible with -checkpoint, -per-instr and -remote")
-	}
-	if *stratify && (*cacheDir != "" || *perInstr) {
-		return 1, fmt.Errorf("-stratify is incompatible with -cache-dir and -per-instr")
+	if *stratify && *perInstr {
+		return 1, fmt.Errorf("-stratify is incompatible with -per-instr")
 	}
 	if *stratify && *stratifyAdaptive {
 		return 1, fmt.Errorf("-stratify and -stratify-adaptive are mutually exclusive: an adaptive campaign derives its own plan")
@@ -256,13 +245,6 @@ func run(args []string) (int, error) {
 		fmt.Printf("bit-liveness pruning: %.1f%% of activation-weighted bits provably masked\n",
 			inj.PrunedFraction()*100)
 	}
-	if *cacheDir != "" {
-		return runCompositional(ctx, fired, compositionalOpts{
-			inj: inj, module: m, n: *n, adaptive: *stratifyAdaptive,
-			cacheDir: *cacheDir, composeOut: *composeOut, metricsOut: *metricsOut,
-			reg: reg, trace: trace, meter: meter, lastProgress: lastProgress,
-		})
-	}
 
 	start := time.Now()
 	// One call serves every sampling mode the options select; -resume
@@ -382,20 +364,6 @@ func printStratumTable(sres *fault.StratifiedResult) {
 	}
 }
 
-type compositionalOpts struct {
-	inj          *fault.Injector
-	module       *ir.Module
-	n            int
-	adaptive     bool
-	cacheDir     string
-	composeOut   string
-	metricsOut   string
-	reg          *telemetry.Registry
-	trace        *telemetry.Trace
-	meter        *telemetry.ProgressMeter
-	lastProgress func() string
-}
-
 // printReplay prints the snapshot-replay summary line after a campaign:
 // the golden snapshots trials resumed from, and how many of the trials
 // this process executed stopped early on rejoining the golden run.
@@ -405,154 +373,6 @@ func printReplay(inj *fault.Injector, reg *telemetry.Registry) {
 	}
 	fmt.Printf("snapshot replay: %d golden snapshots (interval %d); %d of %d executed trials rejoined the golden run\n",
 		inj.Snapshots(), inj.SnapshotInterval(), reg.Counter("fi.trials.rejoined").Load(), reg.Counter("fi.trials.executed").Load())
-}
-
-// runCompositional executes the incremental campaign mode behind
-// -cache-dir: per-function sections are replayed from the content-
-// addressed profile cache when their body hash and golden-run stamp
-// still match, and re-injected (then cached) otherwise. With
-// -stratify-adaptive, each section runs the two-phase adaptive campaign
-// instead — and on a cache hit the plan is seeded from the cached
-// per-stratum tallies, skipping the pilot entirely.
-func runCompositional(ctx context.Context, fired func() os.Signal, o compositionalOpts) (int, error) {
-	store, err := cache.Open(o.cacheDir, cache.Options{Metrics: o.reg, Trace: o.trace})
-	if err != nil {
-		return 1, err
-	}
-	start := time.Now()
-	res, err := o.inj.CampaignCompositional(ctx, o.n, store)
-	o.meter.Final(o.lastProgress)
-	cancelled := errors.Is(err, context.Canceled)
-	if err != nil && !cancelled {
-		return 1, err
-	}
-	if o.metricsOut != "" {
-		if werr := writeMetrics(o.reg, o.metricsOut); werr != nil {
-			return 1, werr
-		}
-		fmt.Fprintf(os.Stderr, "metrics written to %s\n", o.metricsOut)
-	}
-	if cancelled {
-		fmt.Printf("\ncampaign cancelled after %.1fs: reporting the %d completed trials (of %d requested); finished sections are cached\n",
-			time.Since(start).Seconds(), res.N(), o.n)
-	}
-
-	printReplay(o.inj, o.reg)
-	mode := "compositional"
-	if o.adaptive {
-		mode = "adaptive compositional"
-	}
-	fmt.Printf("\n%s campaign over %s (%d trials, cache %s):\n",
-		mode, o.module.Name, res.N(), o.cacheDir)
-	fmt.Printf("%-16s %-18s %10s %7s  %s\n", "function", "body hash", "weight", "trials", "cache")
-	for i := range res.Funcs {
-		fc := &res.Funcs[i]
-		state := "MISS (injected)"
-		switch {
-		case o.adaptive && fc.Seeded:
-			state = "SEED (plan from plain profile, no pilot)"
-		case fc.Cached:
-			state = "HIT  (replayed)"
-		case o.adaptive:
-			state = fmt.Sprintf("MISS (pilot %d + main)", fc.PilotN)
-		}
-		fmt.Printf("@%-15s %-18s %10d %7d  %s\n",
-			fc.Name, hashutil.Hex(fc.BodyHash), fc.Weight, len(fc.Records), state)
-		if o.adaptive && fc.Plan != "" {
-			fmt.Printf("  %-15s plan %s\n", "", fc.Plan)
-		}
-	}
-	if o.adaptive {
-		fmt.Printf("cache: %d hit(s), %d miss(es); %d plan(s) seeded from plain profiles, %d pilot trials executed\n",
-			res.Hits, res.Misses, res.SeededFuncs, res.PilotExecuted)
-	} else {
-		fmt.Printf("cache: %d hit(s), %d miss(es)\n", res.Hits, res.Misses)
-	}
-	fmt.Printf("\ncomposed outcome rates:\n")
-	for _, o2 := range fault.AllOutcomes {
-		name := o2.String()
-		if cnt, ok := res.Composed.Counts[name]; ok && (o2 != fault.Errored || cnt > 0) {
-			fmt.Printf("  %-9s %6d  (%.2f%%)\n", name, cnt, res.Composed.Rates[name]*100)
-		}
-	}
-	fmt.Printf("SDC probability: %.2f%% ± %.2f%% (95%% CI, Wilson from merged tallies)\n",
-		res.Composed.SDC*100, res.Composed.ErrorBar95()*100)
-
-	if o.composeOut != "" && !cancelled {
-		if werr := writeCompose(o.composeOut, o.module.Name, res); werr != nil {
-			return 1, werr
-		}
-		fmt.Fprintf(os.Stderr, "composed result written to %s\n", o.composeOut)
-	}
-	if cancelled {
-		return sigctx.ExitCode(fired()), nil
-	}
-	return 0, nil
-}
-
-// composeFileFunc is one function's section in the -compose-out JSON.
-// Cache hit/miss state is deliberately absent: the file depends only on
-// the campaign's inputs and outcomes, so an incremental run and a
-// from-scratch run of the same campaign produce byte-identical files —
-// the property scripts/cachecheck.sh asserts with cmp.
-type composeFileFunc struct {
-	Func     string           `json:"func"`
-	BodyHash string           `json:"body_hash"`
-	Weight   uint64           `json:"weight"`
-	N        int              `json:"n"`
-	Counts   map[string]int   `json:"counts"`
-	Trials   []cache.TrialRec `json:"trials"`
-}
-
-type composeFile struct {
-	Module     string             `json:"module"`
-	Trials     int                `json:"trials"`
-	Classified int                `json:"classified"`
-	Funcs      []composeFileFunc  `json:"funcs"`
-	Counts     map[string]int     `json:"counts"`
-	Rates      map[string]float64 `json:"rates"`
-	SDC        float64            `json:"sdc"`
-	SDCLo      float64            `json:"sdc_lo"`
-	SDCHi      float64            `json:"sdc_hi"`
-}
-
-func writeCompose(path, module string, res *fault.CompositionalResult) error {
-	out := composeFile{
-		Module:     module,
-		Trials:     res.Composed.Trials,
-		Classified: res.Composed.Classified,
-		Counts:     res.Composed.Counts,
-		Rates:      res.Composed.Rates,
-		SDC:        res.Composed.SDC,
-		SDCLo:      res.Composed.SDCLo,
-		SDCHi:      res.Composed.SDCHi,
-	}
-	for i := range res.Funcs {
-		fc := &res.Funcs[i]
-		out.Funcs = append(out.Funcs, composeFileFunc{
-			Func:     fc.Name,
-			BodyHash: hashutil.Hex(fc.BodyHash),
-			Weight:   fc.Weight,
-			N:        fc.N,
-			Counts:   outcomeNames(fc.Counts),
-			Trials:   fc.Records,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// outcomeNames converts an Outcome-keyed tally to string keys (JSON maps
-// sort keys, keeping the file deterministic).
-func outcomeNames(counts map[fault.Outcome]int) map[string]int {
-	out := make(map[string]int, len(counts))
-	for o, n := range counts {
-		out[o.String()] = n
-	}
-	return out
 }
 
 // writeMetrics dumps a registry snapshot as indented JSON at path.

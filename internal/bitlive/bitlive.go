@@ -43,7 +43,7 @@ import (
 )
 
 // Version names the analysis and its revision. It is folded into every
-// per-function mask-table hash (FuncHash), so campaign-cache entries
+// mask-table hash (ModuleHash), so result-cache entries and checkpoints
 // keyed on pruned campaigns stop matching whenever the transfer
 // functions change — the same contract fault.ModelVersion gives the
 // injection semantics.
@@ -134,12 +134,10 @@ func (r *Report) Masks(fn *ir.Func) []InstrMask {
 	return out
 }
 
-// FuncHash returns the content address of one function's mask table:
+// funcHash returns the content address of one function's mask table:
 // the hash of Version plus every (instruction ID, live mask) pair in ID
-// order. Campaign caches key pruned sections on it so a change to the
-// analysis (or to the function body, which reassigns masks) can never
-// replay a profile computed under different pruning decisions.
-func (r *Report) FuncHash(fn *ir.Func) uint64 {
+// order.
+func (r *Report) funcHash(fn *ir.Func) uint64 {
 	var sb strings.Builder
 	sb.WriteString(Version)
 	sb.WriteByte('|')
@@ -152,13 +150,15 @@ func (r *Report) FuncHash(fn *ir.Func) uint64 {
 	return hashutil.String(sb.String())
 }
 
-// ModuleHash folds FuncHash over every function of m in definition
-// order — the whole-module analogue the server's job-result cache keys
-// pruned campaigns on.
+// ModuleHash folds funcHash over every function of m in definition
+// order: the server's job-result cache and checkpoint headers key pruned
+// campaigns on it, so a change to the analysis (or to the module, which
+// reassigns masks) can never replay results computed under different
+// pruning decisions.
 func (r *Report) ModuleHash(m *ir.Module) uint64 {
 	var sb strings.Builder
 	for _, fn := range m.Funcs {
-		fmt.Fprintf(&sb, "%x|", r.FuncHash(fn))
+		fmt.Fprintf(&sb, "%x|", r.funcHash(fn))
 	}
 	return hashutil.String(sb.String())
 }

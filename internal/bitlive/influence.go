@@ -193,10 +193,10 @@ func (inf *Influence) Masks(in *ir.Instr) [NumStrata]uint64 {
 	return inf.masks[in]
 }
 
-// FuncHash content-addresses one function's stratum tables: the hash of
+// funcHash content-addresses one function's stratum tables: the hash of
 // InfluenceVersion plus every (instruction ID, per-stratum masks) tuple
 // in ID order.
-func (inf *Influence) FuncHash(fn *ir.Func) uint64 {
+func (inf *Influence) funcHash(fn *ir.Func) uint64 {
 	var sb strings.Builder
 	sb.WriteString(InfluenceVersion)
 	sb.WriteByte('|')
@@ -213,12 +213,12 @@ func (inf *Influence) FuncHash(fn *ir.Func) uint64 {
 	return hashutil.String(sb.String())
 }
 
-// ModuleHash folds FuncHash over every function of m in definition
+// ModuleHash folds funcHash over every function of m in definition
 // order — the influence analogue of Report.ModuleHash.
 func (inf *Influence) ModuleHash(m *ir.Module) uint64 {
 	var sb strings.Builder
 	for _, fn := range m.Funcs {
-		fmt.Fprintf(&sb, "%x|", inf.FuncHash(fn))
+		fmt.Fprintf(&sb, "%x|", inf.funcHash(fn))
 	}
 	return hashutil.String(sb.String())
 }
@@ -243,24 +243,6 @@ func (st StratumStats) Fraction(s Stratum) float64 {
 func (inf *Influence) ModuleStats(m *ir.Module) StratumStats {
 	var st StratumStats
 	m.Instrs(func(in *ir.Instr) {
-		if !in.HasResult() {
-			return
-		}
-		ms := inf.masks[in]
-		for s := 0; s < NumStrata; s++ {
-			st.Bits[s] += bits.OnesCount64(ms[s])
-		}
-		st.Total += in.Type.Bits()
-	})
-	return st
-}
-
-// FuncStats surveys one function's result-defining instructions — the
-// per-function analogue of ModuleStats, used by compositional adaptive
-// campaigns to scope pilot evidence to the section being sampled.
-func (inf *Influence) FuncStats(fn *ir.Func) StratumStats {
-	var st StratumStats
-	fn.Instrs(func(in *ir.Instr) {
 		if !in.HasResult() {
 			return
 		}

@@ -8,12 +8,12 @@ import (
 	"trident/internal/progs"
 )
 
-// FuzzCacheKeyCanonical feeds arbitrary IR text (seeded with the 11
-// kernel sources) to the parser: anything that parses must hash
-// identically after a print→parse round trip, both per function and
-// for the whole module. This is the cache-key canonicality contract —
-// a module and its serialized form must always address the same cache
-// entries — probed over a far wider input space than the hand-written
+// FuzzCacheKeyCanonical feeds arbitrary IR text (seeded with the kernel
+// sources) to the parser: anything that parses must hash identically
+// after a print→parse round trip. This is the cache-key canonicality
+// contract — a module and its serialized form must always address the
+// same result-cache entry and validate against the same checkpoint
+// header — probed over a far wider input space than the hand-written
 // corpus.
 func FuzzCacheKeyCanonical(f *testing.F) {
 	for _, p := range progs.All() {
@@ -30,19 +30,6 @@ func FuzzCacheKeyCanonical(f *testing.F) {
 		}
 		if h, h2 := hashutil.Module(m), hashutil.Module(m2); h != h2 {
 			t.Fatalf("module hash not canonical: %s → %s", hashutil.Hex(h), hashutil.Hex(h2))
-		}
-		if len(m.Funcs) != len(m2.Funcs) {
-			t.Fatalf("round trip changed function count: %d → %d", len(m.Funcs), len(m2.Funcs))
-		}
-		for i, fn := range m.Funcs {
-			fn2 := m2.Funcs[i]
-			if fn.Name != fn2.Name {
-				t.Fatalf("round trip reordered functions: @%s → @%s", fn.Name, fn2.Name)
-			}
-			if h, h2 := hashutil.Function(fn), hashutil.Function(fn2); h != h2 {
-				t.Fatalf("@%s: function hash not canonical: %s → %s",
-					fn.Name, hashutil.Hex(h), hashutil.Hex(h2))
-			}
 		}
 	})
 }

@@ -1,21 +1,19 @@
-// Package cache is the content-addressed campaign-profile store behind
-// incremental fault-injection campaigns (FastFlip-style, PAPERS.md): a
-// per-function outcome profile is cached under a key that includes the
-// function's canonical body hash and the campaign's fault-model
-// configuration, and whole-program estimates are recomposed from cached
-// profiles weighted by dynamic counts. Because every ingredient of the
-// key is a content address, staleness does not exist as a state — a
-// stale entry is simply an entry whose key is never asked for again.
+// Package cache is the content-addressed store behind the campaign
+// server's whole-job result cache (internal/server): a finished job's
+// result is stored under a key built from the campaign's content
+// address — module hash, fault-model version, seed, trial count and
+// sampling design — so an identical later job is served without running
+// a trial. Because every ingredient of the key is a content address,
+// staleness does not exist as a state — a stale entry is simply an entry
+// whose key is never asked for again.
 //
 // The store itself is generic: any JSON-serializable (key, payload) pair
-// can be stored, and the server's whole-job result cache reuses it. Disk
-// corruption is never trusted and never fatal: each entry carries a
-// checksum over its key and payload bytes, and a torn or tampered entry
-// (the SIGKILL-mid-write case) is detected, reported through the
-// cache.torn counter, and treated as a miss, mirroring the checkpoint
-// log's torn-tail tolerance. DESIGN.md §5h covers the compositional
-// campaign built on this store; §5i covers the pruning field of its
-// keys.
+// can be stored. Disk corruption is never trusted and never fatal: each
+// entry carries a checksum over its key and payload bytes, and a torn or
+// tampered entry (the SIGKILL-mid-write case) is detected, reported
+// through the cache.torn counter, and treated as a miss, mirroring the
+// checkpoint log's torn-tail tolerance. DESIGN.md §5h covers how
+// campaigns are re-run, this cache among them.
 package cache
 
 import (

@@ -13,9 +13,8 @@ import (
 
 // FuzzStoreGet writes arbitrary bytes as the entry file of one key and
 // reads the key back. The envelope decoder is the one path every
-// on-disk entry goes through (per-function profiles and the server's
-// job results alike), so whatever the bytes, Get must not panic and
-// must either
+// on-disk entry (a server job result) goes through, so whatever the
+// bytes, Get must not panic and must either
 //
 //   - hit, with exactly the payload a checksummed envelope of the
 //     current version for that key holds, or
@@ -27,7 +26,7 @@ func FuzzStoreGet(f *testing.F) {
 	warnf = func(string, ...any) {}
 	f.Cleanup(func() { warnf = old })
 
-	key := FuncKey{Kind: FuncProfileKind, Func: "main", BodyHash: "abc", Seed: 42, N: 2}
+	key := testKey{Module: "main", Hash: "abc", Seed: 42, N: 2}
 	keyBytes, err := json.Marshal(key)
 	if err != nil {
 		f.Fatal(err)
@@ -37,9 +36,9 @@ func FuzzStoreGet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := seed.Put(key, FuncProfile{
+	if err := seed.Put(key, testPayload{
 		Counts: map[string]int{"sdc": 1, "benign": 1},
-		Trials: []TrialRec{{Instr: 3, Instance: 7, Bit: 5, Outcome: "sdc", Latency: 4}},
+		Trials: []testTrial{{Instr: 3, Instance: 7, Bit: 5, Outcome: "sdc", Latency: 4}},
 	}); err != nil {
 		f.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func FuzzStoreGet(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var got FuncProfile
+		var got testPayload
 		hit := s.Get(key, &got)
 		torn := reg.Counter("cache.torn").Load()
 		if h, m := reg.Counter("cache.hits").Load(), reg.Counter("cache.misses").Load(); h+m != 1 {
@@ -82,7 +81,7 @@ func FuzzStoreGet(f *testing.F) {
 			if !intact || string(env.Key) != string(keyBytes) {
 				t.Fatalf("hit on an entry that is not an intact envelope for the key: %q", data)
 			}
-			var want FuncProfile
+			var want testPayload
 			if err := json.Unmarshal(env.Payload, &want); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("hit payload %+v, the envelope holds %+v (%v)", got, want, err)
 			}

@@ -10,6 +10,28 @@ import (
 	"trident/internal/telemetry"
 )
 
+// testKey, testPayload and testTrial stand in for a caller's key and
+// payload: the store takes any JSON-serializable pair.
+type testKey struct {
+	Module string `json:"module"`
+	Hash   string `json:"hash"`
+	Seed   uint64 `json:"seed"`
+	N      int    `json:"n"`
+}
+
+type testPayload struct {
+	Counts map[string]int `json:"counts"`
+	Trials []testTrial    `json:"trials"`
+}
+
+type testTrial struct {
+	Instr    int    `json:"instr"`
+	Instance uint64 `json:"instance"`
+	Bit      int    `json:"bit"`
+	Outcome  string `json:"outcome"`
+	Latency  uint64 `json:"latency,omitempty"`
+}
+
 // captureWarnings redirects warnf for one test.
 func captureWarnings(t *testing.T) *[]string {
 	t.Helper()
@@ -30,13 +52,13 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := FuncKey{Kind: FuncProfileKind, Func: "main", BodyHash: "abc", Seed: 42, N: 10}
-	in := FuncProfile{
+	key := testKey{Module: "main", Hash: "abc", Seed: 42, N: 10}
+	in := testPayload{
 		Counts: map[string]int{"benign": 7, "sdc": 3},
-		Trials: []TrialRec{{Instr: 4, Instance: 9, Bit: 17, Outcome: "sdc", Latency: 12}},
+		Trials: []testTrial{{Instr: 4, Instance: 9, Bit: 17, Outcome: "sdc", Latency: 12}},
 	}
 
-	var out FuncProfile
+	var out testPayload
 	if s.Get(key, &out) {
 		t.Fatal("Get before Put reported a hit")
 	}
@@ -53,11 +75,11 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Errorf("hits=%d misses=%d, want 1 and 1", h, m)
 	}
 
-	// A different key — even one differing only in the stamp — misses.
+	// A different key — even one differing only in the seed — misses.
 	other := key
-	other.Stamp.GoldenDyn = 1
+	other.Seed++
 	if s.Get(other, &out) {
-		t.Error("stamp-differing key hit")
+		t.Error("seed-differing key hit")
 	}
 }
 
@@ -67,15 +89,15 @@ func TestStoreSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := FuncKey{Kind: FuncProfileKind, Func: "f", BodyHash: "h", N: 1}
-	if err := s1.Put(key, FuncProfile{Counts: map[string]int{"benign": 1}}); err != nil {
+	key := testKey{Module: "f", Hash: "h", N: 1}
+	if err := s1.Put(key, testPayload{Counts: map[string]int{"benign": 1}}); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out FuncProfile
+	var out testPayload
 	if !s2.Get(key, &out) {
 		t.Fatal("entry not visible after reopening the store")
 	}
@@ -111,8 +133,8 @@ func TestStoreTornEntryIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	warnings := captureWarnings(t)
-	key := FuncKey{Kind: FuncProfileKind, Func: "main", BodyHash: "abc", N: 5}
-	if err := s.Put(key, FuncProfile{Counts: map[string]int{"sdc": 5}}); err != nil {
+	key := testKey{Module: "main", Hash: "abc", N: 5}
+	if err := s.Put(key, testPayload{Counts: map[string]int{"sdc": 5}}); err != nil {
 		t.Fatal(err)
 	}
 	files := entryFiles(t, dir)
@@ -127,7 +149,7 @@ func TestStoreTornEntryIsMiss(t *testing.T) {
 		if err := os.WriteFile(files[0], full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var out FuncProfile
+		var out testPayload
 		if s.Get(key, &out) {
 			t.Fatalf("torn entry (truncated to %d/%d bytes) read as a hit", cut, len(full))
 		}
@@ -140,10 +162,10 @@ func TestStoreTornEntryIsMiss(t *testing.T) {
 	}
 
 	// Re-putting heals the entry.
-	if err := s.Put(key, FuncProfile{Counts: map[string]int{"sdc": 5}}); err != nil {
+	if err := s.Put(key, testPayload{Counts: map[string]int{"sdc": 5}}); err != nil {
 		t.Fatal(err)
 	}
-	var out FuncProfile
+	var out testPayload
 	if !s.Get(key, &out) || out.Counts["sdc"] != 5 {
 		t.Error("re-put after torn entry did not restore the profile")
 	}
@@ -158,8 +180,8 @@ func TestStoreDetectsBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	captureWarnings(t)
-	key := FuncKey{Kind: FuncProfileKind, Func: "main", BodyHash: "abc", N: 5}
-	if err := s.Put(key, FuncProfile{Counts: map[string]int{"sdc": 5, "benign": 0}}); err != nil {
+	key := testKey{Module: "main", Hash: "abc", N: 5}
+	if err := s.Put(key, testPayload{Counts: map[string]int{"sdc": 5, "benign": 0}}); err != nil {
 		t.Fatal(err)
 	}
 	file := entryFiles(t, dir)[0]
@@ -173,7 +195,7 @@ func TestStoreDetectsBitFlip(t *testing.T) {
 		if err := os.WriteFile(file, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var out FuncProfile
+		var out testPayload
 		if s.Get(key, &out) {
 			// A flip may land in JSON whitespace-free structure and still
 			// parse; the checksum must then reject it. A hit is only
@@ -190,14 +212,14 @@ func TestStorePutOverwrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := FuncKey{Kind: FuncProfileKind, Func: "main", BodyHash: "abc", N: 2}
-	if err := s.Put(key, FuncProfile{Counts: map[string]int{"benign": 2}}); err != nil {
+	key := testKey{Module: "main", Hash: "abc", N: 2}
+	if err := s.Put(key, testPayload{Counts: map[string]int{"benign": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(key, FuncProfile{Counts: map[string]int{"sdc": 2}}); err != nil {
+	if err := s.Put(key, testPayload{Counts: map[string]int{"sdc": 2}}); err != nil {
 		t.Fatal(err)
 	}
-	var out FuncProfile
+	var out testPayload
 	if !s.Get(key, &out) || out.Counts["sdc"] != 2 || out.Counts["benign"] != 0 {
 		t.Errorf("overwrite not visible: %+v", out)
 	}

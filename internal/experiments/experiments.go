@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"trident/internal/cache"
 	"trident/internal/core"
 	"trident/internal/fault"
 	"trident/internal/interp"
@@ -51,16 +50,9 @@ type Config struct {
 	// CheckpointDir, when set, persists every statistical campaign as a
 	// JSONL log in that directory so an interrupted experiment run resumes
 	// with its completed trials replayed from disk.
+	// A re-run over a complete log executes no trial: the log header
+	// pins the module hash, so an unchanged campaign replays in full.
 	CheckpointDir string
-	// CacheDir, when set, runs statistical campaigns compositionally
-	// against a content-addressed per-function profile cache rooted
-	// there: re-running after an edit re-injects only functions whose
-	// body hash (or golden-run stamp) changed. Takes precedence over
-	// CheckpointDir for statistical campaigns. Note the compositional
-	// sampler apportions trials per function, so rates are not expected
-	// to be bit-identical to CampaignRandom's global sampler — they are
-	// statistically equivalent, and bit-stable run to run.
-	CacheDir string
 	// SnapshotInterval tunes the injectors' snapshot-replay engine: golden
 	// state snapshots are captured roughly this many dynamic instructions
 	// apart and trials resume from the nearest one before their injection
@@ -110,9 +102,7 @@ func (c Config) campaignRandom(inj *fault.Injector, label string, n int) (*fault
 	span := c.Trace.Start("experiment-campaign", telemetry.Attrs{"label": label, "n": n})
 	var res *fault.CampaignResult
 	var err error
-	if c.CacheDir != "" {
-		res, err = c.campaignCached(inj, n)
-	} else if c.CheckpointDir == "" {
+	if c.CheckpointDir == "" {
 		res, err = inj.CampaignRandom(c.ctx(), n)
 	} else {
 		path := filepath.Join(c.CheckpointDir,
@@ -128,23 +118,6 @@ func (c Config) campaignRandom(inj *fault.Injector, label string, n int) (*fault
 		span.EndWith(telemetry.Attrs{"err": fmt.Sprint(err)})
 	}
 	return res, err
-}
-
-// campaignCached runs inj's statistical campaign through the
-// compositional per-function profile cache rooted at CacheDir and
-// flattens the result back to a CampaignResult so every experiment
-// renders identically. Cache hits skip injection entirely; misses run
-// live and populate the cache for the next experiment run.
-func (c Config) campaignCached(inj *fault.Injector, n int) (*fault.CampaignResult, error) {
-	store, err := cache.Open(c.CacheDir, cache.Options{Metrics: c.Metrics, Trace: c.Trace})
-	if err != nil {
-		return nil, err
-	}
-	comp, err := inj.CampaignCompositional(c.ctx(), n, store)
-	if err != nil {
-		return nil, err
-	}
-	return comp.Merged()
 }
 
 func (c Config) withDefaults() Config {

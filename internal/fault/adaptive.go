@@ -116,9 +116,8 @@ func AdaptiveHashFor(m *ir.Module, cfg AdaptiveConfig) string {
 	return adaptiveHash(inf.ModuleHash(m), cfg)
 }
 
-// adaptiveHash folds an influence-table hash (a module's, or one
-// function's for compositional cache keys) with the resolved pilot
-// fraction and rate floor.
+// adaptiveHash folds a module's influence-table hash with the resolved
+// pilot fraction and rate floor.
 func adaptiveHash(influence uint64, cfg AdaptiveConfig) string {
 	c := cfg.withDefaults()
 	return hashutil.Hex(hashutil.String(fmt.Sprintf("adaptive|%x|%x|%x",

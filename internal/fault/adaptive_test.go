@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"trident/internal/bitlive"
-	"trident/internal/cache"
 )
 
 func adaptInjector(t *testing.T, name string, opts Options) *Injector {
@@ -21,7 +20,7 @@ func adaptInjector(t *testing.T, name string, opts Options) *Injector {
 // of its campaign stream.
 func designOf(t *testing.T, inj *Injector, m mode, n int) *design {
 	t.Helper()
-	d, err := inj.newDesign(m, inj.opts.Seed, inj.sampleRandom(n), nil)
+	d, err := inj.newDesign(m, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,140 +439,5 @@ func TestAdaptiveOptionsValidation(t *testing.T) {
 	}
 	if _, err := plainInj.CampaignAdaptive(context.Background(), 10); err == nil {
 		t.Fatal("CampaignAdaptive ran without Options.Adaptive")
-	}
-}
-
-// TestAdaptiveCompositionalSeedsFromPlainProfiles is the cache-seeding
-// contract: after a plain compositional campaign populates the store, an
-// adaptive compositional campaign derives every section's plan from the
-// cached profiles and executes zero pilot trials — and repeated warm
-// runs reproduce the identical composed estimate and transcript.
-func TestAdaptiveCompositionalSeedsFromPlainProfiles(t *testing.T) {
-	const n, seed = 240, 77
-	store, err := cache.Open(t.TempDir(), cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := adaptInjector(t, "rgb2gray", Options{Seed: seed})
-	if _, err := plain.CampaignCompositional(context.Background(), n, store); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := AdaptiveConfig{}
-	cold := adaptInjector(t, "rgb2gray", Options{Seed: seed, Adaptive: &cfg})
-	coldRes, err := cold.CampaignCompositional(context.Background(), n, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldRes.PilotExecuted != 0 {
-		t.Fatalf("seeded campaign executed %d pilot trials, want 0", coldRes.PilotExecuted)
-	}
-	if coldRes.SeededFuncs != len(coldRes.Funcs) {
-		t.Fatalf("%d of %d sections seeded", coldRes.SeededFuncs, len(coldRes.Funcs))
-	}
-	for i := range coldRes.Funcs {
-		fc := &coldRes.Funcs[i]
-		if !fc.Seeded || !fc.Cached || fc.PilotN != 0 {
-			t.Fatalf("section @%s: Seeded=%v Cached=%v PilotN=%d", fc.Name, fc.Seeded, fc.Cached, fc.PilotN)
-		}
-		if fc.N > 0 && len(fc.Records) >= fc.N {
-			t.Fatalf("section @%s executed %d of %d slots: nothing thinned", fc.Name, len(fc.Records), fc.N)
-		}
-	}
-
-	warm := adaptInjector(t, "rgb2gray", Options{Seed: seed, Adaptive: &cfg})
-	warmRes, err := warm.CampaignCompositional(context.Background(), n, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmRes.PilotExecuted != 0 {
-		t.Fatalf("warm campaign executed %d pilot trials", warmRes.PilotExecuted)
-	}
-	if warmRes.Composed.SDC != coldRes.Composed.SDC ||
-		warmRes.Composed.SDCLo != coldRes.Composed.SDCLo ||
-		warmRes.Composed.SDCHi != coldRes.Composed.SDCHi ||
-		warmRes.Composed.EffN != coldRes.Composed.EffN {
-		t.Fatalf("warm composed estimate drifted: %+v vs %+v", warmRes.Composed, coldRes.Composed)
-	}
-	if len(warmRes.Funcs) != len(coldRes.Funcs) {
-		t.Fatalf("warm run has %d sections, cold %d", len(warmRes.Funcs), len(coldRes.Funcs))
-	}
-	for i := range coldRes.Funcs {
-		a, b := &coldRes.Funcs[i], &warmRes.Funcs[i]
-		if a.Plan != b.Plan || len(a.Records) != len(b.Records) {
-			t.Fatalf("section @%s drifted warm vs cold", a.Name)
-		}
-		for j := range a.Records {
-			if a.Records[j] != b.Records[j] {
-				t.Fatalf("section @%s record %d drifted", a.Name, j)
-			}
-		}
-	}
-}
-
-// TestAdaptiveCompositionalColdThenCached: with an empty store the
-// campaign runs per-section pilots live and caches adaptive profiles; a
-// second run replays them with zero execution and identical results.
-func TestAdaptiveCompositionalColdThenCached(t *testing.T) {
-	const n, seed = 200, 13
-	store, err := cache.Open(t.TempDir(), cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := AdaptiveConfig{}
-	first := adaptInjector(t, "nibblepack", Options{Seed: seed, Adaptive: &cfg})
-	res1, err := first.CampaignCompositional(context.Background(), n, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.PilotExecuted == 0 {
-		t.Fatal("cold adaptive campaign executed no pilot trials")
-	}
-	if res1.Misses != len(res1.Funcs) {
-		t.Fatalf("cold run hit the cache: %d hits", res1.Hits)
-	}
-
-	second := adaptInjector(t, "nibblepack", Options{Seed: seed, Adaptive: &cfg})
-	res2, err := second.CampaignCompositional(context.Background(), n, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.PilotExecuted != 0 {
-		t.Fatalf("cached run executed %d pilot trials", res2.PilotExecuted)
-	}
-	if res2.Hits != len(res2.Funcs) {
-		t.Fatalf("cached run: %d hits of %d sections", res2.Hits, len(res2.Funcs))
-	}
-	if res2.Composed.SDC != res1.Composed.SDC || res2.Composed.EffN != res1.Composed.EffN {
-		t.Fatalf("cached composed estimate drifted: %+v vs %+v", res2.Composed, res1.Composed)
-	}
-	if res1.N() != res2.N() {
-		t.Fatalf("trial counts drifted: %d vs %d", res1.N(), res2.N())
-	}
-}
-
-// TestAdaptiveCompositionalBudget: executed trials never exceed the
-// apportioned slot budget, per section and in total.
-func TestAdaptiveCompositionalBudget(t *testing.T) {
-	const n, seed = 180, 3
-	cfg := AdaptiveConfig{}
-	inj := adaptInjector(t, "boxblur", Options{Seed: seed, Adaptive: &cfg})
-	res, err := inj.CampaignCompositional(context.Background(), n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i := range res.Funcs {
-		fc := &res.Funcs[i]
-		if len(fc.Records) > fc.N {
-			t.Fatalf("section @%s executed %d of %d slots", fc.Name, len(fc.Records), fc.N)
-		}
-		total += len(fc.Records)
-	}
-	if total > n {
-		t.Fatalf("campaign executed %d trials of a %d budget", total, n)
-	}
-	if res.N() != total {
-		t.Fatalf("N() = %d, sections sum to %d", res.N(), total)
 	}
 }

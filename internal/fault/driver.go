@@ -1,10 +1,10 @@
 // This file is the campaign driver: every statistical campaign — plain,
 // pruned, stratified or adaptive; whole, sharded or one wave; executed
-// live, resumed from a checkpoint, replayed from a log, or run as one
-// section of a compositional campaign — goes through one sampling
-// design. A design holds the drawn slot stream (the n sequential draws
-// of the campaign seed), the per-slot influence strata, and a list of
-// phases, each a slot range thinned under one plan:
+// live, resumed from a checkpoint, or replayed from a log — goes
+// through one sampling design. A design holds the drawn slot stream
+// (the n sequential draws of the campaign seed), the per-slot influence
+// strata, and a list of phases, each a slot range thinned under one
+// plan:
 //
 //	plain       one all-ones phase over [0, n), no classification;
 //	stratified  one phase over [0, n) under Options.Stratify;
@@ -28,7 +28,6 @@ import (
 
 	"trident/internal/bitlive"
 	"trident/internal/hashutil"
-	"trident/internal/ir"
 )
 
 // mode is a campaign's sampling design family.
@@ -113,15 +112,15 @@ type phase struct {
 	// previous phase once that phase has run.
 	derived bool
 	// evidence marks a phase whose outcomes only feed the next phase's
-	// plan: it is never sharded and its trials join no result.
+	// plan — the pilot of a main-wave run, replayed from the pilot log:
+	// it is never sharded and its trials join no result.
 	evidence bool
 }
 
 // design is one campaign's sampling design, and the record of one drive
 // over it.
 type design struct {
-	// seed keys the slot-inclusion hash: the campaign seed, or a
-	// compositional section's funcSeed.
+	// seed keys the slot-inclusion hash: the campaign seed.
 	seed  uint64
 	specs []trialSpec
 	// inf and strata classify every drawn slot; both are nil for a plain
@@ -142,12 +141,10 @@ type design struct {
 	derived bool
 }
 
-// newDesign lays out the phases of mode m over the drawn specs. fn
-// scopes plan derivation to one function's strata (a compositional
-// section); nil means the whole module.
-func (inj *Injector) newDesign(m mode, seed uint64, specs []trialSpec, fn *ir.Func) (*design, error) {
-	d := &design{seed: seed, specs: specs}
-	n := len(specs)
+// newDesign draws the n-slot stream of the campaign seed and lays out
+// the phases of mode m over it.
+func (inj *Injector) newDesign(m mode, n int) (*design, error) {
+	d := &design{seed: inj.opts.Seed, specs: inj.sampleRandom(n)}
 	switch m {
 	case modePlain:
 		d.phases = []phase{{hi: n, plan: bitlive.UniformPlan()}}
@@ -165,26 +162,14 @@ func (inj *Injector) newDesign(m mode, seed uint64, specs []trialSpec, fn *ir.Fu
 		pn := pilotLen(n, cfg.PilotFraction)
 		d.phases = []phase{{hi: pn, plan: pilotPlan(cfg)}, {lo: pn, hi: n, derived: true}}
 		d.floor = cfg.RateFloor
-		if fn == nil {
-			d.bits = inj.influence.ModuleStats(inj.module)
-		} else {
-			d.bits = inj.influence.FuncStats(fn)
-		}
+		d.bits = inj.influence.ModuleStats(inj.module)
 	}
 	d.inf = inj.influence
 	d.strata = make([]bitlive.Stratum, n)
-	for i, spec := range specs {
+	for i, spec := range d.specs {
 		d.strata[i] = d.inf.Stratum(spec.instr, spec.bit)
 	}
 	return d, nil
-}
-
-// seedFromProfile re-lays an adaptive design for a section whose full
-// plain transcript is already cached: the whole transcript is the
-// evidence, and the plan derived from it thins every slot — no pilot.
-func (d *design) seedFromProfile() {
-	n := len(d.specs)
-	d.phases = []phase{{hi: n, plan: bitlive.UniformPlan(), evidence: true}, {hi: n, derived: true}}
 }
 
 // thin returns the specs of slots [lo, hi) that plan keeps: slot i runs
@@ -427,7 +412,7 @@ func (inj *Injector) Campaign(ctx context.Context, n int, run Run) (*AdaptiveRes
 }
 
 func (inj *Injector) campaign(ctx context.Context, n int, m mode, run Run) (*AdaptiveResult, error) {
-	d, err := inj.newDesign(m, inj.opts.Seed, inj.sampleRandom(n), nil)
+	d, err := inj.newDesign(m, n)
 	if err != nil {
 		return nil, err
 	}
@@ -511,7 +496,7 @@ func (inj *Injector) FromCheckpoint(n int, path string) (*AdaptiveResult, int, e
 	if err != nil {
 		return nil, 0, err
 	}
-	d, err := inj.newDesign(m, inj.opts.Seed, inj.sampleRandom(n), nil)
+	d, err := inj.newDesign(m, n)
 	if err != nil {
 		return nil, 0, err
 	}

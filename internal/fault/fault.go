@@ -8,7 +8,7 @@
 // SDC probability as conditional on activation.
 //
 // DESIGN.md §5–§5c cover the fault model, campaign lifecycle and the
-// snapshot-replay engine; §5h the compositional cache; §5i the
+// snapshot-replay engine; §5h how a campaign is re-run; §5i the
 // bit-liveness pruning behind Options.PruneBits; §5j the one campaign
 // driver every sampling mode runs through.
 package fault
@@ -29,6 +29,12 @@ import (
 	"trident/internal/ir"
 	"trident/internal/telemetry"
 )
+
+// ModelVersion names the fault model and its version in result-cache
+// keys. Bump it whenever injection semantics change (sampling,
+// classification, bit selection), so old results stop matching without
+// any migration.
+const ModelVersion = "bitflip/v1"
 
 // Outcome classifies one fault-injection run.
 type Outcome uint8
@@ -189,8 +195,8 @@ type Options struct {
 	// "Stratified sampling over live bits".
 	Stratify *bitlive.Plan
 	// Adaptive, when non-nil, enables adaptive two-phase campaigns
-	// (CampaignAdaptive, and the adaptive mode of Campaign,
-	// FromCheckpoint and CampaignCompositional): a static-shape pilot
+	// (CampaignAdaptive, and the adaptive mode of Campaign and
+	// FromCheckpoint): a static-shape pilot
 	// phase (live strata at rate 1, provably-masked slots at the rate
 	// floor) estimates per-stratum SDC variance, NeymanPlan derives the
 	// main-phase inclusion rates, and the pilot trials fold into the

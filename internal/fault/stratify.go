@@ -68,8 +68,7 @@ func StratifyHashFor(m *ir.Module, plan bitlive.Plan) string {
 	return stratifyHash(inf.ModuleHash(m), plan)
 }
 
-// stratifyHash folds an influence-table hash (a module's, or one
-// function's for compositional cache keys) with a plan hash.
+// stratifyHash folds a module's influence-table hash with a plan hash.
 func stratifyHash(influence uint64, plan bitlive.Plan) string {
 	return hashutil.Hex(hashutil.String(fmt.Sprintf("%x|%x", influence, plan.Hash())))
 }

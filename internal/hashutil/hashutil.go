@@ -1,18 +1,17 @@
 // Package hashutil is the repository's single home for content hashing.
 // Every subsystem that fingerprints program text, program output, or
 // module structure — the cross-check oracle, campaign checkpoints, the
-// compositional campaign cache, the server's result cache — uses these
-// helpers, so two subsystems can never disagree about what "the hash of
-// this function" means.
+// server's result cache — uses these helpers, so two subsystems can
+// never disagree about what "the hash of this module" means.
 //
-// All hashes are 64-bit FNV-1a. Function and module hashes are defined
-// over the *canonical printed form* (internal/ir's printer, whose output
-// is a parse/print fixed point): two modules hash equal exactly when
-// they print identically, which makes the hashes content addresses —
-// stable across process restarts, reorderable in maps, and invariant
-// under print→parse round trips (pinned by the cache-key stability suite
-// and the FuzzCacheKeyCanonical fuzz target). DESIGN.md §5h lists every
-// cache key built from these helpers.
+// All hashes are 64-bit FNV-1a. Module hashes are defined over the
+// *canonical printed form* (internal/ir's printer, whose output is a
+// parse/print fixed point): two modules hash equal exactly when they
+// print identically, which makes the hashes content addresses — stable
+// across process restarts, reorderable in maps, and invariant under
+// print→parse round trips (pinned by the cache-key stability suite and
+// the FuzzCacheKeyCanonical fuzz target). DESIGN.md §5h lists every key
+// built from these helpers.
 package hashutil
 
 import (
@@ -47,20 +46,10 @@ func Bytes(b []byte) uint64 {
 }
 
 // Output returns the hash of a program's output text. It is String under
-// a name that says what is being hashed: fault.Detail.OutputHash, the
-// cross-check result summaries and the cache's golden-run stamps all use
-// it, so their output fingerprints are interchangeable.
+// a name that says what is being hashed: fault.Detail.OutputHash and the
+// cross-check result summaries both use it, so their output fingerprints
+// are interchangeable.
 func Output(s string) uint64 { return String(s) }
-
-// Function returns the content address of one function: the hash of its
-// canonical printed body (header, blocks and instructions exactly as
-// ir.PrintFunc renders them). Renaming a register, reordering operands
-// or editing an instruction changes the hash; editing a *different*
-// function never does — the locality the compositional campaign cache
-// is keyed on. The function's own name is part of the printed header, so
-// renaming a function changes its own hash and (through printed call
-// sites) the hash of its callers, but never that of unrelated functions.
-func Function(f *ir.Func) uint64 { return String(ir.PrintFunc(f)) }
 
 // Module returns the content address of a whole module: the hash of its
 // canonical printed text. Used to key whole-campaign artifacts (the

@@ -58,15 +58,6 @@ func constLiteral(t Type, bits uint64) string {
 	return c.ValueString()
 }
 
-// PrintFunc renders one function in the textual IR format — the
-// canonical form (a print→parse fixed point, like Print) that content
-// hashes of individual functions are defined over.
-func PrintFunc(f *Func) string {
-	var sb strings.Builder
-	printFunc(&sb, f)
-	return sb.String()
-}
-
 func printFunc(sb *strings.Builder, f *Func) {
 	fmt.Fprintf(sb, "func @%s(", f.Name)
 	for i, p := range f.Params {

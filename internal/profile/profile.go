@@ -312,21 +312,6 @@ func (c *collector) observeAddress(ctx *interp.Context, in *ir.Instr, addr uint6
 	c.crashSum[in] += float64(invalid) / 64
 }
 
-// FuncWeights returns each function's activation count: the sum of
-// dynamic register-write counts (result-producing executions only, the
-// fault package's activation space) over the function's instructions.
-// These are the weights the compositional campaign cache uses to stitch
-// per-function profiles into whole-program rates.
-func (p *Profile) FuncWeights() map[string]uint64 {
-	w := make(map[string]uint64)
-	for in, n := range p.ExecCount {
-		if in.HasResult() {
-			w[in.Block.Fn.Name] += n
-		}
-	}
-	return w
-}
-
 // BranchProb returns the profiled probability that the conditional branch
 // takes its true edge; ok is false when the branch never executed.
 func (p *Profile) BranchProb(br *ir.Instr) (pTrue float64, ok bool) {

@@ -28,8 +28,8 @@ import (
 	"trident/internal/hashutil"
 )
 
-// resultKeyKind tags job-result entries within a cache directory that
-// may also hold per-function profiles.
+// resultKeyKind names the payload schema of job-result entries. It is
+// part of every stored key, so changing it orphans existing entries.
 const resultKeyKind = "job-result"
 
 // resultKey is the content address of a whole-job campaign result.

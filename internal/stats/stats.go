@@ -80,10 +80,7 @@ func ProportionCI95(p float64, n int) float64 {
 }
 
 // WilsonBounds returns the lower and upper 95% Wilson score bounds of a
-// proportion p measured over n trials. The compositional campaign cache
-// recomputes intervals from merged tallies through this function, so a
-// composed estimate carries exactly the interval a monolithic campaign
-// with the same pooled counts would report.
+// proportion p measured over n trials.
 //
 // It is the integral-n special case of WeightedWilsonBounds and inherits
 // its [0, 1] clamp: at p ∈ {0, 1} the raw score algebra cancels two

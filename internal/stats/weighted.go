@@ -126,31 +126,6 @@ func (t *WeightedTally) Add(w float64, hit bool) {
 	}
 }
 
-// AddN records count observations sharing one weight w, hits of them
-// successful — the batch form the compositional composition layer uses,
-// where a whole function's classified trials carry one activation-share
-// weight. Equivalent to count calls to Add.
-func (t *WeightedTally) AddN(w float64, count, hits int) {
-	if !(w > 0) || math.IsInf(w, 0) || count <= 0 {
-		return
-	}
-	if hits < 0 {
-		hits = 0
-	} else if hits > count {
-		hits = count
-	}
-	t.N += count
-	t.W += w * float64(count)
-	t.W2 += w * w * float64(count)
-	if hits > 0 {
-		t.HitN += hits
-		t.Hits += w * float64(hits)
-		if w > 1 {
-			t.HitVar += w * (w - 1) * float64(hits)
-		}
-	}
-}
-
 // Merge folds other into t, as when combining shard tallies.
 func (t *WeightedTally) Merge(other WeightedTally) {
 	t.N += other.N

@@ -14,20 +14,9 @@
 #   3. resuming a plain or stratified checkpoint with -stratify-adaptive
 #      (and an adaptive one without) must be refused — the three
 #      transcript kinds thin differently and must never mix
-#   4. a plain compositional run on blackscholes (the multi-function
-#      kernel) seeds the per-function profile cache; an adaptive
-#      compositional run against that cache must derive every plan from
-#      the cached tallies — all functions SEED, zero pilot trials
-#   5. a warm adaptive re-run must hit the same entries and compose
-#      byte-identically
-#   6. a cold adaptive run against a fresh cache pays for its pilots
-#      (all functions MISS, pilot trials > 0) and must still compose
-#      byte-identically to the seeded run — skipping the pilot changes
-#      what executes, never the composed result
 #
-# Passing means: pilot-derived plans replay deterministically, checkpoint
-# headers fence adaptive transcripts from the other kinds, and cached
-# profiles buy back the whole pilot without changing a byte of output.
+# Passing means: pilot-derived plans replay deterministically, and
+# checkpoint headers fence adaptive transcripts from the other kinds.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -97,43 +86,5 @@ if "$TMP/fi" -program "$PROG" -n "$N" -seed "$SEED" -progress=false \
 fi
 grep -qi 'adaptive' "$TMP/refuse3.log" \
     || fail "adaptive-as-stratified refusal does not explain the campaign-kind mismatch"
-
-# The compositional track uses blackscholes: two functions, so the
-# hit/miss/seed accounting distinguishes per-function states.
-crun() { # compose-out cache-dir log extra-flags...
-    cout=$1
-    cache=$2
-    log=$3
-    shift 3
-    "$TMP/fi" -program blackscholes -n "$N" -seed "$SEED" -progress=false \
-        -cache-dir "$cache" -compose-out "$cout" "$@" >"$log" 2>>"$TMP/stderr.log"
-}
-
-echo "adaptcheck: plain compositional run (seeds the profile cache)"
-crun "$TMP/plain.json" "$TMP/cache" "$TMP/cplain.log"
-grep -q '^cache: 0 hit(s), 2 miss(es)$' "$TMP/cplain.log" \
-    || fail "plain seeding run: want 2 misses, got: $(grep '^cache:' "$TMP/cplain.log")"
-
-echo "adaptcheck: adaptive compositional run (plans seeded, no pilot)"
-crun "$TMP/seeded.json" "$TMP/cache" "$TMP/seeded.log" -stratify-adaptive
-grep -q '^cache: 2 hit(s), 0 miss(es); 2 plan(s) seeded from plain profiles, 0 pilot trials executed$' "$TMP/seeded.log" \
-    || fail "seeded run: want 2 seeded plans and 0 pilot trials, got: $(grep '^cache:' "$TMP/seeded.log")"
-seeds=$(grep -c 'SEED (plan from plain profile, no pilot)' "$TMP/seeded.log") \
-    && [ "$seeds" -eq 2 ] || fail "want both functions SEED, got $seeds"
-
-echo "adaptcheck: warm adaptive re-run (byte-identical compose)"
-crun "$TMP/warm.json" "$TMP/cache" "$TMP/warm.log" -stratify-adaptive
-cmp "$TMP/seeded.json" "$TMP/warm.json" \
-    || fail "warm adaptive compose output differs from the seeded run"
-
-echo "adaptcheck: cold adaptive run (fresh cache, pilots execute)"
-crun "$TMP/cold.json" "$TMP/cache-fresh" "$TMP/cold.log" -stratify-adaptive
-grep -q '^cache: 0 hit(s), 2 miss(es); 0 plan(s) seeded' "$TMP/cold.log" \
-    || fail "cold run: want 2 misses, got: $(grep '^cache:' "$TMP/cold.log")"
-pilots=$(sed -n 's/^cache: .*, \([0-9][0-9]*\) pilot trials executed$/\1/p' "$TMP/cold.log")
-[ -n "$pilots" ] && [ "$pilots" -gt 0 ] \
-    || fail "cold run executed no pilot trials ('$pilots')"
-cmp "$TMP/seeded.json" "$TMP/cold.json" \
-    || fail "seeded compose differs from cold (pilot-skipping changed the result)"
 
 echo "adaptcheck: PASS"

@@ -18,7 +18,11 @@
 #      OBSERVABILITY.md as a backticked name (or, for a literal prefix
 #      completed at runtime such as "fi.outcome.", as `prefix<...>`),
 #      and so must every span name passed as a literal to .Start(, so
-#      no registered metric or emitted span ships undocumented.
+#      no registered metric or emitted span ships undocumented. In the
+#      other direction, every | `name` | counter|gauge|histogram|span
+#      row of OBSERVABILITY.md must name a metric registered, or a span
+#      started, that way (a `prefix<...>` row matches by prefix), so no
+#      documented metric or span outlives the code that emitted it.
 #   5. Every `cmd/experiments -run <names>` mention in README.md,
 #      DESIGN.md, EXPERIMENTS.md and the verify skill notes must name
 #      only experiments the binary registers (read from its -h output)
@@ -96,6 +100,23 @@ spans=$(find . -name '*.go' ! -name '*_test.go' -print0 |
 for name in $spans; do
     if ! grep -qF "\`$name\`" OBSERVABILITY.md; then
         echo "doccheck: span $name is started in code but not documented in OBSERVABILITY.md" >&2
+        fail=1
+    fi
+done
+
+# 4 (reverse): every documented metric or span row names one the code
+# registers or starts.
+for row in $(sed -nE 's/^\| `([^`]+)` \| (counter|gauge|histogram|span) .*/\1/p' OBSERVABILITY.md); do
+    found=0
+    for name in $names $spans; do
+        case "$row" in
+        *"<"*) case "$name" in "${row%%<*}"*) found=1 ;; esac ;;
+        "$name") found=1 ;;
+        esac
+        [ $found -eq 0 ] || break
+    done
+    if [ $found -eq 0 ]; then
+        echo "doccheck: OBSERVABILITY.md documents $row, which no non-test code registers or starts" >&2
         fail=1
     fi
 done
