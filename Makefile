@@ -43,11 +43,11 @@ doc:
 # measured kernel's speedup may fall at most 25% below its committed
 # BENCH_fi.json value (-baseline; the margin is sized in cmd/fibench),
 # above the 1.1x geomean floor.
-# The servercheck drill then attacks a live fiserver: it SIGKILLs a
-# shard worker mid-campaign, SIGTERMs the server (expecting exit 143 and
-# the job re-queued on disk), restarts over the same spool, and requires
-# the resumed merged result to be byte-identical to a clean run of the
-# same campaign. The cache/hashutil packages behind the server's result
+# The servercheck drill then attacks a live fiserver: it SIGKILLs the
+# server mid-campaign, restarts it over the same spool (the job must run
+# again), SIGTERMs it (expecting exit 143 and the job re-queued on disk),
+# restarts again, and requires the resumed merged result to be
+# byte-identical to a clean run of the same campaign. The cache/hashutil packages behind the server's result
 # cache also run under -race alongside the other concurrent tiers, and
 # the bitlive pass runs under -race too — its Report is shared by
 # campaign workers. The prunecheck drill closes the loop on

@@ -158,7 +158,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// leaves its telemetry behind.
 	if *metricsOut != "" {
 		defer func() {
-			if werr := writeMetrics(reg, *metricsOut); werr != nil {
+			if werr := reg.WriteFile(*metricsOut); werr != nil {
 				fmt.Fprintln(stderr, "experiments: writing metrics:", werr)
 			} else {
 				fmt.Fprintf(stderr, "metrics written to %s\n", *metricsOut)
@@ -226,17 +226,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writeMetrics dumps a registry snapshot as indented JSON at path.
-func writeMetrics(reg *telemetry.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -83,7 +83,6 @@ func run(args []string) (int, error) {
 	pruneBits := fs.Bool("prune-bits", false, "skip injections into statically provably-masked bits, recording them benign without execution; results are bit-identical to an unpruned campaign (exact reweighting, see DESIGN.md §5i)")
 	stratify := fs.Bool("stratify", false, "stratified live-bit importance sampling: thin low-influence strata (noise, masked bits) deterministically and reweight executed trials by inverse inclusion probability; the weighted estimates stay unbiased at a fraction of the executed trials (see ANALYSIS.md)")
 	stratifyAdaptive := fs.Bool("stratify-adaptive", false, "two-phase adaptive (Neyman-allocation) stratified sampling: a static-shape pilot over the first ~20% of the slot budget (provably-masked slots thinned at the rate floor) estimates per-stratum SDC rates, the remaining slots are thinned under the derived plan, and pilot trials fold into the weighted estimate at the pilot plan's 1/q — executed trials never exceed -n (see ANALYSIS.md)")
-	maskedRate := fs.Float64("stratify-masked-rate", bitlive.DefaultMaskedRate, "with -stratify: inclusion rate of the provably-masked stratum in the static plan, in (0, 1]")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit (see OBSERVABILITY.md)")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (campaign spans, errored trials)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address (e.g. :6060) for the campaign's lifetime")
@@ -125,12 +124,6 @@ func run(args []string) (int, error) {
 	if *stratifyAdaptive && *perInstr {
 		return 1, fmt.Errorf("-stratify-adaptive is incompatible with -per-instr")
 	}
-	if !(*maskedRate > 0) || *maskedRate > 1 {
-		return 1, fmt.Errorf("-stratify-masked-rate %v outside (0, 1]", *maskedRate)
-	}
-	if *maskedRate != bitlive.DefaultMaskedRate && !*stratify {
-		return 1, fmt.Errorf("-stratify-masked-rate requires -stratify")
-	}
 
 	// Ctrl-C / SIGTERM cancels the campaign gracefully: in-flight trials
 	// are abandoned, completed ones are reported (and checkpointed), and
@@ -141,9 +134,6 @@ func run(args []string) (int, error) {
 	if *remote != "" {
 		if *perInstr {
 			return 1, fmt.Errorf("-per-instr is not supported with -remote")
-		}
-		if *maskedRate != bitlive.DefaultMaskedRate {
-			return 1, fmt.Errorf("-stratify-masked-rate is not supported with -remote (the server runs the default plan)")
 		}
 		return runRemote(ctx, fired, remoteOpts{
 			base:      *remote,
@@ -216,7 +206,7 @@ func run(args []string) (int, error) {
 
 	var plan *bitlive.Plan
 	if *stratify {
-		p := bitlive.MaskedRatePlan(*maskedRate)
+		p := bitlive.DefaultPlan()
 		plan = &p
 	}
 	var adaptive *fault.AdaptiveConfig
@@ -260,7 +250,7 @@ func run(args []string) (int, error) {
 	// so the fi.outcome.* counters reconcile exactly with the campaign
 	// tallies printed below.
 	if *metricsOut != "" {
-		if werr := writeMetrics(reg, *metricsOut); werr != nil {
+		if werr := reg.WriteFile(*metricsOut); werr != nil {
 			return 1, werr
 		}
 		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
@@ -373,17 +363,4 @@ func printReplay(inj *fault.Injector, reg *telemetry.Registry) {
 	}
 	fmt.Printf("snapshot replay: %d golden snapshots (interval %d); %d of %d executed trials rejoined the golden run\n",
 		inj.Snapshots(), inj.SnapshotInterval(), reg.Counter("fi.trials.rejoined").Load(), reg.Counter("fi.trials.executed").Load())
-}
-
-// writeMetrics dumps a registry snapshot as indented JSON at path.
-func writeMetrics(reg *telemetry.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

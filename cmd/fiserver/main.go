@@ -18,11 +18,9 @@
 // On SIGTERM or SIGINT the server drains: admission flips to 503,
 // running shards are cancelled (their checkpoints hold every completed
 // trial), interrupted jobs re-queue on disk, and the process exits
-// 143/130. Restarting over the same -spool resumes them.
-//
-// With -worker-dir/-worker-shard the binary instead runs as a single
-// shard worker (used internally by -worker-mode exec, which gives every
-// shard its own process — a kill-able failure domain).
+// 143/130. Restarting over the same -spool resumes them — also after a
+// SIGKILL or OOM kill, since every completed trial is already in a shard
+// checkpoint.
 package main
 
 import (
@@ -52,7 +50,6 @@ func run(args []string) int {
 	jobs := fs.Int("jobs", 2, "max concurrently running jobs")
 	queueDepth := fs.Int("queue-depth", 64, "max queued jobs before submissions get 429")
 	shards := fs.Int("shards", 4, "default shard count for jobs that don't choose one")
-	workerMode := fs.String("worker-mode", "inproc", "how shards run: inproc (goroutines) or exec (one child process per shard)")
 	shardRetries := fs.Int("shard-retries", 2, "times a crashed shard is retried from its checkpoint before the job degrades")
 	retryBase := fs.Duration("retry-base", 250*time.Millisecond, "base delay of the shard retry backoff")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may take before giving up")
@@ -64,16 +61,10 @@ func run(args []string) int {
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (job/shard/drain spans)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address")
-	workerDir := fs.String("worker-dir", "", "run as a shard worker over this job directory (internal, used by -worker-mode exec)")
-	workerShard := fs.Int("worker-shard", -1, "shard index to run in -worker-dir mode")
-	workerPhase := fs.String("worker-phase", "", "campaign phase to run in -worker-dir mode: empty, pilot or main (internal)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *workerDir != "" {
-		return server.RunWorker(*workerDir, *workerShard, *workerPhase, *chaosDelay)
-	}
 	if *spool == "" {
 		fmt.Fprintln(os.Stderr, "fiserver: -spool is required")
 		return 2
@@ -112,7 +103,6 @@ func run(args []string) int {
 		DefaultShards:     *shards,
 		ShardRetries:      *shardRetries,
 		RetryBase:         *retryBase,
-		WorkerMode:        *workerMode,
 		ChaosTrialDelay:   *chaosDelay,
 		ResultCacheDir:    resultCacheDir,
 		Limits: server.Limits{
@@ -139,8 +129,8 @@ func run(args []string) int {
 			return 1
 		}
 	}
-	fmt.Fprintf(os.Stderr, "fiserver listening on http://%s (spool %s, %s workers)\n",
-		ln.Addr(), *spool, *workerMode)
+	fmt.Fprintf(os.Stderr, "fiserver listening on http://%s (spool %s, in-process shards)\n",
+		ln.Addr(), *spool)
 
 	srv.Start()
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
@@ -173,14 +163,7 @@ func run(args []string) int {
 	}
 	_ = dbg.Shutdown(time.Second)
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err == nil {
-			err = reg.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := reg.WriteFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "fiserver:", err)
 		}
 	}

@@ -292,8 +292,8 @@ func DefaultPlan() Plan {
 // rate: live strata run at 1, provably-masked bits at rate. The rate is
 // folded into Plan.Hash like any other, so checkpoints and caches fence
 // differently-thinned campaigns apart. Callers must Validate (rate must
-// lie in (0, 1]); the CLIs reject out-of-range -stratify-masked-rate
-// values before a campaign starts.
+// lie in (0, 1]); the adaptive pilot plans call it with their rate
+// floor.
 func MaskedRatePlan(rate float64) Plan {
 	var p Plan
 	p.Rates[StratumMasked] = rate

@@ -337,7 +337,7 @@ launch:
 			observe(tr, terr, false)
 			mu.Unlock()
 			if ck != nil {
-				ck.record(spec, tr, terr)
+				ck.record(tr, terr)
 			}
 		}(i, spec)
 	}

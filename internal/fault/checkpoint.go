@@ -97,8 +97,10 @@ func (m checkpointMeta) matches(path string, want checkpointMeta) error {
 	return nil
 }
 
-// trialRecord is one completed trial, one JSON object per line.
-type trialRecord struct {
+// TrialRecord is one completed trial: a line of a checkpoint log, and
+// (as server.TrialRecord) a per-trial record on the campaign server's
+// wire. Both are built by NewTrialRecord.
+type TrialRecord struct {
 	Func     string `json:"fn"`
 	Instr    int    `json:"instr"`
 	Instance uint64 `json:"instance"`
@@ -109,14 +111,32 @@ type trialRecord struct {
 	Err      string `json:"err,omitempty"`
 }
 
-func (r trialRecord) key() TrialKey {
+// NewTrialRecord records a classified trial; terr, non-nil for an Errored
+// trial, contributes its attempt count and error text.
+func NewTrialRecord(tr Injection, terr *TrialError) TrialRecord {
+	rec := TrialRecord{
+		Func:     tr.Instr.Block.Fn.Name,
+		Instr:    tr.Instr.ID,
+		Instance: tr.Instance,
+		Bit:      tr.Bit,
+		Outcome:  tr.Outcome.String(),
+		Latency:  tr.CrashLatency,
+	}
+	if terr != nil {
+		rec.Attempts = terr.Attempts
+		rec.Err = terr.Err.Error()
+	}
+	return rec
+}
+
+func (r TrialRecord) key() TrialKey {
 	return TrialKey{Func: r.Func, Instr: r.Instr, Instance: r.Instance, Bit: r.Bit}
 }
 
 // injection rebuilds the in-memory trial (and, for Errored records, its
 // TrialError, with Index left for the caller to fill) from a log record
 // matched to its spec.
-func (r trialRecord) injection(spec trialSpec) (Injection, *TrialError) {
+func (r TrialRecord) injection(spec trialSpec) (Injection, *TrialError) {
 	outcome, _ := outcomeFromName(r.Outcome)
 	tr := Injection{
 		Instr:        spec.instr,
@@ -158,7 +178,7 @@ type Checkpoint struct {
 
 	mu       sync.Mutex
 	f        *os.File
-	cache    map[TrialKey]trialRecord
+	cache    map[TrialKey]TrialRecord
 	replayed int
 	writeErr error
 	warnings []string
@@ -168,7 +188,7 @@ type Checkpoint struct {
 // existing one. requireExisting distinguishes explicit resume (the log
 // must be there) from create-or-resume.
 func openCheckpoint(path string, meta checkpointMeta, requireExisting bool) (*Checkpoint, error) {
-	ck := &Checkpoint{path: path, cache: make(map[TrialKey]trialRecord)}
+	ck := &Checkpoint{path: path, cache: make(map[TrialKey]TrialRecord)}
 	recs, warns, err := loadLogFor(path, meta)
 	switch {
 	case errors.Is(err, os.ErrNotExist) || errors.Is(err, errEmptyLog):
@@ -215,7 +235,7 @@ var errEmptyLog = errors.New("empty checkpoint log")
 
 // loadLog reads and parses the checkpoint log at path — the one place a
 // log is read from disk — logging any torn-tail warnings.
-func loadLog(path string) (checkpointMeta, map[TrialKey]trialRecord, []string, error) {
+func loadLog(path string) (checkpointMeta, map[TrialKey]TrialRecord, []string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return checkpointMeta{}, nil, nil, fmt.Errorf("fault: checkpoint: %w", err)
@@ -232,7 +252,7 @@ func loadLog(path string) (checkpointMeta, map[TrialKey]trialRecord, []string, e
 
 // loadLogFor loads the log at path and validates its header against
 // want, so a log is never replayed against a different campaign.
-func loadLogFor(path string, want checkpointMeta) (map[TrialKey]trialRecord, []string, error) {
+func loadLogFor(path string, want checkpointMeta) (map[TrialKey]TrialRecord, []string, error) {
 	meta, recs, warns, err := loadLog(path)
 	if err != nil {
 		return nil, nil, err
@@ -252,7 +272,7 @@ func loadLogFor(path string, want checkpointMeta) (map[TrialKey]trialRecord, []s
 // is *followed* by intact records is not crash debris and fails the
 // load, because silently dropping it would under-report completed
 // trials without any crash to explain it.
-func readLog(path string, data []byte) (checkpointMeta, map[TrialKey]trialRecord, []string, error) {
+func readLog(path string, data []byte) (checkpointMeta, map[TrialKey]TrialRecord, []string, error) {
 	var meta checkpointMeta
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -262,13 +282,13 @@ func readLog(path string, data []byte) (checkpointMeta, map[TrialKey]trialRecord
 	if err := json.Unmarshal(sc.Bytes(), &meta); err != nil {
 		return meta, nil, nil, &CheckpointError{Path: path, Line: 1, Msg: "bad header: " + err.Error()}
 	}
-	recs := make(map[TrialKey]trialRecord)
+	recs := make(map[TrialKey]TrialRecord)
 	line := 1
 	tornLine, tornBytes := 0, 0
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
-		var rec trialRecord
+		var rec TrialRecord
 		bad := json.Unmarshal(raw, &rec) != nil
 		if !bad {
 			if _, ok := outcomeFromName(rec.Outcome); !ok {
@@ -315,7 +335,7 @@ func (ck *Checkpoint) Warnings() []string {
 // sortRecords orders records by trial key — the deterministic on-disk
 // order used by compaction and merge, independent of worker
 // interleaving.
-func sortRecords(recs []trialRecord) {
+func sortRecords(recs []TrialRecord) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
 		if a.Func != b.Func {
@@ -334,7 +354,7 @@ func sortRecords(recs []trialRecord) {
 // writeLog atomically writes a complete log — header plus records in
 // key-sorted order — at path via a temp file and rename, so a crash
 // mid-write never destroys an existing log.
-func writeLog(path string, meta checkpointMeta, cache map[TrialKey]trialRecord) error {
+func writeLog(path string, meta checkpointMeta, cache map[TrialKey]TrialRecord) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -346,7 +366,7 @@ func writeLog(path string, meta checkpointMeta, cache map[TrialKey]trialRecord) 
 		f.Close()
 		return fmt.Errorf("fault: checkpoint: %w", err)
 	}
-	recs := make([]trialRecord, 0, len(cache))
+	recs := make([]TrialRecord, 0, len(cache))
 	for _, rec := range cache {
 		recs = append(recs, rec)
 	}
@@ -422,20 +442,9 @@ func (ck *Checkpoint) replay(spec trialSpec) (Injection, *TrialError, bool) {
 // record appends one completed trial. Write failures do not abort the
 // campaign (the in-memory result is still valid); the first one is
 // surfaced by Close.
-func (ck *Checkpoint) record(spec trialSpec, tr Injection, terr *TrialError) {
-	key := spec.key()
-	rec := trialRecord{
-		Func:     key.Func,
-		Instr:    key.Instr,
-		Instance: key.Instance,
-		Bit:      key.Bit,
-		Outcome:  tr.Outcome.String(),
-		Latency:  tr.CrashLatency,
-	}
-	if terr != nil {
-		rec.Attempts = terr.Attempts
-		rec.Err = terr.Err.Error()
-	}
+func (ck *Checkpoint) record(tr Injection, terr *TrialError) {
+	rec := NewTrialRecord(tr, terr)
+	key := rec.key()
 	line, err := json.Marshal(rec)
 	ck.mu.Lock()
 	defer ck.mu.Unlock()

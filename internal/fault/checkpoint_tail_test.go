@@ -331,8 +331,8 @@ func TestCheckpointRecordLogsDuplicateOnce(t *testing.T) {
 	}
 	spec := trialSpec{instr: inj.Targets()[0], instance: 3, bit: 5}
 	tr := Injection{Instr: spec.instr, Instance: 3, Bit: 5, Outcome: SDC}
-	ck.record(spec, tr, nil)
-	ck.record(spec, tr, nil)
+	ck.record(tr, nil)
+	ck.record(tr, nil)
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -315,7 +315,7 @@ func (ar *AdaptiveResult) add(got *CampaignResult, plan bitlive.Plan, inf *bitli
 // order, without executing anything. Specs without a record are skipped
 // (the caller counts them missing); Errored records come back as
 // Errored trials.
-func (inj *Injector) replayLog(specs []trialSpec, recs map[TrialKey]trialRecord) *CampaignResult {
+func (inj *Injector) replayLog(specs []trialSpec, recs map[TrialKey]TrialRecord) *CampaignResult {
 	res := &CampaignResult{}
 	for _, spec := range specs {
 		rec, ok := recs[spec.key()]
@@ -433,7 +433,7 @@ func (inj *Injector) campaign(ctx context.Context, n int, m mode, run Run) (*Ada
 	if run.Checkpoint != "" || run.PilotLog != "" {
 		meta = inj.header(m, n)
 	}
-	var pilotRecs map[TrialKey]trialRecord
+	var pilotRecs map[TrialKey]TrialRecord
 	switch run.Wave {
 	case WaveAll:
 		if m == modeAdaptive && run.Shards > 1 {

@@ -40,7 +40,7 @@ func MergeCheckpoints(dst string, srcs ...string) (int, error) {
 		return 0, fmt.Errorf("fault: merge: no source checkpoints")
 	}
 	var meta checkpointMeta
-	merged := make(map[TrialKey]trialRecord)
+	merged := make(map[TrialKey]TrialRecord)
 	for i, src := range srcs {
 		m, recs, _, err := loadLog(src)
 		if err != nil {

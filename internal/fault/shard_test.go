@@ -46,8 +46,8 @@ func TestShardRangePartition(t *testing.T) {
 // together must produce per-trial Detail records identical to the
 // unsharded run, for every shard count in {1, 2, 3, 7} — shard identity
 // must never leak into sampling. Each shard runs under its own Injector
-// (a fresh golden run), exactly as independent shard worker processes
-// do, so the test also covers cross-injector determinism. Subtests run
+// (a fresh golden run), exactly as the server's shard workers do, so the
+// test also covers cross-injector determinism. Subtests run
 // on the production interpreter ("decoded").
 func TestShardSeedIndependence(t *testing.T) {
 	const n, seed = 70, 1234

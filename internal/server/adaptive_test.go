@@ -77,34 +77,6 @@ func TestAdaptiveJobMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestAdaptiveJobExecWorkers: the two-wave protocol survives exec mode,
-// where each wave's shards run as separate child processes and the main
-// wave's plan travels only through the merged pilot checkpoint on disk.
-func TestAdaptiveJobExecWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exec workers are slow in -short mode")
-	}
-	s := newSupervisedServer(t, func(c *Config) {
-		c.WorkerMode = "exec"
-	})
-	s.Start()
-
-	req := &SubmitRequest{Program: "nibblepack", N: 90, Seed: 21, Shards: 2, StratifyAdaptive: true}
-	res := submitAndWait(t, s, req, JobDone).Result()
-	if res == nil || !res.Adaptive {
-		t.Fatalf("result = %+v, want an adaptive result", res)
-	}
-	want := localAdaptive(t, req)
-	if res.ExecutedN != want.ExecutedN() || res.PilotExecuted != want.PilotExecuted {
-		t.Fatalf("exec job executed %d (pilot %d), local %d (pilot %d)",
-			res.ExecutedN, res.PilotExecuted, want.ExecutedN(), want.PilotExecuted)
-	}
-	if res.WeightedSDC != want.WeightedSDC() || res.EffectiveN != want.EffectiveN() {
-		t.Fatalf("exec job weighted SDC %v (eff n %v), local %v (%v)",
-			res.WeightedSDC, res.EffectiveN, want.WeightedSDC(), want.EffectiveN())
-	}
-}
-
 // TestAdaptiveShardCrashRetry: a main-wave shard that crashes mid-slice
 // (leaving a partial checkpoint) is retried from that checkpoint, and
 // the finished job still matches the local reference — the two-wave

@@ -50,8 +50,7 @@ func (s JobState) Terminal() bool {
 type shardInfo struct {
 	state    string // pending, running, done, failed, cancelled
 	attempts int
-	done     int
-	counts   [int(fault.Errored) + 1]int
+	progress fault.Progress // cumulative across an adaptive job's waves
 	err      string
 }
 
@@ -77,21 +76,15 @@ type Job struct {
 	started   time.Time
 }
 
-// shardBase snapshots a shard's cumulative progress at a wave boundary,
-// so the next wave's progress callbacks accumulate onto it instead of
-// resetting the status counters.
-type shardBase struct {
-	done   int
-	counts [int(fault.Errored) + 1]int
-}
-
-// shardBases snapshots every shard's progress.
-func (j *Job) shardBases() []shardBase {
+// shardBases snapshots every shard's cumulative progress at a wave
+// boundary, so the next wave's progress callbacks accumulate onto it
+// instead of resetting the status counters.
+func (j *Job) shardBases() []fault.Progress {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]shardBase, len(j.shards))
+	out := make([]fault.Progress, len(j.shards))
 	for i := range j.shards {
-		out[i] = shardBase{done: j.shards[i].done, counts: j.shards[i].counts}
+		out[i] = j.shards[i].progress
 	}
 	return out
 }
@@ -323,18 +316,18 @@ func (j *Job) status() JobStatus {
 	for i := range j.shards {
 		si := &j.shards[i]
 		lo, hi := fault.ShardRange(j.req.N, i, j.req.Shards)
-		st.Done += si.done
+		st.Done += si.progress.Done
 		ss := ShardStatus{
 			Shard:    i,
 			Trials:   hi - lo,
 			State:    si.state,
 			Attempts: si.attempts,
-			Done:     si.done,
+			Done:     si.progress.Done,
 			Error:    si.err,
 		}
 		st.Shards = append(st.Shards, ss)
 		for o := fault.Outcome(1); o <= fault.Errored; o++ {
-			if c := si.counts[o]; c > 0 {
+			if c := si.progress.Counts[o]; c > 0 {
 				counts[o.String()] += c
 			}
 		}

@@ -62,15 +62,10 @@ type Config struct {
 	ShardRetries int
 	// RetryBase is the base of the shard retry backoff (default 250ms).
 	RetryBase time.Duration
-	// WorkerMode selects how shards run: "inproc" (default) or "exec"
-	// (child process per shard; requires ExecPath).
+	// WorkerMode names how shards run. Every shard runs in the server
+	// process, so the only accepted values are "" and "inproc"; New
+	// rejects anything else.
 	WorkerMode string
-	// ExecPath is the binary re-executed per shard in exec mode
-	// (defaults to os.Executable()).
-	ExecPath string
-	// DrainGrace is how long a TERMed exec worker gets to flush before
-	// SIGKILL (default 5s).
-	DrainGrace time.Duration
 	// ChaosTrialDelay slows every trial by the given duration — crash
 	// drills use it to land kills mid-campaign. Zero in production.
 	ChaosTrialDelay time.Duration
@@ -106,12 +101,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryBase <= 0 {
 		c.RetryBase = 250 * time.Millisecond
 	}
-	if c.WorkerMode == "" {
-		c.WorkerMode = "inproc"
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 5 * time.Second
-	}
 	c.Limits = c.Limits.withDefaults()
 	return c
 }
@@ -142,6 +131,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Spool == "" {
 		return nil, fmt.Errorf("server: Config.Spool is required")
 	}
+	if cfg.WorkerMode != "" && cfg.WorkerMode != "inproc" {
+		return nil, fmt.Errorf("server: unknown worker mode %q: every shard runs in-process (use \"inproc\" or leave it empty)", cfg.WorkerMode)
+	}
 	if err := os.MkdirAll(filepath.Join(cfg.Spool, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("server: spool: %w", err)
 	}
@@ -158,22 +150,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.resultCache = store
 	}
-	switch cfg.WorkerMode {
-	case "inproc":
-		s.runner = &inprocRunner{chaos: cfg.ChaosTrialDelay, metrics: cfg.Metrics}
-	case "exec":
-		path := cfg.ExecPath
-		if path == "" {
-			exe, err := os.Executable()
-			if err != nil {
-				return nil, fmt.Errorf("server: exec worker mode: %w", err)
-			}
-			path = exe
-		}
-		s.runner = &execRunner{path: path, grace: cfg.DrainGrace, chaos: cfg.ChaosTrialDelay}
-	default:
-		return nil, fmt.Errorf("server: unknown worker mode %q (inproc, exec)", cfg.WorkerMode)
-	}
+	s.runner = &inprocRunner{chaos: cfg.ChaosTrialDelay, metrics: cfg.Metrics}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -306,9 +283,8 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 		return nil, err
 	}
 	// Resolve defaults at admission so the persisted submission is
-	// self-contained: a shard worker process or a restarted server must
-	// not have to re-derive them from its own (possibly different)
-	// configuration.
+	// self-contained: a restarted server must not have to re-derive
+	// them from its own (possibly different) configuration.
 	if req.Shards == 0 {
 		req.Shards = s.cfg.DefaultShards
 		if req.Shards > s.limits.MaxShards {

@@ -9,36 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
-)
 
-// TestMain doubles as the shard-worker process for exec-mode tests: the
-// execRunner re-executes this test binary with -worker-dir, and we
-// divert into RunWorker instead of the test suite (the helper-process
-// pattern).
-func TestMain(m *testing.M) {
-	dir, shard, phase, chaos := "", -1, "", time.Duration(0)
-	args := os.Args[1:]
-	for i := 0; i < len(args)-1; i++ {
-		switch args[i] {
-		case "-worker-dir":
-			dir = args[i+1]
-		case "-worker-shard":
-			shard, _ = strconv.Atoi(args[i+1])
-		case "-worker-phase":
-			phase = args[i+1]
-		case "-chaos-trial-delay":
-			chaos, _ = time.ParseDuration(args[i+1])
-		}
-	}
-	if dir != "" {
-		os.Exit(RunWorker(dir, shard, phase, chaos))
-	}
-	os.Exit(m.Run())
-}
+	"trident/internal/fault"
+	"trident/internal/telemetry"
+)
 
 // httpServer wraps a started Server in an httptest listener.
 func httpServer(t *testing.T, s *Server) *httptest.Server {
@@ -347,81 +324,60 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
-// TestExecWorkerDifferential runs a campaign with every shard in its
-// own child process (the test binary re-executed via TestMain) and
-// requires the merged result bit-identical to a direct run.
-func TestExecWorkerDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exec workers are slow in -short mode")
-	}
+// TestShardTelemetryReachesServerRegistry: shards run in the server
+// process, so their fi.* counters land in Config.Metrics and reconcile
+// exactly with the job's result; a resubmission answered from the
+// result cache runs no shard and adds nothing.
+func TestShardTelemetryReachesServerRegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	s := newSupervisedServer(t, func(c *Config) {
-		c.WorkerMode = "exec"
-		c.ExecPath = os.Args[0]
+		c.Metrics = reg
+		c.ResultCacheDir = t.TempDir()
 	})
 	s.Start()
-	ts := httpServer(t, s)
-
-	req := &SubmitRequest{Program: "pathfinder", N: 60, Seed: 77, Shards: 2}
-	sr := postJob(t, ts.URL, req)
-	j := s.q.get(sr.ID)
-	if st := waitTerminal(t, j); st != JobDone {
-		t.Fatalf("state = %s (%s), want done", st, j.status().Error)
+	req := &SubmitRequest{Program: "pathfinder", N: 90, Seed: 31, Shards: 3}
+	res := submitAndWait(t, s, req, JobDone).Result()
+	if res.Cached {
+		t.Fatal("first job was served from the cache")
 	}
-	res := j.Result()
-	if res == nil || res.Missing != 0 {
-		t.Fatalf("result = %+v, want complete", res)
+	snapshot := func() map[string]uint64 {
+		out := map[string]uint64{"fi.trials.total": reg.Counter("fi.trials.total").Load()}
+		for _, o := range fault.AllOutcomes {
+			name := "fi.outcome." + o.String()
+			out[name] = reg.Counter(name).Load()
+		}
+		return out
 	}
-	diffTrials(t, res.Trials, directTrials(t, req), "exec-worker campaign")
-}
-
-// TestExecWorkerDrainResume: draining TERMs the shard worker processes;
-// their checkpoints survive, and a restarted (inproc) server resumes to
-// a result bit-identical to a clean run — the crash drill of
-// scripts/servercheck.sh in miniature.
-func TestExecWorkerDrainResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exec workers are slow in -short mode")
+	first := snapshot()
+	if got := first["fi.trials.total"]; got != uint64(req.N) {
+		t.Errorf("fi.trials.total = %d, want %d", got, req.N)
 	}
-	spool := t.TempDir()
-	s1, err := New(Config{
-		Spool:           spool,
-		WorkerMode:      "exec",
-		ExecPath:        os.Args[0],
-		ChaosTrialDelay: 5 * time.Millisecond,
-		RetryBase:       time.Millisecond,
-		DrainGrace:      10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Start()
-	req := &SubmitRequest{Program: "pathfinder", N: 240, Seed: 99, Shards: 2}
-	j1, err := s1.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(60 * time.Second)
-	for j1.status().Done < 10 {
-		select {
-		case <-j1.watch():
-		case <-deadline:
-			t.Fatalf("no progress before drain (done=%d)", j1.status().Done)
+	for _, o := range fault.AllOutcomes {
+		if got, want := first["fi.outcome."+o.String()], uint64(res.Counts[o.String()]); got != want {
+			t.Errorf("fi.outcome.%s = %d, result counts %d", o, got, want)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if st := j1.State(); st != JobQueued {
-		t.Fatalf("state after drain = %s, want queued", st)
-	}
 
-	s2 := newSupervisedServer(t, func(c *Config) { c.Spool = spool })
-	j2 := s2.q.get(j1.ID)
-	s2.Start()
-	if st := waitTerminal(t, j2); st != JobDone {
-		t.Fatalf("resumed state = %s (%s), want done", st, j2.status().Error)
+	again := submitAndWait(t, s, req, JobDone).Result()
+	if !again.Cached {
+		t.Fatal("identical resubmission missed the result cache")
 	}
-	diffTrials(t, j2.Result().Trials, directTrials(t, req), "TERMed exec workers resumed")
+	for name, v := range snapshot() {
+		if v != first[name] {
+			t.Errorf("%s moved from %d to %d on a cached job", name, first[name], v)
+		}
+	}
+}
+
+// TestNewRejectsUnknownWorkerMode: shards only run in-process; any other
+// worker mode is a configuration error, not a silent fallback.
+func TestNewRejectsUnknownWorkerMode(t *testing.T) {
+	for _, mode := range []string{"", "inproc"} {
+		if _, err := New(Config{Spool: t.TempDir(), WorkerMode: mode}); err != nil {
+			t.Errorf("WorkerMode %q: %v", mode, err)
+		}
+	}
+	if _, err := New(Config{Spool: t.TempDir(), WorkerMode: "exec"}); err == nil || !strings.Contains(err.Error(), "exec") {
+		t.Errorf("WorkerMode exec: err = %v, want an error naming it", err)
+	}
 }

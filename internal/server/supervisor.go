@@ -141,13 +141,13 @@ func (s *Server) classify(runCtx context.Context, j *Job) (JobState, string) {
 // blocking until all of them reach a per-wave terminal state. base, when
 // non-nil, carries each shard's progress from earlier waves so status
 // counts stay cumulative across an adaptive job's two waves.
-func (s *Server) runWave(ctx context.Context, j *Job, phase shardPhase, base []shardBase) {
+func (s *Server) runWave(ctx context.Context, j *Job, phase shardPhase, base []fault.Progress) {
 	var wg sync.WaitGroup
 	for i := 0; i < j.req.Shards; i++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			var b shardBase
+			var b fault.Progress
 			if base != nil {
 				b = base[shard]
 			}
@@ -183,7 +183,7 @@ func (s *Server) runAdaptiveWaves(ctx context.Context, j *Job) error {
 
 // superviseShard runs one phase of one shard to completion, retrying
 // failures from the shard's checkpoint until the retry budget runs out.
-func (s *Server) superviseShard(ctx context.Context, j *Job, shard int, phase shardPhase, base shardBase) {
+func (s *Server) superviseShard(ctx context.Context, j *Job, shard int, phase shardPhase, base fault.Progress) {
 	for attempt := 0; ; attempt++ {
 		j.updateShard(shard, func(si *shardInfo) {
 			si.state = "running"
@@ -195,11 +195,11 @@ func (s *Server) superviseShard(ctx context.Context, j *Job, shard int, phase sh
 			attrs["phase"] = string(phase)
 		}
 		span := s.cfg.Trace.Start("shard", attrs)
-		err := s.runner.runShard(ctx, j, shard, phase, func(sp shardProgress) {
+		err := s.runner.runShard(ctx, j, shard, phase, func(p fault.Progress) {
 			j.updateShard(shard, func(si *shardInfo) {
-				si.done = base.done + sp.done
-				for o := range sp.counts {
-					si.counts[o] = base.counts[o] + sp.counts[o]
+				si.progress.Done = base.Done + p.Done
+				for o := range p.Counts {
+					si.progress.Counts[o] = base.Counts[o] + p.Counts[o]
 				}
 			})
 		})
@@ -324,25 +324,13 @@ func (s *Server) buildResult(j *Job, state JobState) (*Result, error) {
 // wireTrials converts a campaign's trials into wire records, in
 // sampling order — the unit of comparison for every bit-identity test.
 func wireTrials(res *fault.CampaignResult) []TrialRecord {
-	errByIndex := make(map[int]fault.TrialError, len(res.Errs))
-	for _, te := range res.Errs {
-		errByIndex[te.Index] = te
+	errByIndex := make(map[int]*fault.TrialError, len(res.Errs))
+	for i := range res.Errs {
+		errByIndex[res.Errs[i].Index] = &res.Errs[i]
 	}
 	out := make([]TrialRecord, 0, len(res.Trials))
 	for i, tr := range res.Trials {
-		rec := TrialRecord{
-			Func:     tr.Instr.Block.Fn.Name,
-			Instr:    tr.Instr.ID,
-			Instance: tr.Instance,
-			Bit:      tr.Bit,
-			Outcome:  tr.Outcome.String(),
-			Latency:  tr.CrashLatency,
-		}
-		if te, ok := errByIndex[i]; ok {
-			rec.Attempts = te.Attempts
-			rec.Err = te.Err.Error()
-		}
-		out = append(out, rec)
+		out = append(out, fault.NewTrialRecord(tr, errByIndex[i]))
 	}
 	return out
 }

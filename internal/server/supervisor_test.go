@@ -23,7 +23,7 @@ type flakyRunner struct {
 	partial  bool
 }
 
-func (r *flakyRunner) runShard(ctx context.Context, j *Job, shard int, phase shardPhase, progress func(shardProgress)) error {
+func (r *flakyRunner) runShard(ctx context.Context, j *Job, shard int, phase shardPhase, progress func(fault.Progress)) error {
 	r.mu.Lock()
 	inject := r.failures[shard] > 0
 	if inject {
@@ -37,9 +37,9 @@ func (r *flakyRunner) runShard(ctx context.Context, j *Job, shard int, phase sha
 		// Run the real shard but die after a few completed trials.
 		subCtx, cancel := context.WithCancel(ctx)
 		done := 0
-		_ = r.inner.runShard(subCtx, j, shard, phase, func(sp shardProgress) {
-			done = sp.done
-			progress(sp)
+		_ = r.inner.runShard(subCtx, j, shard, phase, func(p fault.Progress) {
+			done = p.Done
+			progress(p)
 			if done >= 3 {
 				cancel()
 			}

@@ -317,19 +317,10 @@ type JobStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// TrialRecord is one classified trial on the wire, mirroring the
-// checkpoint log's record field for field — the currency of the
-// bit-identity acceptance tests.
-type TrialRecord struct {
-	Func     string `json:"fn"`
-	Instr    int    `json:"instr"`
-	Instance uint64 `json:"instance"`
-	Bit      int    `json:"bit"`
-	Outcome  string `json:"outcome"`
-	Latency  uint64 `json:"latency,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Err      string `json:"err,omitempty"`
-}
+// TrialRecord is one classified trial on the wire: the checkpoint log's
+// record type itself, so wire and log bytes cannot drift apart — the
+// currency of the bit-identity acceptance tests.
+type TrialRecord = fault.TrialRecord
 
 // Result is a job's final (or partial) campaign result.
 type Result struct {
@@ -377,8 +368,7 @@ type Result struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// Event is one line of a job's JSONL event stream (and of a shard
-// worker process's stdout protocol).
+// Event is one line of a job's JSONL event stream over HTTP.
 type Event struct {
 	// Type is "state", "progress" or "done".
 	Type string `json:"type"`
@@ -389,7 +379,7 @@ type Event struct {
 	Total int `json:"total,omitempty"`
 	// Counts tallies outcomes by name so clients can render live rates.
 	Counts map[string]int `json:"counts,omitempty"`
-	// ElapsedMS is wall time since the job (or shard) started.
+	// ElapsedMS is wall time since the job started.
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 	// Error describes a failed or degraded terminal state.
 	Error string `json:"error,omitempty"`

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -180,6 +181,21 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// WriteFile writes the registry's snapshot to path in the WriteJSON
+// format, reporting a close error like a write error — the one
+// -metrics-out writer every CLI shares.
+func (r *Registry) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Names returns every registered metric name, sorted — a debugging and

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +95,31 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	got := reg.Names()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Names() = %v, want %v", got, want)
+	}
+}
+
+// TestWriteFile: the -metrics-out writer leaves a decodable snapshot at
+// the path, and reports a path it cannot create.
+func TestWriteFile(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c.one").Add(7)
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := reg.WriteFile(path); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if snap.Counters["c.one"] != 7 {
+		t.Errorf("counter c.one = %d, want 7", snap.Counters["c.one"])
+	}
+	if err := reg.WriteFile(filepath.Join(t.TempDir(), "missing", "m.json")); err == nil {
+		t.Error("WriteFile into a missing directory returned nil")
 	}
 }
 

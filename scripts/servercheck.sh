@@ -1,21 +1,26 @@
 #!/usr/bin/env bash
 # servercheck.sh — the campaign server's chaos drill, run by `make check`.
 #
-# It exercises the full crash-tolerance story against real processes:
+# Every shard runs inside the server process, so the failure domain is
+# the server itself. The drill exercises the crash-tolerance story
+# against real processes:
 #
-#   1. start fiserver with exec-mode shard workers and a per-trial chaos
-#      delay so the campaign stays open long enough to attack
+#   1. start fiserver with a per-trial chaos delay so the campaign stays
+#      open long enough to attack
 #   2. submit a sharded pathfinder campaign, detached
-#   3. SIGKILL one shard worker process mid-campaign (kernel-enforced
-#      crash; no goroutine cleanup gets to run)
-#   4. SIGTERM the server mid-campaign and require exit code 143 with
+#   3. once a shard checkpoint holds trial records, SIGKILL the whole
+#      server (kernel-enforced crash: no drain runs, checkpoint tails may
+#      be torn mid-line)
+#   4. restart over the same spool, chaos still on, and require the job
+#      to be re-queued and running again (its checkpoints grow past what
+#      the killed server left)
+#   5. SIGTERM the server mid-campaign and require exit code 143 with
 #      the job re-queued on disk
-#   5. restart the server over the same spool (no chaos), attach, and
-#      wait for the resumed job to finish
-#   6. run the same campaign again cleanly and compare the per-trial
-#      JSONL dumps byte for byte
+#   6. restart once more (no chaos, no result cache), attach, wait for
+#      the job to finish, run the same campaign cleanly and compare the
+#      per-trial JSONL dumps byte for byte
 #
-# Passing means: a killed worker was retried from its checkpoint, a
+# Passing means: a SIGKILLed server resumed from its torn checkpoints, a
 # drained server resumed after restart, and none of it changed a single
 # trial outcome.
 set -euo pipefail
@@ -27,12 +32,6 @@ SRV_PID=""
 
 cleanup() {
     [ -n "$SRV_PID" ] && kill -9 "$SRV_PID" 2>/dev/null || true
-    # Reap any shard workers left over from a failed run.
-    for p in /proc/[0-9]*; do
-        if tr '\0' ' ' <"$p/cmdline" 2>/dev/null | grep -q -- "-worker-dir $SPOOL"; then
-            kill -9 "${p#/proc/}" 2>/dev/null || true
-        fi
-    done
     rm -rf "$TMP"
 }
 trap cleanup EXIT INT TERM
@@ -49,7 +48,7 @@ $GO build -o "$TMP/fi" ./cmd/fi
 start_server() { # args: extra fiserver flags...
     rm -f "$TMP/addr"
     "$TMP/fiserver" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -spool "$SPOOL" \
-        -worker-mode exec -shard-retries 3 -retry-base 100ms "$@" \
+        -shard-retries 3 -retry-base 100ms "$@" \
         >>"$TMP/server.log" 2>&1 &
     SRV_PID=$!
     i=0
@@ -61,21 +60,19 @@ start_server() { # args: extra fiserver flags...
     ADDR=$(cat "$TMP/addr")
 }
 
-find_worker() { # prints the pid of one shard worker process, if any
-    for p in /proc/[0-9]*; do
-        if tr '\0' ' ' <"$p/cmdline" 2>/dev/null | grep -q -- "-worker-dir $SPOOL"; then
-            echo "${p#/proc/}"
-            return 0
-        fi
-    done
-    return 1
+job_state() { # prints the job's on-disk lifecycle state
+    sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' "$SPOOL/jobs/$JOB/state.json"
+}
+
+trial_records() { # prints how many trial records the job's shard checkpoints hold
+    cat "$SPOOL/jobs/$JOB"/shard-*.jsonl 2>/dev/null | grep -c '"outcome"' || true
 }
 
 N=1200
 SEED=20260807
 SHARDS=3
 
-echo "servercheck: starting fiserver (exec workers, chaos delay)"
+echo "servercheck: starting fiserver (chaos delay)"
 start_server -chaos-trial-delay 20ms
 
 echo "servercheck: submitting sharded campaign (n=$N, shards=$SHARDS)"
@@ -85,21 +82,30 @@ JOB=$(echo "$SUBMIT" | sed -n 's/^submitted job \(job-[0-9a-f]*\).*/\1/p')
 [ -n "$JOB" ] || fail "could not parse job id from: $SUBMIT"
 echo "servercheck: job $JOB"
 
-echo "servercheck: hunting a shard worker to SIGKILL"
+echo "servercheck: waiting for shard checkpoints to hold trial records"
 i=0
-WORKER=""
-while [ -z "$WORKER" ]; do
+while [ "$(trial_records)" -lt $SHARDS ]; do
     i=$((i + 1))
-    [ $i -gt 300 ] && fail "no shard worker process appeared"
-    WORKER=$(find_worker || true)
-    [ -n "$WORKER" ] || sleep 0.1
+    [ $i -gt 300 ] && fail "no trial records appeared in the shard checkpoints"
+    sleep 0.1
 done
-kill -9 "$WORKER" || fail "could not SIGKILL worker $WORKER"
-echo "servercheck: SIGKILLed shard worker $WORKER"
+kill -9 "$SRV_PID" || fail "could not SIGKILL server $SRV_PID"
+rc=0
+wait "$SRV_PID" 2>/dev/null || rc=$?
+SRV_PID=""
+[ "$rc" -eq 137 ] || fail "server exit code $rc after SIGKILL, want 137"
+KILLED_AT=$(trial_records)
+echo "servercheck: SIGKILLed the server with $KILLED_AT trial records on disk (state $(job_state))"
 
-# Give the supervisor a moment to notice the corpse and start the retry,
-# so the drain below exercises retry-in-progress state too.
-sleep 1
+echo "servercheck: restarting server over the same spool (chaos on)"
+start_server -chaos-trial-delay 20ms
+i=0
+while [ "$(job_state)" != "running" ] || [ "$(trial_records)" -le $((KILLED_AT + SHARDS)) ]; do
+    i=$((i + 1))
+    [ $i -gt 300 ] && fail "job not running again after restart (state $(job_state), $(trial_records) records, $KILLED_AT at kill)"
+    sleep 0.1
+done
+echo "servercheck: job re-queued and running again ($(trial_records) trial records)"
 
 echo "servercheck: SIGTERMing the server mid-campaign"
 kill -TERM "$SRV_PID"
@@ -107,8 +113,7 @@ rc=0
 wait "$SRV_PID" || rc=$?
 SRV_PID=""
 [ "$rc" -eq 143 ] || fail "server exit code $rc after SIGTERM, want 143"
-
-STATE=$(sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' "$SPOOL/jobs/$JOB/state.json")
+STATE=$(job_state)
 [ "$STATE" = "queued" ] || fail "job state after drain is '$STATE', want 'queued'"
 echo "servercheck: server exited 143, job re-queued on disk"
 
@@ -130,7 +135,7 @@ echo "servercheck: running the same campaign cleanly for comparison"
     >"$TMP/clean.log" 2>&1 || fail "clean run failed: $(cat "$TMP/clean.log")"
 
 cmp "$TMP/resumed.jsonl" "$TMP/clean.jsonl" ||
-    fail "resumed campaign diverged from clean run (kill+drain+resume changed trial outcomes)"
+    fail "resumed campaign diverged from clean run (kill+restart+drain+resume changed trial outcomes)"
 
 LINES=$(wc -l <"$TMP/resumed.jsonl")
 [ "$LINES" -eq $N ] || fail "expected $N trial records, got $LINES"
@@ -142,4 +147,4 @@ wait "$SRV_PID" || rc=$?
 SRV_PID=""
 [ "$rc" -eq 143 ] || fail "server exit code $rc on final SIGTERM, want 143"
 
-echo "servercheck: PASS (killed worker retried, drained server resumed, $LINES trials bit-identical)"
+echo "servercheck: PASS (SIGKILLed server resumed, drained server resumed, $LINES trials bit-identical)"
