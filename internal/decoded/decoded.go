@@ -191,6 +191,10 @@ type Edge struct {
 type Block struct {
 	// Ref is the source block.
 	Ref *ir.Block
+	// ID numbers the block densely across the whole program, in
+	// Program.Funcs order: per-block tables (the interpreter's rejoin
+	// index) are slices of Program.NumBlocks entries indexed by it.
+	ID int32
 	// NPhi is the number of leading phis (the prologue length).
 	NPhi int
 	// Code is the non-phi instruction tail (source instructions NPhi..).
@@ -232,6 +236,9 @@ type Program struct {
 	// NumGlobals is the module's global count — the dense global base
 	// table size the engine allocates.
 	NumGlobals int
+	// NumBlocks is the number of decoded blocks over all Funcs, the
+	// range of Block.ID.
+	NumBlocks int
 	// BadVals holds operand values of unknown kind, indexed by the
 	// KindInvalid slots that reference them.
 	BadVals []ir.Value
@@ -247,6 +254,12 @@ func Compile(m *ir.Module) *Program {
 	}
 	for _, f := range m.Funcs {
 		p.lowerFunc(f)
+	}
+	for _, df := range p.Funcs {
+		for i := range df.Blocks {
+			df.Blocks[i].ID = int32(p.NumBlocks)
+			p.NumBlocks++
+		}
 	}
 	return p
 }

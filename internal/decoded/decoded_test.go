@@ -218,6 +218,21 @@ entry:
 	if len(prog.Funcs) != 2 {
 		t.Errorf("Funcs has %d entries, want 2", len(prog.Funcs))
 	}
+
+	// Block IDs number every block of the program once, densely, in
+	// Funcs order: per-block tables index by them.
+	next := int32(0)
+	for _, df := range prog.Funcs {
+		for bi := range df.Blocks {
+			if id := df.Blocks[bi].ID; id != next {
+				t.Errorf("%s block %s has ID %d, want %d", df.Ref.Name, df.Blocks[bi].Ref.Name, id, next)
+			}
+			next++
+		}
+	}
+	if prog.NumBlocks != int(next) {
+		t.Errorf("NumBlocks = %d, want %d", prog.NumBlocks, next)
+	}
 }
 
 // TestCompileErrorMarkers pins the lowering of constructs Verify rejects

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/progs"
 	"trident/internal/refinterp"
@@ -159,68 +158,69 @@ func TestDifferentialDecodedPerTrial(t *testing.T) {
 	}
 }
 
-// TestTrialStateReset is the pooled-state hygiene check: a trial state
-// dirtied by a previous trial must come out of reset indistinguishable
-// from a fresh one. A stale counter or injection flag leaking into the
+// TestInjectDetailNoLeak runs trials of every kind back to back on one
+// snapshot-replay injector — a rejoin, a crash, a trial whose instance
+// never executes, dead-memory and control-flow faults — and requires
+// each to observe exactly what it observes on an injector that ran
+// nothing before it. Fault state now lives in each run's engine; a
+// firing flag, execution count or injection point surviving into the
 // next trial fails here.
-func TestTrialStateReset(t *testing.T) {
-	ts := acquireTrialState()
-	defer releaseTrialState(ts)
-
-	stale := &ir.Instr{Op: ir.OpAdd, Type: ir.I32}
-	ts.target = stale
-	ts.instance = 99
-	ts.mask = 0xFF00
-	ts.seen = 1234
-	ts.injectedAt = 777
-	ts.injected = true
-
-	next := &ir.Instr{Op: ir.OpMul, Type: ir.I64}
-	ts.reset(next, 3, 5)
-
-	if ts.target != next {
-		t.Errorf("target = %v, want the new trial's target", ts.target)
+func TestInjectDetailNoLeak(t *testing.T) {
+	m, err := ir.Parse(rejoinFixture)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ts.instance != 3 {
-		t.Errorf("instance = %d, want 3", ts.instance)
+	opts := Options{Seed: 1, SnapshotInterval: 97}
+	specs := []struct {
+		instr    string
+		instance uint64
+		bit      int
+	}{
+		{"t", 20, 5},   // rejoins
+		{"dp", 30, 40}, // crashes
+		{"t", 201, 5},  // %t executes 200 times: never fires
+		{"s", 20, 5},   // stays in dead memory
+		{"c", 20, 0},   // detours through skip
+		{"dp", 31, 40},
+		{"t", 20, 5},
 	}
-	if ts.mask != 1<<5 {
-		t.Errorf("mask = %#x, want %#x", ts.mask, uint64(1<<5))
+	type obs struct {
+		d   Detail
+		err string
 	}
-	if ts.seen != 0 {
-		t.Errorf("stale seen = %d survived reset", ts.seen)
+	observe := func(inj *Injector, i int) obs {
+		sp := specs[i]
+		d, err := inj.InjectDetail(context.Background(), fixtureInstr(t, m, sp.instr), sp.instance, sp.bit)
+		if err != nil {
+			return obs{err: err.Error()}
+		}
+		return obs{d: d}
 	}
-	if ts.injectedAt != 0 {
-		t.Errorf("stale injectedAt = %d survived reset", ts.injectedAt)
+	shared, err := New(m, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ts.injected {
-		t.Errorf("stale injected flag survived reset")
+	for i := range specs {
+		fresh, err := New(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := observe(fresh, i)
+		if got := observe(shared, i); got != want {
+			t.Errorf("trial %d %+v after %d trials: %+v, fresh injector %+v", i, specs[i], i, got, want)
+		}
 	}
-
-	// The pooled hook closure must act on the post-reset state.
-	got := ts.hook(&interp.Context{}, stale, 0b1)
-	if got != 0b1 || ts.seen != 0 {
-		t.Errorf("hook matched the stale target after reset (bits=%#b seen=%d)", got, ts.seen)
+	if o := observe(shared, 2); o.err == "" {
+		t.Errorf("instance 201 of %%t fired: %+v", o.d)
 	}
-	for i := uint64(1); i <= 3; i++ {
-		got = ts.hook(&interp.Context{DynCount: 10 + i}, next, 0)
+	if o := observe(shared, 1); o.d.Outcome != Crash || o.d.CrashLatency == 0 {
+		t.Errorf("crash spec observed %+v, want a crash with latency", o)
 	}
-	if !ts.injected || got != 1<<5 || ts.injectedAt != 13 {
-		t.Errorf("hook did not fire on instance 3 of the new target (injected=%v bits=%#x at=%d)",
-			ts.injected, got, ts.injectedAt)
-	}
-
-	// Release must drop the target reference.
-	releaseTrialState(ts)
-	if ts.target != nil {
-		t.Errorf("releaseTrialState retained target %v", ts.target)
-	}
-	ts = acquireTrialState() // rebalance the deferred release
 }
 
-// TestTrialStateSequentialReuse re-runs the same trial spec repeatedly
-// on one goroutine — forcing pool round-trips through the same state —
-// and requires identical observations every time.
+// TestTrialStateSequentialReuse re-runs the same trial specs repeatedly
+// on one goroutine — reusing the engine's pooled frames — and requires
+// identical observations every time.
 func TestTrialStateSequentialReuse(t *testing.T) {
 	p := progs.All()[0]
 	inj, err := New(p.Build(), Options{Seed: 3})

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	mbits "math/bits"
 	"sort"
-	"sync"
 	"time"
 
 	"trident/internal/bitlive"
@@ -140,18 +139,19 @@ type Options struct {
 	// flaky trials cannot skew outcome rates.
 	MaxRetries int
 	// SnapshotInterval enables snapshot-replay trials: the injector
-	// captures golden-run state snapshots roughly every SnapshotInterval
-	// dynamic instructions, and each trial resumes from the nearest
-	// snapshot at or before its injection point instead of re-interpreting
-	// the whole pre-fault prefix from instruction 0. The same snapshots
-	// end trials early: a trial whose machine state equals the golden
-	// run's at a later snapshot is classified Benign there, since its
-	// suffix is the golden suffix (DESIGN.md §5c). The interpreter is
-	// deterministic, so trial outcomes are bit-identical to full
-	// re-execution from instruction 0 (enforced by the differential test
-	// suite). Zero selects DefaultSnapshotInterval; a negative value
-	// re-executes every trial in full, to its end (full re-execution,
-	// kept as the differential and benchmark baseline).
+	// captures golden-run state snapshots at the first loop-header entry
+	// after every SnapshotInterval dynamic instructions, and each trial
+	// resumes from the nearest snapshot at or before its injection point
+	// instead of re-interpreting the whole pre-fault prefix from
+	// instruction 0. The same snapshots end trials early: once its fault
+	// has fired, a trial whose machine state at a loop header equals a
+	// golden snapshot's (the dynamic counters aside) is classified Benign
+	// there, since its suffix is the golden suffix (DESIGN.md §5c). The
+	// interpreter is deterministic, so trial outcomes are bit-identical
+	// to full re-execution from instruction 0 (enforced by the
+	// differential test suite). Zero selects DefaultSnapshotInterval; a
+	// negative value re-executes every trial in full, to its end (full
+	// re-execution, kept as the differential and benchmark baseline).
 	SnapshotInterval int
 	// TrialHook, when non-nil, runs before every trial attempt with the
 	// trial spec and 1-based attempt number. A non-nil return (or a panic)
@@ -215,8 +215,10 @@ type Options struct {
 }
 
 // DefaultSnapshotInterval is the golden-snapshot spacing, in dynamic
-// instructions, that Options.SnapshotInterval's zero value selects.
-const DefaultSnapshotInterval = 2048
+// instructions, that Options.SnapshotInterval's zero value selects,
+// picked from an interval sweep over the paper kernels' campaigns
+// (DESIGN.md §5c, "Interval choice").
+const DefaultSnapshotInterval = 512
 
 const (
 	defaultHangFactor = 10
@@ -252,13 +254,14 @@ type Injector struct {
 	total   uint64
 
 	// snaps are the golden-run snapshots for snapshot-replay trials, in
-	// execution order (empty under full re-execution). counts[i] maps
-	// each instruction to how many of its dynamic executions completed
-	// strictly before snaps[i] (non-decreasing across snapshots), which
-	// is what maps a trial's (instruction, instance) fault point to the
-	// snapshots preceding it.
+	// execution order (empty under full re-execution). counts[in][i] is
+	// how many of in's dynamic executions completed strictly before
+	// snaps[i] (non-decreasing in i), which is what maps a trial's
+	// (instruction, instance) fault point to the snapshots preceding it.
+	// join indexes the same snapshots by block for rejoin checks.
 	snaps  []*interp.Snapshot
-	counts []map[*ir.Instr]uint64
+	counts map[*ir.Instr][]uint64
+	join   *interp.JoinIndex
 
 	// prog is the module lowered for the interpreter, compiled once in
 	// New and shared (it is immutable) by every run the injector issues.
@@ -382,17 +385,16 @@ func (inj *Injector) captureSnapshots() error {
 	})
 	setupStart := time.Now()
 	counts := make(map[*ir.Instr]uint64, len(inj.targets))
+	inj.counts = make(map[*ir.Instr][]uint64, len(inj.targets))
 	res, err := interp.Run(inj.module, interp.Options{
 		Decoded:          inj.prog,
 		Metrics:          inj.opts.Metrics,
 		SnapshotInterval: interval,
 		OnSnapshot: func(s *interp.Snapshot) {
-			c := make(map[*ir.Instr]uint64, len(counts))
-			for in, n := range counts {
-				c[in] = n
-			}
 			inj.snaps = append(inj.snaps, s)
-			inj.counts = append(inj.counts, c)
+			for _, in := range inj.targets {
+				inj.counts[in] = append(inj.counts[in], counts[in])
+			}
 		},
 		Hooks: interp.Hooks{
 			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
@@ -412,6 +414,7 @@ func (inj *Injector) captureSnapshots() error {
 		return fmt.Errorf("fault: snapshot capture run diverged from golden run "+
 			"(%d dynamic instructions, want %d)", res.DynInstrs, inj.goldenDyn)
 	}
+	inj.join = interp.NewJoinIndex(inj.snaps, inj.goldenDyn)
 	return nil
 }
 
@@ -433,9 +436,8 @@ func (inj *Injector) SnapshotInterval() int { return inj.opts.SnapshotInterval }
 // index falls in the same inter-snapshot interval resumes from the same
 // snapshot.
 func (inj *Injector) snapshotBefore(target *ir.Instr, instance uint64) int {
-	return sort.Search(len(inj.snaps), func(i int) bool {
-		return inj.counts[i][target] >= instance
-	}) - 1
+	c := inj.counts[target]
+	return sort.Search(len(c), func(i int) bool { return c[i] >= instance }) - 1
 }
 
 // GoldenOutput returns the fault-free program output.
@@ -508,28 +510,24 @@ func (inj *Injector) InjectDetail(ctx context.Context, target *ir.Instr, instanc
 		ctx, cancel = context.WithTimeout(ctx, inj.opts.TrialTimeout)
 		defer cancel()
 	}
-	ts := acquireTrialState()
-	defer releaseTrialState(ts)
-	ts.reset(target, instance, bit)
 	iopts := interp.Options{
 		Context:      ctx,
 		MaxDynInstrs: inj.hangBudget,
 		Metrics:      inj.opts.Metrics,
 		Decoded:      inj.prog,
-		Hooks:        interp.Hooks{OnResult: ts.hook},
+		Fault:        interp.Fault{Target: target, Instance: instance, Mask: 1 << uint(bit)},
+		Join:         inj.join,
 	}
 	// Snapshot replay: the pre-fault prefix of the trial is identical to
 	// the golden run, so resume from the latest golden snapshot preceding
-	// the injection point and count occurrences from the snapshot's tally
-	// onward. With no usable snapshot the trial runs from instruction 0.
-	// Every later snapshot lies past the injection point, so the trial
-	// stops early, Benign, if its state rejoins the golden run at one.
+	// the injection point, with the target's executions before it already
+	// seen. With no usable snapshot the trial runs from instruction 0.
+	// Once the fault has fired, the trial stops early, Benign, if its
+	// state rejoins the golden run at a loop header.
 	var res *interp.Result
 	var err error
-	si := inj.snapshotBefore(target, instance)
-	iopts.Rejoin = inj.snaps[si+1:]
-	if si >= 0 {
-		ts.seen = inj.counts[si][target]
+	if si := inj.snapshotBefore(target, instance); si >= 0 {
+		iopts.Fault.Seen = inj.counts[target][si]
 		if mt := inj.met; mt != nil {
 			mt.replaySnap.Inc()
 			mt.savedInstrs.Add(inj.snaps[si].DynInstrs())
@@ -560,75 +558,24 @@ func (inj *Injector) InjectDetail(ctx context.Context, target *ir.Instr, instanc
 			return Detail{}, fmt.Errorf("fault: injected run: %w", err)
 		}
 	}
-	if !ts.injected {
+	if !res.Injected {
 		return Detail{}, fmt.Errorf("fault: instance %d of %s never executed", instance, target.Pos())
 	}
 	if res.Rejoined {
 		if mt := inj.met; mt != nil {
 			mt.rejoined.Inc()
-			mt.rejoinSaved.Add(inj.goldenDyn - res.DynInstrs)
+			mt.rejoinSaved.Add(inj.goldenDyn - res.JoinedAt)
+			if res.JoinedAt != res.DynInstrs {
+				mt.rejoinShifted.Inc()
+			}
 		}
 		return Detail{Outcome: Benign, OutputHash: inj.goldenHash}, nil
 	}
 	d := Detail{Outcome: inj.classify(res), OutputHash: hashOutput(res.Output)}
-	if d.Outcome == Crash && res.DynInstrs >= ts.injectedAt {
-		d.CrashLatency = res.DynInstrs - ts.injectedAt
+	if d.Outcome == Crash && res.DynInstrs >= res.InjectedAt {
+		d.CrashLatency = res.DynInstrs - res.InjectedAt
 	}
 	return d, nil
-}
-
-// trialState is the reusable per-trial injection context. The OnResult
-// hook closure is built once per pooled instance and captures the state
-// struct, so a campaign of N trials reuses a handful of closures
-// instead of allocating one (plus its captured variables) per trial.
-// reset rearms every field; a stale target or counter surviving into
-// the next trial is a bug the hygiene tests check for.
-type trialState struct {
-	target     *ir.Instr
-	instance   uint64
-	mask       uint64
-	seen       uint64
-	injectedAt uint64
-	injected   bool
-	hook       func(ctx *interp.Context, in *ir.Instr, bits uint64) uint64
-}
-
-// reset rearms the state for one (target, instance, bit) trial spec.
-func (ts *trialState) reset(target *ir.Instr, instance uint64, bit int) {
-	ts.target = target
-	ts.instance = instance
-	ts.mask = 1 << uint(bit)
-	ts.seen = 0
-	ts.injectedAt = 0
-	ts.injected = false
-}
-
-// trialStatePool recycles trial states (and their hook closures) across
-// trials and workers.
-var trialStatePool = sync.Pool{New: func() any {
-	ts := &trialState{}
-	ts.hook = func(ctx *interp.Context, in *ir.Instr, bits uint64) uint64 {
-		if ts.injected || in != ts.target {
-			return bits
-		}
-		ts.seen++
-		if ts.seen != ts.instance {
-			return bits
-		}
-		ts.injected = true
-		ts.injectedAt = ctx.DynCount
-		return bits ^ ts.mask
-	}
-	return ts
-}}
-
-func acquireTrialState() *trialState { return trialStatePool.Get().(*trialState) }
-
-// releaseTrialState returns ts to the pool, dropping the target
-// reference so pooled states do not retain modules.
-func releaseTrialState(ts *trialState) {
-	ts.target = nil
-	trialStatePool.Put(ts)
 }
 
 // hashOutput is the 64-bit FNV-1a hash of a program's output, shared

@@ -18,8 +18,12 @@ import (
 //   - %c steers the golden run to "keep" every iteration; a flip sends
 //     one iteration through "skip", which is as long but writes no
 //     register (it stores the zero @zero already holds), so the state
-//     later matches golden in everything but DynResults (Benign, no
-//     rejoin).
+//     later matches golden in everything but DynResults (Benign, rejoin
+//     at the golden count);
+//   - %d steers the golden run to "near"; a flip sends one iteration
+//     through "far", three instructions longer and writing no register,
+//     so the state meets golden again three instructions late (Benign,
+//     rejoin at a shifted count).
 const rejoinFixture = `
 module "rejoinfix"
 
@@ -41,8 +45,18 @@ loop:
   condbr %c, keep, skip
 keep:
   %k = add %i, i64 0
-  br join
+  br mid
 skip:
+  store i64 0, @zero
+  br mid
+mid:
+  %d = icmp sge %i, i64 0
+  condbr %d, near, far
+near:
+  br join
+far:
+  store i64 0, @zero
+  store i64 0, @zero
   store i64 0, @zero
   br join
 join:
@@ -74,26 +88,37 @@ func fixtureInstr(t *testing.T, m *ir.Module, name string) *ir.Instr {
 
 // TestRejoinFixtures injects each case of rejoinFixture into a
 // snapshot-replay injector and a full re-execution injector: the
-// Details must be equal, and the rejoin counter must move only for the
-// overwritten fault.
+// Details must be equal, and the rejoin counters must move only for the
+// cases that rejoin. The far detour also runs under a hang budget one
+// instruction short of its full length: the golden suffix from the
+// matched snapshot would cross it, so the join is refused and both paths
+// classify the trial as a hang.
 func TestRejoinFixtures(t *testing.T) {
 	m, err := ir.Parse(rejoinFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := newFull(t, m, Options{Seed: 1})
-	interval := int(full.GoldenDynInstrs()/10) + 1
+	golden := full.GoldenDynInstrs()
+	interval := int(golden/10) + 1
+	const detour = 3 // far is three instructions longer than near
 	cases := []struct {
 		name     string
 		instr    string
 		instance uint64
 		bit      int
+		budget   uint64 // hang budget override (0 = the injector's own)
+		outcome  Outcome
 		rejoin   bool
+		shifted  bool
 	}{
-		{"overwritten", "t", 20, 5, true},
-		{"dead memory", "s", 20, 5, false},
-		{"control-flow shift", "c", 20, 0, false},
-		{"after last snapshot", "t", 200, 5, false},
+		{"overwritten", "t", 20, 5, 0, Benign, true, false},
+		{"dead memory", "s", 20, 5, 0, Benign, false, false},
+		{"control-flow shift", "c", 20, 0, 0, Benign, true, false},
+		{"shifted detour", "d", 20, 0, 0, Benign, true, true},
+		{"shifted detour at budget", "d", 20, 0, golden + detour, Benign, true, true},
+		{"shifted detour over budget", "d", 20, 0, golden + detour - 1, Hang, false, false},
+		{"after last snapshot", "t", 200, 5, 0, Benign, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,13 +127,17 @@ func TestRejoinFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := newFull(t, m, Options{Seed: 1})
+			if tc.budget != 0 {
+				snap.hangBudget, ref.hangBudget = tc.budget, tc.budget
+			}
 			in := fixtureInstr(t, m, tc.instr)
 			if tc.name == "after last snapshot" {
 				if si := snap.snapshotBefore(in, tc.instance); si != len(snap.snaps)-1 {
 					t.Fatalf("injection resumes from snapshot %d of %d, want the last", si, len(snap.snaps))
 				}
 			}
-			want, err := full.InjectDetail(context.Background(), in, tc.instance, tc.bit)
+			want, err := ref.InjectDetail(context.Background(), in, tc.instance, tc.bit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,16 +148,19 @@ func TestRejoinFixtures(t *testing.T) {
 			if got != want {
 				t.Errorf("snapshot replay %+v, full re-execution %+v", got, want)
 			}
-			if want.Outcome != Benign {
-				t.Errorf("outcome %v, want benign", want.Outcome)
+			if want.Outcome != tc.outcome {
+				t.Errorf("outcome %v, want %v", want.Outcome, tc.outcome)
 			}
 			rejoined := reg.Counter("fi.trials.rejoined").Load()
 			if (rejoined == 1) != tc.rejoin || rejoined > 1 {
 				t.Errorf("fi.trials.rejoined = %d, want rejoin %v", rejoined, tc.rejoin)
 			}
+			if shifted := reg.Counter("fi.trials.rejoined_shifted").Load(); (shifted == 1) != tc.shifted || shifted > 1 {
+				t.Errorf("fi.trials.rejoined_shifted = %d, want shifted %v", shifted, tc.shifted)
+			}
 			saved := reg.Counter("fi.rejoin.saved_instrs").Load()
-			if tc.rejoin && (saved == 0 || saved >= snap.GoldenDynInstrs()) {
-				t.Errorf("fi.rejoin.saved_instrs = %d, want in (0, %d)", saved, snap.GoldenDynInstrs())
+			if tc.rejoin && (saved == 0 || saved >= golden) {
+				t.Errorf("fi.rejoin.saved_instrs = %d, want in (0, %d)", saved, golden)
 			}
 		})
 	}

@@ -113,6 +113,8 @@ type campaignMetrics struct {
 	rejoined    *telemetry.Counter // trials stopped on rejoining the golden run
 	rejoinSaved *telemetry.Counter // golden-suffix instructions skipped by rejoins
 
+	rejoinShifted *telemetry.Counter // rejoins at a count other than the snapshot's
+
 	busyUS   *telemetry.Counter // summed wall-time spent executing trials
 	inflight *telemetry.Gauge   // trials currently executing
 
@@ -126,24 +128,25 @@ func newCampaignMetrics(reg *telemetry.Registry) *campaignMetrics {
 		return nil
 	}
 	m := &campaignMetrics{
-		goldenUS:    reg.Histogram("fi.golden_us"),
-		setupUS:     reg.Histogram("fi.snapshot_setup_us"),
-		campaignUS:  reg.Histogram("fi.campaign_us"),
-		trialUS:     reg.Histogram("fi.trial_us"),
-		campaigns:   reg.Counter("fi.campaigns"),
-		total:       reg.Counter("fi.trials.total"),
-		executed:    reg.Counter("fi.trials.executed"),
-		replayed:    reg.Counter("fi.trials.replayed"),
-		attempts:    reg.Counter("fi.trials.attempts"),
-		retries:     reg.Counter("fi.trials.retries"),
-		pruned:      reg.Counter("fi.trials.pruned"),
-		replaySnap:  reg.Counter("fi.replay.snapshot"),
-		replayCold:  reg.Counter("fi.replay.cold"),
-		savedInstrs: reg.Counter("fi.replay.saved_instrs"),
-		rejoined:    reg.Counter("fi.trials.rejoined"),
-		rejoinSaved: reg.Counter("fi.rejoin.saved_instrs"),
-		busyUS:      reg.Counter("fi.workers.busy_us"),
-		inflight:    reg.Gauge("fi.workers.inflight"),
+		goldenUS:      reg.Histogram("fi.golden_us"),
+		setupUS:       reg.Histogram("fi.snapshot_setup_us"),
+		campaignUS:    reg.Histogram("fi.campaign_us"),
+		trialUS:       reg.Histogram("fi.trial_us"),
+		campaigns:     reg.Counter("fi.campaigns"),
+		total:         reg.Counter("fi.trials.total"),
+		executed:      reg.Counter("fi.trials.executed"),
+		replayed:      reg.Counter("fi.trials.replayed"),
+		attempts:      reg.Counter("fi.trials.attempts"),
+		retries:       reg.Counter("fi.trials.retries"),
+		pruned:        reg.Counter("fi.trials.pruned"),
+		replaySnap:    reg.Counter("fi.replay.snapshot"),
+		replayCold:    reg.Counter("fi.replay.cold"),
+		savedInstrs:   reg.Counter("fi.replay.saved_instrs"),
+		rejoined:      reg.Counter("fi.trials.rejoined"),
+		rejoinSaved:   reg.Counter("fi.rejoin.saved_instrs"),
+		rejoinShifted: reg.Counter("fi.trials.rejoined_shifted"),
+		busyUS:        reg.Counter("fi.workers.busy_us"),
+		inflight:      reg.Gauge("fi.workers.inflight"),
 	}
 	for _, o := range AllOutcomes {
 		m.outcome[o] = reg.Counter("fi.outcome." + o.String())

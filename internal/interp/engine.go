@@ -138,21 +138,29 @@ type machine struct {
 	cancelCtx context.Context
 	cancel    <-chan struct{}
 
-	// nextEvent is the DynCount at which the loop next stops for
-	// event: the earlier of the next snapshot capture and the next
-	// rejoin check (MaxUint64 when neither is pending), so the dispatch
-	// loop pays one compare per instruction for both.
-	nextEvent uint64
-
-	// snapEvery/nextSnap drive periodic snapshot capture (0 = disabled).
+	// snapEvery/nextSnap drive periodic snapshot capture: the first
+	// loop-header entry at DynCount >= nextSnap captures (nextSnap is
+	// MaxUint64 when capture is disabled).
 	snapEvery uint64
 	nextSnap  uint64
 
-	// rejoin holds the Options.Rejoin snapshots not yet passed, and
-	// outStart the output length the run started with: the output
-	// before it is the reference run's, so a rejoin check compares only
-	// the bytes after it.
-	rejoin   []*Snapshot
+	// faultAt is Options.Fault's target until the fault fires, then nil,
+	// so finish and applyEdge test it with one pointer compare. fault.Seen
+	// counts the target's executions so far, and injectedAt is the
+	// DynCount the fault fired at (0 until then).
+	faultAt    *ir.Instr
+	fault      Fault
+	injectedAt uint64
+
+	// join is the usable Options.Join index; joins is its per-block table
+	// once the fault has fired (nil before, so no state is compared
+	// until then), and joinedAt the count of the snapshot a rejoin
+	// matched. outStart is the output length the run started with: the
+	// output before it is the reference run's, so a rejoin check
+	// compares only the bytes after it.
+	join     *JoinIndex
+	joins    []*blockJoin
+	joinedAt uint64
 	outStart int
 
 	// poolHits/poolMisses tally frame-pool reuse for this execution,
@@ -162,55 +170,27 @@ type machine struct {
 	poolMisses uint64
 }
 
-// newMachine wires a machine to its context, including cancellation and
-// snapshot configuration from the context's options.
+// newMachine wires a machine to its context, including cancellation,
+// snapshot capture, the fault and the join index from the context's
+// options.
 func newMachine(ctx *Context, prog *decoded.Program, globals []uint64) *machine {
-	vm := &machine{ctx: ctx, prog: prog, globals: globals}
-	if c := ctx.opts.Context; c != nil {
+	vm := &machine{ctx: ctx, prog: prog, globals: globals, nextSnap: math.MaxUint64}
+	opts := &ctx.opts
+	if c := opts.Context; c != nil {
 		vm.cancelCtx = c
 		vm.cancel = c.Done()
 	}
-	if ctx.opts.SnapshotInterval > 0 && ctx.opts.OnSnapshot != nil {
-		vm.snapEvery = ctx.opts.SnapshotInterval
+	if opts.SnapshotInterval > 0 && opts.OnSnapshot != nil {
+		vm.snapEvery = opts.SnapshotInterval
 		vm.nextSnap = ctx.DynCount + vm.snapEvery
 	}
-	vm.rejoin = ctx.opts.Rejoin
+	vm.fault = opts.Fault
+	vm.faultAt = opts.Fault.Target
+	if j := opts.Join; j != nil && j.prog == prog {
+		vm.join = j
+	}
 	vm.outStart = ctx.output.Len()
-	vm.schedule()
 	return vm
-}
-
-// schedule sets nextEvent to the earliest pending snapshot capture or
-// rejoin check.
-func (vm *machine) schedule() {
-	vm.nextEvent = math.MaxUint64
-	if vm.snapEvery != 0 {
-		vm.nextEvent = vm.nextSnap
-	}
-	if len(vm.rejoin) > 0 && vm.rejoin[0].dynCount < vm.nextEvent {
-		vm.nextEvent = vm.rejoin[0].dynCount
-	}
-}
-
-// event runs at the instruction boundary where DynCount reaches
-// nextEvent: it captures a due snapshot, and compares the state with a
-// rejoin snapshot taken at exactly this DynCount. Rejoin snapshots the
-// run has stepped past (its boundaries fell elsewhere, as when a phi
-// prologue spans the count) can no longer match and are dropped. It
-// reports whether the run rejoined.
-func (vm *machine) event() bool {
-	now := vm.ctx.DynCount
-	if vm.snapEvery != 0 && now >= vm.nextSnap {
-		vm.takeSnapshot()
-	}
-	for len(vm.rejoin) > 0 && vm.rejoin[0].dynCount <= now {
-		if vm.rejoin[0].dynCount == now && vm.matches(vm.rejoin[0]) {
-			return true
-		}
-		vm.rejoin = vm.rejoin[1:]
-	}
-	vm.schedule()
-	return false
 }
 
 // flushPoolMetrics records the run's frame-pool tallies.
@@ -331,25 +311,41 @@ func (vm *machine) applyEdge(fr *frame, e *decoded.Edge) error {
 		if hook != nil {
 			bits = ir.TruncateToWidth(hook(ctx, mv.Ref, bits), mv.Width)
 		}
+		if mv.Ref == vm.faultAt {
+			bits = vm.inject(bits, mv.Width)
+		}
 		fr.regs[mv.Dst] = bits
 	}
 	return nil
 }
 
 // branchTo moves fr to decoded block t, applying phi edge e when the
-// target has a prologue.
+// target has a prologue. Such a loop-header entry is where snapshots are
+// captured and, once the fault has fired, where the run may rejoin the
+// reference run: it then returns errRejoined.
 func (vm *machine) branchTo(fr *frame, t, e int32) error {
 	fr.blk = &fr.fn.Blocks[t]
 	fr.dip = 0
-	if e >= 0 {
-		return vm.applyEdge(fr, &fr.blk.Edges[e])
+	if e < 0 {
+		return nil
+	}
+	if err := vm.applyEdge(fr, &fr.blk.Edges[e]); err != nil {
+		return err
+	}
+	if vm.ctx.DynCount >= vm.nextSnap {
+		vm.takeSnapshot()
+	}
+	if vm.joins != nil {
+		if bj := vm.joins[fr.blk.ID]; bj != nil && vm.tryJoin(bj, fr) {
+			return errRejoined
+		}
 	}
 	return nil
 }
 
-// finish truncates, offers the result to the fault-injection hook,
-// counts it, and writes the destination register (non-phi instructions;
-// phis go through applyEdge).
+// finish truncates, offers the result to the OnResult hook, applies the
+// fault when this is its instance, counts it, and writes the destination
+// register (non-phi instructions; phis go through applyEdge).
 func (vm *machine) finish(fr *frame, in *decoded.Instr, bits uint64) {
 	if in.Dst < 0 {
 		return
@@ -360,12 +356,32 @@ func (vm *machine) finish(fr *frame, in *decoded.Instr, bits uint64) {
 	if h := ctx.opts.Hooks.OnResult; h != nil {
 		bits = ir.TruncateToWidth(h(ctx, in.Ref, bits), in.Width)
 	}
+	if in.Ref == vm.faultAt {
+		bits = vm.inject(bits, in.Width)
+	}
 	fr.regs[in.Dst] = bits
 }
 
+// inject counts one execution of the fault's target and, at its
+// Instance-th execution, flips the mask into bits. Firing disarms the
+// target compare and arms the join index: from here on the run can only
+// rejoin the reference run, never diverge from it by the engine's own
+// doing.
+func (vm *machine) inject(bits uint64, width int) uint64 {
+	vm.fault.Seen++
+	if vm.fault.Seen != vm.fault.Instance {
+		return bits
+	}
+	vm.faultAt = nil
+	vm.injectedAt = vm.ctx.DynCount
+	if vm.join != nil {
+		vm.joins = vm.join.blocks
+	}
+	return ir.TruncateToWidth(bits^vm.fault.Mask, width)
+}
+
 // loop is the dispatch loop: one flat switch over pre-classified steps.
-// Each instruction first checks for a due snapshot capture or rejoin
-// check, then counts itself before the hang check (so completing or
+// Each instruction counts itself before the hang check (so completing or
 // trapping exactly at the budget keeps its classification), and every
 // cancelCheckInterval instructions polls for cancellation. Calls push
 // frames and returns pop them, all without growing the Go call stack.
@@ -377,9 +393,6 @@ func (vm *machine) loop() (uint64, error) {
 			return 0, fmt.Errorf("interp: fell off end of block in %s", fr.fn.Ref.Name)
 		}
 		in := &fr.blk.Code[fr.dip]
-		if ctx.DynCount >= vm.nextEvent && vm.event() {
-			return 0, errRejoined
-		}
 		ctx.DynCount++
 		if ctx.DynCount > ctx.opts.MaxDynInstrs {
 			return 0, errHang

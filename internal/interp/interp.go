@@ -88,8 +88,8 @@ func (t *Trap) Error() string {
 // errHang signals instruction-budget exhaustion internally.
 var errHang = errors.New("interp: instruction budget exhausted")
 
-// errRejoined signals internally that the run's state matched an
-// Options.Rejoin snapshot.
+// errRejoined signals internally that the run's state matched a
+// snapshot of Options.Join's reference run.
 var errRejoined = errors.New("interp: rejoined the reference run")
 
 // Outcome classifies a completed execution.
@@ -163,13 +163,18 @@ type Options struct {
 	// Hooks are the observation points.
 	Hooks Hooks
 	// SnapshotInterval, when nonzero together with OnSnapshot, captures a
-	// full machine-state snapshot at the first instruction boundary at or
-	// after every SnapshotInterval executed instructions. Snapshots are
-	// deep copies: capturing them does not perturb the run, and each can
-	// later be resumed any number of times via Resume.
+	// full machine-state snapshot at the first loop-header entry — the
+	// first block entry through a phi prologue, right after the prologue
+	// ran — at or after every SnapshotInterval executed instructions.
+	// Loop headers are where a run that left the reference path can
+	// meet it again, so they are where Options.Join compares state.
+	// Snapshots are deep copies: capturing them does not perturb the run,
+	// and each can later be resumed any number of times via Resume. A run
+	// that enters no loop header after an interval elapses captures no
+	// snapshot for it.
 	SnapshotInterval uint64
 	// OnSnapshot receives each periodic snapshot. It runs synchronously on
-	// the execution goroutine at a clean instruction boundary.
+	// the execution goroutine at the loop-header entry it was taken at.
 	OnSnapshot func(*Snapshot)
 	// TraceWriter, when non-nil, receives one line per executed
 	// instruction ("<dyn#> <location> <instruction>") — a debugging aid;
@@ -190,18 +195,20 @@ type Options struct {
 	// Resume ignores it: a snapshot resumes on the program it was
 	// captured from.
 	Decoded *decoded.Program
-	// Rejoin lists snapshots of a reference (golden) run of the same
-	// decoded program, in capture order. When this run reaches an
-	// instruction boundary at a snapshot's dynamic-instruction count
-	// with machine state identical to the snapshot's, it stops there
-	// and its Result is marked Rejoined: execution is deterministic, so
-	// the rest of the run would repeat the reference run's suffix. The
-	// caller guarantees that the run starts on the reference run (at
-	// instruction 0, or resumed from one of its snapshots) and that its
-	// hooks alter no value from the first listed snapshot on. Fault
-	// injection sets it to the golden snapshots captured after the
-	// injection point (DESIGN.md §5c).
-	Rejoin []*Snapshot
+	// Fault, when its Target is non-nil, is the single bit flip the
+	// engine injects into this run (see Fault). The result reports
+	// whether and where it fired.
+	Fault Fault
+	// Join, when non-nil and built from snapshots of the program being
+	// run, ends the run early once it rejoins the reference run: after
+	// the engine's own Fault has fired, every phi-edge entry into a block
+	// holding reference snapshots compares the machine state with the
+	// snapshots nearest in DynCount, and on equality the run stops with
+	// its Result marked Rejoined (DESIGN.md §5c). The caller guarantees
+	// that the run starts on the reference run (at instruction 0, or
+	// resumed from one of its snapshots) and that its hooks alter no
+	// value.
+	Join *JoinIndex
 }
 
 const (
@@ -244,11 +251,38 @@ type Result struct {
 	DynResults uint64
 	// PeakMemBytes is the peak allocated footprint.
 	PeakMemBytes uint64
-	// Rejoined marks a run stopped at one of Options.Rejoin's snapshots
-	// because its state matched it exactly. Outcome is then OutcomeOK,
-	// and Output and the counters describe the run up to that point
-	// only: the rest is the reference run's suffix.
+	// Rejoined marks a run stopped at a snapshot of Options.Join's
+	// reference run because its state equalled the snapshot's in
+	// everything but the two dynamic counters. Outcome is then
+	// OutcomeOK, and Output and the counters describe the run up to that
+	// point only: the rest is the reference run's suffix from the
+	// snapshot, which ends OK with the reference output within the
+	// instruction budget.
 	Rejoined bool
+	// JoinedAt is the matched snapshot's DynInstrs when Rejoined. It
+	// differs from DynInstrs when the run rejoined at a shifted count
+	// (a fault that moved control flow, as a skipped iteration does).
+	JoinedAt uint64
+	// Injected reports that Options.Fault fired, and InjectedAt is the
+	// DynCount of the instruction whose result it flipped (counting that
+	// instruction).
+	Injected   bool
+	InjectedAt uint64
+}
+
+// Fault is a single-bit transient fault in the destination register of
+// one dynamic instruction: the Instance-th execution (1-based, over the
+// whole run) of Target writes its result XORed with Mask. Seen is the
+// number of Target's executions that completed before the run started —
+// the golden prefix a snapshot resume skips — so Instance keeps its
+// whole-run meaning. The engine tests each written register's source
+// instruction against Target with one pointer compare, and stops
+// testing once the fault has fired. A nil Target injects nothing.
+type Fault struct {
+	Target   *ir.Instr
+	Instance uint64
+	Seen     uint64
+	Mask     uint64
 }
 
 // Run executes m's main function under the given options.
@@ -271,7 +305,7 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 	}
 
 	vm := newMachine(ctx, prog, globals)
-	res, err := finishRun(ctx, vm.run(prog.ByFunc[main]))
+	res, err := vm.finishRun(vm.run(prog.ByFunc[main]))
 	vm.flushPoolMetrics(opts.Metrics)
 	recordRun(opts.Metrics, start, 0, ctx, res, err)
 	return res, err
@@ -310,13 +344,16 @@ func applyDefaults(opts *Options) {
 }
 
 // finishRun classifies the execution error into a Result.
-func finishRun(ctx *Context, err error) (*Result, error) {
+func (vm *machine) finishRun(err error) (*Result, error) {
+	ctx := vm.ctx
 	res := &Result{
 		Output:       ctx.output.String(),
 		OutputLines:  ctx.lines,
 		DynInstrs:    ctx.DynCount,
 		DynResults:   ctx.DynResults,
 		PeakMemBytes: ctx.Mem.PeakBytes(),
+		Injected:     vm.injectedAt != 0,
+		InjectedAt:   vm.injectedAt,
 	}
 	switch {
 	case err == nil:
@@ -324,6 +361,7 @@ func finishRun(ctx *Context, err error) (*Result, error) {
 	case err == errRejoined:
 		res.Outcome = OutcomeOK
 		res.Rejoined = true
+		res.JoinedAt = vm.joinedAt
 	case errors.Is(err, errHang):
 		res.Outcome = OutcomeHang
 	default:

@@ -1,8 +1,9 @@
 // Snapshot/Resume: checkpointing of complete interpreter state.
 //
-// A Snapshot is a deep copy of the machine at a clean instruction boundary
-// — registers of every live frame, the segmented memory, the program
-// position, the dynamic-instruction counters, and the output buffer.
+// A Snapshot is a deep copy of the machine at a loop-header entry, right
+// after the block's phi prologue ran — registers of every live frame, the
+// segmented memory, the program position, the dynamic-instruction
+// counters, and the output buffer.
 // Because the interpreter is deterministic, resuming a snapshot and
 // running to completion is bit-identical to having let the original run
 // continue. Fault-injection campaigns exploit this: the pre-fault prefix
@@ -18,15 +19,14 @@ package interp
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"trident/internal/decoded"
 	"trident/internal/telemetry"
 )
 
-// Snapshot is an immutable deep copy of interpreter state at an
-// instruction boundary, captured by Options.SnapshotInterval/OnSnapshot
+// Snapshot is an immutable deep copy of interpreter state at a
+// loop-header entry, captured by Options.SnapshotInterval/OnSnapshot
 // during a run. It can be resumed any number of times, from any
 // goroutine.
 type Snapshot struct {
@@ -112,7 +112,7 @@ func Resume(s *Snapshot, opts Options) (*Result, error) {
 	start := metricsStart(opts.Metrics)
 	vm := restore(s, opts)
 	recordResume(opts.Metrics, start)
-	res, err := finishRun(vm.ctx, vm.run(nil))
+	res, err := vm.finishRun(vm.run(nil))
 	vm.flushPoolMetrics(opts.Metrics)
 	recordRun(opts.Metrics, start, s.dynCount, vm.ctx, res, err)
 	return res, err
@@ -146,38 +146,4 @@ func restore(s *Snapshot, opts Options) *machine {
 		vm.frames[i] = fr
 	}
 	return vm
-}
-
-// matches reports whether the machine's state is identical to s's, in
-// every component that can influence the rest of the run or its
-// result: counters, position and registers of every frame, alloca
-// placement, the address space and the output. The caller has already
-// checked that DynCount equals s's. Cheap scalar checks run first and
-// the memory bytes last, so a diverged run is usually rejected in a
-// few compares.
-func (vm *machine) matches(s *Snapshot) bool {
-	ctx := vm.ctx
-	if ctx.DynResults != s.dynResults || ctx.lines != s.lines ||
-		ctx.output.Len() != len(s.output) || ctx.depth != s.depth ||
-		len(vm.frames) != len(s.frames) {
-		return false
-	}
-	for i, fr := range vm.frames {
-		fs := &s.frames[i]
-		if fr.fn != fs.fn || fr.blk != fs.blk || fr.dip != fs.dip ||
-			!slices.Equal(fr.regs, fs.regs) || !slices.Equal(fr.params, fs.params) ||
-			len(fr.allocas) != len(fs.allocas) {
-			return false
-		}
-		for j, seg := range fr.allocas {
-			if seg.Base != fs.allocas[j].Base || seg.Size != fs.allocas[j].Size {
-				return false
-			}
-		}
-	}
-	if !ctx.Mem.sameContents(s.mem) {
-		return false
-	}
-	// Output before outStart is the reference run's by construction.
-	return ctx.output.String()[vm.outStart:] == s.output[vm.outStart:]
 }

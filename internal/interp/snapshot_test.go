@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"trident/internal/ir"
@@ -239,20 +240,21 @@ func TestSnapshotRoundTripBenchmarks(t *testing.T) {
 }
 
 // TestSnapshotRandomPoints is the property test at pseudo-random dynamic
-// instructions: pick a random snapshot point, keep executing, resume,
-// and require a bit-for-bit identical end state.
+// instructions: pick a random interval, let the run capture its first
+// snapshot, keep executing, resume, and require a bit-for-bit identical
+// end state. The first snapshot must land on the first loop-header entry
+// at or after the interval (the entries are read off a run that
+// captures at every one of them).
 func TestSnapshotRandomPoints(t *testing.T) {
 	m := mustParse(t, snapProgram)
-	full, err := Run(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, headers := collectSnapshots(t, m, 1, Options{})
+	last := headers[len(headers)-1].DynInstrs()
 	rng := uint64(0x9E3779B97F4A7C15)
 	for trial := 0; trial < 25; trial++ {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		point := 1 + rng%(full.DynInstrs-1)
+		point := 1 + rng%last
 		var first *Snapshot
 		opts := Options{
 			SnapshotInterval: point,
@@ -267,6 +269,11 @@ func TestSnapshotRandomPoints(t *testing.T) {
 		}
 		if first == nil {
 			t.Fatalf("no snapshot at point %d", point)
+		}
+		k := sort.Search(len(headers), func(i int) bool { return headers[i].DynInstrs() >= point })
+		if first.DynInstrs() != headers[k].DynInstrs() {
+			t.Errorf("point %d: first snapshot @%d, want the first loop-header entry @%d",
+				point, first.DynInstrs(), headers[k].DynInstrs())
 		}
 		got, err := Resume(first, Options{})
 		if err != nil {
