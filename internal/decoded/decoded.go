@@ -24,6 +24,10 @@
 //     incoming-list scan.
 //   - Branch targets are pre-resolved to decoded block indices, and
 //     each branch carries the edge index to apply in its target.
+//   - Each block records the registers live after its phi prologue, and
+//     each call those live once it returns (liveness.go), so the
+//     interpreter's rejoin check compares only registers the rest of a
+//     run can read.
 //
 // Compile is total: it never fails and never panics. Constructs the
 // engine cannot execute (which ir.Verify rejects, but execution must
@@ -147,6 +151,10 @@ type Instr struct {
 	// Callee is the called function (StepCall); nil makes the call fail
 	// with an InternalError (the engine's nil dereference is recovered).
 	Callee *Func
+	// LiveAfter lists, in increasing order, the registers live once the
+	// call returns, without the call's own result (StepCall): the ones a
+	// frame suspended at this call can still read.
+	LiveAfter []int32
 	// T0, T1 are decoded block indices of the branch targets (T1 is the
 	// false edge of a condbr).
 	T0, T1 int32
@@ -202,6 +210,10 @@ type Block struct {
 	// Edges are the phi prologues, one per discovered predecessor;
 	// branch instructions carry indices into them.
 	Edges []Edge
+	// LiveIn lists, in increasing order, the registers live at the
+	// block's first non-phi instruction, right after its phi prologue:
+	// the ones the rest of the run can read before rewriting them.
+	LiveIn []int32
 	// EntryEdge is the index of the function-entry pseudo-edge
 	// (predecessor nil), or -1. It is only built for entry blocks with a
 	// phi prologue, where entering it fails with the "<entry>" error.
@@ -256,6 +268,7 @@ func Compile(m *ir.Module) *Program {
 		p.lowerFunc(f)
 	}
 	for _, df := range p.Funcs {
+		computeLiveness(df)
 		for i := range df.Blocks {
 			df.Blocks[i].ID = int32(p.NumBlocks)
 			p.NumBlocks++

@@ -1,6 +1,7 @@
 package decoded
 
 import (
+	"slices"
 	"testing"
 
 	"trident/internal/ir"
@@ -292,5 +293,146 @@ func TestCompileErrorMarkers(t *testing.T) {
 	if call.Step != StepCall || call.Callee != nil {
 		t.Errorf("callee-less call = {step %d callee %v}, want StepCall with nil Callee",
 			call.Step, call.Callee)
+	}
+}
+
+// liveRegs returns the sorted register IDs of fn's instructions named in
+// names.
+func liveRegs(t *testing.T, fn *ir.Func, names ...string) []int32 {
+	t.Helper()
+	var ids []int32
+	for _, name := range names {
+		found := false
+		fn.Instrs(func(in *ir.Instr) {
+			if in.Name == name {
+				ids = append(ids, int32(in.ID))
+				found = true
+			}
+		})
+		if !found {
+			t.Fatalf("no instruction %%%s in %s", name, fn.Name)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestLiveness pins the register sets the rejoin check compares: a
+// block's LiveIn after its phi prologue and a call's LiveAfter. It
+// covers a loop-carried phi, a phi nobody reads (whose source then
+// needs no keeping), a value dead after its last use, a call result left
+// out of its own LiveAfter, and the error markers that make everything
+// before them dead: a bad phi edge and a StepInvalid instruction.
+func TestLiveness(t *testing.T) {
+	m := mustParse(t, `
+module "live"
+func @sq(%x i64) i64 {
+entry:
+  %y = mul %x, %x
+  ret %y
+}
+func @main() void {
+entry:
+  %t = add i64 5, i64 0
+  %u = add %t, i64 1
+  br loop
+loop:
+  %i = phi i64 [i64 0, entry], [%inc, loop]
+  %s = phi i64 [%u, entry], [%s2, loop]
+  %z = phi i64 [i64 0, entry], [%w, loop]
+  %d = add %i, i64 7
+  %dd = mul %d, %d
+  %w = add %i, i64 2
+  %r = call @sq(%dd)
+  %s2 = add %s, %r
+  %inc = add %i, i64 1
+  %c = icmp slt %inc, i64 4
+  condbr %c, loop, done
+done:
+  print %s2
+  ret
+}`)
+	prog := Compile(m)
+	fn := m.Func("main")
+	df := prog.ByFunc[fn]
+	for _, tc := range []struct {
+		block string
+		want  []int32
+	}{
+		{"entry", nil},
+		// %s2 and %inc are live at the loop's end but rewritten before
+		// any read once the header is entered; %z is never read, so %w,
+		// its back-edge source, is not kept for it.
+		{"loop", liveRegs(t, fn, "i", "s")},
+		{"done", liveRegs(t, fn, "s2")},
+	} {
+		blk := &df.Blocks[slices.IndexFunc(fn.Blocks, func(b *ir.Block) bool { return b.Name == tc.block })]
+		if !slices.Equal(blk.LiveIn, tc.want) {
+			t.Errorf("%s LiveIn = %v, want %v", tc.block, blk.LiveIn, tc.want)
+		}
+	}
+	// After @sq returns, %d and %dd are dead (last used by the call), %w
+	// only feeds the dead %z, and %r is the call's own result.
+	var call *Instr
+	for bi := range df.Blocks {
+		for ci := range df.Blocks[bi].Code {
+			if df.Blocks[bi].Code[ci].Step == StepCall {
+				call = &df.Blocks[bi].Code[ci]
+			}
+		}
+	}
+	if want := liveRegs(t, fn, "i", "s"); !slices.Equal(call.LiveAfter, want) {
+		t.Errorf("call LiveAfter = %v, want %v", call.LiveAfter, want)
+	}
+	if sq := prog.ByFunc[m.Func("sq")]; len(sq.Blocks[0].LiveIn) != 0 {
+		t.Errorf("@sq entry LiveIn = %v, want none (parameters are not registers)", sq.Blocks[0].LiveIn)
+	}
+
+	// Error markers: entering join from pre fails on its phi, and tail
+	// fails on a mid-block phi before it prints %k, so nothing is live
+	// at either block.
+	m2 := mustParse(t, `
+module "markers"
+func @main() void {
+entry:
+  %k = add i64 1, i64 2
+  %c = icmp eq %k, i64 3
+  condbr %c, pre, other
+pre:
+  br join
+other:
+  br join
+join:
+  %p = phi i64 [i64 0, pre], [i64 1, other]
+  %s = add %p, %k
+  print %s
+  br tail
+tail:
+  %z = add i64 0, i64 0
+  print %k
+  ret
+}`)
+	fn2 := m2.Func("main")
+	p := fn2.Blocks[3].Instrs[0]
+	p.PhiBlocks, p.Operands = p.PhiBlocks[1:], p.Operands[1:]
+	tail := fn2.Blocks[4]
+	tail.Instrs = slices.Insert(tail.Instrs, 1, &ir.Instr{Op: ir.OpPhi, Type: ir.I64, Block: tail})
+	fn2.Renumber()
+	df2 := Compile(m2).ByFunc[fn2]
+	if df2.Blocks[3].Edges[0].Bad == nil || df2.Blocks[4].Code[1].Step != StepInvalid {
+		t.Fatal("the mutated program does not lower to a bad edge and a StepInvalid")
+	}
+	for _, tc := range []struct {
+		block int
+		want  []int32
+	}{
+		{1, nil}, // pre: its only successor edge is bad
+		{2, liveRegs(t, fn2, "k")},
+		{3, liveRegs(t, fn2, "p", "k")},
+		{4, nil}, // tail: StepInvalid precedes print %k
+	} {
+		if got := df2.Blocks[tc.block].LiveIn; !slices.Equal(got, tc.want) {
+			t.Errorf("%s LiveIn = %v, want %v", fn2.Blocks[tc.block].Name, got, tc.want)
+		}
 	}
 }

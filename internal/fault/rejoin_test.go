@@ -20,6 +20,11 @@ import (
 //     register (it stores the zero @zero already holds), so the state
 //     later matches golden in everything but DynResults (Benign, rejoin
 //     at the golden count);
+//   - %e sends the golden run through "once" in iteration 20 only, which
+//     writes %o and nothing ever reads it; a flip at that iteration
+//     skips the arm, so %o keeps its zero for the rest of the run while
+//     golden holds 60, a difference in a dead register only (Benign,
+//     rejoin two instructions early, at a shifted count);
 //   - %d steers the golden run to "near"; a flip sends one iteration
 //     through "far", three instructions longer and writing no register,
 //     so the state meets golden again three instructions late (Benign,
@@ -45,9 +50,15 @@ loop:
   condbr %c, keep, skip
 keep:
   %k = add %i, i64 0
-  br mid
+  br pick
 skip:
   store i64 0, @zero
+  br pick
+pick:
+  %e = icmp eq %i, i64 20
+  condbr %e, once, mid
+once:
+  %o = mul %i, i64 3
   br mid
 mid:
   %d = icmp sge %i, i64 0
@@ -115,6 +126,7 @@ func TestRejoinFixtures(t *testing.T) {
 		{"overwritten", "t", 20, 5, 0, Benign, true, false},
 		{"dead memory", "s", 20, 5, 0, Benign, false, false},
 		{"control-flow shift", "c", 20, 0, 0, Benign, true, false},
+		{"skipped arm, dead register", "e", 21, 0, 0, Benign, true, true},
 		{"shifted detour", "d", 20, 0, 0, Benign, true, true},
 		{"shifted detour at budget", "d", 20, 0, golden + detour, Benign, true, true},
 		{"shifted detour over budget", "d", 20, 0, golden + detour - 1, Hang, false, false},

@@ -163,11 +163,17 @@ type machine struct {
 	joinedAt uint64
 	outStart int
 
-	// poolHits/poolMisses tally frame-pool reuse for this execution,
-	// flushed to the metrics registry at run end (never touched on the
-	// dispatch path by atomics).
-	poolHits   uint64
-	poolMisses uint64
+	// onResult is Options.Hooks.OnResult, read once per register write.
+	onResult func(ctx *Context, in *ir.Instr, bits uint64) uint64
+
+	// poolHits/poolMisses tally frame-pool reuse and joinProbes/
+	// joinCompares the rejoin checks (tryJoin calls, full sameState
+	// compares) for this execution, flushed to the metrics registry at
+	// run end (never touched on the dispatch path by atomics).
+	poolHits     uint64
+	poolMisses   uint64
+	joinProbes   uint64
+	joinCompares uint64
 }
 
 // newMachine wires a machine to its context, including cancellation,
@@ -184,6 +190,7 @@ func newMachine(ctx *Context, prog *decoded.Program, globals []uint64) *machine 
 		vm.snapEvery = opts.SnapshotInterval
 		vm.nextSnap = ctx.DynCount + vm.snapEvery
 	}
+	vm.onResult = opts.Hooks.OnResult
 	vm.fault = opts.Fault
 	vm.faultAt = opts.Fault.Target
 	if j := opts.Join; j != nil && j.prog == prog {
@@ -193,8 +200,8 @@ func newMachine(ctx *Context, prog *decoded.Program, globals []uint64) *machine 
 	return vm
 }
 
-// flushPoolMetrics records the run's frame-pool tallies.
-func (vm *machine) flushPoolMetrics(reg *telemetry.Registry) {
+// flushCounters records the run's frame-pool and rejoin tallies.
+func (vm *machine) flushCounters(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
@@ -204,7 +211,13 @@ func (vm *machine) flushPoolMetrics(reg *telemetry.Registry) {
 	if vm.poolMisses > 0 {
 		reg.Counter("interp.pool.frame_misses").Add(vm.poolMisses)
 	}
-	vm.poolHits, vm.poolMisses = 0, 0
+	if vm.joinProbes > 0 {
+		reg.Counter("interp.join.probes").Add(vm.joinProbes)
+	}
+	if vm.joinCompares > 0 {
+		reg.Counter("interp.join.compares").Add(vm.joinCompares)
+	}
+	vm.poolHits, vm.poolMisses, vm.joinProbes, vm.joinCompares = 0, 0, 0, 0
 }
 
 // run drives the dispatch loop behind a panic barrier: any panic
@@ -264,13 +277,22 @@ func (vm *machine) unwind() {
 	}
 }
 
-// evalOp resolves an operand slot to its bit pattern.
+// evalOp resolves an operand slot to its bit pattern. It is small
+// enough to inline: registers and constants, the common cases, resolve
+// in place, and the other kinds go through evalSlow.
 func (vm *machine) evalOp(fr *frame, o *decoded.Operand) uint64 {
 	switch o.Kind {
-	case decoded.KindConst:
-		return o.Bits
 	case decoded.KindReg:
 		return fr.regs[o.Idx]
+	case decoded.KindConst:
+		return o.Bits
+	}
+	return vm.evalSlow(fr, o)
+}
+
+// evalSlow resolves a parameter, global or invalid operand slot.
+func (vm *machine) evalSlow(fr *frame, o *decoded.Operand) uint64 {
+	switch o.Kind {
 	case decoded.KindParam:
 		return fr.params[o.Idx]
 	case decoded.KindGlobal:
@@ -299,7 +321,7 @@ func (vm *machine) applyEdge(fr *frame, e *decoded.Edge) error {
 	for i := range e.Moves {
 		scratch[i] = vm.evalOp(fr, &e.Moves[i].Src)
 	}
-	hook := ctx.opts.Hooks.OnResult
+	hook := vm.onResult
 	for i := range e.Moves {
 		mv := &e.Moves[i]
 		ctx.DynCount++
@@ -353,7 +375,7 @@ func (vm *machine) finish(fr *frame, in *decoded.Instr, bits uint64) {
 	ctx := vm.ctx
 	bits = ir.TruncateToWidth(bits, in.Width)
 	ctx.DynResults++
-	if h := ctx.opts.Hooks.OnResult; h != nil {
+	if h := vm.onResult; h != nil {
 		bits = ir.TruncateToWidth(h(ctx, in.Ref, bits), in.Width)
 	}
 	if in.Ref == vm.faultAt {

@@ -202,12 +202,13 @@ type Options struct {
 	// Join, when non-nil and built from snapshots of the program being
 	// run, ends the run early once it rejoins the reference run: after
 	// the engine's own Fault has fired, every phi-edge entry into a block
-	// holding reference snapshots compares the machine state with the
-	// snapshots nearest in DynCount, and on equality the run stops with
-	// its Result marked Rejoined (DESIGN.md §5c). The caller guarantees
-	// that the run starts on the reference run (at instruction 0, or
-	// resumed from one of its snapshots) and that its hooks alter no
-	// value.
+	// holding reference snapshots looks its live key registers up in the
+	// block's table, compares the machine state with any snapshot found
+	// there, counters and dead registers aside, and on equality stops
+	// the run with its Result marked Rejoined (DESIGN.md §5c). The
+	// caller guarantees that the run starts on the reference run (at
+	// instruction 0, or resumed from one of its snapshots) and that its
+	// hooks alter no value.
 	Join *JoinIndex
 }
 
@@ -306,7 +307,7 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 
 	vm := newMachine(ctx, prog, globals)
 	res, err := vm.finishRun(vm.run(prog.ByFunc[main]))
-	vm.flushPoolMetrics(opts.Metrics)
+	vm.flushCounters(opts.Metrics)
 	recordRun(opts.Metrics, start, 0, ctx, res, err)
 	return res, err
 }

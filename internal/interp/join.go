@@ -12,7 +12,6 @@ package interp
 
 import (
 	"slices"
-	"sort"
 
 	"trident/internal/decoded"
 )
@@ -30,19 +29,28 @@ type JoinIndex struct {
 	blocks []*blockJoin
 }
 
-// blockJoin is one block's share of a JoinIndex: the snapshots captured
-// at its entry, by DynCount, and the top-frame registers to compare
-// first.
+// blockJoin is one block's share of a JoinIndex: the top-frame
+// registers that tell the block's snapshots apart, and a hash table of
+// the snapshots over those registers' values.
 type blockJoin struct {
-	snaps []*Snapshot
-	// keys are the block's phi registers followed by every other register
-	// whose value differs among snaps — the ones most likely to tell a
-	// diverged state, or the wrong snapshot, apart in a few compares.
+	// keys are the block's live phi registers followed by every other
+	// live register whose value differs among its snapshots — the ones
+	// most likely to tell a diverged state, or the wrong snapshot, apart.
 	keys []int32
+	// slots is an open-addressing table of the snapshots by hashKeys of
+	// their top frame's registers, linear probing, len a power of two at
+	// least twice the snapshot count; a nil snap marks an empty slot.
+	slots []joinSlot
 }
 
-// NewJoinIndex indexes snaps, captured in order from one reference run
-// that executed goldenDyn instructions and ended OK. It returns nil when
+// joinSlot is one entry of blockJoin.slots.
+type joinSlot struct {
+	hash uint64
+	snap *Snapshot
+}
+
+// NewJoinIndex indexes snaps, captured from one reference run that
+// executed goldenDyn instructions and ended OK. It returns nil when
 // snaps is empty.
 func NewJoinIndex(snaps []*Snapshot, goldenDyn uint64) *JoinIndex {
 	if len(snaps) == 0 {
@@ -50,65 +58,91 @@ func NewJoinIndex(snaps []*Snapshot, goldenDyn uint64) *JoinIndex {
 	}
 	prog := snaps[0].prog
 	j := &JoinIndex{prog: prog, goldenDyn: goldenDyn, blocks: make([]*blockJoin, prog.NumBlocks)}
+	byBlock := make([][]*Snapshot, prog.NumBlocks)
 	for _, s := range snaps {
-		blk := s.frames[len(s.frames)-1].blk
-		bj := j.blocks[blk.ID]
-		if bj == nil {
-			bj = &blockJoin{}
-			for _, in := range blk.Ref.Instrs[:blk.NPhi] {
-				bj.keys = append(bj.keys, int32(in.ID))
-			}
-			j.blocks[blk.ID] = bj
-		}
-		bj.snaps = append(bj.snaps, s)
+		id := s.top().blk.ID
+		byBlock[id] = append(byBlock[id], s)
 	}
-	for _, bj := range j.blocks {
-		if bj == nil {
+	for id, group := range byBlock {
+		if group == nil {
 			continue
 		}
-		first := bj.snaps[0].top().regs
-		for r := range first {
-			if slices.Contains(bj.keys, int32(r)) {
+		bj := &blockJoin{}
+		top := group[0].top()
+		blk := top.blk
+		for _, in := range blk.Ref.Instrs[:blk.NPhi] {
+			if _, live := slices.BinarySearch(blk.LiveIn, int32(in.ID)); live {
+				bj.keys = append(bj.keys, int32(in.ID))
+			}
+		}
+		for _, r := range blk.LiveIn {
+			if slices.Contains(bj.keys, r) {
 				continue
 			}
-			for _, s := range bj.snaps[1:] {
-				if s.top().regs[r] != first[r] {
-					bj.keys = append(bj.keys, int32(r))
+			for _, s := range group[1:] {
+				if s.top().regs[r] != top.regs[r] {
+					bj.keys = append(bj.keys, r)
 					break
 				}
 			}
 		}
+		size := 2
+		for size < 2*len(group) {
+			size *= 2
+		}
+		bj.slots = make([]joinSlot, size)
+		mask := uint64(size - 1)
+		for _, s := range group {
+			h := hashKeys(s.top().regs, bj.keys)
+			i := h & mask
+			for bj.slots[i].snap != nil {
+				i = (i + 1) & mask
+			}
+			bj.slots[i] = joinSlot{hash: h, snap: s}
+		}
+		j.blocks[id] = bj
 	}
 	return j
+}
+
+// hashKeys hashes the values of regs at keys.
+func hashKeys(regs []uint64, keys []int32) uint64 {
+	h := uint64(len(keys))
+	for _, r := range keys {
+		h = (h ^ regs[r]) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
 }
 
 // top returns the snapshot's innermost frame.
 func (s *Snapshot) top() *frameSnap { return &s.frames[len(s.frames)-1] }
 
 // tryJoin runs at a phi-edge entry into a block holding reference
-// snapshots, after the fault fired. It compares the state with the one
-// or two snapshots nearest DynCount (the closer first), and on a match
-// whose golden suffix fits the instruction budget records the snapshot's
-// count and reports true. A run whose fault shifted control flow meets
-// the reference state at a different count; the budget check keeps the
-// join exact, since the full run would have hung where the shifted
-// suffix crosses MaxDynInstrs.
+// snapshots, after the fault fired. It looks the top frame's key
+// registers up in the block's table and compares the full state only
+// with snapshots whose keys are equal. The reference run never holds
+// the same live state twice (it would loop forever), so at most one
+// snapshot can match: on a match whose golden suffix fits the
+// instruction budget it records the snapshot's count and reports true.
+// A run whose fault shifted control flow meets the reference state at a
+// different count; the budget check keeps the join exact, since the
+// full run would have hung where the shifted suffix crosses
+// MaxDynInstrs.
 func (vm *machine) tryJoin(bj *blockJoin, fr *frame) bool {
-	now := vm.ctx.DynCount
-	snaps := bj.snaps
-	i := sort.Search(len(snaps), func(i int) bool { return snaps[i].dynCount > now })
-	near, far := i-1, i
-	if near < 0 || (far < len(snaps) && snaps[far].dynCount-now < now-snaps[near].dynCount) {
-		near, far = far, near
-	}
-	for _, k := range [2]int{near, far} {
-		if k < 0 || k >= len(snaps) {
+	vm.joinProbes++
+	h := hashKeys(fr.regs, bj.keys)
+	mask := uint64(len(bj.slots) - 1)
+	for i := h & mask; bj.slots[i].snap != nil; i = (i + 1) & mask {
+		s := bj.slots[i].snap
+		if bj.slots[i].hash != h || !sameRegs(fr.regs, s.top().regs, bj.keys) {
 			continue
 		}
-		s := snaps[k]
-		if !sameRegs(fr.regs, s.top().regs, bj.keys) || !vm.sameState(s) {
+		vm.joinCompares++
+		if !vm.sameState(s) {
 			continue
 		}
+		now := vm.ctx.DynCount
 		if now+(vm.join.goldenDyn-s.dynCount) > vm.ctx.opts.MaxDynInstrs {
 			return false
 		}
@@ -130,23 +164,34 @@ func sameRegs(a, b []uint64, keys []int32) bool {
 
 // sameState reports whether the machine's state is identical to s's in
 // every component that can influence the rest of the run or its
-// classification — everything but the two dynamic counters: the output
-// line count and bytes, call depth, position and registers of every
-// frame, alloca placement, and the address space. The counters only
-// number instructions; the hang budget they feed is checked by the
-// caller. Cheap scalar checks run first and the memory bytes last, so a
-// diverged run is usually rejected in a few compares.
+// classification — everything but the two dynamic counters and dead
+// registers: the output line count and bytes, call depth, position,
+// parameters and live registers of every frame, alloca placement, and
+// the address space. The top frame sits at a block's first non-phi
+// instruction, so its live registers are the block's LiveIn; a frame
+// below it awaits its call's return, so its live registers are the
+// call's LiveAfter. A dead register is rewritten before any read, and
+// the counters only number instructions; the hang budget they feed is
+// checked by the caller. Cheap scalar checks run first and the memory
+// bytes last, so a diverged run is usually rejected in a few compares.
 func (vm *machine) sameState(s *Snapshot) bool {
 	ctx := vm.ctx
 	if ctx.lines != s.lines || ctx.output.Len() != len(s.output) ||
 		ctx.depth != s.depth || len(vm.frames) != len(s.frames) {
 		return false
 	}
+	top := len(vm.frames) - 1
 	for i, fr := range vm.frames {
 		fs := &s.frames[i]
 		if fr.fn != fs.fn || fr.blk != fs.blk || fr.dip != fs.dip ||
-			!slices.Equal(fr.regs, fs.regs) || !slices.Equal(fr.params, fs.params) ||
-			len(fr.allocas) != len(fs.allocas) {
+			!slices.Equal(fr.params, fs.params) || len(fr.allocas) != len(fs.allocas) {
+			return false
+		}
+		live := fr.blk.LiveIn
+		if i < top {
+			live = fr.blk.Code[fr.dip].LiveAfter
+		}
+		if !sameRegs(fr.regs, fs.regs, live) {
 			return false
 		}
 		for j, seg := range fr.allocas {

@@ -33,6 +33,7 @@ func (s *Segment) End() uint64 { return s.Base + s.Size }
 // paper's dominant crash cause).
 type Memory struct {
 	segments []*Segment // sorted by Base
+	last     *Segment   // the segment find returned last, or nil
 	next     uint64     // next allocation base
 	peak     uint64     // peak total allocated bytes
 	current  uint64     // current total allocated bytes
@@ -75,13 +76,23 @@ func (m *Memory) Release(s *Segment) {
 		if seg == s {
 			m.segments = append(m.segments[:i], m.segments[i+1:]...)
 			m.current -= s.Size
+			m.last = nil
 			return
 		}
 	}
 }
 
-// find returns the segment containing [addr, addr+size), or nil.
+// find returns the segment containing [addr, addr+size), or nil. Loads
+// and stores mostly hit the segment the previous access hit, so that one
+// is tried before the binary search.
 func (m *Memory) find(addr, size uint64) *Segment {
+	end := addr + size
+	if end < addr { // overflow
+		return nil
+	}
+	if s := m.last; s != nil && addr >= s.Base && end <= s.End() {
+		return s
+	}
 	// Binary search for the last segment with Base <= addr.
 	i := sort.Search(len(m.segments), func(i int) bool {
 		return m.segments[i].Base > addr
@@ -90,10 +101,8 @@ func (m *Memory) find(addr, size uint64) *Segment {
 		return nil
 	}
 	s := m.segments[i-1]
-	if addr+size < addr { // overflow
-		return nil
-	}
-	if addr >= s.Base && addr+size <= s.End() {
+	if end <= s.End() {
+		m.last = s
 		return s
 	}
 	return nil

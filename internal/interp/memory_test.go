@@ -137,3 +137,53 @@ func TestMemoryNarrowTypeTruncates(t *testing.T) {
 		t.Errorf("after i8 store, word = %#x, want 0xff", got)
 	}
 }
+
+// TestMemoryLastSegmentCache checks the segment find tries first: it
+// must never outlive its segment, never let a wrapping range through,
+// and never carry into a clone, whose accesses go to its own copies.
+func TestMemoryLastSegmentCache(t *testing.T) {
+	m := NewMemory()
+	a := m.Allocate("a", 8)
+	b := m.Allocate("b", 8)
+	if !m.Store(ir.I64, a.Base, 7) {
+		t.Fatal("store into a trapped")
+	}
+	m.Release(a)
+	if _, ok := m.Load(ir.I8, a.Base); ok {
+		t.Error("a released segment's old range is still accessible")
+	}
+	if m.Store(ir.I8, a.Base+7, 1) {
+		t.Error("a store into a released segment's old range succeeded")
+	}
+
+	// Near the top of the address space: with b cached, a range that
+	// wraps past MaxUint64 must trap rather than compare as inside b.
+	if _, ok := m.Load(ir.I64, b.Base); !ok {
+		t.Fatal("load from b trapped")
+	}
+	for _, addr := range []uint64{^uint64(0), ^uint64(0) - 3, ^uint64(0) - 7, ^uint64(0) - 16} {
+		if _, ok := m.Load(ir.I64, addr); ok {
+			t.Errorf("load of 8 bytes at %#x succeeded", addr)
+		}
+		if m.Store(ir.I64, addr, 1) {
+			t.Errorf("store of 8 bytes at %#x succeeded", addr)
+		}
+	}
+
+	if !m.Store(ir.I64, b.Base, 1) {
+		t.Fatal("store into b trapped")
+	}
+	c, _ := m.Clone()
+	if c.last != nil {
+		t.Fatal("the clone starts with a cached segment")
+	}
+	if !c.Store(ir.I64, b.Base, 2) {
+		t.Fatal("store into the clone trapped")
+	}
+	if got, _ := m.Load(ir.I64, b.Base); got != 1 {
+		t.Errorf("the original reads %d after a store into its clone, want 1", got)
+	}
+	if got, _ := c.Load(ir.I64, b.Base); got != 2 {
+		t.Errorf("the clone reads %d, want 2", got)
+	}
+}

@@ -1,9 +1,11 @@
 package interp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"trident/internal/decoded"
 	"trident/internal/ir"
 )
 
@@ -59,14 +61,20 @@ done:
 // mainInstr returns the instruction of m's main named name.
 func mainInstr(t *testing.T, m *ir.Module, name string) *ir.Instr {
 	t.Helper()
+	return funcInstr(t, m.Func("main"), name)
+}
+
+// funcInstr returns the instruction of fn named name.
+func funcInstr(t *testing.T, fn *ir.Func, name string) *ir.Instr {
+	t.Helper()
 	var found *ir.Instr
-	m.Func("main").Instrs(func(in *ir.Instr) {
+	fn.Instrs(func(in *ir.Instr) {
 		if in.Name == name {
 			found = in
 		}
 	})
 	if found == nil {
-		t.Fatalf("no instruction %%%s", name)
+		t.Fatalf("no instruction %%%s in %s", name, fn.Name)
 	}
 	return found
 }
@@ -90,10 +98,14 @@ func rejoinCandidate(t *testing.T) *Snapshot {
 // TestRejoinStateComparison restores a golden snapshot into a machine,
 // which must match it exactly, then changes one state component at a
 // time: each change alone must block the rejoin, except the two dynamic
-// counters, which the comparison leaves out on purpose (a run may rejoin
-// at a shifted count; the budget check covers the counts).
+// counters and dead registers, which the comparison leaves out on
+// purpose (a run may rejoin at a shifted count, and the budget check
+// covers the counts; a dead register is rewritten before any read).
 func TestRejoinStateComparison(t *testing.T) {
 	s := rejoinCandidate(t)
+	reg := func(frame int, name string) int {
+		return funcInstr(t, s.frames[frame].fn.Ref, name).ID
+	}
 	cases := []struct {
 		name   string
 		mutate func(vm *machine)
@@ -101,7 +113,18 @@ func TestRejoinStateComparison(t *testing.T) {
 	}{
 		{"unchanged", func(*machine) {}, true},
 		{"position", func(vm *machine) { vm.frames[1].dip++ }, false},
-		{"register", func(vm *machine) { vm.frames[0].regs[0] ^= 1 << 40 }, false},
+		// main, suspended at the call, reads %i after it returns.
+		{"register", func(vm *machine) { vm.frames[0].regs[reg(0, "i")] ^= 1 << 40 }, false},
+		{"top register", func(vm *machine) { vm.frames[1].regs[reg(1, "k")] ^= 1 }, false},
+		// main never reads %keep again, %dead is written after the call
+		// returns and %r is the call's own result; @work's %k1 is
+		// rewritten before the next read of it.
+		{"dead register", func(vm *machine) {
+			for _, name := range []string{"keep", "dead", "r"} {
+				vm.frames[0].regs[reg(0, name)] ^= 1 << 40
+			}
+			vm.frames[1].regs[reg(1, "k1")] ^= 1
+		}, true},
 		{"parameter", func(vm *machine) { vm.frames[1].params[0] ^= 1 }, false},
 		{"alloca base", func(vm *machine) {
 			seg := vm.frames[1].allocas[0]
@@ -160,17 +183,25 @@ func TestSnapshotsAtLoopHeaders(t *testing.T) {
 		if bj == nil {
 			continue
 		}
-		for k, s := range bj.snaps {
-			filed++
-			if int(s.top().blk.ID) != id {
-				t.Errorf("snapshot @%d filed under block %d, captured at block %d", s.dynCount, id, s.top().blk.ID)
-			}
-			if k > 0 && s.dynCount <= bj.snaps[k-1].dynCount {
-				t.Errorf("block %d snapshots out of order", id)
+		var blk *decoded.Block
+		for _, sl := range bj.slots {
+			if s := sl.snap; s != nil {
+				filed++
+				blk = s.top().blk
+				if int(blk.ID) != id {
+					t.Errorf("snapshot @%d filed under block %d, captured at block %d", s.dynCount, id, blk.ID)
+				}
 			}
 		}
-		if len(bj.keys) < bj.snaps[0].top().blk.NPhi {
-			t.Errorf("block %d compares %d registers first, fewer than its phis", id, len(bj.keys))
+		for _, phi := range blk.Ref.Instrs[:blk.NPhi] {
+			if _, live := slices.BinarySearch(blk.LiveIn, int32(phi.ID)); live && !slices.Contains(bj.keys, int32(phi.ID)) {
+				t.Errorf("block %d does not compare its live phi %%%s first", id, phi.Name)
+			}
+		}
+		for _, r := range bj.keys {
+			if _, live := slices.BinarySearch(blk.LiveIn, r); !live {
+				t.Errorf("block %d compares dead register %d first", id, r)
+			}
 		}
 	}
 	if filed != len(snaps) {
@@ -357,6 +388,67 @@ func TestRejoinShiftedBudget(t *testing.T) {
 		if got.DynInstrs+(golden.DynInstrs-got.JoinedAt) != full.DynInstrs {
 			t.Errorf("join at %d/@%d does not account for the full run's %d instructions",
 				got.DynInstrs, got.JoinedAt, full.DynInstrs)
+		}
+	}
+}
+
+// TestConcurrentResume resumes one snapshot from several goroutines at
+// once, with a fault and the join index armed: each run owns its memory
+// clone (and so its cached segment) and frames, so every result must
+// equal a sequential resume's. Run under -race, it also checks that
+// nothing a resume writes is shared.
+func TestConcurrentResume(t *testing.T) {
+	m := mustParse(t, rejoinProgram)
+	golden, snaps := collectSnapshots(t, m, 50, Options{})
+	join := NewJoinIndex(snaps, golden.DynInstrs)
+	s := snaps[len(snaps)/2]
+	opts := func(k int) Options {
+		fault := Fault{Target: mainInstr(t, m, "dead"), Instance: 1 << 20}
+		if k%2 == 1 {
+			iter := s.frames[0].regs[mainInstr(t, m, "i").ID]
+			fault = Fault{Target: mainInstr(t, m, "dead"), Instance: iter + 2, Seen: iter, Mask: 1 << 3}
+		}
+		return Options{Join: join, Fault: fault}
+	}
+	want := make([]*Result, 2)
+	for k := range want {
+		res, err := Resume(s, opts(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = res
+	}
+	if want[0].Rejoined || !want[1].Rejoined {
+		t.Fatalf("rejoined %v/%v, want only the faulty resume to rejoin", want[0].Rejoined, want[1].Rejoined)
+	}
+	const workers, runs = 4, 25
+	got := make([][]*Result, workers)
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for k := 0; k < runs; k++ {
+				res, err := Resume(s, opts(k))
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[w] = append(got[w], res)
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := range got {
+		for k, res := range got[w] {
+			assertSameResult(t, "concurrent resume", res, want[k%2])
+			if res.Rejoined != want[k%2].Rejoined || res.JoinedAt != want[k%2].JoinedAt {
+				t.Errorf("concurrent resume %d/%d: rejoined %v at %d, want %v at %d",
+					w, k, res.Rejoined, res.JoinedAt, want[k%2].Rejoined, want[k%2].JoinedAt)
+			}
 		}
 	}
 }

@@ -113,7 +113,7 @@ func Resume(s *Snapshot, opts Options) (*Result, error) {
 	vm := restore(s, opts)
 	recordResume(opts.Metrics, start)
 	res, err := vm.finishRun(vm.run(nil))
-	vm.flushPoolMetrics(opts.Metrics)
+	vm.flushCounters(opts.Metrics)
 	recordRun(opts.Metrics, start, s.dynCount, vm.ctx, res, err)
 	return res, err
 }
