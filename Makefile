@@ -74,7 +74,7 @@ check: build doc
 	$(GO) test -race -short ./internal/crosscheck/... ./internal/core/...
 	$(GO) run ./cmd/crosscheck -n 60 -seed 77 -kernels=false
 	$(MAKE) fuzz-smoke
-	$(GO) run ./cmd/fibench -programs pathfinder -n 300 -repeats 27 -max-overhead 0.03 -min-snapshot-speedup 1.1 -baseline BENCH_fi.json -out /dev/null
+	$(GO) run ./cmd/fibench -programs pathfinder -n 400 -repeats 27 -max-overhead 0.03 -min-snapshot-speedup 1.1 -baseline BENCH_fi.json -out /dev/null
 	$(MAKE) servercheck
 	$(MAKE) prunecheck
 	$(MAKE) stratcheck

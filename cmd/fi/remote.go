@@ -156,6 +156,9 @@ func watchJob(ctx context.Context, client *http.Client, base, id string, progres
 		}
 		if ev.Type == "done" {
 			meter.Final(func() string { return lastLine })
+			if ev.Error != "" {
+				fmt.Fprintf(os.Stderr, "job %s: %s\n", id, ev.Error)
+			}
 			return nil
 		}
 	}
@@ -263,9 +266,6 @@ func printRemoteResult(res *server.Result) {
 		}
 		fmt.Printf("weighted SDC probability: %.2f%% ± %.2f%% (95%% CI, effective n %.0f)\n",
 			res.WeightedSDC*100, res.WeightedErrorBar95*100, res.EffectiveN)
-	}
-	for _, ss := range res.FailedShards {
-		fmt.Printf("shard %d failed after %d attempts: %s\n", ss.Shard, ss.Attempts, ss.Error)
 	}
 }
 

@@ -1,26 +1,27 @@
 // Command fiserver runs the campaign-as-a-service HTTP server: it
 // accepts fault-injection campaign submissions (built-in benchmark
 // names or textual IR), queues them as durable jobs under a spool
-// directory, runs each campaign sharded across a crash-tolerant worker
-// pool, and streams progress and results as JSONL. See the "Running
-// the campaign server" section of README.md for a walkthrough.
+// directory, runs each job as one checkpointed campaign in the server
+// process, and streams progress and results as JSONL. A job's shards
+// multiply its trial workers. See the "Running the campaign server"
+// section of README.md for a walkthrough.
 //
 // The API surface (all JSON):
 //
 //	POST   /jobs              submit a campaign        → 202 {id, state}
 //	GET    /jobs              list jobs
-//	GET    /jobs/{id}         job status incl. shards
+//	GET    /jobs/{id}         job status and progress
 //	GET    /jobs/{id}/events  JSONL progress stream until terminal
 //	GET    /jobs/{id}/result  final (or partial) result
 //	DELETE /jobs/{id}         cancel
 //	GET    /healthz           liveness + draining flag
 //
 // On SIGTERM or SIGINT the server drains: admission flips to 503,
-// running shards are cancelled (their checkpoints hold every completed
+// running campaigns are cancelled (their logs hold every completed
 // trial), interrupted jobs re-queue on disk, and the process exits
 // 143/130. Restarting over the same -spool resumes them — also after a
-// SIGKILL or OOM kill, since every completed trial is already in a shard
-// checkpoint.
+// SIGKILL or OOM kill, since every completed trial is already in the
+// job's checkpoint log.
 package main
 
 import (
@@ -49,9 +50,7 @@ func run(args []string) int {
 	spool := fs.String("spool", "", "durable job directory (required); restarting over the same spool resumes interrupted jobs")
 	jobs := fs.Int("jobs", 2, "max concurrently running jobs")
 	queueDepth := fs.Int("queue-depth", 64, "max queued jobs before submissions get 429")
-	shards := fs.Int("shards", 4, "default shard count for jobs that don't choose one")
-	shardRetries := fs.Int("shard-retries", 2, "times a crashed shard is retried from its checkpoint before the job degrades")
-	retryBase := fs.Duration("retry-base", 250*time.Millisecond, "base delay of the shard retry backoff")
+	shards := fs.Int("shards", 4, "default shard count for jobs that don't choose one; a job runs shards × workers trials at once")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a signal-triggered drain may take before giving up")
 	maxTrials := fs.Int("max-trials", 1_000_000, "per-job trial budget")
 	maxIRBytes := fs.Int("max-ir-bytes", 4<<20, "max submitted IR text size")
@@ -59,7 +58,7 @@ func run(args []string) int {
 	chaosDelay := fs.Duration("chaos-trial-delay", 0, "slow every trial by this much (crash-drill instrumentation, not for production)")
 	resultCache := fs.Bool("result-cache", true, "serve repeated campaigns (same module hash, seed, n) from a spool-backed result cache")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit")
-	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (job/shard/drain spans)")
+	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (job/drain spans)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -101,8 +100,6 @@ func run(args []string) int {
 		MaxConcurrentJobs: *jobs,
 		MaxQueueDepth:     *queueDepth,
 		DefaultShards:     *shards,
-		ShardRetries:      *shardRetries,
-		RetryBase:         *retryBase,
 		ChaosTrialDelay:   *chaosDelay,
 		ResultCacheDir:    resultCacheDir,
 		Limits: server.Limits{
@@ -129,7 +126,7 @@ func run(args []string) int {
 			return 1
 		}
 	}
-	fmt.Fprintf(os.Stderr, "fiserver listening on http://%s (spool %s, in-process shards)\n",
+	fmt.Fprintf(os.Stderr, "fiserver listening on http://%s (spool %s)\n",
 		ln.Addr(), *spool)
 
 	srv.Start()

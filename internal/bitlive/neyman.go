@@ -15,8 +15,8 @@ import (
 // phase: strata whose SDC mass is provably light are thinned hard,
 // strata that carry the variance keep executing. The derivation is pure
 // deterministic float math over the tallies, so the same pilot always
-// yields the same plan (and the same Plan.Hash) on every shard, resume
-// and replay.
+// yields the same plan (and the same Plan.Hash) on every resume and
+// replay.
 
 // DefaultRateFloor is the lowest inclusion rate NeymanPlan will assign:
 // even a stratum whose pilot saw zero SDCs keeps executing one trial in

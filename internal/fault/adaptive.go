@@ -23,7 +23,7 @@
 // Determinism contract: the derived plan is a pure function of the pilot
 // outcomes, which are themselves a pure function of (module, seed, n,
 // pilot configuration) — no plan is ever persisted. Checkpoint resume
-// (mid-pilot or mid-main), sharding and replay-only reconstruction all
+// (mid-pilot or mid-main) and replay-only reconstruction both
 // re-derive it from the same records and land on byte-identical results.
 
 package fault

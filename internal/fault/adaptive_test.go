@@ -239,90 +239,56 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShardMerge: the two-wave sharded protocol — pilot shards,
-// merge, plan re-derivation, main shards, merge — reconstructs the
-// unsharded adaptive campaign bit for bit.
+// TestAdaptiveShardMerge: a server job's shards multiply its trial
+// workers, and its result is replayed from the job's one log on the
+// same injector. Run that way, for several shard counts, an adaptive
+// campaign re-derives the campaign plan from its log and replays into
+// the one-worker campaign bit for bit.
 func TestAdaptiveShardMerge(t *testing.T) {
 	const (
-		n      = 160
-		seed   = 23
-		shards = 3
+		n    = 160
+		seed = 23
 	)
 	cfg := AdaptiveConfig{}
-	opts := Options{Seed: seed, Adaptive: &cfg}
-	whole := adaptInjector(t, "rgb2gray", opts)
-	want, err := whole.CampaignAdaptive(context.Background(), n)
+	opts := Options{Seed: seed, Adaptive: &cfg, Workers: 1}
+	want, err := adaptInjector(t, "rgb2gray", opts).CampaignAdaptive(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	var pilotPaths []string
-	pilotExec := 0
-	for s := 0; s < shards; s++ {
-		inj := adaptInjector(t, "rgb2gray", opts)
-		path := filepath.Join(dir, fmt.Sprintf("pilot-%d.ckpt", s))
-		res, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards, Wave: WavePilot})
+	for _, shards := range []int{2, 3} {
+		o := opts
+		o.Workers = 2 * shards
+		inj := adaptInjector(t, "rgb2gray", o)
+		path := filepath.Join(t.TempDir(), "trials.jsonl")
+		live, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pilotExec += res.N()
-		pilotPaths = append(pilotPaths, path)
-	}
-	if pilotExec != want.PilotExecuted {
-		t.Fatalf("pilot shards executed %d trials, unsharded pilot %d", pilotExec, want.PilotExecuted)
-	}
-	pilotMerged := filepath.Join(dir, "pilot-merged.ckpt")
-	if _, err := MergeCheckpoints(pilotMerged, pilotPaths...); err != nil {
-		t.Fatal(err)
-	}
-
-	// Every shard derives the identical plan from the merged pilot.
-	derived, _, err := whole.FromCheckpoint(n, pilotMerged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan := derived.Plan; plan != want.Plan {
-		t.Fatalf("re-derived plan %v != campaign plan %v", plan, want.Plan)
-	}
-
-	paths := append([]string{}, pilotPaths...)
-	mainExec := 0
-	for s := 0; s < shards; s++ {
-		inj := adaptInjector(t, "rgb2gray", opts)
-		path := filepath.Join(dir, fmt.Sprintf("main-%d.ckpt", s))
-		res, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards, Wave: WaveMain, PilotLog: pilotMerged})
+		if live.PilotExecuted != want.PilotExecuted || live.ExecutedN() != want.ExecutedN() {
+			t.Fatalf("%d shards: executed %d (pilot %d), one worker %d (pilot %d)",
+				shards, live.ExecutedN(), live.PilotExecuted, want.ExecutedN(), want.PilotExecuted)
+		}
+		got, missing, err := inj.FromCheckpoint(n, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mainExec += res.N()
-		paths = append(paths, path)
-	}
-	if got := pilotExec + mainExec; got != want.ExecutedN() {
-		t.Fatalf("shards executed %d trials total, unsharded %d", got, want.ExecutedN())
-	}
-
-	merged := filepath.Join(dir, "merged.ckpt")
-	if _, err := MergeCheckpoints(merged, paths...); err != nil {
-		t.Fatal(err)
-	}
-	got, missing, err := whole.FromCheckpoint(n, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missing != 0 {
-		t.Fatalf("merged log missing %d records", missing)
-	}
-	if len(got.Trials) != len(want.Trials) {
-		t.Fatalf("merged %d trials, want %d", len(got.Trials), len(want.Trials))
-	}
-	for i := range want.Trials {
-		if !sameTrial(got.Trials[i], want.Trials[i]) {
-			t.Fatalf("trial %d drifted across shard merge", i)
+		if missing != 0 {
+			t.Fatalf("%d shards: log missing %d records", shards, missing)
 		}
-	}
-	if got.WeightedSDC() != want.WeightedSDC() || got.WeightedErrorBar95() != want.WeightedErrorBar95() {
-		t.Errorf("weighted stats drifted across shard merge")
+		if got.Plan != want.Plan {
+			t.Fatalf("%d shards: re-derived plan %v != campaign plan %v", shards, got.Plan, want.Plan)
+		}
+		if len(got.Trials) != len(want.Trials) {
+			t.Fatalf("%d shards: replayed %d trials, want %d", shards, len(got.Trials), len(want.Trials))
+		}
+		for i := range want.Trials {
+			if !sameTrial(got.Trials[i], want.Trials[i]) {
+				t.Fatalf("%d shards: trial %d drifted across the log replay", shards, i)
+			}
+		}
+		if got.WeightedSDC() != want.WeightedSDC() || got.WeightedErrorBar95() != want.WeightedErrorBar95() {
+			t.Errorf("%d shards: weighted stats drifted across the log replay", shards)
+		}
 	}
 }
 
@@ -367,40 +333,57 @@ func TestAdaptiveCheckpointFencing(t *testing.T) {
 }
 
 // TestAdaptiveFromCheckpointRequiresPilot: a log whose pilot prefix is
-// incomplete cannot yield a plan — derivation refuses it outright, and
-// replay-only reconstruction degrades to the pilot-plan salvage (every
-// recorded trial at 1/q of the pilot plan, absent pilot-kept slots
-// counted missing) instead of fabricating a plan from partial evidence.
+// incomplete cannot yield a plan, so replay-only reconstruction degrades
+// to the pilot-plan salvage (every recorded trial at 1/q of the pilot
+// plan, absent pilot-kept slots counted missing) instead of fabricating
+// a plan from partial evidence.
 func TestAdaptiveFromCheckpointRequiresPilot(t *testing.T) {
-	const n, seed, shards = 90, 31, 3
+	const n, seed = 90, 31
 	cfg := AdaptiveConfig{}
-	dir := t.TempDir()
-	// Only shard 1's pilot slice: the prefix has holes.
 	inj := adaptInjector(t, "rgb2gray", Options{Seed: seed, Adaptive: &cfg})
-	path := filepath.Join(dir, "pilot-1.ckpt")
-	shardRes, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: 1, Shards: shards, Wave: WavePilot})
+	path := filepath.Join(t.TempDir(), "adapt.ckpt")
+	full, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mainRun := Run{Checkpoint: filepath.Join(dir, "main-0.ckpt"), Shard: 0, Shards: shards, Wave: WaveMain, PilotLog: path}
-	if _, err := inj.Campaign(context.Background(), n, mainRun); err == nil ||
-		!strings.Contains(err.Error(), "pilot") {
-		t.Fatalf("incomplete pilot plan derivation: want pilot error, got %v", err)
+	// Keep every other pilot record and no main record: the pilot prefix
+	// has holes.
+	meta, recs, _, err := loadLog(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	pplan := pilotPlan(cfg.withDefaults())
+	pilotKept := designOf(t, inj, modeAdaptive, n).thin(pplan, 0, full.PilotSlots)
+	holed := make(map[TrialKey]TrialRecord)
+	for i, spec := range pilotKept {
+		if i%2 == 1 {
+			holed[spec.key()] = recs[spec.key()]
+		}
+	}
+	if err := writeLog(path, meta, holed); err != nil {
+		t.Fatal(err)
+	}
+	recorded := 0
+	for _, spec := range pilotKept {
+		if _, ok := holed[spec.key()]; ok {
+			recorded++
+		}
+	}
+	if recorded == 0 || recorded == len(pilotKept) {
+		t.Fatalf("%d of %d pilot records kept: the log must have holes", recorded, len(pilotKept))
+	}
+
 	ar, missing, err := inj.FromCheckpoint(n, path)
 	if err != nil {
 		t.Fatalf("incomplete pilot replay: want pilot-plan salvage, got error %v", err)
 	}
-	pn := ar.PilotSlots
-	pplan := pilotPlan(cfg.withDefaults())
-	pilotKept := designOf(t, inj, modeAdaptive, n).thin(pplan, 0, pn)
-	if got := len(shardRes.Trials); ar.PilotExecuted != got || len(ar.Trials) != got {
-		t.Fatalf("salvage replayed %d trials (pilot %d), shard recorded %d",
-			len(ar.Trials), ar.PilotExecuted, got)
+	if ar.PilotExecuted != recorded || len(ar.Trials) != recorded {
+		t.Fatalf("salvage replayed %d trials (pilot %d), log holds %d",
+			len(ar.Trials), ar.PilotExecuted, recorded)
 	}
-	if missing != len(pilotKept)-len(shardRes.Trials) {
+	if missing != len(pilotKept)-recorded {
 		t.Fatalf("missing = %d, want the %d absent pilot-kept slots",
-			missing, len(pilotKept)-len(shardRes.Trials))
+			missing, len(pilotKept)-recorded)
 	}
 	if ar.Plan != pplan {
 		t.Fatalf("salvage plan = %v, want the pilot plan %v", ar.Plan, pplan)

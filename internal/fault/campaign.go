@@ -251,7 +251,12 @@ func (inj *Injector) attemptTrial(ctx context.Context, spec trialSpec, attempt i
 //     byte-identical to the same prefix of an uninterrupted run.
 //   - When ck is non-nil, completed trials are replayed from the log
 //     instead of re-executed, and fresh completions are appended to it.
-func (inj *Injector) runTrials(ctx context.Context, specs []trialSpec, ck *Checkpoint) (*CampaignResult, error) {
+//
+// prog is the progress OnProgress reports: this call adds its specs to
+// Total and its completions to Done and Counts, so a campaign that runs
+// several phases passes the same prog to each and its counts never
+// restart.
+func (inj *Injector) runTrials(ctx context.Context, specs []trialSpec, ck *Checkpoint, prog *Progress) (*CampaignResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -269,9 +274,10 @@ func (inj *Injector) runTrials(ctx context.Context, specs []trialSpec, ck *Check
 		mt.campaigns.Inc()
 		defer mt.campaignUS.Since(start)
 	}
-	// progress aggregates completions under mu, so OnProgress observes
+	// prog aggregates completions under mu, so OnProgress observes
 	// monotonically non-decreasing counts in completion order.
-	progress := Progress{Total: len(specs)}
+	prog.Total += len(specs)
+	elapsed := prog.Elapsed
 	// observe records one classified trial (executed or replayed from the
 	// checkpoint). Callers must hold mu.
 	observe := func(tr Injection, terr *TrialError, replayed bool) {
@@ -284,10 +290,10 @@ func (inj *Injector) runTrials(ctx context.Context, specs []trialSpec, ck *Check
 			})
 		}
 		if f := inj.opts.OnProgress; f != nil {
-			progress.Done++
-			progress.Counts[tr.Outcome]++
-			progress.Elapsed = time.Since(start)
-			f(progress)
+			prog.Done++
+			prog.Counts[tr.Outcome]++
+			prog.Elapsed = elapsed + time.Since(start)
+			f(*prog)
 		}
 	}
 	sem := make(chan struct{}, inj.opts.Workers)
@@ -441,7 +447,7 @@ func (inj *Injector) CampaignPerInstr(ctx context.Context, target *ir.Instr, n i
 			bit:      randomBit(r, target),
 		}
 	}
-	return inj.runTrials(ctx, specs, nil)
+	return inj.runTrials(ctx, specs, nil, &Progress{})
 }
 
 // PerInstrSDC measures per-instruction SDC probabilities for the given

@@ -444,3 +444,119 @@ func TestIntnZeroPanicsTyped(t *testing.T) {
 	}()
 	newRNG(1).intn(0)
 }
+
+// TestShardSeedIndependence is the shard-transparency differential. A
+// server job's shards multiply its trial workers, and its result is
+// replayed from the job's one log. For the same (program, fault model,
+// seed), a campaign run that way must replay per-trial records
+// identical to the direct campaign for every shard count in
+// {1, 2, 3, 7}: the shard count must never leak into sampling. The log
+// is written by a fresh injector and replayed by the direct one, so the
+// test also covers cross-injector determinism. Subtests run on the
+// production interpreter ("decoded").
+func TestShardSeedIndependence(t *testing.T) {
+	const n, seed = 70, 1234
+	for _, name := range []string{"pathfinder", "nw"} {
+		t.Run(name+"/decoded", func(t *testing.T) {
+			build := mustProg(t, name).Build
+			direct, err := New(build(), Options{Seed: seed, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := direct.CampaignRandom(context.Background(), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 2, 3, 7} {
+				inj, err := New(build(), Options{Seed: seed, Workers: 2 * shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(t.TempDir(), "trials.jsonl")
+				if _, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path}); err != nil {
+					t.Fatal(err)
+				}
+				got, missing, err := direct.FromCheckpoint(n, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if missing != 0 {
+					t.Fatalf("%d shards: log missing %d trials", shards, missing)
+				}
+				if got.N() != want.N() {
+					t.Fatalf("%d shards: replayed %d trials, want %d", shards, got.N(), want.N())
+				}
+				for i := range want.Trials {
+					if got.Trials[i] != want.Trials[i] {
+						t.Errorf("%d shards: trial %d diverged: got %+v want %+v",
+							shards, i, got.Trials[i], want.Trials[i])
+					}
+				}
+				for o, c := range want.Counts {
+					if got.Counts[o] != c {
+						t.Errorf("%d shards: outcome %s count %d, want %d", shards, o, got.Counts[o], c)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardResumeAfterInterrupt: a job's campaign cancelled mid-run (a
+// server drain) resumes from its log under a fresh injector with a
+// different worker count (a restarted server, a different shard count),
+// and the log still replays into the uninterrupted campaign bit for bit.
+func TestShardResumeAfterInterrupt(t *testing.T) {
+	const n, seed = 60, 99
+	build := mustProg(t, "pathfinder").Build
+	direct, err := New(build(), Options{Seed: seed, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.CampaignRandom(context.Background(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trials.jsonl")
+	// First run: cancel after a few completions.
+	func() {
+		inj, err := New(build(), Options{Seed: seed, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		inj.opts.OnProgress = func(p Progress) {
+			seen++
+			if seen == 5 {
+				cancel()
+			}
+		}
+		defer cancel()
+		res, err := inj.Campaign(ctx, n, Run{Checkpoint: path})
+		if err == nil || res.N() >= n {
+			t.Fatalf("cancelled campaign ran %d of %d trials, err %v", res.N(), n, err)
+		}
+	}()
+	// Resume: a fresh injector finishes from the log.
+	inj, err := New(build(), Options{Seed: seed, Workers: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Resume: true}); err != nil {
+		t.Fatal(err)
+	}
+	got, missing, err := direct.FromCheckpoint(n, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing != 0 {
+		t.Fatalf("log missing %d trials", missing)
+	}
+	for i := range want.Trials {
+		if got.Trials[i] != want.Trials[i] {
+			t.Errorf("trial %d diverged after interrupt+resume: got %+v want %+v",
+				i, got.Trials[i], want.Trials[i])
+		}
+	}
+}

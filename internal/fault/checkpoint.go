@@ -18,10 +18,9 @@ import (
 	"sync"
 )
 
-// warnf logs non-fatal checkpoint anomalies — torn tails skipped on
-// resume, stale errored records superseded during a merge. The default
-// writes one line to stderr; tests swap it to capture output. It is
-// never called on the trial hot path.
+// warnf logs non-fatal checkpoint anomalies — torn tails skipped when a
+// log loads. The default writes one line to stderr; tests swap it to
+// capture output. It is never called on the trial hot path.
 var warnf = func(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
@@ -202,7 +201,7 @@ func openCheckpoint(path string, meta checkpointMeta, requireExisting bool) (*Ch
 	ck.cache = recs
 	ck.warnings = warns
 	// Compact: rewrite the log with only the header and intact records in
-	// deterministic (key-sorted) shard order. This drops any truncated
+	// deterministic (key-sorted) order. This drops any truncated
 	// final line left by a kill mid-write, so appends land on valid JSONL.
 	if err := ck.compact(meta); err != nil {
 		return nil, err
@@ -333,8 +332,7 @@ func (ck *Checkpoint) Warnings() []string {
 }
 
 // sortRecords orders records by trial key — the deterministic on-disk
-// order used by compaction and merge, independent of worker
-// interleaving.
+// order used by compaction, independent of worker interleaving.
 func sortRecords(recs []TrialRecord) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]

@@ -1,7 +1,7 @@
 // This file is the campaign driver: every statistical campaign — plain,
-// pruned, stratified or adaptive; whole, sharded or one wave; executed
-// live, resumed from a checkpoint, or replayed from a log — goes
-// through one sampling design. A design holds the drawn slot stream
+// pruned, stratified or adaptive; executed live, resumed from a
+// checkpoint, or replayed from a log — goes through one sampling
+// design. A design holds the drawn slot stream
 // (the n sequential draws of the campaign seed), the per-slot influence
 // strata, and a list of phases, each a slot range thinned under one
 // plan:
@@ -17,8 +17,8 @@
 // them from a log (replayLog), and stitches the phases into one result
 // weighted at 1/q of each trial's phase plan. Because inclusion is a
 // pure function of (seed, slot, rate) and a derived plan is a pure
-// function of the pilot outcomes, shards, resumes and replays all land
-// on the same executed subset and the same plan.
+// function of the pilot outcomes, worker counts, resumes and replays
+// all land on the same executed subset and the same plan.
 
 package fault
 
@@ -62,22 +62,8 @@ func (inj *Injector) mode() mode {
 	return modePlain
 }
 
-// Wave selects one phase of an adaptive campaign, for servers that run
-// the pilot and main phases as separate sharded waves.
-type Wave string
-
-const (
-	// WaveAll runs every phase of the campaign.
-	WaveAll Wave = ""
-	// WavePilot runs only the pilot phase.
-	WavePilot Wave = "pilot"
-	// WaveMain runs only the main phase, under the plan derived from the
-	// complete pilot records in Run.PilotLog.
-	WaveMain Wave = "main"
-)
-
-// Run selects how Campaign persists and partitions one campaign. The
-// zero value runs the whole campaign in memory.
+// Run selects how Campaign persists one campaign. The zero value runs
+// the campaign in memory.
 type Run struct {
 	// Checkpoint is the JSONL log completed trials are appended to as
 	// they finish; an existing log is resumed, its trials replaying
@@ -89,19 +75,6 @@ type Run struct {
 	// already exist, guarding against a typoed path silently re-running
 	// a long campaign.
 	Resume bool
-	// Shard and Shards restrict the run to the slots of
-	// ShardRange(n, Shard, Shards); Shards 0 runs every slot. Shard
-	// identity never feeds sampling or thinning, so merging every
-	// shard's log (MergeCheckpoints) and replaying it (FromCheckpoint)
-	// reproduces the unsharded campaign bit for bit. A sharded adaptive
-	// campaign must run in waves: the main-phase plan needs the whole
-	// pilot.
-	Shard, Shards int
-	// Wave runs one phase of an adaptive campaign (WaveAll runs both).
-	Wave Wave
-	// PilotLog is the merged pilot log a WaveMain run re-derives its
-	// plan from; every pilot record must be present.
-	PilotLog string
 }
 
 // phase is one slot range of a design, thinned under one plan.
@@ -111,10 +84,6 @@ type phase struct {
 	// derived marks a plan NeymanPlan derives from the outcomes of the
 	// previous phase once that phase has run.
 	derived bool
-	// evidence marks a phase whose outcomes only feed the next phase's
-	// plan — the pilot of a main-wave run, replayed from the pilot log:
-	// it is never sharded and its trials join no result.
-	evidence bool
 }
 
 // design is one campaign's sampling design, and the record of one drive
@@ -132,13 +101,9 @@ type design struct {
 	bits  bitlive.StratumStats
 	floor float64
 
-	// Filled in by drive: kept specs that produced no trial (absent
-	// records, or cancellation), whether the drive stopped short of
-	// running every kept spec of every phase, and whether a plan was
-	// derived.
+	// missing, filled in by drive, counts kept specs that produced no
+	// trial (absent records, or cancellation).
 	missing int
-	partial bool
-	derived bool
 }
 
 // newDesign draws the n-slot stream of the campaign seed and lays out
@@ -174,8 +139,8 @@ func (inj *Injector) newDesign(m mode, n int) (*design, error) {
 
 // thin returns the specs of slots [lo, hi) that plan keeps: slot i runs
 // when its stratum's rate q is 1 or its inclusion hash falls below q.
-// Inclusion is keyed by the absolute slot index, so shard boundaries and
-// resumes never shift the kept subset.
+// Inclusion is keyed by the absolute slot index, so resumes never shift
+// the kept subset.
 func (d *design) thin(plan bitlive.Plan, lo, hi int) []trialSpec {
 	if d.strata == nil {
 		return d.specs[lo:hi]
@@ -218,43 +183,27 @@ func (d *design) evidence(ph *phase, trials []Injection) [bitlive.NumStrata]bitl
 // step executes or replays one phase's kept specs, returning their
 // trials in order — a prefix when cancelled, a subsequence when log
 // records are missing. A nil result aborts the drive with the error.
-type step func(ph *phase, kept []trialSpec) (*CampaignResult, error)
+type step func(kept []trialSpec) (*CampaignResult, error)
 
-// drive runs the design's phases in order, each restricted to slots
-// [lo, hi) (evidence phases always run whole), and stitches the
-// non-evidence phases into one weighted result. It stops after the
-// first phase that errors or falls short of its kept specs: a later
-// phase's plan may depend on the complete outcomes of an earlier one.
-func (d *design) drive(lo, hi int, run step) (*AdaptiveResult, error) {
-	d.missing, d.partial, d.derived = 0, false, false
+// drive runs the design's phases in order and stitches them into one
+// weighted result. It stops after the first phase that errors or falls
+// short of its kept specs: a later phase's plan may depend on the
+// complete outcomes of an earlier one.
+func (d *design) drive(run step) (*AdaptiveResult, error) {
+	d.missing = 0
 	res := &CampaignResult{Trials: []Injection{}}
-	sr := &StratifiedResult{CampaignResult: res}
+	sr := &StratifiedResult{CampaignResult: res, SlotN: len(d.specs)}
 	ar := &AdaptiveResult{StratifiedResult: sr}
-	clip := func(ph *phase) (int, int) {
-		if ph.evidence {
-			return ph.lo, ph.hi
-		}
-		return min(max(ph.lo, lo), hi), min(max(ph.hi, lo), hi)
+	for _, s := range d.strata {
+		sr.SlotCounts[int(s)]++
 	}
-	for i := range d.phases {
-		if ph := &d.phases[i]; !ph.evidence {
-			plo, phi := clip(ph)
-			sr.SlotN += phi - plo
-			if d.strata != nil {
-				for _, s := range d.strata[plo:phi] {
-					sr.SlotCounts[int(s)]++
-				}
-			}
-		}
-	}
-	pilot := len(d.phases) > 1 && !d.phases[0].evidence
+	pilot := len(d.phases) > 1
 	if pilot {
 		ar.PilotSlots = d.phases[0].hi
 	}
 	var prev *phase
 	var prevTrials []Injection
 	var runErr error
-	ran := 0
 	for i := range d.phases {
 		ph := &d.phases[i]
 		if ph.derived {
@@ -263,22 +212,18 @@ func (d *design) drive(lo, hi int, run step) (*AdaptiveResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			ph.plan, ar.Pilot, d.derived = plan, ev, true
+			ph.plan, ar.Pilot = plan, ev
 		}
-		plo, phi := clip(ph)
-		kept := d.thin(ph.plan, plo, phi)
-		got, err := run(ph, kept)
+		kept := d.thin(ph.plan, ph.lo, ph.hi)
+		got, err := run(kept)
 		if got == nil {
 			return nil, err
 		}
-		ran++
 		d.missing += len(kept) - got.N()
-		if !ph.evidence {
-			sr.Plan = ph.plan
-			ar.add(got, ph.plan, d.inf)
-			if i == 0 && pilot {
-				ar.PilotExecuted = got.N()
-			}
+		sr.Plan = ph.plan
+		ar.add(got, ph.plan, d.inf)
+		if i == 0 && pilot {
+			ar.PilotExecuted = got.N()
 		}
 		prev, prevTrials = ph, got.Trials
 		if err != nil || got.N() < len(kept) {
@@ -286,7 +231,6 @@ func (d *design) drive(lo, hi int, run step) (*AdaptiveResult, error) {
 			break
 		}
 	}
-	d.partial = d.missing > 0 || ran < len(d.phases)
 	res.tally()
 	return ar, runErr
 }
@@ -401,12 +345,10 @@ func (inj *Injector) CampaignAdaptive(ctx context.Context, n int) (*AdaptiveResu
 }
 
 // Campaign runs an n-slot campaign under the sampling design Options
-// select (plain, stratified or adaptive), persisted, resumed and
-// partitioned as run says. The result covers the slots the run owns:
-// for a whole campaign it is exactly what CampaignRandom,
-// CampaignStratified or CampaignAdaptive return; for a shard or a wave,
-// only that slice's trials (TrialError.Index relative to it). Cancelling
-// ctx returns the completed prefix along with ctx.Err().
+// select (plain, stratified or adaptive), persisted and resumed as run
+// says. The result is exactly what CampaignRandom, CampaignStratified or
+// CampaignAdaptive return for the same design. Cancelling ctx returns
+// the completed prefix along with ctx.Err().
 func (inj *Injector) Campaign(ctx context.Context, n int, run Run) (*AdaptiveResult, error) {
 	return inj.campaign(ctx, n, inj.mode(), run)
 }
@@ -416,58 +358,22 @@ func (inj *Injector) campaign(ctx context.Context, n int, m mode, run Run) (*Ada
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := 0, n
-	if run.Shards != 0 || run.Shard != 0 {
-		if err := checkShard(run.Shard, run.Shards); err != nil {
-			return nil, err
-		}
-		lo, hi = ShardRange(n, run.Shard, run.Shards)
-	}
 	if run.Resume && run.Checkpoint == "" {
 		return nil, fmt.Errorf("fault: resume requires a checkpoint path")
 	}
-	if run.Wave != WaveAll && m != modeAdaptive {
-		return nil, fmt.Errorf("fault: %s wave of a %s campaign: only adaptive campaigns run in waves", run.Wave, m.kind())
-	}
-	var meta checkpointMeta
-	if run.Checkpoint != "" || run.PilotLog != "" {
-		meta = inj.header(m, n)
-	}
-	var pilotRecs map[TrialKey]TrialRecord
-	switch run.Wave {
-	case WaveAll:
-		if m == modeAdaptive && run.Shards > 1 {
-			return nil, fmt.Errorf("fault: a sharded adaptive campaign runs in waves (Run.Wave)")
-		}
-	case WavePilot:
-		d.phases = d.phases[:1]
-	case WaveMain:
-		if pilotRecs, _, err = loadLogFor(run.PilotLog, meta); err != nil {
-			return nil, err
-		}
-		d.phases[0].evidence = true
-	default:
-		return nil, fmt.Errorf("fault: unknown campaign wave %q", run.Wave)
-	}
-
 	var ck *Checkpoint
-	ar, err := d.drive(lo, hi, func(ph *phase, kept []trialSpec) (*CampaignResult, error) {
-		if ph.evidence {
-			got := inj.replayLog(kept, pilotRecs)
-			if missing := len(kept) - got.N(); missing > 0 {
-				return nil, fmt.Errorf("fault: adaptive plan derivation: %s is missing %d of %d pilot records",
-					run.PilotLog, missing, len(kept))
-			}
-			return got, nil
-		}
+	// prog carries OnProgress's Done and Counts across the phases, so an
+	// adaptive campaign's counts never restart at the pilot/main boundary.
+	var prog Progress
+	ar, err := d.drive(func(kept []trialSpec) (*CampaignResult, error) {
 		if ck == nil && run.Checkpoint != "" {
-			c, err := openCheckpoint(run.Checkpoint, meta, run.Resume)
+			c, err := openCheckpoint(run.Checkpoint, inj.header(m, n), run.Resume)
 			if err != nil {
 				return nil, err
 			}
 			ck = c
 		}
-		return inj.runTrials(ctx, kept, ck)
+		return inj.runTrials(ctx, kept, ck, &prog)
 	})
 	if ck != nil {
 		if cerr := ck.Close(); cerr != nil && err == nil {
@@ -478,8 +384,7 @@ func (inj *Injector) campaign(ctx context.Context, n int, m mode, run Run) (*Ada
 }
 
 // FromCheckpoint reconstructs an n-slot campaign purely by replaying the
-// checkpoint log at path (typically the merge of shard logs) under the
-// sampling design Options select — no trial executes. It returns the
+// checkpoint log at path under the sampling design Options select — no trial executes. It returns the
 // result over the kept specs present in the log, in slot order, and the
 // number of kept specs the log is missing. A complete log reproduces
 // the live campaign bit for bit; an incomplete one (a degraded job, a
@@ -500,22 +405,11 @@ func (inj *Injector) FromCheckpoint(n int, path string) (*AdaptiveResult, int, e
 	if err != nil {
 		return nil, 0, err
 	}
-	ar, err := d.drive(0, n, func(_ *phase, kept []trialSpec) (*CampaignResult, error) {
+	ar, err := d.drive(func(kept []trialSpec) (*CampaignResult, error) {
 		return inj.replayLog(kept, recs), nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	return ar, d.missing, nil
-}
-
-// checkShard validates a (shard, shards) pair.
-func checkShard(shard, shards int) error {
-	if shards <= 0 {
-		return fmt.Errorf("fault: shard count must be positive, got %d", shards)
-	}
-	if shard < 0 || shard >= shards {
-		return fmt.Errorf("fault: shard %d out of range [0, %d)", shard, shards)
-	}
-	return nil
 }

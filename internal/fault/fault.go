@@ -126,7 +126,7 @@ type Options struct {
 	// the hang budget (0 = default 10).
 	HangFactor uint64
 	// Workers is the number of concurrent injection runs in campaigns
-	// (0 = 4). Each run is independent; memory states are never shared.
+	// (0 = DefaultWorkers). Each run is independent; memory states are never shared.
 	Workers int
 	// TrialTimeout is a per-trial wall-clock watchdog layered on top of
 	// the instruction budget (0 = none). A trial that exceeds it fails
@@ -220,9 +220,12 @@ type Options struct {
 // (DESIGN.md §5c, "Interval choice").
 const DefaultSnapshotInterval = 512
 
+// DefaultWorkers is the campaign worker count that Options.Workers'
+// zero value selects.
+const DefaultWorkers = 4
+
 const (
 	defaultHangFactor = 10
-	defaultWorkers    = 4
 	// maxSnapshots caps golden snapshots per injector so a long golden run
 	// with a small SnapshotInterval cannot hold an unbounded number of
 	// memory copies; the effective interval is raised to stay under it.
@@ -286,7 +289,7 @@ func New(m *ir.Module, opts Options) (*Injector, error) {
 		opts.HangFactor = defaultHangFactor
 	}
 	if opts.Workers <= 0 {
-		opts.Workers = defaultWorkers
+		opts.Workers = DefaultWorkers
 	}
 	if opts.SnapshotInterval == 0 {
 		opts.SnapshotInterval = DefaultSnapshotInterval

@@ -16,8 +16,7 @@
 //
 // Determinism contract: slot inclusion is a pure function of
 // (seed, slot index, stratum rate) via a random-access hash, NOT a
-// sequential stream — so sharding, checkpoint resume and replay see
-// exactly the same subset without fast-forwarding any generator.
+// sequential stream — so checkpoint resume and replay see exactly the same subset without fast-forwarding any generator.
 
 package fault
 
@@ -92,7 +91,7 @@ type StratifiedResult struct {
 	// Weighted variants for campaign-level estimates.
 	*CampaignResult
 	// SlotN is the number of slots drawn before thinning: the n the
-	// campaign was asked for, or only the slots a shard or wave owns.
+	// campaign was asked for.
 	SlotN int
 	// Plan is the stratification plan the campaign ran under.
 	Plan bitlive.Plan

@@ -174,59 +174,50 @@ func TestStratifiedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStratifiedShardMerge: sharded stratified campaigns merge into the
-// unsharded result bit for bit, weighted statistics included.
+// TestStratifiedShardMerge: a server job's shards multiply its trial
+// workers, and its result is replayed from the job's one log on the
+// same injector. Run that way, for several shard counts, a stratified
+// campaign replays into the one-worker campaign bit for bit, weighted
+// statistics included.
 func TestStratifiedShardMerge(t *testing.T) {
-	const (
-		n      = 180
-		shards = 3
-	)
+	const n = 180
 	plan := bitlive.DefaultPlan()
-	opts := Options{Seed: 21, Stratify: &plan}
-	whole := stratInjector(t, "rgb2gray", opts)
-	want, err := whole.CampaignStratified(context.Background(), n)
+	opts := Options{Seed: 21, Stratify: &plan, Workers: 1}
+	want, err := stratInjector(t, "rgb2gray", opts).CampaignStratified(context.Background(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	dir := t.TempDir()
-	var srcs []string
-	execTotal := 0
-	for s := 0; s < shards; s++ {
-		inj := stratInjector(t, "rgb2gray", opts)
-		path := filepath.Join(dir, "shard"+string(rune('0'+s))+".ckpt")
-		res, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path, Shard: s, Shards: shards})
+	for _, shards := range []int{2, 3} {
+		o := opts
+		o.Workers = 2 * shards
+		inj := stratInjector(t, "rgb2gray", o)
+		path := filepath.Join(t.TempDir(), "trials.jsonl")
+		live, err := inj.Campaign(context.Background(), n, Run{Checkpoint: path})
 		if err != nil {
 			t.Fatal(err)
 		}
-		execTotal += res.N()
-		srcs = append(srcs, path)
-	}
-	if execTotal != want.ExecutedN() {
-		t.Fatalf("shards executed %d trials, unsharded %d", execTotal, want.ExecutedN())
-	}
-	merged := filepath.Join(dir, "merged.ckpt")
-	if _, err := MergeCheckpoints(merged, srcs...); err != nil {
-		t.Fatal(err)
-	}
-	got, missing, err := whole.FromCheckpoint(n, merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missing != 0 {
-		t.Fatalf("merged log missing %d trials", missing)
-	}
-	if len(got.Trials) != len(want.Trials) {
-		t.Fatalf("merged %d trials, want %d", len(got.Trials), len(want.Trials))
-	}
-	for i := range want.Trials {
-		if got.Trials[i].Outcome != want.Trials[i].Outcome {
-			t.Fatalf("trial %d outcome drifted across shard merge", i)
+		if live.ExecutedN() != want.ExecutedN() {
+			t.Fatalf("%d shards: executed %d trials, one worker %d", shards, live.ExecutedN(), want.ExecutedN())
 		}
-	}
-	if got.WeightedSDC() != want.WeightedSDC() || got.WeightedErrorBar95() != want.WeightedErrorBar95() {
-		t.Errorf("weighted stats drifted: %v±%v vs %v±%v",
-			got.WeightedSDC(), got.WeightedErrorBar95(), want.WeightedSDC(), want.WeightedErrorBar95())
+		got, missing, err := inj.FromCheckpoint(n, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if missing != 0 {
+			t.Fatalf("%d shards: log missing %d trials", shards, missing)
+		}
+		if len(got.Trials) != len(want.Trials) {
+			t.Fatalf("%d shards: replayed %d trials, want %d", shards, len(got.Trials), len(want.Trials))
+		}
+		for i := range want.Trials {
+			if got.Trials[i].Outcome != want.Trials[i].Outcome {
+				t.Fatalf("%d shards: trial %d outcome drifted across the log replay", shards, i)
+			}
+		}
+		if got.WeightedSDC() != want.WeightedSDC() || got.WeightedErrorBar95() != want.WeightedErrorBar95() {
+			t.Errorf("%d shards: weighted stats drifted: %v±%v vs %v±%v", shards,
+				got.WeightedSDC(), got.WeightedErrorBar95(), want.WeightedSDC(), want.WeightedErrorBar95())
+		}
 	}
 }
 

@@ -242,6 +242,53 @@ func TestProgressCompleteCampaign(t *testing.T) {
 	}
 }
 
+// TestProgressMonotonicAcrossAdaptivePhases: an adaptive campaign runs
+// its pilot and main phases through one OnProgress stream, so Done and
+// every outcome count stay non-decreasing across the phase boundary,
+// and the final snapshot accounts for every executed trial.
+func TestProgressMonotonicAcrossAdaptivePhases(t *testing.T) {
+	var (
+		last  Progress
+		calls int
+		drops []string
+	)
+	inj := stratInjector(t, "hotspot", Options{
+		Seed:     1,
+		Workers:  1,
+		Adaptive: &AdaptiveConfig{},
+		OnProgress: func(p Progress) {
+			calls++
+			if p.Done < last.Done && len(drops) < 3 {
+				drops = append(drops, fmt.Sprintf("Done %d -> %d at call %d", last.Done, p.Done, calls))
+			}
+			for _, o := range AllOutcomes {
+				if p.Counts[o] < last.Counts[o] && len(drops) < 3 {
+					drops = append(drops, fmt.Sprintf("%s %d -> %d at call %d", o, last.Counts[o], p.Counts[o], calls))
+				}
+			}
+			last = p
+		},
+	})
+	ar, err := inj.CampaignAdaptive(context.Background(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ar.PilotExecuted == 0 || ar.PilotExecuted == ar.ExecutedN() {
+		t.Fatalf("pilot ran %d of %d trials: the campaign has no second phase", ar.PilotExecuted, ar.ExecutedN())
+	}
+	for _, d := range drops {
+		t.Errorf("progress went backwards: %s", d)
+	}
+	if last.Done != ar.ExecutedN() {
+		t.Errorf("final progress Done = %d, want ExecutedN %d", last.Done, ar.ExecutedN())
+	}
+	for _, o := range AllOutcomes {
+		if last.Counts[o] != ar.Counts[o] {
+			t.Errorf("final progress count[%s] = %d, want %d", o, last.Counts[o], ar.Counts[o])
+		}
+	}
+}
+
 func TestProgressString(t *testing.T) {
 	p := Progress{Done: 150, Total: 300, Elapsed: 2 * time.Second}
 	p.Counts[Benign] = 70

@@ -10,7 +10,7 @@ import (
 )
 
 // localAdaptive runs the reference adaptive campaign for req in process
-// — the ground truth a two-wave server job must reproduce exactly.
+// — the ground truth an adaptive server job must reproduce exactly.
 func localAdaptive(t *testing.T, req *SubmitRequest) *fault.AdaptiveResult {
 	t.Helper()
 	p, err := progs.ByName(req.Program)
@@ -29,10 +29,11 @@ func localAdaptive(t *testing.T, req *SubmitRequest) *fault.AdaptiveResult {
 }
 
 // TestAdaptiveJobMatchesLocal: a sharded adaptive server job — pilot
-// wave, cross-shard merge, plan re-derivation in every main-wave worker
-// — reproduces an in-process adaptive campaign bit for bit: same pilot
-// prefix, same derived plan, same thinned main subset in the same
-// sampling order, same weighted estimates.
+// and main phases run in one campaign on many workers, the plan
+// re-derived from the job's log when its result replays — reproduces an
+// in-process adaptive campaign bit for bit: same pilot prefix, same
+// derived plan, same thinned main subset in the same sampling order,
+// same weighted estimates.
 func TestAdaptiveJobMatchesLocal(t *testing.T) {
 	s := newSupervisedServer(t, nil)
 	s.Start()
@@ -74,27 +75,6 @@ func TestAdaptiveJobMatchesLocal(t *testing.T) {
 	}
 	if res.EffectiveN != want.EffectiveN() {
 		t.Errorf("effective n %v, local %v", res.EffectiveN, want.EffectiveN())
-	}
-}
-
-// TestAdaptiveShardCrashRetry: a main-wave shard that crashes mid-slice
-// (leaving a partial checkpoint) is retried from that checkpoint, and
-// the finished job still matches the local reference — the two-wave
-// protocol composes with the supervisor's crash tolerance.
-func TestAdaptiveShardCrashRetry(t *testing.T) {
-	s := newSupervisedServer(t, nil)
-	s.runner = &flakyRunner{inner: s.runner, failures: map[int]int{0: 2}, partial: true}
-	s.Start()
-
-	req := &SubmitRequest{Program: "rgb2gray", N: 120, Seed: 5, Shards: 2, StratifyAdaptive: true}
-	res := submitAndWait(t, s, req, JobDone).Result()
-	want := localAdaptive(t, req)
-	if res.ExecutedN != want.ExecutedN() || res.Missing != 0 {
-		t.Fatalf("retried adaptive job executed %d (missing %d), local %d",
-			res.ExecutedN, res.Missing, want.ExecutedN())
-	}
-	if res.WeightedSDC != want.WeightedSDC() {
-		t.Fatalf("retried adaptive job weighted SDC %v, local %v", res.WeightedSDC, want.WeightedSDC())
 	}
 }
 

@@ -1,10 +1,10 @@
 // Differential acceptance suite: for every benchmark kernel, a
-// campaign run through the server — sharded, merged, reconstructed —
-// must be bit-identical, trial for trial, to a direct fault.Injector
-// run with the same seed. This is the transparency contract of the
-// whole service layer: HTTP, queueing, sharding, checkpointing and
-// merging may add operational machinery but must never change a single
-// measured outcome.
+// campaign run through the server — sharded, checkpointed, replayed
+// from its log — must be bit-identical, trial for trial, to a direct
+// fault.Injector run with the same seed. This is the transparency
+// contract of the whole service layer: HTTP, queueing, worker count,
+// checkpointing and log replay may add operational machinery but must
+// never change a single measured outcome.
 
 package server
 
@@ -111,7 +111,7 @@ func TestServerDifferentialDecodedEngine(t *testing.T) {
 }
 
 // TestServerSnapshotInterval pins the wire convention of
-// snapshot_interval: a job that leaves it unset runs its shards by
+// snapshot_interval: a job that leaves it unset runs its campaign by
 // snapshot replay (the server's registry counts snapshot resumes), -1
 // re-executes every trial from instruction 0, and both are
 // trial-for-trial identical to a local full re-execution campaign.

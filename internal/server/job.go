@@ -2,10 +2,10 @@
 // persistence. A job is durable from the moment it is accepted: the
 // immutable submission lives in job.json, the mutable lifecycle state
 // in state.json (atomically rewritten on every transition), and the
-// shard checkpoints and final result alongside them. A server restarted
-// over the same spool reconstructs every job — terminal jobs keep
-// serving their results, interrupted ones go back on the queue and
-// resume from their shard checkpoints.
+// campaign's checkpoint log (trials.jsonl) and final result alongside
+// them. A server restarted over the same spool reconstructs every job —
+// terminal jobs keep serving their results, interrupted ones go back on
+// the queue and resume from their log.
 
 package server
 
@@ -25,9 +25,9 @@ type JobState string
 
 // The job lifecycle: queued → running → one of the four terminal
 // states. A drain moves running back to queued (persisted, so a
-// restarted server resumes the job); partial marks a job degraded by
-// shard failures, a wall-clock budget, or resumable interruption debris
-// — its result is still served, with the gaps accounted for.
+// restarted server resumes the job); partial marks a job degraded by a
+// campaign error or a wall-clock budget — its result is still served,
+// with the gaps accounted for.
 const (
 	JobQueued    JobState = "queued"
 	JobRunning   JobState = "running"
@@ -46,14 +46,6 @@ func (s JobState) Terminal() bool {
 	return false
 }
 
-// shardInfo is the supervisor's mutable view of one shard.
-type shardInfo struct {
-	state    string // pending, running, done, failed, cancelled
-	attempts int
-	progress fault.Progress // cumulative across an adaptive job's waves
-	err      string
-}
-
 // Job is one campaign submission and everything the server knows about
 // it. All mutable fields are guarded by mu; watchers observe changes
 // through the broadcast channel, which is closed and replaced on every
@@ -68,25 +60,12 @@ type Job struct {
 	mu        sync.Mutex
 	state     JobState
 	errMsg    string
-	shards    []shardInfo
+	progress  fault.Progress
 	result    *Result
 	cancel    func() // cancels the running job's context (nil until running)
 	cancelled bool   // client asked for cancellation
 	broadcast chan struct{}
 	started   time.Time
-}
-
-// shardBases snapshots every shard's cumulative progress at a wave
-// boundary, so the next wave's progress callbacks accumulate onto it
-// instead of resetting the status counters.
-func (j *Job) shardBases() []fault.Progress {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]fault.Progress, len(j.shards))
-	for i := range j.shards {
-		out[i] = j.shards[i].progress
-	}
-	return out
 }
 
 // jobMeta is job.json: the immutable half of a job's persistence.
@@ -102,18 +81,13 @@ type jobStateFile struct {
 }
 
 func newJob(id, dir string, req *SubmitRequest) *Job {
-	j := &Job{
+	return &Job{
 		ID:        id,
 		dir:       dir,
 		req:       req,
 		state:     JobQueued,
-		shards:    make([]shardInfo, req.Shards),
 		broadcast: make(chan struct{}),
 	}
-	for i := range j.shards {
-		j.shards[i].state = "pending"
-	}
-	return j
 }
 
 // save writes both halves of the job's persistence; used at admission.
@@ -166,7 +140,7 @@ func readJSONFile(path string, v any) error {
 
 // loadJob reconstructs a job from its spool directory. Jobs found
 // queued or running were interrupted — they re-enter the queue and
-// resume from their shard checkpoints; terminal jobs keep serving their
+// resume from their log; terminal jobs keep serving their
 // persisted state and result. The submission is re-validated against
 // lim, the limits of the server loading it: a spool written under
 // looser limits (or edited by hand) must not re-queue a job this server
@@ -240,12 +214,12 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// updateShard mutates one shard's info under the job lock and notifies
-// watchers.
-func (j *Job) updateShard(shard int, f func(*shardInfo)) {
+// setProgress records the campaign's latest progress and notifies
+// watchers; it is the campaign's fault.Options.OnProgress.
+func (j *Job) setProgress(p fault.Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	f(&j.shards[shard])
+	j.progress = p
 	j.notify()
 }
 
@@ -282,18 +256,6 @@ func (j *Job) requestCancel() (wasQueued bool) {
 	return j.state == JobQueued
 }
 
-// allShardsDone reports whether every shard completed successfully.
-func (j *Job) allShardsDone() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for i := range j.shards {
-		if j.shards[i].state != "done" {
-			return false
-		}
-	}
-	return true
-}
-
 func (j *Job) clientCancelled() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -310,30 +272,16 @@ func (j *Job) status() JobStatus {
 		Program: j.req.ModuleName(),
 		N:       j.req.N,
 		Seed:    j.req.Seed,
+		Done:    j.progress.Done,
 		Error:   j.errMsg,
 	}
-	counts := make(map[string]int)
-	for i := range j.shards {
-		si := &j.shards[i]
-		lo, hi := fault.ShardRange(j.req.N, i, j.req.Shards)
-		st.Done += si.progress.Done
-		ss := ShardStatus{
-			Shard:    i,
-			Trials:   hi - lo,
-			State:    si.state,
-			Attempts: si.attempts,
-			Done:     si.progress.Done,
-			Error:    si.err,
-		}
-		st.Shards = append(st.Shards, ss)
-		for o := fault.Outcome(1); o <= fault.Errored; o++ {
-			if c := si.progress.Counts[o]; c > 0 {
-				counts[o.String()] += c
+	for _, o := range fault.AllOutcomes {
+		if c := j.progress.Counts[o]; c > 0 {
+			if st.Counts == nil {
+				st.Counts = make(map[string]int)
 			}
+			st.Counts[o.String()] = c
 		}
-	}
-	if len(counts) > 0 {
-		st.Counts = counts
 	}
 	return st
 }

@@ -24,10 +24,6 @@ type serverMetrics struct {
 	running   *telemetry.Gauge   // server.jobs.running
 	depth     *telemetry.Gauge   // server.queue.depth
 
-	shardRuns     *telemetry.Counter // server.shards.runs
-	shardRetries  *telemetry.Counter // server.shards.retries
-	shardFailures *telemetry.Counter // server.shards.failures
-
 	jobUS *telemetry.Histogram // server.job_us
 
 	httpRequests *telemetry.Counter // server.http.requests
@@ -39,21 +35,18 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		return nil
 	}
 	return &serverMetrics{
-		submitted:     reg.Counter("server.jobs.submitted"),
-		rejected:      reg.Counter("server.jobs.rejected"),
-		completed:     reg.Counter("server.jobs.completed"),
-		partial:       reg.Counter("server.jobs.partial"),
-		failed:        reg.Counter("server.jobs.failed"),
-		cancelled:     reg.Counter("server.jobs.cancelled"),
-		resumed:       reg.Counter("server.jobs.resumed"),
-		running:       reg.Gauge("server.jobs.running"),
-		depth:         reg.Gauge("server.queue.depth"),
-		shardRuns:     reg.Counter("server.shards.runs"),
-		shardRetries:  reg.Counter("server.shards.retries"),
-		shardFailures: reg.Counter("server.shards.failures"),
-		jobUS:         reg.Histogram("server.job_us"),
-		httpRequests:  reg.Counter("server.http.requests"),
-		httpErrors:    reg.Counter("server.http.errors"),
+		submitted:    reg.Counter("server.jobs.submitted"),
+		rejected:     reg.Counter("server.jobs.rejected"),
+		completed:    reg.Counter("server.jobs.completed"),
+		partial:      reg.Counter("server.jobs.partial"),
+		failed:       reg.Counter("server.jobs.failed"),
+		cancelled:    reg.Counter("server.jobs.cancelled"),
+		resumed:      reg.Counter("server.jobs.resumed"),
+		running:      reg.Gauge("server.jobs.running"),
+		depth:        reg.Gauge("server.queue.depth"),
+		jobUS:        reg.Histogram("server.job_us"),
+		httpRequests: reg.Counter("server.http.requests"),
+		httpErrors:   reg.Counter("server.http.errors"),
 	}
 }
 
@@ -103,23 +96,6 @@ func (m *serverMetrics) jobEnd(state JobState, start time.Time) {
 	case JobCancelled:
 		m.cancelled.Inc()
 	}
-}
-
-func (m *serverMetrics) shardRun(attempt int) {
-	if m == nil {
-		return
-	}
-	m.shardRuns.Inc()
-	if attempt > 0 {
-		m.shardRetries.Inc()
-	}
-}
-
-func (m *serverMetrics) shardFailed() {
-	if m == nil {
-		return
-	}
-	m.shardFailures.Inc()
 }
 
 func (m *serverMetrics) resumedJob() {

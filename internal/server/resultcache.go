@@ -1,18 +1,16 @@
 // This file is the server's whole-job result cache: a thin layer over
-// internal/cache that short-circuits a job before any shard launches
+// internal/cache that short-circuits a job before its campaign starts
 // when a previous job already ran the identical campaign. The key is
 // the content address of the campaign, not of the submission: the
 // canonical module hash, the fault-model version, the seed and the
 // trial count. Deliberately absent from the key:
 //
-//   - Shards: the shard merge is bit-identical for any shard count
-//     (the sharding acceptance suite proves it), so a 4-shard job may
-//     serve an 8-shard submission's result.
-//   - SnapshotInterval / Workers: both are performance knobs with no
-//     effect on trial outcomes.
+//   - Shards, Workers and SnapshotInterval: performance knobs with no
+//     effect on trial outcomes (the differential suites prove it), so a
+//     4-shard job may serve an 8-shard submission's result.
 //
 // Only clean results enter the cache: terminal state done, zero
-// missing trials, no failed shards, no errored trials. Degraded or
+// missing trials, no errored trials. Degraded or
 // cancelled jobs always re-run. The stored payload carries no job
 // identity (ID, state) so hits from different jobs are byte-identical
 // modulo the ID the server stamps on the way out.
@@ -139,13 +137,13 @@ func (s *Server) lookupResult(j *Job) (*Result, bool) {
 }
 
 // storeResult persists a finished job's result when — and only when —
-// it is clean: done, complete, no degraded shards, no errored trials.
+// it is clean: done, complete, no errored trials.
 // The payload is stripped of job identity before storage.
 func (s *Server) storeResult(j *Job, state JobState, res *Result) {
 	if s.resultCache == nil || res == nil || state != JobDone {
 		return
 	}
-	if res.Missing != 0 || len(res.FailedShards) != 0 || res.Counts[fault.Errored.String()] != 0 {
+	if res.Missing != 0 || res.Counts[fault.Errored.String()] != 0 {
 		return
 	}
 	key, ok := s.resultCacheKey(j)

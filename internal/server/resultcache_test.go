@@ -54,10 +54,10 @@ func cacheEntryFiles(t *testing.T, dir string) []string {
 }
 
 // TestResultCacheHitByteIdentical: resubmitting an identical campaign
-// is served from the result cache — no shard runs — and the payload is
+// is served from the result cache — no trial runs — and the payload is
 // byte-identical to the first job's, even when the resubmission asks
-// for a different shard count (sharding is merge-invariant, so it is
-// deliberately outside the cache key).
+// for a different shard count (shards only multiply workers, so they
+// are deliberately outside the cache key).
 func TestResultCacheHitByteIdentical(t *testing.T) {
 	cacheDir := t.TempDir()
 	s := newSupervisedServer(t, func(c *Config) { c.ResultCacheDir = cacheDir })
@@ -76,10 +76,8 @@ func TestResultCacheHitByteIdentical(t *testing.T) {
 	if res2 == nil || !res2.Cached {
 		t.Fatalf("second run: result %+v, want cached", res2)
 	}
-	for i, sh := range j2.status().Shards {
-		if sh.Attempts != 0 {
-			t.Errorf("cache-hit job ran shard %d (%d attempts)", i, sh.Attempts)
-		}
+	if done := j2.status().Done; done != 0 {
+		t.Errorf("cache-hit job ran %d trials", done)
 	}
 	if got, want := stripIdentity(res2), stripIdentity(res1); string(got) != string(want) {
 		t.Errorf("cached result diverges:\n  got  %s\n  want %s", got, want)

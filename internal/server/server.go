@@ -1,26 +1,26 @@
 // Package server implements the campaign-as-a-service layer: an HTTP
 // fault-injection server that accepts IR (or built-in benchmark)
-// submissions, queues them as durable jobs, runs each campaign sharded
-// across a crash-tolerant worker pool, and streams progress and results
-// as JSONL.
+// submissions, queues them as durable jobs, runs each job as one
+// checkpointed fault.Campaign, and streams progress and results as
+// JSONL.
 //
 // The architectural contract, pinned down by the differential tests, is
 // that the service layer is *transparent*: a campaign run through the
-// server — sharded, checkpointed, crash-retried, drained and resumed
-// across a restart — produces per-trial results bit-identical to a
-// direct fault.Injector run with the same seed. Sharding is index
-// slicing over the deterministic trial list (internal/fault/shard.go),
-// every shard checkpoints independently, and the merged log both yields
-// the final result and re-seeds a resumed run.
+// server — checkpointed, drained and resumed across a restart —
+// produces per-trial results bit-identical to a direct fault.Injector
+// run with the same seed. A job's shards only multiply its trial
+// workers, and worker count never feeds sampling. The job's one log
+// both yields the final result (fault.Injector.FromCheckpoint on the
+// injector that ran the campaign) and re-seeds a resumed run.
 //
 // Durability model: each job owns a spool directory holding job.json
 // (immutable submission), state.json (atomic lifecycle rewrites),
-// shard-NN.jsonl checkpoints, merged.jsonl, and result.json. A server
+// trials.jsonl (the campaign's checkpoint log) and result.json. A server
 // restarted over the same spool serves terminal jobs' results and
-// re-queues interrupted jobs, which resume from their checkpoints. On
-// SIGTERM the server drains: admission stops (503 + Retry-After),
-// running shards are cancelled (their checkpoints already hold every
-// completed trial), jobs re-queue to disk, and the process exits 143.
+// re-queues interrupted jobs, which resume from their logs. On SIGTERM
+// the server drains: admission stops (503 + Retry-After), running
+// campaigns are cancelled (their logs already hold every completed
+// trial), jobs re-queue to disk, and the process exits 143.
 // DESIGN.md §5g covers the full choreography; the result cache's
 // pruning-aware key is specified in DESIGN.md §5i.
 package server
@@ -55,16 +55,11 @@ type Config struct {
 	// it, submissions get 429.
 	MaxQueueDepth int
 	// DefaultShards is the shard count for jobs that don't choose one
-	// (default 4).
+	// (default 4); a job runs Shards × Workers trials at once.
 	DefaultShards int
-	// ShardRetries is how many times a crashed shard is retried from
-	// its checkpoint before the job degrades (default 2).
-	ShardRetries int
-	// RetryBase is the base of the shard retry backoff (default 250ms).
-	RetryBase time.Duration
-	// WorkerMode names how shards run. Every shard runs in the server
-	// process, so the only accepted values are "" and "inproc"; New
-	// rejects anything else.
+	// WorkerMode names how campaigns run. Every campaign runs in the
+	// server process, so the only accepted values are "" and "inproc";
+	// New rejects anything else.
 	WorkerMode string
 	// ChaosTrialDelay slows every trial by the given duration — crash
 	// drills use it to land kills mid-campaign. Zero in production.
@@ -73,7 +68,7 @@ type Config struct {
 	// result cache shared by every job (and, living on disk, by every
 	// restart): a submission whose module hash, seed, trial count and
 	// fault model match a previously completed clean job is answered
-	// from the cache without launching a single shard. Empty disables
+	// from the cache without running a single trial. Empty disables
 	// caching.
 	ResultCacheDir string
 	// Limits bounds what submissions may ask for.
@@ -93,26 +88,17 @@ func (c Config) withDefaults() Config {
 	if c.DefaultShards <= 0 {
 		c.DefaultShards = 4
 	}
-	if c.ShardRetries < 0 {
-		c.ShardRetries = 0
-	} else if c.ShardRetries == 0 {
-		c.ShardRetries = 2
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 250 * time.Millisecond
-	}
 	c.Limits = c.Limits.withDefaults()
 	return c
 }
 
-// Server is the campaign service: queue, scheduler, shard supervisor
-// and HTTP surface.
+// Server is the campaign service: queue, scheduler, job runner and
+// HTTP surface.
 type Server struct {
 	cfg         Config
 	limits      Limits
 	met         *serverMetrics
 	q           *queue
-	runner      shardRunner
 	resultCache *cache.Store
 
 	runCtx    context.Context
@@ -124,15 +110,15 @@ type Server struct {
 
 // New builds a Server over the spool directory, recovering every job
 // already on disk: terminal jobs serve their persisted results,
-// interrupted jobs re-enter the queue and will resume from their shard
-// checkpoints once Start runs.
+// interrupted jobs re-enter the queue and will resume from their logs
+// once Start runs.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Spool == "" {
 		return nil, fmt.Errorf("server: Config.Spool is required")
 	}
 	if cfg.WorkerMode != "" && cfg.WorkerMode != "inproc" {
-		return nil, fmt.Errorf("server: unknown worker mode %q: every shard runs in-process (use \"inproc\" or leave it empty)", cfg.WorkerMode)
+		return nil, fmt.Errorf("server: unknown worker mode %q: every campaign runs in-process (use \"inproc\" or leave it empty)", cfg.WorkerMode)
 	}
 	if err := os.MkdirAll(filepath.Join(cfg.Spool, "jobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("server: spool: %w", err)
@@ -150,7 +136,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.resultCache = store
 	}
-	s.runner = &inprocRunner{chaos: cfg.ChaosTrialDelay, metrics: cfg.Metrics}
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -204,8 +189,7 @@ func (s *Server) Start() {
 	go s.schedule()
 }
 
-// schedule pops pending jobs as slots free up and runs each through the
-// shard supervisor.
+// schedule pops pending jobs as slots free up and runs each one.
 func (s *Server) schedule() {
 	defer s.wg.Done()
 	sem := make(chan struct{}, s.cfg.MaxConcurrentJobs)
@@ -237,7 +221,7 @@ func (s *Server) schedule() {
 }
 
 // Drain gracefully stops the server: admission flips to 503, running
-// jobs are cancelled (shard checkpoints hold all completed trials) and
+// jobs are cancelled (their logs hold all completed trials) and
 // re-queued to disk. It returns once every job has unwound or ctx
 // expires.
 func (s *Server) Drain(ctx context.Context) error {
@@ -290,9 +274,6 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 		if req.Shards > s.limits.MaxShards {
 			req.Shards = s.limits.MaxShards
 		}
-	}
-	if req.Shards > req.N {
-		req.Shards = req.N // no empty shards
 	}
 	id, err := newJobID()
 	if err != nil {

@@ -134,13 +134,12 @@ func TestSubmitRunResult(t *testing.T) {
 
 // TestDrainRequeuesAndRestartResumes is the graceful-drain contract:
 // SIGTERM-equivalent drain mid-campaign re-queues the job on disk, a
-// new server over the same spool resumes it from its shard checkpoints,
+// new server over the same spool resumes it from its log,
 // and the final result is still bit-identical to a clean run.
 func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	spool := t.TempDir()
 	s1, err := New(Config{
 		Spool:             spool,
-		RetryBase:         time.Millisecond,
 		ChaosTrialDelay:   5 * time.Millisecond, // slow trials so the drain lands mid-campaign
 		MaxConcurrentJobs: 1,
 	})
@@ -208,7 +207,7 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 }
 
 // TestCancelJob: DELETE cancels a running job; the partial result built
-// from its checkpoints is served with the gaps accounted for.
+// from its log is served with the gaps accounted for.
 func TestCancelJob(t *testing.T) {
 	s := newSupervisedServer(t, func(c *Config) {
 		c.ChaosTrialDelay = 5 * time.Millisecond
@@ -324,10 +323,10 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
-// TestShardTelemetryReachesServerRegistry: shards run in the server
-// process, so their fi.* counters land in Config.Metrics and reconcile
-// exactly with the job's result; a resubmission answered from the
-// result cache runs no shard and adds nothing.
+// TestShardTelemetryReachesServerRegistry: a sharded job's campaign runs
+// in the server process, so its fi.* counters land in Config.Metrics
+// and reconcile exactly with the job's result; a resubmission answered
+// from the result cache runs no campaign and adds nothing.
 func TestShardTelemetryReachesServerRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := newSupervisedServer(t, func(c *Config) {
@@ -369,7 +368,7 @@ func TestShardTelemetryReachesServerRegistry(t *testing.T) {
 	}
 }
 
-// TestNewRejectsUnknownWorkerMode: shards only run in-process; any other
+// TestNewRejectsUnknownWorkerMode: campaigns only run in-process; any other
 // worker mode is a configuration error, not a silent fallback.
 func TestNewRejectsUnknownWorkerMode(t *testing.T) {
 	for _, mode := range []string{"", "inproc"} {

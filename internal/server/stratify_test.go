@@ -32,7 +32,7 @@ func localStratified(t *testing.T, req *SubmitRequest) *fault.StratifiedResult {
 // TestStratifiedJobMatchesLocal: a sharded stratified server job
 // reproduces an in-process stratified campaign bit for bit — same
 // executed subset in the same sampling order, same weighted estimates —
-// so sharding and checkpoint stitching are transparent to the
+// so worker count and the log replay are transparent to the
 // Horvitz-Thompson reweighting.
 func TestStratifiedJobMatchesLocal(t *testing.T) {
 	s := newSupervisedServer(t, nil)

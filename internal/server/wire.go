@@ -32,7 +32,7 @@ type Limits struct {
 	MaxTrials int
 	// MaxShards caps a job's shard count (default 16).
 	MaxShards int
-	// MaxWorkers caps per-shard trial workers (default 16).
+	// MaxWorkers caps a job's per-shard trial workers (default 16).
 	MaxWorkers int
 	// MaxIRBytes caps the submitted IR text (default 4 MiB).
 	MaxIRBytes int
@@ -72,11 +72,12 @@ type SubmitRequest struct {
 	N int `json:"n"`
 	// Seed drives the campaign's deterministic sampling.
 	Seed uint64 `json:"seed,omitempty"`
-	// Shards splits the trial range across that many independently
-	// checkpointed shard workers (0 = server default). Sharding is
-	// transparent: results are bit-identical for every shard count.
+	// Shards multiplies Workers: the job's campaign runs
+	// Shards × Workers concurrent trials (0 = server default). Results
+	// are bit-identical for every shard count.
 	Shards int `json:"shards,omitempty"`
-	// Workers is the per-shard trial worker count (0 = fault default).
+	// Workers is the trial worker count per shard (0 =
+	// fault.DefaultWorkers).
 	Workers int `json:"workers,omitempty"`
 	// SnapshotInterval is the golden-snapshot spacing that trials resume
 	// from (see fault.Options): 0 selects fault.DefaultSnapshotInterval,
@@ -105,11 +106,10 @@ type SubmitRequest struct {
 	// plan change can never replay stale weighted results.
 	Stratify bool `json:"stratify,omitempty"`
 	// StratifyAdaptive enables two-phase adaptive (Neyman-allocation)
-	// stratified sampling: every shard first runs its slice of the pilot
-	// prefix of the slot budget (static shape: live strata at rate 1,
-	// provably-masked slots at the floor), the merged pilot outcomes
-	// derive a Neyman plan, and the remaining slots are thinned under
-	// it. Pilot trials fold into the weighted estimate at the pilot
+	// stratified sampling: the campaign first runs the pilot prefix of
+	// the slot budget (static shape: live strata at rate 1,
+	// provably-masked slots at the floor), the pilot outcomes derive a
+	// Neyman plan, and the remaining slots are thinned under it. Pilot trials fold into the weighted estimate at the pilot
 	// plan's 1/q, so executed trials never exceed n. Mutually exclusive with Stratify — an
 	// adaptive campaign derives its own plan. The result cache keys on
 	// the adaptive configuration hash, so a classifier or default change
@@ -221,7 +221,7 @@ func (req *SubmitRequest) Validate(lim Limits) error {
 }
 
 // BuildModule constructs the module under test — fresh each call, so
-// concurrent shard workers never share mutable IR.
+// concurrent jobs never share mutable IR.
 func (req *SubmitRequest) BuildModule() (*ir.Module, error) {
 	return progs.Load(req.Program, req.IR)
 }
@@ -247,12 +247,17 @@ func (req *SubmitRequest) WallBudget(lim Limits) time.Duration {
 	return d
 }
 
-// faultOptions maps the request onto fault.Options. The caller supplies
-// process-local concerns (telemetry, progress callback, trial hook).
+// faultOptions maps the request onto fault.Options, running
+// Shards × Workers trials at once. The caller supplies process-local
+// concerns (telemetry, progress callback, trial hook).
 func (req *SubmitRequest) faultOptions() fault.Options {
+	workers := req.Workers
+	if workers == 0 {
+		workers = fault.DefaultWorkers
+	}
 	opts := fault.Options{
 		Seed:             req.Seed,
-		Workers:          req.Workers,
+		Workers:          req.Shards * workers,
 		MaxRetries:       req.MaxRetries,
 		TrialTimeout:     time.Duration(req.TrialTimeoutMS) * time.Millisecond,
 		SnapshotInterval: req.SnapshotInterval,
@@ -276,26 +281,7 @@ type SubmitResponse struct {
 	State string `json:"state"`
 }
 
-// ShardStatus is the per-shard view in a job status: where each slice
-// of the trial range stands, including its retry history — the
-// observable half of the crash-tolerance contract.
-type ShardStatus struct {
-	// Shard is the 0-based shard index.
-	Shard int `json:"shard"`
-	// Trials is the number of trials the shard owns.
-	Trials int `json:"trials"`
-	// State is pending, running, done, failed or cancelled.
-	State string `json:"state"`
-	// Attempts counts worker runs, including crash retries.
-	Attempts int `json:"attempts,omitempty"`
-	// Done is the number of trials the shard has classified so far.
-	Done int `json:"done"`
-	// Error describes the final failure of a failed shard.
-	Error string `json:"error,omitempty"`
-}
-
-// JobStatus is the job-level view: lifecycle state, aggregate progress
-// and per-shard detail.
+// JobStatus is the job-level view: lifecycle state and progress.
 type JobStatus struct {
 	// ID is the job identifier.
 	ID string `json:"id"`
@@ -307,12 +293,11 @@ type JobStatus struct {
 	N int `json:"n"`
 	// Seed is the campaign seed.
 	Seed uint64 `json:"seed"`
-	// Done is the number of trials classified across all shards.
+	// Done is the number of trials classified so far, including trials
+	// replayed from the job's log after a restart.
 	Done int `json:"done"`
 	// Counts tallies classified trials by outcome name.
 	Counts map[string]int `json:"counts,omitempty"`
-	// Shards details each shard.
-	Shards []ShardStatus `json:"shards,omitempty"`
 	// Error describes a failed (or degraded) job.
 	Error string `json:"error,omitempty"`
 }
@@ -361,10 +346,8 @@ type Result struct {
 	// 1/q.
 	Adaptive      bool `json:"adaptive,omitempty"`
 	PilotExecuted int  `json:"pilot_executed,omitempty"`
-	// FailedShards carries the per-shard error status of a degraded job.
-	FailedShards []ShardStatus `json:"failed_shards,omitempty"`
 	// Cached reports that the result was served from the server's
-	// whole-job result cache without running any shards.
+	// whole-job result cache without running the campaign.
 	Cached bool `json:"cached,omitempty"`
 }
 

@@ -126,7 +126,7 @@ func (t *WeightedTally) Add(w float64, hit bool) {
 	}
 }
 
-// Merge folds other into t, as when combining shard tallies.
+// Merge folds other into t.
 func (t *WeightedTally) Merge(other WeightedTally) {
 	t.N += other.N
 	t.W += other.W

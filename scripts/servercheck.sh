@@ -1,28 +1,28 @@
 #!/usr/bin/env bash
 # servercheck.sh — the campaign server's chaos drill, run by `make check`.
 #
-# Every shard runs inside the server process, so the failure domain is
-# the server itself. The drill exercises the crash-tolerance story
-# against real processes:
+# Every job runs as one campaign inside the server process, so the
+# failure domain is the server itself. The drill exercises the
+# crash-tolerance story against real processes:
 #
 #   1. start fiserver with a per-trial chaos delay so the campaign stays
 #      open long enough to attack
 #   2. submit a sharded pathfinder campaign, detached
-#   3. once a shard checkpoint holds trial records, SIGKILL the whole
-#      server (kernel-enforced crash: no drain runs, checkpoint tails may
-#      be torn mid-line)
+#   3. once the job's checkpoint log holds trial records, SIGKILL the
+#      whole server (kernel-enforced crash: no drain runs, the log's tail
+#      may be torn mid-line)
 #   4. restart over the same spool, chaos still on, and require the job
-#      to be re-queued and running again (its checkpoints grow past what
-#      the killed server left)
+#      to be re-queued and running again (its log grows past what the
+#      killed server left)
 #   5. SIGTERM the server mid-campaign and require exit code 143 with
 #      the job re-queued on disk
 #   6. restart once more (no chaos, no result cache), attach, wait for
-#      the job to finish, run the same campaign cleanly and compare the
-#      per-trial JSONL dumps byte for byte
+#      the job to finish, run the same campaign cleanly with a different
+#      shard count and compare the per-trial JSONL dumps byte for byte
 #
-# Passing means: a SIGKILLed server resumed from its torn checkpoints, a
-# drained server resumed after restart, and none of it changed a single
-# trial outcome.
+# Passing means: a SIGKILLed server resumed from its torn log, a drained
+# server resumed after restart, and neither that nor the shard count
+# changed a single trial outcome.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -47,8 +47,7 @@ $GO build -o "$TMP/fi" ./cmd/fi
 
 start_server() { # args: extra fiserver flags...
     rm -f "$TMP/addr"
-    "$TMP/fiserver" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -spool "$SPOOL" \
-        -shard-retries 3 -retry-base 100ms "$@" \
+    "$TMP/fiserver" -addr 127.0.0.1:0 -addr-file "$TMP/addr" -spool "$SPOOL" "$@" \
         >>"$TMP/server.log" 2>&1 &
     SRV_PID=$!
     i=0
@@ -64,13 +63,14 @@ job_state() { # prints the job's on-disk lifecycle state
     sed -n 's/.*"state": "\([a-z]*\)".*/\1/p' "$SPOOL/jobs/$JOB/state.json"
 }
 
-trial_records() { # prints how many trial records the job's shard checkpoints hold
-    cat "$SPOOL/jobs/$JOB"/shard-*.jsonl 2>/dev/null | grep -c '"outcome"' || true
+trial_records() { # prints how many trial records the job's checkpoint log holds
+    cat "$SPOOL/jobs/$JOB/trials.jsonl" 2>/dev/null | grep -c '"outcome"' || true
 }
 
 N=1200
 SEED=20260807
 SHARDS=3
+CLEAN_SHARDS=2
 
 echo "servercheck: starting fiserver (chaos delay)"
 start_server -chaos-trial-delay 20ms
@@ -82,11 +82,11 @@ JOB=$(echo "$SUBMIT" | sed -n 's/^submitted job \(job-[0-9a-f]*\).*/\1/p')
 [ -n "$JOB" ] || fail "could not parse job id from: $SUBMIT"
 echo "servercheck: job $JOB"
 
-echo "servercheck: waiting for shard checkpoints to hold trial records"
+echo "servercheck: waiting for the job's checkpoint log to hold trial records"
 i=0
 while [ "$(trial_records)" -lt $SHARDS ]; do
     i=$((i + 1))
-    [ $i -gt 300 ] && fail "no trial records appeared in the shard checkpoints"
+    [ $i -gt 300 ] && fail "no trial records appeared in the job's checkpoint log"
     sleep 0.1
 done
 kill -9 "$SRV_PID" || fail "could not SIGKILL server $SRV_PID"
@@ -129,13 +129,13 @@ echo "servercheck: attaching to the resumed job"
     fail "resumed job did not complete: $(cat "$TMP/attach.log")"
 grep -q "^job $JOB: done" "$TMP/attach.log" || fail "resumed job not done: $(cat "$TMP/attach.log")"
 
-echo "servercheck: running the same campaign cleanly for comparison"
+echo "servercheck: running the same campaign cleanly for comparison (shards=$CLEAN_SHARDS)"
 "$TMP/fi" -remote "http://$ADDR" -program pathfinder -n $N -seed $SEED \
-    -shards $SHARDS -trials-out "$TMP/clean.jsonl" -progress=false \
+    -shards $CLEAN_SHARDS -trials-out "$TMP/clean.jsonl" -progress=false \
     >"$TMP/clean.log" 2>&1 || fail "clean run failed: $(cat "$TMP/clean.log")"
 
 cmp "$TMP/resumed.jsonl" "$TMP/clean.jsonl" ||
-    fail "resumed campaign diverged from clean run (kill+restart+drain+resume changed trial outcomes)"
+    fail "resumed campaign diverged from clean run (kill+restart+drain+resume or the shard count changed trial outcomes)"
 
 LINES=$(wc -l <"$TMP/resumed.jsonl")
 [ "$LINES" -eq $N ] || fail "expected $N trial records, got $LINES"
