@@ -121,18 +121,19 @@ fuzz-smoke:
 # bench measures the snapshot-replay and pruned campaigns against full
 # re-execution plus the telemetry layer's overhead across all 11 paper
 # kernels and the narrow-output kernels the pruning pass targets
-# (committed as BENCH_fi.json), and runs the campaign benchmarks. The
-# pruning gate requires a ≥1.2x equal-CI speedup on at least 3 kernels
-# (the narrow-output ones clear it; the paper kernels' near-zero masked
-# fractions are expected). The stratification gate mirrors it: at least
-# 3 kernels must show a ≥1.1x weighted-CI shrink at equal executed
-# trials under the default plan. The adaptive gate requires a ≥1.05x
-# shrink that also matches or beats the static plan's on at least 3
-# kernels — pilot cost included, so the floor sits below the static
-# gate's on purpose.
+# (committed as BENCH_fi.json), and runs the campaign benchmarks and the
+# model's profiling and inference benchmarks. The pruning gate requires a
+# ≥1.2x equal-CI speedup on at least 3 kernels (the narrow-output ones
+# clear it; the paper kernels' near-zero masked fractions are expected).
+# The stratification gate mirrors it: at least 3 kernels must show a
+# ≥1.1x weighted-CI shrink at equal executed trials under the default
+# plan. The adaptive gate requires a ≥1.05x shrink that also matches or
+# beats the static plan's on at least 3 kernels — pilot cost included,
+# so the floor sits below the static gate's on purpose.
 bench:
 	$(GO) run ./cmd/fibench -programs libquantum,blackscholes,sad,bfs-parboil,hercules,lulesh,puremd,nw,pathfinder,hotspot,bfs-rodinia,rgb2gray,nibblepack,boxblur -repeats 3 -min-pruned-ci-speedup 1.2 -min-strat-ci-shrink 1.1 -min-adapt-ci-shrink 1.05 -out BENCH_fi.json
 	$(GO) test -bench='BenchmarkCampaign' -benchmem .
+	$(GO) test -run '^$$' -bench='ProfilingPhase|ModelAllInstructions' -benchmem .
 
 # bench-all runs the full benchmark harness (paper tables, ablations,
 # substrates); takes several minutes.

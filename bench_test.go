@@ -183,11 +183,12 @@ func BenchmarkProfilingPhase(b *testing.B) {
 }
 
 // BenchmarkModelAllInstructions measures TRIDENT's inference phase: per-
-// instruction SDC predictions for every executed instruction, on the two
-// kernels that take most of the model's time (sad, bfs-parboil) and on
-// pathfinder. Allocations are reported to expose per-walk garbage.
+// instruction SDC predictions for every executed instruction, on the
+// three kernels whose predictions cost most in perfbench's model-paper
+// workload (puremd, lulesh, blackscholes). Allocations are reported to
+// expose per-walk garbage.
 func BenchmarkModelAllInstructions(b *testing.B) {
-	for _, name := range []string{"sad", "bfs-parboil", "pathfinder"} {
+	for _, name := range []string{"puremd", "lulesh", "blackscholes"} {
 		b.Run(name, func(b *testing.B) {
 			p, err := progs.ByName(name)
 			if err != nil {

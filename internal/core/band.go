@@ -47,31 +47,45 @@ func (p bandPair) total() float64 {
 	return t
 }
 
-// bandBoundaries returns the start bit of each band for type t, ascending.
-// Band i covers bits [bounds[i], bounds[i+1]); the last band extends to the
-// top bit. For floats the top band is the sign, the exponent and ~7
-// mantissa bits (two significant decimal digits); the bottom band is the
-// rounding-erodable tail.
-func bandBoundaries(t ir.Type) [nBands]int {
+// bandBounds is the band split of one type: the start bit of each band,
+// ascending. Band i covers bits [bounds[i], bounds[i+1]); the last band
+// extends to the top bit.
+type bandBounds [nBands]int
+
+// bandBoundaries returns the band split of type t. For floats the top band
+// is the sign, the exponent and ~7 mantissa bits (two significant decimal
+// digits); the bottom band is the rounding-erodable tail.
+func bandBoundaries(t ir.Type) bandBounds {
 	switch t {
 	case ir.F32:
-		return [nBands]int{0, 16}
+		return bandBounds{0, 16}
 	case ir.F64:
-		return [nBands]int{0, 45}
+		return bandBounds{0, 45}
 	default:
-		return [nBands]int{0, t.Bits() / 2}
+		return bandBounds{0, t.Bits() / 2}
 	}
 }
 
-// bandOfBit classifies bit position b of a value of type t.
-func bandOfBit(t ir.Type, b int) int {
-	bounds := bandBoundaries(t)
+// of classifies bit position b. Loops over the bits of many values take
+// the split once and classify with it.
+func (bb bandBounds) of(b int) int {
 	for band := nBands - 1; band > 0; band-- {
-		if b >= bounds[band] {
+		if b >= bb[band] {
 			return band
 		}
 	}
 	return 0
+}
+
+// span returns the bits [lo, hi) of band in a value w bits wide. Loops
+// over every bit of a value walk the bands' spans in turn instead of
+// classifying each bit.
+func (bb bandBounds) span(band, w int) (lo, hi int) {
+	lo, hi = bb[band], w
+	if band+1 < nBands {
+		hi = bb[band+1]
+	}
+	return lo, hi
 }
 
 // bandSplit returns the per-band fraction of bit positions of type t: the
@@ -82,8 +96,9 @@ func bandSplit(t ir.Type) bandPair {
 	if w == 0 {
 		return p
 	}
+	bands := bandBoundaries(t)
 	for b := 0; b < w; b++ {
-		p[bandOfBit(t, b)]++
+		p[bands.of(b)]++
 	}
 	for i := range p {
 		p[i] /= float64(w)
@@ -175,26 +190,19 @@ func (m *Model) transitionFor(in *ir.Instr, opIdx int) (transition, float64) {
 // and is discarded otherwise.
 func positionalTransition(src, dst ir.Type) transition {
 	sw, dw := src.Bits(), dst.Bits()
-	var tr transition
-	var counts [nClasses]int
+	srcBands, dstBands := bandBoundaries(src), bandBoundaries(dst)
+	var ft flipTally
 	for b := 0; b < sw; b++ {
-		from := bandOfBit(src, b)
-		counts[from]++
+		from := srcBands.of(b)
+		ft.counts[from]++
 		if b >= dw {
 			continue // truncated away
 		}
-		tr[from][bandOfBit(dst, b)]++
-	}
-	for band := 0; band < nBands; band++ {
-		if counts[band] > 0 {
-			for j := range tr[band] {
-				tr[band][j] /= float64(counts[band])
-			}
-		}
+		ft.hits[from][dstBands.of(b)]++
 	}
 	// Replaced values survive width changes as replaced values.
-	tr[classReplaced][classReplaced] = 1
-	return tr
+	ft.hits[classReplaced][classReplaced], ft.counts[classReplaced] = 1, 1
+	return ft.transition()
 }
 
 // empiricalTransition measures the band transition matrix by re-executing
@@ -217,53 +225,54 @@ func (m *Model) empiricalTransition(in *ir.Instr, opIdx int) transition {
 	if w == 0 {
 		return diagonal(1)
 	}
-	resType := in.Type
+	evalType := in.Operands[0].ValueType()
+	opBands, resBands := bandBoundaries(opType), bandBoundaries(in.Type)
 	cmpLike := in.Op.IsCmp()
+	// Replaced row: the operand holds a wholly different value; zero (a
+	// skipped initialization) and a large wrong value are the
+	// representative cases.
+	repls := [...]uint64{0, replacementPattern(opType)}
 
-	var tr transition
-	var counts [nClasses]int
+	var ft flipTally
 	for _, s := range samples {
-		base := execOp(in, in.Operands[0].ValueType(), s.LHS, s.RHS)
-		for b := 0; b < w; b++ {
-			lhs, rhs := s.LHS, s.RHS
-			if opIdx == 0 {
-				lhs ^= 1 << uint(b)
-			} else {
-				rhs ^= 1 << uint(b)
+		base := execOp(in, evalType, s.LHS, s.RHS)
+		for from := 0; from < nBands; from++ {
+			lo, hi := opBands.span(from, w)
+			ft.counts[from] += hi - lo
+			for b := lo; b < hi; b++ {
+				lhs, rhs := s.LHS, s.RHS
+				if opIdx == 0 {
+					lhs ^= 1 << uint(b)
+				} else {
+					rhs ^= 1 << uint(b)
+				}
+				diff := execOp(in, evalType, lhs, rhs) ^ base
+				if diff == 0 {
+					continue // masked
+				}
+				if cmpLike {
+					// A flipped comparison redirects control: the
+					// downstream corruption is whole-value.
+					ft.hits[from][classReplaced]++
+					continue
+				}
+				ft.hits[from][resBands.of(ir.HighestBit(diff))]++
 			}
-			from := bandOfBit(opType, b)
-			counts[from]++
-			out := execOp(in, in.Operands[0].ValueType(), lhs, rhs)
-			diff := out ^ base
-			if diff == 0 {
-				continue // masked
-			}
-			if cmpLike {
-				// A flipped comparison redirects control: the downstream
-				// corruption is whole-value.
-				tr[from][classReplaced]++
-				continue
-			}
-			tr[from][bandOfBit(resType, highestBit(diff))]++
 		}
-		// Replaced row: the operand holds a wholly different value; zero
-		// (a skipped initialization) and a large wrong value are the
-		// representative cases.
-		for _, repl := range []uint64{0, replacementPattern(opType)} {
+		for _, repl := range repls {
 			lhs, rhs := s.LHS, s.RHS
 			if opIdx == 0 {
 				lhs = repl
 			} else {
 				rhs = repl
 			}
-			counts[classReplaced]++
-			if execOp(in, in.Operands[0].ValueType(), lhs, rhs) != base {
-				tr[classReplaced][classReplaced]++
+			ft.counts[classReplaced]++
+			if execOp(in, evalType, lhs, rhs) != base {
+				ft.hits[classReplaced][classReplaced]++
 			}
 		}
 	}
-	normalizeTransition(&tr, counts)
-	return tr
+	return ft.transition()
 }
 
 // replacementPattern is the large-wrong-value representative for the
@@ -288,6 +297,8 @@ func (m *Model) selectTransition(cmp *ir.Instr, armMap [2]int, armIdx int) trans
 	}
 	t := cmp.Operands[0].ValueType()
 	w := t.Bits()
+	bands := bandBoundaries(t)
+	repls := [...]uint64{0, replacementPattern(t)}
 	corruptedOp := armMap[armIdx-1]
 
 	pick := func(a, b uint64) uint64 {
@@ -302,59 +313,60 @@ func (m *Model) selectTransition(cmp *ir.Instr, armMap [2]int, armIdx int) trans
 		return b
 	}
 
-	var tr transition
-	var counts [nClasses]int
+	var ft flipTally
 	for _, s := range samples {
 		base := pick(s.LHS, s.RHS)
-		for b := 0; b < w; b++ {
-			a, bb := s.LHS, s.RHS
-			if corruptedOp == 0 {
-				a ^= 1 << uint(b)
-			} else {
-				bb ^= 1 << uint(b)
+		for from := 0; from < nBands; from++ {
+			lo, hi := bands.span(from, w)
+			ft.counts[from] += hi - lo
+			for b := lo; b < hi; b++ {
+				a, bb := s.LHS, s.RHS
+				if corruptedOp == 0 {
+					a ^= 1 << uint(b)
+				} else {
+					bb ^= 1 << uint(b)
+				}
+				diff := pick(a, bb) ^ base
+				if diff == 0 {
+					continue
+				}
+				ft.hits[from][bands.of(ir.HighestBit(diff))]++
 			}
-			from := bandOfBit(t, b)
-			counts[from]++
-			diff := pick(a, bb) ^ base
-			if diff == 0 {
-				continue
-			}
-			tr[from][bandOfBit(t, highestBit(diff))]++
 		}
 		// Replaced operand: zero typically wins a min and loses a max.
-		for _, repl := range []uint64{0, replacementPattern(t)} {
+		for _, repl := range repls {
 			a, bb := s.LHS, s.RHS
 			if corruptedOp == 0 {
 				a = repl
 			} else {
 				bb = repl
 			}
-			counts[classReplaced]++
+			ft.counts[classReplaced]++
 			if pick(a, bb) != base {
-				tr[classReplaced][classReplaced]++
+				ft.hits[classReplaced][classReplaced]++
 			}
 		}
 	}
-	normalizeTransition(&tr, counts)
+	return ft.transition()
+}
+
+// flipTally counts classified corruptions: of the counts[from]
+// corruptions tried in class from, hits[from][to] landed in class to.
+type flipTally struct {
+	hits   [nClasses][nClasses]int
+	counts [nClasses]int
+}
+
+// transition normalizes the tally into per-class probabilities; a class
+// with no corruption tried keeps an all-zero row.
+func (ft *flipTally) transition() transition {
+	var tr transition
+	for from, n := range ft.counts {
+		if n > 0 {
+			for to, h := range ft.hits[from] {
+				tr[from][to] = float64(h) / float64(n)
+			}
+		}
+	}
 	return tr
-}
-
-func normalizeTransition(tr *transition, counts [nClasses]int) {
-	for band := 0; band < nClasses; band++ {
-		if counts[band] > 0 {
-			for j := range tr[band] {
-				tr[band][j] /= float64(counts[band])
-			}
-		}
-	}
-}
-
-// highestBit returns the index of the most significant set bit (x != 0).
-func highestBit(x uint64) int {
-	b := 0
-	for x > 1 {
-		x >>= 1
-		b++
-	}
-	return b
 }

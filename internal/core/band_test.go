@@ -2,13 +2,41 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"trident/internal/ir"
 )
 
+// scalarTypes lists every scalar value type.
+var scalarTypes = []ir.Type{ir.I1, ir.I8, ir.I16, ir.I32, ir.I64, ir.F32, ir.F64, ir.Ptr}
+
+// bandOfBit classifies bit b of a value of type t, deriving the band
+// split anew for every bit: the reference for the split the transitions
+// take once per type.
+func bandOfBit(t ir.Type, b int) int {
+	bounds := bandBoundaries(t)
+	for band := nBands - 1; band > 0; band-- {
+		if b >= bounds[band] {
+			return band
+		}
+	}
+	return 0
+}
+
+// shiftHighestBit finds the top set bit with a shift loop: the reference
+// for ir.HighestBit.
+func shiftHighestBit(x uint64) int {
+	b := 0
+	for x > 1 {
+		x >>= 1
+		b++
+	}
+	return b
+}
+
 func TestBandSplitSumsToOne(t *testing.T) {
-	for _, ty := range []ir.Type{ir.I1, ir.I8, ir.I16, ir.I32, ir.I64, ir.F32, ir.F64, ir.Ptr} {
+	for _, ty := range scalarTypes {
 		p := bandSplit(ty)
 		if math.Abs(p.total()-1) > 1e-12 {
 			t.Errorf("%s: split sums to %v", ty, p.total())
@@ -89,15 +117,60 @@ func TestPositionalTransitionExtension(t *testing.T) {
 }
 
 func TestHighestBit(t *testing.T) {
-	cases := []struct {
+	xs := []uint64{0, 1, ^uint64(0)}
+	for k := 1; k < 64; k++ {
+		p := uint64(1) << uint(k)
+		xs = append(xs, p-1, p, p+1)
+	}
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		// Shift a random word right by a random amount so every top-bit
+		// position is drawn, not only the top few.
+		xs = append(xs, rnd.Uint64()>>uint(rnd.Intn(64)))
+	}
+	for _, x := range xs {
+		if got, want := ir.HighestBit(x), shiftHighestBit(x); got != want {
+			t.Errorf("HighestBit(%#x) = %d, shift loop gives %d", x, got, want)
+		}
+	}
+	for _, c := range []struct {
 		x    uint64
 		want int
-	}{
-		{1, 0}, {2, 1}, {3, 1}, {0x80, 7}, {1 << 63, 63}, {0xFFFFFFFFFFFFFFFF, 63},
+	}{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {0x80, 7}, {1 << 63, 63}} {
+		if got := ir.HighestBit(c.x); got != c.want {
+			t.Errorf("HighestBit(%#x) = %d, want %d", c.x, got, c.want)
+		}
 	}
-	for _, c := range cases {
-		if got := highestBit(c.x); got != c.want {
-			t.Errorf("highestBit(%#x) = %d, want %d", c.x, got, c.want)
+}
+
+// TestBandBoundsMatchPerBitClassification checks the band split a
+// transition takes once per type against the per-bit classification:
+// of agrees bit by bit, and the band spans cover the bits in order, each
+// bit in the span of its own band.
+func TestBandBoundsMatchPerBitClassification(t *testing.T) {
+	for _, ty := range scalarTypes {
+		w := ty.Bits()
+		bands := bandBoundaries(ty)
+		for b := 0; b < w; b++ {
+			if got, want := bands.of(b), bandOfBit(ty, b); got != want {
+				t.Errorf("%s bit %d: band split gives %d, per-bit classification %d", ty, b, got, want)
+			}
+		}
+		next := 0
+		for band := 0; band < nBands; band++ {
+			lo, hi := bands.span(band, w)
+			if lo != next || hi < lo {
+				t.Errorf("%s band %d: span [%d, %d) does not continue at bit %d", ty, band, lo, hi, next)
+			}
+			for b := lo; b < hi; b++ {
+				if got := bandOfBit(ty, b); got != band {
+					t.Errorf("%s bit %d: in the span of band %d, classified %d", ty, b, band, got)
+				}
+			}
+			next = hi
+		}
+		if next != w {
+			t.Errorf("%s: band spans end at bit %d, want %d", ty, next, w)
 		}
 	}
 }

@@ -86,11 +86,13 @@ func execOp(in *ir.Instr, t ir.Type, lhs, rhs uint64) uint64 {
 	case in.Op.IsCmp():
 		return interp.EvalCmp(in.Pred, t, lhs, rhs)
 	case in.Op == ir.OpIntrinsic:
-		args := []float64{ir.FloatFromBits(t, lhs)}
+		args := [2]float64{ir.FloatFromBits(t, lhs)}
+		n := 1
 		if len(in.Operands) > 1 {
-			args = append(args, ir.FloatFromBits(in.Operands[1].ValueType(), rhs))
+			args[1] = ir.FloatFromBits(in.Operands[1].ValueType(), rhs)
+			n = 2
 		}
-		return ir.FloatToBits(in.Type, interp.EvalIntrinsic(in.Intr, args))
+		return ir.FloatToBits(in.Type, interp.EvalIntrinsic(in.Intr, args[:n]))
 	default:
 		bits, ok := interp.EvalBinary(in.Op, t, lhs, rhs)
 		if !ok {

@@ -111,6 +111,35 @@ func (m *Memory) find(addr, size uint64) *Segment {
 // Valid reports whether [addr, addr+size) lies within a live segment.
 func (m *Memory) Valid(addr, size uint64) bool { return m.find(addr, size) != nil }
 
+// TrappingFlips counts the bit positions, of all 64, whose single-bit flip
+// of addr makes the access [addr, addr+size) trap: the flips b for which
+// Valid(addr^1<<b, size) is false. A flipped access outside [first
+// segment base, last segment end) is rejected before any search, and the
+// last-hit segment find keeps for the interpreter is left alone.
+func (m *Memory) TrappingFlips(addr, size uint64) int {
+	if len(m.segments) == 0 {
+		return 64
+	}
+	lo, hi := m.segments[0].Base, m.segments[len(m.segments)-1].End()
+	n := 0
+	for bit := 0; bit < 64; bit++ {
+		a := addr ^ 1<<uint(bit)
+		end := a + size
+		if end < a || a < lo || end > hi {
+			n++
+			continue
+		}
+		// a >= lo, so some segment starts at or below a.
+		i := sort.Search(len(m.segments), func(i int) bool {
+			return m.segments[i].Base > a
+		})
+		if end > m.segments[i-1].End() {
+			n++
+		}
+	}
+	return n
+}
+
 // Load reads a little-endian value of width t.Bytes() from addr. The
 // returned bool is false when the access traps.
 func (m *Memory) Load(t ir.Type, addr uint64) (uint64, bool) {

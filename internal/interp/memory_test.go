@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -185,5 +186,85 @@ func TestMemoryLastSegmentCache(t *testing.T) {
 	}
 	if got, _ := c.Load(ir.I64, b.Base); got != 2 {
 		t.Errorf("the clone reads %d, want 2", got)
+	}
+}
+
+// validFlipTraps counts the single-bit flips of addr that Valid rejects:
+// the definition TrappingFlips must reproduce.
+func validFlipTraps(m *Memory, addr, size uint64) int {
+	n := 0
+	for bit := 0; bit < 64; bit++ {
+		if !m.Valid(addr^(1<<uint(bit)), size) {
+			n++
+		}
+	}
+	return n
+}
+
+// flipProbeAddrs returns addresses around every segment edge, the top and
+// bottom of the address space, and random addresses inside and outside
+// the segments.
+func flipProbeAddrs(m *Memory, rnd *rand.Rand) []uint64 {
+	addrs := []uint64{0, 1, memoryBase, ^uint64(0), ^uint64(0) - 7, ^uint64(0) - 8, 1 << 63, 1<<63 - 1}
+	for _, s := range m.segments {
+		for _, a := range []uint64{s.Base - 1, s.Base, s.Base + 1, s.End() - 8, s.End() - 1, s.End(), s.End() + 1} {
+			addrs = append(addrs, a)
+		}
+		addrs = append(addrs, s.Base+uint64(rnd.Int63n(int64(s.Size))))
+	}
+	for i := 0; i < 16; i++ {
+		addrs = append(addrs, rnd.Uint64(), rnd.Uint64()>>uint(rnd.Intn(64)))
+	}
+	return addrs
+}
+
+// TestTrappingFlipsMatchesValid checks TrappingFlips against 64 Valid
+// calls on random layouts: allocated and partly released ones, sparse
+// ones spread over the whole 64-bit space (whose high-bit flips land in
+// other segments), an empty memory, and accesses near the top of the
+// address space whose flipped range overflows addr+size.
+func TestTrappingFlipsMatchesValid(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	layouts := []*Memory{NewMemory()}
+	for i := 0; i < 40; i++ {
+		m := NewMemory()
+		var live []*Segment
+		for j := 0; j < 1+rnd.Intn(12); j++ {
+			live = append(live, m.Allocate("s", uint64(rnd.Intn(300))))
+		}
+		for _, s := range live {
+			if rnd.Intn(3) == 0 {
+				m.Release(s)
+			}
+		}
+		layouts = append(layouts, m)
+	}
+	for i := 0; i < 40; i++ {
+		// Sparse: ascending bases drawn over the whole address space,
+		// one segment ending at the top of it.
+		m := NewMemory()
+		base := uint64(rnd.Intn(1 << 20))
+		for j := 0; j < 1+rnd.Intn(8); j++ {
+			size := uint64(1 + rnd.Intn(1<<12))
+			m.segments = append(m.segments, &Segment{Base: base, Size: size})
+			base += size + uint64(rnd.Int63n(1<<59))
+		}
+		if rnd.Intn(2) == 0 {
+			m.segments = append(m.segments, &Segment{Base: ^uint64(0) - 64, Size: 64})
+		}
+		layouts = append(layouts, m)
+	}
+	for li, m := range layouts {
+		for _, addr := range flipProbeAddrs(m, rnd) {
+			for _, size := range []uint64{0, 1, 2, 4, 8, 16} {
+				if got, want := m.TrappingFlips(addr, size), validFlipTraps(m, addr, size); got != want {
+					t.Fatalf("layout %d (%d segments): TrappingFlips(%#x, %d) = %d, Valid rejects %d",
+						li, len(m.segments), addr, size, got, want)
+				}
+			}
+		}
+	}
+	if got := NewMemory().TrappingFlips(memoryBase, 8); got != 64 {
+		t.Errorf("empty memory: %d trapping flips, want 64", got)
 	}
 }

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -143,6 +144,10 @@ func SignExtend(bits uint64, width int) int64 {
 	}
 	return int64(bits)
 }
+
+// HighestBit returns the index of the most significant set bit of x: the
+// floor of log2(x). Zero and one both return 0.
+func HighestBit(x uint64) int { return bits.Len64(x|1) - 1 }
 
 // FloatFromBits decodes a bit pattern of type t (F32 or F64) into a
 // float64.

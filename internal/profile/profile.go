@@ -101,25 +101,45 @@ func (r *rng) next() uint64 {
 // intn returns a pseudo-random int in [0, n).
 func (r *rng) intn(n uint64) uint64 { return r.next() % n }
 
-// collector accumulates profile state during execution.
+// collector accumulates profile state during execution. Per-instruction
+// tallies live in one dense table per function, indexed by instruction
+// ID; cur caches the table of the function the last event came from, so
+// consecutive events of one function find theirs by a pointer compare.
 type collector struct {
 	prof     *Profile
 	rnd      *rng
 	capacity int
 
-	sampleSeen map[*ir.Instr]uint64 // observations per sampled instruction
-	crashSeen  map[*ir.Instr]uint64 // address observations per mem instruction
-	crashDone  map[*ir.Instr]uint64 // observations actually measured
-	crashSum   map[*ir.Instr]float64
+	tables map[*ir.Func][]tally
+	curFn  *ir.Func
+	cur    []tally
 
 	// lastWriter maps the first byte address of a stored element to the
 	// writing static store and its dynamic sequence number. Loads are
 	// matched by their first byte address; the IR programs in this
 	// repository access elements at matching granularity.
 	lastWriter map[uint64]writerRecord
-	storeSeq   map[*ir.Instr]uint64 // per-store dynamic sequence
-	edgeIndex  map[*ir.Instr]map[*ir.Instr]*MemEdge
-	lastRead   map[*ir.Instr]map[*ir.Instr]uint64 // load -> store -> last seq read
+}
+
+// tally is the collector's state for one static instruction.
+type tally struct {
+	execCount  uint64
+	branch     [2]uint64 // conditional branches: [trueCount, falseCount]
+	sampleSeen uint64    // operand observations of a sampled instruction
+	samples    []OperandSample
+	crashSeen  uint64 // address observations of a load/store
+	crashDone  uint64 // address observations actually measured
+	crashSum   float64
+	storeSeq   uint64     // dynamic sequence of a store
+	edges      []*MemEdge // a store's dependence edges, in discovery order
+	reads      []loadRead // a load's dependence edges
+}
+
+// loadRead is one dependence edge into a load with the sequence number of
+// the store instance the load read last.
+type loadRead struct {
+	edge *MemEdge
+	seq  uint64
 }
 
 type writerRecord struct {
@@ -135,26 +155,12 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 	if capacity <= 0 {
 		capacity = defaultValueSamples
 	}
-	prof := &Profile{
-		Module:           m,
-		ExecCount:        make(map[*ir.Instr]uint64),
-		BranchTaken:      make(map[*ir.Instr][2]uint64),
-		Samples:          make(map[*ir.Instr][]OperandSample),
-		CrashSensitivity: make(map[*ir.Instr]float64),
-		MemGraph:         make(map[*ir.Instr][]*MemEdge),
-	}
 	col := &collector{
-		prof:       prof,
 		rnd:        newRNG(opts.Seed),
 		capacity:   capacity,
-		sampleSeen: make(map[*ir.Instr]uint64),
-		crashSeen:  make(map[*ir.Instr]uint64),
-		crashDone:  make(map[*ir.Instr]uint64),
-		crashSum:   make(map[*ir.Instr]float64),
+		tables:     make(map[*ir.Func][]tally, len(m.Funcs)),
 		lastWriter: make(map[uint64]writerRecord),
-		storeSeq:   make(map[*ir.Instr]uint64),
-		edgeIndex:  make(map[*ir.Instr]map[*ir.Instr]*MemEdge),
-		lastRead:   make(map[*ir.Instr]map[*ir.Instr]uint64),
+		prof:       &Profile{Module: m},
 	}
 
 	res, err := interp.Run(m, interp.Options{
@@ -174,14 +180,63 @@ func Collect(m *ir.Module, opts Options) (*Profile, error) {
 	if res.Outcome != interp.OutcomeOK {
 		return nil, fmt.Errorf("profile: fault-free run ended in %s", res.Outcome)
 	}
-
+	prof := col.finish()
 	prof.Golden = res
 	prof.TotalDynResults = res.DynResults
 	prof.PeakMemBytes = res.PeakMemBytes
-	for in, sum := range col.crashSum {
-		prof.CrashSensitivity[in] = sum / float64(col.crashDone[in])
-	}
 	return prof, nil
+}
+
+// finish builds the exported per-instruction maps from the tallies. An
+// instruction gets an entry only in the maps whose event it saw.
+func (c *collector) finish() *Profile {
+	prof := c.prof
+	prof.ExecCount = make(map[*ir.Instr]uint64)
+	prof.BranchTaken = make(map[*ir.Instr][2]uint64)
+	prof.Samples = make(map[*ir.Instr][]OperandSample)
+	prof.CrashSensitivity = make(map[*ir.Instr]float64)
+	prof.MemGraph = make(map[*ir.Instr][]*MemEdge)
+	for _, f := range prof.Module.Funcs {
+		table := c.tables[f]
+		if table == nil {
+			continue
+		}
+		f.Instrs(func(in *ir.Instr) {
+			t := &table[in.ID]
+			if t.execCount > 0 {
+				prof.ExecCount[in] = t.execCount
+			}
+			if t.branch[0]+t.branch[1] > 0 {
+				prof.BranchTaken[in] = t.branch
+			}
+			if len(t.samples) > 0 {
+				prof.Samples[in] = t.samples
+			}
+			if t.crashDone > 0 {
+				prof.CrashSensitivity[in] = t.crashSum / float64(t.crashDone)
+			}
+			if len(t.edges) > 0 {
+				prof.MemGraph[in] = t.edges
+			}
+		})
+	}
+	return prof
+}
+
+// tallyOf returns the tally of in, switching the cached table when the
+// event comes from another function than the last one.
+func (c *collector) tallyOf(in *ir.Instr) *tally {
+	if fn := in.Block.Fn; fn != c.curFn {
+		table, ok := c.tables[fn]
+		if !ok {
+			n := 0
+			fn.Instrs(func(in *ir.Instr) { n = max(n, in.ID+1) })
+			table = make([]tally, n)
+			c.tables[fn] = table
+		}
+		c.curFn, c.cur = fn, table
+	}
+	return &c.cur[in.ID]
 }
 
 // wantsSamples reports whether the fs tuple of the opcode depends on
@@ -212,7 +267,7 @@ func wantsSamples(in *ir.Instr) bool {
 }
 
 func (c *collector) onResult(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
-	c.prof.ExecCount[in]++
+	c.tallyOf(in).execCount++
 	return bits
 }
 
@@ -222,78 +277,75 @@ func (c *collector) onBinary(_ *interp.Context, in *ir.Instr, lhs, rhs uint64) {
 	if !wantsSamples(in) {
 		return
 	}
-	c.sampleSeen[in]++
-	n := c.sampleSeen[in]
-	samples := c.prof.Samples[in]
+	t := c.tallyOf(in)
+	t.sampleSeen++
 	switch {
-	case len(samples) < c.capacity:
-		c.prof.Samples[in] = append(samples, OperandSample{LHS: lhs, RHS: rhs})
+	case len(t.samples) < c.capacity:
+		t.samples = append(t.samples, OperandSample{LHS: lhs, RHS: rhs})
 	default:
 		// Classic reservoir replacement keeps a uniform sample of the
 		// stream, so value phases later in execution are represented.
-		if k := c.rnd.intn(n); k < uint64(c.capacity) {
-			samples[k] = OperandSample{LHS: lhs, RHS: rhs}
+		if k := c.rnd.intn(t.sampleSeen); k < uint64(c.capacity) {
+			t.samples[k] = OperandSample{LHS: lhs, RHS: rhs}
 		}
 	}
 }
 
 func (c *collector) onBranch(_ *interp.Context, in *ir.Instr, taken int) {
-	c.prof.ExecCount[in]++
+	t := c.tallyOf(in)
+	t.execCount++
 	if in.Op == ir.OpCondBr {
-		bt := c.prof.BranchTaken[in]
-		bt[taken]++
-		c.prof.BranchTaken[in] = bt
+		t.branch[taken]++
 	}
 }
 
 func (c *collector) onPrint(_ *interp.Context, in *ir.Instr, _ string) {
-	c.prof.ExecCount[in]++
+	c.tallyOf(in).execCount++
 }
 
 func (c *collector) onLoad(ctx *interp.Context, in *ir.Instr, addr, _ uint64) {
-	c.observeAddress(ctx, in, addr)
+	t := c.tallyOf(in)
+	c.observeAddress(ctx, in, t, addr)
 	w, ok := c.lastWriter[addr]
 	if !ok {
 		return
 	}
 	c.prof.DynMemDeps++
-	byStore := c.edgeIndex[w.store]
-	if byStore == nil {
-		byStore = make(map[*ir.Instr]*MemEdge)
-		c.edgeIndex[w.store] = byStore
+	var r *loadRead
+	for i := range t.reads {
+		if t.reads[i].edge.Store == w.store {
+			r = &t.reads[i]
+			break
+		}
 	}
-	e := byStore[in]
-	if e == nil {
-		e = &MemEdge{Store: w.store, Load: in}
-		byStore[in] = e
-		c.prof.MemGraph[w.store] = append(c.prof.MemGraph[w.store], e)
+	if r == nil {
+		e := &MemEdge{Store: w.store, Load: in}
+		st := c.tallyOf(w.store)
+		st.edges = append(st.edges, e)
+		t.reads = append(t.reads, loadRead{edge: e})
+		r = &t.reads[len(t.reads)-1]
 	}
-	e.DynDeps++
-	lr := c.lastRead[in]
-	if lr == nil {
-		lr = make(map[*ir.Instr]uint64)
-		c.lastRead[in] = lr
-	}
-	if last, seen := lr[w.store]; !seen || last != w.seq {
-		e.DistinctStores++
-		lr[w.store] = w.seq
+	r.edge.DynDeps++
+	if r.seq != w.seq {
+		r.edge.DistinctStores++
+		r.seq = w.seq
 	}
 }
 
 func (c *collector) onStore(ctx *interp.Context, in *ir.Instr, addr, _ uint64) {
-	c.prof.ExecCount[in]++
-	c.observeAddress(ctx, in, addr)
-	c.storeSeq[in]++
-	c.lastWriter[addr] = writerRecord{store: in, seq: c.storeSeq[in]}
+	t := c.tallyOf(in)
+	t.execCount++
+	c.observeAddress(ctx, in, t, addr)
+	t.storeSeq++
+	c.lastWriter[addr] = writerRecord{store: in, seq: t.storeSeq}
 }
 
 // observeAddress reservoir-samples address-corruption crash sensitivity:
 // the fraction of single-bit flips of addr that leave every live segment,
 // evaluated against the memory map at access time.
-func (c *collector) observeAddress(ctx *interp.Context, in *ir.Instr, addr uint64) {
-	c.crashSeen[in]++
-	n := c.crashSeen[in]
-	if n > uint64(c.capacity) {
+func (c *collector) observeAddress(ctx *interp.Context, in *ir.Instr, t *tally, addr uint64) {
+	t.crashSeen++
+	if n := t.crashSeen; n > uint64(c.capacity) {
 		// Reservoir: keep each observation with probability capacity/n by
 		// replacing the running average contribution; for a streaming mean
 		// it is simpler and adequate to subsample 1-in-k after warmup.
@@ -301,15 +353,8 @@ func (c *collector) observeAddress(ctx *interp.Context, in *ir.Instr, addr uint6
 			return
 		}
 	}
-	c.crashDone[in]++
-	size := uint64(in.Elem.Bytes())
-	invalid := 0
-	for bit := 0; bit < 64; bit++ {
-		if !ctx.Mem.Valid(addr^(1<<uint(bit)), size) {
-			invalid++
-		}
-	}
-	c.crashSum[in] += float64(invalid) / 64
+	t.crashDone++
+	t.crashSum += float64(ctx.Mem.TrappingFlips(addr, uint64(in.Elem.Bytes()))) / 64
 }
 
 // BranchProb returns the profiled probability that the conditional branch
@@ -359,15 +404,7 @@ func (p *Profile) FootprintCrashProb() float64 {
 	if p.PeakMemBytes == 0 {
 		return 1
 	}
-	bits := 0
-	for v := p.PeakMemBytes; v > 1; v >>= 1 {
-		bits++
-	}
-	safe := float64(bits)
-	if safe > 64 {
-		safe = 64
-	}
-	return (64 - safe) / 64
+	return (64 - float64(ir.HighestBit(p.PeakMemBytes))) / 64
 }
 
 // StoreReadProb returns, for a static store S and one of its dependence

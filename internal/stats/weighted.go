@@ -126,16 +126,6 @@ func (t *WeightedTally) Add(w float64, hit bool) {
 	}
 }
 
-// Merge folds other into t.
-func (t *WeightedTally) Merge(other WeightedTally) {
-	t.N += other.N
-	t.W += other.W
-	t.W2 += other.W2
-	t.Hits += other.Hits
-	t.HitN += other.HitN
-	t.HitVar += other.HitVar
-}
-
 // Proportion returns the self-normalized (Hájek) estimate Σw·x / Σw, the
 // natural point estimate when the weighted total is compared against the
 // weighted observation count. It is 0 for an empty tally.

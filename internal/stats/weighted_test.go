@@ -112,26 +112,6 @@ func TestHTEffectiveNUniform(t *testing.T) {
 	}
 }
 
-func TestWeightedTallyMerge(t *testing.T) {
-	var a, b, all WeightedTally
-	obs := []struct {
-		w   float64
-		hit bool
-	}{{1, true}, {4, false}, {2, true}, {1, false}, {8, true}, {1, true}}
-	for i, o := range obs {
-		if i < 3 {
-			a.Add(o.w, o.hit)
-		} else {
-			b.Add(o.w, o.hit)
-		}
-		all.Add(o.w, o.hit)
-	}
-	a.Merge(b)
-	if a != all {
-		t.Errorf("merged tally %+v != pooled tally %+v", a, all)
-	}
-}
-
 func TestWeightedTallyRejectsBadWeights(t *testing.T) {
 	var tal WeightedTally
 	tal.Add(0, true)
@@ -270,15 +250,14 @@ func TestKishNeffDegenerateCorners(t *testing.T) {
 // FuzzWeightedTally checks the tally's structural invariants over
 // arbitrary weight/outcome streams: estimates are proper probabilities,
 // Kish n_eff never exceeds the observation count, intervals are ordered
-// and clamped, uniform streams reduce exactly to the unweighted path,
-// and merging is equivalent to pooling.
+// and clamped, and uniform streams reduce exactly to the unweighted path.
 func FuzzWeightedTally(f *testing.F) {
 	f.Add(uint64(1), uint16(8), false)
 	f.Add(uint64(99), uint16(100), true)
 	f.Add(uint64(7), uint16(1), false)
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, uniform bool) {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		var tal, left, right WeightedTally
+		var tal WeightedTally
 		count := int(n%256) + 1
 		for i := 0; i < count; i++ {
 			w := 1.0
@@ -289,11 +268,6 @@ func FuzzWeightedTally(f *testing.F) {
 			}
 			hit := rng.Intn(3) == 0
 			tal.Add(w, hit)
-			if i%2 == 0 {
-				left.Add(w, hit)
-			} else {
-				right.Add(w, hit)
-			}
 		}
 		if p := tal.Proportion(); p < 0 || p > 1 {
 			t.Fatalf("Proportion = %v", p)
@@ -326,10 +300,6 @@ func FuzzWeightedTally(f *testing.F) {
 			if math.Abs(wlo-lo) > 1e-12 || math.Abs(whi-hi) > 1e-12 {
 				t.Fatalf("uniform weighted bounds (%v, %v) != unweighted (%v, %v)", wlo, whi, lo, hi)
 			}
-		}
-		left.Merge(right)
-		if diff := math.Abs(left.W-tal.W) + math.Abs(left.Hits-tal.Hits) + math.Abs(left.HitVar-tal.HitVar); left.N != tal.N || diff > 1e-9 {
-			t.Fatalf("merge mismatch: %+v vs %+v", left, tal)
 		}
 	})
 }
