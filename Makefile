@@ -47,10 +47,9 @@ doc:
 # server mid-campaign, restarts it over the same spool (the job must run
 # again), SIGTERMs it (expecting exit 143 and the job re-queued on disk),
 # restarts again, and requires the resumed merged result to be
-# byte-identical to a clean run of the same campaign. The cache/hashutil packages behind the server's result
-# cache also run under -race alongside the other concurrent tiers, and
-# the bitlive pass runs under -race too — its Report is shared by
-# campaign workers. The prunecheck drill closes the loop on
+# byte-identical to a clean run of the same campaign and to a result
+# served from the result cache. The bitlive pass runs under -race too —
+# its Report is shared by campaign workers. The prunecheck drill closes the loop on
 # bit-liveness pruning: pruned and unpruned campaigns through the real
 # CLI, with and without snapshot replay, must report identical summaries
 # and identical per-trial transcripts (DESIGN.md §5i,
@@ -70,7 +69,7 @@ doc:
 # oracle check leaves out sad and bfs-parboil, whose oracle walks are slow
 # (the full check runs in `make test`).
 check: build doc
-	$(GO) test -race ./internal/fault/... ./internal/interp/... ./internal/decoded/... ./internal/telemetry/... ./internal/server/... ./internal/sigctx/... ./internal/cache/... ./internal/hashutil/... ./internal/bitlive/... ./internal/stats/...
+	$(GO) test -race ./internal/fault/... ./internal/interp/... ./internal/decoded/... ./internal/telemetry/... ./internal/server/... ./internal/sigctx/... ./internal/hashutil/... ./internal/bitlive/... ./internal/stats/...
 	$(GO) test -race -short ./internal/crosscheck/... ./internal/core/...
 	$(GO) run ./cmd/crosscheck -n 60 -seed 77 -kernels=false
 	$(MAKE) fuzz-smoke

@@ -56,7 +56,7 @@ func run(args []string) int {
 	maxIRBytes := fs.Int("max-ir-bytes", 4<<20, "max submitted IR text size")
 	maxWall := fs.Duration("max-wall", 15*time.Minute, "per-job wall-clock budget (jobs exceeding it degrade to partial results)")
 	chaosDelay := fs.Duration("chaos-trial-delay", 0, "slow every trial by this much (crash-drill instrumentation, not for production)")
-	resultCache := fs.Bool("result-cache", true, "serve repeated campaigns (same module hash, seed, n) from a spool-backed result cache")
+	resultCache := fs.Bool("result-cache", true, "serve a repeated campaign (same checkpoint header) by replaying a clean job's log kept under <spool>/cache")
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (job/drain spans)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address")

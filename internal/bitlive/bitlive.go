@@ -151,8 +151,8 @@ func (r *Report) funcHash(fn *ir.Func) uint64 {
 }
 
 // ModuleHash folds funcHash over every function of m in definition
-// order: the server's job-result cache and checkpoint headers key pruned
-// campaigns on it, so a change to the analysis (or to the module, which
+// order: checkpoint headers (whose hash names the server's result-cache
+// entries) key pruned campaigns on it, so a change to the analysis (or to the module, which
 // reassigns masks) can never replay results computed under different
 // pruning decisions.
 func (r *Report) ModuleHash(m *ir.Module) uint64 {

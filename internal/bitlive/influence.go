@@ -22,8 +22,8 @@ import (
 // the classification only shapes variance, never correctness.
 
 // InfluenceVersion names the classifier revision. It is folded into
-// every influence hash, so cache keys and checkpoint headers stop
-// matching when the classification rules change.
+// every influence hash, so checkpoint headers stop matching when the
+// classification rules change.
 const InfluenceVersion = "bitinfluence/v1"
 
 // Stratum identifies one influence class of a result bit. The numeric

@@ -34,7 +34,6 @@ import (
 
 	"trident/internal/bitlive"
 	"trident/internal/hashutil"
-	"trident/internal/ir"
 )
 
 // DefaultPilotFraction is the share of the slot budget an adaptive
@@ -99,21 +98,12 @@ func pilotLen(n int, frac float64) int {
 // in effect — influence table, pilot fraction and rate floor — or ""
 // when Options.Adaptive is nil. The derived main-phase plan is a pure
 // function of these plus the (header-checked) module, seed and n, so the
-// hash fences checkpoints and caches without persisting the plan itself.
+// hash fences checkpoints without persisting the plan itself.
 func (inj *Injector) AdaptiveHash() string {
 	if inj.opts.Adaptive == nil {
 		return ""
 	}
 	return adaptiveHash(inj.influence.ModuleHash(inj.module), *inj.opts.Adaptive)
-}
-
-// AdaptiveHashFor computes the adaptive content address of m under cfg
-// without building an injector (no golden run), for admission-time cache
-// keys. It agrees with Injector.AdaptiveHash for the same module and
-// configuration.
-func AdaptiveHashFor(m *ir.Module, cfg AdaptiveConfig) string {
-	inf := bitlive.ClassifyInfluence(m, bitlive.Analyze(m))
-	return adaptiveHash(inf.ModuleHash(m), cfg)
 }
 
 // adaptiveHash folds a module's influence-table hash with the resolved

@@ -24,6 +24,7 @@ package fault
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"trident/internal/bitlive"
@@ -308,6 +309,16 @@ func (inj *Injector) header(m mode, n int) checkpointMeta {
 		meta.Stratify = inj.AdaptiveHash()
 	}
 	return meta
+}
+
+// CheckpointHash returns the content address of the checkpoint header an
+// n-slot campaign under Options writes: the FNV-1a hash (hashutil.Hex)
+// of its header line. Every field a log is validated against feeds it,
+// so it names a finished campaign's log wherever one is stored apart
+// from its campaign (the campaign server's result cache).
+func (inj *Injector) CheckpointHash(n int) string {
+	line, _ := json.Marshal(inj.header(inj.mode(), n))
+	return hashutil.Hex(hashutil.Bytes(line))
 }
 
 // CampaignRandom performs n statistical injections sampled uniformly over

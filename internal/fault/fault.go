@@ -29,10 +29,10 @@ import (
 	"trident/internal/telemetry"
 )
 
-// ModelVersion names the fault model and its version in result-cache
-// keys. Bump it whenever injection semantics change (sampling,
-// classification, bit selection), so old results stop matching without
-// any migration.
+// ModelVersion names the fault model and its version; the campaign
+// server's result cache keeps its entries in a directory of this name.
+// Bump it whenever injection semantics change (sampling, classification,
+// bit selection), so old results stop matching without any migration.
 const ModelVersion = "bitflip/v1"
 
 // Outcome classifies one fault-injection run.
@@ -243,8 +243,8 @@ type Injector struct {
 	hangBudget   uint64
 
 	// moduleHash is the content address of the module's canonical printed
-	// text, computed once here and stamped into checkpoint headers and
-	// cache keys so stale artifacts are rejected by content, not by name.
+	// text, computed once here and stamped into checkpoint headers so
+	// stale artifacts are rejected by content, not by name.
 	moduleHash uint64
 
 	// execCount maps each register-writing static instruction to its

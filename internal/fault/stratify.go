@@ -25,7 +25,6 @@ import (
 
 	"trident/internal/bitlive"
 	"trident/internal/hashutil"
-	"trident/internal/ir"
 	"trident/internal/stats"
 )
 
@@ -49,22 +48,13 @@ func slotU(seed uint64, slot int) float64 {
 // StratifyHash returns the content address of the stratification in
 // effect — the influence table's module hash folded with the plan hash
 // (hashutil.Hex form) — or "" when Options.Stratify is nil. Checkpoint
-// headers, cache keys and the server's result cache include it so
-// estimates weighted under one plan are never mixed with another.
+// headers include it so estimates weighted under one plan are never
+// mixed with another.
 func (inj *Injector) StratifyHash() string {
 	if inj.opts.Stratify == nil {
 		return ""
 	}
 	return stratifyHash(inj.influence.ModuleHash(inj.module), *inj.opts.Stratify)
-}
-
-// StratifyHashFor computes the stratification content address of m
-// under plan without building an injector (no golden run): the server's
-// result cache keys jobs with it at admission time. It agrees with
-// Injector.StratifyHash for the same module and plan.
-func StratifyHashFor(m *ir.Module, plan bitlive.Plan) string {
-	inf := bitlive.ClassifyInfluence(m, bitlive.Analyze(m))
-	return stratifyHash(inf.ModuleHash(m), plan)
 }
 
 // stratifyHash folds a module's influence-table hash with a plan hash.

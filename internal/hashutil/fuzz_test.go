@@ -1,4 +1,4 @@
-package cache_test
+package hashutil_test
 
 import (
 	"testing"

@@ -4,7 +4,7 @@
 // textual IR only if print→parse round trips leave that hash unchanged,
 // which this suite proves on every kernel and on a swath of randomly
 // generated programs.
-package cache_test
+package hashutil_test
 
 import (
 	"testing"

@@ -28,6 +28,10 @@ type serverMetrics struct {
 
 	httpRequests *telemetry.Counter // server.http.requests
 	httpErrors   *telemetry.Counter // server.http.errors
+
+	cacheHits   *telemetry.Counter // cache.hits
+	cacheMisses *telemetry.Counter // cache.misses
+	cacheTorn   *telemetry.Counter // cache.torn
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
@@ -47,6 +51,9 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		jobUS:        reg.Histogram("server.job_us"),
 		httpRequests: reg.Counter("server.http.requests"),
 		httpErrors:   reg.Counter("server.http.errors"),
+		cacheHits:    reg.Counter("cache.hits"),
+		cacheMisses:  reg.Counter("cache.misses"),
+		cacheTorn:    reg.Counter("cache.torn"),
 	}
 }
 
@@ -110,4 +117,18 @@ func (m *serverMetrics) queueDepth(n int) {
 		return
 	}
 	m.depth.Set(int64(n))
+}
+
+// cacheLookup records one result-cache lookup and the corrupt entries
+// it rejected.
+func (m *serverMetrics) cacheLookup(hit bool, torn uint64) {
+	if m == nil {
+		return
+	}
+	m.cacheTorn.Add(torn)
+	if hit {
+		m.cacheHits.Inc()
+	} else {
+		m.cacheMisses.Inc()
+	}
 }

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
+
+	"trident/internal/hashutil"
+	"trident/internal/telemetry"
 )
 
 // submitAndWait submits req and blocks until the job terminates,
@@ -34,7 +40,7 @@ func stripIdentity(res *Result) []byte {
 	return b
 }
 
-// cacheEntryFiles lists the JSON entry files under a cache directory.
+// cacheEntryFiles lists the stored logs under a cache directory.
 func cacheEntryFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var files []string
@@ -42,7 +48,7 @@ func cacheEntryFiles(t *testing.T, dir string) []string {
 		if err != nil {
 			return err
 		}
-		if !info.IsDir() && filepath.Ext(path) == ".json" {
+		if !info.IsDir() && filepath.Ext(path) == ".jsonl" {
 			files = append(files, path)
 		}
 		return nil
@@ -57,7 +63,7 @@ func cacheEntryFiles(t *testing.T, dir string) []string {
 // is served from the result cache — no trial runs — and the payload is
 // byte-identical to the first job's, even when the resubmission asks
 // for a different shard count (shards only multiply workers, so they
-// are deliberately outside the cache key).
+// are deliberately outside the checkpoint header).
 func TestResultCacheHitByteIdentical(t *testing.T) {
 	cacheDir := t.TempDir()
 	s := newSupervisedServer(t, func(c *Config) { c.ResultCacheDir = cacheDir })
@@ -131,41 +137,17 @@ func TestResultCachePruneKeySeparation(t *testing.T) {
 }
 
 // TestResultCacheTornEntryMisses: an entry torn by a crash mid-write
-// (simulated by truncation) is detected and treated as a miss — the
-// job re-runs live and produces the same result.
+// (simulated by truncating it inside a record) fails its sum, counts in
+// cache.torn, and re-runs to the same result, which replaces it.
 func TestResultCacheTornEntryMisses(t *testing.T) {
-	cacheDir := t.TempDir()
-	s := newSupervisedServer(t, func(c *Config) { c.ResultCacheDir = cacheDir })
-	s.Start()
-
 	req := &SubmitRequest{Program: "libquantum", N: 30, Seed: 7, Shards: 2}
-	res1 := submitAndWait(t, s, req, JobDone).Result()
-
-	files := cacheEntryFiles(t, cacheDir)
-	if len(files) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(files))
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(files[0], data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j2 := submitAndWait(t, s, req, JobDone)
-	res2 := j2.Result()
-	if res2.Cached {
-		t.Fatal("torn cache entry was served as a hit")
-	}
-	if got, want := stripIdentity(res2), stripIdentity(res1); string(got) != string(want) {
-		t.Errorf("re-run after torn entry diverges:\n  got  %s\n  want %s", got, want)
-	}
-	// The re-run repaired the entry: a third submission hits again.
-	j3 := submitAndWait(t, s, req, JobDone)
-	if !j3.Result().Cached {
-		t.Error("cache not repopulated after torn-entry re-run")
-	}
+	assertCorruptEntryReplaced(t, req, func(t *testing.T, log []byte) []byte {
+		cut := len(log) / 2
+		for log[cut-1] == '\n' {
+			cut--
+		}
+		return log[:cut]
+	})
 }
 
 // TestResultCacheSurvivesRestart: the cache lives on disk, so a fresh
@@ -218,5 +200,269 @@ func TestResultCacheSkipsDirtyResults(t *testing.T) {
 	j2 := submitAndWait(t, s, &SubmitRequest{Program: "bfs-parboil", N: 400, Seed: 5, Shards: 2}, JobDone)
 	if j2.Result().Cached {
 		t.Error("incomplete campaign was served from cache")
+	}
+}
+
+// onlyEntry returns the one stored log under a cache directory.
+func onlyEntry(t *testing.T, dir string) string {
+	t.Helper()
+	files := cacheEntryFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(files))
+	}
+	return files[0]
+}
+
+// assertCorruptEntryReplaced stores one campaign, rewrites its cached
+// log with corrupt, and requires the resubmission to miss, count the
+// entry in cache.torn, re-run to the same result and leave one intact
+// entry that the next resubmission hits.
+func assertCorruptEntryReplaced(t *testing.T, req *SubmitRequest, corrupt func(t *testing.T, log []byte) []byte) {
+	t.Helper()
+	cacheDir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	s := newSupervisedServer(t, func(c *Config) {
+		c.ResultCacheDir = cacheDir
+		c.Metrics = reg
+	})
+	s.Start()
+	res1 := submitAndWait(t, s, req, JobDone).Result()
+
+	entry := onlyEntry(t, cacheDir)
+	data, err := os.ReadFile(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entry, corrupt(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res2 := submitAndWait(t, s, req, JobDone).Result()
+	if res2.Cached {
+		t.Fatal("corrupt cache entry was served as a hit")
+	}
+	if got := reg.Counter("cache.torn").Load(); got != 1 {
+		t.Errorf("cache.torn = %d, want 1", got)
+	}
+	if got, want := stripIdentity(res2), stripIdentity(res1); string(got) != string(want) {
+		t.Errorf("re-run after corrupt entry diverges:\n  got  %s\n  want %s", got, want)
+	}
+	repaired := onlyEntry(t, cacheDir)
+	if got, err := os.ReadFile(repaired); err != nil || !strings.HasSuffix(repaired, hashutil.Hex(hashutil.Bytes(got))+".jsonl") {
+		t.Fatalf("re-run left entry %s that does not match its sum (err %v)", repaired, err)
+	}
+	if !submitAndWait(t, s, req, JobDone).Result().Cached {
+		t.Error("cache not repopulated after the corrupt entry's re-run")
+	}
+}
+
+// plantEntry replaces the cache entry at entry with data, stored under
+// the same campaign name with data's own sum, and returns its path.
+func plantEntry(t *testing.T, entry string, data []byte) string {
+	t.Helper()
+	base := filepath.Base(entry)
+	name := base[:strings.IndexByte(base, '-')]
+	planted := filepath.Join(filepath.Dir(entry), name+"-"+hashutil.Hex(hashutil.Bytes(data))+".jsonl")
+	os.Remove(entry)
+	if err := os.WriteFile(planted, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return planted
+}
+
+// TestResultCacheFlippedLatencyMisses: one flipped crash-latency digit
+// still parses as a log — only the entry's sum catches it.
+func TestResultCacheFlippedLatencyMisses(t *testing.T) {
+	req := &SubmitRequest{Program: "pathfinder", N: 40, Seed: 21, Shards: 2}
+	assertCorruptEntryReplaced(t, req, func(t *testing.T, log []byte) []byte {
+		loc := regexp.MustCompile(`"latency":[0-9]+`).FindIndex(log)
+		if loc == nil {
+			t.Fatal("cached log holds no crash latency to flip")
+		}
+		out := append([]byte(nil), log...)
+		d := &out[loc[1]-1]
+		*d = '0' + (*d-'0'+1)%10
+		return out
+	})
+}
+
+// TestResultCacheForeignLogMisses: another campaign's intact log under
+// the requested name — a 64-bit name collision — fails the checkpoint
+// header check and re-runs; it is a miss, not corruption.
+func TestResultCacheForeignLogMisses(t *testing.T) {
+	cacheDir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	s := newSupervisedServer(t, func(c *Config) {
+		c.ResultCacheDir = cacheDir
+		c.Metrics = reg
+	})
+	s.Start()
+
+	req := &SubmitRequest{Program: "hotspot", N: 24, Seed: 1, Shards: 2}
+	res1 := submitAndWait(t, s, req, JobDone).Result()
+	entry := onlyEntry(t, cacheDir)
+	if err := os.Remove(entry); err != nil {
+		t.Fatal(err)
+	}
+	other := &SubmitRequest{Program: "hotspot", N: 24, Seed: 2, Shards: 2}
+	submitAndWait(t, s, other, JobDone)
+	foreign, err := os.ReadFile(onlyEntry(t, cacheDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := plantEntry(t, entry, foreign)
+
+	res2 := submitAndWait(t, s, req, JobDone).Result()
+	if res2.Cached {
+		t.Fatal("another seed's log was served as a hit")
+	}
+	if got, want := stripIdentity(res2), stripIdentity(res1); string(got) != string(want) {
+		t.Errorf("re-run after a foreign entry diverges:\n  got  %s\n  want %s", got, want)
+	}
+	if got := reg.Counter("cache.torn").Load(); got != 0 {
+		t.Errorf("cache.torn = %d, want 0: an intact foreign log is not corrupt", got)
+	}
+	if _, err := os.Stat(planted); !os.IsNotExist(err) {
+		t.Errorf("the re-run did not replace the foreign entry (stat err %v)", err)
+	}
+	if !submitAndWait(t, s, req, JobDone).Result().Cached {
+		t.Error("cache not repopulated after the foreign entry's re-run")
+	}
+}
+
+// TestResultCacheIgnoresEnvelope: a result stored in the earlier
+// checksummed-envelope format (<dir>/<2 hex>/<16 hex>.json) is never
+// read: the job runs, nothing counts as torn, and the file is left as
+// it was.
+func TestResultCacheIgnoresEnvelope(t *testing.T) {
+	cacheDir := t.TempDir()
+	envelope := filepath.Join(cacheDir, "3f", "3fd2a1b06c5e9d47.json")
+	body := []byte(`{"version":1,"key":{"kind":"job-result","seed":11},"payload":{"n":24,"counts":{"Benign":24}},"checksum":"0000000000000000"}`)
+	if err := os.MkdirAll(filepath.Dir(envelope), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(envelope, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s := newSupervisedServer(t, func(c *Config) {
+		c.ResultCacheDir = cacheDir
+		c.Metrics = reg
+	})
+	s.Start()
+
+	req := &SubmitRequest{Program: "hotspot", N: 24, Seed: 11, Shards: 2}
+	if submitAndWait(t, s, req, JobDone).Result().Cached {
+		t.Fatal("first job was served from an envelope")
+	}
+	if got := reg.Counter("cache.torn").Load(); got != 0 {
+		t.Errorf("cache.torn = %d, want 0", got)
+	}
+	if got, err := os.ReadFile(envelope); err != nil || !bytes.Equal(got, body) {
+		t.Errorf("the envelope changed (err %v)", err)
+	}
+	if !submitAndWait(t, s, req, JobDone).Result().Cached {
+		t.Error("resubmission missed the job's own entry")
+	}
+}
+
+// TestResultCacheIncompleteLogMisses: an intact log that replays with a
+// missing trial, or with an Errored one, is never served: the job
+// re-runs to the original result, and nothing counts as torn.
+func TestResultCacheIncompleteLogMisses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(records []string) []string
+	}{
+		{"missing", func(r []string) []string { return r[:len(r)-1] }},
+		{"errored", func(r []string) []string {
+			r[0] = regexp.MustCompile(`"outcome":"[A-Za-z]+"`).ReplaceAllString(r[0], `"outcome":"errored","attempts":1,"err":"boom"`)
+			return r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cacheDir := t.TempDir()
+			reg := telemetry.NewRegistry()
+			s := newSupervisedServer(t, func(c *Config) {
+				c.ResultCacheDir = cacheDir
+				c.Metrics = reg
+			})
+			s.Start()
+			req := &SubmitRequest{Program: "nw", N: 30, Seed: 6, Shards: 2}
+			res1 := submitAndWait(t, s, req, JobDone).Result()
+
+			entry := onlyEntry(t, cacheDir)
+			data, err := os.ReadFile(entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+			header, records := lines[0], lines[1:]
+			edited := strings.TrimSuffix(header+strings.Join(tc.edit(records), ""), "\n") + "\n"
+			plantEntry(t, entry, []byte(edited))
+
+			res2 := submitAndWait(t, s, req, JobDone).Result()
+			if res2.Cached {
+				t.Fatalf("a %s-trial log was served as a hit", tc.name)
+			}
+			if got, want := stripIdentity(res2), stripIdentity(res1); string(got) != string(want) {
+				t.Errorf("re-run diverges:\n  got  %s\n  want %s", got, want)
+			}
+			if got := reg.Counter("cache.torn").Load(); got != 0 {
+				t.Errorf("cache.torn = %d, want 0", got)
+			}
+			if !submitAndWait(t, s, req, JobDone).Result().Cached {
+				t.Error("cache not repopulated after the re-run")
+			}
+		})
+	}
+}
+
+// TestResultCacheConcurrentStores: identical jobs running at once each
+// miss, store and replace the campaign's entry concurrently; every
+// result agrees, every entry left is intact, and the next job hits.
+func TestResultCacheConcurrentStores(t *testing.T) {
+	cacheDir := t.TempDir()
+	s := newSupervisedServer(t, func(c *Config) {
+		c.ResultCacheDir = cacheDir
+		c.MaxConcurrentJobs = 4
+	})
+	s.Start()
+	req := &SubmitRequest{Program: "pathfinder", N: 60, Seed: 17, Shards: 1}
+	var jobs []*Job
+	for i := 0; i < 4; i++ {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	var want []byte
+	for _, j := range jobs {
+		if st := waitTerminal(t, j); st != JobDone {
+			t.Fatalf("state = %s (%s), want done", st, j.status().Error)
+		}
+		got := stripIdentity(j.Result())
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Errorf("concurrent job %s diverges:\n  got  %s\n  want %s", j.ID, got, want)
+		}
+	}
+	files := cacheEntryFiles(t, cacheDir)
+	if len(files) == 0 {
+		t.Fatal("concurrent stores left no entry")
+	}
+	for _, f := range files {
+		if !intact(f) {
+			t.Errorf("entry %s does not match its sum", f)
+		}
+	}
+	res := submitAndWait(t, s, req, JobDone).Result()
+	if !res.Cached {
+		t.Fatal("job after concurrent stores missed the cache")
+	}
+	if got := stripIdentity(res); string(got) != string(want) {
+		t.Errorf("cached result diverges:\n  got  %s\n  want %s", got, want)
 	}
 }

@@ -1,7 +1,8 @@
 // This file runs an admitted job: one fault.Campaign over the job's one
 // checkpoint log, then the job's result replayed from that log by the
-// injector that ran the campaign. A job's shards only multiply its
-// trial workers (SubmitRequest.Shards).
+// injector that ran the campaign — or, on a result-cache hit, replayed
+// by that injector from the cached log with no campaign at all. A job's
+// shards only multiply its trial workers (SubmitRequest.Shards).
 //
 // Cancellation has three distinct causes with three distinct outcomes:
 //
@@ -61,18 +62,25 @@ func (s *Server) runJob(parent context.Context, j *Job) {
 		s.finishJob(j, span, start, JobCancelled, "cancelled before start")
 		return
 	}
-	// Result-cache short circuit: a clean, complete result for this exact
-	// campaign (module hash + model + seed + n) skips the campaign.
-	if res, ok := s.lookupResult(j); ok {
-		j.setResult(res)
-		j.setState(JobDone, "")
-		s.met.jobEnd(JobDone, start)
-		span.EndWith(telemetry.Attrs{"state": string(JobDone), "cached": true})
-		return
-	}
 	j.setState(JobRunning, "")
 
-	inj, runErr := s.runCampaign(runCtx, j)
+	// The job's one injector names its campaign for the result cache
+	// and, on a miss, runs it.
+	inj, runErr := s.newInjector(j)
+	name := ""
+	if runErr == nil && s.cacheDir != "" {
+		name = inj.CheckpointHash(j.req.N)
+		if res := s.cachedResult(j, inj, name); res != nil {
+			j.setResult(res)
+			j.setState(JobDone, "")
+			s.met.jobEnd(JobDone, start)
+			span.EndWith(telemetry.Attrs{"state": string(JobDone), "cached": true})
+			return
+		}
+	}
+	if runErr == nil {
+		_, runErr = inj.Campaign(runCtx, j.req.N, fault.Run{Checkpoint: trialsPath(j.dir)})
+	}
 
 	// Why did we stop? Drain re-queues; everything else terminates. A
 	// campaign that finished before the drain reached it has nothing
@@ -90,7 +98,7 @@ func (s *Server) runJob(parent context.Context, j *Job) {
 	var res *Result
 	err := runErr
 	if inj != nil {
-		res, err = s.buildResult(j, inj, runErr)
+		res, err = s.buildResult(j, inj, trialsPath(j.dir), runErr)
 	}
 	if res == nil {
 		state, errMsg = JobFailed, err.Error()
@@ -103,7 +111,7 @@ func (s *Server) runJob(parent context.Context, j *Job) {
 		}
 		res.State = string(state)
 		j.setResult(res)
-		s.storeResult(j, state, res)
+		s.storeResult(j, name, state, res)
 	}
 	s.finishJob(j, span, start, state, errMsg)
 }
@@ -128,11 +136,10 @@ func (s *Server) classify(runCtx context.Context, j *Job, runErr error) (JobStat
 	return JobPartial, runErr.Error()
 }
 
-// runCampaign runs the job's campaign against its log, resuming
-// whatever trials the log already holds, and returns the injector that
-// ran it (nil when none could be built). Campaign and interpreter
-// telemetry goes to the server's registry.
-func (s *Server) runCampaign(ctx context.Context, j *Job) (*fault.Injector, error) {
+// newInjector builds the injector the job's campaign runs on (its
+// golden run included). Campaign and interpreter telemetry goes to the
+// server's registry.
+func (s *Server) newInjector(j *Job) (*fault.Injector, error) {
 	mod, err := j.req.BuildModule()
 	if err != nil {
 		return nil, err
@@ -148,21 +155,16 @@ func (s *Server) runCampaign(ctx context.Context, j *Job) (*fault.Injector, erro
 			return nil
 		}
 	}
-	inj, err := fault.New(mod, opts)
-	if err != nil {
-		return nil, err
-	}
-	_, err = inj.Campaign(ctx, j.req.N, fault.Run{Checkpoint: trialsPath(j.dir)})
-	return inj, err
+	return fault.New(mod, opts)
 }
 
-// buildResult replays the job's log on the injector that ran the
-// campaign — no trial re-executes. For done jobs this is the
-// bit-identity path; for degraded and cancelled jobs it salvages every
-// completed trial. A campaign that stopped on its own error with
-// nothing in the log yields no result, only that error.
-func (s *Server) buildResult(j *Job, inj *fault.Injector, runErr error) (*Result, error) {
-	res, missing, err := inj.FromCheckpoint(j.req.N, trialsPath(j.dir))
+// buildResult replays the log at path — the job's own, or a result
+// cache entry — on the job's injector; no trial re-executes. For done
+// jobs this is the bit-identity path; for degraded and cancelled jobs it
+// salvages every completed trial. A campaign that stopped on its own
+// error with nothing in the log yields no result, only that error.
+func (s *Server) buildResult(j *Job, inj *fault.Injector, path string, runErr error) (*Result, error) {
+	res, missing, err := inj.FromCheckpoint(j.req.N, path)
 	if err != nil {
 		return nil, err
 	}

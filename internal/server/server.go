@@ -11,7 +11,10 @@
 // run with the same seed. A job's shards only multiply its trial
 // workers, and worker count never feeds sampling. The job's one log
 // both yields the final result (fault.Injector.FromCheckpoint on the
-// injector that ran the campaign) and re-seeds a resumed run.
+// injector that ran the campaign) and re-seeds a resumed run. With
+// Config.ResultCacheDir set, a clean job's log is also copied into the
+// result cache, and a later job of the same campaign replays that copy
+// instead of running (resultcache.go) — one stored form of a result.
 //
 // Durability model: each job owns a spool directory holding job.json
 // (immutable submission), state.json (atomic lifecycle rewrites),
@@ -21,8 +24,7 @@
 // the server drains: admission stops (503 + Retry-After), running
 // campaigns are cancelled (their logs already hold every completed
 // trial), jobs re-queue to disk, and the process exits 143.
-// DESIGN.md §5g covers the full choreography; the result cache's
-// pruning-aware key is specified in DESIGN.md §5i.
+// DESIGN.md §5g covers the full choreography and §5h the result cache.
 package server
 
 import (
@@ -40,7 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"trident/internal/cache"
+	"trident/internal/fault"
 	"trident/internal/telemetry"
 )
 
@@ -64,12 +66,11 @@ type Config struct {
 	// ChaosTrialDelay slows every trial by the given duration — crash
 	// drills use it to land kills mid-campaign. Zero in production.
 	ChaosTrialDelay time.Duration
-	// ResultCacheDir, when set, roots a content-addressed whole-job
-	// result cache shared by every job (and, living on disk, by every
-	// restart): a submission whose module hash, seed, trial count and
-	// fault model match a previously completed clean job is answered
-	// from the cache without running a single trial. Empty disables
-	// caching.
+	// ResultCacheDir, when set, roots a whole-job result cache shared by
+	// every job (and, living on disk, by every restart): a submission
+	// whose checkpoint header and fault model match a previously
+	// completed clean job's is answered by replaying that job's log
+	// without running a single trial. Empty disables caching.
 	ResultCacheDir string
 	// Limits bounds what submissions may ask for.
 	Limits Limits
@@ -95,11 +96,13 @@ func (c Config) withDefaults() Config {
 // Server is the campaign service: queue, scheduler, job runner and
 // HTTP surface.
 type Server struct {
-	cfg         Config
-	limits      Limits
-	met         *serverMetrics
-	q           *queue
-	resultCache *cache.Store
+	cfg    Config
+	limits Limits
+	met    *serverMetrics
+	q      *queue
+	// cacheDir holds the result cache's entries (resultcache.go); ""
+	// when the cache is off.
+	cacheDir string
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
@@ -130,11 +133,10 @@ func New(cfg Config) (*Server, error) {
 		q:      newQueue(cfg.MaxQueueDepth),
 	}
 	if cfg.ResultCacheDir != "" {
-		store, err := cache.Open(cfg.ResultCacheDir, cache.Options{Metrics: cfg.Metrics, Trace: cfg.Trace})
-		if err != nil {
+		s.cacheDir = filepath.Join(cfg.ResultCacheDir, filepath.FromSlash(fault.ModelVersion))
+		if err := os.MkdirAll(s.cacheDir, 0o755); err != nil {
 			return nil, fmt.Errorf("server: result cache: %w", err)
 		}
-		s.resultCache = store
 	}
 	if err := s.recover(); err != nil {
 		return nil, err

@@ -102,8 +102,9 @@ type SubmitRequest struct {
 	// deterministically and every executed trial carries its inverse
 	// inclusion probability, so the result's weighted fields are unbiased
 	// population estimates at a fraction of the executed trials. The
-	// result cache keys on the stratification hash, so a classifier or
-	// plan change can never replay stale weighted results.
+	// checkpoint header, whose hash names the result-cache entry, carries
+	// the stratification hash, so a classifier or plan change can never
+	// replay stale weighted results.
 	Stratify bool `json:"stratify,omitempty"`
 	// StratifyAdaptive enables two-phase adaptive (Neyman-allocation)
 	// stratified sampling: the campaign first runs the pilot prefix of
@@ -111,9 +112,9 @@ type SubmitRequest struct {
 	// provably-masked slots at the floor), the pilot outcomes derive a
 	// Neyman plan, and the remaining slots are thinned under it. Pilot trials fold into the weighted estimate at the pilot
 	// plan's 1/q, so executed trials never exceed n. Mutually exclusive with Stratify — an
-	// adaptive campaign derives its own plan. The result cache keys on
-	// the adaptive configuration hash, so a classifier or default change
-	// can never replay stale weighted results.
+	// adaptive campaign derives its own plan. The checkpoint header
+	// carries the adaptive configuration hash, so a classifier or default
+	// change can never replay stale weighted results.
 	StratifyAdaptive bool `json:"stratify_adaptive,omitempty"`
 }
 

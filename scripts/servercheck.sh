@@ -19,10 +19,15 @@
 #   6. restart once more (no chaos, no result cache), attach, wait for
 #      the job to finish, run the same campaign cleanly with a different
 #      shard count and compare the per-trial JSONL dumps byte for byte
+#   7. restart with the result cache on and submit the campaign twice:
+#      the second job must be answered from the cache ("cached": true)
+#      by replaying the first job's log, and both transcripts must be
+#      byte-identical to the clean run's
 #
 # Passing means: a SIGKILLed server resumed from its torn log, a drained
-# server resumed after restart, and neither that nor the shard count
-# changed a single trial outcome.
+# server resumed after restart, neither that nor the shard count
+# changed a single trial outcome, and a cached result replays the same
+# trials.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -140,11 +145,33 @@ cmp "$TMP/resumed.jsonl" "$TMP/clean.jsonl" ||
 LINES=$(wc -l <"$TMP/resumed.jsonl")
 [ "$LINES" -eq $N ] || fail "expected $N trial records, got $LINES"
 
-echo "servercheck: shutting down"
-kill -TERM "$SRV_PID"
-rc=0
-wait "$SRV_PID" || rc=$?
-SRV_PID=""
-[ "$rc" -eq 143 ] || fail "server exit code $rc on final SIGTERM, want 143"
+stop_server() {
+    kill -TERM "$SRV_PID"
+    rc=0
+    wait "$SRV_PID" || rc=$?
+    SRV_PID=""
+    [ "$rc" -eq 143 ] || fail "server exit code $rc on SIGTERM, want 143"
+}
+stop_server
 
-echo "servercheck: PASS (SIGKILLed server resumed, drained server resumed, $LINES trials bit-identical)"
+cached_run() { # args: label; runs the campaign, prints the job's cached flag
+    "$TMP/fi" -remote "http://$ADDR" -program pathfinder -n $N -seed $SEED \
+        -shards $CLEAN_SHARDS -trials-out "$TMP/$1.jsonl" -progress=false \
+        >"$TMP/$1.log" 2>&1 || fail "$1 run failed: $(cat "$TMP/$1.log")"
+    local id
+    id=$(sed -n 's/^job \(job-[0-9a-f]*\): done.*/\1/p' "$TMP/$1.log")
+    [ -n "$id" ] || fail "$1 run not done: $(cat "$TMP/$1.log")"
+    grep -q '"cached": true' "$SPOOL/jobs/$id/result.json" && echo true || echo false
+}
+
+echo "servercheck: restarting server with the result cache on; submitting the campaign twice"
+start_server
+[ "$(cached_run first)" = false ] || fail "first submission was served from an empty result cache"
+[ "$(cached_run second)" = true ] || fail "second submission missed the result cache"
+cmp "$TMP/first.jsonl" "$TMP/clean.jsonl" || fail "first cache-on run diverged from the clean run"
+cmp "$TMP/second.jsonl" "$TMP/first.jsonl" || fail "cached result diverged from the run that stored it"
+
+echo "servercheck: shutting down"
+stop_server
+
+echo "servercheck: PASS (SIGKILLed server resumed, drained server resumed, cached result replayed, $LINES trials bit-identical)"
