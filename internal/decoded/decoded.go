@@ -128,12 +128,14 @@ type Instr struct {
 	// binary/cmp instructions, the source type of casts, the print
 	// operand's type.
 	OpndType ir.Type
-	// Elem is the element type for load/store (memory access width).
-	Elem ir.Type
+	// Size is the load/store access width in bytes: 8, 4, 2, 1, or 0
+	// for an element type without a width.
+	Size uint8
 	// Format is the output format (StepPrint).
 	Format ir.OutputFormat
-	// Width is the result width in bits, precomputed from Type.
-	Width int
+	// Mask keeps the result type's low bits (Type's width): a result is
+	// truncated by ANDing it in.
+	Mask uint64
 	// Dst is the destination register (instruction ID), or -1 when the
 	// instruction defines no register.
 	Dst int32
@@ -168,12 +170,12 @@ type Instr struct {
 }
 
 // Move is one phi assignment of an edge's prologue: evaluate Src in the
-// predecessor's register state, truncate to Width, and commit to Dst.
+// predecessor's register state, truncate with Mask, and commit to Dst.
 type Move struct {
 	// Dst is the phi's register (instruction ID).
 	Dst int32
-	// Width is the phi result width in bits.
-	Width int
+	// Mask keeps the phi type's low bits.
+	Mask uint64
 	// Src is the incoming value for this edge.
 	Src Operand
 	// Ref is the source phi instruction, for the OnResult hook.
@@ -368,6 +370,15 @@ func (p *Program) lowerFunc(f *ir.Func) *Func {
 	return df
 }
 
+// widthMask returns the mask that truncates a bit pattern to its low
+// width bits, as ir.TruncateToWidth does.
+func widthMask(width int) uint64 {
+	if width >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(width) - 1
+}
+
 // buildEdge assembles the phi prologue of b for predecessor prev (nil
 // for the function-entry pseudo-edge). As in the reference evaluator,
 // phis resolve their incoming in order, taking the first matching
@@ -380,10 +391,10 @@ func (p *Program) buildEdge(b *ir.Block, nPhi int, prev *ir.Block, prevName stri
 		for j, pb := range ph.PhiBlocks {
 			if pb == prev && j < len(ph.Operands) {
 				e.Moves = append(e.Moves, Move{
-					Dst:   int32(ph.ID),
-					Width: ph.Type.Bits(),
-					Src:   p.lowerOperand(ph.Operands[j]),
-					Ref:   ph,
+					Dst:  int32(ph.ID),
+					Mask: widthMask(ph.Type.Bits()),
+					Src:  p.lowerOperand(ph.Operands[j]),
+					Ref:  ph,
 				})
 				found = true
 				break
@@ -422,7 +433,7 @@ func (p *Program) lowerInstr(in *ir.Instr, b *ir.Block, blockIndex func(*ir.Bloc
 	d := Instr{Op: in.Op, Type: in.Type, Ref: in, Dst: -1, Callee: nil, T0: -1, T1: -1, E0: -1, E1: -1}
 	if in.HasResult() {
 		d.Dst = int32(in.ID)
-		d.Width = in.Type.Bits()
+		d.Mask = widthMask(in.Type.Bits())
 	}
 	operands := func(n int) bool { return len(in.Operands) >= n }
 
@@ -466,7 +477,7 @@ func (p *Program) lowerInstr(in *ir.Instr, b *ir.Block, blockIndex func(*ir.Bloc
 		d.Step = StepStore
 		d.A = p.lowerOperand(in.Operands[0])
 		d.B = p.lowerOperand(in.Operands[1])
-		d.Elem = in.Elem
+		d.Size = uint8(in.Elem.Bytes())
 	case in.Op == ir.OpCheck:
 		if !operands(2) {
 			return d
@@ -491,7 +502,7 @@ func (p *Program) lowerInstr(in *ir.Instr, b *ir.Block, blockIndex func(*ir.Bloc
 		}
 		d.Step = StepLoad
 		d.A = p.lowerOperand(in.Operands[0])
-		d.Elem = in.Elem
+		d.Size = uint8(in.Elem.Bytes())
 	case in.Op == ir.OpGep:
 		if !operands(2) {
 			return d

@@ -3,6 +3,7 @@ package decoded
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"trident/internal/ir"
 )
@@ -100,8 +101,8 @@ done:
 	if mv.Src.Kind != KindConst || mv.Src.Bits != 0 {
 		t.Errorf("entry edge move src = {kind %d bits %d}, want const 0", mv.Src.Kind, mv.Src.Bits)
 	}
-	if mv.Width != 64 {
-		t.Errorf("phi move width = %d, want 64", mv.Width)
+	if mv.Mask != ^uint64(0) {
+		t.Errorf("phi move mask = %#x, want all 64 bits", mv.Mask)
 	}
 
 	// The body→head edge feeds it %inc, a register.
@@ -138,8 +139,8 @@ done:
 	}
 
 	load := &done.Code[1]
-	if load.Step != StepLoad || load.Elem != ir.I64 {
-		t.Errorf("load = {step %d elem %v}, want StepLoad of i64", load.Step, load.Elem)
+	if load.Step != StepLoad || load.Size != 8 {
+		t.Errorf("load = {step %d size %d}, want StepLoad of 8 bytes", load.Step, load.Size)
 	}
 	if load.Dst < 0 {
 		t.Errorf("load.Dst = %d, want a register", load.Dst)
@@ -434,5 +435,13 @@ tail:
 		if got := df2.Blocks[tc.block].LiveIn; !slices.Equal(got, tc.want) {
 			t.Errorf("%s LiveIn = %v, want %v", fn2.Blocks[tc.block].Name, got, tc.want)
 		}
+	}
+}
+
+// TestInstrSize pins decoded.Instr at three 64-byte cache lines: the
+// engine touches one Instr per dispatch.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n > 192 {
+		t.Errorf("decoded.Instr is %d bytes, want at most 192", n)
 	}
 }

@@ -325,18 +325,63 @@ func New(m *ir.Module, opts Options) (*Injector, error) {
 	}
 	inj.prog = interp.CompileDecoded(m, opts.Metrics)
 
+	g, err := inj.goldenRun()
+	if err != nil {
+		return nil, err
+	}
+	for in, i := range g.index {
+		if c := g.counts[i]; c > 0 {
+			inj.execCount[in] = c
+		}
+	}
+	m.Instrs(func(in *ir.Instr) {
+		if c := inj.execCount[in]; c > 0 && in.HasResult() {
+			inj.targets = append(inj.targets, in)
+			inj.total += c
+			inj.cum = append(inj.cum, inj.total)
+		}
+	})
+	if inj.total == 0 {
+		return nil, fmt.Errorf("fault: program executes no register-writing instructions")
+	}
+	if opts.SnapshotInterval > 0 {
+		if err := inj.indexSnapshots(g); err != nil {
+			return nil, err
+		}
+	}
+	return inj, nil
+}
+
+// golden is what a golden run leaves for New: the dynamic result count
+// of every register-writing static instruction the program can execute
+// (counts, indexed through index), and the snapshots captured with, per
+// instruction, its count at each capture point (countsAt, parallel to
+// counts).
+type golden struct {
+	index    map[*ir.Instr]int
+	counts   []uint64
+	snaps    []*interp.Snapshot
+	countsAt [][]uint64
+	// dropped is set when the captures outgrew their limit; snaps and
+	// countsAt are then empty.
+	dropped bool
+}
+
+// goldenRun performs the fault-free run, counting every static
+// instruction's dynamic results. Unless trials re-execute in full, the
+// same pass captures snapshots at the requested interval. A run that
+// needs more than maxSnapshots of them is stopped at the cap and run
+// again without capture, and indexSnapshots then captures at a raised
+// interval.
+func (inj *Injector) goldenRun() (*golden, error) {
+	m, opts := inj.module, inj.opts
 	span := opts.Trace.Start("golden-run", telemetry.Attrs{"module": m.Name})
 	goldenStart := time.Now()
-	res, err := interp.Run(m, interp.Options{
-		Decoded: inj.prog,
-		Metrics: opts.Metrics,
-		Hooks: interp.Hooks{
-			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
-				inj.execCount[in]++
-				return bits
-			},
-		},
-	})
+	g, res, err := inj.runGolden(uint64(max(opts.SnapshotInterval, 0)), maxSnapshots)
+	if g.dropped && err != nil {
+		g, res, err = inj.runGolden(0, 0)
+		g.dropped = true
+	}
 	if mt := inj.met; mt != nil {
 		mt.goldenUS.Since(goldenStart)
 	}
@@ -354,70 +399,92 @@ func New(m *ir.Module, opts Options) (*Injector, error) {
 	if inj.hangBudget < 100_000 {
 		inj.hangBudget = 100_000
 	}
-
-	m.Instrs(func(in *ir.Instr) {
-		if c := inj.execCount[in]; c > 0 && in.HasResult() {
-			inj.targets = append(inj.targets, in)
-			inj.total += c
-			inj.cum = append(inj.cum, inj.total)
-		}
-	})
-	if inj.total == 0 {
-		return nil, fmt.Errorf("fault: program executes no register-writing instructions")
-	}
-	if opts.SnapshotInterval > 0 {
-		if err := inj.captureSnapshots(); err != nil {
-			return nil, err
-		}
-	}
-	return inj, nil
+	return g, nil
 }
 
-// captureSnapshots re-runs the golden execution once more with periodic
-// state snapshotting enabled, recording alongside every snapshot the
-// per-instruction dynamic counts at its capture point. The pass verifies
-// it reproduced the golden run exactly, so a nondeterminism bug in the
-// engine surfaces here instead of silently corrupting trial outcomes.
-func (inj *Injector) captureSnapshots() error {
-	interval := uint64(inj.opts.SnapshotInterval)
-	if min := inj.goldenDyn / maxSnapshots; interval < min {
-		interval = min
+// runGolden executes the fault-free run once, counting results and,
+// when interval is positive, capturing snapshots at that interval. A
+// capture past limit (when limit is positive) sets dropped, drops every
+// capture and cancels the run.
+func (inj *Injector) runGolden(interval uint64, limit int) (*golden, *interp.Result, error) {
+	g := &golden{index: make(map[*ir.Instr]int)}
+	for _, df := range inj.prog.Funcs {
+		df.Ref.Instrs(func(in *ir.Instr) {
+			if in.HasResult() {
+				g.index[in] = len(g.index)
+			}
+		})
 	}
+	g.counts = make([]uint64, len(g.index))
+	ropts := interp.Options{
+		Decoded: inj.prog,
+		Metrics: inj.opts.Metrics,
+		Hooks: interp.Hooks{
+			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+				g.counts[g.index[in]]++
+				return bits
+			},
+		},
+	}
+	if interval > 0 {
+		g.countsAt = make([][]uint64, len(g.counts))
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ropts.Context = ctx
+		ropts.SnapshotInterval = interval
+		ropts.OnSnapshot = func(s *interp.Snapshot) {
+			if g.dropped || limit > 0 && len(g.snaps) == limit {
+				g.dropped, g.snaps, g.countsAt = true, nil, nil
+				cancel()
+				return
+			}
+			g.snaps = append(g.snaps, s)
+			for i, c := range g.counts {
+				g.countsAt[i] = append(g.countsAt[i], c)
+			}
+		}
+	}
+	res, err := interp.Run(inj.module, ropts)
+	return g, res, err
+}
+
+// indexSnapshots builds the snapshot-replay tables from the golden
+// run's captures: each target's count at every snapshot, and the join
+// index. A golden run too long for maxSnapshots snapshots at the
+// requested interval is first run again, capturing at the raised
+// interval goldenDyn/maxSnapshots; that pass must reproduce the golden
+// run exactly, so a nondeterminism bug in the engine surfaces here
+// instead of silently corrupting trial outcomes.
+func (inj *Injector) indexSnapshots(g *golden) error {
+	interval := uint64(inj.opts.SnapshotInterval)
+	floor := inj.goldenDyn / maxSnapshots
+	again := interval < floor || g.dropped
+	interval = max(interval, floor)
 	span := inj.opts.Trace.Start("snapshot-capture", telemetry.Attrs{
 		"module": inj.module.Name, "interval": interval,
 	})
 	setupStart := time.Now()
-	counts := make(map[*ir.Instr]uint64, len(inj.targets))
+	if again {
+		var res *interp.Result
+		var err error
+		if g, res, err = inj.runGolden(interval, 0); err != nil {
+			return fmt.Errorf("fault: snapshot capture run: %w", err)
+		}
+		if res.Output != inj.goldenOutput || res.DynInstrs != inj.goldenDyn {
+			return fmt.Errorf("fault: snapshot capture run diverged from golden run "+
+				"(%d dynamic instructions, want %d)", res.DynInstrs, inj.goldenDyn)
+		}
+	}
+	inj.snaps = g.snaps
 	inj.counts = make(map[*ir.Instr][]uint64, len(inj.targets))
-	res, err := interp.Run(inj.module, interp.Options{
-		Decoded:          inj.prog,
-		Metrics:          inj.opts.Metrics,
-		SnapshotInterval: interval,
-		OnSnapshot: func(s *interp.Snapshot) {
-			inj.snaps = append(inj.snaps, s)
-			for _, in := range inj.targets {
-				inj.counts[in] = append(inj.counts[in], counts[in])
-			}
-		},
-		Hooks: interp.Hooks{
-			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
-				counts[in]++
-				return bits
-			},
-		},
-	})
+	for _, in := range inj.targets {
+		inj.counts[in] = g.countsAt[g.index[in]]
+	}
+	inj.join = interp.NewJoinIndex(inj.snaps, inj.goldenDyn)
 	if mt := inj.met; mt != nil {
 		mt.setupUS.Since(setupStart)
 	}
-	if err != nil {
-		return fmt.Errorf("fault: snapshot capture run: %w", err)
-	}
 	span.EndWith(telemetry.Attrs{"snapshots": len(inj.snaps)})
-	if res.Output != inj.goldenOutput || res.DynInstrs != inj.goldenDyn {
-		return fmt.Errorf("fault: snapshot capture run diverged from golden run "+
-			"(%d dynamic instructions, want %d)", res.DynInstrs, inj.goldenDyn)
-	}
-	inj.join = interp.NewJoinIndex(inj.snaps, inj.goldenDyn)
 	return nil
 }
 

@@ -2,9 +2,12 @@ package fault
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"trident/internal/interp"
 	"trident/internal/ir"
+	"trident/internal/progs"
 )
 
 // vulnerable computes a value that flows straight to output: most faults
@@ -423,5 +426,53 @@ func TestMeanCrashLatency(t *testing.T) {
 	empty := &CampaignResult{}
 	if empty.MeanCrashLatency() != 0 {
 		t.Error("empty campaign latency should be 0")
+	}
+}
+
+// TestGoldenPassMatchesCapturePass: the snapshots and per-target counts
+// New takes from its one golden pass equal those of a separate capture
+// pass at the same interval that tallies each target in a map, on every
+// paper kernel. An interval too small for maxSnapshots snapshots is
+// raised to goldenDyn/maxSnapshots, as that pass raises it.
+func TestGoldenPassMatchesCapturePass(t *testing.T) {
+	for _, p := range progs.All() {
+		m := p.Build()
+		for _, interval := range []int{DefaultSnapshotInterval, 1} {
+			inj, err := New(m, Options{SnapshotInterval: interval})
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			var snaps []*interp.Snapshot
+			seen := map[*ir.Instr]uint64{}
+			counts := map[*ir.Instr][]uint64{}
+			_, err = interp.Run(m, interp.Options{
+				SnapshotInterval: max(uint64(interval), inj.GoldenDynInstrs()/maxSnapshots),
+				OnSnapshot: func(s *interp.Snapshot) {
+					snaps = append(snaps, s)
+					for _, in := range inj.targets {
+						counts[in] = append(counts[in], seen[in])
+					}
+				},
+				Hooks: interp.Hooks{OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+					seen[in]++
+					return bits
+				}},
+			})
+			if err != nil {
+				t.Fatalf("%s: capture pass: %v", p.Name, err)
+			}
+			if len(inj.snaps) == 0 || len(inj.snaps) != len(snaps) {
+				t.Fatalf("%s at %d: %d snapshots, capture pass %d", p.Name, interval, len(inj.snaps), len(snaps))
+			}
+			for i, s := range inj.snaps {
+				if s.DynInstrs() != snaps[i].DynInstrs() {
+					t.Fatalf("%s at %d: snapshot %d at %d, capture pass at %d",
+						p.Name, interval, i, s.DynInstrs(), snaps[i].DynInstrs())
+				}
+			}
+			if !reflect.DeepEqual(inj.counts, counts) {
+				t.Errorf("%s at %d: per-target counts differ from the capture pass", p.Name, interval)
+			}
+		}
 	}
 }

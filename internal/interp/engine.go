@@ -163,8 +163,11 @@ type machine struct {
 	joinedAt uint64
 	outStart int
 
-	// onResult is Options.Hooks.OnResult, read once per register write.
-	onResult func(ctx *Context, in *ir.Instr, bits uint64) uint64
+	// onResult is Options.Hooks.OnResult. slowResult is set while it is
+	// non-nil or the fault is armed: only then does finish take
+	// finishSlow.
+	onResult   func(ctx *Context, in *ir.Instr, bits uint64) uint64
+	slowResult bool
 
 	// poolHits/poolMisses tally frame-pool reuse and joinProbes/
 	// joinCompares the rejoin checks (tryJoin calls, full sameState
@@ -193,6 +196,7 @@ func newMachine(ctx *Context, prog *decoded.Program, globals []uint64) *machine 
 	vm.onResult = opts.Hooks.OnResult
 	vm.fault = opts.Fault
 	vm.faultAt = opts.Fault.Target
+	vm.slowResult = vm.onResult != nil || vm.faultAt != nil
 	if j := opts.Join; j != nil && j.prog == prog {
 		vm.join = j
 	}
@@ -201,21 +205,21 @@ func newMachine(ctx *Context, prog *decoded.Program, globals []uint64) *machine 
 }
 
 // flushCounters records the run's frame-pool and rejoin tallies.
-func (vm *machine) flushCounters(reg *telemetry.Registry) {
-	if reg == nil {
+func (vm *machine) flushCounters(m *runMetrics) {
+	if m == nil {
 		return
 	}
 	if vm.poolHits > 0 {
-		reg.Counter("interp.pool.frame_hits").Add(vm.poolHits)
+		m.frameHits.Add(vm.poolHits)
 	}
 	if vm.poolMisses > 0 {
-		reg.Counter("interp.pool.frame_misses").Add(vm.poolMisses)
+		m.frameMisses.Add(vm.poolMisses)
 	}
 	if vm.joinProbes > 0 {
-		reg.Counter("interp.join.probes").Add(vm.joinProbes)
+		m.joinProbes.Add(vm.joinProbes)
 	}
 	if vm.joinCompares > 0 {
-		reg.Counter("interp.join.compares").Add(vm.joinCompares)
+		m.joinCompares.Add(vm.joinCompares)
 	}
 	vm.poolHits, vm.poolMisses, vm.joinProbes, vm.joinCompares = 0, 0, 0, 0
 }
@@ -328,13 +332,13 @@ func (vm *machine) applyEdge(fr *frame, e *decoded.Edge) error {
 		if ctx.DynCount > ctx.opts.MaxDynInstrs {
 			return errHang
 		}
-		bits := ir.TruncateToWidth(scratch[i], mv.Width)
+		bits := scratch[i] & mv.Mask
 		ctx.DynResults++
 		if hook != nil {
-			bits = ir.TruncateToWidth(hook(ctx, mv.Ref, bits), mv.Width)
+			bits = hook(ctx, mv.Ref, bits) & mv.Mask
 		}
 		if mv.Ref == vm.faultAt {
-			bits = vm.inject(bits, mv.Width)
+			bits = vm.inject(bits, mv.Mask)
 		}
 		fr.regs[mv.Dst] = bits
 	}
@@ -365,41 +369,49 @@ func (vm *machine) branchTo(fr *frame, t, e int32) error {
 	return nil
 }
 
-// finish truncates, offers the result to the OnResult hook, applies the
-// fault when this is its instance, counts it, and writes the destination
-// register (non-phi instructions; phis go through applyEdge).
+// finish counts a result, truncates it, and writes the destination
+// register of in, which must define one (non-phi instructions; phis go
+// through applyEdge). It is small enough to inline: the OnResult hook
+// and the fault check run in finishSlow, reached only while a hook is
+// set or the fault is armed.
 func (vm *machine) finish(fr *frame, in *decoded.Instr, bits uint64) {
-	if in.Dst < 0 {
-		return
+	vm.ctx.DynResults++
+	fr.regs[in.Dst] = bits & in.Mask
+	if vm.slowResult {
+		vm.finishSlow(fr, in)
 	}
-	ctx := vm.ctx
-	bits = ir.TruncateToWidth(bits, in.Width)
-	ctx.DynResults++
+}
+
+// finishSlow offers the result finish wrote to the OnResult hook and
+// applies the fault when this is its instance, rewriting the register.
+func (vm *machine) finishSlow(fr *frame, in *decoded.Instr) {
+	bits := fr.regs[in.Dst]
 	if h := vm.onResult; h != nil {
-		bits = ir.TruncateToWidth(h(ctx, in.Ref, bits), in.Width)
+		bits = h(vm.ctx, in.Ref, bits) & in.Mask
 	}
 	if in.Ref == vm.faultAt {
-		bits = vm.inject(bits, in.Width)
+		bits = vm.inject(bits, in.Mask)
 	}
 	fr.regs[in.Dst] = bits
 }
 
 // inject counts one execution of the fault's target and, at its
-// Instance-th execution, flips the mask into bits. Firing disarms the
-// target compare and arms the join index: from here on the run can only
-// rejoin the reference run, never diverge from it by the engine's own
-// doing.
-func (vm *machine) inject(bits uint64, width int) uint64 {
+// Instance-th execution, flips the mask into bits and truncates with
+// mask. Firing disarms the target compare and arms the join index: from
+// here on the run can only rejoin the reference run, never diverge from
+// it by the engine's own doing.
+func (vm *machine) inject(bits, mask uint64) uint64 {
 	vm.fault.Seen++
 	if vm.fault.Seen != vm.fault.Instance {
 		return bits
 	}
 	vm.faultAt = nil
+	vm.slowResult = vm.onResult != nil
 	vm.injectedAt = vm.ctx.DynCount
 	if vm.join != nil {
 		vm.joins = vm.join.blocks
 	}
-	return ir.TruncateToWidth(bits^vm.fault.Mask, width)
+	return (bits ^ vm.fault.Mask) & mask
 }
 
 // loop is the dispatch loop: one flat switch over pre-classified steps.
@@ -509,7 +521,7 @@ func (vm *machine) loop() (uint64, error) {
 			fr.dip++
 		case decoded.StepLoad:
 			addr := vm.evalOp(fr, &in.A)
-			bits, ok := ctx.Mem.Load(in.Elem, addr)
+			bits, ok := ctx.Mem.load(addr, uint64(in.Size))
 			if !ok {
 				return 0, &Trap{Kind: TrapOOBLoad, Instr: in.Ref, Addr: addr}
 			}
@@ -521,7 +533,7 @@ func (vm *machine) loop() (uint64, error) {
 		case decoded.StepStore:
 			bits := vm.evalOp(fr, &in.A)
 			addr := vm.evalOp(fr, &in.B)
-			if !ctx.Mem.Store(in.Elem, addr, bits) {
+			if !ctx.Mem.store(addr, uint64(in.Size), bits) {
 				return 0, &Trap{Kind: TrapOOBStore, Instr: in.Ref, Addr: addr}
 			}
 			if h := ctx.opts.Hooks.OnStore; h != nil {
@@ -563,7 +575,9 @@ func (vm *machine) loop() (uint64, error) {
 			fr = vm.frames[len(vm.frames)-1]
 			// The caller is suspended at its call instruction; deliver the
 			// return value as that instruction's result and step past it.
-			vm.finish(fr, &fr.blk.Code[fr.dip], ret)
+			if call := &fr.blk.Code[fr.dip]; call.Dst >= 0 {
+				vm.finish(fr, call, ret)
+			}
 			fr.dip++
 		case decoded.StepBr:
 			if h := ctx.opts.Hooks.OnBranch; h != nil {

@@ -11,6 +11,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,13 +39,21 @@ func (f *flipper) onResult(in *ir.Instr, bits uint64) uint64 {
 
 // runWithReference executes m on the interpreter and on the reference
 // evaluator with the same budget and injected flip, and fails the test
-// on any observable difference. It returns the interpreter's result.
+// on any observable difference. Without a flip it also runs the
+// interpreter hook-free, so its fast result path is held to the same
+// results and to the same registers at every snapshot. It returns the
+// interpreter's result.
 func runWithReference(t *testing.T, m *ir.Module, opts Options, flipAt, flipMask uint64) (*Result, error) {
 	t.Helper()
 	got := &flipper{flipAt: flipAt, flipMask: flipMask}
 	want := &flipper{flipAt: flipAt, flipMask: flipMask}
 	opts.Hooks.OnResult = func(_ *Context, in *ir.Instr, bits uint64) uint64 {
 		return got.onResult(in, bits)
+	}
+	var hooked, plainSnaps []*Snapshot
+	if flipAt == 0 {
+		opts.SnapshotInterval = 256
+		opts.OnSnapshot = func(s *Snapshot) { hooked = append(hooked, s) }
 	}
 	res, err := Run(m, opts)
 	ref, refErr := refinterp.Run(m, refinterp.Options{
@@ -54,6 +63,28 @@ func runWithReference(t *testing.T, m *ir.Module, opts Options, flipAt, flipMask
 	})
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("error divergence: interp=%v refinterp=%v", err, refErr)
+	}
+	if flipAt == 0 {
+		hookFree := opts
+		hookFree.Hooks.OnResult = nil
+		hookFree.OnSnapshot = func(s *Snapshot) { plainSnaps = append(plainSnaps, s) }
+		plain, plainErr := Run(m, hookFree)
+		if fmt.Sprint(plainErr) != fmt.Sprint(err) {
+			t.Fatalf("hook-free run: err = %v, with OnResult: %v", plainErr, err)
+		}
+		if plainErr == nil {
+			compareWithReference(t, plain, ref)
+		}
+		if len(plainSnaps) != len(hooked) {
+			t.Fatalf("hook-free run took %d snapshots, with OnResult %d", len(plainSnaps), len(hooked))
+		}
+		for i, s := range plainSnaps {
+			for f := range s.frames {
+				if a, b := s.frames[f].regs, hooked[i].frames[f].regs; !slices.Equal(a, b) {
+					t.Fatalf("snapshot at %d, frame %d: hook-free registers %#x, with OnResult %#x", s.dynCount, f, a, b)
+				}
+			}
+		}
 	}
 	if err != nil {
 		g := strings.TrimPrefix(err.Error(), "interp: ")
@@ -149,7 +180,8 @@ func TestEngineParityInjected(t *testing.T) {
 
 // TestEngineParityControl covers the control-flow corner cases the
 // kernels may not hit: traps of every kind, phi-dense diamonds,
-// recursion to stack overflow, and param/global traffic.
+// recursion to stack overflow, param/global traffic, and accesses
+// through a released alloca.
 func TestEngineParityControl(t *testing.T) {
 	srcs := map[string]string{
 		"oob-load": `
@@ -284,10 +316,37 @@ entry:
   ret
 }`,
 	}
+	// A load or store through a pointer to a released alloca, which was
+	// the last-hit segment when its frame returned, at every width.
+	for _, ty := range []string{"i8", "i16", "i32", "i64"} {
+		for access, code := range map[string]string{
+			"load":  "%v = load " + ty + ", %p\n  print %v",
+			"store": "store " + ty + " 7, %p",
+		} {
+			srcs["dangling-"+access+"-"+ty] = fmt.Sprintf(`
+module "dangle"
+func @leak() ptr {
+entry:
+  %%p = alloca %[1]s x 2
+  store %[1]s 42, %%p
+  %%x = load %[1]s, %%p
+  ret %%p
+}
+func @main() void {
+entry:
+  %%p = call @leak()
+  %[2]s
+  ret
+}`, ty, code)
+		}
+	}
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
 			m := mustParse(t, src)
-			runWithReference(t, m, Options{}, 0, 0)
+			res, _ := runWithReference(t, m, Options{}, 0, 0)
+			if strings.HasPrefix(name, "dangling-") && (res == nil || res.Outcome != OutcomeCrash) {
+				t.Errorf("access through a released alloca did not trap")
+			}
 		})
 	}
 }

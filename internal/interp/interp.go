@@ -307,8 +307,9 @@ func Run(m *ir.Module, opts Options) (*Result, error) {
 
 	vm := newMachine(ctx, prog, globals)
 	res, err := vm.finishRun(vm.run(prog.ByFunc[main]))
-	vm.flushCounters(opts.Metrics)
-	recordRun(opts.Metrics, start, 0, ctx, res, err)
+	met := metricsFor(opts.Metrics)
+	vm.flushCounters(met)
+	met.recordRun(start, 0, ctx, res, err)
 	return res, err
 }
 

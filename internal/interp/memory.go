@@ -9,8 +9,8 @@ package interp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"trident/internal/ir"
 )
@@ -25,6 +25,14 @@ type Segment struct {
 
 // End returns the first address past the segment.
 func (s *Segment) End() uint64 { return s.Base + s.Size }
+
+// holds reports whether [addr, addr+n) lies inside s. off <= Size rules
+// out an addr below Base (the subtraction wraps) and n <= Size-off an
+// access running past the end, overflowing or not.
+func (s *Segment) holds(addr, n uint64) bool {
+	off := addr - s.Base
+	return off <= s.Size && n <= s.Size-off
+}
 
 // Memory is a segmented flat address space. Globals are allocated at
 // construction; allocas come and go with stack frames. Any access that is
@@ -82,30 +90,36 @@ func (m *Memory) Release(s *Segment) {
 	}
 }
 
-// find returns the segment containing [addr, addr+size), or nil. Loads
-// and stores mostly hit the segment the previous access hit, so that one
-// is tried before the binary search.
+// find returns the segment containing [addr, addr+size), or nil, by
+// binary search, and remembers it as the last-hit segment. Loads and
+// stores mostly hit the segment the previous access hit, so they try
+// that one before calling find.
 func (m *Memory) find(addr, size uint64) *Segment {
-	end := addr + size
-	if end < addr { // overflow
+	i := m.segmentAt(addr)
+	if i < 0 {
 		return nil
 	}
-	if s := m.last; s != nil && addr >= s.Base && end <= s.End() {
-		return s
-	}
-	// Binary search for the last segment with Base <= addr.
-	i := sort.Search(len(m.segments), func(i int) bool {
-		return m.segments[i].Base > addr
-	})
-	if i == 0 {
+	s := m.segments[i]
+	if !s.holds(addr, size) {
 		return nil
 	}
-	s := m.segments[i-1]
-	if end <= s.End() {
-		m.last = s
-		return s
+	m.last = s
+	return s
+}
+
+// segmentAt returns the index of the last segment with Base <= addr, or
+// -1 when every segment starts above addr.
+func (m *Memory) segmentAt(addr uint64) int {
+	lo, hi := 0, len(m.segments)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.segments[mid].Base > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return nil
+	return lo - 1
 }
 
 // Valid reports whether [addr, addr+size) lies within a live segment.
@@ -130,10 +144,7 @@ func (m *Memory) TrappingFlips(addr, size uint64) int {
 			continue
 		}
 		// a >= lo, so some segment starts at or below a.
-		i := sort.Search(len(m.segments), func(i int) bool {
-			return m.segments[i].Base > a
-		})
-		if end > m.segments[i-1].End() {
+		if end > m.segments[m.segmentAt(a)].End() {
 			n++
 		}
 	}
@@ -143,32 +154,69 @@ func (m *Memory) TrappingFlips(addr, size uint64) int {
 // Load reads a little-endian value of width t.Bytes() from addr. The
 // returned bool is false when the access traps.
 func (m *Memory) Load(t ir.Type, addr uint64) (uint64, bool) {
-	n := uint64(t.Bytes())
-	s := m.find(addr, n)
-	if s == nil {
-		return 0, false
-	}
-	off := addr - s.Base
-	var bits uint64
-	for i := uint64(0); i < n; i++ {
-		bits |= uint64(s.data[off+i]) << (8 * i)
-	}
-	return bits, true
+	return m.load(addr, uint64(t.Bytes()))
 }
 
 // Store writes a little-endian value of width t.Bytes() to addr. The
 // returned bool is false when the access traps.
 func (m *Memory) Store(t ir.Type, addr, bits uint64) bool {
-	n := uint64(t.Bytes())
-	s := m.find(addr, n)
-	if s == nil {
-		return false
+	return m.store(addr, uint64(t.Bytes()), bits)
+}
+
+// load reads the little-endian value of n bytes (8, 4, 2, 1 or 0) at
+// addr, trying the last-hit segment before find; ok is false when the
+// access traps.
+func (m *Memory) load(addr, n uint64) (bits uint64, ok bool) {
+	s := m.last
+	if s == nil || !s.holds(addr, n) {
+		if s = m.find(addr, n); s == nil {
+			return 0, false
+		}
 	}
-	off := addr - s.Base
-	for i := uint64(0); i < n; i++ {
-		s.data[off+i] = byte(bits >> (8 * i))
+	return readLE(s.data[addr-s.Base:], n), true
+}
+
+// store writes bits as the little-endian value of n bytes at addr,
+// trying the last-hit segment as load does; it reports false when the
+// access traps.
+func (m *Memory) store(addr, n, bits uint64) bool {
+	s := m.last
+	if s == nil || !s.holds(addr, n) {
+		if s = m.find(addr, n); s == nil {
+			return false
+		}
 	}
+	writeLE(s.data[addr-s.Base:], n, bits)
 	return true
+}
+
+// readLE decodes the little-endian value of the first n bytes of b.
+func readLE(b []byte, n uint64) uint64 {
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
+	return 0
+}
+
+// writeLE encodes the low n bytes of bits little-endian into b.
+func writeLE(b []byte, n, bits uint64) {
+	switch n {
+	case 8:
+		binary.LittleEndian.PutUint64(b, bits)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(bits))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(bits))
+	case 1:
+		b[0] = byte(bits)
+	}
 }
 
 // Clone returns a deep copy of the address space plus a mapping from each

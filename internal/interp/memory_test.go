@@ -268,3 +268,94 @@ func TestTrappingFlipsMatchesValid(t *testing.T) {
 		t.Errorf("empty memory: %d trapping flips, want 64", got)
 	}
 }
+
+// TestMemoryWidths stores and loads at every access width, each with the
+// segment already the last-hit one and not: exactly the access's bytes
+// change, little-endian, and a load returns them all.
+func TestMemoryWidths(t *testing.T) {
+	for _, ty := range []ir.Type{ir.I1, ir.I8, ir.I16, ir.I32, ir.I64, ir.F32, ir.F64, ir.Ptr} {
+		for _, cached := range []bool{false, true} {
+			m := NewMemory()
+			s := m.Allocate("a", 32)
+			other := m.Allocate("b", 8)
+			for i := uint64(0); i < 32; i++ {
+				m.Store(ir.I8, s.Base+i, 0xAA)
+			}
+			if !cached {
+				m.Load(ir.I8, other.Base) // make b the last-hit segment
+			}
+			n := uint64(ty.Bytes())
+			const bits = 0x8877665544332211
+			if !m.Store(ty, s.Base+5, bits) {
+				t.Fatalf("%v: in-bounds store trapped", ty)
+			}
+			if !cached {
+				m.Load(ir.I8, other.Base)
+			}
+			want := uint64(bits)
+			if n < 8 {
+				want &= 1<<(8*n) - 1
+			}
+			if got, ok := m.Load(ty, s.Base+5); !ok || got != want {
+				t.Errorf("%v (cached %v): load = %#x %v, want %#x", ty, cached, got, ok, want)
+			}
+			for i := uint64(0); i < 32; i++ {
+				b, _ := m.Load(ir.I8, s.Base+i)
+				want := uint64(0xAA)
+				if i >= 5 && i < 5+n {
+					want = bits >> (8 * (i - 5)) & 0xFF
+				}
+				if b != want {
+					t.Errorf("%v (cached %v): byte %d = %#x, want %#x", ty, cached, i, b, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMemoryStraddleAndWrap checks every width against the segment end
+// and the top of the address space, with the segment last-hit and not:
+// an access ending at the segment end succeeds, one byte further traps,
+// and an address whose range wraps past MaxUint64 traps.
+func TestMemoryStraddleAndWrap(t *testing.T) {
+	for _, ty := range []ir.Type{ir.I8, ir.I16, ir.I32, ir.I64} {
+		n := uint64(ty.Bytes())
+		for _, cached := range []bool{false, true} {
+			m := NewMemory()
+			s := m.Allocate("a", 16)
+			other := m.Allocate("b", 8)
+			warm := func() {
+				if cached {
+					m.Load(ir.I8, s.Base)
+				} else {
+					m.Load(ir.I8, other.Base)
+				}
+			}
+			warm()
+			if _, ok := m.Load(ty, s.End()-n); !ok {
+				t.Errorf("%v (cached %v): load ending at the segment end trapped", ty, cached)
+			}
+			for k := uint64(1); k <= n; k++ {
+				warm()
+				if _, ok := m.Load(ty, s.End()-n+k); ok {
+					t.Errorf("%v (cached %v): load %d bytes past the end succeeded", ty, cached, k)
+				}
+				warm()
+				if m.Store(ty, s.End()-n+k, 1) {
+					t.Errorf("%v (cached %v): store %d bytes past the end succeeded", ty, cached, k)
+				}
+			}
+			for k := uint64(0); k < n; k++ {
+				warm()
+				addr := ^uint64(0) - k
+				if _, ok := m.Load(ty, addr); ok {
+					t.Errorf("%v (cached %v): load at %#x succeeded", ty, cached, addr)
+				}
+				warm()
+				if m.Store(ty, addr, 1) {
+					t.Errorf("%v (cached %v): store at %#x succeeded", ty, cached, addr)
+				}
+			}
+		}
+	}
+}

@@ -82,17 +82,6 @@ func recordCapture(reg *telemetry.Registry, start time.Time, s *Snapshot) {
 	reg.Histogram("interp.snapshot.capture_us").Since(start)
 }
 
-// recordResume records one snapshot-state rebuild (memory clone + frame
-// copies) — the fixed per-trial cost of snapshot replay, recorded
-// separately from the execution itself.
-func recordResume(reg *telemetry.Registry, start time.Time) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("interp.snapshot.resumes").Inc()
-	reg.Histogram("interp.snapshot.restore_us").Since(start)
-}
-
 // Resume restores s into a fresh machine and runs it to completion under
 // opts, returning the Result exactly as Run would have for an
 // uninterrupted execution reaching the same end state: the output,
@@ -111,10 +100,11 @@ func Resume(s *Snapshot, opts Options) (*Result, error) {
 	applyDefaults(&opts)
 	start := metricsStart(opts.Metrics)
 	vm := restore(s, opts)
-	recordResume(opts.Metrics, start)
+	met := metricsFor(opts.Metrics)
+	met.recordResume(start)
 	res, err := vm.finishRun(vm.run(nil))
-	vm.flushCounters(opts.Metrics)
-	recordRun(opts.Metrics, start, s.dynCount, vm.ctx, res, err)
+	vm.flushCounters(met)
+	met.recordRun(start, s.dynCount, vm.ctx, res, err)
 	return res, err
 }
 

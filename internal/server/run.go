@@ -138,7 +138,8 @@ func (s *Server) classify(runCtx context.Context, j *Job, runErr error) (JobStat
 
 // newInjector builds the injector the job's campaign runs on (its
 // golden run included). Campaign and interpreter telemetry goes to the
-// server's registry.
+// server's registry, and the golden-run, snapshot-capture and campaign
+// spans to the server's trace, inside the job's span.
 func (s *Server) newInjector(j *Job) (*fault.Injector, error) {
 	mod, err := j.req.BuildModule()
 	if err != nil {
@@ -146,6 +147,7 @@ func (s *Server) newInjector(j *Job) (*fault.Injector, error) {
 	}
 	opts := j.req.faultOptions()
 	opts.Metrics = s.cfg.Metrics
+	opts.Trace = s.cfg.Trace
 	opts.OnProgress = j.setProgress
 	if d := s.cfg.ChaosTrialDelay; d > 0 {
 		// Crash drills hold campaigns open long enough to kill the

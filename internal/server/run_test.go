@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,5 +188,112 @@ func TestRequeuedJobForeignLogFails(t *testing.T) {
 	s3 := newSupervisedServer(t, func(c *Config) { c.Spool = spool })
 	if j3 := s3.q.get(j1.ID); j3 == nil || j3.State() != JobFailed {
 		t.Error("restarted server does not hold the job as failed: it was re-queued or lost")
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to read while a server writes to it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// traceSpan is one span record of a JSONL trace.
+type traceSpan struct {
+	name       string
+	start, end time.Time
+	attrs      map[string]any
+}
+
+// readSpans parses the span records of a JSONL trace.
+func readSpans(t *testing.T, trace string) []traceSpan {
+	t.Helper()
+	var spans []traceSpan
+	for _, line := range strings.Split(strings.TrimSpace(trace), "\n") {
+		var rec struct {
+			TS    time.Time      `json:"ts"`
+			Ev    string         `json:"ev"`
+			Name  string         `json:"name"`
+			DurUS int64          `json:"dur_us"`
+			Attrs map[string]any `json:"attrs"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if rec.Ev == "span" {
+			end := rec.TS.Add(time.Duration(rec.DurUS) * time.Microsecond)
+			spans = append(spans, traceSpan{rec.Name, rec.TS, end, rec.Attrs})
+		}
+	}
+	return spans
+}
+
+// TestJobTraceBracketsInjectorSpans: with a server trace, a cache-miss
+// job's span brackets its injector's golden-run, snapshot-capture and
+// campaign spans, and a cache hit's span brackets a golden-run and a
+// snapshot-capture span but no campaign.
+func TestJobTraceBracketsInjectorSpans(t *testing.T) {
+	var buf syncBuffer
+	s := newSupervisedServer(t, func(c *Config) {
+		c.Trace = telemetry.NewTrace(&buf)
+		c.ResultCacheDir = t.TempDir()
+		c.MaxConcurrentJobs = 1
+	})
+	s.Start()
+	req := &SubmitRequest{Program: "pathfinder", N: 40, Seed: 3, Shards: 1}
+	miss := submitAndWait(t, s, req, JobDone)
+	hit := submitAndWait(t, s, req, JobDone)
+	if miss.Result().Cached || !hit.Result().Cached {
+		t.Fatalf("cached = %v, %v; want a miss, then a hit", miss.Result().Cached, hit.Result().Cached)
+	}
+	// A job's span ends after its state turns terminal; the drain waits
+	// for it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := readSpans(t, buf.String())
+	for _, c := range []struct {
+		id   string
+		want map[string]int
+	}{
+		{miss.ID, map[string]int{"golden-run": 1, "snapshot-capture": 1, "campaign": 1}},
+		{hit.ID, map[string]int{"golden-run": 1, "snapshot-capture": 1, "campaign": 0}},
+	} {
+		var job *traceSpan
+		for i := range spans {
+			if spans[i].name == "job" && spans[i].attrs["id"] == c.id {
+				job = &spans[i]
+			}
+		}
+		if job == nil {
+			t.Fatalf("no job span for %s", c.id)
+		}
+		got := map[string]int{}
+		for _, sp := range spans {
+			// Durations are truncated to whole microseconds, so a child
+			// may appear to end up to 1µs after its parent.
+			if _, counted := c.want[sp.name]; counted && !sp.start.Before(job.start) && !sp.end.After(job.end.Add(time.Microsecond)) {
+				got[sp.name]++
+			}
+		}
+		for name, n := range c.want {
+			if got[name] != n {
+				t.Errorf("job %s brackets %d %s spans, want %d", c.id, got[name], name, n)
+			}
+		}
 	}
 }
