@@ -17,12 +17,6 @@
 //	                 interrupted run (Ctrl-C, crash) resumes from them,
 //	                 and a re-run of a finished campaign replays it from
 //	                 its log without executing a trial
-//	-snapshot-interval int
-//	                 dynamic instructions between golden-run snapshots that
-//	                 FI trials resume from; 0 selects the default
-//	                 (fault.DefaultSnapshotInterval), -1 disables snapshot
-//	                 replay and re-executes every trial from instruction
-//	                 zero
 //	-metrics-out string
 //	                 write a JSON metrics snapshot here on exit
 //	                 (see OBSERVABILITY.md)
@@ -34,6 +28,11 @@
 //	                 run's lifetime (e.g. :6060)
 //	-progress        render a live campaign progress line on stderr
 //	                 (default true)
+//
+// FI trials resume from golden-run snapshots spaced
+// fault.DefaultSnapshotInterval dynamic instructions apart, which gives
+// the same outcomes as re-executing each trial in full; cmd/fi's
+// -snapshot-interval is the knob for comparing the two.
 //
 // An unknown -run name or -format value is a usage error (exit 2).
 package main
@@ -103,7 +102,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 4, "parallel FI workers")
 	format := fs.String("format", "text", "output format: text or md")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for per-campaign JSONL checkpoints; an interrupted run resumes from them")
-	snapInterval := fs.Int("snapshot-interval", 0, fmt.Sprintf("dynamic instructions between golden-run snapshots that FI trials resume from (0 = default %d, -1 = full re-execution)", fault.DefaultSnapshotInterval))
 	metricsOut := fs.String("metrics-out", "", "write a JSON metrics snapshot here on exit (see OBSERVABILITY.md)")
 	traceOut := fs.String("trace-out", "", "write a JSONL event trace here (program loads, campaign spans, errored trials)")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and pprof on this HTTP address (e.g. :6060) for the run's lifetime")
@@ -185,16 +183,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	cfg := experiments.Config{
-		Samples:          *samples,
-		PerInstr:         *perInstr,
-		Seed:             *seed,
-		Workers:          *workers,
-		Context:          ctx,
-		CheckpointDir:    *checkpointDir,
-		SnapshotInterval: *snapInterval,
-		Metrics:          reg,
-		Trace:            trace,
-		Progress:         onProgress,
+		Samples:       *samples,
+		PerInstr:      *perInstr,
+		Seed:          *seed,
+		Workers:       *workers,
+		Context:       ctx,
+		CheckpointDir: *checkpointDir,
+		Metrics:       reg,
+		Trace:         trace,
+		Progress:      onProgress,
 	}
 	if *programs != "" {
 		cfg.Programs = strings.Split(*programs, ",")

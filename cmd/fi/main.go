@@ -25,6 +25,10 @@
 //	fi -remote http://localhost:8344 -program pathfinder [-shards 4]
 //	   [-detach | -job job-xxxx] [-trials-out trials.jsonl]
 //
+// With -remote, -shards multiplies -workers: the server runs the job as
+// one campaign with shards × workers concurrent trials, and the result
+// is the same at any shard count.
+//
 // Trials resume from golden-run snapshots taken every -snapshot-interval
 // dynamic instructions: 0 selects the default
 // (fault.DefaultSnapshotInterval) and -1 re-executes every trial in full
@@ -90,7 +94,7 @@ func run(args []string) (int, error) {
 	remote := fs.String("remote", "", "submit to a running fiserver at this base URL (e.g. http://localhost:8344) instead of running locally")
 	jobID := fs.String("job", "", "with -remote: attach to this existing job instead of submitting a new one")
 	detach := fs.Bool("detach", false, "with -remote: submit, print the job id, and exit without watching")
-	shards := fs.Int("shards", 0, "with -remote: shard count for the server-side campaign (0 = server default)")
+	shards := fs.Int("shards", 0, "with -remote: multiplies -workers; the server's campaign runs shards × workers trials at once, with the same result at any count (0 = server default)")
 	trialsOut := fs.String("trials-out", "", "with -remote: write the result's per-trial records as JSONL here")
 	dumpIR := fs.Bool("dump-ir", false, "print the selected module's canonical IR to stdout and exit (for scripted edits fed back through -ir)")
 	if err := fs.Parse(args); err != nil {

@@ -1,8 +1,10 @@
-// Package analysis provides control-flow analyses over IR functions:
-// dominator and post-dominator trees, natural-loop detection, control
-// dependence, and branch-probability mass propagation. The TRIDENT fc
-// sub-model is built on these. ANALYSIS.md §1 surveys the analyses and
-// their consumers; DESIGN.md §3 describes the fc sub-model they feed.
+// Package analysis provides the control-flow analyses over IR functions
+// that TRIDENT's model reads: dominance, natural loops and their
+// loop-terminating branches, and branch-probability reach mass.
+// internal/core is its only consumer: the fs walks read dominance, back
+// edges and the loop-terminating branches, and the fc sub-model reads
+// loop bodies and reach mass. ANALYSIS.md §1 surveys the analyses;
+// DESIGN.md §3 describes the fc sub-model they feed.
 package analysis
 
 import (
@@ -18,10 +20,8 @@ type CFG struct {
 	RPO []*ir.Block
 
 	rpoIndex map[*ir.Block]int
-	preds    map[*ir.Block][]*ir.Block
+	preds    map[*ir.Block][]*ir.Block // reachable predecessors
 	idom     map[*ir.Block]*ir.Block
-	ipdom    map[*ir.Block]*ir.Block
-	loops    []*Loop
 	loopOf   map[*ir.Block]*Loop // innermost containing loop
 }
 
@@ -32,7 +32,6 @@ func Analyze(f *ir.Func) *CFG {
 		rpoIndex: make(map[*ir.Block]int),
 		preds:    make(map[*ir.Block][]*ir.Block),
 		idom:     make(map[*ir.Block]*ir.Block),
-		ipdom:    make(map[*ir.Block]*ir.Block),
 		loopOf:   make(map[*ir.Block]*Loop),
 	}
 	c.computeRPO()
@@ -42,7 +41,6 @@ func Analyze(f *ir.Func) *CFG {
 		}
 	}
 	c.computeDominators()
-	c.computePostDominators()
 	c.computeLoops()
 	return c
 }
@@ -81,9 +79,6 @@ func (c *CFG) Reachable(b *ir.Block) bool {
 	return ok
 }
 
-// Preds returns the reachable predecessors of b.
-func (c *CFG) Preds(b *ir.Block) []*ir.Block { return c.preds[b] }
-
 // computeDominators implements the Cooper-Harvey-Kennedy iterative
 // algorithm on the RPO.
 func (c *CFG) computeDominators() {
@@ -104,7 +99,7 @@ func (c *CFG) computeDominators() {
 				if newIdom == nil {
 					newIdom = p
 				} else {
-					newIdom = c.intersect(p, newIdom, c.idom, c.rpoIndex)
+					newIdom = c.intersect(p, newIdom)
 				}
 			}
 			if newIdom != nil && c.idom[b] != newIdom {
@@ -115,22 +110,19 @@ func (c *CFG) computeDominators() {
 	}
 }
 
-// intersect walks two nodes up a dominator tree to their common ancestor.
-func (c *CFG) intersect(a, b *ir.Block, idom map[*ir.Block]*ir.Block, index map[*ir.Block]int) *ir.Block {
+// intersect walks two nodes up the dominator tree to their common
+// ancestor.
+func (c *CFG) intersect(a, b *ir.Block) *ir.Block {
 	for a != b {
-		for index[a] > index[b] {
-			a = idom[a]
+		for c.rpoIndex[a] > c.rpoIndex[b] {
+			a = c.idom[a]
 		}
-		for index[b] > index[a] {
-			b = idom[b]
+		for c.rpoIndex[b] > c.rpoIndex[a] {
+			b = c.idom[b]
 		}
 	}
 	return a
 }
-
-// ImmDom returns the immediate dominator of b (entry's is itself), or nil
-// for unreachable blocks.
-func (c *CFG) ImmDom(b *ir.Block) *ir.Block { return c.idom[b] }
 
 // Dominates reports whether a dominates b (reflexively).
 func (c *CFG) Dominates(a, b *ir.Block) bool {
@@ -147,137 +139,4 @@ func (c *CFG) Dominates(a, b *ir.Block) bool {
 		}
 		b = c.idom[b]
 	}
-}
-
-// computePostDominators runs the same iterative scheme on the reversed
-// CFG. Blocks ending in Ret are the exits; a virtual exit joins them, and
-// ipdom of a block whose only "parent" is the virtual exit is nil.
-func (c *CFG) computePostDominators() {
-	if len(c.RPO) == 0 {
-		return
-	}
-	// Reverse postorder of the reversed graph = postorder-ish; compute a
-	// DFS order from the exits on reversed edges.
-	var exits []*ir.Block
-	for _, b := range c.RPO {
-		if t := b.Terminator(); t != nil && t.Op == ir.OpRet {
-			exits = append(exits, b)
-		}
-	}
-	if len(exits) == 0 {
-		return // e.g. infinite loop; no post-dominance information
-	}
-
-	seen := make(map[*ir.Block]bool, len(c.RPO))
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b] = true
-		for _, p := range c.preds[b] {
-			if !seen[p] {
-				dfs(p)
-			}
-		}
-		post = append(post, b)
-	}
-	for _, e := range exits {
-		if !seen[e] {
-			dfs(e)
-		}
-	}
-	order := make([]*ir.Block, 0, len(post)) // RPO of reversed graph
-	for i := len(post) - 1; i >= 0; i-- {
-		order = append(order, post[i])
-	}
-	index := make(map[*ir.Block]int, len(order))
-	for i, b := range order {
-		index[b] = i
-	}
-
-	// Virtual-exit handling: every exit's ipdom is itself (acts as root).
-	ipdom := c.ipdom
-	for _, e := range exits {
-		ipdom[e] = e
-	}
-	isExit := make(map[*ir.Block]bool, len(exits))
-	for _, e := range exits {
-		isExit[e] = true
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range order {
-			if isExit[b] {
-				continue
-			}
-			var newIpdom *ir.Block
-			for _, s := range b.Succs() {
-				if ipdom[s] == nil {
-					continue
-				}
-				if newIpdom == nil {
-					newIpdom = s
-				} else {
-					newIpdom = c.intersectPost(s, newIpdom, index, isExit)
-				}
-			}
-			if newIpdom != nil && ipdom[b] != newIpdom {
-				ipdom[b] = newIpdom
-				changed = true
-			}
-		}
-	}
-}
-
-// intersectPost intersects in the post-dominator tree, treating all exit
-// blocks as a common root (the virtual exit).
-func (c *CFG) intersectPost(a, b *ir.Block, index map[*ir.Block]int, isExit map[*ir.Block]bool) *ir.Block {
-	for a != b {
-		// If both are exits, they only meet at the virtual exit; return
-		// either one — callers treat any exit as "post-dominated by end".
-		if isExit[a] && isExit[b] {
-			return a
-		}
-		for index[a] > index[b] {
-			if isExit[a] {
-				return a
-			}
-			a = c.ipdom[a]
-		}
-		for index[b] > index[a] {
-			if isExit[b] {
-				return b
-			}
-			b = c.ipdom[b]
-		}
-	}
-	return a
-}
-
-// ImmPostDom returns the immediate post-dominator of b (an exit block's is
-// itself), or nil when b cannot reach an exit.
-func (c *CFG) ImmPostDom(b *ir.Block) *ir.Block { return c.ipdom[b] }
-
-// PostDominates reports whether a post-dominates b (reflexively).
-func (c *CFG) PostDominates(a, b *ir.Block) bool {
-	if c.ipdom[a] == nil || c.ipdom[b] == nil {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		next := c.ipdom[b]
-		if next == b {
-			return false // reached an exit root
-		}
-		b = next
-	}
-}
-
-// ControlDependentOn reports whether block x is control-dependent on the
-// branch edge from block b to its successor s: x post-dominates s but does
-// not post-dominate b.
-func (c *CFG) ControlDependentOn(x, b, s *ir.Block) bool {
-	return c.PostDominates(x, s) && !c.PostDominates(x, b)
 }

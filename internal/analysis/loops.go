@@ -10,29 +10,18 @@ import (
 type Loop struct {
 	// Header is the single entry block of the loop.
 	Header *ir.Block
-	// Latches are the sources of back edges into Header.
-	Latches []*ir.Block
 	// Body is the set of blocks in the loop, including Header.
 	Body map[*ir.Block]bool
-	// Parent is the innermost enclosing loop, if any.
-	Parent *Loop
 }
 
 // Contains reports whether b belongs to the loop body.
 func (l *Loop) Contains(b *ir.Block) bool { return l.Body[b] }
 
-// Depth returns the nesting depth (outermost loop = 1).
-func (l *Loop) Depth() int {
-	d := 0
-	for cur := l; cur != nil; cur = cur.Parent {
-		d++
-	}
-	return d
-}
-
 // computeLoops finds back edges (a→h where h dominates a), builds natural
-// loop bodies, merges loops sharing a header, and nests them.
+// loop bodies, merges loops sharing a header, and maps each block to its
+// innermost loop.
 func (c *CFG) computeLoops() {
+	var loops []*Loop
 	byHeader := make(map[*ir.Block]*Loop)
 	for _, b := range c.RPO {
 		for _, s := range b.Succs() {
@@ -43,9 +32,8 @@ func (c *CFG) computeLoops() {
 			if l == nil {
 				l = &Loop{Header: s, Body: map[*ir.Block]bool{s: true}}
 				byHeader[s] = l
-				c.loops = append(c.loops, l)
+				loops = append(loops, l)
 			}
-			l.Latches = append(l.Latches, b)
 			// Natural loop body: backward walk from the latch.
 			var stack []*ir.Block
 			if !l.Body[b] {
@@ -65,11 +53,11 @@ func (c *CFG) computeLoops() {
 		}
 	}
 
-	// Nest loops: the innermost loop containing a block is the smallest
-	// body containing it; parents are the next-smallest.
+	// The innermost loop containing a block is the smallest body
+	// containing it.
 	for _, b := range c.RPO {
 		var innermost *Loop
-		for _, l := range c.loops {
+		for _, l := range loops {
 			if !l.Contains(b) {
 				continue
 			}
@@ -81,22 +69,7 @@ func (c *CFG) computeLoops() {
 			c.loopOf[b] = innermost
 		}
 	}
-	for _, l := range c.loops {
-		var parent *Loop
-		for _, outer := range c.loops {
-			if outer == l || !outer.Contains(l.Header) {
-				continue
-			}
-			if parent == nil || len(outer.Body) < len(parent.Body) {
-				parent = outer
-			}
-		}
-		l.Parent = parent
-	}
 }
-
-// Loops returns all natural loops in the function.
-func (c *CFG) Loops() []*Loop { return c.loops }
 
 // LoopOf returns the innermost loop containing b, or nil.
 func (c *CFG) LoopOf(b *ir.Block) *Loop { return c.loopOf[b] }

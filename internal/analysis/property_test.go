@@ -23,31 +23,19 @@ func TestDominanceInvariantsOnRandomPrograms(t *testing.T) {
 				if !c.Dominates(b, b) {
 					t.Fatalf("seed %d: dominance not reflexive at %s", seed, b.Name)
 				}
-				if b != entry && c.ImmDom(b) == nil {
-					t.Fatalf("seed %d: reachable block %s without idom", seed, b.Name)
-				}
 			}
-			// Every back edge must belong to a loop whose header is its
-			// target.
+			// Every back edge must belong to the loop its target heads.
 			for _, b := range c.RPO {
 				for _, s := range b.Succs() {
 					if !c.IsBackEdge(b, s) {
 						continue
 					}
-					l := c.LoopOf(b)
-					found := false
-					for ; l != nil; l = l.Parent {
-						if l.Header == s {
-							found = true
-							break
-						}
-					}
-					if !found {
+					if l := c.LoopOf(s); l == nil || l.Header != s || !l.Contains(b) {
 						t.Fatalf("seed %d: back edge %s->%s not in a loop", seed, b.Name, s.Name)
 					}
 				}
 			}
-			probs := ReachProbabilities(c, entry, UniformEdgeProb)
+			probs := ReachProbabilities(c, entry, uniformEdgeProb)
 			if probs[entry] != 1 {
 				t.Fatalf("seed %d: entry mass %v", seed, probs[entry])
 			}
@@ -61,20 +49,31 @@ func TestDominanceInvariantsOnRandomPrograms(t *testing.T) {
 }
 
 // TestLoopBodiesAreDominatedByHeaders: natural-loop property on random
-// programs.
+// programs. Every block's innermost loop contains it, its header
+// dominates the whole body, and some body block closes a back edge into
+// the header.
 func TestLoopBodiesAreDominatedByHeaders(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		m := irgen.Generate(irgen.Config{Seed: seed})
 		for _, f := range m.Funcs {
 			c := Analyze(f)
-			for _, l := range c.Loops() {
+			for _, blk := range c.RPO {
+				l := c.LoopOf(blk)
+				if l == nil {
+					continue
+				}
+				if !l.Contains(blk) {
+					t.Fatalf("seed %d: LoopOf(%s) does not contain it", seed, blk.Name)
+				}
+				latched := false
 				for b := range l.Body {
 					if !c.Dominates(l.Header, b) {
 						t.Fatalf("seed %d: loop header %s does not dominate body block %s",
 							seed, l.Header.Name, b.Name)
 					}
+					latched = latched || c.IsBackEdge(b, l.Header)
 				}
-				if len(l.Latches) == 0 {
+				if !latched {
 					t.Fatalf("seed %d: loop at %s has no latches", seed, l.Header.Name)
 				}
 			}

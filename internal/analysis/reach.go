@@ -43,13 +43,3 @@ func ReachProbabilities(c *CFG, from *ir.Block, edgeProb EdgeProbFunc) map[*ir.B
 	}
 	return mass
 }
-
-// UniformEdgeProb is an EdgeProbFunc that splits mass evenly across
-// successors; useful as a fallback when no profile is available.
-func UniformEdgeProb(b *ir.Block, _ int) float64 {
-	n := len(b.Succs())
-	if n == 0 {
-		return 0
-	}
-	return 1 / float64(n)
-}

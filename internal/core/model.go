@@ -15,9 +15,6 @@ type Config struct {
 	// paper's fs+fc comparison model (a corrupted store is assumed to be
 	// an SDC).
 	EnableFM bool
-	// OutputFilter restricts which Print instructions count as program
-	// output (paper §IV-A input 3). Nil means all prints count.
-	OutputFilter func(*ir.Instr) bool
 
 	// DisableValueProfile makes fs use pure mechanism heuristics instead
 	// of profiled operand values (ablation: §IV-C derives masking tuples
@@ -96,14 +93,6 @@ func (m *Model) cfgOf(fn *ir.Func) *analysis.CFG {
 		m.cfgs[fn] = c
 	}
 	return c
-}
-
-// isOutput reports whether a Print counts as program output.
-func (m *Model) isOutput(in *ir.Instr) bool {
-	if m.cfg.OutputFilter == nil {
-		return true
-	}
-	return m.cfg.OutputFilter(in)
 }
 
 // InstrSDC predicts the SDC probability of a fault activated in the

@@ -194,24 +194,6 @@ func TestModelString(t *testing.T) {
 	}
 }
 
-func TestOutputFilter(t *testing.T) {
-	// With every print excluded from the output set, nothing is an SDC.
-	m, err := ir.Parse(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := profile.Collect(m, profile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := TridentConfig()
-	cfg.OutputFilter = func(*ir.Instr) bool { return false }
-	model := New(prof, cfg)
-	if got := model.OverallSDC(0, 0).SDC; got != 0 {
-		t.Errorf("overall SDC = %v with no output instructions, want 0", got)
-	}
-}
-
 func TestInstrSDCCached(t *testing.T) {
 	model := profiledModel(t, mixed, TridentConfig())
 	in := instrByName(t, model.prof.Module, "nacc")

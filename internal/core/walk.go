@@ -285,7 +285,7 @@ func (m *Model) compileEdge(g *graph, from, to *ir.Instr, opIdx int) cedge {
 		if lt, _ := m.cfgOf(to.Block.Fn).IsLoopTerminating(to.Block); lt {
 			e.kind = kindGuard
 		}
-	case to.Op == ir.OpPrint && m.isOutput(to):
+	case to.Op == ir.OpPrint:
 		e.kind = kindOutput
 		if to.Format == ir.FormatG2 && to.Operands[0].ValueType().IsFloat() {
 			e.kind = kindOutputG2

@@ -53,14 +53,6 @@ type Config struct {
 	// A re-run over a complete log executes no trial: the log header
 	// pins the module hash, so an unchanged campaign replays in full.
 	CheckpointDir string
-	// SnapshotInterval tunes the injectors' snapshot-replay engine: golden
-	// state snapshots are captured roughly this many dynamic instructions
-	// apart and trials resume from the nearest one before their injection
-	// point. Zero selects fault.DefaultSnapshotInterval; negative disables
-	// snapshots and runs every trial from instruction zero (full re-execution,
-	// kept for differential testing). Campaign results are bit-identical
-	// either way.
-	SnapshotInterval int
 	// Metrics, when non-nil, receives campaign and interpreter telemetry
 	// from every injector the experiments build (see OBSERVABILITY.md).
 	Metrics *telemetry.Registry
@@ -77,12 +69,11 @@ type Config struct {
 // threading the config's observability sinks into the campaign engine.
 func (c Config) faultOptions(seed uint64) fault.Options {
 	return fault.Options{
-		Seed:             seed,
-		Workers:          c.Workers,
-		SnapshotInterval: c.SnapshotInterval,
-		Metrics:          c.Metrics,
-		Trace:            c.Trace,
-		OnProgress:       c.Progress,
+		Seed:       seed,
+		Workers:    c.Workers,
+		Metrics:    c.Metrics,
+		Trace:      c.Trace,
+		OnProgress: c.Progress,
 	}
 }
 
@@ -150,7 +141,7 @@ type ProgramData struct {
 	FSOnly  *core.Model
 }
 
-// loader caches ProgramData by (name, seed).
+// loader caches ProgramData by (name, seed, workers).
 type loader struct {
 	mu    sync.Mutex
 	cache map[string]*ProgramData
@@ -161,7 +152,7 @@ var sharedLoader = &loader{cache: make(map[string]*ProgramData)}
 // Load builds (or returns cached) per-program state.
 func Load(name string, cfg Config) (*ProgramData, error) {
 	cfg = cfg.withDefaults()
-	key := fmt.Sprintf("%s/%d/%d/%d", name, cfg.Seed, cfg.Workers, cfg.SnapshotInterval)
+	key := fmt.Sprintf("%s/%d/%d", name, cfg.Seed, cfg.Workers)
 	sharedLoader.mu.Lock()
 	defer sharedLoader.mu.Unlock()
 	if pd, ok := sharedLoader.cache[key]; ok {

@@ -178,7 +178,6 @@ type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
 	cache    map[TrialKey]TrialRecord
-	replayed int
 	writeErr error
 	warnings []string
 }
@@ -416,18 +415,14 @@ func (ck *Checkpoint) compact(meta checkpointMeta) error {
 func (ck *Checkpoint) replay(spec trialSpec) (Injection, *TrialError, bool) {
 	ck.mu.Lock()
 	rec, ok := ck.cache[spec.key()]
-	if ok {
-		if o, _ := outcomeFromName(rec.Outcome); o == Errored {
-			ok = false
-		} else {
-			ck.replayed++
-		}
-	}
 	ck.mu.Unlock()
 	if !ok {
 		return Injection{}, nil, false
 	}
 	outcome, _ := outcomeFromName(rec.Outcome)
+	if outcome == Errored {
+		return Injection{}, nil, false
+	}
 	return Injection{
 		Instr:        spec.instr,
 		Instance:     spec.instance,
@@ -461,14 +456,6 @@ func (ck *Checkpoint) record(tr Injection, terr *TrialError) {
 	if _, err := ck.f.Write(append(line, '\n')); err != nil && ck.writeErr == nil {
 		ck.writeErr = err
 	}
-}
-
-// Replayed returns the number of trials served from the log instead of
-// re-executed.
-func (ck *Checkpoint) Replayed() int {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return ck.replayed
 }
 
 // Close flushes and closes the log, returning the first write failure.

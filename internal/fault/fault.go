@@ -80,10 +80,6 @@ func (o Outcome) String() string {
 // AllOutcomes lists every trial classification in reporting order.
 var AllOutcomes = []Outcome{Benign, SDC, Crash, Hang, Detected, Errored}
 
-// OutcomeFromName inverts Outcome.String — the decoding direction of
-// the checkpoint and campaign-server wire formats.
-func OutcomeFromName(s string) (Outcome, bool) { return outcomeFromName(s) }
-
 // outcomeFromName inverts Outcome.String for checkpoint decoding.
 func outcomeFromName(s string) (Outcome, bool) {
 	for _, o := range AllOutcomes {
@@ -122,9 +118,6 @@ type Injection struct {
 type Options struct {
 	// Seed drives the deterministic PRNG used for sampling targets.
 	Seed uint64
-	// HangFactor multiplies the golden dynamic instruction count to set
-	// the hang budget (0 = default 10).
-	HangFactor uint64
 	// Workers is the number of concurrent injection runs in campaigns
 	// (0 = DefaultWorkers). Each run is independent; memory states are never shared.
 	Workers int
@@ -225,7 +218,9 @@ const DefaultSnapshotInterval = 512
 const DefaultWorkers = 4
 
 const (
-	defaultHangFactor = 10
+	// hangFactor multiplies the golden dynamic instruction count to set
+	// a trial's hang budget.
+	hangFactor = 10
 	// maxSnapshots caps golden snapshots per injector so a long golden run
 	// with a small SnapshotInterval cannot hold an unbounded number of
 	// memory copies; the effective interval is raised to stay under it.
@@ -285,9 +280,6 @@ type Injector struct {
 
 // New creates an injector, performing the golden run.
 func New(m *ir.Module, opts Options) (*Injector, error) {
-	if opts.HangFactor == 0 {
-		opts.HangFactor = defaultHangFactor
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = DefaultWorkers
 	}
@@ -395,7 +387,7 @@ func (inj *Injector) goldenRun() (*golden, error) {
 	inj.goldenOutput = res.Output
 	inj.goldenHash = hashOutput(res.Output)
 	inj.goldenDyn = res.DynInstrs
-	inj.hangBudget = res.DynInstrs * opts.HangFactor
+	inj.hangBudget = res.DynInstrs * hangFactor
 	if inj.hangBudget < 100_000 {
 		inj.hangBudget = 100_000
 	}
@@ -452,12 +444,13 @@ func (inj *Injector) runGolden(interval uint64, limit int) (*golden, *interp.Res
 // run's captures: each target's count at every snapshot, and the join
 // index. A golden run too long for maxSnapshots snapshots at the
 // requested interval is first run again, capturing at the raised
-// interval goldenDyn/maxSnapshots; that pass must reproduce the golden
-// run exactly, so a nondeterminism bug in the engine surfaces here
-// instead of silently corrupting trial outcomes.
+// interval goldenDyn/maxSnapshots rounded up, which captures at most
+// maxSnapshots; that pass must reproduce the golden run exactly, so a
+// nondeterminism bug in the engine surfaces here instead of silently
+// corrupting trial outcomes.
 func (inj *Injector) indexSnapshots(g *golden) error {
 	interval := uint64(inj.opts.SnapshotInterval)
-	floor := inj.goldenDyn / maxSnapshots
+	floor := (inj.goldenDyn + maxSnapshots - 1) / maxSnapshots
 	again := interval < floor || g.dropped
 	interval = max(interval, floor)
 	span := inj.opts.Trace.Start("snapshot-capture", telemetry.Attrs{
@@ -697,10 +690,6 @@ func randomBit(r *rng, in *ir.Instr) int {
 	}
 	return int(r.intn(uint64(w)))
 }
-
-// PruneReport returns the static bit-liveness report, or nil when
-// Options.PruneBits is off.
-func (inj *Injector) PruneReport() *bitlive.Report { return inj.prune }
 
 // isPruned reports whether a campaign trial spec lands on a provably-
 // masked bit and can be classified Benign without execution.

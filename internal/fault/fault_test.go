@@ -433,7 +433,8 @@ func TestMeanCrashLatency(t *testing.T) {
 // New takes from its one golden pass equal those of a separate capture
 // pass at the same interval that tallies each target in a map, on every
 // paper kernel. An interval too small for maxSnapshots snapshots is
-// raised to goldenDyn/maxSnapshots, as that pass raises it.
+// raised to goldenDyn/maxSnapshots rounded up, as that pass raises it,
+// and the raised interval holds the injector to maxSnapshots.
 func TestGoldenPassMatchesCapturePass(t *testing.T) {
 	for _, p := range progs.All() {
 		m := p.Build()
@@ -446,7 +447,7 @@ func TestGoldenPassMatchesCapturePass(t *testing.T) {
 			seen := map[*ir.Instr]uint64{}
 			counts := map[*ir.Instr][]uint64{}
 			_, err = interp.Run(m, interp.Options{
-				SnapshotInterval: max(uint64(interval), inj.GoldenDynInstrs()/maxSnapshots),
+				SnapshotInterval: max(uint64(interval), (inj.GoldenDynInstrs()+maxSnapshots-1)/maxSnapshots),
 				OnSnapshot: func(s *interp.Snapshot) {
 					snaps = append(snaps, s)
 					for _, in := range inj.targets {
@@ -460,6 +461,9 @@ func TestGoldenPassMatchesCapturePass(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("%s: capture pass: %v", p.Name, err)
+			}
+			if inj.Snapshots() > maxSnapshots {
+				t.Fatalf("%s at %d: %d snapshots, cap %d", p.Name, interval, inj.Snapshots(), maxSnapshots)
 			}
 			if len(inj.snaps) == 0 || len(inj.snaps) != len(snaps) {
 				t.Fatalf("%s at %d: %d snapshots, capture pass %d", p.Name, interval, len(inj.snaps), len(snaps))

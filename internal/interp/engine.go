@@ -439,9 +439,6 @@ func (vm *machine) loop() (uint64, error) {
 			default:
 			}
 		}
-		if w := ctx.opts.TraceWriter; w != nil {
-			fmt.Fprintf(w, "%8d %-24s %s\n", ctx.DynCount, in.Ref.Pos(), ir.FormatInstr(in.Ref))
-		}
 		switch in.Step {
 		case decoded.StepBinary:
 			lhs := vm.evalOp(fr, &in.A)

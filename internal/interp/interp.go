@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime/debug"
 	"strings"
 
@@ -176,10 +175,6 @@ type Options struct {
 	// OnSnapshot receives each periodic snapshot. It runs synchronously on
 	// the execution goroutine at the loop-header entry it was taken at.
 	OnSnapshot func(*Snapshot)
-	// TraceWriter, when non-nil, receives one line per executed
-	// instruction ("<dyn#> <location> <instruction>") — a debugging aid;
-	// it slows execution substantially.
-	TraceWriter io.Writer
 	// Metrics, when non-nil, receives run-boundary telemetry: run and
 	// dynamic-instruction counts, outcome tallies, execution latency, and
 	// snapshot capture/restore counts and latencies. Instrumentation sits

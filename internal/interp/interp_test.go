@@ -565,28 +565,3 @@ func TestRunErrors(t *testing.T) {
 		t.Error("Run should fail when main takes parameters")
 	}
 }
-
-func TestTraceWriter(t *testing.T) {
-	m := mustParse(t, `
-module "traced"
-func @main() void {
-entry:
-  %a = add i32 1, i32 2
-  print %a
-  ret
-}
-`)
-	var sb strings.Builder
-	if _, err := Run(m, Options{TraceWriter: &sb}); err != nil {
-		t.Fatal(err)
-	}
-	trace := sb.String()
-	for _, want := range []string{"add", "print", "ret", "main:entry"} {
-		if !strings.Contains(trace, want) {
-			t.Errorf("trace missing %q:\n%s", want, trace)
-		}
-	}
-	if len(strings.Split(strings.TrimSpace(trace), "\n")) != 3 {
-		t.Errorf("trace should have 3 lines:\n%s", trace)
-	}
-}

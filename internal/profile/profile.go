@@ -15,16 +15,13 @@ import (
 
 // Options configure profiling.
 type Options struct {
-	// MaxDynInstrs bounds the profiled execution (0 = interpreter default).
-	MaxDynInstrs uint64
-	// ValueSamples is the reservoir size per instruction for operand and
-	// address sampling (0 = default 64).
-	ValueSamples int
 	// Seed drives the deterministic reservoir sampler.
 	Seed uint64
 }
 
-const defaultValueSamples = 64
+// reservoirSize is the number of operand samples, and of address
+// crash-sensitivity observations, kept per instruction.
+const reservoirSize = 64
 
 // OperandSample is one observed pair of operand bit patterns.
 type OperandSample struct {
@@ -106,9 +103,8 @@ func (r *rng) intn(n uint64) uint64 { return r.next() % n }
 // ID; cur caches the table of the function the last event came from, so
 // consecutive events of one function find theirs by a pointer compare.
 type collector struct {
-	prof     *Profile
-	rnd      *rng
-	capacity int
+	prof *Profile
+	rnd  *rng
 
 	tables map[*ir.Func][]tally
 	curFn  *ir.Func
@@ -151,20 +147,14 @@ type writerRecord struct {
 // execution must complete without crashing or hanging: the profile is the
 // fault-free baseline.
 func Collect(m *ir.Module, opts Options) (*Profile, error) {
-	capacity := opts.ValueSamples
-	if capacity <= 0 {
-		capacity = defaultValueSamples
-	}
 	col := &collector{
 		rnd:        newRNG(opts.Seed),
-		capacity:   capacity,
 		tables:     make(map[*ir.Func][]tally, len(m.Funcs)),
 		lastWriter: make(map[uint64]writerRecord),
 		prof:       &Profile{Module: m},
 	}
 
 	res, err := interp.Run(m, interp.Options{
-		MaxDynInstrs: opts.MaxDynInstrs,
 		Hooks: interp.Hooks{
 			OnResult: col.onResult,
 			OnBinary: col.onBinary,
@@ -280,12 +270,12 @@ func (c *collector) onBinary(_ *interp.Context, in *ir.Instr, lhs, rhs uint64) {
 	t := c.tallyOf(in)
 	t.sampleSeen++
 	switch {
-	case len(t.samples) < c.capacity:
+	case len(t.samples) < reservoirSize:
 		t.samples = append(t.samples, OperandSample{LHS: lhs, RHS: rhs})
 	default:
 		// Classic reservoir replacement keeps a uniform sample of the
 		// stream, so value phases later in execution are represented.
-		if k := c.rnd.intn(t.sampleSeen); k < uint64(c.capacity) {
+		if k := c.rnd.intn(t.sampleSeen); k < reservoirSize {
 			t.samples[k] = OperandSample{LHS: lhs, RHS: rhs}
 		}
 	}
@@ -345,11 +335,11 @@ func (c *collector) onStore(ctx *interp.Context, in *ir.Instr, addr, _ uint64) {
 // evaluated against the memory map at access time.
 func (c *collector) observeAddress(ctx *interp.Context, in *ir.Instr, t *tally, addr uint64) {
 	t.crashSeen++
-	if n := t.crashSeen; n > uint64(c.capacity) {
-		// Reservoir: keep each observation with probability capacity/n by
+	if n := t.crashSeen; n > reservoirSize {
+		// Reservoir: keep each observation with probability reservoirSize/n by
 		// replacing the running average contribution; for a streaming mean
 		// it is simpler and adequate to subsample 1-in-k after warmup.
-		if c.rnd.intn(n) >= uint64(c.capacity) {
+		if c.rnd.intn(n) >= reservoirSize {
 			return
 		}
 	}

@@ -180,7 +180,7 @@ func TestSamplesCollected(t *testing.T) {
 	if len(samples) == 0 {
 		t.Fatal("no operand samples for comparison")
 	}
-	if len(samples) > defaultValueSamples {
+	if len(samples) > reservoirSize {
 		t.Errorf("sample reservoir overflowed: %d", len(samples))
 	}
 	// RHS of "%x > 20" is always the constant 20.
@@ -209,13 +209,13 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Collect(m, Options{ValueSamples: 8})
+	p, err := Collect(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmp := findInstr(t, p, "main", "loop", ir.OpICmp)
-	if len(p.Samples[cmp]) != 8 {
-		t.Errorf("reservoir size = %d, want 8", len(p.Samples[cmp]))
+	if len(p.Samples[cmp]) != 64 {
+		t.Errorf("reservoir size = %d, want 64", len(p.Samples[cmp]))
 	}
 	if p.ExecCount[cmp] != 10000 {
 		t.Errorf("cmp count = %d", p.ExecCount[cmp])

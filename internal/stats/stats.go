@@ -157,16 +157,6 @@ func TwoTailedP(t float64, df int) float64 {
 	return RegIncompleteBeta(float64(df)/2, 0.5, x)
 }
 
-// TCDF returns the CDF of the Student t-distribution with df degrees of
-// freedom at t.
-func TCDF(t float64, df int) float64 {
-	p := TwoTailedP(t, df) / 2
-	if t >= 0 {
-		return 1 - p
-	}
-	return p
-}
-
 // RegIncompleteBeta computes the regularized incomplete beta function
 // I_x(a, b) for a, b > 0 and x in [0, 1], using the continued-fraction
 // expansion (Numerical Recipes' betacf scheme, reimplemented).

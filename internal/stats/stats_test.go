@@ -122,18 +122,6 @@ func TestTwoTailedPKnownValues(t *testing.T) {
 	}
 }
 
-func TestTCDF(t *testing.T) {
-	if c := TCDF(0, 10); !approx(c, 0.5, 1e-12) {
-		t.Errorf("TCDF(0) = %v, want 0.5", c)
-	}
-	if c := TCDF(2.228, 10); !approx(c, 0.975, 0.001) {
-		t.Errorf("TCDF(2.228, 10) = %v, want 0.975", c)
-	}
-	if c := TCDF(-2.228, 10); !approx(c, 0.025, 0.001) {
-		t.Errorf("TCDF(-2.228, 10) = %v, want 0.025", c)
-	}
-}
-
 func TestPairedTTestIdenticalSamples(t *testing.T) {
 	a := []float64{0.1, 0.2, 0.3, 0.4}
 	res, err := PairedTTest(a, a)

@@ -101,7 +101,10 @@ type Report struct {
 }
 
 // Options configure Analyze, Campaign and Protect. The zero value uses
-// paper-faithful defaults.
+// paper-faithful defaults. Fault-injection campaigns resume each trial
+// from golden-run snapshots spaced fault.DefaultSnapshotInterval dynamic
+// instructions apart; their results are bit-identical to re-executing
+// every trial from instruction zero.
 type Options struct {
 	// Model selects the variant (default ModelTrident).
 	Model ModelKind
@@ -116,19 +119,11 @@ type Options struct {
 	// (Campaign, Protect); cancelled campaigns fail with the context's
 	// error rather than running to completion.
 	Context context.Context
-	// SnapshotInterval tunes the snapshot-replay fault-injection engine:
-	// golden-run state snapshots are captured roughly this many dynamic
-	// instructions apart and each trial resumes from the nearest snapshot
-	// before its injection point. Zero selects
-	// fault.DefaultSnapshotInterval; negative disables snapshots so every
-	// trial re-executes from instruction zero (full re-execution).
-	// Campaign results are bit-identical either way.
-	SnapshotInterval int
 }
 
 // faultOptions builds injector options from o.
 func (o Options) faultOptions() fault.Options {
-	return fault.Options{Seed: o.Seed, Workers: o.Workers, SnapshotInterval: o.SnapshotInterval}
+	return fault.Options{Seed: o.Seed, Workers: o.Workers}
 }
 
 // ctx resolves the configured context.
