@@ -24,7 +24,10 @@ doc:
 	$(GO) vet ./...
 	bash scripts/doccheck.sh
 
-# check is the CI gate: vet everything, then race-test the concurrent
+# check is the CI gate: vet everything, including the perfbench module,
+# which `go build ./...` skips because it is nested (vet compiles it
+# without leaving a binary, so a change to an API the benchmark calls
+# fails here), then race-test the concurrent
 # campaign engine, the interpreter it drives (including the
 # reference-parity and pooled-frame hygiene suites), the decoded
 # lowering pass, and the cross-check harness that compares the
@@ -69,6 +72,7 @@ doc:
 # oracle check leaves out sad and bfs-parboil, whose oracle walks are slow
 # (the full check runs in `make test`).
 check: build doc
+	cd perfbench && $(GO) vet ./...
 	$(GO) test -race ./internal/fault/... ./internal/interp/... ./internal/decoded/... ./internal/telemetry/... ./internal/server/... ./internal/sigctx/... ./internal/hashutil/... ./internal/bitlive/... ./internal/stats/...
 	$(GO) test -race -short ./internal/crosscheck/... ./internal/core/...
 	$(GO) run ./cmd/crosscheck -n 60 -seed 77 -kernels=false

@@ -12,16 +12,16 @@
 //     control-flow divergence or memory-level masking), predicting
 //     52.55% on the paper's benchmarks.
 //
-// Both are built on the same profile and def-use machinery as TRIDENT, so
-// the comparison isolates the modeling differences rather than
-// implementation differences. DESIGN.md §4 indexes the Fig. 9
-// experiment these baselines feed.
+// Both read the caller's TRIDENT model: PVF sums the terminals of the
+// decomposition core.Model.Explain returns, the same fs walk whose parts
+// Algorithm 1 weights, so the comparison isolates the modeling
+// differences rather than implementation differences. DESIGN.md §4
+// indexes the Fig. 9 experiment these baselines feed.
 package baseline
 
 import (
 	"trident/internal/core"
 	"trident/internal/ir"
-	"trident/internal/profile"
 )
 
 // Predictor is the interface shared by TRIDENT and the baselines: a
@@ -38,17 +38,28 @@ type PVF struct {
 	model *core.Model
 }
 
-// NewPVF builds the PVF baseline over a profile.
-func NewPVF(prof *profile.Profile) *PVF {
-	return &PVF{model: core.New(prof, core.TridentConfig())}
-}
+// NewPVF builds the PVF baseline over the terminals of model's fs walks.
+func NewPVF(model *core.Model) *PVF { return &PVF{model: model} }
 
 var _ Predictor = (*PVF)(nil)
 
 // InstrSDC implements Predictor.
 func (p *PVF) InstrSDC(in *ir.Instr) float64 {
-	tm := p.model.TerminalMass(in)
-	v := tm.Output + tm.Stores + tm.Branches + tm.Crash
+	return aceMass(p.model.Explain(in))
+}
+
+// aceMass is PVF over one decomposition: the direct share plus every
+// store's corruption mass, every branch's flip mass and the crash share,
+// capped at 1.
+func aceMass(ex *core.Explanation) float64 {
+	stores, flips := 0.0, 0.0
+	for _, sc := range ex.Stores {
+		stores += sc.CorruptProb
+	}
+	for _, bc := range ex.Branches {
+		flips += bc.FlipProb
+	}
+	v := ex.Direct + stores + flips + ex.Crash
 	if v > 1 {
 		v = 1
 	}
@@ -57,7 +68,7 @@ func (p *PVF) InstrSDC(in *ir.Instr) float64 {
 
 // OverallSDC returns the execution-weighted mean prediction.
 func (p *PVF) OverallSDC() float64 {
-	return overall(p.model.Profile(), p)
+	return p.model.Expectation(p.InstrSDC)
 }
 
 // EPVF refines PVF by removing crash-causing faults from the prediction.
@@ -66,27 +77,24 @@ func (p *PVF) OverallSDC() float64 {
 // accuracy); otherwise the model's own crash estimate is used.
 type EPVF struct {
 	model *core.Model
-	pvf   *PVF
 	// CrashOracle overrides the modeled per-instruction crash
 	// probability; nil uses the model estimate.
 	CrashOracle func(in *ir.Instr) float64
 }
 
-// NewEPVF builds the ePVF baseline over a profile.
-func NewEPVF(prof *profile.Profile) *EPVF {
-	m := core.New(prof, core.TridentConfig())
-	return &EPVF{model: m, pvf: &PVF{model: m}}
-}
+// NewEPVF builds the ePVF baseline over model's fs walks.
+func NewEPVF(model *core.Model) *EPVF { return &EPVF{model: model} }
 
 var _ Predictor = (*EPVF)(nil)
 
 // InstrSDC implements Predictor.
 func (e *EPVF) InstrSDC(in *ir.Instr) float64 {
-	crash := e.model.InstrCrash(in)
+	ex := e.model.Explain(in)
+	crash := ex.Crash
 	if e.CrashOracle != nil {
 		crash = e.CrashOracle(in)
 	}
-	v := e.pvf.InstrSDC(in) - crash
+	v := aceMass(ex) - crash
 	if v < 0 {
 		v = 0
 	}
@@ -95,27 +103,5 @@ func (e *EPVF) InstrSDC(in *ir.Instr) float64 {
 
 // OverallSDC returns the execution-weighted mean prediction.
 func (e *EPVF) OverallSDC() float64 {
-	return overall(e.model.Profile(), e)
-}
-
-// overall computes the execution-count-weighted expectation of a
-// predictor over the fault-activation space.
-func overall(prof *profile.Profile, pred Predictor) float64 {
-	var total uint64
-	sum := 0.0
-	prof.Module.Instrs(func(in *ir.Instr) {
-		if !in.HasResult() {
-			return
-		}
-		c := prof.ExecCount[in]
-		if c == 0 {
-			return
-		}
-		total += c
-		sum += float64(c) * pred.InstrSDC(in)
-	})
-	if total == 0 {
-		return 0
-	}
-	return sum / float64(total)
+	return e.model.Expectation(e.InstrSDC)
 }

@@ -47,9 +47,10 @@ func setup(t testing.TB) (*profile.Profile, *ir.Module) {
 
 func TestPVFOverestimatesSDC(t *testing.T) {
 	prof, m := setup(t)
-	pvf := NewPVF(prof).OverallSDC()
-	epvf := NewEPVF(prof).OverallSDC()
-	trident := core.New(prof, core.TridentConfig()).OverallSDC(0, 0).SDC
+	model := core.New(prof, core.TridentConfig())
+	pvf := NewPVF(model).OverallSDC()
+	epvf := NewEPVF(model).OverallSDC()
+	trident := model.OverallSDC(0, 0).SDC
 
 	inj, err := fault.New(m, fault.Options{Seed: 3})
 	if err != nil {
@@ -82,8 +83,9 @@ func TestPVFOverestimatesSDC(t *testing.T) {
 
 func TestPVFInstrBounds(t *testing.T) {
 	prof, _ := setup(t)
-	pvf := NewPVF(prof)
-	epvf := NewEPVF(prof)
+	model := core.New(prof, core.TridentConfig())
+	pvf := NewPVF(model)
+	epvf := NewEPVF(model)
 	prof.Module.Instrs(func(in *ir.Instr) {
 		p := pvf.InstrSDC(in)
 		e := epvf.InstrSDC(in)
@@ -112,16 +114,17 @@ func TestEPVFWithCrashOracle(t *testing.T) {
 		}
 		crashRate[target] = res.Rate(fault.Crash)
 	}
-	epvf := NewEPVF(prof)
+	model := core.New(prof, core.TridentConfig())
+	epvf := NewEPVF(model)
 	epvf.CrashOracle = func(in *ir.Instr) float64 { return crashRate[in] }
 	withOracle := epvf.OverallSDC()
 
-	plain := NewEPVF(prof).OverallSDC()
+	plain := NewEPVF(model).OverallSDC()
 	if withOracle < 0 || withOracle > 1 {
 		t.Fatalf("oracle ePVF = %v out of range", withOracle)
 	}
 	// The oracle changes the estimate but both stay below PVF.
-	pvf := NewPVF(prof).OverallSDC()
+	pvf := NewPVF(model).OverallSDC()
 	if withOracle > pvf+1e-9 || plain > pvf+1e-9 {
 		t.Error("ePVF must not exceed PVF")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,6 +21,9 @@ type StoreContribution struct {
 	MemToOutput float64
 	// Contribution is the path's share of the SDC probability.
 	Contribution float64
+	// bands are Contribution's per-corruption-class shares with fm (zero
+	// without it), in the order the headline adds them.
+	bands bandPair
 }
 
 // BranchContribution is one control-flow path of an explanation.
@@ -30,7 +34,8 @@ type BranchContribution struct {
 	FlipProb float64
 	// Stores and Regs count the divergence effects behind the branch.
 	Stores, Regs int
-	// EffectProb is the capped probability the divergence corrupts output.
+	// EffectProb is the capped probability the divergence corrupts
+	// output; 0 in a variant without fc.
 	EffectProb float64
 	// Contribution is the path's share of the SDC probability.
 	Contribution float64
@@ -44,9 +49,10 @@ type Explanation struct {
 	Instr *ir.Instr
 	// Direct is the probability of reaching output through registers only.
 	Direct float64
-	// Stores are the memory-level paths, largest contribution first.
+	// Stores are the memory-level paths, in walk (instruction) order.
 	Stores []StoreContribution
-	// Branches are the control-flow paths, largest contribution first.
+	// Branches are the control-flow paths, in walk (instruction) order.
+	// Every flipped branch is listed; without fc its effect is 0.
 	Branches []BranchContribution
 	// Crash is the competing crash probability.
 	Crash float64
@@ -56,80 +62,30 @@ type Explanation struct {
 
 // Explain decomposes the SDC prediction of `in`.
 func (m *Model) Explain(in *ir.Instr) *Explanation {
-	ex := &Explanation{Instr: in, SDC: m.InstrSDC(in)}
-	if !in.HasResult() || m.prof.ExecCount[in] == 0 {
-		return ex
-	}
-	e := m.walkFrom(in, walkUniform)
-	ex.Direct = e.output
-	ex.Crash = e.crash
-
-	for _, se := range e.stores {
-		s := m.g.instrs[se.node]
-		sc := StoreContribution{Store: s, CorruptProb: se.p.total()}
-		if m.cfg.EnableFM {
-			for band := 0; band < nClasses; band++ {
-				sc.Contribution += se.p[band] * m.memOut(s, band)
-			}
-			if sc.CorruptProb > 0 {
-				sc.MemToOutput = sc.Contribution / sc.CorruptProb
-			}
-		} else {
-			sc.Contribution = sc.CorruptProb
-			sc.MemToOutput = 1
-		}
-		ex.Stores = append(ex.Stores, sc)
-	}
-	sort.Slice(ex.Stores, func(i, j int) bool {
-		return ex.Stores[i].Contribution > ex.Stores[j].Contribution
-	})
-
-	if m.cfg.EnableFC {
-		for _, be := range e.branches {
-			br, pb := m.g.instrs[be.node], be.p
-			eff := m.fcEffectsOf(br)
-			bc := BranchContribution{
-				Branch:   br,
-				FlipProb: pb,
-				Stores:   len(eff.stores),
-				Regs:     len(eff.regs),
-			}
-			for _, sc := range eff.stores {
-				if m.cfg.EnableFM {
-					bc.EffectProb += sc.Prob * m.memOut(sc.Store, classReplaced)
-				} else {
-					bc.EffectProb += sc.Prob
-				}
-			}
-			for _, rc := range eff.regs {
-				bc.EffectProb += rc.Prob * m.regSDC(rc.Def)
-			}
-			if bc.EffectProb > 1 {
-				bc.EffectProb = 1
-			}
-			bc.Contribution = pb * bc.EffectProb
-			ex.Branches = append(ex.Branches, bc)
-		}
-		sort.Slice(ex.Branches, func(i, j int) bool {
-			return ex.Branches[i].Contribution > ex.Branches[j].Contribution
-		})
-	}
+	ex := &Explanation{}
+	m.decompose(in, ex)
 	return ex
 }
 
-// String renders the explanation for terminal display.
+// String renders the explanation for terminal display, each kind of path
+// largest contribution first.
 func (ex *Explanation) String() string {
+	stores := slices.Clone(ex.Stores)
+	sort.Slice(stores, func(i, j int) bool { return stores[i].Contribution > stores[j].Contribution })
+	branches := slices.Clone(ex.Branches)
+	sort.Slice(branches, func(i, j int) bool { return branches[i].Contribution > branches[j].Contribution })
+
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s at %s: SDC %.2f%%, crash %.2f%%\n",
 		ir.FormatInstr(ex.Instr), ex.Instr.Pos(), ex.SDC*100, ex.Crash*100)
 	if ex.Direct > 0 {
 		fmt.Fprintf(&sb, "  direct to output:                         %6.2f%%\n", ex.Direct*100)
 	}
-	for _, sc := range ex.Stores {
+	for _, sc := range stores {
 		fmt.Fprintf(&sb, "  via %-24s corrupt %5.1f%% x mem %5.1f%% = %6.2f%%\n",
 			sc.Store.Pos(), sc.CorruptProb*100, sc.MemToOutput*100, sc.Contribution*100)
 	}
-	for _, bc := range ex.Branches {
+	for _, bc := range branches {
 		fmt.Fprintf(&sb, "  via flipped %-16s flip %5.1f%% x effect %5.1f%% = %6.2f%% (%d stores, %d regs)\n",
 			bc.Branch.Pos(), bc.FlipProb*100, bc.EffectProb*100, bc.Contribution*100,
 			bc.Stores, bc.Regs)

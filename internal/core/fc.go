@@ -31,14 +31,10 @@ type fcEffects struct {
 	regs   []RegCorruption
 }
 
-// fc is the control-flow sub-model (paper §IV-D): given a corrupted
-// conditional branch, it determines which stores become corrupted and
-// with what probability. See fcEffectsOf for the register extension.
-func (m *Model) fc(br *ir.Instr) []StoreCorruption {
-	return m.fcEffectsOf(br).stores
-}
-
-// fcEffectsOf computes the full effect set of a flipped branch.
+// fcEffectsOf is the control-flow sub-model (paper §IV-D): given a
+// corrupted conditional branch, it determines which stores become
+// corrupted and with what probability, plus the register extension's
+// corrupted live-outs.
 //
 // The branch is classified as loop-terminating (LT) or not (NLT) from the
 // natural-loop structure:

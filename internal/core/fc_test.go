@@ -95,7 +95,7 @@ func TestFCNonLoopTerminatingPaperExample(t *testing.T) {
 		"bb3": {70, 30}, // T 0.7, F 0.3
 	}, TridentConfig())
 
-	result := model.fc(br0)
+	result := model.fcEffectsOf(br0).stores
 	if len(result) != 1 {
 		t.Fatalf("fc returned %d stores, want 1", len(result))
 	}
@@ -129,7 +129,7 @@ f:
 	}
 	model := modelFor(m, map[string][2]uint64{"entry": {50, 50}}, TridentConfig())
 	br := m.Func("main").Block("entry").Terminator()
-	result := model.fc(br)
+	result := model.fcEffectsOf(br).stores
 	if len(result) != 1 || math.Abs(result[0].Prob-1) > 1e-9 {
 		t.Fatalf("fc = %+v, want single store with Pc = 1", result)
 	}
@@ -195,7 +195,7 @@ func TestFCLoopTerminatingPaperExample(t *testing.T) {
 		"bb2": {70, 30}, // T 0.7 store, F 0.3
 	}, TridentConfig())
 
-	result := model.fc(br0)
+	result := model.fcEffectsOf(br0).stores
 	if len(result) != 1 {
 		t.Fatalf("fc returned %d stores, want 1", len(result))
 	}
@@ -231,7 +231,7 @@ join:
 	}
 	model := modelFor(m, map[string][2]uint64{"entry": {50, 50}}, TridentConfig())
 	br := m.Func("main").Block("entry").Terminator()
-	if result := model.fc(br); len(result) != 0 {
+	if result := model.fcEffectsOf(br).stores; len(result) != 0 {
 		t.Errorf("fc = %+v, want empty (store executes on both paths)", result)
 	}
 }
@@ -240,11 +240,11 @@ func TestFCNonCondBrReturnsNil(t *testing.T) {
 	m, br0, _ := buildFig3a(t)
 	model := modelFor(m, nil, TridentConfig())
 	ret := m.Func("main").Block("bb10").Terminator()
-	if got := model.fc(ret); got != nil {
+	if got := model.fcEffectsOf(ret).stores; got != nil {
 		t.Errorf("fc(ret) = %v, want nil", got)
 	}
 	// Unprofiled branches fall back to 0.5 splits without crashing.
-	if got := model.fc(br0); len(got) != 1 {
+	if got := model.fcEffectsOf(br0).stores; len(got) != 1 {
 		t.Errorf("fc with default probs returned %d stores", len(got))
 	}
 }
@@ -254,8 +254,8 @@ func TestFCCaching(t *testing.T) {
 	model := modelFor(m, map[string][2]uint64{
 		"bb0": {20, 80}, "bb1": {10, 90}, "bb3": {70, 30},
 	}, TridentConfig())
-	a := model.fc(br0)
-	b := model.fc(br0)
+	a := model.fcEffectsOf(br0).stores
+	b := model.fcEffectsOf(br0).stores
 	if &a[0] != &b[0] {
 		t.Error("fc results should be cached")
 	}

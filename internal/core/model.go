@@ -59,6 +59,8 @@ type Model struct {
 	fcCache  map[*ir.Instr]*fcEffects
 	fmOut    []float64
 	sdcCache map[*ir.Instr]float64
+	// composed is the decomposition InstrSDC reuses for each instruction.
+	composed Explanation
 
 	fmIterations int
 	// work counts the fs fixpoint's effort over the model's lifetime.
@@ -102,102 +104,79 @@ func (m *Model) InstrSDC(in *ir.Instr) float64 {
 	if p, ok := m.sdcCache[in]; ok {
 		return p
 	}
-	p := m.instrSDC(in)
-	m.sdcCache[in] = p
-	return p
+	m.decompose(in, &m.composed)
+	m.sdcCache[in] = m.composed.SDC
+	return m.composed.SDC
 }
 
-func (m *Model) instrSDC(in *ir.Instr) float64 {
+// decompose is the one place Algorithm 1 is composed. It walks fs from
+// `in` once and fills ex with the direct output share, each corrupted
+// store's contribution, each flipped branch's capped effect, the crash
+// share and the capped headline SDC, reusing ex's slices. The headline
+// accumulates the direct share, then each store's bands and then each
+// branch, in walk order.
+func (m *Model) decompose(in *ir.Instr, ex *Explanation) {
+	*ex = Explanation{Instr: in, Stores: ex.Stores[:0], Branches: ex.Branches[:0]}
 	if !in.HasResult() || m.prof.ExecCount[in] == 0 {
-		return 0
+		return
 	}
 	e := m.walkFrom(in, walkUniform)
-
-	// Direct propagation to output.
+	ex.Direct, ex.Crash = e.output, e.crash
 	p := e.output
 
 	// Chains ending at stores (Algorithm 1 line 9).
 	for _, se := range e.stores {
+		sc := StoreContribution{Store: m.g.instrs[se.node], CorruptProb: se.p.total()}
 		if m.cfg.EnableFM {
 			for band := 0; band < nClasses; band++ {
-				p += se.p[band] * m.memOut(m.g.instrs[se.node], band)
+				sc.bands[band] = se.p[band] * m.memOut(sc.Store, band)
+				p += sc.bands[band]
+			}
+			sc.Contribution = sc.bands.total()
+			if sc.CorruptProb > 0 {
+				sc.MemToOutput = sc.Contribution / sc.CorruptProb
 			}
 		} else {
 			// Without fm, a corrupted store is assumed to be an SDC.
-			p += se.p.total()
+			sc.Contribution, sc.MemToOutput = sc.CorruptProb, 1
+			p += sc.Contribution
 		}
+		ex.Stores = append(ex.Stores, sc)
 	}
 
 	// Chains ending at flipped branches (Algorithm 1 lines 3-7). One
 	// flipped branch is a single divergence event: its store and register
 	// effects overlap heavily, so the per-branch effect probability is
-	// capped at 1 before weighting by the flip probability.
-	if m.cfg.EnableFC {
-		for _, be := range e.branches {
-			pb := be.p
-			eff := m.fcEffectsOf(m.g.instrs[be.node])
-			effectP := 0.0
+	// capped at 1 before weighting by the flip probability. Without fc a
+	// flipped branch is listed with no effect.
+	for _, be := range e.branches {
+		bc := BranchContribution{Branch: m.g.instrs[be.node], FlipProb: be.p}
+		if m.cfg.EnableFC {
+			eff := m.fcEffectsOf(bc.Branch)
+			bc.Stores, bc.Regs = len(eff.stores), len(eff.regs)
 			for _, sc := range eff.stores {
 				if m.cfg.EnableFM {
 					// Divergence-corrupted stores carry whole wrong
 					// values: high band.
-					effectP += sc.Prob * m.memOut(sc.Store, classReplaced)
+					bc.EffectProb += sc.Prob * m.memOut(sc.Store, classReplaced)
 				} else {
-					effectP += sc.Prob
+					bc.EffectProb += sc.Prob
 				}
 			}
 			for _, rc := range eff.regs {
-				effectP += rc.Prob * m.regSDC(rc.Def)
+				bc.EffectProb += rc.Prob * m.regSDC(rc.Def)
 			}
-			if effectP > 1 {
-				effectP = 1
-			}
-			p += pb * effectP
+			bc.EffectProb = min(bc.EffectProb, 1)
+			bc.Contribution = bc.FlipProb * bc.EffectProb
+			p += bc.Contribution
 		}
+		ex.Branches = append(ex.Branches, bc)
 	}
 
 	// Maximum propagation probability is 1 (Algorithm 1 line 6), and
 	// crash probability competes with SDC: a fault cannot both crash and
 	// silently corrupt.
-	if p > 1 {
-		p = 1
-	}
-	if avail := 1 - e.crash; p > avail {
-		p = avail
-	}
-	if p < 0 {
-		p = 0
-	}
-	return p
-}
-
-// TerminalMass exposes the fs terminal aggregates of one instruction; the
-// PVF/ePVF baselines are defined in terms of these.
-type TerminalMass struct {
-	// Output is the probability of reaching program output.
-	Output float64
-	// Stores is the summed probability of corrupting stored values.
-	Stores float64
-	// Branches is the summed probability of flipping branches.
-	Branches float64
-	// Crash is the estimated trap probability.
-	Crash float64
-}
-
-// TerminalMass returns the fs terminal aggregates for `in`.
-func (m *Model) TerminalMass(in *ir.Instr) TerminalMass {
-	if !in.HasResult() || m.prof.ExecCount[in] == 0 {
-		return TerminalMass{}
-	}
-	e := m.walkFrom(in, walkUniform)
-	tm := TerminalMass{Output: e.output, Crash: e.crash}
-	for _, se := range e.stores {
-		tm.Stores += se.p.total()
-	}
-	for _, be := range e.branches {
-		tm.Branches += be.p
-	}
-	return tm
+	ex.SDC = max(min(p, 1, 1-e.crash), 0)
 }
 
 // InstrCrash estimates the crash probability of a fault activated at `in`
@@ -224,34 +203,13 @@ type Overall struct {
 // instances are drawn (deterministically from seed), mirroring the
 // paper's 3000-sample methodology (§IV-A, §V-B1).
 func (m *Model) OverallSDC(samples int, seed uint64) Overall {
-	type wi struct {
-		in    *ir.Instr
-		count uint64
+	if samples <= 0 {
+		return Overall{SDC: m.Expectation(m.InstrSDC)}
 	}
-	var (
-		targets []wi
-		total   uint64
-	)
-	m.prof.Module.Instrs(func(in *ir.Instr) {
-		if in.HasResult() {
-			if c := m.prof.ExecCount[in]; c > 0 {
-				targets = append(targets, wi{in, c})
-				total += c
-			}
-		}
-	})
+	targets, total := m.activations()
 	if total == 0 {
 		return Overall{}
 	}
-
-	if samples <= 0 {
-		sum := 0.0
-		for _, t := range targets {
-			sum += float64(t.count) / float64(total) * m.InstrSDC(t.in)
-		}
-		return Overall{SDC: sum}
-	}
-
 	cum := make([]uint64, len(targets))
 	running := uint64(0)
 	for i, t := range targets {
@@ -276,13 +234,40 @@ func (m *Model) OverallSDC(samples int, seed uint64) Overall {
 	return Overall{SDC: sum / float64(samples), Sampled: samples}
 }
 
-// PerInstrSDC returns predicted SDC probabilities for the given targets.
-func (m *Model) PerInstrSDC(targets []*ir.Instr) map[*ir.Instr]float64 {
-	out := make(map[*ir.Instr]float64, len(targets))
-	for _, in := range targets {
-		out[in] = m.InstrSDC(in)
+// Expectation is the exact expectation of a per-instruction prediction
+// over the fault-activation distribution: Σ (count/total)·f(in) over the
+// executed result instructions in module order, 0 if none executed.
+func (m *Model) Expectation(f func(in *ir.Instr) float64) float64 {
+	targets, total := m.activations()
+	sum := 0.0
+	for _, t := range targets {
+		sum += float64(t.count) / float64(total) * f(t.in)
 	}
-	return out
+	return sum
+}
+
+// activation is one fault-activation target and its execution count.
+type activation struct {
+	in    *ir.Instr
+	count uint64
+}
+
+// activations lists the executed result instructions in module order and
+// their summed execution count.
+func (m *Model) activations() ([]activation, uint64) {
+	var (
+		targets []activation
+		total   uint64
+	)
+	m.prof.Module.Instrs(func(in *ir.Instr) {
+		if in.HasResult() {
+			if c := m.prof.ExecCount[in]; c > 0 {
+				targets = append(targets, activation{in, c})
+				total += c
+			}
+		}
+	})
+	return targets, total
 }
 
 // FMIterations reports how many fixed-point sweeps the memory sub-model

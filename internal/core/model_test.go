@@ -147,20 +147,6 @@ func TestModelTracksFaultInjection(t *testing.T) {
 	}
 }
 
-func TestPerInstrSDCMap(t *testing.T) {
-	model := profiledModel(t, mixed, TridentConfig())
-	var targets []*ir.Instr
-	model.prof.Module.Instrs(func(in *ir.Instr) {
-		if in.HasResult() {
-			targets = append(targets, in)
-		}
-	})
-	got := model.PerInstrSDC(targets)
-	if len(got) != len(targets) {
-		t.Fatalf("map size %d, want %d", len(got), len(targets))
-	}
-}
-
 func TestInstrCrashEstimate(t *testing.T) {
 	model := profiledModel(t, mixed, TridentConfig())
 	gep := instrByOp(t, model.prof.Module, "fstore", ir.OpGep)

@@ -36,8 +36,8 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pvf := baseline.NewPVF(pd.Profile)
-		epvf := baseline.NewEPVF(pd.Profile)
+		pvf := baseline.NewPVF(pd.Trident)
+		epvf := baseline.NewEPVF(pd.Trident)
 		oracle, err := measuredCrashOracle(cfg, pd, cfg.PerInstr/2)
 		if err != nil {
 			return nil, err
