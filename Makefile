@@ -17,12 +17,15 @@ loc:
 
 # doc is the documentation lint: formatting must be canonical, vet must
 # be clean, and every package (internal, cmd, examples, root) must carry
-# a package-level doc comment.
+# a package-level doc comment. deadcheck then fails on any production
+# function or method that no other non-test code names (see
+# scripts/deadcheck.sh for its allowlist).
 doc:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	bash scripts/doccheck.sh
+	bash scripts/deadcheck.sh
 
 # check is the CI gate: vet everything, including the perfbench module,
 # which `go build ./...` skips because it is nested (vet compiles it

@@ -39,8 +39,8 @@
 // inverse-probability reweighting). The published shrink ratio compares
 // the weighted Wilson CI half-width against the plain Wilson half-width
 // at the same executed-trial budget; -min-strat-ci-shrink gates it the
-// same way the pruned-CI gate works (at least -min-strat-kernels
-// programs must clear the floor).
+// same way the pruned-CI gate works (at least gateKernels programs must
+// clear the floor).
 //
 // Each program also runs the campaign adaptively (-stratify-adaptive
 // semantics: a pilot prefix buys a Neyman plan, the remainder is
@@ -65,7 +65,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"trident/internal/bitlive"
@@ -183,12 +182,9 @@ func run(args []string) error {
 	repeats := fs.Int("repeats", 1, "measure each campaign this many times and keep the fastest (the overhead pair: run this many interleaved pairs)")
 	maxOverhead := fs.Float64("max-overhead", 0, "fail if telemetry overhead exceeds this fraction (0 disables the gate)")
 	minSnapshot := fs.Float64("min-snapshot-speedup", 0, "fail if the geomean snapshot-vs-full speedup falls below this factor (0 disables the gate)")
-	minPrunedCI := fs.Float64("min-pruned-ci-speedup", 0, "fail unless at least -min-pruned-kernels programs reach this pruned equal-CI speedup (0 disables the gate)")
-	minPrunedKernels := fs.Int("min-pruned-kernels", 3, "with -min-pruned-ci-speedup: how many programs must clear the floor")
-	minStratShrink := fs.Float64("min-strat-ci-shrink", 0, "fail unless at least -min-strat-kernels programs reach this stratified CI shrink at equal executed trials (0 disables the gate)")
-	minStratKernels := fs.Int("min-strat-kernels", 3, "with -min-strat-ci-shrink: how many programs must clear the floor")
-	minAdaptShrink := fs.Float64("min-adapt-ci-shrink", 0, "fail unless at least -min-adapt-kernels programs reach this adaptive CI shrink at equal executed trials while matching or beating the static plan's shrink (0 disables the gate)")
-	minAdaptKernels := fs.Int("min-adapt-kernels", 3, "with -min-adapt-ci-shrink: how many programs must clear the floor")
+	minPrunedCI := fs.Float64("min-pruned-ci-speedup", 0, "fail unless at least 3 programs reach this pruned equal-CI speedup (0 disables the gate)")
+	minStratShrink := fs.Float64("min-strat-ci-shrink", 0, "fail unless at least 3 programs reach this stratified CI shrink at equal executed trials (0 disables the gate)")
+	minAdaptShrink := fs.Float64("min-adapt-ci-shrink", 0, "fail unless at least 3 programs reach this adaptive CI shrink at equal executed trials while matching or beating the static plan's shrink (0 disables the gate)")
 	baseline := fs.String("baseline", "", "committed results file (BENCH_fi.json): fail if a program's snapshot speedup falls more than maxSpeedupDrop below its committed value (empty disables the gate)")
 	out := fs.String("out", "BENCH_fi.json", "output JSON path, or - for stdout")
 	if err := fs.Parse(args); err != nil {
@@ -252,9 +248,9 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "pruned equal-CI speedup ≥ %.2fx on %d/%d kernels\n",
 			*minPrunedCI, cleared, len(results))
-		if cleared < *minPrunedKernels {
+		if cleared < gateKernels {
 			return fmt.Errorf("only %d kernels reach the %.2fx pruned equal-CI speedup floor (need %d)",
-				cleared, *minPrunedCI, *minPrunedKernels)
+				cleared, *minPrunedCI, gateKernels)
 		}
 	}
 
@@ -271,9 +267,9 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "stratified equal-executed CI shrink ≥ %.2fx on %d/%d kernels\n",
 			*minStratShrink, cleared, len(results))
-		if cleared < *minStratKernels {
+		if cleared < gateKernels {
 			return fmt.Errorf("only %d kernels reach the %.2fx stratified CI-shrink floor (need %d)",
-				cleared, *minStratShrink, *minStratKernels)
+				cleared, *minStratShrink, gateKernels)
 		}
 	}
 
@@ -294,9 +290,9 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "adaptive equal-executed CI shrink ≥ %.2fx (and ≥ static) on %d/%d kernels\n",
 			*minAdaptShrink, cleared, len(results))
-		if cleared < *minAdaptKernels {
+		if cleared < gateKernels {
 			return fmt.Errorf("only %d kernels reach the %.2fx adaptive CI-shrink floor while matching the static plan (need %d)",
-				cleared, *minAdaptShrink, *minAdaptKernels)
+				cleared, *minAdaptShrink, gateKernels)
 		}
 	}
 
@@ -337,6 +333,12 @@ func run(args []string) error {
 // cannot be tightened, and the gap left is not the trial count: it is
 // the committed value's own noise (best of 3 on a loaded machine).
 const maxSpeedupDrop = 0.25
+
+// gateKernels is how many programs must clear each of the pruned,
+// stratified and adaptive CI floors: each technique targets the
+// narrow-output kernels, and the paper kernels are expected to sit near
+// a ratio of 1.
+const gateKernels = 3
 
 // checkBaseline holds every measured program to its committed snapshot
 // speedup in the results file at path: the speedup may fall at most
@@ -461,19 +463,9 @@ func compareCampaigns(bare, inst *fault.Injector, n, repeats int) (bres, ires *f
 // time and the process CPU time it used.
 func timeRun(inj *fault.Injector, n int) (*fault.CampaignResult, time.Duration, time.Duration, error) {
 	runtime.GC()
-	cpu0, start := cpuTime(), time.Now()
+	cpu0, start := telemetry.CPUTime(), time.Now()
 	r, err := inj.CampaignRandom(context.Background(), n)
-	return r, time.Since(start), cpuTime() - cpu0, err
-}
-
-// cpuTime is the CPU time the process has used, user and system, over
-// all its threads.
-func cpuTime() time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		panic(err) // RUSAGE_SELF with a valid pointer cannot fail
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return r, time.Since(start), telemetry.CPUTime() - cpu0, err
 }
 
 // median returns the median of xs (the mean of the middle pair for an

@@ -114,26 +114,6 @@ func (r *Report) MaskedBit(in *ir.Instr, bit int) bool {
 	return r.Masked(in)&(1<<uint(bit)) != 0
 }
 
-// InstrMask pairs one instruction with its classified masks, for
-// reporting and the worked examples in ANALYSIS.md.
-type InstrMask struct {
-	Instr  *ir.Instr
-	Live   uint64
-	Masked uint64
-}
-
-// Masks returns the mask table of one function in instruction-ID order,
-// covering every result-defining instruction.
-func (r *Report) Masks(fn *ir.Func) []InstrMask {
-	var out []InstrMask
-	fn.Instrs(func(in *ir.Instr) {
-		if in.HasResult() {
-			out = append(out, InstrMask{Instr: in, Live: r.Live(in), Masked: r.Masked(in)})
-		}
-	})
-	return out
-}
-
 // funcHash returns the content address of one function's mask table:
 // the hash of Version plus every (instruction ID, live mask) pair in ID
 // order.

@@ -188,11 +188,6 @@ func (inf *Influence) Stratum(in *ir.Instr, bit int) Stratum {
 	return StratumNoise
 }
 
-// Masks returns the disjoint per-stratum masks of in's result register.
-func (inf *Influence) Masks(in *ir.Instr) [NumStrata]uint64 {
-	return inf.masks[in]
-}
-
 // funcHash content-addresses one function's stratum tables: the hash of
 // InfluenceVersion plus every (instruction ID, per-stratum masks) tuple
 // in ID order.

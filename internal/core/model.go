@@ -2,6 +2,7 @@ package core
 
 import (
 	"trident/internal/analysis"
+	"trident/internal/hashutil"
 	"trident/internal/ir"
 	"trident/internal/profile"
 )
@@ -197,6 +198,10 @@ type Overall struct {
 	Sampled int
 }
 
+// zeroSeed replaces seed 0 in OverallSDC's sampling stream, whose
+// xorshift state must be nonzero.
+const zeroSeed = 0xA3EC647659359ACD
+
 // OverallSDC predicts the program's overall SDC probability. With
 // samples <= 0 the exact execution-count-weighted expectation over all
 // instructions is returned; otherwise `samples` dynamic instruction
@@ -216,10 +221,15 @@ func (m *Model) OverallSDC(samples int, seed uint64) Overall {
 		running += t.count
 		cum[i] = running
 	}
-	r := newSampleRNG(seed)
+	if seed == 0 {
+		seed = zeroSeed
+	}
+	r := hashutil.NewStream(seed)
 	sum := 0.0
 	for i := 0; i < samples; i++ {
-		k := 1 + r.intn(total)
+		// Next() % total, not the unbiased Stream.Intn: sampled
+		// predictions are pinned, so the draw stays as recorded.
+		k := 1 + r.Next()%total
 		lo, hi := 0, len(cum)-1
 		for lo < hi {
 			mid := (lo + hi) / 2

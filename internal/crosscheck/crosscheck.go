@@ -135,7 +135,7 @@ func compareRun(name string, m *ir.Module, refRes *refinterp.Result, refTrace []
 	)
 	prodRes, err := interp.Run(m, interp.Options{
 		Hooks: interp.Hooks{
-			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) {
 				switch {
 				case cursor < len(refTrace):
 					if traceMismatch == nil {
@@ -153,7 +153,6 @@ func compareRun(name string, m *ir.Module, refRes *refinterp.Result, refTrace []
 				default:
 					extra++
 				}
-				return bits
 			},
 		},
 	})

@@ -7,10 +7,12 @@ import (
 
 	"trident/internal/core"
 	"trident/internal/fault"
+	"trident/internal/hashutil"
 	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/profile"
 	"trident/internal/protect"
+	"trident/internal/refinterp"
 )
 
 // eps absorbs floating-point noise in the sub-model ordering checks. The
@@ -148,7 +150,8 @@ func ProtectEligible(m *ir.Module) []*ir.Instr {
 //   - a Detected run's partial output is a prefix of the golden output
 //     (detection cannot come after corrupted output escaped);
 //   - the production fault injector classifies each such trial the same
-//     way a direct instrumented interpreter run does.
+//     way a direct run on the reference evaluator (internal/refinterp)
+//     does, under the injector's hang budget.
 //
 // trials bounds the number of injection trials (spread deterministically
 // over the protected registers).
@@ -167,82 +170,41 @@ func CheckProtectionInvariants(name string, m *ir.Module, seed uint64, trials in
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: golden run of %s: %w", name, err)
 	}
-	golden, err := interp.Run(prot, interp.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("crosscheck: protected golden run of %s: %w", name, err)
-	}
-	if golden.Outcome != interp.OutcomeOK || golden.Output != origGolden.Output {
-		out = append(out, Mismatch{Program: name, Check: "protect-golden-output",
-			Got:  fmt.Sprintf("outcome=%s output=%q", golden.Outcome, golden.Output),
-			Want: fmt.Sprintf("outcome=ok output=%q", origGolden.Output)})
-		return out, nil
-	}
-
-	// The production injector supplies the hang budget and the
-	// classification we cross-validate against.
+	// The production injector supplies the protected golden run (New
+	// fails unless it completes), the hang budget and the classification
+	// we cross-validate against.
 	inj, err := fault.New(prot, fault.Options{Seed: seed, Workers: 1})
 	if err != nil {
 		return nil, fmt.Errorf("crosscheck: injector on protected %s: %w", name, err)
 	}
-
-	// Count dynamic executions of each protected register.
-	execCount := map[*ir.Instr]uint64{}
-	if _, err := interp.Run(prot, interp.Options{
-		Hooks: interp.Hooks{
-			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
-				execCount[in]++
-				return bits
-			},
-		},
-	}); err != nil {
-		return nil, fmt.Errorf("crosscheck: counting run of %s: %w", name, err)
-	}
-	var targets []*ir.Instr
-	for _, in := range protectedPairs(prot) {
-		if execCount[in] > 0 {
-			targets = append(targets, in)
-		}
-	}
-	if len(targets) == 0 {
+	golden := inj.GoldenOutput()
+	if golden != origGolden.Output {
+		out = append(out, Mismatch{Program: name, Check: "protect-golden-output",
+			Got:  fmt.Sprintf("output=%q", golden),
+			Want: fmt.Sprintf("output=%q", origGolden.Output)})
 		return out, nil
 	}
 
-	r := seed*0x9E3779B97F4A7C15 + 0xDA3E39CB94B95BDB
-	nextRand := func(n uint64) uint64 {
-		r ^= r >> 12
-		r ^= r << 25
-		r ^= r >> 27
-		return (r * 0x2545F4914F6CDD1D) % n
+	picks, err := protectTrials(prot, seed, trials)
+	if err != nil {
+		return nil, fmt.Errorf("crosscheck: counting run of %s: %w", name, err)
 	}
-	if trials <= 0 {
-		trials = 32
-	}
-	for t := 0; t < trials; t++ {
-		target := targets[int(nextRand(uint64(len(targets))))]
-		instance := 1 + nextRand(execCount[target])
-		bit := 0
-		if w := target.Type.Bits(); w > 1 {
-			bit = int(nextRand(uint64(w)))
-		}
-		spec := fmt.Sprintf("%s inst=%d bit=%d", target.Pos(), instance, bit)
+	for _, p := range picks {
+		spec := fmt.Sprintf("%s inst=%d bit=%d", p.target.Pos(), p.instance, p.bit)
 
-		// Direct instrumented run, mirroring the injector's budget.
+		// Direct run on the reference evaluator, whose OnResult hook
+		// injects the flip, under the injector's own hang budget.
 		var seen uint64
-		injected := false
-		res, err := interp.Run(prot, interp.Options{
-			MaxDynInstrs: inj.GoldenDynInstrs() * 10,
-			Hooks: interp.Hooks{
-				OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
-					if injected || in != target {
-						return bits
-					}
-					seen++
-					if seen != instance {
-						return bits
-					}
-					injected = true
-					return bits ^ (1 << uint(bit))
-				},
+		res, err := refinterp.Run(prot, refinterp.Options{
+			MaxDynInstrs: inj.HangBudget(),
+			OnResult: func(in *ir.Instr, bits uint64) uint64 {
+				if in != p.target {
+					return bits
+				}
+				if seen++; seen == p.instance {
+					return bits ^ 1<<uint(p.bit)
+				}
+				return bits
 			},
 		})
 		if err != nil {
@@ -250,33 +212,33 @@ func CheckProtectionInvariants(name string, m *ir.Module, seed uint64, trials in
 		}
 		var manual fault.Outcome
 		switch res.Outcome {
-		case interp.OutcomeOK:
-			if res.Output == golden.Output {
+		case refinterp.OutcomeOK:
+			if res.Output == golden {
 				manual = fault.Benign
 			} else {
 				manual = fault.SDC
 			}
-		case interp.OutcomeCrash:
+		case refinterp.OutcomeCrash:
 			manual = fault.Crash
-		case interp.OutcomeHang:
+		case refinterp.OutcomeHang:
 			manual = fault.Hang
-		case interp.OutcomeDetected:
+		case refinterp.OutcomeDetected:
 			manual = fault.Detected
 		}
 
 		if manual == fault.SDC {
 			out = append(out, Mismatch{Program: name, Check: "protect-no-sdc",
 				Got:  fmt.Sprintf("%s -> SDC output=%q", spec, res.Output),
-				Want: fmt.Sprintf("benign/detected/crash/hang, golden=%q", golden.Output)})
+				Want: fmt.Sprintf("benign/detected/crash/hang, golden=%q", golden)})
 		}
-		if res.Outcome == interp.OutcomeDetected && !isPrefix(res.Output, golden.Output) {
+		if res.Outcome == refinterp.OutcomeDetected && !isPrefix(res.Output, golden) {
 			out = append(out, Mismatch{Program: name, Check: "protect-detected-prefix",
 				Got:  fmt.Sprintf("%s -> output %q", spec, res.Output),
-				Want: fmt.Sprintf("prefix of golden %q", golden.Output)})
+				Want: fmt.Sprintf("prefix of golden %q", golden)})
 		}
 
 		// Cross-validate the production injector's classification.
-		fo, err := inj.Inject(context.Background(), target, instance, bit)
+		fo, err := inj.Inject(context.Background(), p.target, p.instance, p.bit)
 		if err != nil {
 			return nil, fmt.Errorf("crosscheck: injector trial %s of %s: %w", spec, name, err)
 		}
@@ -285,6 +247,56 @@ func CheckProtectionInvariants(name string, m *ir.Module, seed uint64, trials in
 				Got:  fmt.Sprintf("%s -> injector=%s", spec, fo),
 				Want: fmt.Sprintf("direct-run=%s", manual)})
 		}
+	}
+	return out, nil
+}
+
+// protectTrial is one injection of the protection invariant: the bit
+// flipped in the instance-th execution of target.
+type protectTrial struct {
+	target   *ir.Instr
+	instance uint64
+	bit      int
+}
+
+// protectTrials counts the dynamic executions of every protected register
+// of prot and spreads trials injections (32 if trials <= 0)
+// deterministically over the executed ones.
+func protectTrials(prot *ir.Module, seed uint64, trials int) ([]protectTrial, error) {
+	execCount := map[*ir.Instr]uint64{}
+	if _, err := refinterp.Run(prot, refinterp.Options{
+		OnResult: func(in *ir.Instr, bits uint64) uint64 {
+			execCount[in]++
+			return bits
+		},
+	}); err != nil {
+		return nil, err
+	}
+	var targets []*ir.Instr
+	for _, in := range protectedPairs(prot) {
+		if execCount[in] > 0 {
+			targets = append(targets, in)
+		}
+	}
+	if len(targets) == 0 {
+		return nil, nil
+	}
+
+	// Each draw is Next() % n, not the unbiased Stream.Intn: the picks
+	// are pinned, so the draw stays as recorded.
+	r := hashutil.NewStream(seed*0x9E3779B97F4A7C15 + 0xDA3E39CB94B95BDB)
+	if trials <= 0 {
+		trials = 32
+	}
+	out := make([]protectTrial, trials)
+	for t := range out {
+		target := targets[r.Next()%uint64(len(targets))]
+		instance := 1 + r.Next()%execCount[target]
+		bit := 0
+		if w := target.Type.Bits(); w > 1 {
+			bit = int(r.Next() % uint64(w))
+		}
+		out[t] = protectTrial{target: target, instance: instance, bit: bit}
 	}
 	return out, nil
 }

@@ -22,7 +22,6 @@ import (
 
 	"trident/internal/core"
 	"trident/internal/fault"
-	"trident/internal/interp"
 	"trident/internal/ir"
 	"trident/internal/profile"
 	"trident/internal/progs"
@@ -139,6 +138,12 @@ type ProgramData struct {
 	Trident *core.Model
 	FSFC    *core.Model
 	FSOnly  *core.Model
+
+	// costOnce guards cost and costErr, the program's FI-trial and
+	// profiling prices (see costs).
+	costOnce sync.Once
+	cost     programCost
+	costErr  error
 }
 
 // loader caches ProgramData by (name, seed, workers).
@@ -236,19 +241,6 @@ func Table1(cfg Config) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// goldenCheck re-runs a program and confirms the golden output is
-// reproduced; used as a sanity gate by the CLI.
-func goldenCheck(pd *ProgramData) error {
-	res, err := interp.Run(pd.Module, interp.Options{})
-	if err != nil {
-		return err
-	}
-	if res.Outcome != interp.OutcomeOK || res.Output != pd.Injector.GoldenOutput() {
-		return fmt.Errorf("%s: golden output not reproduced", pd.Program.Name)
-	}
-	return nil
-}
-
 // measuredCrashOracle builds an FI-measured per-instruction crash-rate
 // oracle for the ePVF baseline, as the paper did (§VII-C gives ePVF its
 // measured crashes, overestimating its accuracy).
@@ -268,10 +260,4 @@ func measuredCrashOracle(cfg Config, pd *ProgramData, perInstr int) (func(*ir.In
 // measurements do not benefit from caches warmed by earlier experiments.
 func freshModel(pd *ProgramData) *core.Model {
 	return core.New(pd.Profile, core.TridentConfig())
-}
-
-// reprofile re-collects pd's profile, for measuring the fixed profiling
-// cost of the model pipeline.
-func reprofile(pd *ProgramData) {
-	_, _ = profile.Collect(pd.Module, profile.Options{})
 }

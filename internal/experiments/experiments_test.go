@@ -228,13 +228,15 @@ func TestAblationsQuick(t *testing.T) {
 	}
 }
 
+// TestGoldenCheck compares Load's two independent golden runs: the
+// profiler's and the injector's must produce the same output.
 func TestGoldenCheck(t *testing.T) {
 	pd, err := Load("pathfinder", quickCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := goldenCheck(pd); err != nil {
-		t.Error(err)
+	if got, want := pd.Profile.Golden.Output, pd.Injector.GoldenOutput(); got != want || got == "" {
+		t.Errorf("profile golden output %q, injector golden output %q", got, want)
 	}
 }
 

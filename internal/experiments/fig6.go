@@ -1,21 +1,21 @@
 package experiments
 
 import (
-	"time"
-
 	"trident/internal/core"
+	"trident/internal/profile"
+	"trident/internal/telemetry"
 )
 
-// Fig6aPoint is one point of Figure 6a: wall-clock cost to estimate the
-// overall SDC probability at a given sample count, for the model and for
-// FI.
+// Fig6aPoint is one point of Figure 6a: the cost, in process CPU
+// seconds, to estimate the overall SDC probability at a given sample
+// count, for the model and for FI.
 type Fig6aPoint struct {
 	Samples int
 	// ModelSeconds includes the (shared, fixed) profiling phase plus the
 	// sampled prediction.
 	ModelSeconds float64
-	// FISeconds is projected from the measured mean per-trial time, as
-	// the paper projects from one trial averaged over 30 runs.
+	// FISeconds is projected from each program's measured per-trial cost,
+	// as the paper projects from one trial averaged over 30 runs.
 	FISeconds float64
 }
 
@@ -33,33 +33,37 @@ func Fig6a(cfg Config, sampleCounts []int) ([]Fig6aPoint, error) {
 		return nil, err
 	}
 
-	// Per-trial FI time, averaged over 30 trials per program.
-	perTrial, err := meanTrialSeconds(cfg, data, 30)
-	if err != nil {
-		return nil, err
+	// One sample costs one trial of every program; the model's fixed
+	// cost is every program's profiling pass.
+	var perSample, profiling float64
+	for _, pd := range data {
+		c, err := pd.costs(cfg)
+		if err != nil {
+			return nil, err
+		}
+		perSample += c.trial
+		profiling += c.profiling
 	}
-	// Fixed model cost: the profiling phase (re-measured here).
-	profiling := measureProfiling(data)
 
 	points := make([]Fig6aPoint, 0, len(sampleCounts))
 	for _, n := range sampleCounts {
-		start := time.Now()
+		start := telemetry.CPUTime()
 		for _, pd := range data {
 			fresh := freshModel(pd)
 			fresh.OverallSDC(n, cfg.Seed)
 		}
-		modelSecs := profiling + time.Since(start).Seconds()
 		points = append(points, Fig6aPoint{
 			Samples:      n,
-			ModelSeconds: modelSecs,
-			FISeconds:    perTrial * float64(n) * float64(len(data)),
+			ModelSeconds: profiling + (telemetry.CPUTime() - start).Seconds(),
+			FISeconds:    perSample * float64(n),
 		})
 	}
 	return points, nil
 }
 
-// Fig6bPoint is one point of Figure 6b: cost to estimate per-instruction
-// SDC probabilities for a given number of static instructions.
+// Fig6bPoint is one point of Figure 6b: the cost, in process CPU
+// seconds, to estimate per-instruction SDC probabilities for a given
+// number of static instructions.
 type Fig6bPoint struct {
 	Instrs       int
 	ModelSeconds float64
@@ -101,19 +105,29 @@ func Fig6b(cfg Config, instrCounts []int) ([]Fig6bPoint, error) {
 		}
 	}
 
-	perTrial, err := meanTrialSeconds(cfg, data, 30)
-	if err != nil {
-		return nil, err
+	var profiling float64
+	for _, pd := range data {
+		c, err := pd.costs(cfg)
+		if err != nil {
+			return nil, err
+		}
+		profiling += c.profiling
 	}
-	profiling := measureProfiling(data)
 
 	points := make([]Fig6bPoint, 0, len(instrCounts))
 	for _, n := range instrCounts {
 		if n > len(pool) {
 			n = len(pool)
 		}
+		// One trial on each target, priced at its own program's cost
+		// (costs succeeded for every program above, so its error is nil).
+		var perTrialSum float64
+		for _, tg := range pool[:n] {
+			c, _ := tg.pd.costs(cfg)
+			perTrialSum += c.trial
+		}
 		fresh := make(map[*ProgramData]*core.Model)
-		start := time.Now()
+		start := telemetry.CPUTime()
 		for _, tg := range pool[:n] {
 			fm, ok := fresh[tg.pd]
 			if !ok {
@@ -122,48 +136,49 @@ func Fig6b(cfg Config, instrCounts []int) ([]Fig6bPoint, error) {
 			}
 			fm.InstrSDC(tg.pd.Injector.Targets()[tg.idx])
 		}
-		modelSecs := profiling + time.Since(start).Seconds()
 		points = append(points, Fig6bPoint{
 			Instrs:       n,
-			ModelSeconds: modelSecs,
+			ModelSeconds: profiling + (telemetry.CPUTime() - start).Seconds(),
 			FISeconds: map[int]float64{
-				100:  perTrial * float64(n) * 100,
-				500:  perTrial * float64(n) * 500,
-				1000: perTrial * float64(n) * 1000,
+				100:  perTrialSum * 100,
+				500:  perTrialSum * 500,
+				1000: perTrialSum * 1000,
 			},
 		})
 	}
 	return points, nil
 }
 
-// meanTrialSeconds measures the mean wall-clock cost of one FI trial
-// across the programs.
-func meanTrialSeconds(cfg Config, data []*ProgramData, trials int) (float64, error) {
-	total := 0.0
-	n := 0
-	for _, pd := range data {
-		start := time.Now()
-		// No checkpointing here: Fig. 6 measures FI wall-clock cost, and
-		// replaying cached trials would falsify the timing.
-		res, err := pd.Injector.CampaignRandom(cfg.ctx(), trials)
-		if err != nil {
-			return 0, err
-		}
-		total += time.Since(start).Seconds()
-		n += res.N()
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return total / float64(n), nil
+// costTrials is the campaign that prices a program's FI trial: the paper
+// projects FI cost from one trial averaged over 30 runs.
+const costTrials = 30
+
+// programCost is what one program's FI trial and its profiling pass cost,
+// in process CPU seconds.
+type programCost struct {
+	trial, profiling float64
 }
 
-// measureProfiling measures the fixed profiling cost across programs by
-// re-collecting each profile once.
-func measureProfiling(data []*ProgramData) float64 {
-	start := time.Now()
-	for _, pd := range data {
-		reprofile(pd)
-	}
-	return time.Since(start).Seconds()
+// costs measures pd's FI per-trial cost and its profiling cost once per
+// run and shares them across Fig. 6a, 6b and 7. Both are process CPU
+// time, like the model side: a campaign's CPU time sums the time of all
+// its workers, so the FI price does not shrink with the number of cores
+// the trials ran on. The campaign writes no checkpoint, because replayed
+// trials would cost nothing.
+func (pd *ProgramData) costs(cfg Config) (programCost, error) {
+	pd.costOnce.Do(func() {
+		start := telemetry.CPUTime()
+		_, pd.costErr = profile.Collect(pd.Module, profile.Options{Seed: cfg.Seed})
+		if pd.costErr != nil {
+			return
+		}
+		pd.cost.profiling = (telemetry.CPUTime() - start).Seconds()
+		start = telemetry.CPUTime()
+		res, err := pd.Injector.CampaignRandom(cfg.ctx(), costTrials)
+		if pd.costErr = err; err != nil {
+			return
+		}
+		pd.cost.trial = (telemetry.CPUTime() - start).Seconds() / float64(res.N())
+	})
+	return pd.cost, pd.costErr
 }

@@ -1,8 +1,6 @@
 package experiments
 
-import (
-	"time"
-)
+import "trident/internal/telemetry"
 
 // Fig7Row is one benchmark's cost to derive all per-instruction SDC
 // probabilities, with the memory-graph pruning statistics the paper
@@ -10,10 +8,11 @@ import (
 // average 61.87% of dynamic dependencies removed).
 type Fig7Row struct {
 	Name string
-	// ModelSeconds is the wall-clock time for TRIDENT to predict every
+	// ModelSeconds is the process CPU time for TRIDENT to predict every
 	// executed instruction (profiling excluded, as in Fig. 7's caption).
 	ModelSeconds float64
-	// FISeconds100 is the projected cost of FI-100 over the same targets.
+	// FISeconds100 is the projected CPU cost of FI-100 over the same
+	// targets, at the program's measured per-trial cost.
 	FISeconds100 float64
 	// Instrs is the number of targets.
 	Instrs int
@@ -33,24 +32,22 @@ func Fig7(cfg Config) ([]Fig7Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	perTrial, err := meanTrialSeconds(cfg, data, 30)
-	if err != nil {
-		return nil, err
-	}
-
 	rows := make([]Fig7Row, 0, len(data))
 	for _, pd := range data {
+		c, err := pd.costs(cfg)
+		if err != nil {
+			return nil, err
+		}
 		targets := pd.Injector.Targets()
 		model := freshModel(pd)
-		start := time.Now()
+		start := telemetry.CPUTime()
 		for _, in := range targets {
 			model.InstrSDC(in)
 		}
-		elapsed := time.Since(start).Seconds()
 		rows = append(rows, Fig7Row{
 			Name:         pd.Program.Name,
-			ModelSeconds: elapsed,
-			FISeconds100: perTrial * float64(len(targets)) * 100,
+			ModelSeconds: (telemetry.CPUTime() - start).Seconds(),
+			FISeconds100: c.trial * float64(len(targets)) * 100,
 			Instrs:       len(targets),
 			PruningRatio: pd.Profile.PruningRatio(),
 			DynDeps:      pd.Profile.DynMemDeps,

@@ -348,7 +348,7 @@ func TestAdaptiveFromCheckpointRequiresPilot(t *testing.T) {
 	}
 	// Keep every other pilot record and no main record: the pilot prefix
 	// has holes.
-	meta, recs, _, err := loadLog(path)
+	meta, recs, err := loadLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}

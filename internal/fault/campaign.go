@@ -7,45 +7,23 @@ import (
 	"sync"
 	"time"
 
+	"trident/internal/hashutil"
 	"trident/internal/ir"
 	"trident/internal/stats"
 	"trident/internal/telemetry"
 )
 
-// rng is the deterministic xorshift64* generator used for target sampling.
-type rng struct{ s uint64 }
+// zeroSeed replaces Options.Seed 0 in the sampling stream, whose
+// xorshift state must be nonzero.
+const zeroSeed = 0x853C49E6748FEA9B
 
-func newRNG(seed uint64) *rng {
+// newRNG starts the sampling stream of seed. Every fault draw goes
+// through Stream.Intn, the unbiased one.
+func newRNG(seed uint64) *hashutil.Stream {
 	if seed == 0 {
-		seed = 0x853C49E6748FEA9B
+		seed = zeroSeed
 	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
-
-// intn returns a uniform pseudo-random value in [0, n). Raw `next() % n`
-// is biased for n that do not divide 2^64, so draws landing in the
-// truncated final bucket [0, 2^64 mod n) are rejected and redrawn; the
-// expected number of redraws is below one for every n.
-func (r *rng) intn(n uint64) uint64 {
-	if n == 0 {
-		panic(&EngineError{Err: fmt.Errorf("fault: intn(0)")})
-	}
-	if n&(n-1) == 0 {
-		return r.next() & (n - 1)
-	}
-	min := -n % n // 2^64 mod n
-	for {
-		if v := r.next(); v >= min {
-			return v % n
-		}
-	}
+	return hashutil.NewStream(seed)
 }
 
 // CampaignResult aggregates a set of injection trials. Campaigns degrade
@@ -103,22 +81,6 @@ func (c *CampaignResult) Rate(o Outcome) float64 {
 
 // SDCProb returns the measured SDC probability (SDC / activated faults).
 func (c *CampaignResult) SDCProb() float64 { return c.Rate(SDC) }
-
-// MeanCrashLatency returns the mean dynamic-instruction distance between
-// injection and trap over the campaign's crash outcomes (0 if none).
-func (c *CampaignResult) MeanCrashLatency() float64 {
-	var sum, n float64
-	for _, tr := range c.Trials {
-		if tr.Outcome == Crash {
-			sum += float64(tr.CrashLatency)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
 
 // ErrorBar95 returns the half-width of the 95% confidence interval on the
 // SDC probability — the error bars the paper reports (±0.07% to ±1.76%
@@ -393,7 +355,7 @@ func (inj *Injector) sampleRandom(n int) []trialSpec {
 	r := newRNG(inj.opts.Seed)
 	specs := make([]trialSpec, n)
 	for i := range specs {
-		in, instance := inj.pick(1 + r.intn(inj.total))
+		in, instance := inj.pick(1 + r.Intn(inj.total))
 		specs[i] = trialSpec{instr: in, instance: instance, bit: randomBit(r, in)}
 	}
 	return specs
@@ -404,30 +366,12 @@ func (inj *Injector) sampleRandom(n int) []trialSpec {
 // of the mix: the earlier `Seed ^ ID*const` scheme aliased targets with
 // equal IDs in different functions onto identical instance/bit
 // sequences, and a target with ID 0 onto the campaign-level stream
-// itself. FNV-1a over the function name followed by splitmix64-style
-// finalization of the ID and seed keeps every target's stream distinct.
+// itself. FNV-1a over the function name and the ID, then the seed, then
+// splitmix64's avalanche (so adjacent IDs under one seed give unrelated
+// streams) keeps every target's stream distinct.
 func perInstrSeed(seed uint64, target *ir.Instr) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	name := target.Block.Fn.Name
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime
-	}
-	h ^= uint64(target.ID)
-	h *= fnvPrime
-	h ^= seed
-	// splitmix64 finalizer: avalanche so that near-identical inputs
-	// (adjacent IDs, same seed) give unrelated streams.
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return h
+	h := hashutil.Fold(hashutil.String(target.Block.Fn.Name), uint64(target.ID))
+	return hashutil.Mix64(h ^ seed)
 }
 
 // CampaignPerInstr performs n injections into random dynamic instances of
@@ -443,7 +387,7 @@ func (inj *Injector) CampaignPerInstr(ctx context.Context, target *ir.Instr, n i
 	for i := range specs {
 		specs[i] = trialSpec{
 			instr:    target,
-			instance: 1 + r.intn(execs),
+			instance: 1 + r.Intn(execs),
 			bit:      randomBit(r, target),
 		}
 	}

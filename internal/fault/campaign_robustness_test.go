@@ -413,14 +413,15 @@ func TestResumeRequiresExistingCheckpoint(t *testing.T) {
 
 func TestIntnUniformSmall(t *testing.T) {
 	// Rejection sampling removes modulo bias; for a small non-power-of-two
-	// n the buckets must be near-uniform, and intn must stay in range.
+	// n the buckets of fault's sampling stream must be near-uniform, and
+	// Intn must stay in range.
 	r := newRNG(42)
 	const n, draws = 6, 60000
 	var buckets [n]int
 	for i := 0; i < draws; i++ {
-		v := r.intn(n)
+		v := r.Intn(n)
 		if v >= n {
-			t.Fatalf("intn(%d) = %d out of range", n, v)
+			t.Fatalf("Intn(%d) = %d out of range", n, v)
 		}
 		buckets[v]++
 	}
@@ -430,19 +431,6 @@ func TestIntnUniformSmall(t *testing.T) {
 			t.Errorf("bucket %d has %d draws, want ~%d", i, c, want)
 		}
 	}
-}
-
-func TestIntnZeroPanicsTyped(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("intn(0) did not panic")
-		}
-		if _, ok := r.(*EngineError); !ok {
-			t.Fatalf("intn(0) panicked with %T, want *EngineError", r)
-		}
-	}()
-	newRNG(1).intn(0)
 }
 
 // TestShardSeedIndependence is the shard-transparency differential. A

@@ -179,7 +179,6 @@ type Checkpoint struct {
 	f        *os.File
 	cache    map[TrialKey]TrialRecord
 	writeErr error
-	warnings []string
 }
 
 // openCheckpoint creates the log at path, or loads and compacts an
@@ -187,7 +186,7 @@ type Checkpoint struct {
 // must be there) from create-or-resume.
 func openCheckpoint(path string, meta checkpointMeta, requireExisting bool) (*Checkpoint, error) {
 	ck := &Checkpoint{path: path, cache: make(map[TrialKey]TrialRecord)}
-	recs, warns, err := loadLogFor(path, meta)
+	recs, err := loadLogFor(path, meta)
 	switch {
 	case errors.Is(err, os.ErrNotExist) || errors.Is(err, errEmptyLog):
 		if requireExisting {
@@ -198,7 +197,6 @@ func openCheckpoint(path string, meta checkpointMeta, requireExisting bool) (*Ch
 		return nil, err
 	}
 	ck.cache = recs
-	ck.warnings = warns
 	// Compact: rewrite the log with only the header and intact records in
 	// deterministic (key-sorted) order. This drops any truncated
 	// final line left by a kill mid-write, so appends land on valid JSONL.
@@ -233,32 +231,32 @@ var errEmptyLog = errors.New("empty checkpoint log")
 
 // loadLog reads and parses the checkpoint log at path — the one place a
 // log is read from disk — logging any torn-tail warnings.
-func loadLog(path string) (checkpointMeta, map[TrialKey]TrialRecord, []string, error) {
+func loadLog(path string) (checkpointMeta, map[TrialKey]TrialRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return checkpointMeta{}, nil, nil, fmt.Errorf("fault: checkpoint: %w", err)
+		return checkpointMeta{}, nil, fmt.Errorf("fault: checkpoint: %w", err)
 	}
 	if len(data) == 0 {
-		return checkpointMeta{}, nil, nil, fmt.Errorf("fault: checkpoint %s: %w", path, errEmptyLog)
+		return checkpointMeta{}, nil, fmt.Errorf("fault: checkpoint %s: %w", path, errEmptyLog)
 	}
 	meta, recs, warns, err := readLog(path, data)
 	for _, w := range warns {
 		warnf("%s", w)
 	}
-	return meta, recs, warns, err
+	return meta, recs, err
 }
 
 // loadLogFor loads the log at path and validates its header against
 // want, so a log is never replayed against a different campaign.
-func loadLogFor(path string, want checkpointMeta) (map[TrialKey]TrialRecord, []string, error) {
-	meta, recs, warns, err := loadLog(path)
+func loadLogFor(path string, want checkpointMeta) (map[TrialKey]TrialRecord, error) {
+	meta, recs, err := loadLog(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := meta.matches(path, want); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return recs, warns, nil
+	return recs, nil
 }
 
 // readLog parses one checkpoint log into its header and record map.
@@ -320,14 +318,6 @@ func readLog(path string, data []byte) (checkpointMeta, map[TrialKey]TrialRecord
 			"fault: checkpoint %s: skipped unreadable tail after line %d (%v)", path, line, err))
 	}
 	return meta, recs, warns, nil
-}
-
-// Warnings returns the non-fatal anomalies observed while loading the
-// log (torn tails skipped), in occurrence order.
-func (ck *Checkpoint) Warnings() []string {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return append([]string(nil), ck.warnings...)
 }
 
 // sortRecords orders records by trial key — the deterministic on-disk

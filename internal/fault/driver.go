@@ -408,7 +408,7 @@ func (inj *Injector) campaign(ctx context.Context, n int, m mode, run Run) (*Ada
 // records missing.
 func (inj *Injector) FromCheckpoint(n int, path string) (*AdaptiveResult, int, error) {
 	m := inj.mode()
-	recs, _, err := loadLogFor(path, inj.header(m, n))
+	recs, err := loadLogFor(path, inj.header(m, n))
 	if err != nil {
 		return nil, 0, err
 	}

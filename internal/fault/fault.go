@@ -412,9 +412,8 @@ func (inj *Injector) runGolden(interval uint64, limit int) (*golden, *interp.Res
 		Decoded: inj.prog,
 		Metrics: inj.opts.Metrics,
 		Hooks: interp.Hooks{
-			OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+			OnResult: func(_ *interp.Context, in *ir.Instr, _ uint64) {
 				g.counts[g.index[in]]++
-				return bits
 			},
 		},
 	}
@@ -512,6 +511,10 @@ func (inj *Injector) ModuleHash() uint64 { return inj.moduleHash }
 
 // GoldenDynInstrs returns the fault-free dynamic instruction count.
 func (inj *Injector) GoldenDynInstrs() uint64 { return inj.goldenDyn }
+
+// HangBudget returns the instruction budget past which a trial is
+// classified Hang: hangFactor times the golden run, at least 100,000.
+func (inj *Injector) HangBudget() uint64 { return inj.hangBudget }
 
 // ActivationSpace returns the number of dynamic register writes — the
 // population faults are sampled from.
@@ -683,12 +686,12 @@ func (inj *Injector) pick(k uint64) (*ir.Instr, uint64) {
 }
 
 // randomBit picks a bit position within the instruction's result width.
-func randomBit(r *rng, in *ir.Instr) int {
+func randomBit(r *hashutil.Stream, in *ir.Instr) int {
 	w := in.Type.Bits()
 	if w <= 1 {
 		return 0
 	}
-	return int(r.intn(uint64(w)))
+	return int(r.Intn(uint64(w)))
 }
 
 // isPruned reports whether a campaign trial spec lands on a provably-

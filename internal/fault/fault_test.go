@@ -415,17 +415,26 @@ entry:
 	}
 }
 
+// TestMeanCrashLatency: every Crash trial of a campaign carries the
+// nonzero distance from its injection to its trap, and no other trial
+// carries one.
 func TestMeanCrashLatency(t *testing.T) {
-	res, err := newInjector(t, vulnerable, 3).CampaignRandom(context.Background(), 200)
+	inj, err := New(mustProg(t, "pathfinder").Build(), Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counts[Crash] > 0 && res.MeanCrashLatency() <= 0 {
-		t.Error("campaign with crashes should report positive mean latency")
+	res, err := inj.CampaignRandom(context.Background(), 300)
+	if err != nil {
+		t.Fatal(err)
 	}
-	empty := &CampaignResult{}
-	if empty.MeanCrashLatency() != 0 {
-		t.Error("empty campaign latency should be 0")
+	if res.Counts[Crash] == 0 {
+		t.Fatal("campaign produced no crash to measure")
+	}
+	for _, tr := range res.Trials {
+		if (tr.Outcome == Crash) != (tr.CrashLatency > 0) {
+			t.Errorf("%s inst=%d bit=%d: outcome %s with crash latency %d",
+				tr.Instr.Pos(), tr.Instance, tr.Bit, tr.Outcome, tr.CrashLatency)
+		}
 	}
 }
 
@@ -454,9 +463,8 @@ func TestGoldenPassMatchesCapturePass(t *testing.T) {
 						counts[in] = append(counts[in], seen[in])
 					}
 				},
-				Hooks: interp.Hooks{OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+				Hooks: interp.Hooks{OnResult: func(_ *interp.Context, in *ir.Instr, _ uint64) {
 					seen[in]++
-					return bits
 				}},
 			})
 			if err != nil {

@@ -32,16 +32,11 @@ import (
 // of the campaign seed (the sampling stream, per-instruction streams).
 const stratSalt = 0x9E3779B97F4A7C15
 
-// slotU maps (seed, slot) to a uniform float in [0, 1) with a
-// splitmix64-style finalizer. Random access per slot keeps inclusion
+// slotU maps (seed, slot) to a uniform float in [0, 1) through the
+// splitmix64 finalizer. Random access per slot keeps inclusion
 // independent of visit order.
 func slotU(seed uint64, slot int) float64 {
-	h := seed ^ (stratSalt * (uint64(slot) + 1))
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
+	h := hashutil.Mix64(seed ^ (stratSalt * (uint64(slot) + 1)))
 	return float64(h>>11) * (1.0 / (1 << 53))
 }
 

@@ -1,17 +1,24 @@
-// Package hashutil is the repository's single home for content hashing.
-// Every subsystem that fingerprints program text, program output, or
-// module structure — the cross-check oracle, campaign checkpoints, the
-// server's result cache — uses these helpers, so two subsystems can
-// never disagree about what "the hash of this module" means.
+// Package hashutil is the repository's one home for deterministic
+// hashing and pseudo-random streams. Every subsystem that fingerprints
+// program text, program output, or module structure — the cross-check
+// oracle, campaign checkpoints, the server's result cache — and every
+// subsystem that draws reproducible samples — FI target sampling and its
+// per-instruction and per-slot seeds, the profiler's reservoir, the
+// model's sampled estimate, the random program generator, the cross-check
+// protection picks — uses these helpers, so two subsystems can never
+// disagree about what "the hash of this module" or "the stream of this
+// seed" means.
 //
-// All hashes are 64-bit FNV-1a. Module hashes are defined over the
-// *canonical printed form* (internal/ir's printer, whose output is a
-// parse/print fixed point): two modules hash equal exactly when they
-// print identically, which makes the hashes content addresses — stable
-// across process restarts, reorderable in maps, and invariant under
-// print→parse round trips (pinned by the cache-key stability suite and
-// the FuzzCacheKeyCanonical fuzz target). DESIGN.md §5h lists every key
-// built from these helpers.
+// Content hashes are 64-bit FNV-1a (String, Bytes, Fold). Module hashes
+// are defined over the *canonical printed form* (internal/ir's printer,
+// whose output is a parse/print fixed point): two modules hash equal
+// exactly when they print identically, which makes the hashes content
+// addresses — stable across process restarts, reorderable in maps, and
+// invariant under print→parse round trips (pinned by the cache-key
+// stability suite and the FuzzCacheKeyCanonical fuzz target). DESIGN.md
+// §5h lists every key built from these helpers. The pseudo-random stream
+// is xorshift64* (Stream); seeds are derived with the splitmix64
+// finalizer (Mix64).
 package hashutil
 
 import (

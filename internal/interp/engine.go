@@ -166,7 +166,7 @@ type machine struct {
 	// onResult is Options.Hooks.OnResult. slowResult is set while it is
 	// non-nil or the fault is armed: only then does finish take
 	// finishSlow.
-	onResult   func(ctx *Context, in *ir.Instr, bits uint64) uint64
+	onResult   func(ctx *Context, in *ir.Instr, bits uint64)
 	slowResult bool
 
 	// poolHits/poolMisses tally frame-pool reuse and joinProbes/
@@ -335,7 +335,7 @@ func (vm *machine) applyEdge(fr *frame, e *decoded.Edge) error {
 		bits := scratch[i] & mv.Mask
 		ctx.DynResults++
 		if hook != nil {
-			bits = hook(ctx, mv.Ref, bits) & mv.Mask
+			hook(ctx, mv.Ref, bits)
 		}
 		if mv.Ref == vm.faultAt {
 			bits = vm.inject(bits, mv.Mask)
@@ -382,17 +382,15 @@ func (vm *machine) finish(fr *frame, in *decoded.Instr, bits uint64) {
 	}
 }
 
-// finishSlow offers the result finish wrote to the OnResult hook and
+// finishSlow shows the result finish wrote to the OnResult hook and
 // applies the fault when this is its instance, rewriting the register.
 func (vm *machine) finishSlow(fr *frame, in *decoded.Instr) {
-	bits := fr.regs[in.Dst]
 	if h := vm.onResult; h != nil {
-		bits = h(vm.ctx, in.Ref, bits) & in.Mask
+		h(vm.ctx, in.Ref, fr.regs[in.Dst])
 	}
 	if in.Ref == vm.faultAt {
-		bits = vm.inject(bits, in.Mask)
+		fr.regs[in.Dst] = vm.inject(fr.regs[in.Dst], in.Mask)
 	}
-	fr.regs[in.Dst] = bits
 }
 
 // inject counts one execution of the fault's target and, at its

@@ -21,8 +21,10 @@ import (
 	"trident/internal/refinterp"
 )
 
-// flipper corrupts one dynamic result (the fault-injection usage of
-// OnResult) and records every register write as "pos bits".
+// flipper records every register write as "pos bits", with flipMask
+// XORed into the flipAt-th: as the reference evaluator's OnResult it
+// injects that flip; as the interpreter's (observe-only) OnResult it
+// records the flip that Options.Fault injects.
 type flipper struct {
 	flipAt   uint64 // 1-based register-write index to corrupt, 0 = never
 	flipMask uint64
@@ -47,9 +49,10 @@ func runWithReference(t *testing.T, m *ir.Module, opts Options, flipAt, flipMask
 	t.Helper()
 	got := &flipper{flipAt: flipAt, flipMask: flipMask}
 	want := &flipper{flipAt: flipAt, flipMask: flipMask}
-	opts.Hooks.OnResult = func(_ *Context, in *ir.Instr, bits uint64) uint64 {
-		return got.onResult(in, bits)
+	if flipAt != 0 {
+		opts.Fault = faultAtWrite(t, m, opts, flipAt, flipMask)
 	}
+	opts.Hooks.OnResult = func(_ *Context, in *ir.Instr, bits uint64) { got.onResult(in, bits) }
 	var hooked, plainSnaps []*Snapshot
 	if flipAt == 0 {
 		opts.SnapshotInterval = 256
@@ -107,6 +110,26 @@ func runWithReference(t *testing.T, m *ir.Module, opts Options, flipAt, flipMask
 	return res, nil
 }
 
+// faultAtWrite returns the Options.Fault that flips mask into the
+// flipAt-th register write of a run of m under opts.
+func faultAtWrite(t *testing.T, m *ir.Module, opts Options, flipAt, mask uint64) Fault {
+	t.Helper()
+	var f Fault
+	var writes uint64
+	seen := map[*ir.Instr]uint64{}
+	opts.Hooks.OnResult = func(_ *Context, in *ir.Instr, _ uint64) {
+		seen[in]++
+		if writes++; writes == flipAt {
+			f = Fault{Target: in, Instance: seen[in], Mask: mask}
+		}
+	}
+	Run(m, opts)
+	if f.Target == nil {
+		t.Fatalf("the run makes fewer than %d register writes", flipAt)
+	}
+	return f
+}
+
 // compareWithReference fails the test unless every result observable
 // matches the reference evaluator's.
 func compareWithReference(t *testing.T, got *Result, want *refinterp.Result) {
@@ -155,7 +178,8 @@ func TestEngineParityKernels(t *testing.T) {
 }
 
 // TestEngineParityInjected corrupts one dynamic result mid-run (the
-// fault-injection usage of OnResult) and requires the interpreter and
+// interpreter's Options.Fault, the reference evaluator's OnResult) and
+// requires the interpreter and
 // the reference evaluator to propagate the corruption identically.
 func TestEngineParityInjected(t *testing.T) {
 	for _, p := range progs.All() {

@@ -89,38 +89,38 @@ func TestEvalBinaryFloatOps(t *testing.T) {
 }
 
 func TestEvalCastMatrix(t *testing.T) {
-	if got := EvalCast(ir.OpTrunc, ir.I64, ir.I8, 0x1FF); got != 0xFF {
+	if got := evalCast(ir.OpTrunc, ir.I64, ir.I8, 0x1FF); got != 0xFF {
 		t.Errorf("trunc = %#x", got)
 	}
-	if got := EvalCast(ir.OpZExt, ir.I8, ir.I64, 0xFF); got != 0xFF {
+	if got := evalCast(ir.OpZExt, ir.I8, ir.I64, 0xFF); got != 0xFF {
 		t.Errorf("zext = %#x", got)
 	}
-	if got := EvalCast(ir.OpSExt, ir.I8, ir.I64, 0xFF); int64(got) != -1 {
+	if got := evalCast(ir.OpSExt, ir.I8, ir.I64, 0xFF); int64(got) != -1 {
 		t.Errorf("sext = %#x", got)
 	}
-	if v := ir.FloatFromBits(ir.F32, EvalCast(ir.OpFPTrunc, ir.F64, ir.F32, ir.FloatToBits(ir.F64, 1.5))); v != 1.5 {
+	if v := ir.FloatFromBits(ir.F32, evalCast(ir.OpFPTrunc, ir.F64, ir.F32, ir.FloatToBits(ir.F64, 1.5))); v != 1.5 {
 		t.Errorf("fptrunc = %v", v)
 	}
-	if v := ir.FloatFromBits(ir.F64, EvalCast(ir.OpFPExt, ir.F32, ir.F64, ir.FloatToBits(ir.F32, 0.25))); v != 0.25 {
+	if v := ir.FloatFromBits(ir.F64, evalCast(ir.OpFPExt, ir.F32, ir.F64, ir.FloatToBits(ir.F32, 0.25))); v != 0.25 {
 		t.Errorf("fpext = %v", v)
 	}
-	if got := int64(EvalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, -3.7))); got != -3 {
+	if got := int64(evalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, -3.7))); got != -3 {
 		t.Errorf("fptosi(-3.7) = %d", got)
 	}
 	// Saturation and NaN handling.
-	if got := int64(EvalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, 1e300))); got != math.MaxInt64 {
+	if got := int64(evalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, 1e300))); got != math.MaxInt64 {
 		t.Errorf("fptosi(1e300) = %d", got)
 	}
-	if got := int64(EvalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, -1e300))); got != math.MinInt64 {
+	if got := int64(evalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, -1e300))); got != math.MinInt64 {
 		t.Errorf("fptosi(-1e300) = %d", got)
 	}
-	if got := EvalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, math.NaN())); got != 0 {
+	if got := evalCast(ir.OpFPToSI, ir.F64, ir.I64, ir.FloatToBits(ir.F64, math.NaN())); got != 0 {
 		t.Errorf("fptosi(NaN) = %d", got)
 	}
-	if v := ir.FloatFromBits(ir.F64, EvalCast(ir.OpSIToFP, ir.I32, ir.F64, ir.ConstInt(ir.I32, -5).Bits)); v != -5 {
+	if v := ir.FloatFromBits(ir.F64, evalCast(ir.OpSIToFP, ir.I32, ir.F64, ir.ConstInt(ir.I32, -5).Bits)); v != -5 {
 		t.Errorf("sitofp = %v", v)
 	}
-	if got := EvalCast(ir.OpBitcast, ir.I64, ir.F64, 0x3FF0000000000000); got != 0x3FF0000000000000 {
+	if got := evalCast(ir.OpBitcast, ir.I64, ir.F64, 0x3FF0000000000000); got != 0x3FF0000000000000 {
 		t.Errorf("bitcast = %#x", got)
 	}
 }

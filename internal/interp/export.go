@@ -15,11 +15,6 @@ func EvalCmp(pred ir.Predicate, t ir.Type, lhs, rhs uint64) uint64 {
 	return evalCmp(pred, t, lhs, rhs)
 }
 
-// EvalCast converts a bit pattern from type st to type dt.
-func EvalCast(op ir.Opcode, st, dt ir.Type, src uint64) uint64 {
-	return evalCast(op, st, dt, src)
-}
-
 // EvalIntrinsic evaluates a built-in math routine on float arguments.
 func EvalIntrinsic(kind ir.Intrinsic, args []float64) float64 {
 	return evalIntrinsic(kind, args)

@@ -123,13 +123,14 @@ func (o Outcome) String() string {
 }
 
 // Hooks are optional observation points. Nil members are skipped. Hooks
-// receive the live Context; they must not retain it past the call.
+// receive the live Context; they must not retain it past the call. No
+// hook can alter a value: Options.Fault is the engine's only injection
+// point.
 type Hooks struct {
-	// OnResult fires after an instruction computes its result and may
-	// return altered bits — the fault-injection point. The value has
-	// already been truncated to the result type's width; returned bits are
-	// truncated again.
-	OnResult func(ctx *Context, in *ir.Instr, bits uint64) uint64
+	// OnResult fires after an instruction computes its result, with the
+	// value truncated to the result type's width and before Options.Fault
+	// flips it.
+	OnResult func(ctx *Context, in *ir.Instr, bits uint64)
 	// OnBranch fires when a branch executes; taken is the successor index
 	// (0 = true edge; always 0 for unconditional branches).
 	OnBranch func(ctx *Context, in *ir.Instr, taken int)
@@ -202,8 +203,8 @@ type Options struct {
 	// there, counters and dead registers aside, and on equality stops
 	// the run with its Result marked Rejoined (DESIGN.md §5c). The
 	// caller guarantees that the run starts on the reference run (at
-	// instruction 0, or resumed from one of its snapshots) and that its
-	// hooks alter no value.
+	// instruction 0, or resumed from one of its snapshots); hooks cannot
+	// alter a value, so the fault is the run's only departure from it.
 	Join *JoinIndex
 }
 

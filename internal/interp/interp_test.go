@@ -428,7 +428,10 @@ entry:
 	}
 }
 
-func TestHookOnResultInjectsFault(t *testing.T) {
+// TestOnResultObservesFault checks that Options.Fault is the one way to
+// change a value: the OnResult hook sees the computed result and the
+// fault's flip reaches the output.
+func TestOnResultObservesFault(t *testing.T) {
 	m := mustParse(t, `
 module "inj"
 func @main() void {
@@ -438,20 +441,22 @@ entry:
   ret
 }
 `)
-	var target uint64 = 1 // first dynamic result
-	res, err := Run(m, Options{Hooks: Hooks{
-		OnResult: func(ctx *Context, in *ir.Instr, bits uint64) uint64 {
-			if ctx.DynResults == target {
-				return bits ^ (1 << 3)
-			}
-			return bits
-		},
-	}})
+	a := m.Func("main").Block("entry").Instrs[0]
+	var observed []uint64
+	res, err := Run(m, Options{
+		Fault: Fault{Target: a, Instance: 1, Mask: 1 << 3},
+		Hooks: Hooks{OnResult: func(_ *Context, _ *ir.Instr, bits uint64) {
+			observed = append(observed, bits)
+		}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Output != "8\n" {
-		t.Errorf("output = %q, want 8 (injected)", res.Output)
+	if res.Output != "8\n" || !res.Injected {
+		t.Errorf("output = %q, injected = %v; want 8 (injected)", res.Output, res.Injected)
+	}
+	if len(observed) != 1 || observed[0] != 0 {
+		t.Errorf("OnResult observed %v, want [0] (the result before the flip)", observed)
 	}
 }
 

@@ -122,12 +122,9 @@ func (m *Memory) segmentAt(addr uint64) int {
 	return lo - 1
 }
 
-// Valid reports whether [addr, addr+size) lies within a live segment.
-func (m *Memory) Valid(addr, size uint64) bool { return m.find(addr, size) != nil }
-
 // TrappingFlips counts the bit positions, of all 64, whose single-bit flip
 // of addr makes the access [addr, addr+size) trap: the flips b for which
-// Valid(addr^1<<b, size) is false. A flipped access outside [first
+// find(addr^1<<b, size) finds no live segment. A flipped access outside [first
 // segment base, last segment end) is rejected before any search, and the
 // last-hit segment find keeps for the interpreter is left alone.
 func (m *Memory) TrappingFlips(addr, size uint64) int {
@@ -267,9 +264,6 @@ func (m *Memory) PeakBytes() uint64 { return m.peak }
 
 // CurrentBytes returns the currently allocated byte total.
 func (m *Memory) CurrentBytes() uint64 { return m.current }
-
-// NumSegments returns the number of live segments.
-func (m *Memory) NumSegments() int { return len(m.segments) }
 
 // String summarizes the memory map for diagnostics.
 func (m *Memory) String() string {

@@ -87,8 +87,8 @@ func TestMemoryRelease(t *testing.T) {
 	if m.CurrentBytes() != 8 {
 		t.Errorf("CurrentBytes = %d, want 8", m.CurrentBytes())
 	}
-	if m.NumSegments() != 1 {
-		t.Errorf("NumSegments = %d, want 1", m.NumSegments())
+	if len(m.segments) != 1 {
+		t.Errorf("%d live segments, want 1", len(m.segments))
 	}
 }
 
@@ -189,12 +189,12 @@ func TestMemoryLastSegmentCache(t *testing.T) {
 	}
 }
 
-// validFlipTraps counts the single-bit flips of addr that Valid rejects:
-// the definition TrappingFlips must reproduce.
+// validFlipTraps counts the single-bit flips of addr whose access find
+// places in no live segment: the definition TrappingFlips must reproduce.
 func validFlipTraps(m *Memory, addr, size uint64) int {
 	n := 0
 	for bit := 0; bit < 64; bit++ {
-		if !m.Valid(addr^(1<<uint(bit)), size) {
+		if m.find(addr^(1<<uint(bit)), size) == nil {
 			n++
 		}
 	}
@@ -218,7 +218,7 @@ func flipProbeAddrs(m *Memory, rnd *rand.Rand) []uint64 {
 	return addrs
 }
 
-// TestTrappingFlipsMatchesValid checks TrappingFlips against 64 Valid
+// TestTrappingFlipsMatchesValid checks TrappingFlips against 64 find
 // calls on random layouts: allocated and partly released ones, sparse
 // ones spread over the whole 64-bit space (whose high-bit flips land in
 // other segments), an empty memory, and accesses near the top of the
@@ -258,7 +258,7 @@ func TestTrappingFlipsMatchesValid(t *testing.T) {
 		for _, addr := range flipProbeAddrs(m, rnd) {
 			for _, size := range []uint64{0, 1, 2, 4, 8, 16} {
 				if got, want := m.TrappingFlips(addr, size), validFlipTraps(m, addr, size); got != want {
-					t.Fatalf("layout %d (%d segments): TrappingFlips(%#x, %d) = %d, Valid rejects %d",
+					t.Fatalf("layout %d (%d segments): TrappingFlips(%#x, %d) = %d, find rejects %d",
 						li, len(m.segments), addr, size, got, want)
 				}
 			}

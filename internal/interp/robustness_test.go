@@ -52,7 +52,7 @@ entry:
 }
 `)
 	_, err := Run(m, Options{Hooks: Hooks{
-		OnResult: func(_ *Context, _ *ir.Instr, bits uint64) uint64 {
+		OnResult: func(*Context, *ir.Instr, uint64) {
 			panic("hook exploded")
 		},
 	}})
@@ -104,12 +104,11 @@ func TestRunCancelledMidRun(t *testing.T) {
 	_, err := Run(m, Options{
 		Context: ctx,
 		Hooks: Hooks{
-			OnResult: func(_ *Context, _ *ir.Instr, bits uint64) uint64 {
+			OnResult: func(*Context, *ir.Instr, uint64) {
 				results++
 				if results == 100 {
 					cancel()
 				}
-				return bits
 			},
 		},
 	})

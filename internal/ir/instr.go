@@ -74,29 +74,6 @@ func (in *Instr) HasResult() bool {
 // IsTerminator reports whether the instruction ends its block.
 func (in *Instr) IsTerminator() bool { return in.Op.IsTerminator() }
 
-// IsMemAccess reports whether the instruction reads or writes memory.
-func (in *Instr) IsMemAccess() bool { return in.Op == OpLoad || in.Op == OpStore }
-
-// AddrOperand returns the address operand of a Load or Store, or nil.
-func (in *Instr) AddrOperand() Value {
-	switch in.Op {
-	case OpLoad:
-		return in.Operands[0]
-	case OpStore:
-		return in.Operands[1]
-	default:
-		return nil
-	}
-}
-
-// StoredValue returns the value operand of a Store, or nil.
-func (in *Instr) StoredValue() Value {
-	if in.Op == OpStore {
-		return in.Operands[0]
-	}
-	return nil
-}
-
 // String returns a short human-readable description, mainly for error
 // messages; the full textual form comes from the printer.
 func (in *Instr) String() string {

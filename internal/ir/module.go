@@ -200,20 +200,6 @@ func (b *Block) Succs() []*Block {
 	return t.Targets
 }
 
-// Preds returns the predecessor blocks, in function block order.
-func (b *Block) Preds() []*Block {
-	var preds []*Block
-	for _, other := range b.Fn.Blocks {
-		for _, s := range other.Succs() {
-			if s == b {
-				preds = append(preds, other)
-				break
-			}
-		}
-	}
-	return preds
-}
-
 // appendInstr attaches an instruction to the block, assigning its ID.
 func (b *Block) appendInstr(in *Instr) *Instr {
 	in.Block = b

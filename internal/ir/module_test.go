@@ -94,13 +94,20 @@ func TestSuccsAndPreds(t *testing.T) {
 	if s := loop.Succs(); len(s) != 2 || s[0] != loop || s[1] != exit {
 		t.Errorf("loop succs = %v", names(s))
 	}
-	if p := loop.Preds(); len(p) != 2 {
+	// Predecessors are the inverse of Succs over the function's blocks.
+	preds := map[*Block][]*Block{}
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			preds[s] = append(preds[s], b)
+		}
+	}
+	if p := preds[loop]; len(p) != 2 {
 		t.Errorf("loop preds = %v", names(p))
 	}
-	if p := exit.Preds(); len(p) != 1 || p[0] != loop {
+	if p := preds[exit]; len(p) != 1 || p[0] != loop {
 		t.Errorf("exit preds = %v", names(p))
 	}
-	if p := entry.Preds(); len(p) != 0 {
+	if p := preds[entry]; len(p) != 0 {
 		t.Errorf("entry preds = %v", names(p))
 	}
 }
@@ -143,11 +150,11 @@ func TestUseMap(t *testing.T) {
 	cmp := loop.Instrs[2]
 
 	// dec is used by cmp, by the phi, and by print.
-	if um.NumUses(dec) != 3 {
-		t.Errorf("dec has %d uses, want 3", um.NumUses(dec))
+	if n := len(um.Users(dec)); n != 3 {
+		t.Errorf("dec has %d uses, want 3", n)
 	}
-	if um.NumUses(phi) != 1 {
-		t.Errorf("phi has %d uses, want 1", um.NumUses(phi))
+	if n := len(um.Users(phi)); n != 1 {
+		t.Errorf("phi has %d uses, want 1", n)
 	}
 	// cmp is used by the condbr.
 	users := um.Users(cmp)
@@ -278,33 +285,6 @@ func TestBlockTerminatorHelpers(t *testing.T) {
 	term := loop.Terminator()
 	if term == nil || term.Op != OpCondBr {
 		t.Fatalf("loop terminator = %v", term)
-	}
-	if term.AddrOperand() != nil || term.StoredValue() != nil {
-		t.Error("branch should have no memory operands")
-	}
-}
-
-func TestInstrMemHelpers(t *testing.T) {
-	m := NewModule("mem")
-	f := m.NewFunc("main", Void)
-	b := NewBuilder(f)
-	b.SetBlock(b.NewBlock("entry"))
-	p := b.Alloca(I32, 4)
-	v := b.Load(I32, p)
-	st := b.Store(v, p)
-	b.Ret(nil)
-	f.Renumber()
-	if err := Verify(m); err != nil {
-		t.Fatal(err)
-	}
-	if !v.IsMemAccess() || !st.IsMemAccess() || p.IsMemAccess() {
-		t.Error("IsMemAccess wrong")
-	}
-	if v.AddrOperand() != p || st.AddrOperand() != p {
-		t.Error("AddrOperand wrong")
-	}
-	if st.StoredValue() != v {
-		t.Error("StoredValue wrong")
 	}
 }
 

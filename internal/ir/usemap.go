@@ -26,6 +26,3 @@ func BuildUseMap(fn *Func) *UseMap {
 // Users returns the instructions that consume the result of def. The
 // returned slice is owned by the map; callers must not mutate it.
 func (um *UseMap) Users(def *Instr) []*Instr { return um.users[def] }
-
-// NumUses returns the number of consumers of def's result.
-func (um *UseMap) NumUses(def *Instr) int { return len(um.users[def]) }

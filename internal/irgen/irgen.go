@@ -10,6 +10,7 @@ package irgen
 import (
 	"fmt"
 
+	"trident/internal/hashutil"
 	"trident/internal/ir"
 )
 
@@ -44,24 +45,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// rng is a deterministic xorshift generator.
-type rng struct{ s uint64 }
+// rng draws the generator's choices from the shared stream.
+type rng struct{ *hashutil.Stream }
 
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
+// intn is Next() % n, not the unbiased Stream.Intn: the generated corpus
+// is pinned (module hashes, crosscheck's summaries), so the draw stays.
+func (r rng) intn(n int) int { return int(r.Next() % uint64(n)) }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-func (r *rng) chance(percent int) bool { return r.intn(100) < percent }
+func (r rng) chance(percent int) bool { return r.intn(100) < percent }
 
 // generator carries the in-progress program state.
 type generator struct {
 	cfg     Config
-	rnd     *rng
+	rnd     rng
 	m       *ir.Module
 	b       *ir.Builder
 	globals []*ir.Global
@@ -82,11 +78,11 @@ func Generate(cfg Config) *ir.Module {
 	cfg = cfg.withDefaults()
 	g := &generator{
 		cfg: cfg,
-		rnd: &rng{s: cfg.Seed*0x9E3779B97F4A7C15 + 0x1234567},
+		rnd: rng{hashutil.NewStream(cfg.Seed*0x9E3779B97F4A7C15 + 0x1234567)},
 		m:   ir.NewModule(fmt.Sprintf("rand-%d", cfg.Seed)),
 	}
-	g.rnd.next()
-	g.rnd.next()
+	g.rnd.Next()
+	g.rnd.Next()
 
 	nGlobals := 1 + g.rnd.intn(cfg.MaxGlobals)
 	for i := 0; i < nGlobals; i++ {

@@ -212,14 +212,13 @@ func TestFramesPrograms(t *testing.T) {
 		calls, allocas := 0, 0
 		res, err := interp.Run(m, interp.Options{
 			MaxDynInstrs: 5_000_000,
-			Hooks: interp.Hooks{OnResult: func(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+			Hooks: interp.Hooks{OnResult: func(_ *interp.Context, in *ir.Instr, _ uint64) {
 				switch in.Op {
 				case ir.OpCall:
 					calls++
 				case ir.OpAlloca:
 					allocas++
 				}
-				return bits
 			}},
 		})
 		if err != nil {

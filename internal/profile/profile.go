@@ -9,6 +9,7 @@ package profile
 import (
 	"fmt"
 
+	"trident/internal/hashutil"
 	"trident/internal/interp"
 	"trident/internal/ir"
 )
@@ -77,26 +78,9 @@ type Profile struct {
 	PeakMemBytes uint64
 }
 
-// rng is a small deterministic xorshift64* generator for reservoir
-// sampling; profiling must be reproducible run to run.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9E3779B97F4A7C15
-	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
-
-// intn returns a pseudo-random int in [0, n).
-func (r *rng) intn(n uint64) uint64 { return r.next() % n }
+// zeroSeed replaces Options.Seed 0 in the reservoir stream, whose
+// xorshift state must be nonzero.
+const zeroSeed = 0x9E3779B97F4A7C15
 
 // collector accumulates profile state during execution. Per-instruction
 // tallies live in one dense table per function, indexed by instruction
@@ -104,7 +88,7 @@ func (r *rng) intn(n uint64) uint64 { return r.next() % n }
 // consecutive events of one function find theirs by a pointer compare.
 type collector struct {
 	prof *Profile
-	rnd  *rng
+	rnd  *hashutil.Stream
 
 	tables map[*ir.Func][]tally
 	curFn  *ir.Func
@@ -147,8 +131,12 @@ type writerRecord struct {
 // execution must complete without crashing or hanging: the profile is the
 // fault-free baseline.
 func Collect(m *ir.Module, opts Options) (*Profile, error) {
+	seed := opts.Seed
+	if seed == 0 {
+		seed = zeroSeed
+	}
 	col := &collector{
-		rnd:        newRNG(opts.Seed),
+		rnd:        hashutil.NewStream(seed),
 		tables:     make(map[*ir.Func][]tally, len(m.Funcs)),
 		lastWriter: make(map[uint64]writerRecord),
 		prof:       &Profile{Module: m},
@@ -256,9 +244,8 @@ func wantsSamples(in *ir.Instr) bool {
 	}
 }
 
-func (c *collector) onResult(_ *interp.Context, in *ir.Instr, bits uint64) uint64 {
+func (c *collector) onResult(_ *interp.Context, in *ir.Instr, _ uint64) {
 	c.tallyOf(in).execCount++
-	return bits
 }
 
 // onBinary reservoir-samples operand values for instructions whose fs
@@ -275,7 +262,9 @@ func (c *collector) onBinary(_ *interp.Context, in *ir.Instr, lhs, rhs uint64) {
 	default:
 		// Classic reservoir replacement keeps a uniform sample of the
 		// stream, so value phases later in execution are represented.
-		if k := c.rnd.intn(t.sampleSeen); k < reservoirSize {
+		// The draw is Next() % n, not the unbiased Stream.Intn: profiles
+		// are pinned by the model fingerprints and perfbench's reference.
+		if k := c.rnd.Next() % t.sampleSeen; k < reservoirSize {
 			t.samples[k] = OperandSample{LHS: lhs, RHS: rhs}
 		}
 	}
@@ -339,7 +328,8 @@ func (c *collector) observeAddress(ctx *interp.Context, in *ir.Instr, t *tally, 
 		// Reservoir: keep each observation with probability reservoirSize/n by
 		// replacing the running average contribution; for a streaming mean
 		// it is simpler and adequate to subsample 1-in-k after warmup.
-		if c.rnd.intn(n) >= reservoirSize {
+		// Next() % n, as in onBinary: the pinned profiles fix the draw.
+		if c.rnd.Next()%n >= reservoirSize {
 			return
 		}
 	}

@@ -247,9 +247,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Draining reports whether the server has stopped admitting jobs.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // newJobID returns a random, sortable-enough job identifier.
 func newJobID() (string, error) {
 	var b [6]byte

@@ -156,12 +156,6 @@ func (t WeightedTally) WilsonBounds() (lo, hi float64) {
 	return WeightedWilsonBounds(t.Proportion(), t.KishNeff())
 }
 
-// CI95 returns the half-width of the tally's Wilson interval, measured
-// from the point estimate to the farther bound.
-func (t WeightedTally) CI95() float64 {
-	return WeightedProportionCI95(t.Proportion(), t.KishNeff())
-}
-
 // HTProportion returns the Horvitz-Thompson estimate Σw·x / denom
 // against a known population denominator (for stratified campaigns, the
 // number of slots drawn before thinning, less the weight of discarded
@@ -210,17 +204,4 @@ func (t WeightedTally) HTEffectiveN(denom float64) float64 {
 	}
 	v := pq/denom + t.HitVar/(denom*denom)
 	return pq / v
-}
-
-// HTWilsonBounds returns the 95% Wilson bounds of the Horvitz-Thompson
-// estimate over denom slots, at the variance-matched effective sample
-// size.
-func (t WeightedTally) HTWilsonBounds(denom float64) (lo, hi float64) {
-	return WeightedWilsonBounds(t.HTProportion(denom), t.HTEffectiveN(denom))
-}
-
-// HTCI95 returns the half-width of the Horvitz-Thompson Wilson interval
-// over denom slots.
-func (t WeightedTally) HTCI95(denom float64) float64 {
-	return WeightedProportionCI95(t.HTProportion(denom), t.HTEffectiveN(denom))
 }

@@ -105,7 +105,7 @@ func TestHTEffectiveNUniform(t *testing.T) {
 	if got := tal.HTEffectiveN(float64(n)); math.Abs(got-float64(n)) > 1e-9 {
 		t.Errorf("HTEffectiveN = %v, want %d", got, n)
 	}
-	hlo, hhi := tal.HTWilsonBounds(float64(n))
+	hlo, hhi := WeightedWilsonBounds(tal.HTProportion(float64(n)), tal.HTEffectiveN(float64(n)))
 	lo, hi := WilsonBounds(float64(hits)/float64(n), n)
 	if math.Abs(hlo-lo) > 1e-12 || math.Abs(hhi-hi) > 1e-12 {
 		t.Errorf("HT bounds (%v, %v) != Wilson (%v, %v)", hlo, hhi, lo, hi)
@@ -156,7 +156,7 @@ func TestInverseProbabilityUnbiased(t *testing.T) {
 		}
 		sumHT += tal.HTProportion(slots)
 		sumHajek += tal.Proportion()
-		if lo, hi := tal.HTWilsonBounds(slots); lo <= truth && truth <= hi {
+		if lo, hi := WeightedWilsonBounds(tal.HTProportion(slots), tal.HTEffectiveN(slots)); lo <= truth && truth <= hi {
 			cover++
 		}
 	}
@@ -191,7 +191,7 @@ func TestHTEffectiveNDegenerateFallsBackToKish(t *testing.T) {
 	if neff <= 0 || neff > 200 {
 		t.Errorf("degenerate HTEffectiveN = %v, want in (0, 200]", neff)
 	}
-	if ci := tal.HTCI95(200); ci <= 0 {
+	if ci := WeightedProportionCI95(tal.HTProportion(200), tal.HTEffectiveN(200)); ci <= 0 {
 		t.Errorf("degenerate HT CI = %v, want > 0", ci)
 	}
 }
@@ -239,11 +239,11 @@ func TestKishNeffDegenerateCorners(t *testing.T) {
 	if lo, hi := empty.WilsonBounds(); lo != 0 || hi != 1 {
 		t.Errorf("empty tally WilsonBounds = (%v, %v), want (0, 1)", lo, hi)
 	}
-	if ci := empty.CI95(); math.IsNaN(ci) || ci != 1 {
+	if ci := WeightedProportionCI95(empty.Proportion(), empty.KishNeff()); math.IsNaN(ci) || ci != 1 {
 		t.Errorf("empty tally CI95 = %v, want 1", ci)
 	}
-	if lo, hi := empty.HTWilsonBounds(0); lo != 0 || hi != 1 {
-		t.Errorf("empty tally HTWilsonBounds(0) = (%v, %v), want (0, 1)", lo, hi)
+	if lo, hi := WeightedWilsonBounds(empty.HTProportion(0), empty.HTEffectiveN(0)); lo != 0 || hi != 1 {
+		t.Errorf("empty tally HT bounds over 0 slots = (%v, %v), want (0, 1)", lo, hi)
 	}
 }
 
@@ -281,7 +281,7 @@ func FuzzWeightedTally(f *testing.F) {
 		denom := float64(count) * 2
 		for _, pair := range [][2]float64{
 			firstPair(tal.WilsonBounds()),
-			firstPair(tal.HTWilsonBounds(denom)),
+			firstPair(WeightedWilsonBounds(tal.HTProportion(denom), tal.HTEffectiveN(denom))),
 		} {
 			lo, hi := pair[0], pair[1]
 			if lo < 0 || hi > 1 || lo > hi {
