@@ -9,12 +9,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 
 	"trident"
 	"trident/internal/fault"
+	"trident/internal/sigctx"
 )
 
 func main() {
@@ -22,7 +21,9 @@ func main() {
 	trials := flag.Int("n", 150, "FI trials per instruction")
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// Ctrl-C / SIGTERM stops the sweep after the rows printed so far,
+	// exiting 130/143 like every other command.
+	ctx, stop, fired := sigctx.WithSignals(context.Background())
 	defer stop()
 
 	a, err := trident.Load(*program, "", trident.Options{})
@@ -45,7 +46,8 @@ func main() {
 		if err != nil {
 			if ctx.Err() != nil {
 				fmt.Fprintln(os.Stderr, "diag: cancelled")
-				return
+				stop()
+				os.Exit(sigctx.ExitCode(fired()))
 			}
 			fmt.Fprintln(os.Stderr, err)
 			continue

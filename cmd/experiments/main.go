@@ -65,21 +65,29 @@ func main() {
 	if errors.Is(err, errUsage) {
 		os.Exit(2)
 	}
-	if err != nil {
-		if sig := fired(); sig != nil && errors.Is(err, context.Canceled) {
+	sig := fired()
+	if err != nil && !errors.Is(err, errReported) {
+		if sig != nil && errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "experiments: cancelled; completed campaigns were reported (and checkpointed with -checkpoint-dir)")
 			os.Exit(sigctx.ExitCode(sig))
 		}
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if sig := fired(); sig != nil {
+	if sig != nil {
 		os.Exit(sigctx.ExitCode(sig))
+	}
+	if err != nil {
+		os.Exit(1)
 	}
 }
 
 // errUsage reports a bad command line, already explained on stderr.
 var errUsage = errors.New("usage error")
+
+// errReported fails an otherwise successful run whose telemetry sinks
+// failed a write, already printed on stderr.
+var errReported = errors.New("telemetry write failed")
 
 // formats maps each -format value to its table renderer.
 var formats = map[string]func(*experiments.Table) string{
@@ -87,7 +95,7 @@ var formats = map[string]func(*experiments.Table) string{
 	"md":   (*experiments.Table).Markdown,
 }
 
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	var known []string
 	for _, e := range experiments.Registry {
 		known = append(known, e.Name)
@@ -133,36 +141,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	reg := telemetry.Default
-	var trace *telemetry.Trace
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer tf.Close()
-		trace = telemetry.NewTrace(tf)
-	}
-	if *debugAddr != "" {
-		dbg, err := telemetry.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		// Graceful: an in-flight pprof scrape gets a second to finish.
-		defer dbg.Shutdown(time.Second)
-		fmt.Fprintf(stderr, "debug server on http://%s/debug/vars\n", dbg.Addr())
+	sinks, err := telemetry.OpenSinks("experiments", stderr, reg, *traceOut, *debugAddr)
+	if err != nil {
+		return err
 	}
 	// Metrics accumulate across every selected experiment; the snapshot
 	// is written even when a run fails midway, so a cancelled run still
 	// leaves its telemetry behind.
-	if *metricsOut != "" {
-		defer func() {
-			if werr := reg.WriteFile(*metricsOut); werr != nil {
-				fmt.Fprintln(stderr, "experiments: writing metrics:", werr)
-			} else {
-				fmt.Fprintf(stderr, "metrics written to %s\n", *metricsOut)
-			}
-		}()
-	}
+	defer func() {
+		sinks.WriteMetrics(*metricsOut)
+		if !sinks.Close() && err == nil {
+			err = errReported
+		}
+	}()
 	// Experiments run campaigns sequentially, so a single meter renders
 	// whichever campaign is currently active.
 	var meter *telemetry.ProgressMeter
@@ -190,7 +181,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Context:       ctx,
 		CheckpointDir: *checkpointDir,
 		Metrics:       reg,
-		Trace:         trace,
+		Trace:         sinks.Trace,
 		Progress:      onProgress,
 	}
 	if *programs != "" {

@@ -13,7 +13,9 @@
 // -metrics-out writes a metrics snapshot whose outcome counters
 // reconcile exactly with the printed campaign tallies, -trace-out
 // records a JSONL event trace, and -debug-addr serves expvar and pprof
-// over HTTP for poking at a long campaign from another terminal.
+// over HTTP for poking at a long campaign from another terminal. A
+// failed metrics or trace write is printed and does not stop the
+// campaign, but a run that would have exited 0 exits 1.
 //
 // Usage:
 //
@@ -25,9 +27,15 @@
 //	fi -remote http://localhost:8344 -program pathfinder [-shards 4]
 //	   [-detach | -job job-xxxx] [-trials-out trials.jsonl]
 //
-// With -remote, -shards multiplies -workers: the server runs the job as
-// one campaign with shards × workers concurrent trials, and the result
-// is the same at any shard count.
+// Flags become one server.SubmitRequest before the mode split: a local
+// run takes its fault.Options from the request's FaultOptions, exactly
+// as a fiserver job does, and -remote submits the same request. Both
+// modes print the same progress line (fault.Progress) and the same
+// outcome block and SDC probability line. With -remote, -shards
+// multiplies -workers: the server runs the job as one campaign with
+// shards × workers concurrent trials, and the result is the same at any
+// shard count. -trial-timeout travels as whole milliseconds, so fi
+// refuses any other value in either mode.
 //
 // Trials resume from golden-run snapshots taken every -snapshot-interval
 // dynamic instructions: 0 selects the default
@@ -45,12 +53,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
-	"trident/internal/bitlive"
 	"trident/internal/fault"
 	"trident/internal/ir"
 	"trident/internal/progs"
@@ -61,7 +68,7 @@ import (
 )
 
 func main() {
-	code, err := run(os.Args[1:])
+	code, err := run(os.Args[1:], os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fi:", err)
 		if code == 0 {
@@ -71,8 +78,9 @@ func main() {
 	os.Exit(code)
 }
 
-func run(args []string) (int, error) {
+func run(args []string, stdout, stderr io.Writer) (code int, err error) {
 	fs := flag.NewFlagSet("fi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	program := fs.String("program", "", "built-in benchmark name")
 	irFile := fs.String("ir", "", "textual IR file")
 	n := fs.Int("n", 3000, "number of injections")
@@ -82,7 +90,7 @@ func run(args []string) (int, error) {
 	checkpoint := fs.String("checkpoint", "", "JSONL trial log: completed trials are persisted here and replayed on restart")
 	resume := fs.Bool("resume", false, "require an existing checkpoint (refuse to start from scratch); implies -checkpoint")
 	retries := fs.Int("retries", 1, "retry attempts for trials failing with transient engine errors")
-	trialTimeout := fs.Duration("trial-timeout", 0, "per-trial wall-clock watchdog on top of the instruction budget (0 = none)")
+	trialTimeout := fs.Duration("trial-timeout", 0, "per-trial wall-clock watchdog on top of the instruction budget, in whole milliseconds (0 = none)")
 	snapInterval := fs.Int("snapshot-interval", 0, fmt.Sprintf("dynamic instructions between golden-run snapshots that trials resume from (0 = default %d, -1 = full re-execution)", fault.DefaultSnapshotInterval))
 	pruneBits := fs.Bool("prune-bits", false, "skip injections into statically provably-masked bits, recording them benign without execution; results are bit-identical to an unpruned campaign (exact reweighting, see DESIGN.md §5i)")
 	stratify := fs.Bool("stratify", false, "stratified live-bit importance sampling: thin low-influence strata (noise, masked bits) deterministically and reweight executed trials by inverse inclusion probability; the weighted estimates stay unbiased at a fraction of the executed trials (see ANALYSIS.md)")
@@ -113,7 +121,7 @@ func run(args []string) (int, error) {
 		if err != nil {
 			return 1, err
 		}
-		fmt.Print(ir.Print(m))
+		fmt.Fprint(stdout, ir.Print(m))
 		return 0, nil
 	}
 	if *resume && *checkpoint == "" {
@@ -122,11 +130,25 @@ func run(args []string) (int, error) {
 	if *stratify && *perInstr {
 		return 1, fmt.Errorf("-stratify is incompatible with -per-instr")
 	}
-	if *stratify && *stratifyAdaptive {
-		return 1, fmt.Errorf("-stratify and -stratify-adaptive are mutually exclusive: an adaptive campaign derives its own plan")
-	}
 	if *stratifyAdaptive && *perInstr {
 		return 1, fmt.Errorf("-stratify-adaptive is incompatible with -per-instr")
+	}
+	if *trialTimeout%time.Millisecond != 0 {
+		return 1, fmt.Errorf("-trial-timeout %v is not a whole number of milliseconds", *trialTimeout)
+	}
+	// The campaign a local run executes and -remote submits.
+	req := &server.SubmitRequest{
+		Program:          *program,
+		IR:               irText,
+		N:                *n,
+		Seed:             *seed,
+		Workers:          *workers,
+		SnapshotInterval: *snapInterval,
+		MaxRetries:       *retries,
+		TrialTimeoutMS:   trialTimeout.Milliseconds(),
+		PruneBits:        *pruneBits,
+		Stratify:         *stratify,
+		StratifyAdaptive: *stratifyAdaptive,
 	}
 
 	// Ctrl-C / SIGTERM cancels the campaign gracefully: in-flight trials
@@ -139,104 +161,50 @@ func run(args []string) (int, error) {
 		if *perInstr {
 			return 1, fmt.Errorf("-per-instr is not supported with -remote")
 		}
-		return runRemote(ctx, fired, remoteOpts{
+		req.Shards = *shards
+		return runRemote(ctx, fired, stdout, stderr, remoteOpts{
 			base:      *remote,
 			jobID:     *jobID,
 			detach:    *detach,
 			trialsOut: *trialsOut,
 			progress:  *progress,
-			req: &server.SubmitRequest{
-				Program:          *program,
-				IR:               irText,
-				N:                *n,
-				Seed:             *seed,
-				Shards:           *shards,
-				Workers:          *workers,
-				SnapshotInterval: *snapInterval,
-				MaxRetries:       *retries,
-				TrialTimeoutMS:   trialTimeout.Milliseconds(),
-				PruneBits:        *pruneBits,
-				Stratify:         *stratify,
-				StratifyAdaptive: *stratifyAdaptive,
-			},
+			req:       req,
 		})
 	}
 
 	reg := telemetry.Default
-	var trace *telemetry.Trace
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			return 1, err
-		}
-		defer tf.Close()
-		trace = telemetry.NewTrace(tf)
-	}
-	if *debugAddr != "" {
-		dbg, err := telemetry.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			return 1, err
-		}
-		// Graceful: an in-flight pprof scrape gets a second to finish.
-		defer dbg.Shutdown(time.Second)
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars\n", dbg.Addr())
-	}
-
-	m, err := progs.Load(*program, irText)
+	sinks, err := telemetry.OpenSinks("fi", stderr, reg, *traceOut, *debugAddr)
 	if err != nil {
 		return 1, err
 	}
+	defer func() {
+		if !sinks.Close() && code == 0 {
+			code = 1
+		}
+	}()
+
+	m, err := req.BuildModule()
+	if err != nil {
+		return 1, err
+	}
+	opts := req.FaultOptions()
+	opts.Metrics = reg
+	opts.Trace = sinks.Trace
 	// The progress meter and the campaign share stderr; the meter's
 	// final line is flushed before any summary printing below.
 	var meter *telemetry.ProgressMeter
-	var onProgress func(fault.Progress)
-	var lastProgress func() string
 	if *progress {
-		meter = telemetry.NewProgressMeter(os.Stderr, 0)
-		var mu sync.Mutex
-		var last fault.Progress
-		onProgress = func(p fault.Progress) {
-			mu.Lock()
-			last = p
-			mu.Unlock()
-			meter.Update(p.String)
-		}
-		lastProgress = func() string {
-			mu.Lock()
-			defer mu.Unlock()
-			return last.String()
-		}
+		meter = telemetry.NewProgressMeter(stderr, 0)
+		opts.OnProgress = func(p fault.Progress) { meter.Update(p.String) }
 	}
-
-	var plan *bitlive.Plan
-	if *stratify {
-		p := bitlive.DefaultPlan()
-		plan = &p
-	}
-	var adaptive *fault.AdaptiveConfig
-	if *stratifyAdaptive {
-		adaptive = &fault.AdaptiveConfig{}
-	}
-	inj, err := fault.New(m, fault.Options{
-		Seed:             *seed,
-		Workers:          *workers,
-		MaxRetries:       *retries,
-		TrialTimeout:     *trialTimeout,
-		SnapshotInterval: *snapInterval,
-		Metrics:          reg,
-		Trace:            trace,
-		OnProgress:       onProgress,
-		PruneBits:        *pruneBits,
-		Stratify:         plan,
-		Adaptive:         adaptive,
-	})
+	inj, err := fault.New(m, opts)
 	if err != nil {
 		return 1, err
 	}
-	fmt.Printf("golden run: %d dynamic instructions, activation space %d\n",
+	fmt.Fprintf(stdout, "golden run: %d dynamic instructions, activation space %d\n",
 		inj.GoldenDynInstrs(), inj.ActivationSpace())
 	if *pruneBits {
-		fmt.Printf("bit-liveness pruning: %.1f%% of activation-weighted bits provably masked\n",
+		fmt.Fprintf(stdout, "bit-liveness pruning: %.1f%% of activation-weighted bits provably masked\n",
 			inj.PrunedFraction()*100)
 	}
 
@@ -244,7 +212,7 @@ func run(args []string) (int, error) {
 	// One call serves every sampling mode the options select; -resume
 	// adds the "refuse to start from scratch" contract to the checkpoint.
 	ares, err := inj.Campaign(ctx, *n, fault.Run{Checkpoint: *checkpoint, Resume: *resume})
-	meter.Final(lastProgress)
+	meter.Final()
 	cancelled := errors.Is(err, context.Canceled)
 	if err != nil && !cancelled {
 		return 1, err
@@ -253,58 +221,47 @@ func run(args []string) (int, error) {
 	// Snapshot metrics now, before any -per-instr extra campaigns run,
 	// so the fi.outcome.* counters reconcile exactly with the campaign
 	// tallies printed below.
-	if *metricsOut != "" {
-		if werr := reg.WriteFile(*metricsOut); werr != nil {
-			return 1, werr
-		}
-		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsOut)
-	}
+	sinks.WriteMetrics(*metricsOut)
 
-	printReplay(inj, reg)
+	printReplay(stdout, inj, reg)
 	res := ares.CampaignResult
 	if cancelled {
-		fmt.Printf("\ncampaign cancelled after %.1fs: reporting the %d completed trials (of %d requested)\n",
+		fmt.Fprintf(stdout, "\ncampaign cancelled after %.1fs: reporting the %d completed trials (of %d requested)\n",
 			time.Since(start).Seconds(), res.N(), *n)
 		if *checkpoint != "" {
-			fmt.Printf("completed trials are checkpointed in %s; rerun with -resume to finish\n", *checkpoint)
+			fmt.Fprintf(stdout, "completed trials are checkpointed in %s; rerun with -resume to finish\n", *checkpoint)
 		}
 	}
-	fmt.Printf("\n%d injections into %s:\n", res.N(), m.Name)
-	for _, o := range fault.AllOutcomes {
-		if o == fault.Errored && res.Counts[o] == 0 {
-			continue
-		}
-		fmt.Printf("  %-9s %6d  (%.2f%%)\n", o, res.Counts[o], res.Rate(o)*100)
+	fmt.Fprintf(stdout, "\n%d injections into %s:\n", res.N(), m.Name)
+	tally := fault.Progress{Done: res.N(), Total: res.N()}
+	for o, c := range res.Counts {
+		tally.Counts[o] = c
 	}
-	if p := res.PrunedN(); p > 0 {
-		fmt.Printf("  %d of the benign trials were pruned statically (no execution)\n", p)
-	}
-	fmt.Printf("SDC probability: %.2f%% ± %.2f%% (95%% CI)\n",
-		res.SDCProb()*100, stats.ProportionCI95(res.SDCProb(), res.ClassifiedN())*100)
+	printSummary(stdout, tally, res.PrunedN())
 	if *stratify || *stratifyAdaptive {
 		if *stratifyAdaptive {
-			fmt.Printf("\nadaptive stratified sampling (pilot %d of %d slots, derived plan %s):\n",
+			fmt.Fprintf(stdout, "\nadaptive stratified sampling (pilot %d of %d slots, derived plan %s):\n",
 				ares.PilotExecuted, ares.PilotSlots, ares.Plan)
 		} else {
-			fmt.Printf("\nstratified sampling (plan %s):\n", ares.Plan)
+			fmt.Fprintf(stdout, "\nstratified sampling (plan %s):\n", ares.Plan)
 		}
-		printStratumTable(ares.StratifiedResult)
-		fmt.Printf("  %d of %d drawn slots executed\n", ares.ExecutedN(), *n)
+		printStratumTable(stdout, ares.StratifiedResult)
+		fmt.Fprintf(stdout, "  %d of %d drawn slots executed\n", ares.ExecutedN(), *n)
 		if *stratifyAdaptive && ares.ExecutedN() > 0 {
-			fmt.Printf("  pilot spent %.0f%% of the executed budget buying the plan\n",
+			fmt.Fprintf(stdout, "  pilot spent %.0f%% of the executed budget buying the plan\n",
 				ares.PilotFraction()*100)
 		}
-		fmt.Printf("weighted SDC probability: %.2f%% ± %.2f%% (95%% CI, effective n %.0f)\n",
+		fmt.Fprintf(stdout, "weighted SDC probability: %.2f%% ± %.2f%% (95%% CI, effective n %.0f)\n",
 			ares.WeightedSDC()*100, ares.WeightedErrorBar95()*100, ares.EffectiveN())
 	}
 	if len(res.Errs) > 0 {
-		fmt.Printf("\n%d trial(s) errored (engine failures, excluded from rates); first few:\n", len(res.Errs))
+		fmt.Fprintf(stdout, "\n%d trial(s) errored (engine failures, excluded from rates); first few:\n", len(res.Errs))
 		for i, te := range res.Errs {
 			if i == 5 {
-				fmt.Printf("  ... and %d more\n", len(res.Errs)-i)
+				fmt.Fprintf(stdout, "  ... and %d more\n", len(res.Errs)-i)
 				break
 			}
-			fmt.Printf("  %v\n", &te)
+			fmt.Fprintf(stdout, "  %v\n", &te)
 		}
 	}
 	if cancelled {
@@ -321,7 +278,7 @@ func run(args []string) (int, error) {
 		targets := inj.Targets()
 		measured, err := inj.PerInstrSDC(ctx, targets, perN)
 		if errors.Is(err, context.Canceled) {
-			fmt.Printf("\nper-instruction campaign cancelled\n")
+			fmt.Fprintf(stdout, "\nper-instruction campaign cancelled\n")
 			return sigctx.ExitCode(fired()), nil
 		}
 		if err != nil {
@@ -333,13 +290,35 @@ func run(args []string) (int, error) {
 			}
 			return targets[i].ID < targets[j].ID
 		})
-		fmt.Printf("\nper-instruction SDC probabilities (%d injections each):\n", perN)
-		fmt.Printf("%-32s %-24s %10s\n", "instruction", "location", "SDC")
+		fmt.Fprintf(stdout, "\nper-instruction SDC probabilities (%d injections each):\n", perN)
+		fmt.Fprintf(stdout, "%-32s %-24s %10s\n", "instruction", "location", "SDC")
 		for _, in := range targets {
-			fmt.Printf("%-32s %-24s %9.1f%%\n", ir.FormatInstr(in), in.Pos(), measured[in]*100)
+			fmt.Fprintf(stdout, "%-32s %-24s %9.1f%%\n", ir.FormatInstr(in), in.Pos(), measured[in]*100)
 		}
 	}
 	return 0, nil
+}
+
+// printSummary prints the outcome block and the SDC probability line
+// that local and remote runs share, from the campaign's tallies: every
+// outcome in fault.AllOutcomes order with its rate normalised as
+// fault.Progress.Rate does (program outcomes over classified trials,
+// Errored over all trials), Errored left out when no trial errored. A
+// local run passes the number of statically pruned benign trials, which
+// the wire result does not carry; a nonzero count prints its own line.
+func printSummary(w io.Writer, t fault.Progress, pruned int) {
+	for _, o := range fault.AllOutcomes {
+		if o == fault.Errored && t.Counts[o] == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "  %-9s %6d  (%.2f%%)\n", o, t.Counts[o], t.Rate(o)*100)
+	}
+	if pruned > 0 {
+		fmt.Fprintf(w, "  %d of the benign trials were pruned statically (no execution)\n", pruned)
+	}
+	sdc := t.Rate(fault.SDC)
+	fmt.Fprintf(w, "SDC probability: %.2f%% ± %.2f%% (95%% CI)\n",
+		sdc*100, stats.ProportionCI95(sdc, t.Done-t.Counts[fault.Errored])*100)
 }
 
 // printStratumTable renders the per-stratum breakdown in stratum
@@ -347,24 +326,24 @@ func run(args []string) (int, error) {
 // byte-comparable). Strata that drew no slots — typically because the
 // module has no bits in them — render as explicit dash rows rather than
 // disappearing, so a five-row table always has five rows.
-func printStratumTable(sres *fault.StratifiedResult) {
-	fmt.Printf("  %-9s %6s %9s %9s\n", "stratum", "rate", "slots", "executed")
+func printStratumTable(w io.Writer, sres *fault.StratifiedResult) {
+	fmt.Fprintf(w, "  %-9s %6s %9s %9s\n", "stratum", "rate", "slots", "executed")
 	for _, ss := range sres.Summary() {
 		if ss.Slots == 0 && ss.Executed == 0 {
-			fmt.Printf("  %-9s %6.2f %9s %9s\n", ss.Stratum, ss.Rate, "-", "-")
+			fmt.Fprintf(w, "  %-9s %6.2f %9s %9s\n", ss.Stratum, ss.Rate, "-", "-")
 			continue
 		}
-		fmt.Printf("  %-9s %6.2f %9d %9d\n", ss.Stratum, ss.Rate, ss.Slots, ss.Executed)
+		fmt.Fprintf(w, "  %-9s %6.2f %9d %9d\n", ss.Stratum, ss.Rate, ss.Slots, ss.Executed)
 	}
 }
 
 // printReplay prints the snapshot-replay summary line after a campaign:
 // the golden snapshots trials resumed from, and how many of the trials
 // this process executed stopped early on rejoining the golden run.
-func printReplay(inj *fault.Injector, reg *telemetry.Registry) {
+func printReplay(w io.Writer, inj *fault.Injector, reg *telemetry.Registry) {
 	if inj.SnapshotInterval() < 0 {
 		return
 	}
-	fmt.Printf("snapshot replay: %d golden snapshots (interval %d); %d of %d executed trials rejoined the golden run\n",
+	fmt.Fprintf(w, "snapshot replay: %d golden snapshots (interval %d); %d of %d executed trials rejoined the golden run\n",
 		inj.Snapshots(), inj.SnapshotInterval(), reg.Counter("fi.trials.rejoined").Load(), reg.Counter("fi.trials.executed").Load())
 }

@@ -1,7 +1,8 @@
 // This file is fi's client mode for the campaign server (cmd/fiserver):
 // -remote submits the campaign over HTTP instead of running it in
-// process, follows the job's JSONL event stream with the same live
-// progress meter as a local run, and prints the same summary from the
+// process, follows the job's JSONL event stream with the same progress
+// line as a local run (each event rebuilt into a fault.Progress), and
+// prints the same outcome block and SDC probability line from the
 // returned result. -trials-out dumps the per-trial records as JSONL —
 // the currency scripts/servercheck.sh compares byte-for-byte between
 // server runs and clean runs.
@@ -17,10 +18,10 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
+	"trident/internal/fault"
 	"trident/internal/server"
 	"trident/internal/sigctx"
 	"trident/internal/telemetry"
@@ -40,7 +41,7 @@ type remoteOpts struct {
 // local runs: 0 for a complete campaign, 1 for errors, 130/143 when a
 // signal interrupted the watch (a signal during a run we submitted also
 // cancels the job server-side; attaching with -job never cancels).
-func runRemote(ctx context.Context, fired func() os.Signal, opts remoteOpts) (int, error) {
+func runRemote(ctx context.Context, fired func() os.Signal, stdout, stderr io.Writer, opts remoteOpts) (int, error) {
 	base := strings.TrimRight(opts.base, "/")
 	client := &http.Client{}
 	id := opts.jobID
@@ -51,21 +52,21 @@ func runRemote(ctx context.Context, fired func() os.Signal, opts remoteOpts) (in
 			return 1, err
 		}
 		submitted = true
-		fmt.Printf("submitted job %s to %s\n", id, base)
+		fmt.Fprintf(stdout, "submitted job %s to %s\n", id, base)
 		if opts.detach {
-			fmt.Printf("watch it with: fi -remote %s -job %s\n", base, id)
+			fmt.Fprintf(stdout, "watch it with: fi -remote %s -job %s\n", base, id)
 			return 0, nil
 		}
 	}
 
-	err := watchJob(ctx, client, base, id, opts.progress)
+	err := watchJob(ctx, client, base, id, stderr, opts.progress)
 	if sig := fired(); sig != nil {
 		if submitted {
 			// Mirror local Ctrl-C semantics: our campaign, so cancel it.
 			cancelJob(client, base, id)
-			fmt.Fprintf(os.Stderr, "\nfi: %v received, cancelled job %s\n", sig, id)
+			fmt.Fprintf(stderr, "\nfi: %v received, cancelled job %s\n", sig, id)
 		} else {
-			fmt.Fprintf(os.Stderr, "\nfi: %v received, detaching from job %s (still running server-side)\n", sig, id)
+			fmt.Fprintf(stderr, "\nfi: %v received, detaching from job %s (still running server-side)\n", sig, id)
 			return sigctx.ExitCode(sig), nil
 		}
 	} else if err != nil {
@@ -76,12 +77,12 @@ func runRemote(ctx context.Context, fired func() os.Signal, opts remoteOpts) (in
 	if err != nil {
 		return 1, err
 	}
-	printRemoteResult(res)
+	printRemoteResult(stdout, res)
 	if opts.trialsOut != "" {
 		if err := writeTrials(opts.trialsOut, res.Trials); err != nil {
 			return 1, err
 		}
-		fmt.Fprintf(os.Stderr, "per-trial records written to %s\n", opts.trialsOut)
+		fmt.Fprintf(stderr, "per-trial records written to %s\n", opts.trialsOut)
 	}
 	if sig := fired(); sig != nil {
 		return sigctx.ExitCode(sig), nil
@@ -122,7 +123,7 @@ func submitJob(ctx context.Context, client *http.Client, base string, req *serve
 // watchJob follows the event stream until the job is terminal. It
 // returns nil on a terminal event, or the transport error (a cancelled
 // ctx surfaces here when a signal fires).
-func watchJob(ctx context.Context, client *http.Client, base, id string, progress bool) error {
+func watchJob(ctx context.Context, client *http.Client, base, id string, stderr io.Writer, progress bool) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id+"/events", nil)
 	if err != nil {
 		return err
@@ -137,9 +138,8 @@ func watchJob(ctx context.Context, client *http.Client, base, id string, progres
 	}
 	var meter *telemetry.ProgressMeter
 	if progress {
-		meter = telemetry.NewProgressMeter(os.Stderr, 0)
+		meter = telemetry.NewProgressMeter(stderr, 0)
 	}
-	var lastLine string
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
@@ -150,19 +150,18 @@ func watchJob(ctx context.Context, client *http.Client, base, id string, progres
 		if ev.Type == "state" {
 			continue
 		}
-		lastLine = eventLine(ev)
-		if meter != nil {
-			meter.Update(func() string { return lastLine })
-		}
+		p := tallyOf(ev.Done, ev.Total, ev.Counts)
+		p.Elapsed = time.Duration(ev.ElapsedMS) * time.Millisecond
+		meter.Update(p.String)
 		if ev.Type == "done" {
-			meter.Final(func() string { return lastLine })
+			meter.Final()
 			if ev.Error != "" {
-				fmt.Fprintf(os.Stderr, "job %s: %s\n", id, ev.Error)
+				fmt.Fprintf(stderr, "job %s: %s\n", id, ev.Error)
 			}
 			return nil
 		}
 	}
-	meter.Final(func() string { return lastLine })
+	meter.Final()
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("event stream: %w", err)
 	}
@@ -172,26 +171,15 @@ func watchJob(ctx context.Context, client *http.Client, base, id string, progres
 	return fmt.Errorf("event stream for job %s ended before the job finished (server draining?)", id)
 }
 
-// eventLine renders one progress event like the local campaign meter.
-func eventLine(ev server.Event) string {
-	var b strings.Builder
-	pct := 0.0
-	if ev.Total > 0 {
-		pct = 100 * float64(ev.Done) / float64(ev.Total)
+// tallyOf rebuilds the fault.Progress that a job's event or result
+// reports with outcome counts keyed by name, so a remote run renders
+// with fault.Progress.String and printSummary like a local one.
+func tallyOf(done, total int, counts map[string]int) fault.Progress {
+	p := fault.Progress{Done: done, Total: total}
+	for _, o := range fault.AllOutcomes {
+		p.Counts[o] = counts[o.String()]
 	}
-	fmt.Fprintf(&b, "%s %d/%d (%.1f%%)", ev.State, ev.Done, ev.Total, pct)
-	names := make([]string, 0, len(ev.Counts))
-	for name := range ev.Counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, " %s=%d", name, ev.Counts[name])
-	}
-	if ev.ElapsedMS > 0 {
-		fmt.Fprintf(&b, " %.1fs", float64(ev.ElapsedMS)/1000)
-	}
-	return b.String()
+	return p
 }
 
 func cancelJob(client *http.Client, base, id string) {
@@ -237,34 +225,24 @@ func fetchResult(client *http.Client, base, id string) (*server.Result, error) {
 	return nil, lastErr
 }
 
-func printRemoteResult(res *server.Result) {
-	fmt.Printf("\njob %s: %s, %d trials", res.ID, res.State, len(res.Trials))
+// printRemoteResult prints the job header, the outcome block and SDC
+// probability line shared with local runs, and a stratified job's
+// weighted estimate.
+func printRemoteResult(w io.Writer, res *server.Result) {
+	fmt.Fprintf(w, "\njob %s: %s, %d trials", res.ID, res.State, len(res.Trials))
 	if res.Missing > 0 {
-		fmt.Printf(" (%d of %d missing)", res.Missing, res.N)
+		fmt.Fprintf(w, " (%d of %d missing)", res.Missing, res.N)
 	}
-	fmt.Println()
-	names := make([]string, 0, len(res.Counts))
-	for name := range res.Counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	total := len(res.Trials)
-	for _, name := range names {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(res.Counts[name]) / float64(total)
-		}
-		fmt.Printf("  %-9s %6d  (%.2f%%)\n", name, res.Counts[name], pct)
-	}
-	fmt.Printf("SDC probability: %.2f%% ± %.2f%% (95%% CI)\n", res.SDCProb*100, res.ErrorBar95*100)
+	fmt.Fprintln(w)
+	printSummary(w, tallyOf(len(res.Trials), len(res.Trials), res.Counts), 0)
 	if res.Stratified {
 		if res.Adaptive {
-			fmt.Printf("adaptive: %d of %d drawn slots executed (%d pilot trials)\n",
+			fmt.Fprintf(w, "adaptive: %d of %d drawn slots executed (%d pilot trials)\n",
 				res.ExecutedN, res.N, res.PilotExecuted)
 		} else {
-			fmt.Printf("stratified: %d of %d drawn slots executed\n", res.ExecutedN, res.N)
+			fmt.Fprintf(w, "stratified: %d of %d drawn slots executed\n", res.ExecutedN, res.N)
 		}
-		fmt.Printf("weighted SDC probability: %.2f%% ± %.2f%% (95%% CI, effective n %.0f)\n",
+		fmt.Fprintf(w, "weighted SDC probability: %.2f%% ± %.2f%% (95%% CI, effective n %.0f)\n",
 			res.WeightedSDC*100, res.WeightedErrorBar95*100, res.EffectiveN)
 	}
 }

@@ -70,26 +70,14 @@ func run(args []string) int {
 	}
 
 	reg := telemetry.Default
-	var trace *telemetry.Trace
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fiserver:", err)
-			return 1
-		}
-		defer tf.Close()
-		trace = telemetry.NewTrace(tf)
+	sinks, err := telemetry.OpenSinks("fiserver", os.Stderr, reg, *traceOut, *debugAddr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fiserver:", err)
+		return 1
 	}
-	var dbg *telemetry.DebugServer
-	if *debugAddr != "" {
-		d, err := telemetry.ServeDebug(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fiserver:", err)
-			return 1
-		}
-		dbg = d
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/vars\n", dbg.Addr())
-	}
+	// Close prints a failed metrics or trace write; fiserver never exits
+	// 0 (it stops on a signal or an error), so no exit code changes.
+	defer sinks.Close()
 
 	resultCacheDir := ""
 	if *resultCache {
@@ -108,7 +96,7 @@ func run(args []string) int {
 			MaxWall:    *maxWall,
 		},
 		Metrics: reg,
-		Trace:   trace,
+		Trace:   sinks.Trace,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fiserver:", err)
@@ -158,12 +146,7 @@ func run(args []string) int {
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		httpSrv.Close()
 	}
-	_ = dbg.Shutdown(time.Second)
-	if *metricsOut != "" {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "fiserver:", err)
-		}
-	}
+	sinks.WriteMetrics(*metricsOut)
 	fmt.Fprintln(os.Stderr, "fiserver: drained, exiting")
 	return sigctx.ExitCode(sig)
 }

@@ -226,14 +226,6 @@ type StratumStats struct {
 	Total int
 }
 
-// Fraction returns stratum s's share of all surveyed bits.
-func (st StratumStats) Fraction(s Stratum) float64 {
-	if st.Total == 0 {
-		return 0
-	}
-	return float64(st.Bits[s]) / float64(st.Total)
-}
-
 // ModuleStats surveys every result-defining instruction of m.
 func (inf *Influence) ModuleStats(m *ir.Module) StratumStats {
 	var st StratumStats

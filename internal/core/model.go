@@ -86,9 +86,6 @@ func New(prof *profile.Profile, cfg Config) *Model {
 	}
 }
 
-// Profile returns the underlying profile.
-func (m *Model) Profile() *profile.Profile { return m.prof }
-
 func (m *Model) cfgOf(fn *ir.Func) *analysis.CFG {
 	c, ok := m.cfgs[fn]
 	if !ok {

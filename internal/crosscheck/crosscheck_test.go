@@ -1,6 +1,8 @@
 package crosscheck
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"trident/internal/ir"
@@ -107,6 +109,22 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("violations found:\n%s", rep)
+	}
+}
+
+// TestCheckpointDirCreated: a sweep with the invariant tier on creates
+// a CheckpointDir that does not exist yet instead of failing on it.
+func TestCheckpointDirCreated(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ck")
+	rep, err := RunCorpus(Config{RandomPrograms: 1, Seed: 901, Invariants: true, CheckpointDir: dir})
+	if err != nil {
+		t.Fatalf("RunCorpus: %v", err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("violations found:\n%s", rep)
+	}
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("checkpoint dir: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package crosscheck
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 
@@ -119,8 +120,13 @@ func buildCorpus(cfg Config) []corpusEntry {
 // the parser round trip and (optionally) the metamorphic invariants,
 // returning the aggregated report. The first error from the harness
 // itself (as opposed to a divergence, which is reported) aborts the
-// sweep.
+// sweep. A CheckpointDir that does not exist yet is created.
 func RunCorpus(cfg Config) (*Report, error) {
+	if cfg.CheckpointDir != "" {
+		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
 	rep := &Report{}
 	for _, e := range buildCorpus(cfg) {
 		if cfg.Progress != nil {

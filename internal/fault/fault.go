@@ -505,10 +505,6 @@ func (inj *Injector) snapshotBefore(target *ir.Instr, instance uint64) int {
 // GoldenOutput returns the fault-free program output.
 func (inj *Injector) GoldenOutput() string { return inj.goldenOutput }
 
-// ModuleHash returns the content address of the module under injection:
-// hashutil.Module of its canonical printed text.
-func (inj *Injector) ModuleHash() uint64 { return inj.moduleHash }
-
 // GoldenDynInstrs returns the fault-free dynamic instruction count.
 func (inj *Injector) GoldenDynInstrs() uint64 { return inj.goldenDyn }
 

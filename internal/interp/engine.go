@@ -248,7 +248,7 @@ func (vm *machine) run(main *decoded.Func) (err error) {
 // write arguments into the callee frame inline in the loop).
 func (vm *machine) push(fn *decoded.Func) error {
 	ctx := vm.ctx
-	if ctx.depth >= ctx.opts.MaxCallDepth {
+	if ctx.depth >= maxCallDepth {
 		return &Trap{Kind: TrapStackOverflow, Instr: fn.Ref.Entry().Instrs[0]}
 	}
 	ctx.depth++
@@ -542,7 +542,7 @@ func (vm *machine) loop() (uint64, error) {
 			fr.dip++
 		case decoded.StepCall:
 			callee := in.Callee
-			if ctx.depth >= ctx.opts.MaxCallDepth {
+			if ctx.depth >= maxCallDepth {
 				return 0, &Trap{Kind: TrapStackOverflow, Instr: callee.Ref.Entry().Instrs[0]}
 			}
 			ctx.depth++

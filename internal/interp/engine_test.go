@@ -61,7 +61,6 @@ func runWithReference(t *testing.T, m *ir.Module, opts Options, flipAt, flipMask
 	res, err := Run(m, opts)
 	ref, refErr := refinterp.Run(m, refinterp.Options{
 		MaxDynInstrs: opts.MaxDynInstrs,
-		MaxCallDepth: opts.MaxCallDepth,
 		OnResult:     want.onResult,
 	})
 	if (err == nil) != (refErr == nil) {

@@ -158,8 +158,6 @@ type Options struct {
 	// MaxDynInstrs bounds the number of executed instructions; exceeding
 	// it classifies the run as a hang. Zero means the default (50M).
 	MaxDynInstrs uint64
-	// MaxCallDepth bounds call nesting. Zero means the default (1024).
-	MaxCallDepth int
 	// Hooks are the observation points.
 	Hooks Hooks
 	// SnapshotInterval, when nonzero together with OnSnapshot, captures a
@@ -210,7 +208,8 @@ type Options struct {
 
 const (
 	defaultMaxDynInstrs = 50_000_000
-	defaultMaxCallDepth = 1024
+	// maxCallDepth bounds call nesting; a deeper call traps.
+	maxCallDepth = 1024
 	// cancelCheckInterval is how many instructions execute between
 	// cancellation checks; a power of two so the check is a cheap mask.
 	cancelCheckInterval = 1024
@@ -335,9 +334,6 @@ func initGlobals(ctx *Context, m *ir.Module) ([]uint64, error) {
 func applyDefaults(opts *Options) {
 	if opts.MaxDynInstrs == 0 {
 		opts.MaxDynInstrs = defaultMaxDynInstrs
-	}
-	if opts.MaxCallDepth == 0 {
-		opts.MaxCallDepth = defaultMaxCallDepth
 	}
 }
 

@@ -148,12 +148,6 @@ func (m *Memory) TrappingFlips(addr, size uint64) int {
 	return n
 }
 
-// Load reads a little-endian value of width t.Bytes() from addr. The
-// returned bool is false when the access traps.
-func (m *Memory) Load(t ir.Type, addr uint64) (uint64, bool) {
-	return m.load(addr, uint64(t.Bytes()))
-}
-
 // Store writes a little-endian value of width t.Bytes() to addr. The
 // returned bool is false when the access traps.
 func (m *Memory) Store(t ir.Type, addr, bits uint64) bool {

@@ -17,7 +17,7 @@ func TestMemoryAllocateAndAccess(t *testing.T) {
 	if !m.Store(ir.I32, s.Base+4, 0xDEADBEEF) {
 		t.Fatal("in-bounds store failed")
 	}
-	got, ok := m.Load(ir.I32, s.Base+4)
+	got, ok := m.load(s.Base+4, uint64(ir.I32.Bytes()))
 	if !ok || got != 0xDEADBEEF {
 		t.Fatalf("load = %#x, %v", got, ok)
 	}
@@ -27,11 +27,11 @@ func TestMemoryLittleEndianOverlap(t *testing.T) {
 	m := NewMemory()
 	s := m.Allocate("a", 8)
 	m.Store(ir.I64, s.Base, 0x0807060504030201)
-	b, ok := m.Load(ir.I8, s.Base+2)
+	b, ok := m.load(s.Base+2, uint64(ir.I8.Bytes()))
 	if !ok || b != 0x03 {
 		t.Fatalf("byte 2 = %#x", b)
 	}
-	h, ok := m.Load(ir.I16, s.Base+4)
+	h, ok := m.load(s.Base+4, uint64(ir.I16.Bytes()))
 	if !ok || h != 0x0605 {
 		t.Fatalf("half at 4 = %#x", h)
 	}
@@ -52,7 +52,7 @@ func TestMemoryOutOfBounds(t *testing.T) {
 		{"wrap", ^uint64(0) - 1, ir.I64},
 	}
 	for _, c := range cases {
-		if _, ok := m.Load(c.t, c.addr); ok {
+		if _, ok := m.load(c.addr, uint64(c.t.Bytes())); ok {
 			t.Errorf("%s: load should trap", c.name)
 		}
 		if m.Store(c.t, c.addr, 1) {
@@ -68,7 +68,7 @@ func TestMemoryGapBetweenSegments(t *testing.T) {
 	if a.End() >= b.Base {
 		t.Fatal("segments should not be adjacent")
 	}
-	if _, ok := m.Load(ir.I8, a.End()); ok {
+	if _, ok := m.load(a.End(), uint64(ir.I8.Bytes())); ok {
 		t.Error("gap access should trap")
 	}
 }
@@ -78,10 +78,10 @@ func TestMemoryRelease(t *testing.T) {
 	a := m.Allocate("a", 8)
 	b := m.Allocate("b", 8)
 	m.Release(a)
-	if _, ok := m.Load(ir.I8, a.Base); ok {
+	if _, ok := m.load(a.Base, uint64(ir.I8.Bytes())); ok {
 		t.Error("released segment should trap")
 	}
-	if _, ok := m.Load(ir.I8, b.Base); !ok {
+	if _, ok := m.load(b.Base, uint64(ir.I8.Bytes())); !ok {
 		t.Error("live segment should still be accessible")
 	}
 	if m.CurrentBytes() != 8 {
@@ -120,7 +120,7 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 		if !m.Store(ir.I64, s.Base+off, bits) {
 			return false
 		}
-		got, ok := m.Load(ir.I64, s.Base+off)
+		got, ok := m.load(s.Base+off, uint64(ir.I64.Bytes()))
 		return ok && got == bits
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -133,7 +133,7 @@ func TestMemoryNarrowTypeTruncates(t *testing.T) {
 	s := m.Allocate("a", 8)
 	m.Store(ir.I64, s.Base, 0)
 	m.Store(ir.I8, s.Base, 0x1FF) // only low byte lands
-	got, _ := m.Load(ir.I64, s.Base)
+	got, _ := m.load(s.Base, uint64(ir.I64.Bytes()))
 	if got != 0xFF {
 		t.Errorf("after i8 store, word = %#x, want 0xff", got)
 	}
@@ -150,7 +150,7 @@ func TestMemoryLastSegmentCache(t *testing.T) {
 		t.Fatal("store into a trapped")
 	}
 	m.Release(a)
-	if _, ok := m.Load(ir.I8, a.Base); ok {
+	if _, ok := m.load(a.Base, uint64(ir.I8.Bytes())); ok {
 		t.Error("a released segment's old range is still accessible")
 	}
 	if m.Store(ir.I8, a.Base+7, 1) {
@@ -159,11 +159,11 @@ func TestMemoryLastSegmentCache(t *testing.T) {
 
 	// Near the top of the address space: with b cached, a range that
 	// wraps past MaxUint64 must trap rather than compare as inside b.
-	if _, ok := m.Load(ir.I64, b.Base); !ok {
+	if _, ok := m.load(b.Base, uint64(ir.I64.Bytes())); !ok {
 		t.Fatal("load from b trapped")
 	}
 	for _, addr := range []uint64{^uint64(0), ^uint64(0) - 3, ^uint64(0) - 7, ^uint64(0) - 16} {
-		if _, ok := m.Load(ir.I64, addr); ok {
+		if _, ok := m.load(addr, uint64(ir.I64.Bytes())); ok {
 			t.Errorf("load of 8 bytes at %#x succeeded", addr)
 		}
 		if m.Store(ir.I64, addr, 1) {
@@ -181,10 +181,10 @@ func TestMemoryLastSegmentCache(t *testing.T) {
 	if !c.Store(ir.I64, b.Base, 2) {
 		t.Fatal("store into the clone trapped")
 	}
-	if got, _ := m.Load(ir.I64, b.Base); got != 1 {
+	if got, _ := m.load(b.Base, uint64(ir.I64.Bytes())); got != 1 {
 		t.Errorf("the original reads %d after a store into its clone, want 1", got)
 	}
-	if got, _ := c.Load(ir.I64, b.Base); got != 2 {
+	if got, _ := c.load(b.Base, uint64(ir.I64.Bytes())); got != 2 {
 		t.Errorf("the clone reads %d, want 2", got)
 	}
 }
@@ -282,7 +282,7 @@ func TestMemoryWidths(t *testing.T) {
 				m.Store(ir.I8, s.Base+i, 0xAA)
 			}
 			if !cached {
-				m.Load(ir.I8, other.Base) // make b the last-hit segment
+				m.load(other.Base, uint64(ir.I8.Bytes())) // make b the last-hit segment
 			}
 			n := uint64(ty.Bytes())
 			const bits = 0x8877665544332211
@@ -290,17 +290,17 @@ func TestMemoryWidths(t *testing.T) {
 				t.Fatalf("%v: in-bounds store trapped", ty)
 			}
 			if !cached {
-				m.Load(ir.I8, other.Base)
+				m.load(other.Base, uint64(ir.I8.Bytes()))
 			}
 			want := uint64(bits)
 			if n < 8 {
 				want &= 1<<(8*n) - 1
 			}
-			if got, ok := m.Load(ty, s.Base+5); !ok || got != want {
+			if got, ok := m.load(s.Base+5, uint64(ty.Bytes())); !ok || got != want {
 				t.Errorf("%v (cached %v): load = %#x %v, want %#x", ty, cached, got, ok, want)
 			}
 			for i := uint64(0); i < 32; i++ {
-				b, _ := m.Load(ir.I8, s.Base+i)
+				b, _ := m.load(s.Base+i, uint64(ir.I8.Bytes()))
 				want := uint64(0xAA)
 				if i >= 5 && i < 5+n {
 					want = bits >> (8 * (i - 5)) & 0xFF
@@ -326,18 +326,18 @@ func TestMemoryStraddleAndWrap(t *testing.T) {
 			other := m.Allocate("b", 8)
 			warm := func() {
 				if cached {
-					m.Load(ir.I8, s.Base)
+					m.load(s.Base, uint64(ir.I8.Bytes()))
 				} else {
-					m.Load(ir.I8, other.Base)
+					m.load(other.Base, uint64(ir.I8.Bytes()))
 				}
 			}
 			warm()
-			if _, ok := m.Load(ty, s.End()-n); !ok {
+			if _, ok := m.load(s.End()-n, uint64(ty.Bytes())); !ok {
 				t.Errorf("%v (cached %v): load ending at the segment end trapped", ty, cached)
 			}
 			for k := uint64(1); k <= n; k++ {
 				warm()
-				if _, ok := m.Load(ty, s.End()-n+k); ok {
+				if _, ok := m.load(s.End()-n+k, uint64(ty.Bytes())); ok {
 					t.Errorf("%v (cached %v): load %d bytes past the end succeeded", ty, cached, k)
 				}
 				warm()
@@ -348,7 +348,7 @@ func TestMemoryStraddleAndWrap(t *testing.T) {
 			for k := uint64(0); k < n; k++ {
 				warm()
 				addr := ^uint64(0) - k
-				if _, ok := m.Load(ty, addr); ok {
+				if _, ok := m.load(addr, uint64(ty.Bytes())); ok {
 					t.Errorf("%v (cached %v): load at %#x succeeded", ty, cached, addr)
 				}
 				warm()

@@ -61,13 +61,6 @@ type frameSnap struct {
 // snapshot point — the resume position in dynamic-instruction time.
 func (s *Snapshot) DynInstrs() uint64 { return s.dynCount }
 
-// DynResults returns the number of register-writing instructions executed
-// before the snapshot point.
-func (s *Snapshot) DynResults() uint64 { return s.dynResults }
-
-// Frames returns the call-stack depth at the snapshot point.
-func (s *Snapshot) Frames() int { return len(s.frames) }
-
 // MemBytes returns the live allocated bytes held by the snapshot's
 // private memory copy — the per-snapshot storage cost.
 func (s *Snapshot) MemBytes() uint64 { return s.mem.CurrentBytes() }

@@ -145,7 +145,7 @@ func (s *Server) newInjector(j *Job) (*fault.Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := j.req.faultOptions()
+	opts := j.req.FaultOptions()
 	opts.Metrics = s.cfg.Metrics
 	opts.Trace = s.cfg.Trace
 	opts.OnProgress = j.setProgress

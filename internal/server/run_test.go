@@ -66,7 +66,7 @@ func directTrials(t *testing.T, req *SubmitRequest) []TrialRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := req.faultOptions()
+	opts := req.FaultOptions()
 	opts.SnapshotInterval = -1
 	inj, err := fault.New(mod, opts)
 	if err != nil {
@@ -131,7 +131,7 @@ func TestJobRunsOneGoldenRun(t *testing.T) {
 	if res.Cached {
 		t.Fatal("job was served from the cache")
 	}
-	if got := reg.Histogram("fi.golden_us").Count(); got != 1 {
+	if got := reg.Histogram("fi.golden_us").Snapshot().Count; got != 1 {
 		t.Errorf("fi.golden_us recorded %d golden runs for a %d-shard job, want 1", got, req.Shards)
 	}
 	diffTrials(t, res.Trials, directTrials(t, req), "3-shard job")
@@ -176,7 +176,7 @@ func TestRequeuedJobForeignLogFails(t *testing.T) {
 	if j2.Result() != nil {
 		t.Errorf("failed job serves a result: %+v", j2.Result())
 	}
-	if got := reg.Histogram("fi.golden_us").Count(); got != 1 {
+	if got := reg.Histogram("fi.golden_us").Snapshot().Count; got != 1 {
 		t.Errorf("the job ran %d golden runs, want 1 (no retry)", got)
 	}
 	if err := s2.Drain(ctx); err != nil {

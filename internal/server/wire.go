@@ -248,17 +248,19 @@ func (req *SubmitRequest) WallBudget(lim Limits) time.Duration {
 	return d
 }
 
-// faultOptions maps the request onto fault.Options, running
-// Shards × Workers trials at once. The caller supplies process-local
-// concerns (telemetry, progress callback, trial hook).
-func (req *SubmitRequest) faultOptions() fault.Options {
+// FaultOptions maps the request onto fault.Options, running
+// Shards × Workers trials at once; Shards 0 counts as 1, which is how
+// cmd/fi runs a request locally (the server resolves a job's shards at
+// admission). The caller supplies process-local concerns (telemetry,
+// progress callback, trial hook).
+func (req *SubmitRequest) FaultOptions() fault.Options {
 	workers := req.Workers
 	if workers == 0 {
 		workers = fault.DefaultWorkers
 	}
 	opts := fault.Options{
 		Seed:             req.Seed,
-		Workers:          req.Shards * workers,
+		Workers:          max(req.Shards, 1) * workers,
 		MaxRetries:       req.MaxRetries,
 		TrialTimeout:     time.Duration(req.TrialTimeoutMS) * time.Millisecond,
 		SnapshotInterval: req.SnapshotInterval,

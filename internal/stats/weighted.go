@@ -126,42 +126,19 @@ func (t *WeightedTally) Add(w float64, hit bool) {
 	}
 }
 
-// Proportion returns the self-normalized (Hájek) estimate Σw·x / Σw, the
-// natural point estimate when the weighted total is compared against the
-// weighted observation count. It is 0 for an empty tally.
-func (t WeightedTally) Proportion() float64 {
-	if !(t.W > 0) {
-		return 0
-	}
-	p := t.Hits / t.W
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
 // KishNeff returns Kish's effective sample size for the tally's weights.
 // Under uniform weights it equals N exactly.
 func (t WeightedTally) KishNeff() float64 {
 	return KishNeff(t.W, t.W2)
 }
 
-// WilsonBounds returns the 95% Wilson bounds of Proportion() at the
-// Kish effective sample size. With uniform weights this equals the
-// unweighted WilsonBounds(p, N) exactly.
-func (t WeightedTally) WilsonBounds() (lo, hi float64) {
-	return WeightedWilsonBounds(t.Proportion(), t.KishNeff())
-}
-
 // HTProportion returns the Horvitz-Thompson estimate Σw·x / denom
 // against a known population denominator (for stratified campaigns, the
 // number of slots drawn before thinning, less the weight of discarded
-// observations). Unlike Proportion it is exactly unbiased: E[Σw·x] is
-// the true success count over the denominator's population. The result
-// is clamped to [0, 1].
+// observations). It is exactly unbiased: E[Σw·x] is the true success
+// count over the denominator's population, where the self-normalized
+// (Hájek) estimate HTProportion(W) is not. The result is clamped to
+// [0, 1].
 func (t WeightedTally) HTProportion(denom float64) float64 {
 	if !(denom > 0) {
 		return 0

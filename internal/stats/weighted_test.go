@@ -67,10 +67,10 @@ func TestWeightedWilsonEqualsUnweighted(t *testing.T) {
 			t.Errorf("w=%v: KishNeff = %v, want %d", w, got, n)
 		}
 		p := float64(hits) / float64(n)
-		if got := tal.Proportion(); math.Abs(got-p) > 1e-12 {
+		if got := tal.HTProportion(tal.W); math.Abs(got-p) > 1e-12 {
 			t.Errorf("w=%v: Proportion = %v, want %v", w, got, p)
 		}
-		wlo, whi := tal.WilsonBounds()
+		wlo, whi := WeightedWilsonBounds(tal.HTProportion(tal.W), tal.KishNeff())
 		lo, hi := WilsonBounds(p, n)
 		if math.Abs(wlo-lo) > 1e-12 || math.Abs(whi-hi) > 1e-12 {
 			t.Errorf("w=%v: weighted bounds (%v, %v) != unweighted (%v, %v)", w, wlo, whi, lo, hi)
@@ -155,7 +155,7 @@ func TestInverseProbabilityUnbiased(t *testing.T) {
 			}
 		}
 		sumHT += tal.HTProportion(slots)
-		sumHajek += tal.Proportion()
+		sumHajek += tal.HTProportion(tal.W)
 		if lo, hi := WeightedWilsonBounds(tal.HTProportion(slots), tal.HTEffectiveN(slots)); lo <= truth && truth <= hi {
 			cover++
 		}
@@ -236,10 +236,10 @@ func TestKishNeffDegenerateCorners(t *testing.T) {
 	if neff := empty.KishNeff(); neff != 0 {
 		t.Errorf("empty tally KishNeff = %v, want 0", neff)
 	}
-	if lo, hi := empty.WilsonBounds(); lo != 0 || hi != 1 {
+	if lo, hi := WeightedWilsonBounds(empty.HTProportion(empty.W), empty.KishNeff()); lo != 0 || hi != 1 {
 		t.Errorf("empty tally WilsonBounds = (%v, %v), want (0, 1)", lo, hi)
 	}
-	if ci := WeightedProportionCI95(empty.Proportion(), empty.KishNeff()); math.IsNaN(ci) || ci != 1 {
+	if ci := WeightedProportionCI95(empty.HTProportion(empty.W), empty.KishNeff()); math.IsNaN(ci) || ci != 1 {
 		t.Errorf("empty tally CI95 = %v, want 1", ci)
 	}
 	if lo, hi := WeightedWilsonBounds(empty.HTProportion(0), empty.HTEffectiveN(0)); lo != 0 || hi != 1 {
@@ -269,7 +269,7 @@ func FuzzWeightedTally(f *testing.F) {
 			hit := rng.Intn(3) == 0
 			tal.Add(w, hit)
 		}
-		if p := tal.Proportion(); p < 0 || p > 1 {
+		if p := tal.HTProportion(tal.W); p < 0 || p > 1 {
 			t.Fatalf("Proportion = %v", p)
 		}
 		if k := tal.KishNeff(); k < 0 || k > float64(tal.N)+1e-9 {
@@ -280,7 +280,7 @@ func FuzzWeightedTally(f *testing.F) {
 		}
 		denom := float64(count) * 2
 		for _, pair := range [][2]float64{
-			firstPair(tal.WilsonBounds()),
+			firstPair(WeightedWilsonBounds(tal.HTProportion(tal.W), tal.KishNeff())),
 			firstPair(WeightedWilsonBounds(tal.HTProportion(denom), tal.HTEffectiveN(denom))),
 		} {
 			lo, hi := pair[0], pair[1]
@@ -295,8 +295,8 @@ func FuzzWeightedTally(f *testing.F) {
 			if k := tal.KishNeff(); math.Abs(k-float64(tal.N)) > 1e-9 {
 				t.Fatalf("uniform KishNeff = %v, want %d", k, tal.N)
 			}
-			wlo, whi := tal.WilsonBounds()
-			lo, hi := WilsonBounds(tal.Proportion(), tal.N)
+			wlo, whi := WeightedWilsonBounds(tal.HTProportion(tal.W), tal.KishNeff())
+			lo, hi := WilsonBounds(tal.HTProportion(tal.W), tal.N)
 			if math.Abs(wlo-lo) > 1e-12 || math.Abs(whi-hi) > 1e-12 {
 				t.Fatalf("uniform weighted bounds (%v, %v) != unweighted (%v, %v)", wlo, whi, lo, hi)
 			}

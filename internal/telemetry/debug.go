@@ -23,7 +23,7 @@ type DebugServer struct {
 
 // ServeDebug publishes reg under the expvar name "trident" and serves
 // expvar + pprof on addr (e.g. "localhost:6060"; ":0" picks a free
-// port — read it back from Addr). The server runs until Close.
+// port — read it back from Addr). The server runs until Shutdown.
 //
 // The handlers are mounted on a private mux, not http.DefaultServeMux,
 // so importing this package never changes the default mux's routes.
@@ -48,7 +48,7 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	}
 	ds := &DebugServer{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() {
-		// Serve returns ErrServerClosed on Close; other errors mean the
+		// Serve returns ErrServerClosed on Shutdown; other errors mean the
 		// debug side-car died, which must not take the campaign with it.
 		_ = ds.srv.Serve(ln)
 	}()
@@ -67,8 +67,8 @@ func (s *DebugServer) Addr() string {
 // Shutdown stops the server gracefully: the listener closes immediately
 // (no new scrapes), and in-flight requests — a pprof profile mid-write,
 // a /debug/vars scrape — get up to timeout to finish before the
-// remaining connections are cut. Unlike Close it never truncates a
-// response mid-body unless the deadline expires, and either way the
+// remaining connections are cut. It never truncates a response
+// mid-body unless the deadline expires, and either way the
 // listener is released, never leaked. Safe on a nil receiver (no-op).
 func (s *DebugServer) Shutdown(timeout time.Duration) error {
 	if s == nil {
@@ -76,6 +76,9 @@ func (s *DebugServer) Shutdown(timeout time.Duration) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
+	// Serve may not have registered the listener with srv yet, in which
+	// case srv.Shutdown would leave it to close asynchronously.
+	defer s.ln.Close()
 	if err := s.srv.Shutdown(ctx); err != nil {
 		// Handlers outlived the deadline: fall back to a hard close so
 		// the listener and connections are released regardless.
@@ -83,13 +86,4 @@ func (s *DebugServer) Shutdown(timeout time.Duration) error {
 		return err
 	}
 	return nil
-}
-
-// Close shuts the server down immediately, cutting in-flight requests.
-// Safe on a nil receiver (no-op).
-func (s *DebugServer) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
 }

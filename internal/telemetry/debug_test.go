@@ -84,7 +84,23 @@ func TestDebugServerNilSafe(t *testing.T) {
 	if err := ds.Shutdown(time.Second); err != nil {
 		t.Errorf("nil Shutdown() = %v", err)
 	}
-	if err := ds.Close(); err != nil {
-		t.Errorf("nil Close() = %v", err)
+}
+
+// TestDebugServerShutdownBeforeServe: Shutdown releases the listener
+// before it returns even when the serving goroutine has not started yet
+// — a command that fails right after opening its sinks reuses the port.
+func TestDebugServerShutdownBeforeServe(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		ds, err := ServeDebug("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ds.Addr()
+		ds.Shutdown(time.Second)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("round %d: listener still bound after Shutdown: %v", i, err)
+		}
+		ln.Close()
 	}
 }

@@ -87,12 +87,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds(
 // Since records the time elapsed from start, in microseconds.
 func (h *Histogram) Since(start time.Time) { h.ObserveDuration(time.Since(start)) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistogramBucket is one non-empty bucket of a histogram snapshot: N
 // observations with value ≤ Le (and greater than the previous bucket's
 // Le).

@@ -12,17 +12,20 @@ import (
 // rewrite, no newline) to a terminal-ish writer, throttled so callers
 // can feed it from per-trial callbacks without formatting cost or
 // output flooding: between refreshes Update returns without invoking
-// the render callback.
+// the render callback. The meter keeps the last callback it was given,
+// so Final can re-render the latest state without the caller keeping a
+// copy of it.
 //
 // All methods are safe for concurrent use and on a nil *ProgressMeter
 // (they do nothing).
 type ProgressMeter struct {
-	mu    sync.Mutex
-	w     io.Writer
-	every time.Duration
-	last  time.Time
-	width int
-	wrote bool
+	mu     sync.Mutex
+	w      io.Writer
+	every  time.Duration
+	last   time.Time
+	render func() string // the latest Update's callback
+	width  int
+	wrote  bool
 }
 
 // NewProgressMeter returns a meter writing to w at most once per every
@@ -37,13 +40,14 @@ func NewProgressMeter(w io.Writer, every time.Duration) *ProgressMeter {
 // Update renders and writes the line if the refresh interval has
 // elapsed since the last write; otherwise it is a cheap no-op. render
 // runs (under the meter's lock) only when the line will actually be
-// written.
+// written. The meter keeps render for Final either way.
 func (m *ProgressMeter) Update(render func() string) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.render = render
 	if time.Since(m.last) < m.every {
 		return
 	}
@@ -51,16 +55,19 @@ func (m *ProgressMeter) Update(render func() string) {
 	m.last = time.Now()
 }
 
-// Final forces one last render of the line (regardless of throttling)
-// and terminates it with a newline, leaving the terminal ready for
-// normal output. A meter that never wrote anything stays silent.
-func (m *ProgressMeter) Final(render func() string) {
+// Final forces one last render of the latest Update's callback
+// (regardless of throttling) and terminates the line with a newline,
+// leaving the terminal ready for normal output. A meter that was never
+// updated stays silent.
+func (m *ProgressMeter) Final() {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.write(render())
+	if m.render != nil {
+		m.write(m.render())
+	}
 	m.finish()
 }
 

@@ -33,7 +33,6 @@ import (
 	"expvar"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,25 +195,6 @@ func (r *Registry) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Names returns every registered metric name, sorted — a debugging and
-// doc-generation aid.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // publishedVars guards against double expvar.Publish (which panics)

@@ -91,10 +91,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if h.Count != 2 || h.Sum != 3100 || h.Min != 100 || h.Max != 3000 {
 		t.Errorf("histogram = %+v", h)
 	}
-	want := []string{"c.one", "g.one", "h.one"}
-	got := reg.Names()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Names() = %v, want %v", got, want)
+	if n := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); n != 3 {
+		t.Errorf("snapshot holds %d metrics, want 3: %+v", n, snap)
 	}
 }
 
@@ -130,7 +128,7 @@ func TestServeDebug(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ServeDebug: %v", err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(time.Second)
 
 	get := func(path string) string {
 		t.Helper()
@@ -168,7 +166,8 @@ func TestProgressMeterThrottlesAndFinishes(t *testing.T) {
 	if renders != 1 {
 		t.Errorf("render ran %d times, want 1 (throttled)", renders)
 	}
-	m.Final(func() string { return "done" })
+	m.Update(func() string { return "done" }) // throttled, but kept for Final
+	m.Final()
 	out := buf.String()
 	if !strings.Contains(out, "\rline 1") || !strings.Contains(out, "\rdone") {
 		t.Errorf("meter output = %q", out)
@@ -186,10 +185,12 @@ func TestProgressMeterNilAndSilent(t *testing.T) {
 	var m *ProgressMeter
 	m.Update(func() string { t.Error("nil meter rendered"); return "" })
 	m.Done() // must not panic
+	m.Final()
 
 	var buf syncBuffer
 	m2 := NewProgressMeter(&buf, 0)
-	m2.Done() // never wrote → stays silent
+	m2.Done()  // never wrote → stays silent
+	m2.Final() // never updated → nothing to render
 	if buf.String() != "" {
 		t.Errorf("silent meter wrote %q", buf.String())
 	}

@@ -9,11 +9,13 @@
 # benchmark pins the APIs it calls, but its own functions are not
 # checked.
 #
-# The match is by name, after comments are stripped: a declaration is
-# live when its identifier occurs anywhere else in non-test code (a
-# call, a method value, an interface it satisfies by name). Two
-# declarations sharing a name are live together. main, init and the
-# allowlist below are exempt.
+# The match is by name, after comments are stripped. A function is live
+# when its identifier occurs anywhere else in non-test code; a method is
+# live only when ".Name" occurs in non-test code (a call, a method value
+# or expression, an interface call), so a package function or a field
+# of the same name no longer keeps it alive. Two declarations sharing a
+# name are live together. main, init and the allowlist below are
+# exempt.
 #
 # Run from the repo root; exits non-zero listing every dead function.
 
@@ -79,10 +81,13 @@ for f in $files; do
     strip "$f" >"$TMP/src/$f"
 done
 
-# Every identifier occurrence in non-test code, perfbench included.
-(cd "$TMP/src" && find . -name '*.go' -print0 | xargs -0 cat) |
-    grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort | uniq -c |
-    awk '{print $2, $1}' >"$TMP/uses"
+# Every identifier occurrence in non-test code, perfbench included, and
+# every selector (".Name") occurrence, recorded as ".Name".
+(cd "$TMP/src" && find . -name '*.go' -print0 | xargs -0 cat) >"$TMP/all.go"
+{
+    grep -oE '[A-Za-z_][A-Za-z0-9_]*' "$TMP/all.go"
+    grep -oE '\.[A-Za-z_][A-Za-z0-9_]*' "$TMP/all.go"
+} | sort | uniq -c | awk '{print $2, $1}' >"$TMP/uses"
 
 # Every checked declaration: file, line, receiver type (or -), name.
 (cd "$TMP/src" && find . -name '*.go' ! -path './perfbench/*' -print0 |
@@ -108,7 +113,7 @@ awk -v allow="$allow" '
         for (i = 1; i <= rows; i++) {
             nm = name[i]
             if (nm == "main" || nm == "init" || ok[nm] || ok[recv[i] "." nm] || ok[recv[i] ".*"]) continue
-            if (uses[nm] > decls[nm]) continue
+            if (recv[i] == "-" ? uses[nm] > decls[nm] : uses["." nm] > 0) continue
             split(row[i], f, " ")
             what = (recv[i] == "-") ? nm : recv[i] "." nm
             printf "deadcheck: %s:%s: %s is named by no other non-test code\n", f[1], f[2], what > "/dev/stderr"
